@@ -289,16 +289,11 @@ class PointMetric:
     def scalar_product(self, a: Multivector, b: Multivector) -> float:
         return float(a.coeffs @ self.tables["SP"] @ b.coeffs)
 
-    def hodge(self, a: Multivector, tau: Multivector | None = None) -> Multivector:
-        if tau is None:
-            return Multivector(self.tables["H"] @ a.coeffs)
-        K = self.tables["K"]
-        H = np.einsum("ikj,j->ki", K, tau.coeffs) * blades.REVERSE_SIGN[np.newaxis, :]
-        return Multivector(H @ a.coeffs)
+    def hodge(self, a: Multivector) -> Multivector:
+        return Multivector(self.tables["H"] @ a.coeffs)
 
-    def hodge_inv(self, a: Multivector, tau: Multivector | None = None) -> Multivector:
-        scaled = Multivector(a.coeffs * self.tables["Hinv_scale"])
-        return self.hodge(scaled, tau)
+    def hodge_inv(self, a: Multivector) -> Multivector:
+        return self.hodge(Multivector(a.coeffs * self.tables["Hinv_scale"]))
 
     def volume_form(self) -> Multivector:
         """Unit volume 4-form in coordinate-ascending orientation."""

@@ -402,9 +402,12 @@ def _jet_pow(base: Jet2, expo: Jet2, const_expo: bool, where: str) -> Jet2:
     if base.val <= 0.0:
         raise DomainEvalError("power with non-integer exponent requires positive base", where)
     # x^y = exp(y log x)
-    logx = _jet_chain(base, math.log(base.val), 1.0 / base.val, -1.0 / base.val**2)
-    z = expo * logx
-    ez = math.exp(z.val)
+    try:
+        logx = _jet_chain(base, math.log(base.val), 1.0 / base.val, -1.0 / base.val**2)
+        z = expo * logx
+        ez = math.exp(z.val)
+    except OverflowError:
+        raise DomainEvalError("overflow", where) from None
     return _jet_chain(z, ez, ez, ez)
 
 
@@ -456,9 +459,13 @@ def _eval_jet(e: Expr, names: Mapping[str, Jet2], coord_names: frozenset) -> Jet
                 raise DomainEvalError("sqrt not differentiable at zero", serialize(e))
             s = math.sqrt(a.val)
             return _jet_chain(a, s, 0.5 / s, -0.25 / (s * a.val))
-        if e.func == "log":
-            return _jet_chain(a, math.log(a.val), 1.0 / a.val, -1.0 / a.val**2)
-        f, d1, d2 = _UNARY_JET[e.func](a.val)
+        try:
+            if e.func == "log":
+                f, d1, d2 = math.log(a.val), 1.0 / a.val, -1.0 / a.val**2
+            else:
+                f, d1, d2 = _UNARY_JET[e.func](a.val)
+        except OverflowError:
+            raise DomainEvalError("overflow", serialize(e)) from None
         return _jet_chain(a, f, d1, d2)
     raise TypeError(f"not an Expr node: {e!r}")
 
@@ -532,7 +539,10 @@ def _eval_value(e: Expr, names: Mapping[str, float], coord_names: frozenset) -> 
             if v < 0.0:
                 raise DomainEvalError("sqrt of negative value", serialize(e))
             return math.sqrt(v)
-        return getattr(math, e.func)(v)
+        try:
+            return getattr(math, e.func)(v)
+        except OverflowError:
+            raise DomainEvalError("overflow", serialize(e)) from None
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -551,4 +561,7 @@ def _value_pow(base: float, expo: float, const_expo: bool, where: str) -> float:
         return out
     if base <= 0.0:
         raise DomainEvalError("power with non-integer exponent requires positive base", where)
-    return math.exp(expo * math.log(base))
+    try:
+        return math.exp(expo * math.log(base))
+    except OverflowError:
+        raise DomainEvalError("overflow", where) from None

@@ -1,19 +1,21 @@
 """Physics-level residual checks on user-supplied fields.
 
-Each check evaluates a family of identity residuals at a list of sample
-points and returns a :class:`ResidualReport`.  Residuals under ``residuals``
-gate the pass flag; quantities under ``info`` (sampled currents, quadratic
-roots, solution-matching distances) are diagnostics that depend on the
-supplied fields actually solving the coupled system, which hand-built
-scenarios generally do not.
+Every check is one entry of :data:`CHECKS`: its name, the fields it needs,
+its notes and ``fn(ctx) -> (residuals, info)``, evaluated on one sample
+point's :class:`PointContext`.  :func:`run_checks` visits each point once,
+computes its geometry and field jets once, runs every requested check
+against them and gathers one :class:`ResidualReport` per check.  Residuals
+under ``residuals`` gate the pass flag; quantities under ``info`` (sampled
+currents, quadratic roots, solution-matching distances) are diagnostics that
+depend on the supplied fields actually solving the coupled system, which
+hand-built scenarios generally do not.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,8 +24,6 @@ from .algebra import Multivector, grade_project, wedge
 from .diffops import FieldCalculus, MultivectorField, grad_scalar_product
 from .errors import CliffcheckError, FieldError
 from .geometry import GeometryData, MetricSpec, curvature
-
-THREADS_ENV = "CLIFFCHECK_THREADS"
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class ResidualReport:
             "points": [
                 {
                     "point": list(r.point),
-                    "residuals": {k: v for k, v in r.residuals.items()},
+                    "residuals": dict(r.residuals),
                     "info": r.info,
                     "error": r.error,
                     "passed": r.passed,
@@ -98,45 +98,38 @@ class ResidualReport:
         }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# -- the per-point context and the shape of a check --------------------------------
 
 
-def run_pointwise(
-    check: str,
-    spec: MetricSpec,
-    points: Sequence,
-    tol: float,
-    fn: Callable[[GeometryData], tuple],
-    notes: tuple = (),
-) -> ResidualReport:
-    """Evaluate ``fn`` at each point; gather records in point order."""
+class PointContext:
+    """One sample point: its geometry and one memoized calculator per field."""
 
-    def one(pt) -> PointRecord:
-        try:
-            gd = curvature(spec, pt)
-            residuals, info = fn(gd)
-        except CliffcheckError as err:
-            return PointRecord(tuple(pt), {}, {}, str(err), False)
-        passed = all(v <= tol for v in residuals.values())
-        return PointRecord(tuple(pt), residuals, info, None, passed)
+    def __init__(self, gd: GeometryData, fields: dict, constants: Constants, draw):
+        self.gd = gd
+        self.fields = fields  # "K" | "S" | "V" | "potential" -> MultivectorField | None
+        self.constants = constants
+        self.draw = draw  # (3, 16) random inputs of sandwich_identities, or None
+        self._calcs: dict = {}
 
-    workers = _thread_count()
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, points))
-    else:
-        records = [one(pt) for pt in points]
-    max_res = 0.0
-    for rec in records:
-        for v in rec.residuals.values():
-            max_res = max(max_res, v)
-    passed = bool(records) and all(r.passed for r in records)
-    return ResidualReport(check, tol, records, max_res, passed, notes)
+    def calc(self, name: str) -> FieldCalculus:
+        """The calculator of field ``name``, shared by every check at this point.
+
+        Keyed by the field object, so K and a potential that is K itself
+        (coupling 1) share one set of jets.
+        """
+        f = self.fields[name]
+        fc = self._calcs.get(id(f))
+        if fc is None:
+            fc = self._calcs[id(f)] = FieldCalculus(f, self.gd)
+        return fc
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    needs: tuple  # fields read: "K", "S", "V", "potential" (A, else coupling * K)
+    notes: tuple
+    fn: Callable  # PointContext -> (residuals, info)
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -151,12 +144,6 @@ def _lowered_basis(gd: GeometryData, beta: int) -> Multivector:
 
 def _oneform_components(x: Multivector) -> np.ndarray:
     return np.array([x.coeffs[1 << i] for i in range(4)])
-
-
-def _killing_residual(fc: FieldCalculus) -> float:
-    # max over (mu, nu) of D_mu K_nu + D_nu K_mu
-    kd = np.array([[fc.cov1[mu][1 << nu] for nu in range(4)] for mu in range(4)])
-    return float(np.max(np.abs(kd + kd.T)))
 
 
 def _ricci_coupling(gd: GeometryData, a: Multivector) -> Multivector:
@@ -176,120 +163,87 @@ def _oneform_list(x: Multivector) -> list:
 # -- killing / proposition 1 ---------------------------------------------------------
 
 
-def check_killing(spec: MetricSpec, K: MultivectorField, points, tol) -> ResidualReport:
-    def fn(gd):
-        fc = FieldCalculus(K, gd)
-        return {"killing_eq": _killing_residual(fc)}, {}
-
-    return run_pointwise("killing", spec, points, tol, fn)
-
-
-def lorenz_gauge_residual(spec: MetricSpec, L: MultivectorField, points, tol) -> ResidualReport:
-    def fn(gd):
-        fc = FieldCalculus(L, gd)
-        return {"lorenz_gauge": abs(fc.codifferential().scalar_part)}, {}
-
-    return run_pointwise("lorenz_gauge", spec, points, tol, fn)
+def _killing(ctx: PointContext) -> tuple:
+    fc = ctx.calc("K")
+    # max over (mu, nu) of D_mu K_nu + D_nu K_mu
+    kd = np.array([[fc.cov1[mu][1 << nu] for nu in range(4)] for mu in range(4)])
+    return {"killing_eq": float(np.max(np.abs(kd + kd.T)))}, {}
 
 
-def verify_killing_identities(spec: MetricSpec, K: MultivectorField, points, tol) -> ResidualReport:
-    def fn(gd):
-        fc = FieldCalculus(K, gd)
-        rhs = _ricci_coupling(gd, fc.value())
-        residuals = {
-            "lorenz": abs(fc.codifferential().scalar_part),
-            "ricci_identity": (fc.ricci_operator() - rhs).sup(),
-            "wave_identity": (fc.covariant_dalembertian() - rhs).sup(),
-        }
-        return residuals, {"curvature_coupling": _oneform_list(rhs)}
-
-    return run_pointwise("killing_identities", spec, points, tol, fn)
+def _killing_identities(ctx: PointContext) -> tuple:
+    gd, fc = ctx.gd, ctx.calc("K")
+    rhs = _ricci_coupling(gd, fc.value())
+    residuals = {
+        "lorenz": abs(fc.codifferential().scalar_part),
+        "ricci_identity": (fc.ricci_operator() - rhs).sup(),
+        "wave_identity": (fc.covariant_dalembertian() - rhs).sup(),
+    }
+    return residuals, {"curvature_coupling": _oneform_list(rhs)}
 
 
-def current_from_potential(
-    spec: MetricSpec,
-    A: MultivectorField,
-    points,
-    tol,
-    superconducting: bool = True,
-) -> ResidualReport:
+def _lorenz_gauge(ctx: PointContext) -> tuple:
+    return {"lorenz_gauge": abs(ctx.calc("potential").codifferential().scalar_part)}, {}
+
+
+def _current(ctx: PointContext, superconducting: bool) -> tuple:
     """Maxwell extraction J = -delta dA, with the proportional-current check."""
-
-    def fn(gd):
-        fc = FieldCalculus(A, gd)
-        current = fc.maxwell_current()
-        residuals = {"closed_field": fc.exterior_d_squared().sup()}
-        rhs = 2.0 * _ricci_coupling(gd, fc.value())
-        if superconducting:
-            residuals["superconducting"] = (current - rhs).sup()
-        info = {
-            "current": _oneform_list(current),
-            "current_sup": current.sup(),
-            "proportional_rhs": _oneform_list(rhs),
-            "proportional_rhs_sup": rhs.sup(),
-        }
-        return residuals, info
-
-    name = "superconducting_current" if superconducting else "maxwell_current"
-    return run_pointwise(name, spec, points, tol, fn)
+    fc = ctx.calc("potential")
+    current = fc.maxwell_current()
+    residuals = {"closed_field": fc.exterior_d_squared().sup()}
+    rhs = 2.0 * _ricci_coupling(ctx.gd, fc.value())
+    if superconducting:
+        residuals["superconducting"] = (current - rhs).sup()
+    info = {
+        "current": _oneform_list(current),
+        "current_sup": current.sup(),
+        "proportional_rhs": _oneform_list(rhs),
+        "proportional_rhs_sup": rhs.sup(),
+    }
+    return residuals, info
 
 
 # -- charged fluid ------------------------------------------------------------------
 
 
-def lorentz_force_residual(spec: MetricSpec, fields: ScenarioFields, points, tol) -> ResidualReport:
-    V, A = fields.V, fields.potential()
-    if V is None or A is None:
-        raise FieldError("lorentz_force requires fields V and A (or K with coupling)")
-    e, m = fields.constants.e, fields.constants.m
-
-    def fn(gd):
-        pm = gd.metric
-        fv = FieldCalculus(V, gd)
-        fa = FieldCalculus(A, gd)
-        vval = fv.value()
-        force_form = m * fv.exterior_d() - e * fa.exterior_d()  # d(mV - eA)
-        residuals = {
-            "lorentz_force": pm.left_contract(vval, force_form).sup(),
-            "unit_velocity": abs(pm.scalar_product(vval, vval) - 1.0),
-        }
-        # transport identity: (V . dirac)V = V _| dV + 1/2 dirac(V.V)
-        v_up = gd.g_upper @ _oneform_components(vval)
-        directional = Multivector.zero()
-        for mu in range(4):
-            directional = directional + v_up[mu] * Multivector(fv.cov1[mu])
-        correction = 0.5 * grad_scalar_product(V, V, gd)
-        transport = directional - pm.left_contract(vval, fv.exterior_d()) - correction
-        residuals["transport_identity"] = transport.sup()
-        return residuals, {}
-
-    return run_pointwise("lorentz_force", spec, points, tol, fn)
+def _lorentz_force(ctx: PointContext) -> tuple:
+    gd, e, m = ctx.gd, ctx.constants.e, ctx.constants.m
+    pm = gd.metric
+    fv = ctx.calc("V")
+    fa = ctx.calc("potential")
+    vval = fv.value()
+    force_form = m * fv.exterior_d() - e * fa.exterior_d()  # d(mV - eA)
+    residuals = {
+        "lorentz_force": pm.left_contract(vval, force_form).sup(),
+        "unit_velocity": abs(pm.scalar_product(vval, vval) - 1.0),
+    }
+    # transport identity: (V . dirac)V = V _| dV + 1/2 dirac(V.V)
+    v_up = gd.g_upper @ _oneform_components(vval)
+    directional = Multivector.zero()
+    for mu in range(4):
+        directional = directional + v_up[mu] * Multivector(fv.cov1[mu])
+    correction = 0.5 * grad_scalar_product(fv.field, fv.field, gd)
+    transport = directional - pm.left_contract(vval, fv.exterior_d()) - correction
+    residuals["transport_identity"] = transport.sup()
+    return residuals, {}
 
 
-def hamilton_jacobi_residual(spec: MetricSpec, fields: ScenarioFields, points, tol) -> ResidualReport:
-    S, V, A = fields.S, fields.V, fields.potential()
-    if S is None or V is None or A is None:
-        raise FieldError("hamilton_jacobi requires fields S, V and A (or K with coupling)")
-    e, m = fields.constants.e, fields.constants.m
-
-    def fn(gd):
-        pm = gd.metric
-        fs = FieldCalculus(S, gd)
-        fv = FieldCalculus(V, gd)
-        fa = FieldCalculus(A, gd)
-        momentum = fs.exterior_d() + e * fa.value()  # dS + eA
-        mass_shell = pm.scalar_product(momentum, momentum) - m * m
-        wave = fs.hodge_dalembertian().value
-        delta_a = fa.codifferential().scalar_part
-        residuals = {
-            "momentum_match": (momentum - m * fv.value()).sup(),
-            "mass_shell": abs(mass_shell),
-            "action_wave": abs(wave.scalar_part - e * delta_a),
-            "incompressible": abs(fv.codifferential().scalar_part),
-        }
-        return residuals, {"delta_potential": delta_a}
-
-    return run_pointwise("hamilton_jacobi", spec, points, tol, fn)
+def _hamilton_jacobi(ctx: PointContext) -> tuple:
+    e, m = ctx.constants.e, ctx.constants.m
+    pm = ctx.gd.metric
+    fs = ctx.calc("S")
+    fv = ctx.calc("V")
+    fa = ctx.calc("potential")
+    momentum = fs.exterior_d() + e * fa.value()  # dS + eA
+    mass_shell = pm.scalar_product(momentum, momentum) - m * m
+    wave = fs.hodge_dalembertian().value
+    delta_a = fa.codifferential().scalar_part
+    residuals = {
+        "momentum_match": (momentum - m * fv.value()).sup(),
+        "mass_shell": abs(mass_shell),
+        "action_wave": abs(wave.scalar_part - e * delta_a),
+        "incompressible": abs(fv.codifferential().scalar_part),
+    }
+    return residuals, {"delta_potential": delta_a}
 
 
 # -- energy momentum ------------------------------------------------------------------
@@ -311,7 +265,7 @@ def energy_momentum_em(gd: GeometryData, F: Multivector, beta: int) -> EnergyMom
     sandwich = pm.clifford(F, pm.clifford(_lowered_basis(gd, beta), F))
     closure = grade_project(sandwich, 3).sup()
     t_form = -0.5 * grade_project(sandwich, 1)
-    return EnergyMomentum(t_form, pm.hodge(t_form, gd.tau), closure)
+    return EnergyMomentum(t_form, pm.hodge(t_form), closure)
 
 
 def energy_momentum_fluid(gd: GeometryData, J: Multivector, alpha: int) -> EnergyMomentum:
@@ -323,47 +277,41 @@ def energy_momentum_fluid(gd: GeometryData, J: Multivector, alpha: int) -> Energ
     sandwich = pm.clifford(J, pm.clifford(basis, J))
     closure = grade_project(sandwich, 3).sup()
     t_form = 0.5 * grade_project(sandwich, 1)
-    star_t = pm.hodge(t_form, gd.tau)
-    star_j = pm.hodge(J, gd.tau)
+    star_t = pm.hodge(t_form)
+    star_j = pm.hodge(J)
     alt = 0.5 * (
         pm.scalar_product(basis, J) * star_j + wedge(J, pm.left_contract(basis, star_j))
     )
     return EnergyMomentum(t_form, star_t, closure, (star_t - alt).sup())
 
 
-def einstein_residual(spec: MetricSpec, fields: ScenarioFields, points, tol) -> ResidualReport:
+def _einstein(ctx: PointContext) -> tuple:
     """Residuals of the gravitational structure equations; a solution detector.
 
     Hand-built field configurations generally fail this check unless they
     actually solve the coupled system (flat/empty and vacuum cases do).
     """
-    A = fields.potential()
-    if A is None:
-        raise FieldError("einstein requires field A (or K with coupling)")
-
-    def fn(gd):
-        pm = gd.metric
-        fa = FieldCalculus(A, gd)
-        F = fa.exterior_d()
-        J = fa.maxwell_current()
-        einstein_lower = gd.ricci - 0.5 * gd.scalar * gd.g_lower
-        worst = 0.0
-        for alpha in range(4):
-            coeffs = np.zeros(16)
-            for nu in range(4):
-                coeffs[1 << nu] = einstein_lower[alpha, nu]
-            g_form = Multivector(coeffs)
-            em = energy_momentum_em(gd, F, alpha)
-            fluid = energy_momentum_fluid(gd, J, alpha)
-            worst = max(worst, (g_form + em.oneform + fluid.oneform).sup())
-        j_sq = pm.scalar_product(J, J)
-        residuals = {
-            "einstein_eq": worst,
-            "trace_equation": abs(gd.scalar - j_sq),
-        }
-        return residuals, {"current": _oneform_list(J), "scalar_curvature": gd.scalar}
-
-    return run_pointwise("einstein", spec, points, tol, fn)
+    gd = ctx.gd
+    pm = gd.metric
+    fa = ctx.calc("potential")
+    F = fa.exterior_d()
+    J = fa.maxwell_current()
+    einstein_lower = gd.ricci - 0.5 * gd.scalar * gd.g_lower
+    worst = 0.0
+    for alpha in range(4):
+        coeffs = np.zeros(16)
+        for nu in range(4):
+            coeffs[1 << nu] = einstein_lower[alpha, nu]
+        g_form = Multivector(coeffs)
+        em = energy_momentum_em(gd, F, alpha)
+        fluid = energy_momentum_fluid(gd, J, alpha)
+        worst = max(worst, (g_form + em.oneform + fluid.oneform).sup())
+    j_sq = pm.scalar_product(J, J)
+    residuals = {
+        "einstein_eq": worst,
+        "trace_equation": abs(gd.scalar - j_sq),
+    }
+    return residuals, {"current": _oneform_list(J), "scalar_curvature": gd.scalar}
 
 
 # -- structure current, quadratic ------------------------------------------------------
@@ -400,7 +348,7 @@ def solve_structure_quadratic(c: float) -> StructureRoots:
     return StructureRoots("two-roots", tuple(sorted(polished)), disc)
 
 
-def structure_current(spec: MetricSpec, A: MultivectorField, points, tol) -> ResidualReport:
+def _structure_current(ctx: PointContext) -> tuple:
     """Sandwich current B = F A rev(F), the root(s) f, and current matching.
 
     Gating residuals are the algebraic identities (grade closure of B and the
@@ -408,41 +356,31 @@ def structure_current(spec: MetricSpec, A: MultivectorField, points, tol) -> Res
     Maxwell current and -f B are informational, as is the printed form of the
     consistency equation, since both hold only on exact solutions.
     """
-
-    def fn(gd):
-        pm = gd.metric
-        fa = FieldCalculus(A, gd)
-        aval = fa.value()
-        F = fa.exterior_d()
-        J = fa.maxwell_current()
-        B = pm.clifford(F, pm.clifford(aval, F.reverse()))
-        closure = (B - grade_project(B, 1)).sup()
-        B1 = grade_project(B, 1)
-        c = pm.scalar_product(aval, B1)
-        sol = solve_structure_quadratic(c)
-        residuals = {"sandwich_grade": closure}
-        info = {
-            "c": c,
-            "discriminant": sol.discriminant,
-            "outcome": sol.outcome,
-            "roots": list(sol.roots),
-            "current": _oneform_list(J),
-            "B": _oneform_list(B1),
-            "self_consistency_residual": (J + B1 - 2.0 * pm.scalar_product(aval, J) * J).sup(),
-        }
-        for k, f in enumerate(sol.roots):
-            residuals[f"quadratic_root_{k}"] = abs(2.0 * c * f * f + f + 1.0)
-            info[f"current_match_minus_fB_{k}"] = (J - (-f) * B1).sup()
-            info[f"current_match_plus_fB_{k}"] = (J - f * B1).sup()
-        return residuals, info
-
-    notes = (
-        "root condition implemented as discriminant 1 - 8(A.B) >= 0; the stated "
-        "(A.B)^2 <= 1/8 is not the algebraic condition and is recorded here only",
-        "current-matching distances are informational: they vanish only on exact "
-        "solutions of the coupled system",
-    )
-    return run_pointwise("structure_current", spec, points, tol, fn, notes)
+    pm = ctx.gd.metric
+    fa = ctx.calc("potential")
+    aval = fa.value()
+    F = fa.exterior_d()
+    J = fa.maxwell_current()
+    B = pm.clifford(F, pm.clifford(aval, F.reverse()))
+    closure = (B - grade_project(B, 1)).sup()
+    B1 = grade_project(B, 1)
+    c = pm.scalar_product(aval, B1)
+    sol = solve_structure_quadratic(c)
+    residuals = {"sandwich_grade": closure}
+    info = {
+        "c": c,
+        "discriminant": sol.discriminant,
+        "outcome": sol.outcome,
+        "roots": list(sol.roots),
+        "current": _oneform_list(J),
+        "B": _oneform_list(B1),
+        "self_consistency_residual": (J + B1 - 2.0 * pm.scalar_product(aval, J) * J).sup(),
+    }
+    for k, f in enumerate(sol.roots):
+        residuals[f"quadratic_root_{k}"] = abs(2.0 * c * f * f + f + 1.0)
+        info[f"current_match_minus_fB_{k}"] = (J - (-f) * B1).sup()
+        info[f"current_match_plus_fB_{k}"] = (J - f * B1).sup()
+    return residuals, info
 
 
 def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, j: Multivector) -> dict:
@@ -482,32 +420,144 @@ def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, 
     }
 
 
-def sandwich_identities(
+def _sandwich_identities(ctx: PointContext) -> tuple:
+    """Point-level algebra suite; uses the potential when present, else random inputs."""
+    if ctx.fields["potential"] is not None:
+        fa = ctx.calc("potential")
+        a = fa.value()
+        f2 = fa.exterior_d()
+        j = fa.maxwell_current()
+    else:
+        raw = ctx.draw
+        a = grade_project(Multivector(raw[0]), 1)
+        f2 = grade_project(Multivector(raw[1]), 2)
+        j = grade_project(Multivector(raw[2]), 1)
+    return sandwich_link_identities(ctx.gd, a, f2, j), {}
+
+
+# -- the registry: name, required fields, notes, fn; README order ----------------------
+
+_STRUCTURE_NOTES = (
+    "root condition implemented as discriminant 1 - 8(A.B) >= 0; the stated "
+    "(A.B)^2 <= 1/8 is not the algebraic condition and is recorded here only",
+    "current-matching distances are informational: they vanish only on exact "
+    "solutions of the coupled system",
+)
+
+CHECKS = {
+    c.name: c
+    for c in (
+        Check("killing", ("K",), (), _killing),
+        Check("killing_identities", ("K",), (), _killing_identities),
+        Check("lorenz_gauge", ("potential",), (), _lorenz_gauge),
+        Check("superconducting_current", ("potential",), (), partial(_current, superconducting=True)),
+        Check("maxwell_current", ("potential",), (), partial(_current, superconducting=False)),
+        Check("lorentz_force", ("potential", "V"), (), _lorentz_force),
+        Check("hamilton_jacobi", ("potential", "S", "V"), (), _hamilton_jacobi),
+        Check("einstein", ("potential",), (), _einstein),
+        Check("structure_current", ("potential",), _STRUCTURE_NOTES, _structure_current),
+        Check("sandwich_identities", (), (), _sandwich_identities),
+    )
+}
+
+
+# -- the point loop ------------------------------------------------------------------
+
+
+def requirement_problems(name: str, fields: ScenarioFields) -> list:
+    """One message per field that check ``name`` needs and ``fields`` lacks."""
+    problems = []
+    for need in CHECKS[name].needs:
+        if need == "potential":
+            if fields.potential() is None:
+                problems.append(f"check {name} requires field A (or K with coupling)")
+        elif getattr(fields, need) is None:
+            problems.append(f"check {name} requires field {need}")
+    return problems
+
+
+@dataclass
+class PointResult:
+    records: list  # one PointRecord per requested check, in request order
+
+
+def _point_key(pt) -> tuple:
+    return tuple(float(v) for v in pt)
+
+
+def _nonfinite(value) -> bool:
+    items = value if isinstance(value, list) else (value,)
+    return any(isinstance(x, float) and not math.isfinite(x) for x in items)
+
+
+def _record(point: tuple, tol: float, residuals: dict, info: dict) -> PointRecord:
+    """A point's record; a non-finite residual or info value is a point error."""
+    for kind, values in (("residual", residuals), ("info", info)):
+        for key, value in values.items():
+            if _nonfinite(value):
+                return PointRecord(point, {}, {}, f"non-finite {kind} '{key}'", False)
+    return PointRecord(point, residuals, info, None, all(v <= tol for v in residuals.values()))
+
+
+def run_pointwise(
+    spec: MetricSpec,
+    pt: Sequence[float],
+    checks: Sequence[Check],
+    tols: Sequence[float],
+    fields: dict,
+    constants: Constants,
+    draw,
+) -> PointResult:
+    """Run ``checks`` at one point against one shared :class:`PointContext`."""
+    point = tuple(pt)
+    try:
+        ctx = PointContext(curvature(spec, pt), fields, constants, draw)
+    except CliffcheckError as err:
+        return PointResult([PointRecord(point, {}, {}, str(err), False) for _ in checks])
+    records = []
+    for check, tol in zip(checks, tols):
+        try:
+            residuals, info = check.fn(ctx)
+        except CliffcheckError as err:
+            records.append(PointRecord(point, {}, {}, str(err), False))
+        else:
+            records.append(_record(point, tol, residuals, info))
+    return PointResult(records)
+
+
+def run_checks(
     spec: MetricSpec,
     fields: ScenarioFields,
-    points,
-    tol,
+    names: Sequence[str],
+    points: Sequence,
+    tols: Sequence[float],
     seed: int = 0,
-) -> ResidualReport:
-    """Point-level algebra suite; uses supplied fields when present, else random."""
-    A = fields.potential()
-    rng = np.random.default_rng(seed)
-    # keyed by point so the draw is stable under threaded evaluation order
-    draws = {
-        tuple(float(v) for v in pt): rng.uniform(-1.0, 1.0, size=(3, 16)) for pt in points
-    }
+) -> list:
+    """Run checks ``names`` with tolerances ``tols`` over ``points``, point by point.
 
-    def fn(gd):
-        if A is not None:
-            fa = FieldCalculus(A, gd)
-            a = fa.value()
-            f2 = fa.exterior_d()
-            j = fa.maxwell_current()
-        else:
-            raw = draws[tuple(float(v) for v in gd.point)]
-            a = grade_project(Multivector(raw[0]), 1)
-            f2 = grade_project(Multivector(raw[1]), 2)
-            j = grade_project(Multivector(raw[2]), 1)
-        return sandwich_link_identities(gd, a, f2, j), {}
-
-    return run_pointwise("sandwich_identities", spec, points, tol, fn)
+    Returns one :class:`ResidualReport` per name, in order, with records in
+    point order.  ``seed`` draws the random inputs of ``sandwich_identities``
+    when no potential is given.
+    """
+    problems = [p for n in names for p in requirement_problems(n, fields)]
+    if problems:
+        raise FieldError("; ".join(problems))
+    checks = [CHECKS[n] for n in names]
+    by_name = {"K": fields.K, "S": fields.S, "V": fields.V, "potential": fields.potential()}
+    draws = {}
+    if by_name["potential"] is None:
+        # keyed by point, so a repeated point gets the same draw
+        rng = np.random.default_rng(seed)
+        draws = {_point_key(pt): rng.uniform(-1.0, 1.0, size=(3, 16)) for pt in points}
+    rows = [[] for _ in checks]
+    for pt in points:
+        draw = draws.get(_point_key(pt))
+        result = run_pointwise(spec, pt, checks, tols, by_name, fields.constants, draw)
+        for row, rec in zip(rows, result.records):
+            row.append(rec)
+    reports = []
+    for check, tol, records in zip(checks, tols, rows):
+        max_res = max([0.0, *(v for r in records for v in r.residuals.values())])
+        passed = bool(records) and all(r.passed for r in records)
+        reports.append(ResidualReport(check.name, tol, records, max_res, passed, check.notes))
+    return reports

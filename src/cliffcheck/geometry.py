@@ -89,7 +89,6 @@ class GeometryData:
     g_lower: np.ndarray
     g_upper: np.ndarray
     sqrt_abs_det: float
-    cond: float
     dg: np.ndarray
     gamma: np.ndarray  # Gamma^r_{ab} -> gamma[r, a, b]
     dgamma: np.ndarray  # d_s Gamma^r_{ab} -> dgamma[s, r, a, b]
@@ -98,7 +97,6 @@ class GeometryData:
     scalar: float
     ricci_oneforms: tuple  # 4 Multivectors R^mu_nu gamma^nu
     einstein_oneforms: tuple
-    tau: Multivector
     metric: PointMetric
 
 
@@ -174,7 +172,6 @@ def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True) -> Ge
     ricci_oneforms = tuple(_oneform(mixed[mu]) for mu in range(4))
     einstein_mixed = mixed - 0.5 * scalar * np.eye(4)
     einstein_oneforms = tuple(_oneform(einstein_mixed[mu]) for mu in range(4))
-    tau = pm.volume_form()
 
     gd = GeometryData(
         spec=spec,
@@ -182,7 +179,6 @@ def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True) -> Ge
         g_lower=jets.values,
         g_upper=pm.g,
         sqrt_abs_det=pm.sqrt_abs_det,
-        cond=float(np.linalg.cond(jets.values)),
         dg=jets.dg,
         gamma=gamma,
         dgamma=dgamma,
@@ -191,7 +187,6 @@ def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True) -> Ge
         scalar=scalar,
         ricci_oneforms=ricci_oneforms,
         einstein_oneforms=einstein_oneforms,
-        tau=tau,
         metric=pm,
     )
     if validate:
@@ -228,17 +223,6 @@ def _validate(gd: GeometryData):
     )
     if np.max(np.abs(compat)) > 1e-11 * max(1.0, float(np.max(np.abs(gd.dg)))):
         raise GeometryError(f"metric compatibility violated ({np.max(np.abs(compat)):.3e})")
-
-
-def ricci_oneforms(gd: GeometryData) -> tuple:
-    """Ricci 1-forms R^mu_nu gamma^nu, recomputed from the stored tensors."""
-    mixed = gd.g_upper @ gd.ricci
-    return tuple(_oneform(mixed[mu]) for mu in range(4))
-
-
-def einstein_oneforms(gd: GeometryData) -> tuple:
-    mixed = gd.g_upper @ gd.ricci - 0.5 * gd.scalar * np.eye(4)
-    return tuple(_oneform(mixed[mu]) for mu in range(4))
 
 
 def volume_form(gd: GeometryData) -> Multivector:

@@ -31,38 +31,11 @@ from .errors import (
     GeometryError,
     ScenarioValidationError,
 )
-from .fieldcheck import (
-    Constants,
-    ResidualReport,
-    ScenarioFields,
-    check_killing,
-    sandwich_identities,
-    current_from_potential,
-    einstein_residual,
-    hamilton_jacobi_residual,
-    lorentz_force_residual,
-    lorenz_gauge_residual,
-    structure_current,
-    verify_killing_identities,
-)
+from .fieldcheck import CHECKS, Constants, ScenarioFields, requirement_problems, run_checks
 from .geometry import CATALOG, MetricSpec, build_metric
 
 REPORT_SCHEMA = "cliffcheck-report/v1"
 DEFAULT_TOLERANCE = 1e-8
-
-# check name -> (needs_K, needs_potential, needs_S, needs_V)
-CHECK_REQUIREMENTS = {
-    "killing": ("K",),
-    "killing_identities": ("K",),
-    "lorenz_gauge": ("potential",),
-    "superconducting_current": ("potential",),
-    "maxwell_current": ("potential",),
-    "lorentz_force": ("potential", "V"),
-    "hamilton_jacobi": ("potential", "S", "V"),
-    "einstein": ("potential",),
-    "structure_current": ("potential",),
-    "sandwich_identities": (),
-}
 
 
 @dataclass(frozen=True)
@@ -146,22 +119,16 @@ def load_scenario(path) -> Scenario:
     fields = _resolve_fields(raw.get("fields", {}), spec, constants, problems)
     checks = tuple(raw["checks"])
     for name in checks:
-        if name not in CHECK_REQUIREMENTS:
+        if name not in CHECKS:
             problems.append(
-                f"checks: unknown check '{name}' (known: {', '.join(sorted(CHECK_REQUIREMENTS))})"
+                f"checks: unknown check '{name}' (known: {', '.join(sorted(CHECKS))})"
             )
-            continue
-        if fields is not None:
-            for need in CHECK_REQUIREMENTS[name]:
-                if need == "potential":
-                    if fields.potential() is None:
-                        problems.append(f"check {name} requires field A (or K with coupling)")
-                elif getattr(fields, need) is None:
-                    problems.append(f"check {name} requires field {need}")
+        elif fields is not None:
+            problems.extend(requirement_problems(name, fields))
 
     tolerances = dict(raw.get("tolerances", {}))
     for name in tolerances:
-        if name != "default" and name not in CHECK_REQUIREMENTS:
+        if name != "default" and name not in CHECKS:
             problems.append(f"tolerances: unknown check '{name}'")
 
     seed = int(raw.get("samples", {}).get("random", {}).get("seed", 0))
@@ -334,38 +301,13 @@ def run(
         ]
 
     start = time.perf_counter()
-    reports: list = []
-    spec, fields = scenario.spec, scenario.fields
-    for name in scenario.checks:
-        tol = scenario.tolerance_for(name, tol_override)
-        reports.append(_dispatch(name, spec, fields, points, tol, scenario.seed))
+    tols = [scenario.tolerance_for(name, tol_override) for name in scenario.checks]
+    reports = run_checks(
+        scenario.spec, scenario.fields, scenario.checks, points, tols, scenario.seed
+    )
     wall = time.perf_counter() - start
     passed = all(r.passed for r in reports)
     return Report(scenario.digest, scenario.description, reports, passed, wall)
-
-
-def _dispatch(name, spec, fields, points, tol, seed) -> ResidualReport:
-    if name == "killing":
-        return check_killing(spec, fields.K, points, tol)
-    if name == "killing_identities":
-        return verify_killing_identities(spec, fields.K, points, tol)
-    if name == "lorenz_gauge":
-        return lorenz_gauge_residual(spec, fields.potential(), points, tol)
-    if name == "superconducting_current":
-        return current_from_potential(spec, fields.potential(), points, tol, superconducting=True)
-    if name == "maxwell_current":
-        return current_from_potential(spec, fields.potential(), points, tol, superconducting=False)
-    if name == "lorentz_force":
-        return lorentz_force_residual(spec, fields, points, tol)
-    if name == "hamilton_jacobi":
-        return hamilton_jacobi_residual(spec, fields, points, tol)
-    if name == "einstein":
-        return einstein_residual(spec, fields, points, tol)
-    if name == "structure_current":
-        return structure_current(spec, fields.potential(), points, tol)
-    if name == "sandwich_identities":
-        return sandwich_identities(spec, fields, points, tol, seed=seed)
-    raise CliffcheckError(f"unknown check '{name}'")
 
 
 def list_builtins() -> str:

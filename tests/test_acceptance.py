@@ -1,7 +1,7 @@
 """Release acceptance suite.
 
 One test per criterion, each printing a single PASS/FAIL line; run with
-``pytest tests/test_acceptance.py -v -rA`` (or see test_output.txt).
+``pytest tests/test_acceptance.py -v -rA``.
 """
 
 import subprocess

@@ -100,6 +100,16 @@ def test_domain_errors_name_subexpression():
         ex.evaluate_jet2(ex.parse("(-2)^0.5"), COORDS, (0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("src", ["exp(2000*t)", "cosh(x+1000)", "x^1000.5", "pow(x, 1000.5)"])
+def test_overflow_is_a_domain_error(src):
+    e = ex.parse(src)
+    point = (1.0, 10.0, 0, 0)
+    with pytest.raises(DomainEvalError, match="overflow"):
+        ex.evaluate(e, COORDS, point)
+    with pytest.raises(DomainEvalError, match="overflow"):
+        ex.evaluate_jet2(e, COORDS, point)
+
+
 def test_integer_power_of_negative_base_ok():
     assert ex.evaluate(ex.parse("(-2)^3"), COORDS, (0, 0, 0, 0)) == -8.0
     j = ex.evaluate_jet2(ex.parse("x^3"), COORDS, (0, -2.0, 0, 0))

@@ -22,39 +22,48 @@ def field(components, spec):
     return MultivectorField.from_components(components, spec.coords)
 
 
+def run_check(name, spec, fields, points, tol, seed=0):
+    (report,) = fch.run_checks(spec, fields, [name], points, [tol], seed)
+    return report
+
+
 # -- killing ---------------------------------------------------------------------
 
 
 def test_killing_minkowski_translation():
-    report = fch.check_killing(MINK, field({"t": "1"}, MINK), MINK_PTS, 1e-10)
+    K = field({"t": "1"}, MINK)
+    report = run_check("killing", MINK, fch.ScenarioFields(K=K), MINK_PTS, 1e-10)
     assert report.passed
     assert report.max_residual == 0.0
 
 
 def test_killing_schwarzschild_static():
     K = field({"t": "1-2*M/r"}, SCHW)
-    report = fch.check_killing(SCHW, K, SCHW_PTS, 1e-10)
+    report = run_check("killing", SCHW, fch.ScenarioFields(K=K), SCHW_PTS, 1e-10)
     assert report.passed, report.to_dict()
 
 
 def test_killing_negative_witness():
-    report = fch.check_killing(MINK, field({"x": "x"}, MINK), MINK_PTS, 1e-10)
+    K = field({"x": "x"}, MINK)
+    report = run_check("killing", MINK, fch.ScenarioFields(K=K), MINK_PTS, 1e-10)
     assert not report.passed
     assert report.max_residual > 1.0
 
 
 def test_killing_boost_form_sign():
     # the metric dual of the boost vector is x dt - t dx; the + version fails
-    good = fch.check_killing(MINK, field({"t": "x", "x": "-t"}, MINK), MINK_PTS, 1e-12)
-    bad = fch.check_killing(MINK, field({"t": "x", "x": "t"}, MINK), MINK_PTS, 1e-12)
+    good = fch.ScenarioFields(K=field({"t": "x", "x": "-t"}, MINK))
+    bad = fch.ScenarioFields(K=field({"t": "x", "x": "t"}, MINK))
+    good = run_check("killing", MINK, good, MINK_PTS, 1e-12)
+    bad = run_check("killing", MINK, bad, MINK_PTS, 1e-12)
     assert good.passed
     assert not bad.passed
 
 
 def test_lorenz_gauge_but_not_killing_witness():
     L = field({"x": "y"}, MINK)
-    gauge = fch.lorenz_gauge_residual(MINK, L, MINK_PTS, 1e-12)
-    killing = fch.check_killing(MINK, L, MINK_PTS, 1e-10)
+    gauge = run_check("lorenz_gauge", MINK, fch.ScenarioFields(A=L), MINK_PTS, 1e-12)
+    killing = run_check("killing", MINK, fch.ScenarioFields(K=L), MINK_PTS, 1e-10)
     assert gauge.passed
     assert not killing.passed
 
@@ -62,7 +71,7 @@ def test_lorenz_gauge_but_not_killing_witness():
 def test_point_errors_recorded_not_raised():
     K = field({"t": "1-2*M/r"}, SCHW)
     pts = [(0.0, 4.0, 1.0, 0.0), (0.0, 2.0, 1.0, 0.0)]  # second on the horizon
-    report = fch.check_killing(SCHW, K, pts, 1e-10)
+    report = run_check("killing", SCHW, fch.ScenarioFields(K=K), pts, 1e-10)
     assert not report.passed
     assert report.records[0].passed
     assert report.records[1].error is not None
@@ -73,13 +82,13 @@ def test_point_errors_recorded_not_raised():
 
 def test_killing_identities_minkowski_boost():
     K = field({"t": "x", "x": "-t"}, MINK)
-    report = fch.verify_killing_identities(MINK, K, MINK_PTS, 1e-10)
+    report = run_check("killing_identities", MINK, fch.ScenarioFields(K=K), MINK_PTS, 1e-10)
     assert report.passed, report.to_dict()
 
 
 def test_killing_identities_flrw_translation_nontrivial():
     K = field({"x": "-t^2"}, FLRW)
-    report = fch.verify_killing_identities(FLRW, K, FLRW_PTS, 1e-8)
+    report = run_check("killing_identities", FLRW, fch.ScenarioFields(K=K), FLRW_PTS, 1e-8)
     assert report.passed, report.to_dict()
     assert any(
         max(abs(v) for v in rec.info["curvature_coupling"]) > 1e-3 for rec in report.records
@@ -88,7 +97,7 @@ def test_killing_identities_flrw_translation_nontrivial():
 
 def test_killing_identities_schwarzschild_axial():
     K = field({"phi": "-r^2*sin(theta)^2"}, SCHW)
-    report = fch.verify_killing_identities(SCHW, K, SCHW_PTS, 1e-8)
+    report = run_check("killing_identities", SCHW, fch.ScenarioFields(K=K), SCHW_PTS, 1e-8)
     assert report.passed, report.to_dict()
 
 
@@ -101,8 +110,9 @@ def test_killing_identities_all_catalog_forms():
     ):
         for kf in geo.killing_forms(key, {"a": "t"} if key == "flrw" else None):
             K = field(dict(kf.components), spec)
-            assert fch.check_killing(spec, K, pts, 1e-9).passed, kf.name
-            assert fch.verify_killing_identities(spec, K, pts, 1e-8).passed, kf.name
+            fields = fch.ScenarioFields(K=K)
+            assert run_check("killing", spec, fields, pts, 1e-9).passed, kf.name
+            assert run_check("killing_identities", spec, fields, pts, 1e-8).passed, kf.name
 
 
 # -- maxwell / superconducting current ------------------------------------------------
@@ -110,7 +120,7 @@ def test_killing_identities_all_catalog_forms():
 
 def test_current_vacuum_is_null():
     A = field({"t": "1-2*M/r"}, SCHW)
-    report = fch.current_from_potential(SCHW, A, SCHW_PTS, 1e-9)
+    report = run_check("superconducting_current", SCHW, fch.ScenarioFields(A=A), SCHW_PTS, 1e-9)
     assert report.passed
     for rec in report.records:
         assert rec.info["current_sup"] < 1e-9
@@ -119,14 +129,14 @@ def test_current_vacuum_is_null():
 
 def test_current_flrw_nonzero_and_proportional():
     A = field({"x": "-t^2"}, FLRW)
-    report = fch.current_from_potential(FLRW, A, FLRW_PTS, 1e-8)
+    report = run_check("superconducting_current", FLRW, fch.ScenarioFields(A=A), FLRW_PTS, 1e-8)
     assert report.passed, report.to_dict()
     assert all(rec.info["current_sup"] > 1e-3 for rec in report.records)
 
 
 def test_current_uniform_field_strength():
     A = field({"t": "x"}, MINK)
-    report = fch.current_from_potential(MINK, A, MINK_PTS, 1e-12)
+    report = run_check("superconducting_current", MINK, fch.ScenarioFields(A=A), MINK_PTS, 1e-12)
     assert report.passed
     assert all(rec.info["current_sup"] == 0.0 for rec in report.records)
 
@@ -134,8 +144,9 @@ def test_current_uniform_field_strength():
 def test_current_scaled_potential():
     # J is linear in the coupling: A = coupling * K doubles the current
     K = field({"x": "-t^2"}, FLRW)
-    r1 = fch.current_from_potential(FLRW, K, [FLRW_PTS[0]], 1e-8)
-    r2 = fch.current_from_potential(FLRW, K.scaled(2.0), [FLRW_PTS[0]], 1e-8)
+    r1 = run_check("superconducting_current", FLRW, fch.ScenarioFields(A=K), [FLRW_PTS[0]], 1e-8)
+    doubled = fch.ScenarioFields(A=K.scaled(2.0))
+    r2 = run_check("superconducting_current", FLRW, doubled, [FLRW_PTS[0]], 1e-8)
     j1 = np.array(r1.records[0].info["current"])
     j2 = np.array(r2.records[0].info["current"])
     assert np.max(np.abs(j2 - 2.0 * j1)) < 1e-12
@@ -148,7 +159,7 @@ def test_lorentz_force_static_dust():
     fields = fch.ScenarioFields(
         V=field({"t": "1"}, MINK), A=MultivectorField.zero()
     )
-    report = fch.lorentz_force_residual(MINK, fields, MINK_PTS, 1e-12)
+    report = run_check("lorentz_force", MINK, fields, MINK_PTS, 1e-12)
     assert report.passed
 
 
@@ -157,13 +168,13 @@ def test_lorentz_force_gradient_velocity():
     fields = fch.ScenarioFields(
         V=field({"t": "sqrt(2)", "x": "-1"}, MINK), A=MultivectorField.zero()
     )
-    report = fch.lorentz_force_residual(MINK, fields, MINK_PTS, 1e-12)
+    report = run_check("lorentz_force", MINK, fields, MINK_PTS, 1e-12)
     assert report.passed, report.to_dict()
 
 
 def test_lorentz_force_fail_witness():
     fields = fch.ScenarioFields(V=field({"t": "1"}, MINK), A=field({"t": "x"}, MINK))
-    report = fch.lorentz_force_residual(MINK, fields, MINK_PTS, 1e-10)
+    report = run_check("lorentz_force", MINK, fields, MINK_PTS, 1e-10)
     assert not report.passed
     assert report.max_residual > 0.5
 
@@ -172,7 +183,7 @@ def test_hamilton_jacobi_free_particle():
     fields = fch.ScenarioFields(
         S=field({"1": "t"}, MINK), V=field({"t": "1"}, MINK), A=MultivectorField.zero()
     )
-    report = fch.hamilton_jacobi_residual(MINK, fields, MINK_PTS, 1e-12)
+    report = run_check("hamilton_jacobi", MINK, fields, MINK_PTS, 1e-12)
     assert report.passed, report.to_dict()
 
 
@@ -181,7 +192,7 @@ def test_hamilton_jacobi_lorenz_gauge_wave():
     fields = fch.ScenarioFields(
         S=field({"1": "t"}, MINK), V=field({"t": "1"}, MINK), A=field({"t": "x"}, MINK)
     )
-    report = fch.hamilton_jacobi_residual(MINK, fields, MINK_PTS, 1e-12)
+    report = run_check("hamilton_jacobi", MINK, fields, MINK_PTS, 1e-12)
     assert not report.passed  # momentum no longer matches mV
     for rec in report.records:
         assert rec.residuals["action_wave"] == 0.0
@@ -192,7 +203,7 @@ def test_hamilton_jacobi_mass_mismatch():
     fields = fch.ScenarioFields(
         S=field({"1": "2*t"}, MINK), V=field({"t": "2"}, MINK), A=MultivectorField.zero()
     )
-    report = fch.hamilton_jacobi_residual(MINK, fields, MINK_PTS, 1e-10)
+    report = run_check("hamilton_jacobi", MINK, fields, MINK_PTS, 1e-10)
     assert not report.passed
     assert abs(report.records[0].residuals["mass_shell"] - 3.0) < 1e-12
 
@@ -250,19 +261,19 @@ def test_energy_momentum_fluid_two_forms_agree_random():
 
 def test_einstein_trivial_vacuum():
     fields = fch.ScenarioFields(A=MultivectorField.zero())
-    report = fch.einstein_residual(MINK, fields, MINK_PTS, 1e-10)
+    report = run_check("einstein", MINK, fields, MINK_PTS, 1e-10)
     assert report.passed
 
 
 def test_einstein_schwarzschild_vacuum():
     fields = fch.ScenarioFields(A=MultivectorField.zero())
-    report = fch.einstein_residual(SCHW, fields, SCHW_PTS, 1e-8)
+    report = run_check("einstein", SCHW, fields, SCHW_PTS, 1e-8)
     assert report.passed, report.to_dict()
 
 
 def test_einstein_flrw_without_sources_fails():
     fields = fch.ScenarioFields(A=MultivectorField.zero())
-    report = fch.einstein_residual(FLRW, fields, FLRW_PTS, 1e-8)
+    report = run_check("einstein", FLRW, fields, FLRW_PTS, 1e-8)
     assert not report.passed
     assert report.max_residual > 0.5
 
@@ -329,7 +340,7 @@ def test_quadratic_small_c_limit():
 
 def test_structure_current_flrw():
     A = field({"x": "-t^2"}, FLRW)
-    report = fch.structure_current(FLRW, A, FLRW_PTS, 1e-10)
+    report = run_check("structure_current", FLRW, fch.ScenarioFields(A=A), FLRW_PTS, 1e-10)
     assert report.passed, report.to_dict()
     for rec in report.records:
         # c = A.B = -4 t^4 * g^xx-weighted: negative and nontrivial here
@@ -341,7 +352,7 @@ def test_structure_current_flrw():
 
 def test_structure_current_reports_both_orientations():
     A = field({"x": "-t^2"}, FLRW)
-    report = fch.structure_current(FLRW, A, [FLRW_PTS[1]], 1e-10)
+    report = run_check("structure_current", FLRW, fch.ScenarioFields(A=A), [FLRW_PTS[1]], 1e-10)
     rec = report.records[0]
     assert "current_match_minus_fB_0" in rec.info
     assert "current_match_plus_fB_0" in rec.info
@@ -350,7 +361,8 @@ def test_structure_current_reports_both_orientations():
 def test_structure_current_c_value_flrw():
     # F = -2t dt^dx, B = F A rev(F) -> c = A.B = -4 t^2 at a(t) = t
     A = field({"x": "-t^2"}, FLRW)
-    report = fch.structure_current(FLRW, A, [(1.0, 0.0, 0.0, 0.0)], 1e-10)
+    fields = fch.ScenarioFields(A=A)
+    report = run_check("structure_current", FLRW, fields, [(1.0, 0.0, 0.0, 0.0)], 1e-10)
     assert abs(report.records[0].info["c"] + 4.0) < 1e-12
 
 
@@ -358,13 +370,14 @@ def test_structure_current_c_value_flrw():
 
 
 def test_sandwich_identities_random_inputs():
-    report = fch.sandwich_identities(FLRW, fch.ScenarioFields(), FLRW_PTS, 1e-12, seed=3)
+    fields = fch.ScenarioFields()
+    report = run_check("sandwich_identities", FLRW, fields, FLRW_PTS, 1e-12, seed=3)
     assert report.passed, report.to_dict()
 
 
 def test_sandwich_identities_with_supplied_potential():
     fields = fch.ScenarioFields(K=field({"x": "-t^2"}, FLRW))
-    report = fch.sandwich_identities(FLRW, fields, FLRW_PTS, 1e-10)
+    report = run_check("sandwich_identities", FLRW, fields, FLRW_PTS, 1e-10)
     assert report.passed, report.to_dict()
 
 
@@ -394,12 +407,24 @@ def test_potential_derived_from_killing():
     assert abs(got.coeffs[0b0010] + 2.5) < 1e-15
 
 
-def test_parallel_execution_matches_serial(monkeypatch):
-    K = field({"x": "-t^2"}, FLRW)
-    serial = fch.verify_killing_identities(FLRW, K, FLRW_PTS, 1e-8)
-    serial_links = fch.sandwich_identities(FLRW, fch.ScenarioFields(), FLRW_PTS, 1e-12, seed=9)
-    monkeypatch.setenv(fch.THREADS_ENV, "4")
-    parallel = fch.verify_killing_identities(FLRW, K, FLRW_PTS, 1e-8)
-    parallel_links = fch.sandwich_identities(FLRW, fch.ScenarioFields(), FLRW_PTS, 1e-12, seed=9)
-    assert serial.to_dict() == parallel.to_dict()
-    assert serial_links.to_dict() == parallel_links.to_dict()
+def test_checks_run_together_match_each_alone():
+    # the ten checks share one geometry and one calculator per field at each
+    # point; a check that mutated a shared cached array would show up here
+    fields = fch.ScenarioFields(
+        K=field({"t": "1-2*M/r"}, SCHW),
+        S=field({"1": "t"}, SCHW),
+        V=field({"t": "sqrt(1-2*M/r)"}, SCHW),
+    )
+    names = list(fch.CHECKS)
+    alone = {name: run_check(name, SCHW, fields, SCHW_PTS, 1e-8).to_dict() for name in names}
+    for order in (names, names[::-1]):
+        together = fch.run_checks(SCHW, fields, order, SCHW_PTS, [1e-8] * len(order))
+        assert [r.check for r in together] == order
+        for report in together:
+            assert report.to_dict() == alone[report.check], report.check
+
+
+def test_missing_field_raises_before_any_point():
+    with pytest.raises(FieldError, match="check lorentz_force requires field V"):
+        fields = fch.ScenarioFields(A=MultivectorField.zero())
+        run_check("lorentz_force", MINK, fields, MINK_PTS, 1e-8)

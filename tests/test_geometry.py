@@ -246,7 +246,7 @@ def test_volume_form():
     assert abs(gd.metric.scalar_product(tau, tau) + 1.0) < 1e-12
     # star(1) with this tau reproduces tau
     one = Multivector.scalar(1.0)
-    assert np.max(np.abs(gd.metric.hodge(one, tau).coeffs - tau.coeffs)) == 0.0
+    assert np.max(np.abs(gd.metric.hodge(one).coeffs - tau.coeffs)) == 0.0
 
 
 def test_einstein_oneforms_trace():

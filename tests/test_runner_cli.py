@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ import jsonschema
 import pytest
 
 from cliffcheck.errors import ScenarioValidationError
+from cliffcheck.fieldcheck import CHECKS
 from cliffcheck.runner import (
     canonical_digest,
     list_builtins,
@@ -205,6 +208,38 @@ def test_report_deterministic_and_schema_valid():
     assert "wall_time" not in r1.to_json()
 
 
+# sha256 of Report.to_json() per bundled scenario (numpy 2.4.6); the point-major
+# check loop must reproduce these bytes exactly
+BUNDLED_REPORT_SHA256 = {
+    "flrw_superconducting": "b893023cebf7f7e7997425a2fa64148d3702ed24651644cf3772218798cb3acc",
+    "minkowski_boost": "f542268223437779c25cf0c1d6b3359c4d06afed90d5720c824d813ff9c04488",
+    "minkowski_charged_dust": "9e111066e604480ed5030419f248be87feeeee0080c85c3a3e04cf7460497793",
+    "schwarzschild_killing": "5e369cceaebc9d2ceee18e6f7367fd5ed825ea84bc231b254160d144673f0ef9",
+    "schwarzschild_vacuum_einstein": "81bbc800cbe9cd7945b7d6373329ac5ec43d0f703c133e6df4a63086580e3d01",
+    "flrw_empty_einstein": "206eaab86774831ddf5862da68a128dbfcae6602ac9789e636df7da6f23efe0f",
+    "lorenz_not_killing": "23c4bee894f196f759d0b858214b9234cc7d5a659deed8ada34843c60118a53a",
+    "non_killing": "73eb4ee03d33db624796cc55e25e2aaa8d38ae787dca4abdf8f005eb1baaebb2",
+}
+
+
+@pytest.mark.parametrize("path", POSITIVE + NEGATIVE, ids=lambda p: p.stem)
+def test_bundled_report_bytes_pinned(path):
+    body = run(load_scenario(path)).to_json().encode()
+    assert hashlib.sha256(body).hexdigest() == BUNDLED_REPORT_SHA256[path.stem]
+
+
+def test_readme_checks_table_matches_registry():
+    text = (REPO / "README.md").read_text()
+    table = text.split("### Checks", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table, flags=re.M)
+    labels = {"potential": "A or K"}
+    want = [
+        (c.name, ", ".join(labels.get(n, n) for n in c.needs) or "none")
+        for c in CHECKS.values()
+    ]
+    assert [(name, needs.strip()) for name, needs in rows] == want
+
+
 def test_run_with_point_override():
     scenario = load_scenario(SCENARIOS / "minkowski_boost.json")
     report = run(scenario, points_override=3, seed_override=5)
@@ -297,3 +332,41 @@ def test_cli_selftest_quick():
     proc = run_cli("algebra-selftest", "--iterations", "50", "--seed", "7")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "overall: PASS" in proc.stdout
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite constant {token} in report")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_nonfinite_residual_is_a_point_error(tmp_path):
+    body = dict(BASE)
+    body["fields"] = {"K": {"t": "exp(700)*exp(700)*t - exp(700)*exp(700)*t"}}
+    body["samples"] = {"points": [[1.0, 0.0, 0.0, 0.0]]}
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", str(write_scenario(tmp_path, body)), "--report", str(out))
+    assert proc.returncode == 1
+    assert "error: non-finite residual 'killing_eq'" in proc.stdout
+    payload = strict_json(out.read_text())
+    jsonschema.validate(payload, report_schema())
+    (check,) = payload["checks"]
+    assert check["max_residual"] == 0.0
+    (point,) = check["points"]
+    assert point["residuals"] == {} and point["info"] == {} and point["passed"] is False
+    assert point["error"] == "non-finite residual 'killing_eq'"
+
+
+def test_cli_overflow_is_a_point_error(tmp_path):
+    body = dict(BASE)
+    body["fields"] = {"K": {"t": "exp(2000*t)"}}
+    body["samples"] = {"points": [[1.0, 0.0, 0.0, 0.0]]}
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", str(write_scenario(tmp_path, body)), "--report", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: overflow in 'exp(" in proc.stdout
+    payload = strict_json(out.read_text())
+    jsonschema.validate(payload, report_schema())
+    assert payload["checks"][0]["points"][0]["error"].startswith("overflow in 'exp(")

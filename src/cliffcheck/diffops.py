@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import FieldError
 from .geometry import GeometryData
 
 _ZERO = ex.ZERO
+_NOT_GRADE1 = blades.GRADE != 1
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,11 @@ class FieldJets:
     hess: np.ndarray  # (16, 4, 4)
 
 
-def field_jets(field: MultivectorField, gd: GeometryData) -> FieldJets:
+def field_jets(field: MultivectorField, gd: GeometryData, jet: Callable | None = None) -> FieldJets:
+    """The field's component jets at ``gd.point``; ``jet`` as in :func:`geometry.metric_at`."""
     spec = gd.spec
+    if jet is None:
+        jet = ex.point_jets(spec.coords, gd.point, spec.params)
     vals = np.zeros(16)
     grads = np.zeros((16, 4))
     hess = np.zeros((16, 4, 4))
@@ -138,23 +142,24 @@ def field_jets(field: MultivectorField, gd: GeometryData) -> FieldJets:
         e = field.comps[mask]
         if ex.is_zero(e):
             continue
-        jet = ex.evaluate_jet2(e, spec.coords, gd.point, spec.params)
-        vals[mask] = jet.val
-        grads[mask] = jet.grad
-        hess[mask] = jet.hess
+        jm = jet(e)
+        vals[mask] = jm.val
+        grads[mask] = jm.grad
+        hess[mask] = jm.hess
     return FieldJets(vals, grads, hess)
 
 
 class FieldCalculus:
     """All operator evaluations for one field at one geometry point."""
 
-    def __init__(self, field: MultivectorField, gd: GeometryData):
+    def __init__(self, field: MultivectorField, gd: GeometryData, jet: Callable | None = None):
         self.field = field
         self.gd = gd
+        self._jet = jet  # jet source of gd.point, see field_jets
 
     @cached_property
     def jets(self) -> FieldJets:
-        return field_jets(self.field, self.gd)
+        return field_jets(self.field, self.gd, self._jet)
 
     @cached_property
     def _gop(self) -> np.ndarray:
@@ -335,11 +340,11 @@ def hodge_dalembertian(field: MultivectorField, gd: GeometryData) -> HodgeSquare
     return FieldCalculus(field, gd).hodge_dalembertian()
 
 
-def grad_scalar_product(a: MultivectorField, b: MultivectorField, gd: GeometryData) -> Multivector:
-    """Gradient 1-form of the scalar field a . b, for grade-1 fields."""
-    if a.grades - {1} or b.grades - {1}:
-        raise FieldError("grad_scalar_product expects grade-1 fields")
-    ja, jb = field_jets(a, gd), field_jets(b, gd)
+def grad_scalar_product(ja: FieldJets, jb: FieldJets, gd: GeometryData) -> Multivector:
+    """Gradient 1-form of the scalar field a . b, from the jets of grade-1 fields a and b."""
+    for j in (ja, jb):
+        if j.vals[_NOT_GRADE1].any() or j.grads[_NOT_GRADE1].any():
+            raise FieldError("grad_scalar_product expects grade-1 fields")
     va = np.array([ja.vals[1 << i] for i in range(4)])
     vb = np.array([jb.vals[1 << i] for i in range(4)])
     da = np.array([[ja.grads[1 << i, s] for s in range(4)] for i in range(4)])

@@ -12,17 +12,25 @@ Grammar (EBNF, also reproduced in the README):
 Evaluation is over plain floats (:func:`evaluate`) or second-order jets
 (:func:`evaluate_jet2`): value, gradient and Hessian with respect to the four
 chart coordinates, exact to machine precision.  Parameters are constants.
+
+Jets are evaluated at one point or at N points in one tree walk.  A point of
+shape (4,) gives a :class:`Jet2` with ``val`` a float, ``grad`` (4,) and
+``hess`` (4, 4); points of shape (N, 4) give ``val`` (N,), ``grad`` (N, 4)
+and ``hess`` (N, 4, 4).  Lane i is bitwise equal to evaluating point i alone.
+:class:`ChunkJets` holds the jets of several expressions over a chunk of
+points and hands each point its own lane.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainEvalError, ParseError, UnboundIdentifierError
+from .errors import DomainEvalError, ExprError, ParseError, UnboundIdentifierError
 
 # -- AST ---------------------------------------------------------------------
 
@@ -336,79 +344,81 @@ def free_names(e: Expr) -> frozenset:
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value, gradient and (symmetric) Hessian w.r.t. the four coordinates."""
+    """Value, gradient and (symmetric) Hessian w.r.t. the four coordinates.
 
-    val: float
-    grad: np.ndarray  # (4,)
-    hess: np.ndarray  # (4,4)
+    At one point ``val`` is a float, ``grad`` is (4,) and ``hess`` is (4, 4);
+    over N points they are (N,), (N, 4) and (N, 4, 4), one lane per point.
+    """
 
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.val, -self.grad, -self.hess)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        cross = np.outer(self.grad, other.grad)
-        return Jet2(
-            self.val * other.val,
-            self.val * other.grad + other.val * self.grad,
-            self.val * other.hess + other.val * self.hess + cross + cross.T,
-        )
+    val: float | np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
 
 
-def _jet_const(v: float) -> Jet2:
-    return Jet2(float(v), np.zeros(4), np.zeros((4, 4)))
+# The evaluator works on (val, grad, hess) tuples with the point axis last: at
+# one point a float, (4,) and (4, 4); over N points (N,), (4, N) and (4, 4, N).
+# The same arithmetic serves both.  Sums, products and quotients are
+# elementwise, in the same order, so every lane is bitwise what that point
+# alone gives.  numpy transcendentals and ``**`` are not (they may differ in
+# the last ulp), so function values and derivative scalars are computed lane
+# by lane with ``math`` and Python floats (:func:`_per_lane`).
 
 
-def _jet_coord(v: float, axis: int) -> Jet2:
-    g = np.zeros(4)
-    g[axis] = 1.0
-    return Jet2(float(v), g, np.zeros((4, 4)))
+def _any(mask) -> bool:
+    """Whether a condition holds at any point: ``mask`` is a bool or a bool array."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
-def _jet_div(a: Jet2, b: Jet2, where: str) -> Jet2:
-    if b.val == 0.0:
-        raise DomainEvalError("division by zero", where)
-    val = a.val / b.val
-    grad = (a.grad - val * b.grad) / b.val
-    cross = np.outer(grad, b.grad)
-    hess = (a.hess - val * b.hess - cross - cross.T) / b.val
-    return Jet2(val, grad, hess)
+def _const(v: float, lanes: tuple) -> tuple:
+    val = np.full(lanes, float(v)) if lanes else float(v)
+    return val, np.zeros((4,) + lanes), np.zeros((4, 4) + lanes)
 
 
-def _jet_chain(a: Jet2, f: float, d1: float, d2: float) -> Jet2:
-    outer = np.outer(a.grad, a.grad)
-    return Jet2(f, d1 * a.grad, d1 * a.hess + d2 * outer)
+def _mul(a: tuple, b: tuple) -> tuple:
+    av, ag, ah = a
+    bv, bg, bh = b
+    cross = ag[:, None] * bg[None, :]
+    return av * bv, av * bg + bv * ag, av * bh + bv * ah + cross + cross.swapaxes(0, 1)
 
 
-def _jet_int_pow(a: Jet2, n: int, where: str) -> Jet2:
-    if n == 0:
-        return _jet_const(1.0)
-    if n < 0:
-        return _jet_div(_jet_const(1.0), _jet_int_pow(a, -n, where), where)
-    out = a
-    for _ in range(n - 1):
-        out = out * a
-    return out
+def _div(a: tuple, b: tuple, site: Expr) -> tuple:
+    av, ag, ah = a
+    bv, bg, bh = b
+    if _any(bv == 0.0):
+        raise DomainEvalError("division by zero", serialize(site))
+    val = av / bv
+    grad = (ag - val * bg) / bv
+    cross = grad[:, None] * bg[None, :]
+    hess = (ah - val * bh - cross - cross.swapaxes(0, 1)) / bv
+    return val, grad, hess
 
 
-def _jet_pow(base: Jet2, expo: Jet2, const_expo: bool, where: str) -> Jet2:
-    if const_expo and float(expo.val).is_integer() and abs(expo.val) <= 64:
-        return _jet_int_pow(base, int(expo.val), where)
-    if base.val <= 0.0:
-        raise DomainEvalError("power with non-integer exponent requires positive base", where)
-    # x^y = exp(y log x)
+def _chain(a: tuple, f, d1, d2) -> tuple:
+    _, ag, ah = a
+    outer = ag[:, None] * ag[None, :]
+    return f, d1 * ag, d1 * ah + d2 * outer
+
+
+def _range_error(err: ArithmeticError, site: Expr) -> DomainEvalError:
+    """A float range error of ``math`` or Python arithmetic, as a domain error at ``site``."""
+    kind = "underflow" if isinstance(err, ZeroDivisionError) else "overflow"
+    return DomainEvalError(kind, serialize(site))
+
+
+def _per_lane(fn, v, site: Expr) -> tuple:
+    """``fn(v) -> (f, d1, d2)`` with Python floats, on each lane of ``v``."""
     try:
-        logx = _jet_chain(base, math.log(base.val), 1.0 / base.val, -1.0 / base.val**2)
-        z = expo * logx
-        ez = math.exp(z.val)
-    except OverflowError:
-        raise DomainEvalError("overflow", where) from None
-    return _jet_chain(z, ez, ez, ez)
+        if isinstance(v, float):
+            return fn(v)
+        rows = [fn(x) for x in v.tolist()]
+    except (OverflowError, ZeroDivisionError) as err:
+        raise _range_error(err, site) from None
+    return tuple(np.array(rows).T)
+
+
+def _sqrt_jet(v: float) -> tuple:
+    s = math.sqrt(v)
+    return s, 0.5 / s, -0.25 / (s * v)
 
 
 _UNARY_JET = {
@@ -416,15 +426,47 @@ _UNARY_JET = {
     "cos": lambda v: (math.cos(v), -math.sin(v), -math.cos(v)),
     "tan": lambda v: (math.tan(v), 1.0 + math.tan(v) ** 2, 2.0 * math.tan(v) * (1.0 + math.tan(v) ** 2)),
     "exp": lambda v: (math.exp(v), math.exp(v), math.exp(v)),
+    "log": lambda v: (math.log(v), 1.0 / v, -1.0 / v**2),
+    "sqrt": _sqrt_jet,
     "sinh": lambda v: (math.sinh(v), math.cosh(v), math.sinh(v)),
     "cosh": lambda v: (math.cosh(v), math.sinh(v), math.cosh(v)),
     "tanh": lambda v: (math.tanh(v), 1.0 - math.tanh(v) ** 2, -2.0 * math.tanh(v) * (1.0 - math.tanh(v) ** 2)),
 }
 
 
-def _eval_jet(e: Expr, names: Mapping[str, Jet2], coord_names: frozenset) -> Jet2:
+def _small_int_exponent(expo: float, expo_node: Expr, coord_names: frozenset) -> int | None:
+    """``expo`` as an int when the exponent is a coordinate-free integer of at most 64."""
+    if float(expo).is_integer() and abs(expo) <= 64 and not (free_names(expo_node) & coord_names):
+        return int(expo)
+    return None
+
+
+def _int_pow(a: tuple, n: int, site: Expr) -> tuple:
+    if n == 0:
+        return _const(1.0, np.shape(a[0]))
+    if n < 0:
+        return _div(_const(1.0, np.shape(a[0])), _int_pow(a, -n, site), site)
+    out = a
+    for _ in range(n - 1):
+        out = _mul(out, a)
+    return out
+
+
+def _pow(base: tuple, expo: tuple, expo_node: Expr, coord_names: frozenset, site: Expr) -> tuple:
+    # a coordinate-free exponent has the same value at every point
+    n = _small_int_exponent(expo[0] if isinstance(expo[0], float) else expo[0][0], expo_node, coord_names)
+    if n is not None:
+        return _int_pow(base, n, site)
+    if _any(base[0] <= 0.0):
+        raise DomainEvalError("power with non-integer exponent requires positive base", serialize(site))
+    # x^y = exp(y log x)
+    z = _mul(expo, _chain(base, *_per_lane(_UNARY_JET["log"], base[0], site)))
+    return _chain(z, *_per_lane(_UNARY_JET["exp"], z[0], site))
+
+
+def _eval_jet(e: Expr, names: Mapping[str, tuple], coord_names: frozenset, lanes: tuple) -> tuple:
     if isinstance(e, Num):
-        return _jet_const(e.value)
+        return _const(e.value, lanes)
     if isinstance(e, Var):
         try:
             return names[e.name]
@@ -433,56 +475,106 @@ def _eval_jet(e: Expr, names: Mapping[str, Jet2], coord_names: frozenset) -> Jet
                 f"identifier '{e.name}' is neither a coordinate nor a parameter"
             ) from None
     if isinstance(e, Neg):
-        return -_eval_jet(e.arg, names, coord_names)
-    if isinstance(e, Add):
-        return _eval_jet(e.left, names, coord_names) + _eval_jet(e.right, names, coord_names)
-    if isinstance(e, Sub):
-        return _eval_jet(e.left, names, coord_names) - _eval_jet(e.right, names, coord_names)
+        v, g, h = _eval_jet(e.arg, names, coord_names, lanes)
+        return -v, -g, -h
+    if isinstance(e, (Add, Sub)):
+        a = _eval_jet(e.left, names, coord_names, lanes)
+        b = _eval_jet(e.right, names, coord_names, lanes)
+        if isinstance(e, Add):
+            return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+        return a[0] - b[0], a[1] - b[1], a[2] - b[2]
     if isinstance(e, Mul):
-        return _eval_jet(e.left, names, coord_names) * _eval_jet(e.right, names, coord_names)
+        return _mul(_eval_jet(e.left, names, coord_names, lanes), _eval_jet(e.right, names, coord_names, lanes))
     if isinstance(e, Div):
-        return _jet_div(_eval_jet(e.left, names, coord_names), _eval_jet(e.right, names, coord_names), serialize(e))
+        return _div(_eval_jet(e.left, names, coord_names, lanes), _eval_jet(e.right, names, coord_names, lanes), e)
     if isinstance(e, Pow):
-        return _jet_pow(_eval_jet(e.left, names, coord_names), _eval_jet(e.right, names, coord_names),
-                        not (free_names(e.right) & coord_names), serialize(e))
+        return _pow(_eval_jet(e.left, names, coord_names, lanes), _eval_jet(e.right, names, coord_names, lanes),
+                    e.right, coord_names, e)
     if isinstance(e, Call):
         if e.func == "pow":
-            return _jet_pow(_eval_jet(e.args[0], names, coord_names), _eval_jet(e.args[1], names, coord_names),
-                            not (free_names(e.args[1]) & coord_names), serialize(e))
-        a = _eval_jet(e.args[0], names, coord_names)
-        if e.func == "log" and a.val <= 0.0:
+            return _pow(_eval_jet(e.args[0], names, coord_names, lanes),
+                        _eval_jet(e.args[1], names, coord_names, lanes), e.args[1], coord_names, e)
+        a = _eval_jet(e.args[0], names, coord_names, lanes)
+        if e.func == "log" and _any(a[0] <= 0.0):
             raise DomainEvalError("log of non-positive value", serialize(e))
         if e.func == "sqrt":
-            if a.val < 0.0:
+            if _any(a[0] < 0.0):
                 raise DomainEvalError("sqrt of negative value", serialize(e))
-            if a.val == 0.0:
+            if _any(a[0] == 0.0):
                 raise DomainEvalError("sqrt not differentiable at zero", serialize(e))
-            s = math.sqrt(a.val)
-            return _jet_chain(a, s, 0.5 / s, -0.25 / (s * a.val))
-        try:
-            if e.func == "log":
-                f, d1, d2 = math.log(a.val), 1.0 / a.val, -1.0 / a.val**2
-            else:
-                f, d1, d2 = _UNARY_JET[e.func](a.val)
-        except OverflowError:
-            raise DomainEvalError("overflow", serialize(e)) from None
-        return _jet_chain(a, f, d1, d2)
+        return _chain(a, *_per_lane(_UNARY_JET[e.func], a[0], e))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
 def evaluate_jet2(
     e: Expr,
     coords: Sequence[str],
-    point: Sequence[float],
+    point: Sequence[float] | np.ndarray,
     params: Mapping[str, float] | None = None,
 ) -> Jet2:
-    """Evaluate value, gradient and Hessian at ``point`` (coordinate order)."""
-    names: dict = {}
-    for axis, name in enumerate(coords):
-        names[name] = _jet_coord(point[axis], axis)
+    """Evaluate value, gradient and Hessian at ``point`` (coordinate order).
+
+    ``point`` is one point, shape (4,), or N points, shape (N, 4); the jet
+    has the matching shapes (see :class:`Jet2`).  Lane i of a batch is
+    bitwise equal to evaluating point i alone.  A batch raises when any of
+    its points would: the error is that of the first failing operation in
+    tree order, which need not be the one a given point raises alone.
+    """
+    pts = np.asarray(point, dtype=float)
+    lanes = pts.shape[:-1]
+    vals = pts.T.copy() if lanes else pts.tolist()  # vals[axis]: that coordinate's values
+    units = np.zeros((4, 4) + lanes)
+    units[range(4), range(4)] = 1.0
+    hess = np.zeros((4, 4) + lanes)  # shared: no operation writes into its operands
+    names = {name: (vals[axis], units[axis], hess) for axis, name in enumerate(coords)}
     for name, value in (params or {}).items():
-        names[name] = _jet_const(value)
-    return _eval_jet(e, names, frozenset(coords))
+        names[name] = _const(value, lanes)
+    with np.errstate(all="ignore"):  # non-finite lanes are judged downstream
+        val, grad, hess = _eval_jet(e, names, frozenset(coords), lanes)
+    if lanes:
+        return Jet2(val, grad.T, hess.transpose(2, 0, 1))
+    return Jet2(val, grad, hess)
+
+
+def point_jets(coords: Sequence[str], point, params: Mapping[str, float] | None = None
+               ) -> Callable[[Expr], Jet2]:
+    """The jet source of one point: each expression is evaluated there alone."""
+    return lambda e: evaluate_jet2(e, coords, point, params)
+
+
+class ChunkJets:
+    """Jets of several expressions over a chunk of points, read one point at a time.
+
+    Each expression is evaluated once for the whole chunk.  ``at(i)`` is the
+    jet source of the chunk's point i: a function from an expression to its
+    jet there.  An expression whose chunk evaluation raised, or that was not
+    listed, is evaluated at point i alone when point i asks for it, so every
+    point gets exactly the jet or the error it would get without the chunk.
+    """
+
+    def __init__(self, exprs: Iterable[Expr], coords: Sequence[str], points,
+                 params: Mapping[str, float] | None = None):
+        self.coords = tuple(coords)
+        self.points = np.asarray(points, dtype=float)
+        self.params = params
+        self._jets: dict = {}  # id(expr) -> (expr, chunk jet or None)
+        for e in exprs:
+            if id(e) in self._jets:
+                continue
+            try:
+                jet = evaluate_jet2(e, self.coords, self.points, params)
+            except (ExprError, OverflowError, ZeroDivisionError):
+                jet = None
+            self._jets[id(e)] = (e, jet)
+
+    def at(self, i: int) -> Callable[[Expr], Jet2]:
+        return partial(self._jet, i)
+
+    def _jet(self, i: int, e: Expr) -> Jet2:
+        known, jet = self._jets.get(id(e), (None, None))
+        if known is not e or jet is None:
+            return evaluate_jet2(e, self.coords, self.points[i], self.params)
+        return Jet2(float(jet.val[i]), jet.grad[i], jet.hess[i])
 
 
 def evaluate(
@@ -525,30 +617,26 @@ def _eval_value(e: Expr, names: Mapping[str, float], coord_names: frozenset) -> 
         return _eval_value(e.left, names, coord_names) / denom
     if isinstance(e, Pow):
         return _value_pow(_eval_value(e.left, names, coord_names), _eval_value(e.right, names, coord_names),
-                          not (free_names(e.right) & coord_names), serialize(e))
+                          e.right, coord_names, e)
     if isinstance(e, Call):
         if e.func == "pow":
             return _value_pow(_eval_value(e.args[0], names, coord_names), _eval_value(e.args[1], names, coord_names),
-                              not (free_names(e.args[1]) & coord_names), serialize(e))
+                              e.args[1], coord_names, e)
         v = _eval_value(e.args[0], names, coord_names)
-        if e.func == "log":
-            if v <= 0.0:
-                raise DomainEvalError("log of non-positive value", serialize(e))
-            return math.log(v)
-        if e.func == "sqrt":
-            if v < 0.0:
-                raise DomainEvalError("sqrt of negative value", serialize(e))
-            return math.sqrt(v)
+        if e.func == "log" and v <= 0.0:
+            raise DomainEvalError("log of non-positive value", serialize(e))
+        if e.func == "sqrt" and v < 0.0:
+            raise DomainEvalError("sqrt of negative value", serialize(e))
         try:
             return getattr(math, e.func)(v)
-        except OverflowError:
-            raise DomainEvalError("overflow", serialize(e)) from None
+        except (OverflowError, ZeroDivisionError) as err:
+            raise _range_error(err, e) from None
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _value_pow(base: float, expo: float, const_expo: bool, where: str) -> float:
-    if const_expo and float(expo).is_integer() and abs(expo) <= 64:
-        n = int(expo)
+def _value_pow(base: float, expo: float, expo_node: Expr, coord_names: frozenset, site: Expr) -> float:
+    n = _small_int_exponent(expo, expo_node, coord_names)
+    if n is not None:
         if n == 0:
             return 1.0
         out = base
@@ -556,12 +644,12 @@ def _value_pow(base: float, expo: float, const_expo: bool, where: str) -> float:
             out = out * base
         if n < 0:
             if out == 0.0:
-                raise DomainEvalError("division by zero", where)
+                raise DomainEvalError("division by zero", serialize(site))
             return 1.0 / out
         return out
     if base <= 0.0:
-        raise DomainEvalError("power with non-integer exponent requires positive base", where)
+        raise DomainEvalError("power with non-integer exponent requires positive base", serialize(site))
     try:
         return math.exp(expo * math.log(base))
-    except OverflowError:
-        raise DomainEvalError("overflow", where) from None
+    except (OverflowError, ZeroDivisionError) as err:
+        raise _range_error(err, site) from None

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import expr as ex
 from .algebra import Multivector, grade_project, wedge
 from .diffops import FieldCalculus, MultivectorField, grad_scalar_product
 from .errors import CliffcheckError, FieldError
@@ -104,11 +105,12 @@ class ResidualReport:
 class PointContext:
     """One sample point: its geometry and one memoized calculator per field."""
 
-    def __init__(self, gd: GeometryData, fields: dict, constants: Constants, draw):
+    def __init__(self, gd: GeometryData, fields: dict, constants: Constants, draw, jet):
         self.gd = gd
         self.fields = fields  # "K" | "S" | "V" | "potential" -> MultivectorField | None
         self.constants = constants
         self.draw = draw  # (3, 16) random inputs of sandwich_identities, or None
+        self.jet = jet  # jet source of this point, see geometry.metric_at
         self._calcs: dict = {}
 
     def calc(self, name: str) -> FieldCalculus:
@@ -120,7 +122,7 @@ class PointContext:
         f = self.fields[name]
         fc = self._calcs.get(id(f))
         if fc is None:
-            fc = self._calcs[id(f)] = FieldCalculus(f, self.gd)
+            fc = self._calcs[id(f)] = FieldCalculus(f, self.gd, self.jet)
         return fc
 
 
@@ -130,6 +132,7 @@ class Check:
     needs: tuple  # fields read: "K", "S", "V", "potential" (A, else coupling * K)
     notes: tuple
     fn: Callable  # PointContext -> (residuals, info)
+    optional: tuple = ()  # fields read when present
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -221,7 +224,7 @@ def _lorentz_force(ctx: PointContext) -> tuple:
     directional = Multivector.zero()
     for mu in range(4):
         directional = directional + v_up[mu] * Multivector(fv.cov1[mu])
-    correction = 0.5 * grad_scalar_product(fv.field, fv.field, gd)
+    correction = 0.5 * grad_scalar_product(fv.jets, fv.jets, gd)
     transport = directional - pm.left_contract(vval, fv.exterior_d()) - correction
     residuals["transport_identity"] = transport.sup()
     return residuals, {}
@@ -456,7 +459,7 @@ CHECKS = {
         Check("hamilton_jacobi", ("potential", "S", "V"), (), _hamilton_jacobi),
         Check("einstein", ("potential",), (), _einstein),
         Check("structure_current", ("potential",), _STRUCTURE_NOTES, _structure_current),
-        Check("sandwich_identities", (), (), _sandwich_identities),
+        Check("sandwich_identities", (), (), _sandwich_identities, ("potential",)),
     )
 }
 
@@ -474,6 +477,9 @@ def requirement_problems(name: str, fields: ScenarioFields) -> list:
         elif getattr(fields, need) is None:
             problems.append(f"check {name} requires field {need}")
     return problems
+
+
+CHUNK = 256  # sample points whose expression jets are evaluated together
 
 
 @dataclass
@@ -507,11 +513,15 @@ def run_pointwise(
     fields: dict,
     constants: Constants,
     draw,
+    jet: Callable,
 ) -> PointResult:
-    """Run ``checks`` at one point against one shared :class:`PointContext`."""
+    """Run ``checks`` at one point against one shared :class:`PointContext`.
+
+    ``jet`` is the point's jet source (see :func:`geometry.metric_at`).
+    """
     point = tuple(pt)
     try:
-        ctx = PointContext(curvature(spec, pt), fields, constants, draw)
+        ctx = PointContext(curvature(spec, pt, jet=jet), fields, constants, draw, jet)
     except CliffcheckError as err:
         return PointResult([PointRecord(point, {}, {}, str(err), False) for _ in checks])
     records = []
@@ -535,6 +545,10 @@ def run_checks(
 ) -> list:
     """Run checks ``names`` with tolerances ``tols`` over ``points``, point by point.
 
+    The jets of every metric component and of every component of the fields
+    the checks read are evaluated for :data:`CHUNK` points at a time; each
+    point then reads its own lane (:class:`expr.ChunkJets`).
+
     Returns one :class:`ResidualReport` per name, in order, with records in
     point order.  ``seed`` draws the random inputs of ``sandwich_identities``
     when no potential is given.
@@ -549,12 +563,19 @@ def run_checks(
         # keyed by point, so a repeated point gets the same draw
         rng = np.random.default_rng(seed)
         draws = {_point_key(pt): rng.uniform(-1.0, 1.0, size=(3, 16)) for pt in points}
+    exprs = [spec.g_lower[i][j] for i in range(4) for j in range(i, 4)]
+    for name in sorted({n for c in checks for n in c.needs + c.optional}):
+        if by_name[name] is not None:
+            exprs += [e for e in by_name[name].comps if not ex.is_zero(e)]
     rows = [[] for _ in checks]
-    for pt in points:
-        draw = draws.get(_point_key(pt))
-        result = run_pointwise(spec, pt, checks, tols, by_name, fields.constants, draw)
-        for row, rec in zip(rows, result.records):
-            row.append(rec)
+    for start in range(0, len(points), CHUNK):
+        chunk = points[start:start + CHUNK]
+        jets = ex.ChunkJets(exprs, spec.coords, chunk, spec.params)
+        for i, pt in enumerate(chunk):
+            draw = draws.get(_point_key(pt))
+            result = run_pointwise(spec, pt, checks, tols, by_name, fields.constants, draw, jets.at(i))
+            for row, rec in zip(rows, result.records):
+                row.append(rec)
     reports = []
     for check, tol, records in zip(checks, tols, rows):
         max_res = max([0.0, *(v for r in records for v in r.residuals.values())])

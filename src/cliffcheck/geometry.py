@@ -19,7 +19,7 @@ Conventions (validated by the commutator unit tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -100,19 +100,25 @@ class GeometryData:
     metric: PointMetric
 
 
-def metric_at(spec: MetricSpec, x: Sequence[float]) -> tuple:
-    """Evaluate the metric and its jets; returns ``(PointMetric, MetricJets)``."""
+def metric_at(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None) -> tuple:
+    """Evaluate the metric and its jets; returns ``(PointMetric, MetricJets)``.
+
+    ``jet(e)`` is the jet of component ``e`` at ``x`` (for example one lane of
+    an :class:`~cliffcheck.expr.ChunkJets`); by default it is evaluated here.
+    """
     x = np.asarray(x, dtype=float)
+    if jet is None:
+        jet = ex.point_jets(spec.coords, x, spec.params)
     values = np.zeros((4, 4))
     dg = np.zeros((4, 4, 4))
     ddg = np.zeros((4, 4, 4, 4))
     try:
         for i in range(4):
             for j in range(i, 4):
-                jet = ex.evaluate_jet2(spec.g_lower[i][j], spec.coords, x, spec.params)
-                values[i, j] = values[j, i] = jet.val
-                dg[:, i, j] = dg[:, j, i] = jet.grad
-                ddg[:, :, i, j] = ddg[:, :, j, i] = jet.hess
+                jij = jet(spec.g_lower[i][j])
+                values[i, j] = values[j, i] = jij.val
+                dg[:, i, j] = dg[:, j, i] = jij.grad
+                ddg[:, :, i, j] = ddg[:, :, j, i] = jij.hess
     except ExprError as err:
         raise SingularMetricError(
             f"metric of '{spec.name}' not evaluable at {tuple(x)}: {err}"
@@ -152,9 +158,10 @@ def _christoffels_from_jets(g_upper: np.ndarray, jets: MetricJets) -> tuple:
     return gamma, dgamma
 
 
-def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True) -> GeometryData:
-    """Evaluate the full geometry bundle at ``x``."""
-    pm, jets = metric_at(spec, x)
+def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True,
+              jet: Callable | None = None) -> GeometryData:
+    """Evaluate the full geometry bundle at ``x``; ``jet`` as in :func:`metric_at`."""
+    pm, jets = metric_at(spec, x, jet)
     gamma, dgamma = _christoffels_from_jets(pm.g, jets)
 
     # R^r_{s mu nu} = d_mu G^r_{nu s} - d_nu G^r_{mu s} + G^r_{mu l} G^l_{nu s}

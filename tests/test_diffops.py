@@ -97,7 +97,7 @@ def test_covariant_derivative_metric_compatibility():
             K = random_poly_field(rng, spec.coords, [1, 2, 4, 8])
             fc = FieldCalculus(K, gd)
             kval = fc.value()
-            lhs = grad_scalar_product(K, K, gd)
+            lhs = grad_scalar_product(fc.jets, fc.jets, gd)
             for alpha in range(4):
                 rhs = 2.0 * gd.metric.scalar_product(Multivector(fc.cov1[alpha]), kval)
                 assert abs(lhs.coeffs[1 << alpha] - rhs) < 1e-10 * max(1.0, abs(rhs))
@@ -404,7 +404,7 @@ def test_gradient_of_scalar_product_identity():
             gu = gd.g_upper
             a_up = gu @ np.array([fa.jets.vals[1 << i] for i in range(4)])
             b_up = gu @ np.array([fb.jets.vals[1 << i] for i in range(4)])
-            lhs = grad_scalar_product(A, B, gd)
+            lhs = grad_scalar_product(fa.jets, fb.jets, gd)
             rhs = Multivector.zero()
             for mu in range(4):
                 rhs = rhs + a_up[mu] * Multivector(fb.cov1[mu]) + b_up[mu] * Multivector(fa.cov1[mu])

@@ -280,3 +280,143 @@ def test_jet_evaluation_deterministic():
     assert a.val == b.val
     assert np.array_equal(a.grad, b.grad)
     assert np.array_equal(a.hess, b.hess)
+
+
+# -- batched jets ---------------------------------------------------------------------
+
+
+def _bits(jet, i=None):
+    """The bytes of a jet, or of lane ``i`` of a batched jet."""
+    if i is None:
+        return (np.float64(jet.val).tobytes(), jet.grad.tobytes(), jet.hess.tobytes())
+    return (jet.val[i].tobytes(), jet.grad[i].tobytes(), jet.hess[i].tobytes())
+
+
+def _single(tree, points, params=None):
+    """Per point: its jet bytes, or the error it raises alone as "<class>: <message>"."""
+    out = []
+    for p in points:
+        try:
+            out.append(_bits(ex.evaluate_jet2(tree, COORDS, p, params)))
+        except (DomainEvalError, ValueError) as err:  # ValueError: math.sin(inf) and kin
+            out.append(f"{type(err).__name__}: {err}")
+    return out
+
+
+def _batch_leaf():
+    return st.one_of(
+        st.floats(-3.0, 3.0).map(lambda v: ex.Num(v)),
+        st.sampled_from([ex.Var(n) for n in ("t", "x", "y", "z", "k")]),
+    )
+
+
+# integer, negative and non-integer constant exponents, and coordinate exponents
+_EXPONENTS = st.one_of(
+    st.integers(-4, 4).map(lambda n: ex.Num(float(n))),
+    st.sampled_from([ex.Num(0.5), ex.Num(-1.5), ex.Num(2.25), ex.Var("k"), ex.Var("x")]),
+)
+
+
+def _batch_tree(children):
+    unary = st.sampled_from([f for f, arity in ex.FUNCTIONS.items() if arity == 1])
+    return st.one_of(
+        st.tuples(children, children).map(lambda ab: ex.Add(*ab)),
+        st.tuples(children, children).map(lambda ab: ex.Sub(*ab)),
+        st.tuples(children, children).map(lambda ab: ex.Mul(*ab)),
+        st.tuples(children, children).map(lambda ab: ex.Div(*ab)),
+        children.map(ex.Neg),
+        st.tuples(children, _EXPONENTS).map(lambda ab: ex.Pow(*ab)),
+        st.tuples(children, _EXPONENTS).map(lambda ab: ex.Call("pow", ab)),
+        st.tuples(unary, children).map(lambda fa: ex.Call(fa[0], (fa[1],))),
+    )
+
+
+batch_trees = st.recursive(_batch_leaf(), _batch_tree, max_leaves=10)
+batch_points = st.lists(
+    st.tuples(*[st.floats(-2.0, 2.0)] * 4), min_size=1, max_size=6
+).map(lambda pts: np.array(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_trees, batch_points)
+def test_batched_jets_equal_single_point_jets_bitwise(tree, points):
+    params = {"k": 1.5}
+    alone = _single(tree, points, params)
+    errors = [a for a in alone if isinstance(a, str)]
+    if errors:
+        # the batch fails at the first operation any point fails at alone
+        with pytest.raises((DomainEvalError, ValueError)) as err:
+            ex.evaluate_jet2(tree, COORDS, points, params)
+        assert f"{type(err.value).__name__}: {err.value}" in errors
+        return
+    batch = ex.evaluate_jet2(tree, COORDS, points, params)
+    assert batch.val.shape == (len(points),)
+    assert batch.grad.shape == (len(points), 4)
+    assert batch.hess.shape == (len(points), 4, 4)
+    for i, a in enumerate(alone):
+        assert _bits(batch, i) == a, (ex.serialize(tree), i)
+
+
+# Boyer-Lindquist Kerr g_{mu nu} (M=1, a=0.6), the longest metric expressions in use
+_SIGMA = "(r^2+a^2*cos(theta)^2)"
+_DELTA = "(r^2-2*M*r+a^2)"
+KERR_COMPONENTS = (
+    f"1-2*M*r/{_SIGMA}",
+    f"2*M*a*r*sin(theta)^2/{_SIGMA}",
+    f"-(r^2+a^2+2*M*a^2*r*sin(theta)^2/{_SIGMA})*sin(theta)^2",
+    f"-{_SIGMA}/{_DELTA}",
+    f"-{_SIGMA}",
+)
+
+
+def test_batched_kerr_metric_jets_equal_single_point_jets_bitwise():
+    coords = ("t", "r", "theta", "phi")
+    params = {"M": 1.0, "a": 0.6}
+    rng = np.random.default_rng(2)
+    lo, hi = np.array([-3.0, 2.5, 0.35, 0.0]), np.array([3.0, 20.0, 2.8, 6.2])
+    points = rng.uniform(lo, hi, size=(300, 4))
+    for src in KERR_COMPONENTS:
+        tree = ex.parse(src)
+        batch = ex.evaluate_jet2(tree, coords, points, params)
+        for i, p in enumerate(points):
+            assert _bits(batch, i) == _bits(ex.evaluate_jet2(tree, coords, p, params)), (src, i)
+
+
+# one bad lane per error kind: (expression, x of the bad point, message prefix)
+LANE_ERRORS = [
+    ("1/(x-1)", 1.0, "division by zero"),
+    ("x^-2", 0.0, "division by zero"),
+    ("log(x)", -1.0, "log of non-positive value"),
+    ("log(x)", 0.0, "log of non-positive value"),
+    ("sqrt(x)", -1.0, "sqrt of negative value"),
+    ("sqrt(x)", 0.0, "sqrt not differentiable at zero"),
+    ("x^0.5", -1.0, "power with non-integer exponent requires positive base"),
+    ("pow(x, 1.5)", -1.0, "power with non-integer exponent requires positive base"),
+    ("exp(500*x)", 2.0, "overflow"),
+    ("cosh(500*x)", 2.0, "overflow"),
+    ("x^1000.5", 10.0, "overflow"),
+    ("log(x)", 1e-200, "underflow"),
+    ("sqrt(x)", 1e-300, "underflow"),
+    ("x^0.5", 1e-200, "underflow"),
+]
+
+
+@pytest.mark.parametrize("src, bad_x, message", LANE_ERRORS)
+def test_chunk_lane_error_matches_the_point_alone(src, bad_x, message):
+    tree = ex.parse(src)
+    xs = [0.5, 0.75, bad_x, 1.25, 0.25]
+    points = np.array([[0.1, x, 0.3, -0.2] for x in xs])
+    with pytest.raises(DomainEvalError, match=message):
+        ex.evaluate_jet2(tree, COORDS, points)
+    alone = _single(tree, points)
+    assert [isinstance(a, str) for a in alone] == [False, False, True, False, False]
+    assert alone[2] == f"DomainEvalError: {message} in '{ex.serialize(tree)}'"
+    jets = ex.ChunkJets([tree], COORDS, points)
+    for i, want in enumerate(alone):
+        if i == 2:
+            with pytest.raises(DomainEvalError) as err:
+                jets.at(i)(tree)
+            assert f"DomainEvalError: {err.value}" == want
+        else:
+            assert _bits(jets.at(i)(tree)) == want
+

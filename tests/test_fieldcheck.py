@@ -428,3 +428,24 @@ def test_missing_field_raises_before_any_point():
     with pytest.raises(FieldError, match="check lorentz_force requires field V"):
         fields = fch.ScenarioFields(A=MultivectorField.zero())
         run_check("lorentz_force", MINK, fields, MINK_PTS, 1e-8)
+
+
+def test_chunked_points_match_each_point_alone(monkeypatch):
+    # three chunks of four points; the second holds a field error (log of
+    # t <= 0) and a metric error (r = 2M), the third a short tail
+    monkeypatch.setattr(fch, "CHUNK", 4)
+    fields = fch.ScenarioFields(K=field({"t": "1-2*M/r+1e-3*log(t)"}, SCHW))
+    points = [(0.5 + 0.1 * k, 3.0 + k, 1.2, 0.4) for k in range(10)]
+    points[5] = (-0.5, 4.0, 1.0, 0.3)
+    points[6] = (0.5, 2.0, 1.0, 0.3)
+    names = ["killing", "killing_identities"]
+    tols = [1e-3, 1e-3]
+    together = fch.run_checks(SCHW, fields, names, points, tols)
+    errors = [r.error for r in together[0].records]
+    assert errors[5].startswith("log of non-positive value in 'log(t)'")
+    assert errors[6].startswith("metric of 'schwarzschild' not evaluable")
+    assert errors[:5] == [None] * 5 and errors[7:] == [None] * 3
+    for k, pt in enumerate(points):
+        alone = fch.run_checks(SCHW, fields, names, [pt], tols)
+        for report, one in zip(together, alone):
+            assert report.records[k] == one.records[0], (report.check, k)

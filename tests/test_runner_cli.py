@@ -370,3 +370,17 @@ def test_cli_overflow_is_a_point_error(tmp_path):
     payload = strict_json(out.read_text())
     jsonschema.validate(payload, report_schema())
     assert payload["checks"][0]["points"][0]["error"].startswith("overflow in 'exp(")
+
+
+def test_cli_underflow_is_a_point_error(tmp_path):
+    body = dict(BASE)
+    body["fields"] = {"K": {"t": "log(1e-200*(t+2))"}}
+    body["samples"] = {"points": [[0.0, 0.0, 0.0, 0.0]]}
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", str(write_scenario(tmp_path, body)), "--report", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: underflow in 'log(" in proc.stdout
+    payload = strict_json(out.read_text())
+    jsonschema.validate(payload, report_schema())
+    assert payload["checks"][0]["points"][0]["error"].startswith("underflow in 'log(")

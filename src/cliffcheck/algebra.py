@@ -1,8 +1,9 @@
 """Pointwise Clifford algebra of the cotangent space.
 
 The coefficient layout follows :mod:`cliffcheck.blades`: 16 reals indexed by
-blade mask.  All metric-dependent products are driven by per-metric tables
-built once per :class:`PointMetric`:
+blade mask.  All metric-dependent products are driven by per-metric tables,
+built by :func:`build_tables` for a stack of metrics at once and once per
+:class:`PointMetric` as the stack of one:
 
 * left multiplication by a single covector is the operator
   ``L[i] = C[i] + W[i]`` (interior + exterior part),
@@ -204,55 +205,14 @@ class PointMetric:
     # -- tables ------------------------------------------------------------
 
     def _build_tables(self) -> dict:
-        g = self.g
-        n = blades.N_BLADES
-        # single-covector interior products and left multiplications
-        C = np.einsum("ij,jkl->ikl", g, blades.CONTRACT_STRUCT)
-        L = C + blades.WEDGE_OP
-
-        # blade left-multiplication operators by peeling the lowest covector
-        M = np.zeros((n, n, n))
-        M[0] = _EYE16
-        for i in range(4):
-            M[1 << i] = L[i]
-        for k in range(2, 5):
-            for mask in blades.MASKS_BY_GRADE[k]:
-                i = (mask & -mask).bit_length() - 1
-                rest = mask ^ (1 << i)
-                corr = C[i, :, rest]  # coefficients of gamma^i _| gamma^rest
-                M[mask] = L[i] @ M[rest] - np.tensordot(corr, M, axes=(0, 0))
-
-        # blade left-contraction operators: compose interior products
-        K = np.zeros((n, n, n))
-        K[0] = _EYE16
-        for i in range(4):
-            K[1 << i] = C[i]
-        for k in range(2, 5):
-            for mask in blades.MASKS_BY_GRADE[k]:
-                i = (mask & -mask).bit_length() - 1
-                K[mask] = C[i] @ K[mask ^ (1 << i)]
-
-        # Gram-determinant scalar products between equal-grade blades,
-        # batched per grade for speed
-        SP = np.zeros((n, n))
-        SP[0, 0] = 1.0
-        for k in range(1, 5):
-            amasks, bmasks, rows, cols = blades.GRAM_PAIRS[k]
-            SP[amasks, bmasks] = np.linalg.det(g[rows, cols])
-
+        stack = build_tables(self.g[np.newaxis], np.array([self.sqrt_abs_det]), np.array([self.sign_det]))
+        tables = {key: value[0] for key, value in stack.items()}
         # right contraction: X |_ Y = (-1)^{r(s-r)} Y_r _| X_s per homogeneous
         # pair; fold the grade sign into the contraction tensor once
-        KR = K * blades.LEFT_RIGHT_SIGN[:, np.newaxis, :]
-
+        tables["KR"] = tables["K"] * blades.LEFT_RIGHT_SIGN[:, np.newaxis, :]
         # left multiplication by the coordinate bivectors gamma^a ^ gamma^b
-        B2 = M[blades.BIVECTOR_MASK] * blades.BIVECTOR_SIGN[:, :, np.newaxis, np.newaxis]
-
-        tau = self.volume_form().coeffs
-        # Hodge matrix: star(A) = H @ A with H[:, m] = rev_sign(m) * (gamma^m _| tau)
-        H = np.einsum("ikj,j->ki", K, tau) * blades.REVERSE_SIGN[np.newaxis, :]
-        inv_scale = self.sign_det * (-1.0) ** (blades.GRADE * (4 - blades.GRADE))
-        return {"C": C, "L": L, "M": M, "K": K, "KR": KR, "B2": B2, "SP": SP, "H": H,
-                "Hinv_scale": inv_scale}
+        tables["B2"] = tables["M"][blades.BIVECTOR_MASK] * blades.BIVECTOR_SIGN[:, :, np.newaxis, np.newaxis]
+        return tables
 
     @property
     def tables(self) -> dict:
@@ -298,6 +258,63 @@ class PointMetric:
     def volume_form(self) -> Multivector:
         """Unit volume 4-form in coordinate-ascending orientation."""
         return Multivector.from_mask(blades.FULL_MASK, self.sqrt_abs_det)
+
+
+def build_tables(g, sqrt_abs_det, sign_det) -> dict:
+    """Product tables of a stack of N cotangent metrics, N first on every table.
+
+    ``g`` is (N, 4, 4); ``sqrt_abs_det`` and ``sign_det`` are (N,) and fix
+    each metric's volume form as in :class:`PointMetric`.  The tables:
+
+    * ``C``, ``L`` (N, 4, 16, 16): interior product by, and left Clifford
+      multiplication by, the covector gamma^i;
+    * ``M`` (N, 16, 16, 16): left Clifford multiplication by each blade;
+    * ``K`` (N, 16, 16, 16): left contraction by each blade;
+    * ``SP`` (N, 16, 16): scalar products between blades;
+    * ``H`` (N, 16, 16): the Hodge star, ``star(A) = H @ A``, and
+      ``Hinv_scale`` (N, 16): the per-blade signs of its inverse.
+
+    Every operation acts on each metric separately (a stacked matmul is one
+    product per metric), so table n is bitwise the table of metric n built
+    alone; :meth:`PointMetric._build_tables` is the stack of one.
+    """
+    g = np.asarray(g, dtype=float)
+    count = g.shape[0]
+    n = blades.N_BLADES
+    # single-covector interior products and left multiplications
+    C = np.einsum("nij,jkl->nikl", g, blades.CONTRACT_STRUCT)
+    L = C + blades.WEDGE_OP
+
+    # blade left-multiplication operators by peeling the lowest covector,
+    #   gamma^M X = gamma^i (gamma^rest X) - (gamma^i _| gamma^rest) X,
+    # and left-contraction operators by composing interior products; one
+    # grade at a time, since each grade reads only lower ones
+    M = np.zeros((count, n, n, n))  # blades not yet built enter with weight 0
+    K = np.zeros((count, n, n, n))
+    M[:, 0] = K[:, 0] = _EYE16
+    M[:, list(blades.MASKS_BY_GRADE[1])] = L
+    K[:, list(blades.MASKS_BY_GRADE[1])] = C
+    flat = M.reshape(count, 1, n, n * n)
+    for masks, lowest, rest in blades.PEEL_STEPS:
+        # coefficients of gamma^i _| gamma^rest, shape (N, blades of the grade, 1, 16)
+        corr = C[:, lowest, :, rest].transpose(1, 0, 2)[:, :, np.newaxis, :]
+        M[:, masks] = L[:, lowest] @ M[:, rest] - (corr @ flat).reshape(count, len(masks), n, n)
+        K[:, masks] = C[:, lowest] @ K[:, rest]
+
+    # Gram-determinant scalar products between equal-grade blades,
+    # batched per grade for speed
+    SP = np.zeros((count, n, n))
+    SP[:, 0, 0] = 1.0
+    for k in range(1, 5):
+        amasks, bmasks, rows, cols = blades.GRAM_PAIRS[k]
+        SP[:, amasks, bmasks] = np.linalg.det(g[:, rows, cols])
+
+    tau = np.zeros((count, n))
+    tau[:, blades.FULL_MASK] = sqrt_abs_det
+    # Hodge matrix: star(A) = H @ A with H[:, m] = rev_sign(m) * (gamma^m _| tau)
+    H = np.einsum("nikj,nj->nki", K, tau) * blades.REVERSE_SIGN
+    inv_scale = np.multiply.outer(sign_det, (-1.0) ** (blades.GRADE * (4 - blades.GRADE)))
+    return {"C": C, "L": L, "M": M, "K": K, "SP": SP, "H": H, "Hinv_scale": inv_scale}
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -131,6 +131,18 @@ for _k in range(1, 5):
         _cols,
     )
 
+# per grade k >= 2, every k-blade split into its lowest covector and the
+# (k-1)-blade of the rest: (masks, lowest covector index, rest masks)
+PEEL_STEPS = []
+for _k in range(2, DIM + 1):
+    _masks = MASKS_BY_GRADE[_k]
+    _lowest = [(m & -m).bit_length() - 1 for m in _masks]
+    PEEL_STEPS.append((
+        np.array(_masks),
+        np.array(_lowest),
+        np.array([m ^ (1 << i) for m, i in zip(_masks, _lowest)]),
+    ))
+
 # blade masks of the coordinate bivectors, with wedge orientation signs
 BIVECTOR_MASK = np.zeros((DIM, DIM), dtype=np.int64)
 BIVECTOR_SIGN = np.zeros((DIM, DIM))

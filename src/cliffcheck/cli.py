@@ -14,6 +14,16 @@ from .runner import list_builtins, load_scenario, run
 from .selftest import run_algebra_suite, run_diffops_suite
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliffcheck",
@@ -29,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override the default tolerance (per-check overrides still apply)",
     )
     verify.add_argument(
-        "--points", type=int, metavar="N",
+        "--points", type=_positive_int, metavar="N",
         help="replace the scenario samples with N random in-domain points",
     )
     verify.add_argument(
@@ -41,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     selftest = sub.add_parser(
         "algebra-selftest", help="run the randomized algebra/operator property suites"
     )
-    selftest.add_argument("--iterations", type=int, default=2000, metavar="N")
+    selftest.add_argument("--iterations", type=_positive_int, default=2000, metavar="N")
     selftest.add_argument("--seed", type=int, default=20240811, metavar="S")
     return parser
 

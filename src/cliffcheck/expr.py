@@ -399,8 +399,14 @@ def _chain(a: tuple, f, d1, d2) -> tuple:
     return f, d1 * ag, d1 * ah + d2 * outer
 
 
-def _range_error(err: ArithmeticError, site: Expr) -> DomainEvalError:
-    """A float range error of ``math`` or Python arithmetic, as a domain error at ``site``."""
+# what ``math`` and Python float arithmetic raise at the limits of floating point
+_MATH_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def _range_error(err: ArithmeticError | ValueError, site: Expr) -> DomainEvalError:
+    """An error in ``_MATH_ERRORS``, as a domain error at ``site``."""
+    if isinstance(err, ValueError):  # the explicit checks leave only sin/cos/tan of +-inf
+        return DomainEvalError("infinite argument", serialize(site))
     kind = "underflow" if isinstance(err, ZeroDivisionError) else "overflow"
     return DomainEvalError(kind, serialize(site))
 
@@ -411,7 +417,7 @@ def _per_lane(fn, v, site: Expr) -> tuple:
         if isinstance(v, float):
             return fn(v)
         rows = [fn(x) for x in v.tolist()]
-    except (OverflowError, ZeroDivisionError) as err:
+    except _MATH_ERRORS as err:
         raise _range_error(err, site) from None
     return tuple(np.array(rows).T)
 
@@ -563,7 +569,7 @@ class ChunkJets:
                 continue
             try:
                 jet = evaluate_jet2(e, self.coords, self.points, params)
-            except (ExprError, OverflowError, ZeroDivisionError):
+            except (ExprError, *_MATH_ERRORS):
                 jet = None
             self._jets[id(e)] = (e, jet)
 
@@ -629,7 +635,7 @@ def _eval_value(e: Expr, names: Mapping[str, float], coord_names: frozenset) -> 
             raise DomainEvalError("sqrt of negative value", serialize(e))
         try:
             return getattr(math, e.func)(v)
-        except (OverflowError, ZeroDivisionError) as err:
+        except _MATH_ERRORS as err:
             raise _range_error(err, e) from None
     raise TypeError(f"not an Expr node: {e!r}")
 

@@ -17,6 +17,7 @@ from cliffcheck.runner import (
     report_schema,
     run,
 )
+from cliffcheck.selftest import ALGEBRA_LAWS, CHUNK
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -329,9 +330,30 @@ def test_cli_catalog():
 
 
 def test_cli_selftest_quick():
-    proc = run_cli("algebra-selftest", "--iterations", "50", "--seed", "7")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "overall: PASS" in proc.stdout
+    # three full chunks of trials and a partial one
+    iterations = 3 * CHUNK + 5
+    runs = [run_cli("algebra-selftest", "--iterations", str(iterations), "--seed", "7") for _ in range(2)]
+    laws = []
+    for proc in runs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "overall: PASS" in proc.stdout
+        laws.append([line for line in proc.stdout.splitlines() if line.startswith("[")])
+    assert laws[0] == laws[1]
+    assert sum(f", {iterations} trials)" in line for line in laws[0]) == len(ALGEBRA_LAWS)
+
+
+@pytest.mark.parametrize("argv", [
+    ("algebra-selftest", "--iterations", "-3"),
+    ("algebra-selftest", "--iterations", "0"),
+    ("verify", str(SCENARIOS / "minkowski_boost.json"), "--points", "-2"),
+    ("verify", str(SCENARIOS / "minkowski_boost.json"), "--points", "0"),
+])
+def test_cli_nonpositive_count_is_a_usage_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"must be at least 1, got {argv[-1]}" in proc.stderr
+    assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
 
 
 def strict_json(text):
@@ -370,6 +392,19 @@ def test_cli_overflow_is_a_point_error(tmp_path):
     payload = strict_json(out.read_text())
     jsonschema.validate(payload, report_schema())
     assert payload["checks"][0]["points"][0]["error"].startswith("overflow in 'exp(")
+
+
+def test_cli_infinite_trig_argument_is_a_point_error(tmp_path):
+    body = dict(BASE)
+    body["fields"] = {"K": {"t": "sin(exp(700)*exp(700)*(t+2))"}}
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", str(write_scenario(tmp_path, body)), "--report", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: infinite argument in 'sin(" in proc.stdout
+    payload = strict_json(out.read_text())
+    jsonschema.validate(payload, report_schema())
+    assert payload["checks"][0]["points"][0]["error"].startswith("infinite argument in 'sin(")
 
 
 def test_cli_underflow_is_a_point_error(tmp_path):

@@ -11,6 +11,12 @@ built by :func:`build_tables` for a stack of metrics at once and once per
   through ``gamma^M X = gamma^i (gamma^rest X) - (gamma^i _| gamma^rest) X``,
 * left contraction by a blade composes single-covector interior products.
 
+The products themselves (:func:`clifford_rows` and its siblings) act on
+(..., 16) coefficient rows against tables with the same leading axes, one
+metric per row: :class:`PointMetric`'s product methods are the case of one
+row and no leading axis, and the algebra selftest runs them on a chunk of
+metrics at once, so both run one implementation.
+
 The metric handed to :class:`PointMetric` is the *cotangent* scalar product
 (the matrix of products of the coordinate covectors); its inverse is the
 tangent metric whose determinant fixes signature and volume normalization.
@@ -49,9 +55,7 @@ class Multivector:
 
     @classmethod
     def scalar(cls, value: float) -> "Multivector":
-        c = np.zeros(blades.N_BLADES)
-        c[0] = value
-        return cls(c)
+        return cls(scalar_rows(value))
 
     @classmethod
     def covector(cls, i: int, coeff: float = 1.0) -> "Multivector":
@@ -110,7 +114,7 @@ class Multivector:
                          if abs(self.coeffs[m]) > tol)
 
     def reverse(self) -> "Multivector":
-        return Multivector(self.coeffs * blades.REVERSE_SIGN)
+        return Multivector(reverse_rows(self.coeffs))
 
     def involute(self) -> "Multivector":
         return Multivector(self.coeffs * blades.INVOLUTE_SIGN)
@@ -148,8 +152,23 @@ def grade_involution(a: Multivector) -> Multivector:
 def grade_project(a: Multivector, k: int) -> Multivector:
     if not 0 <= k <= blades.DIM:
         raise ValueError(f"grade {k} out of range 0..4")
-    out = np.where(blades.GRADE == k, a.coeffs, 0.0)
-    return Multivector(out)
+    return Multivector(grade_rows(a.coeffs, k))
+
+
+def grade_rows(x: np.ndarray, k) -> np.ndarray:
+    """Grade-``k`` part of each (..., 16) coefficient row; ``k`` one grade or one per row."""
+    return np.where(blades.GRADE == np.expand_dims(k, -1), x, 0.0)
+
+
+def reverse_rows(x: np.ndarray) -> np.ndarray:
+    return x * blades.REVERSE_SIGN
+
+
+def scalar_rows(values) -> np.ndarray:
+    """Coefficient rows of the scalars ``values`` (one float gives one (16,) row)."""
+    out = np.zeros(np.shape(values) + (blades.N_BLADES,))
+    out[..., 0] = values
+    return out
 
 
 class PointMetric:
@@ -207,9 +226,6 @@ class PointMetric:
     def _build_tables(self) -> dict:
         stack = build_tables(self.g[np.newaxis], np.array([self.sqrt_abs_det]), np.array([self.sign_det]))
         tables = {key: value[0] for key, value in stack.items()}
-        # right contraction: X |_ Y = (-1)^{r(s-r)} Y_r _| X_s per homogeneous
-        # pair; fold the grade sign into the contraction tensor once
-        tables["KR"] = tables["K"] * blades.LEFT_RIGHT_SIGN[:, np.newaxis, :]
         # left multiplication by the coordinate bivectors gamma^a ^ gamma^b
         tables["B2"] = tables["M"][blades.BIVECTOR_MASK] * blades.BIVECTOR_SIGN[:, :, np.newaxis, np.newaxis]
         return tables
@@ -235,25 +251,22 @@ class PointMetric:
     # -- products ----------------------------------------------------------
 
     def clifford(self, a: Multivector, b: Multivector) -> Multivector:
-        left = np.tensordot(a.coeffs, self.tables["M"], axes=(0, 0))
-        return Multivector(left @ b.coeffs)
+        return Multivector(clifford_rows(self.tables, a.coeffs, b.coeffs))
 
     def left_contract(self, a: Multivector, b: Multivector) -> Multivector:
-        op = np.tensordot(a.coeffs, self.tables["K"], axes=(0, 0))
-        return Multivector(op @ b.coeffs)
+        return Multivector(left_contract_rows(self.tables, a.coeffs, b.coeffs))
 
     def right_contract(self, a: Multivector, b: Multivector) -> Multivector:
-        op = np.tensordot(b.coeffs, self.tables["KR"], axes=(0, 0))
-        return Multivector(op @ a.coeffs)
+        return Multivector(right_contract_rows(self.tables, a.coeffs, b.coeffs))
 
     def scalar_product(self, a: Multivector, b: Multivector) -> float:
-        return float(a.coeffs @ self.tables["SP"] @ b.coeffs)
+        return float(scalar_product_rows(self.tables, a.coeffs, b.coeffs))
 
     def hodge(self, a: Multivector) -> Multivector:
-        return Multivector(self.tables["H"] @ a.coeffs)
+        return Multivector(hodge_rows(self.tables, a.coeffs))
 
     def hodge_inv(self, a: Multivector) -> Multivector:
-        return self.hodge(Multivector(a.coeffs * self.tables["Hinv_scale"]))
+        return Multivector(hodge_inv_rows(self.tables, a.coeffs))
 
     def volume_form(self) -> Multivector:
         """Unit volume 4-form in coordinate-ascending orientation."""
@@ -271,6 +284,7 @@ def build_tables(g, sqrt_abs_det, sign_det) -> dict:
     * ``M`` (N, 16, 16, 16): left Clifford multiplication by each blade;
     * ``K`` (N, 16, 16, 16): left contraction by each blade;
     * ``SP`` (N, 16, 16): scalar products between blades;
+    * ``tau`` (N, 16): the unit volume form;
     * ``H`` (N, 16, 16): the Hodge star, ``star(A) = H @ A``, and
       ``Hinv_scale`` (N, 16): the per-blade signs of its inverse.
 
@@ -314,7 +328,43 @@ def build_tables(g, sqrt_abs_det, sign_det) -> dict:
     # Hodge matrix: star(A) = H @ A with H[:, m] = rev_sign(m) * (gamma^m _| tau)
     H = np.einsum("nikj,nj->nki", K, tau) * blades.REVERSE_SIGN
     inv_scale = np.multiply.outer(sign_det, (-1.0) ** (blades.GRADE * (4 - blades.GRADE)))
-    return {"C": C, "L": L, "M": M, "K": K, "SP": SP, "H": H, "Hinv_scale": inv_scale}
+    return {"C": C, "L": L, "M": M, "K": K, "SP": SP, "tau": tau, "H": H, "Hinv_scale": inv_scale}
+
+
+# -- products on coefficient rows, one metric's tables per row -----------------
+
+
+def _bilinear(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the operator ``sum_m a[m] table[m]`` applied to ``b``."""
+    n = blades.N_BLADES
+    flat = table.reshape(table.shape[:-3] + (n, n * n))
+    ops = (a[..., np.newaxis, :] @ flat).reshape(a.shape[:-1] + (n, n))
+    return (ops @ b[..., np.newaxis])[..., 0]
+
+
+def clifford_rows(tables: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _bilinear(tables["M"], a, b)
+
+
+def left_contract_rows(tables: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _bilinear(tables["K"], a, b)
+
+
+def right_contract_rows(tables: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # reversion swaps the contractions: (A |_ B)~ = B~ _| A~
+    return reverse_rows(left_contract_rows(tables, reverse_rows(b), reverse_rows(a)))
+
+
+def scalar_product_rows(tables: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return ((a[..., np.newaxis, :] @ tables["SP"]) @ b[..., np.newaxis])[..., 0, 0]
+
+
+def hodge_rows(tables: dict, a: np.ndarray) -> np.ndarray:
+    return (tables["H"] @ a[..., np.newaxis])[..., 0]
+
+
+def hodge_inv_rows(tables: dict, a: np.ndarray) -> np.ndarray:
+    return hodge_rows(tables, a * tables["Hinv_scale"])
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -107,15 +107,6 @@ for _i in range(DIM):
             _tup = [_r if q == _i else q for q in indices(_m)]
             INDEX_SUB[_i, _r, _m, _src] = sort_parity(_tup)
 
-# sign (-1)^{r(s-r)} relating left and right contraction of an r-blade into an
-# s-blade, laid out per (blade of the contractor, blade of the contractee)
-LEFT_RIGHT_SIGN = np.zeros((N_BLADES, N_BLADES))
-for _a in range(N_BLADES):
-    for _b in range(N_BLADES):
-        _r, _s = GRADE[_a], GRADE[_b]
-        LEFT_RIGHT_SIGN[_a, _b] = (-1.0) ** (_r * (_s - _r))
-
-
 # static index scaffolding for batched Gram determinants: per grade k, the
 # row/column coordinate arrays of every equal-grade blade pair
 GRAM_PAIRS = {}

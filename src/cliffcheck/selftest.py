@@ -9,11 +9,13 @@ c, r, s, i, j, k; builds the chunk's product tables at once with
 :func:`cliffcheck.algebra.build_tables`; evaluates every law on (chunk, 16)
 coefficient rows, a conditional law only on the trials it covers; and drops
 the chunk before drawing the next, so memory does not grow with the number
-of trials.  A seed gives the same trials, and the same maxima, whatever the
-chunk size.  The operator suite exercises the differential-operator
-consistency statements on random polynomial fields over the builtin metric
-catalog.  Both back the ``algebra-selftest`` CLI command and the acceptance
-suite.
+of trials.  The products are :mod:`cliffcheck.algebra`'s row products, the
+ones :class:`~cliffcheck.algebra.PointMetric` runs for a single metric, so
+the suite checks the implementation that ``verify`` uses.  A seed gives the
+same trials, and the same maxima, whatever the chunk size.  The operator
+suite exercises the differential-operator consistency statements on random
+polynomial fields over the builtin metric catalog.  Both back the
+``algebra-selftest`` CLI command and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blades
+from functools import partial
+
+from . import algebra, blades
 from . import expr as ex
-from .algebra import Multivector, PointMetric, build_tables, grade_project
+from .algebra import (_EYE16, Multivector, PointMetric, build_tables, grade_project, grade_rows,
+                      scalar_rows)
 from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
@@ -107,27 +112,10 @@ ALGEBRA_LAWS = (
     "sandwich_trivector_closure",
 )
 
-_EYE16 = np.eye(blades.N_BLADES)
-
 
 def _sup(x: np.ndarray) -> np.ndarray:
     """Sup norm of each row of (N, 16) coefficients."""
     return np.max(np.abs(x), axis=-1)
-
-
-def _grade(x: np.ndarray, k) -> np.ndarray:
-    """Grade-``k`` part of each row; ``k`` is one grade or one per row."""
-    return np.where(blades.GRADE == np.reshape(k, (-1, 1)), x, 0.0)
-
-
-def _reverse(x: np.ndarray) -> np.ndarray:
-    return x * blades.REVERSE_SIGN
-
-
-def _scalar(values: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(values), blades.N_BLADES))
-    out[:, 0] = values
-    return out
 
 
 def _sign(exponent: np.ndarray) -> np.ndarray:
@@ -140,53 +128,12 @@ def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pairs @ blades.WEDGE_TENSOR.reshape(-1, blades.N_BLADES)
 
 
-def _apply(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row n: ``ops[n] @ x[n]`` for (N, 16, 16) operators."""
-    return (ops @ x[:, :, np.newaxis])[:, :, 0]
-
-
-class _MetricStack:
-    """The products of :class:`PointMetric` on (N, 16) coefficient rows, row n under metric n."""
-
-    def __init__(self, metrics):
-        self.g = np.array([m.g for m in metrics])
-        self.sign_det = np.array([m.sign_det for m in metrics])
-        sqrt_abs_det = np.array([m.sqrt_abs_det for m in metrics])
-        self.tau = np.zeros((len(metrics), blades.N_BLADES))
-        self.tau[:, blades.FULL_MASK] = sqrt_abs_det
-        self.tables = build_tables(self.g, sqrt_abs_det, self.sign_det)
-
-    def _product(self, table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # the operator sum_m a[m] table[m], then applied to b, as PointMetric does
-        n = blades.N_BLADES
-        ops = (a[:, np.newaxis, :] @ table.reshape(len(a), n, n * n)).reshape(len(a), n, n)
-        return _apply(ops, b)
-
-    def clifford(self, a, b):
-        return self._product(self.tables["M"], a, b)
-
-    def left_contract(self, a, b):
-        return self._product(self.tables["K"], a, b)
-
-    def right_contract(self, a, b):
-        # reversion swaps the contractions: (A |_ B)~ = B~ _| A~
-        return _reverse(self.left_contract(_reverse(b), _reverse(a)))
-
-    def scalar_product(self, a, b):
-        return ((a[:, np.newaxis, :] @ self.tables["SP"]) @ b[:, :, np.newaxis])[:, 0, 0]
-
-    def hodge(self, a):
-        return _apply(self.tables["H"], a)
-
-    def hodge_inv(self, a):
-        return self.hodge(a * self.tables["Hinv_scale"])
-
-
 def _draw_trials(rng: np.random.Generator, count: int) -> tuple:
     """Inputs of ``count`` trials, each drawn in turn in the order one trial uses.
 
-    Returns the metrics, coefficient rows a, b, c and the integer draws
-    r, s (grades), i, j (covector indices) and k (grade), one per trial.
+    Returns the metrics' g, sqrt_abs_det and sign_det, coefficient rows a, b,
+    c and the integer draws r, s (grades), i, j (covector indices) and k
+    (grade), one per trial.
     """
     metrics, vectors, ints = [], [], []
     for _ in range(count):
@@ -195,40 +142,54 @@ def _draw_trials(rng: np.random.Generator, count: int) -> tuple:
         r, s = rng.integers(0, 5), rng.integers(0, 5)
         i, j = rng.integers(0, 4), rng.integers(0, 4)
         ints.append((r, s, i, j, rng.integers(0, 5)))
+    g = np.array([m.g for m in metrics])
+    sqrt_abs_det = np.array([m.sqrt_abs_det for m in metrics])
+    sign_det = np.array([m.sign_det for m in metrics])
     a, b, c = np.array(vectors).transpose(1, 0, 2)
-    return (metrics, a, b, c, *np.array(ints).T)
+    return (g, sqrt_abs_det, sign_det, a, b, c, *np.array(ints).T)
 
 
-def _chunk_laws(m: _MetricStack, a, b, c, r, s, i, j, k) -> dict:
-    """Relative residual of each law per trial; a conditional law only where it applies."""
+def _chunk_laws(g, sqrt_abs_det, sign_det, a, b, c, r, s, i, j, k) -> dict:
+    """Relative residual of each law per trial; a conditional law only where it applies.
+
+    The chunk's tables are built here and freed on return.
+    """
+    tables = build_tables(g, sqrt_abs_det, sign_det)
+    clifford = partial(algebra.clifford_rows, tables)
+    left_contract = partial(algebra.left_contract_rows, tables)
+    right_contract = partial(algebra.right_contract_rows, tables)
+    scalar_product = partial(algebra.scalar_product_rows, tables)
+    hodge = partial(algebra.hodge_rows, tables)
+    tau = tables["tau"]
+
     out = {}
-    one_form = _grade(a, 1)
-    ar, bs = _grade(a, r), _grade(b, s)
+    one_form = grade_rows(a, 1)
+    ar, bs = grade_rows(a, r), grade_rows(b, s)
     sup_ar, sup_bs = _sup(ar), _sup(bs)
 
     # associativity of the geometric product
-    lhs = m.clifford(m.clifford(a, b), c)
-    rhs = m.clifford(a, m.clifford(b, c))
+    lhs = clifford(clifford(a, b), c)
+    rhs = clifford(a, clifford(b, c))
     out["associativity"] = _rel(_sup(lhs - rhs), _sup(lhs), _sup(rhs))
 
     # anticommutator of covectors reproduces the metric
     gi, gj = _EYE16[1 << i], _EYE16[1 << j]
-    anti = m.clifford(gi, gj) + m.clifford(gj, gi)
-    target = _scalar(2.0 * m.g[np.arange(len(a)), i, j])
+    anti = clifford(gi, gj) + clifford(gj, gi)
+    target = scalar_rows(2.0 * g[np.arange(len(a)), i, j])
     out["anticommutator"] = _rel(_sup(anti - target), _sup(target))
 
     # a B = a _| B + a ^ B and B a = B |_ a + B ^ a
-    split = _sup(m.clifford(one_form, b) - m.left_contract(one_form, b) - _wedge(one_form, b))
-    split2 = _sup(m.clifford(b, one_form) - m.right_contract(b, one_form) - _wedge(b, one_form))
+    split = _sup(clifford(one_form, b) - left_contract(one_form, b) - _wedge(one_form, b))
+    split2 = _sup(clifford(b, one_form) - right_contract(b, one_form) - _wedge(b, one_form))
     out["product_split"] = _rel(np.maximum(split, split2), _sup(b))
 
     # a _| B_s = (a B_s - (-1)^s B_s a)/2
-    ab, ba = m.clifford(one_form, bs), m.clifford(bs, one_form)
+    ab, ba = clifford(one_form, bs), clifford(bs, one_form)
     half_contract = 0.5 * (ab - _sign(s) * ba)
-    out["contraction_half_commutator"] = _rel(_sup(m.left_contract(one_form, bs) - half_contract), sup_bs)
+    out["contraction_half_commutator"] = _rel(_sup(left_contract(one_form, bs) - half_contract), sup_bs)
 
     # A_r _| B_s = (-1)^{r(s-r)} B_s |_ A_r
-    lr = m.left_contract(ar, bs) - _sign(r * (s - r)) * m.right_contract(bs, ar)
+    lr = left_contract(ar, bs) - _sign(r * (s - r)) * right_contract(bs, ar)
     out["left_right_contraction"] = _rel(_sup(lr), sup_ar, sup_bs)
 
     # a ^ B_s = (a B_s + (-1)^s B_s a)/2
@@ -236,63 +197,63 @@ def _chunk_laws(m: _MetricStack, a, b, c, r, s, i, j, k) -> dict:
     out["wedge_half_commutator"] = _rel(_sup(_wedge(one_form, bs) - half_wedge), sup_bs)
 
     # grade spectrum of A_r B_s: grades |r-s|, |r-s|+2, ..., min(r+s, 8-r-s)
-    prod = m.clifford(ar, bs)
+    prod = clifford(ar, bs)
     lowest, highest = np.abs(r - s)[:, np.newaxis], np.minimum(r + s, 8 - r - s)[:, np.newaxis]
     grades = np.arange(blades.DIM + 1)
     allowed = (grades >= lowest) & (grades <= highest) & ((grades - lowest) % 2 == 0)
-    per_grade = np.stack([_sup(_grade(prod, g)) for g in grades], axis=1)
+    per_grade = np.stack([_sup(grade_rows(prod, gr)) for gr in grades], axis=1)
     out["product_grade_spectrum"] = _rel(np.where(allowed, 0.0, per_grade).sum(axis=1), _sup(prod))
 
     # A_r . B_r = <rev(A) B>_0 = <A rev(B)>_0 = rev(A) _| B
-    br = _grade(b, r)
-    rev_ar = _reverse(ar)
-    sp = m.scalar_product(ar, br)
+    br = grade_rows(b, r)
+    rev_ar = algebra.reverse_rows(ar)
+    sp = scalar_product(ar, br)
     rev_routes = np.maximum.reduce([
-        np.abs(sp - m.clifford(rev_ar, br)[:, 0]),
-        np.abs(sp - m.clifford(ar, _reverse(br))[:, 0]),
-        np.abs(sp - m.left_contract(rev_ar, br)[:, 0]),
+        np.abs(sp - clifford(rev_ar, br)[:, 0]),
+        np.abs(sp - clifford(ar, algebra.reverse_rows(br))[:, 0]),
+        np.abs(sp - left_contract(rev_ar, br)[:, 0]),
     ])
     out["scalar_product_reversal_routes"] = _rel(rev_routes, np.abs(sp), sup_ar, _sup(br))
 
     # a _| (X ^ Y) = (a _| X) ^ Y + hat(X) ^ (a _| Y)
     t54 = (
-        m.left_contract(one_form, _wedge(b, c))
-        - _wedge(m.left_contract(one_form, b), c)
-        - _wedge(b * blades.INVOLUTE_SIGN, m.left_contract(one_form, c))
+        left_contract(one_form, _wedge(b, c))
+        - _wedge(left_contract(one_form, b), c)
+        - _wedge(b * blades.INVOLUTE_SIGN, left_contract(one_form, c))
     )
     out["contraction_antiderivation"] = _rel(_sup(t54), _sup(b), _sup(c))
 
     # A _| (B _| C) = (A ^ B) _| C
-    t55 = m.left_contract(a, m.left_contract(b, c)) - m.left_contract(_wedge(a, b), c)
+    t55 = left_contract(a, left_contract(b, c)) - left_contract(_wedge(a, b), c)
     out["contraction_composition"] = _rel(_sup(t55), _sup(a), _sup(b), _sup(c))
 
     # [B_k . A_k] tau = B_k ^ star(A_k) against the contraction route
-    ak, bk = _grade(a, k), _grade(b, k)
-    pairing = _sup(m.scalar_product(bk, ak)[:, np.newaxis] * m.tau - _wedge(bk, m.hodge(ak)))
+    ak, bk = grade_rows(a, k), grade_rows(b, k)
+    pairing = _sup(scalar_product(bk, ak)[:, np.newaxis] * tau - _wedge(bk, hodge(ak)))
     out["hodge_defining_pairing"] = _rel(pairing, _sup(ak), _sup(bk))
 
     # star conversion identities, each on the trials whose grades it covers
-    star_ar, star_bs = m.hodge(ar), m.hodge(bs)
+    star_ar, star_bs = hodge(ar), hodge(bs)
     ar_wedge_star_bs = _wedge(ar, star_bs)
-    ar_contract_star_bs = m.left_contract(ar, star_bs)
+    ar_contract_star_bs = left_contract(ar, star_bs)
     sym = _sup(ar_wedge_star_bs - _wedge(bs, star_ar))
     out["star_wedge_symmetry"] = _rel(sym, sup_ar, sup_bs)[r == s]
-    pair = np.abs(ar_contract_star_bs[:, 0] - m.left_contract(bs, star_ar)[:, 0])
+    pair = np.abs(ar_contract_star_bs[:, 0] - left_contract(bs, star_ar)[:, 0])
     out["star_pairing_symmetry"] = _rel(pair, sup_ar, sup_bs)[r + s == 4]
-    conv = _sup(ar_wedge_star_bs - _sign(r * (s - 1)) * m.hodge(m.left_contract(rev_ar, bs)))
+    conv = _sup(ar_wedge_star_bs - _sign(r * (s - 1)) * hodge(left_contract(rev_ar, bs)))
     out["star_wedge_to_contraction"] = _rel(conv, sup_ar, sup_bs)[r <= s]
-    conv = _sup(ar_contract_star_bs - _sign(r * s) * m.hodge(_wedge(rev_ar, bs)))
+    conv = _sup(ar_contract_star_bs - _sign(r * s) * hodge(_wedge(rev_ar, bs)))
     out["star_contraction_to_wedge"] = _rel(conv, sup_ar, sup_bs)[r + s <= 4]
 
-    vol = _sup(m.hodge(m.tau) - _scalar(m.sign_det))
-    unit = _sup(m.hodge(_scalar(np.ones(len(a)))) - m.tau)
-    out["star_of_volume_and_unit"] = _rel(np.maximum(vol, unit), _sup(m.tau))
+    vol = _sup(hodge(tau) - scalar_rows(sign_det))
+    unit = _sup(hodge(scalar_rows(np.ones(len(a)))) - tau)
+    out["star_of_volume_and_unit"] = _rel(np.maximum(vol, unit), _sup(tau))
 
-    out["hodge_inverse"] = _rel(_sup(m.hodge_inv(m.hodge(a)) - a), _sup(a))
+    out["hodge_inverse"] = _rel(_sup(algebra.hodge_inv_rows(tables, hodge(a)) - a), _sup(a))
 
-    f2 = _grade(b, 2)
-    sandwich = m.clifford(f2, m.clifford(one_form, f2))
-    out["sandwich_trivector_closure"] = _rel(_sup(_grade(sandwich, 3)), _sup(sandwich))
+    f2 = grade_rows(b, 2)
+    sandwich = clifford(f2, clifford(one_form, f2))
+    out["sandwich_trivector_closure"] = _rel(_sup(grade_rows(sandwich, 3)), _sup(sandwich))
     return out
 
 
@@ -302,9 +263,8 @@ def run_algebra_suite(iterations: int = 10_000, seed: int = 20240811,
     worst = dict.fromkeys(ALGEBRA_LAWS, 0.0)
     start = time.perf_counter()
     for first in range(0, iterations, CHUNK):
-        metrics, *trials = _draw_trials(rng, min(CHUNK, iterations - first))
-        # the stack, and with it the chunk's tables, is freed before the next draw
-        for name, values in _chunk_laws(_MetricStack(metrics), *trials).items():
+        trials = _draw_trials(rng, min(CHUNK, iterations - first))
+        for name, values in _chunk_laws(*trials).items():
             worst[name] = float(np.max(values, initial=worst[name]))  # a NaN stays NaN
     elapsed = time.perf_counter() - start
     laws = [LawStat(n, iterations, worst[n], worst[n] < threshold) for n in ALGEBRA_LAWS]

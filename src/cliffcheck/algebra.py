@@ -178,37 +178,46 @@ class PointMetric:
     ----------
     g:
         4x4 symmetric matrix of covector scalar products (the inverse of the
-        tangent metric).
+        tangent metric), or a block of N of them, shape (N, 4, 4).
     require_lorentzian:
         When true (the default), reject metrics whose tangent determinant is
         not negative; property tests may relax this for random signatures.
+
+    One metric raises at the first check it fails.  A block raises nothing:
+    ``ok`` marks the metrics that pass every check, the others hold
+    placeholder values, and every attribute has N first.  :meth:`lane` hands
+    out one metric of a block, bitwise equal to that metric built alone, and
+    the block's tables are built once, for all of its metrics.
     """
 
-    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "_tables")
+    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "ok", "_tables", "_block")
 
     def __init__(self, g, require_lorentzian: bool = True, _ginv=None):
         g = np.array(g, dtype=float)
-        if g.shape != (4, 4):
+        if g.shape[-2:] != (4, 4) or g.ndim > 3:
             raise ValueError("metric must be 4x4")
-        if not np.allclose(g, g.T, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(g)))):
-            raise ValueError("metric must be symmetric")
-        g = 0.5 * (g + g.T)
-        det_cot = np.linalg.det(g)
-        if abs(det_cot) < 1e-14:
-            raise DegenerateMetricError(f"cotangent metric is singular (det={det_cot:.3e})")
-        ginv = np.linalg.inv(g) if _ginv is None else np.array(_ginv, dtype=float)
-        if np.max(np.abs(g @ ginv - np.eye(4))) > 1e-10:
-            raise DegenerateMetricError("metric inverse failed the identity check")
-        det_tan = np.linalg.det(ginv)
-        lorentzian = det_tan < 0.0
-        if require_lorentzian and not lorentzian:
-            raise SignatureError(f"tangent metric determinant {det_tan:.3e} is not negative")
-        object.__setattr__(self, "g", _readonly(g))
-        object.__setattr__(self, "ginv", _readonly(ginv))
-        object.__setattr__(self, "sqrt_abs_det", float(np.sqrt(abs(det_tan))))
-        object.__setattr__(self, "sign_det", -1.0 if det_tan < 0 else 1.0)
-        object.__setattr__(self, "lorentzian", lorentzian)
-        object.__setattr__(self, "_tables", None)
+        if g.ndim == 3:
+            ok, g, ginv, det_tan = _check_block(g, _ginv, require_lorentzian)
+            sqrt_abs_det = np.sqrt(np.abs(det_tan))
+            sign_det = np.where(det_tan < 0.0, -1.0, 1.0)
+        else:
+            ok = True
+            if not np.allclose(g, g.T, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(g)))):
+                raise ValueError("metric must be symmetric")
+            g = 0.5 * (g + g.T)
+            det_cot = np.linalg.det(g)
+            if abs(det_cot) < 1e-14:
+                raise DegenerateMetricError(f"cotangent metric is singular (det={det_cot:.3e})")
+            ginv = np.linalg.inv(g) if _ginv is None else np.array(_ginv, dtype=float)
+            if np.max(np.abs(g @ ginv - np.eye(4))) > 1e-10:
+                raise DegenerateMetricError("metric inverse failed the identity check")
+            det_tan = np.linalg.det(ginv)
+            if require_lorentzian and not det_tan < 0.0:
+                raise SignatureError(f"tangent metric determinant {det_tan:.3e} is not negative")
+            sqrt_abs_det = float(np.sqrt(abs(det_tan)))
+            sign_det = -1.0 if det_tan < 0 else 1.0
+        _set_slots(self, g=_readonly(g), ginv=_readonly(ginv), sqrt_abs_det=sqrt_abs_det,
+                   sign_det=sign_det, lorentzian=det_tan < 0.0, ok=ok, _tables=None, _block=None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PointMetric is immutable")
@@ -221,19 +230,37 @@ class PointMetric:
             raise DegenerateMetricError(f"tangent metric is singular (det={det:.3e})")
         return cls(np.linalg.inv(g_lower), require_lorentzian=require_lorentzian, _ginv=g_lower)
 
+    def lane(self, i: int) -> "PointMetric":
+        """Metric ``i`` of a block, as one metric; its tables are lane ``i`` of the block's."""
+        pm = object.__new__(PointMetric)
+        _set_slots(pm, g=self.g[i], ginv=self.ginv[i], sqrt_abs_det=float(self.sqrt_abs_det[i]),
+                   sign_det=float(self.sign_det[i]), lorentzian=self.lorentzian[i], ok=True,
+                   _tables=None, _block=(self, i))
+        return pm
+
     # -- tables ------------------------------------------------------------
 
     def _build_tables(self) -> dict:
-        stack = build_tables(self.g[np.newaxis], np.array([self.sqrt_abs_det]), np.array([self.sign_det]))
-        tables = {key: value[0] for key, value in stack.items()}
+        """The tables of this metric, or of every metric of a block (N first)."""
+        one = self.g.ndim == 2
+        if one:  # the stack of one
+            stack = build_tables(self.g[np.newaxis], np.array([self.sqrt_abs_det]),
+                                 np.array([self.sign_det]))
+        else:
+            stack = build_tables(self.g, self.sqrt_abs_det, self.sign_det)
         # left multiplication by the coordinate bivectors gamma^a ^ gamma^b
-        tables["B2"] = tables["M"][blades.BIVECTOR_MASK] * blades.BIVECTOR_SIGN[:, :, np.newaxis, np.newaxis]
-        return tables
+        stack["B2"] = stack["M"][:, blades.BIVECTOR_MASK] * blades.BIVECTOR_SIGN[:, :, np.newaxis, np.newaxis]
+        return {key: value[0] for key, value in stack.items()} if one else stack
 
     @property
     def tables(self) -> dict:
         if self._tables is None:
-            object.__setattr__(self, "_tables", self._build_tables())
+            if self._block is None:
+                tables = self._build_tables()
+            else:
+                block, i = self._block
+                tables = {key: value[i] for key, value in block.tables.items()}
+            object.__setattr__(self, "_tables", tables)
         return self._tables
 
     def contraction_ops(self) -> np.ndarray:
@@ -365,6 +392,38 @@ def hodge_rows(tables: dict, a: np.ndarray) -> np.ndarray:
 
 def hodge_inv_rows(tables: dict, a: np.ndarray) -> np.ndarray:
     return hodge_rows(tables, a * tables["Hinv_scale"])
+
+
+def _check_block(g: np.ndarray, ginv, require_lorentzian: bool) -> tuple:
+    """:class:`PointMetric`'s checks on a block of N metrics, as one mask.
+
+    Returns ``(ok, g, ginv, det_tan)``: the metrics that pass every check the
+    one-metric constructor makes, with the same arithmetic (a metric with a
+    non-finite entry counts as failing), and the block's symmetrized
+    metrics, inverses and tangent determinants.  A metric that fails is
+    replaced by the identity before inversion, so it cannot stop the others.
+    """
+    eye = np.eye(4)
+    gt = g.transpose(0, 2, 1)
+    atol = 1e-12 * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+    ok = np.isfinite(g).all(axis=(1, 2))
+    ok &= np.all(np.abs(g - gt) <= atol[:, np.newaxis, np.newaxis], axis=(1, 2))
+    g = 0.5 * (g + gt)
+    ok &= np.abs(np.linalg.det(g)) >= 1e-14
+    if ginv is None:
+        ginv = np.linalg.inv(np.where(ok[:, np.newaxis, np.newaxis], g, eye))
+    else:
+        ginv = np.array(ginv, dtype=float)
+    ok &= np.max(np.abs(g @ ginv - eye), axis=(1, 2)) <= 1e-10
+    det_tan = np.linalg.det(ginv)
+    if require_lorentzian:
+        ok &= det_tan < 0.0
+    return ok, g, ginv, det_tan
+
+
+def _set_slots(obj, **values) -> None:
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

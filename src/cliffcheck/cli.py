@@ -8,20 +8,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .errors import CliffcheckError, ScenarioValidationError
 from .runner import list_builtins, load_scenario, run
 from .selftest import run_algebra_suite, run_diffops_suite
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+_positive_int = partial(_int_at_least, 1)
+_seed = partial(_int_at_least, 0)  # numpy's default_rng takes no negative seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replace the scenario samples with N random in-domain points",
     )
     verify.add_argument(
-        "--seed", type=int, metavar="S", help="seed for --points sampling"
+        "--seed", type=_seed, metavar="S", help="seed for --points sampling"
     )
 
     sub.add_parser("catalog", help="list builtin metrics and their Killing forms")
@@ -52,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "algebra-selftest", help="run the randomized algebra/operator property suites"
     )
     selftest.add_argument("--iterations", type=_positive_int, default=2000, metavar="N")
-    selftest.add_argument("--seed", type=int, default=20240811, metavar="S")
+    selftest.add_argument("--seed", type=_seed, default=20240811, metavar="S")
     return parser
 
 

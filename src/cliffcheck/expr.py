@@ -553,9 +553,11 @@ class ChunkJets:
 
     Each expression is evaluated once for the whole chunk.  ``at(i)`` is the
     jet source of the chunk's point i: a function from an expression to its
-    jet there.  An expression whose chunk evaluation raised, or that was not
-    listed, is evaluated at point i alone when point i asks for it, so every
-    point gets exactly the jet or the error it would get without the chunk.
+    jet there; ``block(start, stop)`` is that of points ``start:stop``, with
+    the jets of the block (see :func:`evaluate_jet2`).  An expression whose
+    chunk evaluation raised, or that was not listed, is evaluated at point i
+    alone (or on the block) when asked for, so every point gets exactly the
+    jet or the error it would get without the chunk.
     """
 
     def __init__(self, exprs: Iterable[Expr], coords: Sequence[str], points,
@@ -576,11 +578,15 @@ class ChunkJets:
     def at(self, i: int) -> Callable[[Expr], Jet2]:
         return partial(self._jet, i)
 
-    def _jet(self, i: int, e: Expr) -> Jet2:
+    def block(self, start: int, stop: int) -> Callable[[Expr], Jet2]:
+        return partial(self._jet, slice(start, stop))
+
+    def _jet(self, index: int | slice, e: Expr) -> Jet2:
         known, jet = self._jets.get(id(e), (None, None))
         if known is not e or jet is None:
-            return evaluate_jet2(e, self.coords, self.points[i], self.params)
-        return Jet2(float(jet.val[i]), jet.grad[i], jet.hess[i])
+            return evaluate_jet2(e, self.coords, self.points[index], self.params)
+        val = jet.val[index]
+        return Jet2(val if isinstance(index, slice) else float(val), jet.grad[index], jet.hess[index])
 
 
 def evaluate(

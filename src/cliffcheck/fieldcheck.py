@@ -480,6 +480,7 @@ def requirement_problems(name: str, fields: ScenarioFields) -> list:
 
 
 CHUNK = 256  # sample points whose expression jets are evaluated together
+BLOCK = 16  # points of a chunk whose geometry and product tables are built together
 
 
 @dataclass
@@ -514,14 +515,19 @@ def run_pointwise(
     constants: Constants,
     draw,
     jet: Callable,
+    gd: GeometryData | None = None,
 ) -> PointResult:
     """Run ``checks`` at one point against one shared :class:`PointContext`.
 
-    ``jet`` is the point's jet source (see :func:`geometry.metric_at`).
+    ``jet`` is the point's jet source (see :func:`geometry.metric_at`) and
+    ``gd`` its geometry; without ``gd`` the point's curvature is computed
+    here, and its error, if any, is the error of every record.
     """
     point = tuple(pt)
     try:
-        ctx = PointContext(curvature(spec, pt, jet=jet), fields, constants, draw, jet)
+        if gd is None:
+            gd = curvature(spec, pt, jet=jet)
+        ctx = PointContext(gd, fields, constants, draw, jet)
     except CliffcheckError as err:
         return PointResult([PointRecord(point, {}, {}, str(err), False) for _ in checks])
     records = []
@@ -547,7 +553,10 @@ def run_checks(
 
     The jets of every metric component and of every component of the fields
     the checks read are evaluated for :data:`CHUNK` points at a time; each
-    point then reads its own lane (:class:`expr.ChunkJets`).
+    point then reads its own lane (:class:`expr.ChunkJets`).  The geometry
+    and the product tables are built for :data:`BLOCK` points of a chunk at
+    a time, and each block is dropped before the next is built; a point the
+    block rejects is computed alone, so it gets the error it gets alone.
 
     Returns one :class:`ResidualReport` per name, in order, with records in
     point order.  ``seed`` draws the random inputs of ``sandwich_identities``
@@ -571,11 +580,18 @@ def run_checks(
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         jets = ex.ChunkJets(exprs, spec.coords, chunk, spec.params)
-        for i, pt in enumerate(chunk):
-            draw = draws.get(_point_key(pt))
-            result = run_pointwise(spec, pt, checks, tols, by_name, fields.constants, draw, jets.at(i))
-            for row, rec in zip(rows, result.records):
-                row.append(rec)
+        for first in range(0, len(chunk), BLOCK):
+            stop = min(first + BLOCK, len(chunk))
+            block = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
+            for i in range(first, stop):
+                pt = chunk[i]
+                draw = draws.get(_point_key(pt))
+                gd = block.lane(i - first) if block.ok[i - first] else None
+                result = run_pointwise(spec, pt, checks, tols, by_name, fields.constants, draw,
+                                       jets.at(i), gd)
+                for row, rec in zip(rows, result.records):
+                    row.append(rec)
+            del block, gd  # free this block's arrays and tables before the next is built
     reports = []
     for check, tol, records in zip(checks, tols, rows):
         max_res = max([0.0, *(v for r in records for v in r.residuals.values())])

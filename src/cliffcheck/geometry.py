@@ -14,11 +14,20 @@ Conventions (validated by the commutator unit tests):
                                          note this is minus the textbook
                                          first-third slot contraction)
     R            = g^{ns} Ricci_{n s}
+
+:func:`metric_at` and :func:`curvature` take one point, shape (4,), or a
+block of N points, shape (N, 4), as :func:`cliffcheck.expr.evaluate_jet2`
+does, and a block puts N first on every array, the point metrics and their
+product tables included.  A block raises no point's error: its ``ok`` marks
+the points that raise nothing alone, each of which is bitwise equal to the
+point alone (:meth:`GeometryData.lane`), and a rejected point is evaluated
+alone to get its error.  The one-point path is the reference for blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -73,16 +82,17 @@ class MetricSpec:
 
 @dataclass
 class MetricJets:
-    """Metric values and first/second partials at one point."""
+    """Metric values and first/second partials at one point, or N first on every array."""
 
     values: np.ndarray  # (4,4)
     dg: np.ndarray  # (4,4,4): dg[s, m, n] = d_s g_{mn}
     ddg: np.ndarray  # (4,4,4,4): ddg[s, r, m, n] = d_s d_r g_{mn}
+    ok: bool | np.ndarray = True  # of a block: the points metric_at accepts
 
 
 @dataclass
 class GeometryData:
-    """Full curvature bundle at one point."""
+    """Full curvature bundle at one point, or at a block of N points (N first)."""
 
     spec: MetricSpec
     point: np.ndarray
@@ -95,35 +105,86 @@ class GeometryData:
     riemann: np.ndarray  # R^r_{s mu nu} -> riemann[r, s, mu, nu]
     ricci: np.ndarray
     scalar: float
-    ricci_oneforms: tuple  # 4 Multivectors R^mu_nu gamma^nu
-    einstein_oneforms: tuple
     metric: PointMetric
+    ok: bool | np.ndarray = True  # of a block: the points curvature accepts
+
+    @cached_property
+    def _mixed_ricci(self) -> np.ndarray:
+        return self.g_upper @ self.ricci  # R^m_n
+
+    @cached_property
+    def ricci_oneforms(self) -> tuple:
+        """The 4 Multivectors R^mu_nu gamma^nu (one point)."""
+        return tuple(_oneform(self._mixed_ricci[mu]) for mu in range(4))
+
+    @cached_property
+    def einstein_oneforms(self) -> tuple:
+        """The 4 Multivectors G^mu_nu gamma^nu (one point)."""
+        einstein_mixed = self._mixed_ricci - 0.5 * self.scalar * np.eye(4)
+        return tuple(_oneform(einstein_mixed[mu]) for mu in range(4))
+
+    def lane(self, i: int) -> "GeometryData":
+        """Point ``i`` of a block, as a one-point bundle that shares the block's arrays."""
+        return GeometryData(
+            spec=self.spec,
+            point=self.point[i],
+            g_lower=self.g_lower[i],
+            g_upper=self.g_upper[i],
+            sqrt_abs_det=float(self.sqrt_abs_det[i]),
+            dg=self.dg[i],
+            gamma=self.gamma[i],
+            dgamma=self.dgamma[i],
+            riemann=self.riemann[i],
+            ricci=self.ricci[i],
+            scalar=float(self.scalar[i]),
+            metric=self.metric.lane(i),
+        )
+
+
+_FLAT = np.diag([1.0, -1.0, -1.0, -1.0])  # stands in for a block point metric_at rejects
 
 
 def metric_at(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None) -> tuple:
     """Evaluate the metric and its jets; returns ``(PointMetric, MetricJets)``.
 
-    ``jet(e)`` is the jet of component ``e`` at ``x`` (for example one lane of
-    an :class:`~cliffcheck.expr.ChunkJets`); by default it is evaluated here.
+    ``x`` is one point, shape (4,), or a block of N points, shape (N, 4), as
+    in :func:`cliffcheck.expr.evaluate_jet2`.  ``jet(e)`` is the jet of
+    component ``e`` at ``x`` (for example one lane or a block of lanes of an
+    :class:`~cliffcheck.expr.ChunkJets`); by default it is evaluated here.
+
+    One point raises :class:`SingularMetricError` when its metric cannot be
+    evaluated or is singular or not Lorentzian.  A block raises nothing:
+    ``jets.ok`` marks the points that raise nothing alone, here or in
+    :class:`PointMetric`, and every other point holds the flat metric with
+    zero derivatives.  Each accepted point is bitwise the point alone.
     """
     x = np.asarray(x, dtype=float)
+    lanes = x.shape[:-1]
     if jet is None:
         jet = ex.point_jets(spec.coords, x, spec.params)
-    values = np.zeros((4, 4))
-    dg = np.zeros((4, 4, 4))
-    ddg = np.zeros((4, 4, 4, 4))
+    values = np.zeros(lanes + (4, 4))
+    dg = np.zeros(lanes + (4, 4, 4))
+    ddg = np.zeros(lanes + (4, 4, 4, 4))
+    evaluable = True
     try:
         for i in range(4):
             for j in range(i, 4):
                 jij = jet(spec.g_lower[i][j])
-                values[i, j] = values[j, i] = jij.val
-                dg[:, i, j] = dg[:, j, i] = jij.grad
-                ddg[:, :, i, j] = ddg[:, :, j, i] = jij.hess
+                values[..., i, j] = values[..., j, i] = jij.val
+                dg[..., :, i, j] = dg[..., :, j, i] = jij.grad
+                ddg[..., :, :, i, j] = ddg[..., :, :, j, i] = jij.hess
     except ExprError as err:
-        raise SingularMetricError(
-            f"metric of '{spec.name}' not evaluable at {tuple(x)}: {err}"
-        ) from err
+        if not lanes:
+            raise SingularMetricError(
+                f"metric of '{spec.name}' not evaluable at {tuple(x)}: {err}"
+            ) from err
+        evaluable = False
     det = np.linalg.det(values)
+    if lanes:
+        ok = evaluable & np.isfinite(det) & (np.abs(det) >= 1e-14) & (det < 0.0)
+        values[~ok], dg[~ok], ddg[~ok] = _FLAT, 0.0, 0.0
+        pm = PointMetric(np.linalg.inv(values), _ginv=values)
+        return pm, MetricJets(values, dg, ddg, ok & pm.ok)
     if not np.isfinite(det) or abs(det) < 1e-14:
         raise SingularMetricError(
             f"metric of '{spec.name}' is singular at {tuple(x)} (det={det:.3e})"
@@ -145,44 +206,47 @@ def christoffels(spec: MetricSpec, x: Sequence[float]) -> tuple:
 def _christoffels_from_jets(g_upper: np.ndarray, jets: MetricJets) -> tuple:
     dg, ddg = jets.dg, jets.ddg
     # bracket[l, a, b] = d_a g_{lb} + d_b g_{la} - d_l g_{ab}
-    bracket = np.einsum("alb->lab", dg) + np.einsum("bla->lab", dg) - dg
-    gamma = 0.5 * np.einsum("rl,lab->rab", g_upper, bracket)
+    bracket = np.einsum("...alb->...lab", dg) + np.einsum("...bla->...lab", dg) - dg
+    gamma = 0.5 * np.einsum("...rl,...lab->...rab", g_upper, bracket)
     # d_s g^{rl} = -g^{ra} (d_s g_{ab}) g^{bl}
-    dgu = -np.einsum("ra,sab,bl->srl", g_upper, dg, g_upper)
+    dgu = -np.einsum("...ra,...sab,...bl->...srl", g_upper, dg, g_upper)
     # dbracket[s, l, a, b] = d_s bracket[l, a, b]
-    dbracket = np.einsum("salb->slab", ddg) + np.einsum("sbla->slab", ddg) - ddg
+    dbracket = np.einsum("...salb->...slab", ddg) + np.einsum("...sbla->...slab", ddg) - ddg
     dgamma = 0.5 * (
-        np.einsum("srl,lab->srab", dgu, bracket)
-        + np.einsum("rl,slab->srab", g_upper, dbracket)
+        np.einsum("...srl,...lab->...srab", dgu, bracket)
+        + np.einsum("...rl,...slab->...srab", g_upper, dbracket)
     )
     return gamma, dgamma
 
 
 def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True,
               jet: Callable | None = None) -> GeometryData:
-    """Evaluate the full geometry bundle at ``x``; ``jet`` as in :func:`metric_at`."""
+    """Evaluate the full geometry bundle at ``x``; ``x`` and ``jet`` as in :func:`metric_at`.
+
+    One point raises the first error it meets.  A block of N points gives a
+    bundle with N first on every array and raises nothing: ``ok`` marks the
+    points that raise nothing alone, and :meth:`GeometryData.lane` gives
+    each of those, bitwise equal to the point alone.  A rejected point must
+    be evaluated alone to get its error.
+    """
+    x = np.asarray(x, dtype=float)
     pm, jets = metric_at(spec, x, jet)
     gamma, dgamma = _christoffels_from_jets(pm.g, jets)
 
     # R^r_{s mu nu} = d_mu G^r_{nu s} - d_nu G^r_{mu s} + G^r_{mu l} G^l_{nu s}
     #                 - G^r_{nu l} G^l_{mu s}, with dgamma[s,r,a,b] = d_s G^r_{ab}
     riemann = (
-        np.einsum("mrns->rsmn", dgamma)
-        - np.einsum("nrms->rsmn", dgamma)
-        + np.einsum("rml,lns->rsmn", gamma, gamma)
-        - np.einsum("rnl,lms->rsmn", gamma, gamma)
+        np.einsum("...mrns->...rsmn", dgamma)
+        - np.einsum("...nrms->...rsmn", dgamma)
+        + np.einsum("...rml,...lns->...rsmn", gamma, gamma)
+        - np.einsum("...rnl,...lms->...rsmn", gamma, gamma)
     )
-    ricci = np.einsum("mnsm->ns", riemann)
-    scalar = float(np.einsum("ns,ns->", pm.g, ricci))
-
-    mixed = pm.g @ ricci  # R^m_n
-    ricci_oneforms = tuple(_oneform(mixed[mu]) for mu in range(4))
-    einstein_mixed = mixed - 0.5 * scalar * np.eye(4)
-    einstein_oneforms = tuple(_oneform(einstein_mixed[mu]) for mu in range(4))
+    ricci = np.einsum("...mnsm->...ns", riemann)
+    scalar = np.einsum("...ns,...ns->...", pm.g, ricci)
 
     gd = GeometryData(
         spec=spec,
-        point=np.asarray(x, dtype=float),
+        point=x,
         g_lower=jets.values,
         g_upper=pm.g,
         sqrt_abs_det=pm.sqrt_abs_det,
@@ -191,13 +255,12 @@ def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True,
         dgamma=dgamma,
         riemann=riemann,
         ricci=ricci,
-        scalar=scalar,
-        ricci_oneforms=ricci_oneforms,
-        einstein_oneforms=einstein_oneforms,
+        scalar=float(scalar) if scalar.ndim == 0 else scalar,
         metric=pm,
+        ok=jets.ok,
     )
     if validate:
-        _validate(gd)
+        gd.ok = gd.ok & _validate(gd)
     return gd
 
 
@@ -209,27 +272,43 @@ def _oneform(components: np.ndarray) -> Multivector:
 
 
 def _validate(gd: GeometryData):
-    scale = max(1.0, float(np.max(np.abs(gd.riemann))))
-    anti = np.max(np.abs(gd.riemann + gd.riemann.transpose(0, 1, 3, 2)))
-    if anti > 1e-10 * scale:
-        raise GeometryError(f"Riemann antisymmetry violated ({anti:.3e})")
-    bianchi = gd.riemann + gd.riemann.transpose(0, 2, 3, 1) + gd.riemann.transpose(0, 3, 1, 2)
-    if np.max(np.abs(bianchi)) > 1e-10 * scale:
-        raise GeometryError(f"first Bianchi identity violated ({np.max(np.abs(bianchi)):.3e})")
-    sym = np.max(np.abs(gd.ricci - gd.ricci.T))
-    if sym > 1e-10 * max(1.0, float(np.max(np.abs(gd.ricci)))):
-        raise GeometryError(f"Ricci symmetry violated ({sym:.3e})")
-    gsym = np.max(np.abs(gd.gamma - gd.gamma.transpose(0, 2, 1)))
-    if gsym > 1e-11 * max(1.0, float(np.max(np.abs(gd.gamma)))):
-        raise GeometryError(f"connection symmetry violated ({gsym:.3e})")
+    """Five identities of the bundle, each within its bound.
+
+    One point raises :class:`GeometryError` at the first bound exceeded; a
+    block returns the mask of points within all five.
+    """
+    lanes = gd.riemann.shape[:-4]
+
+    def sup(x):
+        return np.max(np.abs(x), axis=tuple(range(len(lanes), x.ndim)))
+
+    def swap(x, *axes):  # permute the last len(axes) axes, leading lanes kept
+        first = len(lanes)
+        return x.transpose(*range(first), *(first + a for a in axes))
+
+    riemann, ricci, gamma = gd.riemann, gd.ricci, gd.gamma
+    scale = np.maximum(1.0, sup(riemann))
+    bianchi = riemann + swap(riemann, 0, 2, 3, 1) + swap(riemann, 0, 3, 1, 2)
     # metric compatibility: d_s g_{mn} - Gamma^r_{sm} g_{rn} - Gamma^r_{sn} g_{mr} = 0
     compat = (
         gd.dg
-        - np.einsum("rsm,rn->smn", gd.gamma, gd.g_lower)
-        - np.einsum("rsn,mr->smn", gd.gamma, gd.g_lower)
+        - np.einsum("...rsm,...rn->...smn", gamma, gd.g_lower)
+        - np.einsum("...rsn,...mr->...smn", gamma, gd.g_lower)
     )
-    if np.max(np.abs(compat)) > 1e-11 * max(1.0, float(np.max(np.abs(gd.dg)))):
-        raise GeometryError(f"metric compatibility violated ({np.max(np.abs(compat)):.3e})")
+    bounds = (
+        ("Riemann antisymmetry", sup(riemann + swap(riemann, 0, 1, 3, 2)), 1e-10 * scale),
+        ("first Bianchi identity", sup(bianchi), 1e-10 * scale),
+        ("Ricci symmetry", sup(ricci - swap(ricci, 1, 0)), 1e-10 * np.maximum(1.0, sup(ricci))),
+        ("connection symmetry", sup(gamma - swap(gamma, 0, 2, 1)),
+         1e-11 * np.maximum(1.0, sup(gamma))),
+        ("metric compatibility", sup(compat), 1e-11 * np.maximum(1.0, sup(gd.dg))),
+    )
+    if lanes:
+        return np.logical_and.reduce([value <= bound for _, value, bound in bounds])
+    for name, value, bound in bounds:
+        if value > bound:
+            raise GeometryError(f"{name} violated ({value:.3e})")
+    return True
 
 
 def volume_form(gd: GeometryData) -> Multivector:

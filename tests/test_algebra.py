@@ -427,6 +427,51 @@ def test_point_metric_inverse_consistency(rng):
     assert m.sqrt_abs_det > 0.0
 
 
+def _block_of_awkward_metrics(rng):
+    """Metrics of every kind the one-metric checks tell apart, with and without an inverse."""
+    metrics = [oracles.random_lorentzian_cotangent(rng) for _ in range(12)]
+    skew = oracles.random_lorentzian_cotangent(rng)
+    skew[0, 1] += 1e-6  # not symmetric
+    tiny = 1e-4 * oracles.random_lorentzian_cotangent(rng)  # det ~ 1e-16: degenerate
+    rot = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    ill = rot @ np.diag([1e8, -1e-7, -1.0, -1.0]) @ rot.T
+    ill = 0.5 * (ill + ill.T)  # invertible, but the inverse check fails at 1e-10
+    nan = ETA.copy()
+    nan[2, 2] = np.nan
+    metrics += [skew, tiny, np.eye(4), np.zeros((4, 4)), ill, nan, -ETA, np.diag([1.0, 1, -1, -1])]
+    order = rng.permutation(len(metrics))
+    return np.array(metrics)[order]
+
+
+def _alone(g, require_lorentzian):
+    try:
+        return PointMetric(g, require_lorentzian=require_lorentzian)
+    except (ValueError, DegenerateMetricError, SignatureError):
+        return None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")  # the NaN metric
+@pytest.mark.parametrize("require_lorentzian", [True, False])
+def test_point_metric_block_lanes_equal_each_metric_alone(rng, require_lorentzian):
+    # a block raises nothing: ok marks the metrics that raise nothing alone,
+    # and each of those is bitwise the metric alone, tables included
+    gs = _block_of_awkward_metrics(rng)
+    block = PointMetric(gs, require_lorentzian=require_lorentzian)
+    assert block.g.shape == gs.shape and block.ok.shape == (len(gs),)
+    alone = [_alone(g, require_lorentzian) for g in gs]
+    assert list(block.ok) == [m is not None for m in alone]
+    assert sum(block.ok) == 13 + (not require_lorentzian) * 2
+    for i, m in enumerate(alone):
+        if m is None:
+            continue
+        lane = block.lane(i)
+        for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian"):
+            assert np.asarray(getattr(lane, name)).tobytes() == np.asarray(getattr(m, name)).tobytes()
+        assert lane.tables.keys() == m.tables.keys()
+        for key, table in m.tables.items():
+            assert lane.tables[key].tobytes() == table.tobytes(), key
+
+
 def test_volume_form_squares_to_signature_sign(rng):
     m = random_metric(rng)
     tau = m.volume_form()

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,8 @@ from cliffcheck import geometry as geo
 from cliffcheck.algebra import Multivector, grade_project
 from cliffcheck.diffops import FieldCalculus, MultivectorField
 from cliffcheck.errors import FieldError
+
+from test_geometry import MIXED, MIXED_ERRORS, mixed_points
 
 MINK = geo.build_metric("minkowski")
 SCHW = geo.build_metric("schwarzschild", {"M": 1.0})
@@ -449,3 +455,61 @@ def test_chunked_points_match_each_point_alone(monkeypatch):
         alone = fch.run_checks(SCHW, fields, names, [pt], tols)
         for report, one in zip(together, alone):
             assert report.records[k] == one.records[0], (report.check, k)
+
+
+# -- blocks of points ----------------------------------------------------------------
+
+# sha256 of the JSON of the mixed scenario's reports, computed with the one-point
+# geometry path (before blocks); the three bad points raise in metric_at
+MIXED_REPORTS_SHA256 = "ef9a77a98e96b52331ec646b2f4441741ed2e219f6efb79e48bed5f34a8bdb30"
+
+
+@pytest.mark.parametrize("block", [16, 4, 3, 1])
+def test_block_with_bad_points_reports_what_each_point_gives_alone(monkeypatch, block):
+    # one block of 16 holds a singular, a non-Lorentzian and a not evaluable
+    # point among good ones; smaller blocks split them up
+    monkeypatch.setattr(fch, "BLOCK", block)
+    fields = fch.ScenarioFields(K=field({"t": "t", "x": "x*y"}, MIXED))
+    names = ["killing", "killing_identities", "maxwell_current"]
+    reports = fch.run_checks(MIXED, fields, names, mixed_points(), [1e-8] * 3)
+    for report in reports:
+        assert {k: r.error for k, r in enumerate(report.records) if r.error} == MIXED_ERRORS
+    digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+    assert digest == MIXED_REPORTS_SHA256
+
+
+def test_block_size_does_not_change_reports(monkeypatch):
+    fields = fch.ScenarioFields(
+        K=field({"t": "1-2*M/r"}, SCHW),
+        S=field({"1": "t"}, SCHW),
+        V=field({"t": "sqrt(1-2*M/r)"}, SCHW),
+    )
+    names = list(fch.CHECKS)
+    rng = np.random.default_rng(8)
+    points = [tuple(p) for p in rng.uniform([-3, 2.5, 0.35, 0], [3, 20, 2.8, 6.2], size=(37, 4))]
+    points[20] = (0.5, 2.0, 1.0, 0.3)  # on the horizon: a point error
+    tols = [1e-8] * len(names)
+    default = [r.to_dict() for r in fch.run_checks(SCHW, fields, names, points, tols)]
+    monkeypatch.setattr(fch, "BLOCK", 3)
+    monkeypatch.setattr(fch, "CHUNK", 16)
+    assert [r.to_dict() for r in fch.run_checks(SCHW, fields, names, points, tols)] == default
+
+
+def test_point_loop_memory_does_not_grow_with_blocks():
+    # one block's geometry and tables take about 2 MB; a block kept after its
+    # points would add that for every 16 points.  What does grow is the
+    # records, about 1.1 kB per point here (1.0 MB from 100 to 1000 points).
+    K = field({"t": "1-2*M/r"}, SCHW)
+    rng = np.random.default_rng(9)
+
+    def peak(count):
+        points = [tuple(p) for p in rng.uniform([-3, 2.5, 0.35, 0], [3, 20, 2.8, 6.2], size=(count, 4))]
+        tracemalloc.start()
+        try:
+            fch.run_checks(SCHW, fch.ScenarioFields(K=K), ["killing_identities"], points, [1e-8])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # warm caches
+    assert peak(1000) - peak(100) < 2_000_000

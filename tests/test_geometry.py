@@ -4,7 +4,7 @@ import pytest
 from cliffcheck import expr as ex
 from cliffcheck import geometry as geo
 from cliffcheck.algebra import Multivector
-from cliffcheck.errors import GeometryError, SingularMetricError
+from cliffcheck.errors import DegenerateMetricError, GeometryError, SingularMetricError
 
 import oracles
 
@@ -285,3 +285,165 @@ def test_contracted_bianchi_by_fd():
             val += sum(gd.gamma[nu, m, l] * G[m, l] for m in range(4) for l in range(4))
             div[nu] = val
         assert np.max(np.abs(div)) < 1e-8 * max(1.0, np.max(np.abs(G)))
+
+
+# -- blocks of points --------------------------------------------------------------
+
+_SIGMA = "(r^2+a^2*cos(theta)^2)"
+_G_TPHI = f"2*M*a*r*sin(theta)^2/{_SIGMA}"
+KERR = geo.MetricSpec.from_strings(
+    ("t", "r", "theta", "phi"),
+    [
+        [f"1-2*M*r/{_SIGMA}", "0", "0", _G_TPHI],
+        ["0", f"-{_SIGMA}/(r^2-2*M*r+a^2)", "0", "0"],
+        ["0", "0", f"-{_SIGMA}", "0"],
+        [_G_TPHI, "0", "0", f"-(r^2+a^2+2*M*a^2*r*sin(theta)^2/{_SIGMA})*sin(theta)^2"],
+    ],
+    {"M": 1.0, "a": 0.6},
+    "kerr",
+)
+
+BLOCK_CASES = {
+    "kerr": (KERR, ([-3.0, 2.5, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2])),
+    "schwarzschild": (catalog_spec("schwarzschild"), ([-3.0, 2.5, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2])),
+    "flrw": (catalog_spec("flrw"), ([0.4, -3.0, -3.0, -3.0], [3.0, 3.0, 3.0, 3.0])),
+    "minkowski": (catalog_spec("minkowski"), ([-3.0] * 4, [3.0] * 4)),
+}
+
+_BUNDLE = ("point", "g_lower", "g_upper", "sqrt_abs_det", "dg", "gamma", "dgamma", "riemann",
+           "ricci", "scalar")
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def assert_lane_is_the_point_alone(lane, alone):
+    for name in _BUNDLE:
+        assert _bits(getattr(lane, name)) == _bits(getattr(alone, name)), name
+    for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian"):
+        assert _bits(getattr(lane.metric, name)) == _bits(getattr(alone.metric, name)), name
+    assert lane.metric.tables.keys() == alone.metric.tables.keys()
+    for key, table in alone.metric.tables.items():
+        assert _bits(lane.metric.tables[key]) == _bits(table), key
+    for got, want in zip(lane.ricci_oneforms + lane.einstein_oneforms,
+                         alone.ricci_oneforms + alone.einstein_oneforms):
+        assert _bits(got.coeffs) == _bits(want.coeffs)
+
+
+@pytest.mark.parametrize("key", sorted(BLOCK_CASES))
+def test_block_lanes_equal_each_point_alone_bitwise(key):
+    # blocks as the point loop builds them: 16 points of a 48-point chunk of jets
+    spec, (lo, hi) = BLOCK_CASES[key]
+    points = np.random.default_rng(11).uniform(lo, hi, size=(48, 4))
+    exprs = [spec.g_lower[i][j] for i in range(4) for j in range(i, 4)]
+    jets = ex.ChunkJets(exprs, spec.coords, points, spec.params)
+    for first in range(0, len(points), 16):
+        block = geo.curvature(spec, points[first:first + 16], jet=jets.block(first, first + 16))
+        assert block.riemann.shape == (16, 4, 4, 4, 4) and block.ok.all()
+        for k in range(16):
+            alone = geo.curvature(spec, points[first + k], jet=jets.at(first + k))
+            assert_lane_is_the_point_alone(block.lane(k), alone)
+
+
+MIXED = geo.MetricSpec.from_strings(
+    ("t", "x", "y", "z"),
+    [["t", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "-(1+0.1*sqrt(y))", "0"],
+     ["0", "0", "0", "-1"]],
+    name="mixed",
+)
+
+
+def mixed_points() -> list:
+    """Ten points of MIXED: singular at 2, not Lorentzian at 5, not evaluable at 7."""
+    points = [(1.0 + 0.1 * k, 0.2 * k, 1.0 + 0.05 * k, 0.3) for k in range(10)]
+    points[2] = (0.0, 0.4, 1.1, 0.3)
+    points[5] = (-1.0, 1.0, 1.25, 0.3)
+    points[7] = (1.7, 1.4, -1.0, 0.3)
+    return points
+
+
+# the errors of the three bad points, as the one-point path gives them
+MIXED_ERRORS = {
+    2: "metric of 'mixed' is singular at (np.float64(0.0), np.float64(0.4), np.float64(1.1), "
+       "np.float64(0.3)) (det=0.000e+00)",
+    5: "metric of 'mixed' is not Lorentzian at (np.float64(-1.0), np.float64(1.0), "
+       "np.float64(1.25), np.float64(0.3)) (det=1.112e+00)",
+    7: "metric of 'mixed' not evaluable at (np.float64(1.7), np.float64(1.4), np.float64(-1.0), "
+       "np.float64(0.3)): sqrt of negative value in 'sqrt(y)'",
+}
+
+
+def test_block_rejects_exactly_the_points_that_raise_alone():
+    points = np.array(mixed_points())
+    for k, message in MIXED_ERRORS.items():
+        with pytest.raises(SingularMetricError) as err:
+            geo.curvature(MIXED, points[k])
+        assert str(err.value) == message
+    # blocks of four: the first holds the singular point; the second the
+    # non-Lorentzian point and the point whose jets raise, so the chunk has
+    # no jets of g_yy and the second block cannot evaluate them either
+    exprs = [MIXED.g_lower[i][j] for i in range(4) for j in range(i, 4)]
+    jets = ex.ChunkJets(exprs, MIXED.coords, points, MIXED.params)
+    oks = []
+    for first in range(0, 10, 4):
+        stop = min(first + 4, 10)
+        pm, mjets = geo.metric_at(MIXED, points[first:stop], jet=jets.block(first, stop))
+        block = geo.curvature(MIXED, points[first:stop], jet=jets.block(first, stop))
+        assert list(mjets.ok) == list(block.ok) == list(pm.ok & mjets.ok)
+        oks += list(block.ok)
+        for k in np.flatnonzero(block.ok):
+            alone = geo.curvature(MIXED, points[first + k], jet=jets.at(first + k))
+            assert_lane_is_the_point_alone(block.lane(k), alone)
+    assert oks == [True, True, False, True] + [False] * 4 + [True, True]
+
+
+def test_block_rejects_what_the_point_metric_checks_and_validation_reject():
+    # metric_at accepts points 2 and 4 (det < 0), but the inverse at 2 is too
+    # ill-conditioned for PointMetric's identity check, and at 4 the
+    # curvature fails validation
+    spec = geo.MetricSpec.from_strings(
+        ("t", "x", "y", "z"),
+        [["t", "y", "0", "0"], ["y", "x", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+        name="ill",
+    )
+    points = np.array([(1.0 + 0.1 * k, -1.0, 0.1 * k, 0.0) for k in range(6)])
+    points[2, :3] = (1121731.956830163, 5325304.725886299, -2444087.6602293462)
+    points[4, :3] = (1429.7973621448605, 88.64936474844573, 356.0221186483432)
+    with pytest.raises(DegenerateMetricError, match="^metric inverse failed the identity check$"):
+        geo.curvature(spec, points[2])
+    with pytest.raises(GeometryError, match=r"^metric compatibility violated \(1.455e-11\)$"):
+        geo.curvature(spec, points[4])
+    _, jets = geo.metric_at(spec, points)
+    block = geo.curvature(spec, points)
+    assert list(jets.ok) == [True, True, False, True, True, True]
+    assert list(block.ok) == [True, True, False, True, False, True]
+    for k in (0, 1, 3, 5):
+        assert_lane_is_the_point_alone(block.lane(k), geo.curvature(spec, points[k]))
+
+
+def test_block_validation_matches_each_point_alone():
+    # break one identity in each of lanes 1..5; lane 0 stays intact
+    spec = catalog_spec("schwarzschild")
+    points = np.array([(0.1 * k, 4.0 + k, 1.0, 0.5) for k in range(6)])
+    block = geo.curvature(spec, points, validate=False)
+    block.riemann[1, 0, 1, 2, 3] += 1.0
+    block.riemann[2, 0, 1, 2, 3] += 1.0  # antisymmetric, but not cyclic
+    block.riemann[2, 0, 1, 3, 2] -= 1.0
+    block.ricci[3, 0, 1] += 1.0
+    block.gamma[4, 0, 1, 2] += 1.0
+    block.dg[5, 0, 1, 1] += 1.0
+    assert list(geo._validate(block)) == [True, False, False, False, False, False]
+    broken = ("Riemann antisymmetry", "first Bianchi identity", "Ricci symmetry",
+              "connection symmetry", "metric compatibility")
+    assert geo._validate(block.lane(0))
+    for k, name in enumerate(broken, start=1):
+        with pytest.raises(GeometryError, match=f"^{name} violated"):
+            geo._validate(block.lane(k))
+
+
+def test_lazy_oneforms_are_built_only_when_read():
+    gd = geo.curvature(catalog_spec("flrw"), (1.3, 0.0, 0.4, -0.2))
+    assert "ricci_oneforms" not in vars(gd) and "einstein_oneforms" not in vars(gd)
+    assert gd.ricci_oneforms is gd.ricci_oneforms
+    assert "ricci_oneforms" in vars(gd) and "einstein_oneforms" not in vars(gd)

@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import re
 import subprocess
@@ -8,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from cliffcheck import cli
 from cliffcheck.errors import ScenarioValidationError
 from cliffcheck.fieldcheck import CHECKS
 from cliffcheck.runner import (
@@ -356,6 +360,18 @@ def test_cli_nonpositive_count_is_a_usage_error(argv):
     assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("algebra-selftest", "--seed", "-1"),
+    ("verify", str(SCENARIOS / "minkowski_boost.json"), "--points", "3", "--seed", "-1"),
+])
+def test_cli_negative_seed_is_a_usage_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "argument --seed: must be at least 0, got -1" in proc.stderr
+    assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+
+
 def strict_json(text):
     def reject(token):
         raise ValueError(f"non-finite constant {token} in report")
@@ -419,3 +435,32 @@ def test_cli_underflow_is_a_point_error(tmp_path):
     payload = strict_json(out.read_text())
     jsonschema.validate(payload, report_schema())
     assert payload["checks"][0]["points"][0]["error"].startswith("underflow in 'log(")
+
+
+# -- the benchmark's tracer ------------------------------------------------------------
+
+
+def _perfbench_module(name):
+    """Load ``perfbench/<name>.py`` without putting perfbench on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_verify_records_every_required_span(tmp_path):
+    # the benchmark's --trace 1 wraps these entry points from outside and
+    # fails when one records no call; a refactor must keep calling each
+    tracing = _perfbench_module("tracing")
+    workloads = _perfbench_module("workloads")
+    (op,) = workloads.kerr_identities(REPO, tmp_path, seed=1, points=3).ops
+    tracer = tracing.Tracer()
+    tracer.install(op=0)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(list(op.argv))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert set(workloads.VERIFY_SPANS) <= tracer.present
+    tracing.check_required(tracer, workloads.VERIFY_SPANS)

@@ -7,6 +7,7 @@ import pytest
 
 from cliffcheck import algebra, selftest
 from cliffcheck.algebra import Multivector, PointMetric, wedge
+from cliffcheck.diffops import FieldCalculus
 
 
 def _metrics(seed: int, count: int) -> list:
@@ -108,6 +109,18 @@ def test_nan_residual_is_a_failure(monkeypatch):
     result = selftest.run_algebra_suite(iterations=40, seed=3)
     law = {law.name: law for law in result.laws}["hodge_inverse"]
     assert np.isnan(law.max_residual) and not law.passed
+
+
+def test_nan_operator_result_fails_its_diffops_law(monkeypatch):
+    monkeypatch.setattr(FieldCalculus, "exterior_d_squared",
+                        lambda self: Multivector(np.full(16, np.nan)))
+    result = selftest.run_diffops_suite(fields_per_metric=2, seed=5)
+    law = {law.name: law for law in result.laws}
+    assert np.isnan(law["exterior_d_squared"].max_residual)
+    assert not law["exterior_d_squared"].passed and not result.passed
+    assert all(stat.passed for name, stat in law.items() if name != "exterior_d_squared")
+    line = next(line for line in result.lines() if "exterior_d_squared" in line)
+    assert line.startswith("[FAIL]") and "max_residual=nan" in line
 
 
 def _peak_bytes(iterations: int) -> int:

@@ -33,13 +33,23 @@ _EYE16 = np.eye(blades.N_BLADES)
 
 
 class Multivector:
-    """Immutable element of the 16-dimensional algebra at a point."""
+    """Immutable element of the 16-dimensional algebra at a point, or at a block of points.
+
+    ``coeffs`` is (16,) at one point.  Over a block of N points it is (N, 16),
+    one row per point, as the block's :class:`PointMetric` and the operators
+    of :class:`~cliffcheck.diffops.FieldCalculus` give it: the arithmetic,
+    the products and the projections act on each row alone, so row i is
+    bitwise the point alone.  Scalars such as :meth:`sup`, :attr:`scalar_part`
+    or a scale factor are then one value per point, shape (N,).  One point
+    is the case without N, whose code and results do not depend on blocks.
+    """
 
     __slots__ = ("coeffs",)
+    __array_ufunc__ = None  # ``lanes * mv`` is mv.__rmul__, not an object array
 
     def __init__(self, coeffs):
         arr = np.array(coeffs, dtype=float)
-        if arr.shape != (blades.N_BLADES,):
+        if arr.shape[-1:] != (blades.N_BLADES,):
             raise ValueError(f"expected 16 blade coefficients, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
@@ -61,6 +71,14 @@ class Multivector:
     def covector(cls, i: int, coeff: float = 1.0) -> "Multivector":
         c = np.zeros(blades.N_BLADES)
         c[1 << i] = coeff
+        return cls(c)
+
+    @classmethod
+    def oneform(cls, components) -> "Multivector":
+        """The 1-form ``sum components[nu] gamma^nu``; (N, 4) components give a block."""
+        components = np.asarray(components, dtype=float)
+        c = np.zeros(components.shape[:-1] + (blades.N_BLADES,))
+        c[..., blades.COVECTOR_MASKS] = components
         return cls(c)
 
     @classmethod
@@ -91,12 +109,12 @@ class Multivector:
         return Multivector(-self.coeffs)
 
     def __mul__(self, scale) -> "Multivector":
-        return Multivector(self.coeffs * float(scale))
+        return Multivector(self.coeffs * _per_row(scale))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scale) -> "Multivector":
-        return Multivector(self.coeffs / float(scale))
+        return Multivector(self.coeffs / _per_row(scale))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Multivector) and bool(np.array_equal(self.coeffs, other.coeffs))
@@ -110,8 +128,9 @@ class Multivector:
         return grade_project(self, k)
 
     def grades(self, tol: float = 0.0) -> frozenset:
-        return frozenset(int(blades.GRADE[m]) for m in range(blades.N_BLADES)
-                         if abs(self.coeffs[m]) > tol)
+        """Grades with a coefficient above ``tol``, at any point of a block."""
+        present = (np.abs(self.coeffs) > tol).reshape(-1, blades.N_BLADES).any(axis=0)
+        return frozenset(int(blades.GRADE[m]) for m in range(blades.N_BLADES) if present[m])
 
     def reverse(self) -> "Multivector":
         return Multivector(reverse_rows(self.coeffs))
@@ -119,15 +138,24 @@ class Multivector:
     def involute(self) -> "Multivector":
         return Multivector(self.coeffs * blades.INVOLUTE_SIGN)
 
-    @property
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
+    def oneform_components(self) -> np.ndarray:
+        """The covector coefficients, in coordinate order: (4,), or (N, 4) for a block."""
+        return self.coeffs[..., blades.COVECTOR_MASKS]
 
-    def sup(self) -> float:
-        """Sup norm over blade coefficients."""
-        return float(np.max(np.abs(self.coeffs)))
+    @property
+    def scalar_part(self):
+        """The scalar coefficient: a float, or one per point of a block."""
+        return float(self.coeffs[0]) if self.coeffs.ndim == 1 else self.coeffs[..., 0]
+
+    def sup(self):
+        """Sup norm over blade coefficients: a float, or one per point of a block."""
+        if self.coeffs.ndim == 1:
+            return float(np.max(np.abs(self.coeffs)))
+        return np.max(np.abs(self.coeffs), axis=-1)
 
     def __repr__(self):
+        if self.coeffs.ndim > 1:
+            return f"Multivector(block of shape {self.coeffs.shape[:-1]})"
         terms = [
             f"{self.coeffs[m]:+.6g}*{blades.blade_name(m)}"
             for m in range(blades.N_BLADES)
@@ -136,9 +164,16 @@ class Multivector:
         return "Multivector(" + (" ".join(terms) if terms else "0") + ")"
 
 
+def _per_row(scale):
+    """A scale factor: one float, or an array of one value per row of a block."""
+    if isinstance(scale, np.ndarray) and scale.ndim:
+        return scale[..., np.newaxis]
+    return float(scale)
+
+
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product; metric independent."""
-    return Multivector(np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, blades.WEDGE_TENSOR))
+    return Multivector(np.einsum("...i,...j,ijk->...k", a.coeffs, b.coeffs, blades.WEDGE_TENSOR))
 
 
 def reverse(a: Multivector) -> Multivector:
@@ -187,7 +222,9 @@ class PointMetric:
     ``ok`` marks the metrics that pass every check, the others hold
     placeholder values, and every attribute has N first.  :meth:`lane` hands
     out one metric of a block, bitwise equal to that metric built alone, and
-    the block's tables are built once, for all of its metrics.
+    the block's tables are built once, for all of its metrics.  The product
+    methods of a block take block :class:`Multivector` operands, one row per
+    metric, and give one result per metric, each bitwise that metric's alone.
     """
 
     __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "ok", "_tables", "_block")
@@ -286,8 +323,10 @@ class PointMetric:
     def right_contract(self, a: Multivector, b: Multivector) -> Multivector:
         return Multivector(right_contract_rows(self.tables, a.coeffs, b.coeffs))
 
-    def scalar_product(self, a: Multivector, b: Multivector) -> float:
-        return float(scalar_product_rows(self.tables, a.coeffs, b.coeffs))
+    def scalar_product(self, a: Multivector, b: Multivector):
+        """A float for one metric; one per metric of a block."""
+        out = scalar_product_rows(self.tables, a.coeffs, b.coeffs)
+        return float(out) if out.ndim == 0 else out
 
     def hodge(self, a: Multivector) -> Multivector:
         return Multivector(hodge_rows(self.tables, a.coeffs))

@@ -19,6 +19,7 @@ GRADE = np.array([bin(m).count("1") for m in range(N_BLADES)], dtype=np.int64)
 MASKS_BY_GRADE = tuple(
     tuple(m for m in range(N_BLADES) if GRADE[m] == k) for k in range(DIM + 1)
 )
+COVECTOR_MASKS = [1 << i for i in range(DIM)]  # the mask of covector i, an index list
 
 # reversion (-1)^{k(k-1)/2} and grade involution (-1)^k, per blade
 REVERSE_SIGN = np.array([(-1.0) ** (GRADE[m] * (GRADE[m] - 1) // 2) for m in range(N_BLADES)])

@@ -10,7 +10,17 @@ field jets and the metric jets provide in closed form.
 
 Index conventions:  ``cov1[a]`` are the blade components of D_a F,
 ``cov2[a, b]`` those of D_a D_b F, and the covariant correction enters
-through ``Gop[a] = sum Gamma^r_{a i} INDEX_SUB[i, r]``.
+through ``Gop[a] = sum Gamma^r_{a i} INDEX_SUB[i, r]`` (``GeometryData.gop``,
+shared by every field at the same geometry).
+
+A :class:`FieldCalculus` works at one point, or at a block of N points when
+its :class:`~cliffcheck.geometry.GeometryData` is a block: every array then
+has N first (``vals`` (N, 16), ``cov1`` (N, 4, 16), ...), the operators
+return block :class:`~cliffcheck.algebra.Multivector` values, and point i
+of the block is bitwise the point alone.  One point is the case without N.
+A block raises when any of its points does (a field expression outside its
+domain, say), and :mod:`cliffcheck.fieldcheck` then evaluates each point
+alone, so every point gets its own result or error.
 """
 
 from __future__ import annotations
@@ -123,7 +133,7 @@ def _parse_blade_key(key: str, coords) -> tuple:
 
 @dataclass
 class FieldJets:
-    """Component values and first/second partials of a field at one point."""
+    """Component values and first/second partials of a field at one point (or N first)."""
 
     vals: np.ndarray  # (16,)
     grads: np.ndarray  # (16, 4)
@@ -131,26 +141,31 @@ class FieldJets:
 
 
 def field_jets(field: MultivectorField, gd: GeometryData, jet: Callable | None = None) -> FieldJets:
-    """The field's component jets at ``gd.point``; ``jet`` as in :func:`geometry.metric_at`."""
+    """The field's component jets at ``gd.point``; ``jet`` as in :func:`geometry.metric_at`.
+
+    ``gd.point`` may be a block of N points, and ``jet`` then gives the
+    block's jets; every array has N first.
+    """
     spec = gd.spec
     if jet is None:
         jet = ex.point_jets(spec.coords, gd.point, spec.params)
-    vals = np.zeros(16)
-    grads = np.zeros((16, 4))
-    hess = np.zeros((16, 4, 4))
+    lanes = np.shape(gd.point)[:-1]
+    vals = np.zeros(lanes + (16,))
+    grads = np.zeros(lanes + (16, 4))
+    hess = np.zeros(lanes + (16, 4, 4))
     for mask in range(16):
         e = field.comps[mask]
         if ex.is_zero(e):
             continue
         jm = jet(e)
-        vals[mask] = jm.val
-        grads[mask] = jm.grad
-        hess[mask] = jm.hess
+        vals[..., mask] = jm.val
+        grads[..., mask, :] = jm.grad
+        hess[..., mask, :, :] = jm.hess
     return FieldJets(vals, grads, hess)
 
 
 class FieldCalculus:
-    """All operator evaluations for one field at one geometry point."""
+    """All operator evaluations for one field at one geometry point, or at a block of them."""
 
     def __init__(self, field: MultivectorField, gd: GeometryData, jet: Callable | None = None):
         self.field = field
@@ -162,38 +177,25 @@ class FieldCalculus:
         return field_jets(self.field, self.gd, self._jet)
 
     @cached_property
-    def _gop(self) -> np.ndarray:
-        # Gop[a][m, n]: covariant correction sum Gamma^r_{a i} * INDEX_SUB[i, r]
-        return np.einsum("rai,irmn->amn", self.gd.gamma, blades.INDEX_SUB)
-
-    @cached_property
-    def _dgop(self) -> np.ndarray:
-        return np.einsum("srai,irmn->samn", self.gd.dgamma, blades.INDEX_SUB)
-
-    @cached_property
     def cov1(self) -> np.ndarray:
         """cov1[a] = components of D_a F."""
-        return self.jets.grads.T - np.einsum("amn,n->am", self._gop, self.jets.vals)
+        return _swap(self.jets.grads) - np.einsum("...amn,...n->...am", self.gd.gop, self.jets.vals)
 
     @cached_property
     def _pd_cov1(self) -> np.ndarray:
         """pd[s, a] = plain partial d_s of (D_a F) components."""
         return (
-            np.einsum("mas->sam", self.jets.hess)
-            - np.einsum("samn,n->sam", self._dgop, self.jets.vals)
-            - np.einsum("amn,ns->sam", self._gop, self.jets.grads)
+            np.einsum("...mas->...sam", self.jets.hess)
+            - np.einsum("...samn,...n->...sam", self.gd.dgop, self.jets.vals)
+            - np.einsum("...amn,...ns->...sam", self.gd.gop, self.jets.grads)
         )
 
     @cached_property
     def cov2(self) -> np.ndarray:
         """cov2[a, b] = components of D_a D_b F."""
-        return self._pd_cov1 - np.einsum("amn,bn->abm", self._gop, self.cov1)
+        return self._pd_cov1 - np.einsum("...amn,...bn->...abm", self.gd.gop, self.cov1)
 
     # -- metric jets shared by the composed first-order operators ---------------
-
-    @cached_property
-    def _dg_upper(self) -> np.ndarray:
-        return -np.einsum("ma,sab,bn->smn", self.gd.g_upper, self.gd.dg, self.gd.g_upper)
 
     @cached_property
     def _contract_val(self) -> np.ndarray:
@@ -201,7 +203,7 @@ class FieldCalculus:
 
     @cached_property
     def _contract_grad(self) -> np.ndarray:
-        return np.einsum("sij,jkl->sikl", self._dg_upper, blades.CONTRACT_STRUCT)
+        return np.einsum("...sij,jkl->...sikl", self.gd.dg_upper, blades.CONTRACT_STRUCT)
 
     # -- first-order operators ---------------------------------------------------
 
@@ -209,27 +211,27 @@ class FieldCalculus:
         return Multivector(self.jets.vals)
 
     def covariant_derivative(self, alpha: int) -> Multivector:
-        return Multivector(self.cov1[alpha])
+        return Multivector(self.cov1[..., alpha, :])
 
     def dirac(self) -> Multivector:
         L = self.gd.metric.covector_left_ops()
-        return Multivector(np.einsum("amn,an->m", L, self.cov1))
+        return Multivector(np.einsum("...amn,...an->...m", L, self.cov1))
 
     def exterior_d(self) -> Multivector:
-        return Multivector(np.einsum("amn,an->m", blades.WEDGE_OP, self.cov1))
+        return Multivector(np.einsum("amn,...an->...m", blades.WEDGE_OP, self.cov1))
 
     def codifferential(self) -> Multivector:
-        return Multivector(-np.einsum("amn,an->m", self._contract_val, self.cov1))
+        return Multivector(-np.einsum("...amn,...an->...m", self._contract_val, self.cov1))
 
     def codifferential_hodge_route(self) -> Multivector:
         """delta via (-1)^p star^{-1} d star, using D_a(star F) = star(D_a F)."""
         pm = self.gd.metric
         out = Multivector.zero()
         for p in sorted(self.field.grades):
-            dstar = np.zeros(16)
+            dstar = np.zeros(self.cov1.shape[:-2] + (16,))
             for a in range(4):
-                part = grade_project(Multivector(self.cov1[a]), p)
-                dstar += blades.WEDGE_OP[a] @ pm.hodge(part).coeffs
+                part = grade_project(Multivector(self.cov1[..., a, :]), p)
+                dstar += (blades.WEDGE_OP[a] @ pm.hodge(part).coeffs[..., np.newaxis])[..., 0]
             out = out + (-1.0) ** p * pm.hodge_inv(Multivector(dstar))
         return out
 
@@ -237,57 +239,57 @@ class FieldCalculus:
 
     @cached_property
     def _d_jet(self) -> tuple:
-        val = np.einsum("amn,na->m", blades.WEDGE_OP, self.jets.grads)
-        grad = np.einsum("amn,nas->ms", blades.WEDGE_OP, self.jets.hess)
+        val = np.einsum("amn,...na->...m", blades.WEDGE_OP, self.jets.grads)
+        grad = np.einsum("amn,...nas->...ms", blades.WEDGE_OP, self.jets.hess)
         return val, grad
 
     @cached_property
     def _delta_jet(self) -> tuple:
-        val = -np.einsum("amn,an->m", self._contract_val, self.cov1)
+        val = -np.einsum("...amn,...an->...m", self._contract_val, self.cov1)
         grad = -(
-            np.einsum("samn,an->ms", self._contract_grad, self.cov1)
-            + np.einsum("amn,san->ms", self._contract_val, self._pd_cov1)
+            np.einsum("...samn,...an->...ms", self._contract_grad, self.cov1)
+            + np.einsum("...amn,...san->...ms", self._contract_val, self._pd_cov1)
         )
         return val, grad
 
     def exterior_d_squared(self) -> Multivector:
         _, grad = self._d_jet
-        return Multivector(np.einsum("amn,na->m", blades.WEDGE_OP, grad))
+        return Multivector(np.einsum("amn,...na->...m", blades.WEDGE_OP, grad))
 
     def maxwell_current(self) -> Multivector:
         """J = -delta(dF): the source current when this field is a potential."""
         dval, dgrad = self._d_jet
-        cov_d = dgrad.T - np.einsum("amn,n->am", self._gop, dval)
-        return Multivector(np.einsum("amn,an->m", self._contract_val, cov_d))
+        cov_d = _swap(dgrad) - np.einsum("...amn,...n->...am", self.gd.gop, dval)
+        return Multivector(np.einsum("...amn,...an->...m", self._contract_val, cov_d))
 
     def codifferential_squared(self) -> Multivector:
         val, grad = self._delta_jet
-        cov_delta = grad.T - np.einsum("amn,n->am", self._gop, val)
-        return Multivector(-np.einsum("amn,an->m", self._contract_val, cov_delta))
+        cov_delta = _swap(grad) - np.einsum("...amn,...n->...am", self.gd.gop, val)
+        return Multivector(-np.einsum("...amn,...an->...m", self._contract_val, cov_delta))
 
     # -- second-order operators -----------------------------------------------------
 
     def covariant_dalembertian(self) -> Multivector:
         gu = self.gd.g_upper
-        trace = np.einsum("ab,abm->m", gu, self.cov2)
-        corr = np.einsum("ab,rab,rm->m", gu, self.gd.gamma, self.cov1)
+        trace = np.einsum("...ab,...abm->...m", gu, self.cov2)
+        corr = np.einsum("...ab,...rab,...rm->...m", gu, self.gd.gamma, self.cov1)
         return Multivector(trace - corr)
 
     def ricci_operator(self) -> Multivector:
         # 1/2 (gamma^a ^ gamma^b) [D_a, D_b] F, the bivector acting by the
         # Clifford product (its grade-raising part dies by the first Bianchi
         # identity; the grade-preserving part is the curvature action)
-        comm = self.cov2 - np.einsum("abm->bam", self.cov2)
+        comm = self.cov2 - np.einsum("...abm->...bam", self.cov2)
         biv = self.gd.metric.bivector_left_ops()
-        return Multivector(0.5 * np.einsum("abmn,abn->m", biv, comm))
+        return Multivector(0.5 * np.einsum("...abmn,...abn->...m", biv, comm))
 
     def hodge_dalembertian(self) -> "HodgeSquare":
         # route (i): -(d delta + delta d) F from the exact operator jets
         dval, dgrad = self._d_jet
         delta_val, delta_grad = self._delta_jet
-        d_delta = np.einsum("amn,na->m", blades.WEDGE_OP, delta_grad)
-        cov_d = dgrad.T - np.einsum("amn,n->am", self._gop, dval)
-        delta_d = -np.einsum("amn,an->m", self._contract_val, cov_d)
+        d_delta = np.einsum("amn,...na->...m", blades.WEDGE_OP, delta_grad)
+        cov_d = _swap(dgrad) - np.einsum("...amn,...n->...am", self.gd.gop, dval)
+        delta_d = -np.einsum("...amn,...an->...m", self._contract_val, cov_d)
         first_order = Multivector(-(d_delta + delta_d))
         second_order = self.covariant_dalembertian() + self.ricci_operator()
         return HodgeSquare(first_order, second_order)
@@ -301,7 +303,7 @@ class HodgeSquare:
     second_order_route: Multivector  # covariant D'Alembertian + Ricci operator
 
     @property
-    def disagreement(self) -> float:
+    def disagreement(self):
         return (self.first_order_route - self.second_order_route).sup()
 
     @property
@@ -341,22 +343,25 @@ def hodge_dalembertian(field: MultivectorField, gd: GeometryData) -> HodgeSquare
 
 
 def grad_scalar_product(ja: FieldJets, jb: FieldJets, gd: GeometryData) -> Multivector:
-    """Gradient 1-form of the scalar field a . b, from the jets of grade-1 fields a and b."""
+    """Gradient 1-form of the scalar field a . b, from the jets of grade-1 fields a and b.
+
+    The jets and ``gd`` may be those of a block of points (N first).
+    """
     for j in (ja, jb):
-        if j.vals[_NOT_GRADE1].any() or j.grads[_NOT_GRADE1].any():
+        if j.vals[..., _NOT_GRADE1].any() or j.grads[..., _NOT_GRADE1, :].any():
             raise FieldError("grad_scalar_product expects grade-1 fields")
-    va = np.array([ja.vals[1 << i] for i in range(4)])
-    vb = np.array([jb.vals[1 << i] for i in range(4)])
-    da = np.array([[ja.grads[1 << i, s] for s in range(4)] for i in range(4)])
-    db = np.array([[jb.grads[1 << i, s] for s in range(4)] for i in range(4)])
+    masks = blades.COVECTOR_MASKS
+    va, vb = ja.vals[..., masks], jb.vals[..., masks]
+    da, db = ja.grads[..., masks, :], jb.grads[..., masks, :]
     gu = gd.g_upper
-    dgu = -np.einsum("ma,sab,bn->smn", gu, gd.dg, gu)
     grad = (
-        np.einsum("is,ij,j->s", da, gu, vb)
-        + np.einsum("i,sij,j->s", va, dgu, vb)
-        + np.einsum("i,ij,js->s", va, gu, db)
+        np.einsum("...is,...ij,...j->...s", da, gu, vb)
+        + np.einsum("...i,...sij,...j->...s", va, gd.dg_upper, vb)
+        + np.einsum("...i,...ij,...js->...s", va, gu, db)
     )
-    coeffs = np.zeros(16)
-    for s in range(4):
-        coeffs[1 << s] = grad[s]
-    return Multivector(coeffs)
+    return Multivector.oneform(grad)
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    """``x`` with its last two axes swapped: the transpose of each point's matrix."""
+    return np.swapaxes(x, -1, -2)

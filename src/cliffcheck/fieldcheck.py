@@ -1,14 +1,18 @@
 """Physics-level residual checks on user-supplied fields.
 
 Every check is one entry of :data:`CHECKS`: its name, the fields it needs,
-its notes and ``fn(ctx) -> (residuals, info)``, evaluated on one sample
-point's :class:`PointContext`.  :func:`run_checks` visits each point once,
-computes its geometry and field jets once, runs every requested check
-against them and gathers one :class:`ResidualReport` per check.  Residuals
-under ``residuals`` gate the pass flag; quantities under ``info`` (sampled
-currents, quadratic roots, solution-matching distances) are diagnostics that
-depend on the supplied fields actually solving the coupled system, which
-hand-built scenarios generally do not.
+its notes and ``fn(ctx) -> (residuals, info)``, evaluated once on a block of
+sample points' :class:`BlockContext`, with one value per point (N first).
+One point is the same code without N: it is the reference, and the
+fallback for a point its block cannot give (its geometry is rejected, or a
+check raises on the block), so every point gets the record it gets alone.
+:func:`run_checks` visits each block once, computes its geometry and field
+jets once, runs every requested check against them and gathers one
+:class:`ResidualReport` per check.  Residuals under ``residuals`` gate the
+pass flag; quantities under ``info`` (sampled currents, quadratic roots,
+solution-matching distances) are diagnostics that depend on the supplied
+fields actually solving the coupled system, which hand-built scenarios
+generally do not.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import blades
 from . import expr as ex
 from .algebra import Multivector, grade_project, wedge
 from .diffops import FieldCalculus, MultivectorField, grad_scalar_product
@@ -99,22 +104,28 @@ class ResidualReport:
         }
 
 
-# -- the per-point context and the shape of a check --------------------------------
+# -- the block context and the shape of a check ----------------------------------------
 
 
-class PointContext:
-    """One sample point: its geometry and one memoized calculator per field."""
+class BlockContext:
+    """A block of N sample points, or one point: geometry and one memoized calculator per field.
+
+    Over a block ``gd`` is the block's :class:`GeometryData` and every array
+    has N first; one point is the case without N.  ``lanes`` indexes the
+    points: ``range(N)``, or ``(None,)`` for one point (see :func:`_at`).
+    """
 
     def __init__(self, gd: GeometryData, fields: dict, constants: Constants, draw, jet):
         self.gd = gd
         self.fields = fields  # "K" | "S" | "V" | "potential" -> MultivectorField | None
         self.constants = constants
-        self.draw = draw  # (3, 16) random inputs of sandwich_identities, or None
-        self.jet = jet  # jet source of this point, see geometry.metric_at
+        self.draw = draw  # (N, 3, 16) or (3, 16) random inputs of sandwich_identities, or None
+        self.jet = jet  # jet source of the block or point, see geometry.metric_at
+        self.lanes = range(len(gd.point)) if np.ndim(gd.point) == 2 else (None,)
         self._calcs: dict = {}
 
     def calc(self, name: str) -> FieldCalculus:
-        """The calculator of field ``name``, shared by every check at this point.
+        """The calculator of field ``name``, shared by every check on this block.
 
         Keyed by the field object, so K and a potential that is K itself
         (coupling 1) share one set of jets.
@@ -128,52 +139,61 @@ class PointContext:
 
 @dataclass(frozen=True)
 class Check:
+    """One check.  ``fn(ctx)`` runs once on a :class:`BlockContext` and returns
+    ``(residuals, info)``: dicts whose values have one entry per point, N
+    first (none for one point).  A check whose keys differ from point to
+    point returns a list of per-point ``(residuals, info)`` instead.
+    """
+
     name: str
     needs: tuple  # fields read: "K", "S", "V", "potential" (A, else coupling * K)
     notes: tuple
-    fn: Callable  # PointContext -> (residuals, info)
+    fn: Callable  # BlockContext -> (residuals, info)
     optional: tuple = ()  # fields read when present
 
 
 # -- helpers ---------------------------------------------------------------------
 
 
+def _at(x, i):
+    """Point ``i`` of a block value; ``i`` None is the one point, ``x`` itself."""
+    if i is None:
+        return x
+    return Multivector(x.coeffs[i]) if isinstance(x, Multivector) else x[i]
+
+
 def _lowered_basis(gd: GeometryData, beta: int) -> Multivector:
-    c = np.zeros(16)
-    for nu in range(4):
-        c[1 << nu] = gd.g_lower[beta, nu]
-    return Multivector(c)
+    return Multivector.oneform(gd.g_lower[..., beta, :])
 
 
-def _oneform_components(x: Multivector) -> np.ndarray:
-    return np.array([x.coeffs[1 << i] for i in range(4)])
+def _raise_index(gd: GeometryData, comps: np.ndarray) -> np.ndarray:
+    """g^{ab} comps_b at each point."""
+    return (gd.g_upper @ comps[..., np.newaxis])[..., 0]
 
 
 def _ricci_coupling(gd: GeometryData, a: Multivector) -> Multivector:
     """A_alpha R^alpha = A^beta R_beta: the curvature coupling 1-form."""
-    comps = _oneform_components(a)
-    coupled = (gd.g_upper @ comps) @ gd.ricci  # A^b R_{b nu}
-    out = np.zeros(16)
-    for nu in range(4):
-        out[1 << nu] = coupled[nu]
-    return Multivector(out)
+    up = _raise_index(gd, a.oneform_components())
+    return Multivector.oneform((up[..., np.newaxis, :] @ gd.ricci)[..., 0, :])  # A^b R_{b nu}
 
 
-def _oneform_list(x: Multivector) -> list:
-    return [float(x.coeffs[1 << i]) for i in range(4)]
+def _einstein_lower(gd: GeometryData) -> np.ndarray:
+    """G_{ab} = R_{ab} - R g_{ab} / 2 at each point."""
+    half_scalar = np.asarray(0.5 * gd.scalar)[..., np.newaxis, np.newaxis]
+    return gd.ricci - half_scalar * gd.g_lower
 
 
 # -- killing / proposition 1 ---------------------------------------------------------
 
 
-def _killing(ctx: PointContext) -> tuple:
+def _killing(ctx: BlockContext) -> tuple:
     fc = ctx.calc("K")
     # max over (mu, nu) of D_mu K_nu + D_nu K_mu
-    kd = np.array([[fc.cov1[mu][1 << nu] for nu in range(4)] for mu in range(4)])
-    return {"killing_eq": float(np.max(np.abs(kd + kd.T)))}, {}
+    kd = fc.cov1[..., blades.COVECTOR_MASKS]
+    return {"killing_eq": np.max(np.abs(kd + np.swapaxes(kd, -1, -2)), axis=(-2, -1))}, {}
 
 
-def _killing_identities(ctx: PointContext) -> tuple:
+def _killing_identities(ctx: BlockContext) -> tuple:
     gd, fc = ctx.gd, ctx.calc("K")
     rhs = _ricci_coupling(gd, fc.value())
     residuals = {
@@ -181,14 +201,14 @@ def _killing_identities(ctx: PointContext) -> tuple:
         "ricci_identity": (fc.ricci_operator() - rhs).sup(),
         "wave_identity": (fc.covariant_dalembertian() - rhs).sup(),
     }
-    return residuals, {"curvature_coupling": _oneform_list(rhs)}
+    return residuals, {"curvature_coupling": rhs.oneform_components()}
 
 
-def _lorenz_gauge(ctx: PointContext) -> tuple:
+def _lorenz_gauge(ctx: BlockContext) -> tuple:
     return {"lorenz_gauge": abs(ctx.calc("potential").codifferential().scalar_part)}, {}
 
 
-def _current(ctx: PointContext, superconducting: bool) -> tuple:
+def _current(ctx: BlockContext, superconducting: bool) -> tuple:
     """Maxwell extraction J = -delta dA, with the proportional-current check."""
     fc = ctx.calc("potential")
     current = fc.maxwell_current()
@@ -197,9 +217,9 @@ def _current(ctx: PointContext, superconducting: bool) -> tuple:
     if superconducting:
         residuals["superconducting"] = (current - rhs).sup()
     info = {
-        "current": _oneform_list(current),
+        "current": current.oneform_components(),
         "current_sup": current.sup(),
-        "proportional_rhs": _oneform_list(rhs),
+        "proportional_rhs": rhs.oneform_components(),
         "proportional_rhs_sup": rhs.sup(),
     }
     return residuals, info
@@ -208,7 +228,7 @@ def _current(ctx: PointContext, superconducting: bool) -> tuple:
 # -- charged fluid ------------------------------------------------------------------
 
 
-def _lorentz_force(ctx: PointContext) -> tuple:
+def _lorentz_force(ctx: BlockContext) -> tuple:
     gd, e, m = ctx.gd, ctx.constants.e, ctx.constants.m
     pm = gd.metric
     fv = ctx.calc("V")
@@ -220,17 +240,17 @@ def _lorentz_force(ctx: PointContext) -> tuple:
         "unit_velocity": abs(pm.scalar_product(vval, vval) - 1.0),
     }
     # transport identity: (V . dirac)V = V _| dV + 1/2 dirac(V.V)
-    v_up = gd.g_upper @ _oneform_components(vval)
+    v_up = _raise_index(gd, vval.oneform_components())
     directional = Multivector.zero()
     for mu in range(4):
-        directional = directional + v_up[mu] * Multivector(fv.cov1[mu])
+        directional = directional + v_up[..., mu] * Multivector(fv.cov1[..., mu, :])
     correction = 0.5 * grad_scalar_product(fv.jets, fv.jets, gd)
     transport = directional - pm.left_contract(vval, fv.exterior_d()) - correction
     residuals["transport_identity"] = transport.sup()
     return residuals, {}
 
 
-def _hamilton_jacobi(ctx: PointContext) -> tuple:
+def _hamilton_jacobi(ctx: BlockContext) -> tuple:
     e, m = ctx.constants.e, ctx.constants.m
     pm = ctx.gd.metric
     fs = ctx.calc("S")
@@ -288,7 +308,7 @@ def energy_momentum_fluid(gd: GeometryData, J: Multivector, alpha: int) -> Energ
     return EnergyMomentum(t_form, star_t, closure, (star_t - alt).sup())
 
 
-def _einstein(ctx: PointContext) -> tuple:
+def _einstein(ctx: BlockContext) -> tuple:
     """Residuals of the gravitational structure equations; a solution detector.
 
     Hand-built field configurations generally fail this check unless they
@@ -299,22 +319,19 @@ def _einstein(ctx: PointContext) -> tuple:
     fa = ctx.calc("potential")
     F = fa.exterior_d()
     J = fa.maxwell_current()
-    einstein_lower = gd.ricci - 0.5 * gd.scalar * gd.g_lower
+    einstein_lower = _einstein_lower(gd)
     worst = 0.0
     for alpha in range(4):
-        coeffs = np.zeros(16)
-        for nu in range(4):
-            coeffs[1 << nu] = einstein_lower[alpha, nu]
-        g_form = Multivector(coeffs)
+        g_form = Multivector.oneform(einstein_lower[..., alpha, :])
         em = energy_momentum_em(gd, F, alpha)
         fluid = energy_momentum_fluid(gd, J, alpha)
-        worst = max(worst, (g_form + em.oneform + fluid.oneform).sup())
+        worst = np.maximum(worst, (g_form + em.oneform + fluid.oneform).sup())  # keeps a NaN
     j_sq = pm.scalar_product(J, J)
     residuals = {
         "einstein_eq": worst,
         "trace_equation": abs(gd.scalar - j_sq),
     }
-    return residuals, {"current": _oneform_list(J), "scalar_curvature": gd.scalar}
+    return residuals, {"current": J.oneform_components(), "scalar_curvature": gd.scalar}
 
 
 # -- structure current, quadratic ------------------------------------------------------
@@ -351,13 +368,15 @@ def solve_structure_quadratic(c: float) -> StructureRoots:
     return StructureRoots("two-roots", tuple(sorted(polished)), disc)
 
 
-def _structure_current(ctx: PointContext) -> tuple:
+def _structure_current(ctx: BlockContext) -> list:
     """Sandwich current B = F A rev(F), the root(s) f, and current matching.
 
     Gating residuals are the algebraic identities (grade closure of B and the
     quadratic equation satisfied by each root); the distances between the
     Maxwell current and -f B are informational, as is the printed form of the
-    consistency equation, since both hold only on exact solutions.
+    consistency equation, since both hold only on exact solutions.  The
+    products run on the whole block; the roots, whose number sets the keys,
+    are solved point by point.
     """
     pm = ctx.gd.metric
     fa = ctx.calc("potential")
@@ -368,33 +387,38 @@ def _structure_current(ctx: PointContext) -> tuple:
     closure = (B - grade_project(B, 1)).sup()
     B1 = grade_project(B, 1)
     c = pm.scalar_product(aval, B1)
-    sol = solve_structure_quadratic(c)
-    residuals = {"sandwich_grade": closure}
-    info = {
-        "c": c,
-        "discriminant": sol.discriminant,
-        "outcome": sol.outcome,
-        "roots": list(sol.roots),
-        "current": _oneform_list(J),
-        "B": _oneform_list(B1),
-        "self_consistency_residual": (J + B1 - 2.0 * pm.scalar_product(aval, J) * J).sup(),
-    }
-    for k, f in enumerate(sol.roots):
-        residuals[f"quadratic_root_{k}"] = abs(2.0 * c * f * f + f + 1.0)
-        info[f"current_match_minus_fB_{k}"] = (J - (-f) * B1).sup()
-        info[f"current_match_plus_fB_{k}"] = (J - f * B1).sup()
-    return residuals, info
+    consistency = (J + B1 - 2.0 * pm.scalar_product(aval, J) * J).sup()
+    results = []
+    for i in ctx.lanes:
+        ci, Ji, B1i = float(_at(c, i)), _at(J, i), _at(B1, i)
+        sol = solve_structure_quadratic(ci)
+        residuals = {"sandwich_grade": _at(closure, i)}
+        info = {
+            "c": ci,
+            "discriminant": sol.discriminant,
+            "outcome": sol.outcome,
+            "roots": list(sol.roots),
+            "current": Ji.oneform_components(),
+            "B": B1i.oneform_components(),
+            "self_consistency_residual": _at(consistency, i),
+        }
+        for k, f in enumerate(sol.roots):
+            residuals[f"quadratic_root_{k}"] = abs(2.0 * ci * f * f + f + 1.0)
+            info[f"current_match_minus_fB_{k}"] = (Ji - (-f) * B1i).sup()
+            info[f"current_match_plus_fB_{k}"] = (Ji - f * B1i).sup()
+        results.append((residuals, info))
+    return results
 
 
 def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, j: Multivector) -> dict:
     """The four algebraic links used by the structure-equation rewrite."""
     pm = gd.metric
-    a_up = gd.g_upper @ _oneform_components(a)
+    a_up = _raise_index(gd, a.oneform_components())
 
     def contracted_sandwich(x: Multivector) -> Multivector:
         out = Multivector.zero()
         for beta in range(4):
-            out = out + a_up[beta] * pm.clifford(x, pm.clifford(_lowered_basis(gd, beta), x))
+            out = out + a_up[..., beta] * pm.clifford(x, pm.clifford(_lowered_basis(gd, beta), x))
         return out
 
     faf = pm.clifford(f2, pm.clifford(a, f2))
@@ -404,15 +428,12 @@ def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, 
 
     ricci_sum = Multivector.zero()
     einstein_sum = Multivector.zero()
-    einstein_lower = gd.ricci - 0.5 * gd.scalar * gd.g_lower
+    einstein_lower = _einstein_lower(gd)
     for beta in range(4):
-        coeffs = np.zeros(16)
-        gcoeffs = np.zeros(16)
-        for nu in range(4):
-            coeffs[1 << nu] = gd.ricci[beta, nu]
-            gcoeffs[1 << nu] = einstein_lower[beta, nu]
-        ricci_sum = ricci_sum + a_up[beta] * Multivector(coeffs)
-        einstein_sum = einstein_sum + a_up[beta] * Multivector(gcoeffs)
+        ricci_row = Multivector.oneform(gd.ricci[..., beta, :])
+        einstein_row = Multivector.oneform(einstein_lower[..., beta, :])
+        ricci_sum = ricci_sum + a_up[..., beta] * ricci_row
+        einstein_sum = einstein_sum + a_up[..., beta] * einstein_row
     trace_link = 2.0 * einstein_sum - (2.0 * ricci_sum - gd.scalar * a)
 
     return {
@@ -423,7 +444,7 @@ def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, 
     }
 
 
-def _sandwich_identities(ctx: PointContext) -> tuple:
+def _sandwich_identities(ctx: BlockContext) -> tuple:
     """Point-level algebra suite; uses the potential when present, else random inputs."""
     if ctx.fields["potential"] is not None:
         fa = ctx.calc("potential")
@@ -432,9 +453,9 @@ def _sandwich_identities(ctx: PointContext) -> tuple:
         j = fa.maxwell_current()
     else:
         raw = ctx.draw
-        a = grade_project(Multivector(raw[0]), 1)
-        f2 = grade_project(Multivector(raw[1]), 2)
-        j = grade_project(Multivector(raw[2]), 1)
+        a = grade_project(Multivector(raw[..., 0, :]), 1)
+        f2 = grade_project(Multivector(raw[..., 1, :]), 2)
+        j = grade_project(Multivector(raw[..., 2, :]), 1)
     return sandwich_link_identities(ctx.gd, a, f2, j), {}
 
 
@@ -480,21 +501,28 @@ def requirement_problems(name: str, fields: ScenarioFields) -> list:
 
 
 CHUNK = 256  # sample points whose expression jets are evaluated together
-BLOCK = 16  # points of a chunk whose geometry and product tables are built together
+BLOCK = 16  # points of a chunk whose geometry, tables and checks are computed together
 
 
 @dataclass
 class PointResult:
-    records: list  # one PointRecord per requested check, in request order
+    records: list  # one PointRecord per point and requested check, point by point
 
 
 def _point_key(pt) -> tuple:
     return tuple(float(v) for v in pt)
 
 
+def _plain(values: dict) -> dict:
+    """A check's values as a report holds them: numpy values become Python floats or lists."""
+    return {key: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+            for key, v in values.items()}
+
+
 def _nonfinite(value) -> bool:
-    items = value if isinstance(value, list) else (value,)
-    return any(isinstance(x, float) and not math.isfinite(x) for x in items)
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return isinstance(value, list) and any(isinstance(x, float) and not math.isfinite(x) for x in value)
 
 
 def _record(point: tuple, tol: float, residuals: dict, info: dict) -> PointRecord:
@@ -506,38 +534,93 @@ def _record(point: tuple, tol: float, residuals: dict, info: dict) -> PointRecor
     return PointRecord(point, residuals, info, None, all(v <= tol for v in residuals.values()))
 
 
+def _per_point(ctx: BlockContext, check: Check) -> list:
+    """``check`` on ``ctx``, as one ``(residuals, info)`` per point of ``ctx.lanes``."""
+    out = check.fn(ctx)
+    if isinstance(out, list):  # already one pair per point
+        return [(_plain(residuals), _plain(info)) for residuals, info in out]
+    residuals, info = _plain(out[0]), _plain(out[1])  # a block's arrays become lists once
+    return [({key: _at(v, i) for key, v in residuals.items()},
+             {key: _at(v, i) for key, v in info.items()}) for i in ctx.lanes]
+
+
+def _point_record(ctx: BlockContext, check: Check, tol: float, point: tuple) -> PointRecord:
+    """The record of ``check`` at the one point of ``ctx``; an error it raises is the point's."""
+    try:
+        ((residuals, info),) = _per_point(ctx, check)
+    except CliffcheckError as err:
+        return PointRecord(point, {}, {}, str(err), False)
+    return _record(point, tol, residuals, info)
+
+
+def _run_point(spec: MetricSpec, pt, checks: Sequence[Check], tols: Sequence[float],
+               fields: dict, constants: Constants, draw, jet: Callable) -> list:
+    """The records of ``checks`` at one point alone, computing its curvature here.
+
+    A curvature error is the error of every record.
+    """
+    point = tuple(pt)
+    try:
+        ctx = BlockContext(curvature(spec, pt, jet=jet), fields, constants, draw, jet)
+    except CliffcheckError as err:
+        return [PointRecord(point, {}, {}, str(err), False) for _ in checks]
+    return [_point_record(ctx, check, tol, point) for check, tol in zip(checks, tols)]
+
+
 def run_pointwise(
     spec: MetricSpec,
-    pt: Sequence[float],
+    pts: Sequence,
     checks: Sequence[Check],
     tols: Sequence[float],
     fields: dict,
     constants: Constants,
-    draw,
-    jet: Callable,
-    gd: GeometryData | None = None,
+    draws,
+    jets: ex.ChunkJets,
+    first: int,
 ) -> PointResult:
-    """Run ``checks`` at one point against one shared :class:`PointContext`.
+    """Run ``checks`` on one block of points against one shared :class:`BlockContext`.
 
-    ``jet`` is the point's jet source (see :func:`geometry.metric_at`) and
-    ``gd`` its geometry; without ``gd`` the point's curvature is computed
-    here, and its error, if any, is the error of every record.
+    ``pts`` are the block's N points, points ``first:first + N`` of the chunk
+    whose jets are ``jets``; ``draws`` are their (N, 3, 16) random inputs of
+    ``sandwich_identities``, or None.  The block's geometry is computed here
+    and each check runs once on the whole block.  Every point then gets what
+    it gets alone: a point the block's geometry rejects is computed alone
+    (:func:`_run_point`), and a check that raises on the block, such as a
+    field expression outside its domain at one point, runs again at each
+    point alone.  Returns every point's records, point by point.
     """
-    point = tuple(pt)
-    try:
-        if gd is None:
-            gd = curvature(spec, pt, jet=jet)
-        ctx = PointContext(gd, fields, constants, draw, jet)
-    except CliffcheckError as err:
-        return PointResult([PointRecord(point, {}, {}, str(err), False) for _ in checks])
-    records = []
-    for check, tol in zip(checks, tols):
-        try:
-            residuals, info = check.fn(ctx)
-        except CliffcheckError as err:
-            records.append(PointRecord(point, {}, {}, str(err), False))
-        else:
-            records.append(_record(point, tol, residuals, info))
+    stop = first + len(pts)
+    points = [tuple(pt) for pt in pts]
+    with np.errstate(all="ignore"):  # non-finite values become point errors in _record
+        gd = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
+        ctx = BlockContext(gd, fields, constants, draws, jets.block(first, stop))
+        accepted = [i for i in ctx.lanes if gd.ok[i]]
+        alone: dict = {}  # point -> its one-point context, built on first use
+
+        def point_ctx(i: int) -> BlockContext:
+            if i not in alone:
+                draw = None if draws is None else draws[i]
+                alone[i] = BlockContext(gd.lane(i), fields, constants, draw, jets.at(first + i))
+            return alone[i]
+
+        rows = {i: [] for i in accepted}
+        for check, tol in zip(checks, tols):
+            try:
+                results = _per_point(ctx, check)
+            except CliffcheckError:
+                for i in accepted:
+                    rows[i].append(_point_record(point_ctx(i), check, tol, points[i]))
+            else:
+                for i in accepted:
+                    rows[i].append(_record(points[i], tol, *results[i]))
+        records = []
+        for i in ctx.lanes:
+            if gd.ok[i]:
+                records += rows[i]
+            else:
+                draw = None if draws is None else draws[i]
+                records += _run_point(spec, pts[i], checks, tols, fields, constants, draw,
+                                      jets.at(first + i))
     return PointResult(records)
 
 
@@ -549,14 +632,14 @@ def run_checks(
     tols: Sequence[float],
     seed: int = 0,
 ) -> list:
-    """Run checks ``names`` with tolerances ``tols`` over ``points``, point by point.
+    """Run checks ``names`` with tolerances ``tols`` over ``points``, block by block.
 
     The jets of every metric component and of every component of the fields
-    the checks read are evaluated for :data:`CHUNK` points at a time; each
-    point then reads its own lane (:class:`expr.ChunkJets`).  The geometry
-    and the product tables are built for :data:`BLOCK` points of a chunk at
-    a time, and each block is dropped before the next is built; a point the
-    block rejects is computed alone, so it gets the error it gets alone.
+    the checks read are evaluated for :data:`CHUNK` points at a time
+    (:class:`expr.ChunkJets`).  The geometry, the product tables and every
+    check then run on :data:`BLOCK` points of a chunk at a time
+    (:func:`run_pointwise`), and each block is dropped before the next;
+    every point gets exactly the record it gets alone.
 
     Returns one :class:`ResidualReport` per name, in order, with records in
     point order.  ``seed`` draws the random inputs of ``sandwich_identities``
@@ -581,17 +664,12 @@ def run_checks(
         chunk = points[start:start + CHUNK]
         jets = ex.ChunkJets(exprs, spec.coords, chunk, spec.params)
         for first in range(0, len(chunk), BLOCK):
-            stop = min(first + BLOCK, len(chunk))
-            block = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
-            for i in range(first, stop):
-                pt = chunk[i]
-                draw = draws.get(_point_key(pt))
-                gd = block.lane(i - first) if block.ok[i - first] else None
-                result = run_pointwise(spec, pt, checks, tols, by_name, fields.constants, draw,
-                                       jets.at(i), gd)
-                for row, rec in zip(rows, result.records):
-                    row.append(rec)
-            del block, gd  # free this block's arrays and tables before the next is built
+            pts = chunk[first:first + BLOCK]
+            block_draws = np.stack([draws[_point_key(pt)] for pt in pts]) if draws else None
+            result = run_pointwise(spec, pts, checks, tols, by_name, fields.constants,
+                                   block_draws, jets, first)
+            for k, rec in enumerate(result.records):
+                rows[k % len(checks)].append(rec)
     reports = []
     for check, tol, records in zip(checks, tols, rows):
         max_res = max([0.0, *(v for r in records for v in r.residuals.values())])

@@ -32,6 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import blades
 from . import expr as ex
 from .algebra import Multivector, PointMetric
 from .errors import ExprError, GeometryError, SingularMetricError
@@ -115,13 +116,30 @@ class GeometryData:
     @cached_property
     def ricci_oneforms(self) -> tuple:
         """The 4 Multivectors R^mu_nu gamma^nu (one point)."""
-        return tuple(_oneform(self._mixed_ricci[mu]) for mu in range(4))
+        return tuple(Multivector.oneform(self._mixed_ricci[mu]) for mu in range(4))
 
     @cached_property
     def einstein_oneforms(self) -> tuple:
         """The 4 Multivectors G^mu_nu gamma^nu (one point)."""
         einstein_mixed = self._mixed_ricci - 0.5 * self.scalar * np.eye(4)
-        return tuple(_oneform(einstein_mixed[mu]) for mu in range(4))
+        return tuple(Multivector.oneform(einstein_mixed[mu]) for mu in range(4))
+
+    # -- operators of the connection, shared by every field's FieldCalculus --------
+
+    @cached_property
+    def gop(self) -> np.ndarray:
+        """Gop[a][m, n] = sum Gamma^r_{a i} INDEX_SUB[i, r, m, n]: the covariant correction."""
+        return np.einsum("...rai,irmn->...amn", self.gamma, blades.INDEX_SUB)
+
+    @cached_property
+    def dgop(self) -> np.ndarray:
+        """dGop[s, a] = d_s Gop[a]."""
+        return np.einsum("...srai,irmn->...samn", self.dgamma, blades.INDEX_SUB)
+
+    @cached_property
+    def dg_upper(self) -> np.ndarray:
+        """d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn}."""
+        return -np.einsum("...ma,...sab,...bn->...smn", self.g_upper, self.dg, self.g_upper)
 
     def lane(self, i: int) -> "GeometryData":
         """Point ``i`` of a block, as a one-point bundle that shares the block's arrays."""
@@ -176,7 +194,7 @@ def metric_at(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
     except ExprError as err:
         if not lanes:
             raise SingularMetricError(
-                f"metric of '{spec.name}' not evaluable at {tuple(x)}: {err}"
+                f"metric of '{spec.name}' not evaluable at {_point_text(x)}: {err}"
             ) from err
         evaluable = False
     det = np.linalg.det(values)
@@ -187,14 +205,19 @@ def metric_at(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
         return pm, MetricJets(values, dg, ddg, ok & pm.ok)
     if not np.isfinite(det) or abs(det) < 1e-14:
         raise SingularMetricError(
-            f"metric of '{spec.name}' is singular at {tuple(x)} (det={det:.3e})"
+            f"metric of '{spec.name}' is singular at {_point_text(x)} (det={det:.3e})"
         )
     if det >= 0.0:
         raise SingularMetricError(
-            f"metric of '{spec.name}' is not Lorentzian at {tuple(x)} (det={det:.3e})"
+            f"metric of '{spec.name}' is not Lorentzian at {_point_text(x)} (det={det:.3e})"
         )
     pm = PointMetric.from_tangent_metric(values)
     return pm, MetricJets(values, dg, ddg)
+
+
+def _point_text(x: np.ndarray) -> str:
+    """A point as error messages print it: float reprs, whatever the numpy version."""
+    return "(" + ", ".join(repr(float(v)) for v in x) + ")"
 
 
 def christoffels(spec: MetricSpec, x: Sequence[float]) -> tuple:
@@ -262,13 +285,6 @@ def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True,
     if validate:
         gd.ok = gd.ok & _validate(gd)
     return gd
-
-
-def _oneform(components: np.ndarray) -> Multivector:
-    coeffs = np.zeros(16)
-    for nu in range(4):
-        coeffs[1 << nu] = components[nu]
-    return Multivector(coeffs)
 
 
 def _validate(gd: GeometryData):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from cliffcheck.diffops import (
     hodge_dalembertian,
     ricci_operator,
 )
-from cliffcheck.errors import FieldError
+from cliffcheck.errors import DomainEvalError, FieldError
 
 import oracles
 
@@ -411,3 +413,80 @@ def test_gradient_of_scalar_product_identity():
             rhs = rhs - gd.metric.left_contract(aval, fb.exterior_d())
             rhs = rhs - gd.metric.left_contract(bval, fa.exterior_d())
             assert (lhs - rhs).sup() < 1e-8 * max(1.0, rhs.sup())
+
+
+# -- one point, and blocks of points -------------------------------------------------
+
+OPERATOR_POINTS = {
+    "schwarzschild": (SCHW, [(0.3, 3.5, 1.1, 0.7), (-1.2, 7.0, 2.2, 4.0), (2.0, 15.0, 0.5, 5.9)]),
+    "flrw": (FLRW, [(0.7, 0.4, -1.1, 2.0), (1.5, -2.0, 0.3, -0.6), (2.6, 1.0, 1.0, 1.0)]),
+}
+
+
+def operator_fields(spec) -> tuple:
+    """A mixed-grade field and a 1-form, in the chart's own coordinate names."""
+    t, a, b, c = spec.coords
+    mixed = MultivectorField.from_components(
+        {"1": f"{t}*{a}", t: f"sin({b})", f"{a}^{b}": f"{a}*{t}^2", f"{t}^{a}^{b}": f"0.5*{c}",
+         f"{t}^{a}^{b}^{c}": a},
+        spec.coords,
+    )
+    oneform = MultivectorField.from_components({t: f"{a}^2", c: f"{t}*{b}", b: f"cos({a})"}, spec.coords)
+    return mixed, oneform
+
+
+def operator_outputs(gd) -> list:
+    """Every FieldCalculus operator of both fields at ``gd``, and grad_scalar_product."""
+    out = []
+    for f in operator_fields(gd.spec):
+        fc = FieldCalculus(f, gd)
+        hs = fc.hodge_dalembertian()
+        out += [fc.value(), *(fc.covariant_derivative(a) for a in range(4)), fc.dirac(),
+                fc.exterior_d(), fc.codifferential(), fc.codifferential_hodge_route(),
+                fc.exterior_d_squared(), fc.maxwell_current(), fc.codifferential_squared(),
+                fc.covariant_dalembertian(), fc.ricci_operator(), hs.first_order_route,
+                hs.second_order_route]
+    jets = field_jets(operator_fields(gd.spec)[1], gd)
+    out.append(grad_scalar_product(jets, jets, gd))
+    return [mv.coeffs for mv in out]
+
+
+# sha256 over operator_outputs at every OPERATOR_POINTS point, computed with the
+# one-point operators before they took a block axis
+ONE_POINT_OPERATORS_SHA256 = "b109c519ada04ba6d0098c69c2fe89a63621329a4fc493a6a00f5007ba2209dd"
+
+
+def test_one_point_operators_are_unchanged():
+    digest = hashlib.sha256()
+    for key in sorted(OPERATOR_POINTS):
+        spec, points = OPERATOR_POINTS[key]
+        for pt in points:
+            for coeffs in operator_outputs(geo.curvature(spec, pt)):
+                assert coeffs.shape == (16,)
+                digest.update(coeffs.tobytes())
+    assert digest.hexdigest() == ONE_POINT_OPERATORS_SHA256
+
+
+@pytest.mark.parametrize("key", sorted(OPERATOR_POINTS))
+def test_block_operator_lanes_equal_each_point_alone_bitwise(key):
+    spec, _ = OPERATOR_POINTS[key]
+    box = spec.domain_box()
+    rng = np.random.default_rng(29)
+    points = np.array([[rng.uniform(*box[c]) for c in spec.coords] for _ in range(7)])
+    block = geo.curvature(spec, points)
+    assert block.ok.all()
+    lanes = operator_outputs(block)
+    for i, pt in enumerate(points):
+        for got, want in zip(lanes, operator_outputs(geo.curvature(spec, pt))):
+            assert got.shape == (7, 16)
+            assert got[i].tobytes() == want.tobytes()
+
+
+def test_block_field_error_is_raised_for_the_block():
+    # one point of the block is outside the field's domain: the block raises
+    # that point's error, and fieldcheck then evaluates each point alone
+    points = np.array([(0.1, 0.5, 0.2, 0.3), (0.2, -0.5, 0.1, 0.0)])
+    field = MultivectorField.from_components({"t": "sqrt(x)"}, MINK.coords)
+    with pytest.raises(DomainEvalError, match="sqrt of negative value in 'sqrt\\(x\\)'"):
+        FieldCalculus(field, geo.curvature(MINK, points)).value()
+    assert FieldCalculus(field, geo.curvature(MINK, points[0])).value().sup() > 0.0

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffcheck import expr as ex
 from cliffcheck import fieldcheck as fch
 from cliffcheck import geometry as geo
 from cliffcheck.algebra import Multivector, grade_project
 from cliffcheck.diffops import FieldCalculus, MultivectorField
 from cliffcheck.errors import FieldError
 
-from test_geometry import MIXED, MIXED_ERRORS, mixed_points
+from test_geometry import BLOCK_CASES, MIXED, MIXED_ERRORS, mixed_points
 
 MINK = geo.build_metric("minkowski")
 SCHW = geo.build_metric("schwarzschild", {"M": 1.0})
@@ -277,6 +278,22 @@ def test_einstein_schwarzschild_vacuum():
     assert report.passed, report.to_dict()
 
 
+def test_einstein_nan_for_one_index_is_a_point_error(monkeypatch):
+    # the worst structure-equation residual over the four indices keeps a NaN
+    real = fch.energy_momentum_em
+
+    def nan_at_index_2(gd, F, beta):
+        em = real(gd, F, beta)
+        if beta != 2:
+            return em
+        return fch.EnergyMomentum(em.oneform * np.nan, em.threeform, em.closure_residual)
+
+    monkeypatch.setattr(fch, "energy_momentum_em", nan_at_index_2)
+    A = field({"x": "t*y"}, MINK)
+    report = run_check("einstein", MINK, fch.ScenarioFields(A=A), MINK_PTS, 1e-8)
+    assert [r.error for r in report.records] == ["non-finite residual 'einstein_eq'"] * 3
+
+
 def test_einstein_flrw_without_sources_fails():
     fields = fch.ScenarioFields(A=MultivectorField.zero())
     report = run_check("einstein", FLRW, fields, FLRW_PTS, 1e-8)
@@ -460,8 +477,9 @@ def test_chunked_points_match_each_point_alone(monkeypatch):
 # -- blocks of points ----------------------------------------------------------------
 
 # sha256 of the JSON of the mixed scenario's reports, computed with the one-point
-# geometry path (before blocks); the three bad points raise in metric_at
-MIXED_REPORTS_SHA256 = "ef9a77a98e96b52331ec646b2f4441741ed2e219f6efb79e48bed5f34a8bdb30"
+# geometry path (before blocks) and with the point of a metric error printed as
+# float reprs; the three bad points raise in metric_at
+MIXED_REPORTS_SHA256 = "0c134cb1521bfe7ac3b42c261f05047e6971c55d2c76ffa1a4c9812566d48ed2"
 
 
 @pytest.mark.parametrize("block", [16, 4, 3, 1])
@@ -513,3 +531,145 @@ def test_point_loop_memory_does_not_grow_with_blocks():
 
     peak(16)  # warm caches
     assert peak(1000) - peak(100) < 2_000_000
+
+
+# -- checks over a block of points ---------------------------------------------------
+
+
+def block_fields(spec, potential=True) -> dict:
+    """K = g_{t mu} dx^mu (Killing but for FLRW), S and V, in the chart's coordinate names."""
+    t, a, b, c = spec.coords
+    K = MultivectorField.from_components({t: spec.g_lower[0][0], c: spec.g_lower[0][3]}, spec.coords)
+    S = field({"1": f"{t}*{a}"}, spec)
+    V = field({t: f"1+0.01*{a}^2", b: f"0.1*sin({c})"}, spec)
+    return {"K": K, "S": S, "V": V, "potential": K if potential else None}
+
+
+def plain_results(ctx, check) -> list:
+    """The check's per-point residuals and info as report JSON: equal text is equal bits."""
+    return [json.dumps(pair) for pair in fch._per_point(ctx, check)]
+
+
+def record_json(record) -> str:
+    return json.dumps([record.point, record.residuals, record.info, record.error, record.passed])
+
+
+@pytest.mark.parametrize("potential", [True, False], ids=["potential", "random-draws"])
+@pytest.mark.parametrize("key", sorted(BLOCK_CASES))
+def test_block_checks_equal_each_point_alone_bitwise(key, potential):
+    # every check runs once on the block; each point's residuals and info must
+    # be bitwise those of the same check at that point alone (the case without N)
+    spec, (lo, hi) = BLOCK_CASES[key]
+    points = np.random.default_rng(31).uniform(lo, hi, size=(16, 4))
+    draws = np.random.default_rng(32).uniform(-1.0, 1.0, size=(16, 3, 16))
+    fields = block_fields(spec, potential)
+    constants = fch.Constants(e=0.7, m=1.3)
+    block = fch.BlockContext(geo.curvature(spec, points), fields, constants, draws, None)
+    assert block.gd.ok.all()
+    alone = [fch.BlockContext(geo.curvature(spec, pt), fields, constants, draws[i], None)
+             for i, pt in enumerate(points)]
+    checks = list(fch.CHECKS.values()) if potential else [fch.CHECKS["sandwich_identities"]]
+    for check in checks:
+        lanes = plain_results(block, check)  # raises if the block path fails
+        assert len(lanes) == len(points)
+        for i, ctx in enumerate(alone):
+            assert lanes[i] == plain_results(ctx, check)[0], (check.name, i)
+
+
+def schwarzschild_mixed_points(count: int) -> list:
+    """Random Schwarzschild points, one on the horizon (r = 2M) and one with t < -3."""
+    rng = np.random.default_rng(33)
+    points = [tuple(p) for p in rng.uniform([-3, 2.5, 0.35, 0], [3, 20, 2.8, 6.2], size=(count, 4))]
+    points[4] = (0.5, 2.0, 1.0, 0.3)  # the metric is not evaluable
+    points[9] = (-3.5, 6.0, 1.0, 0.3)  # S = t + 1e-3*log(t+3) is not
+    return points
+
+
+@pytest.mark.parametrize("block", [3, 1])
+def test_block_size_does_not_change_report_bytes(monkeypatch, block):
+    fields = fch.ScenarioFields(
+        K=field({"t": "1-2*M/r"}, SCHW),
+        S=field({"1": "t+1e-3*log(t+3)"}, SCHW),
+        V=field({"t": "sqrt(1-2*M/r)"}, SCHW),
+    )
+    no_potential = fch.ScenarioFields(S=fields.S)
+    points = schwarzschild_mixed_points(21)
+    names = list(fch.CHECKS)
+
+    def report_json():
+        reports = fch.run_checks(SCHW, fields, names, points, [1e-8] * len(names))
+        reports += fch.run_checks(SCHW, no_potential, ["sandwich_identities"], points, [1e-8], seed=5)
+        return json.dumps([r.to_dict() for r in reports])
+
+    default = report_json()
+    monkeypatch.setattr(fch, "BLOCK", block)
+    assert report_json() == default
+    assert "metric of 'schwarzschild' not evaluable" in default
+    assert "log of non-positive value" in default
+
+
+def test_field_error_at_one_point_leaves_the_others_bitwise():
+    # sqrt(x+1) fails at point 5 only: the block raises, every check then runs
+    # at each point alone, and the other points keep their block results
+    K = field({"t": "sqrt(x+1)", "x": "t*y"}, MINK)
+    fields = fch.ScenarioFields(K=K)
+    names = [n for n, c in fch.CHECKS.items() if set(c.needs) <= {"K", "potential"}]
+    tols = [1e-8] * len(names)
+    points = [tuple(p) for p in np.random.default_rng(34).uniform([-3, -0.9, -3, -3], [3, 3, 3, 3], (16, 4))]
+    points[5] = (0.1, -2.0, 0.3, 0.4)
+    reports = fch.run_checks(MINK, fields, names, points, tols)
+    good = fch.run_checks(MINK, fields, names, points[:5] + points[6:], tols)
+    by_name = {"K": K, "S": None, "V": None, "potential": K}
+    alone = fch._run_point(MINK, points[5], [fch.CHECKS[n] for n in names], tols, by_name,
+                           fields.constants, None, ex.point_jets(MINK.coords, points[5]))
+    for report, clean, record in zip(reports, good, alone):
+        assert report.records[5].error.startswith("sqrt of negative value in 'sqrt(x + 1.0)'")
+        assert record_json(report.records[5]) == record_json(record)
+        rest = report.records[:5] + report.records[6:]
+        assert [record_json(r) for r in rest] == [record_json(r) for r in clean.records]
+
+
+STRESS_POINTS = {
+    "schwarzschild": (SCHW, [(0.3, 3.5, 1.1, 0.7), (-1.2, 7.0, 2.2, 4.0)]),
+    "flrw": (FLRW, [(0.7, 0.4, -1.1, 2.0), (2.6, 1.0, 1.0, 1.0)]),
+}
+
+
+def stress_outputs(gd) -> list:
+    """energy_momentum_em/_fluid for every index and sandwich_link_identities at ``gd``."""
+    t, a, b, c = gd.spec.coords
+    fa = FieldCalculus(field({t: f"{a}*{b}", a: f"sin({t})", c: f"{b}^2"}, gd.spec), gd)
+    A, F, J = fa.value(), fa.exterior_d(), fa.maxwell_current()
+    out = []
+    for beta in range(4):
+        em = fch.energy_momentum_em(gd, F, beta)
+        fluid = fch.energy_momentum_fluid(gd, J, beta)
+        out += [em.oneform.coeffs, em.threeform.coeffs, em.closure_residual,
+                fluid.oneform.coeffs, fluid.threeform.coeffs, fluid.closure_residual,
+                fluid.form_mismatch]
+    links = fch.sandwich_link_identities(gd, A, F, J)
+    return [np.asarray(x, dtype=float) for x in out + [links[k] for k in sorted(links)]]
+
+
+# sha256 over stress_outputs at every STRESS_POINTS point, computed with the
+# one-point code before the checks took a block axis
+ONE_POINT_STRESS_SHA256 = "8842c5e40af873fc826f6506483545f6a60e4524457016fee1e00b47351f77dd"
+
+
+def test_one_point_stress_forms_and_sandwich_links_are_unchanged():
+    digest = hashlib.sha256()
+    for key in sorted(STRESS_POINTS):
+        spec, points = STRESS_POINTS[key]
+        for pt in points:
+            for value in stress_outputs(geo.curvature(spec, pt)):
+                digest.update(value.tobytes())
+    assert digest.hexdigest() == ONE_POINT_STRESS_SHA256
+
+
+@pytest.mark.parametrize("key", sorted(STRESS_POINTS))
+def test_block_stress_forms_and_sandwich_links_equal_each_point_alone(key):
+    spec, points = STRESS_POINTS[key]
+    lanes = stress_outputs(geo.curvature(spec, np.array(points)))
+    for i, pt in enumerate(points):
+        for got, want in zip(lanes, stress_outputs(geo.curvature(spec, pt))):
+            assert got[i].tobytes() == want.tobytes()

@@ -365,12 +365,9 @@ def mixed_points() -> list:
 
 # the errors of the three bad points, as the one-point path gives them
 MIXED_ERRORS = {
-    2: "metric of 'mixed' is singular at (np.float64(0.0), np.float64(0.4), np.float64(1.1), "
-       "np.float64(0.3)) (det=0.000e+00)",
-    5: "metric of 'mixed' is not Lorentzian at (np.float64(-1.0), np.float64(1.0), "
-       "np.float64(1.25), np.float64(0.3)) (det=1.112e+00)",
-    7: "metric of 'mixed' not evaluable at (np.float64(1.7), np.float64(1.4), np.float64(-1.0), "
-       "np.float64(0.3)): sqrt of negative value in 'sqrt(y)'",
+    2: "metric of 'mixed' is singular at (0.0, 0.4, 1.1, 0.3) (det=0.000e+00)",
+    5: "metric of 'mixed' is not Lorentzian at (-1.0, 1.0, 1.25, 0.3) (det=1.112e+00)",
+    7: "metric of 'mixed' not evaluable at (1.7, 1.4, -1.0, 0.3): sqrt of negative value in 'sqrt(y)'",
 }
 
 

@@ -437,6 +437,42 @@ def test_cli_underflow_is_a_point_error(tmp_path):
     assert payload["checks"][0]["points"][0]["error"].startswith("underflow in 'log(")
 
 
+def test_cli_metric_error_prints_the_point_as_floats(tmp_path):
+    body = dict(BASE)
+    body["metric"] = {
+        "coords": ["t", "x", "y", "z"],
+        "components": [["t", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "-1", "0"],
+                       ["0", "0", "0", "-1"]],
+        "domain": {"t": [-1, 1], "x": [-1, 1], "y": [-1, 1], "z": [-1, 1]},
+    }
+    body["samples"] = {"points": [[0.0, 0.0, 1.0, 0.5], [0.5, 0.0, 1.0, 0.5]]}
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", str(write_scenario(tmp_path, body)), "--report", str(out))
+    assert proc.returncode == 1
+    (check,) = strict_json(out.read_text())["checks"]
+    error = check["points"][0]["error"]
+    assert error.startswith("metric of 'inline' is singular at (0.0, 0.0, 1.0, 0.5) (det=")
+    assert check["points"][1]["error"] is None
+
+
+def test_cli_overflowing_products_are_point_errors_without_warnings(tmp_path):
+    # finite jets whose products overflow: the residuals are non-finite, so
+    # every point is an error, and numpy prints no RuntimeWarning
+    body = dict(BASE)
+    body["fields"] = {"A": {"t": "1e200*x"}}
+    body["samples"] = {"points": [[0.0, 0.5, 0.0, 0.0], [0.1, 1.0, 0.2, 0.3]]}
+    body["checks"] = ["einstein", "structure_current", "sandwich_identities"]
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", str(write_scenario(tmp_path, body)), "--report", str(out))
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    payload = strict_json(out.read_text())
+    einstein = payload["checks"][0]
+    assert [p["error"] for p in einstein["points"]] == ["non-finite residual 'einstein_eq'"] * 2
+    for check in payload["checks"]:
+        assert all(p["error"] and p["error"].startswith("non-finite ") for p in check["points"])
+
+
 # -- the benchmark's tracer ------------------------------------------------------------
 
 
@@ -448,12 +484,16 @@ def _perfbench_module(name):
     return module
 
 
-def test_traced_verify_records_every_required_span(tmp_path):
+@pytest.mark.parametrize("workload", ["kerr_identities", "schw_10check"],
+                         ids=["kerr-identities", "schw-10check"])
+def test_traced_verify_records_every_required_span(tmp_path, workload):
     # the benchmark's --trace 1 wraps these entry points from outside and
-    # fails when one records no call; a refactor must keep calling each
+    # fails when one records no call; a refactor must keep calling each,
+    # algebra.product included on schw-10check
     tracing = _perfbench_module("tracing")
     workloads = _perfbench_module("workloads")
-    (op,) = workloads.kerr_identities(REPO, tmp_path, seed=1, points=3).ops
+    wl = getattr(workloads, workload)(REPO, tmp_path, seed=1, points=3)
+    (op,) = wl.ops
     tracer = tracing.Tracer()
     tracer.install(op=0)
     try:
@@ -461,6 +501,6 @@ def test_traced_verify_records_every_required_span(tmp_path):
             code = cli.main(list(op.argv))
     finally:
         tracer.uninstall()
-    assert code == 0
-    assert set(workloads.VERIFY_SPANS) <= tracer.present
-    tracing.check_required(tracer, workloads.VERIFY_SPANS)
+    assert code == op.expected_exit
+    assert set(wl.required_spans) <= tracer.present
+    tracing.check_required(tracer, wl.required_spans)

@@ -520,9 +520,8 @@ def _plain(values: dict) -> dict:
 
 
 def _nonfinite(value) -> bool:
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    return isinstance(value, list) and any(isinstance(x, float) and not math.isfinite(x) for x in value)
+    items = value if isinstance(value, list) else (value,)
+    return any(isinstance(x, float) and not math.isfinite(x) for x in items)
 
 
 def _record(point: tuple, tol: float, residuals: dict, info: dict) -> PointRecord:

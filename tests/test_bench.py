@@ -25,3 +25,6 @@ def test_bench_script_writes_every_key(tmp_path):
     assert {"op_s.p25", "op_s.p75", "speed"} <= set(entry["detail"])
     assert set(entry["report_sha256"]) == {"kerr-identities"}
     assert {"git_sha", "src_sha256", "numpy", "python", "nproc"} <= set(entry["provenance"])
+    assert entry["traced_correct"] is True
+    assert {"fieldcheck.point_evals", "diffops.operator_calls", "algebra.product_calls",
+            "runner.serialize_s", "trace.overhead_s"} <= set(entry["per_layer"])

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import blades
-from .errors import DegenerateMetricError, SignatureError
+from .errors import DegenerateMetricError, SignatureError, point_errors
 
 _EYE16 = np.eye(blades.N_BLADES)
 
@@ -218,62 +218,49 @@ class PointMetric:
         When true (the default), reject metrics whose tangent determinant is
         not negative; property tests may relax this for random signatures.
 
-    One metric raises at the first check it fails.  A block raises nothing:
-    ``ok`` marks the metrics that pass every check, the others hold
-    placeholder values, and every attribute has N first.  :meth:`lane` hands
-    out one metric of a block, bitwise equal to that metric built alone, and
-    the block's tables are built once, for all of its metrics.  The product
-    methods of a block take block :class:`Multivector` operands, one row per
-    metric, and give one result per metric, each bitwise that metric's alone.
+    The checks, in order: symmetry, a nonsingular cotangent metric, the
+    inverse's identity check and (optionally) Lorentzian signature.  One
+    metric raises the error of the first check it fails.  A block, the same
+    code with N first on every attribute, raises nothing: ``errors`` maps
+    each metric that fails to that error, and every other metric is bitwise
+    that metric alone.  The block's tables are built once, for all of its
+    metrics.  The product methods of a block take block :class:`Multivector`
+    operands, one row per metric, and give one result per metric, each
+    bitwise that metric's alone.
     """
 
-    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "ok", "_tables", "_block")
+    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "errors", "_tables")
 
     def __init__(self, g, require_lorentzian: bool = True, _ginv=None):
         g = np.array(g, dtype=float)
         if g.shape[-2:] != (4, 4) or g.ndim > 3:
             raise ValueError("metric must be 4x4")
-        if g.ndim == 3:
-            ok, g, ginv, det_tan = _check_block(g, _ginv, require_lorentzian)
-            sqrt_abs_det = np.sqrt(np.abs(det_tan))
-            sign_det = np.where(det_tan < 0.0, -1.0, 1.0)
+        eye = np.eye(4)
+        gt = np.swapaxes(g, -1, -2)
+        atol = 1e-12 * np.fmax(1.0, np.max(np.abs(g), axis=(-2, -1)))[..., np.newaxis, np.newaxis]
+        # np.isclose with rtol 0: an infinite entry is close only to itself
+        symmetric = ((np.abs(g - gt) <= atol) & np.isfinite(gt) | (g == gt)).all(axis=(-2, -1))
+        g = 0.5 * (g + gt)
+        det_cot = np.linalg.det(g)
+        fails = [~symmetric, np.abs(det_cot) < 1e-14]
+        if _ginv is None:  # a metric already rejected is not inverted
+            ginv = np.linalg.inv(np.where((fails[0] | fails[1])[..., np.newaxis, np.newaxis], eye, g))
         else:
-            ok = True
-            if not np.allclose(g, g.T, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(g)))):
-                raise ValueError("metric must be symmetric")
-            g = 0.5 * (g + g.T)
-            det_cot = np.linalg.det(g)
-            if abs(det_cot) < 1e-14:
-                raise DegenerateMetricError(f"cotangent metric is singular (det={det_cot:.3e})")
-            ginv = np.linalg.inv(g) if _ginv is None else np.array(_ginv, dtype=float)
-            if np.max(np.abs(g @ ginv - np.eye(4))) > 1e-10:
-                raise DegenerateMetricError("metric inverse failed the identity check")
-            det_tan = np.linalg.det(ginv)
-            if require_lorentzian and not det_tan < 0.0:
-                raise SignatureError(f"tangent metric determinant {det_tan:.3e} is not negative")
-            sqrt_abs_det = float(np.sqrt(abs(det_tan)))
-            sign_det = -1.0 if det_tan < 0 else 1.0
+            ginv = np.array(_ginv, dtype=float)
+        fails.append(np.max(np.abs(g @ ginv - eye), axis=(-2, -1)) > 1e-10)
+        det_tan = np.linalg.det(ginv)
+        if require_lorentzian:
+            fails.append(~(det_tan < 0.0))
+        errors = point_errors(fails, lambda k, check: _metric_error(check, det_cot.flat[k], det_tan.flat[k]))
+        sqrt_abs_det = np.sqrt(np.abs(det_tan))
+        sign_det = np.where(det_tan < 0.0, -1.0, 1.0)
+        if g.ndim == 2:
+            sqrt_abs_det, sign_det = float(sqrt_abs_det), float(sign_det)
         _set_slots(self, g=_readonly(g), ginv=_readonly(ginv), sqrt_abs_det=sqrt_abs_det,
-                   sign_det=sign_det, lorentzian=det_tan < 0.0, ok=ok, _tables=None, _block=None)
+                   sign_det=sign_det, lorentzian=det_tan < 0.0, errors=errors, _tables=None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PointMetric is immutable")
-
-    @classmethod
-    def from_tangent_metric(cls, g_lower, require_lorentzian: bool = True) -> "PointMetric":
-        g_lower = np.array(g_lower, dtype=float)
-        det = np.linalg.det(g_lower)
-        if abs(det) < 1e-14:
-            raise DegenerateMetricError(f"tangent metric is singular (det={det:.3e})")
-        return cls(np.linalg.inv(g_lower), require_lorentzian=require_lorentzian, _ginv=g_lower)
-
-    def lane(self, i: int) -> "PointMetric":
-        """Metric ``i`` of a block, as one metric; its tables are lane ``i`` of the block's."""
-        pm = object.__new__(PointMetric)
-        _set_slots(pm, g=self.g[i], ginv=self.ginv[i], sqrt_abs_det=float(self.sqrt_abs_det[i]),
-                   sign_det=float(self.sign_det[i]), lorentzian=self.lorentzian[i], ok=True,
-                   _tables=None, _block=(self, i))
-        return pm
 
     # -- tables ------------------------------------------------------------
 
@@ -292,12 +279,7 @@ class PointMetric:
     @property
     def tables(self) -> dict:
         if self._tables is None:
-            if self._block is None:
-                tables = self._build_tables()
-            else:
-                block, i = self._block
-                tables = {key: value[i] for key, value in block.tables.items()}
-            object.__setattr__(self, "_tables", tables)
+            object.__setattr__(self, "_tables", self._build_tables())
         return self._tables
 
     def contraction_ops(self) -> np.ndarray:
@@ -433,31 +415,20 @@ def hodge_inv_rows(tables: dict, a: np.ndarray) -> np.ndarray:
     return hodge_rows(tables, a * tables["Hinv_scale"])
 
 
-def _check_block(g: np.ndarray, ginv, require_lorentzian: bool) -> tuple:
-    """:class:`PointMetric`'s checks on a block of N metrics, as one mask.
+def _metric_error(check: int, det_cot: float, det_tan: float) -> Exception:
+    """The error of a metric that fails :class:`PointMetric`'s ``check``.
 
-    Returns ``(ok, g, ginv, det_tan)``: the metrics that pass every check the
-    one-metric constructor makes, with the same arithmetic (a metric with a
-    non-finite entry counts as failing), and the block's symmetrized
-    metrics, inverses and tangent determinants.  A metric that fails is
-    replaced by the identity before inversion, so it cannot stop the others.
+    The checks, in order: 0 symmetry, 1 a nonsingular cotangent metric
+    (``det_cot``), 2 the inverse's identity check, 3 Lorentzian signature
+    (``det_tan``).
     """
-    eye = np.eye(4)
-    gt = g.transpose(0, 2, 1)
-    atol = 1e-12 * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
-    ok = np.isfinite(g).all(axis=(1, 2))
-    ok &= np.all(np.abs(g - gt) <= atol[:, np.newaxis, np.newaxis], axis=(1, 2))
-    g = 0.5 * (g + gt)
-    ok &= np.abs(np.linalg.det(g)) >= 1e-14
-    if ginv is None:
-        ginv = np.linalg.inv(np.where(ok[:, np.newaxis, np.newaxis], g, eye))
-    else:
-        ginv = np.array(ginv, dtype=float)
-    ok &= np.max(np.abs(g @ ginv - eye), axis=(1, 2)) <= 1e-10
-    det_tan = np.linalg.det(ginv)
-    if require_lorentzian:
-        ok &= det_tan < 0.0
-    return ok, g, ginv, det_tan
+    if check == 0:
+        return ValueError("metric must be symmetric")
+    if check == 1:
+        return DegenerateMetricError(f"cotangent metric is singular (det={det_cot:.3e})")
+    if check == 2:
+        return DegenerateMetricError("metric inverse failed the identity check")
+    return SignatureError(f"tangent metric determinant {det_tan:.3e} is not negative")
 
 
 def _set_slots(obj, **values) -> None:

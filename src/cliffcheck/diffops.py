@@ -18,9 +18,10 @@ its :class:`~cliffcheck.geometry.GeometryData` is a block: every array then
 has N first (``vals`` (N, 16), ``cov1`` (N, 4, 16), ...), the operators
 return block :class:`~cliffcheck.algebra.Multivector` values, and point i
 of the block is bitwise the point alone.  One point is the case without N.
-A block raises when any of its points does (a field expression outside its
-domain, say), and :mod:`cliffcheck.fieldcheck` then evaluates each point
-alone, so every point gets its own result or error.
+One point raises when a field expression is outside its domain there; a
+block raises nothing, keeps each such point's error in ``FieldJets.errors``
+and computes on with zero jets there, and :mod:`cliffcheck.fieldcheck`
+gives the point that error.
 """
 
 from __future__ import annotations
@@ -138,13 +139,16 @@ class FieldJets:
     vals: np.ndarray  # (16,)
     grads: np.ndarray  # (16, 4)
     hess: np.ndarray  # (16, 4, 4)
+    errors: dict  # of a block: each point whose jets fail -> its first component's error there
 
 
 def field_jets(field: MultivectorField, gd: GeometryData, jet: Callable | None = None) -> FieldJets:
     """The field's component jets at ``gd.point``; ``jet`` as in :func:`geometry.metric_at`.
 
     ``gd.point`` may be a block of N points, and ``jet`` then gives the
-    block's jets; every array has N first.
+    block's jets; every array has N first.  One point raises the error of
+    its first component that cannot be evaluated; a block keeps it in
+    ``errors`` for each such point, whose jets are zero.
     """
     spec = gd.spec
     if jet is None:
@@ -153,15 +157,18 @@ def field_jets(field: MultivectorField, gd: GeometryData, jet: Callable | None =
     vals = np.zeros(lanes + (16,))
     grads = np.zeros(lanes + (16, 4))
     hess = np.zeros(lanes + (16, 4, 4))
+    errors: dict = {}
     for mask in range(16):
         e = field.comps[mask]
         if ex.is_zero(e):
             continue
         jm = jet(e)
+        for k, err in jm.errors.items():
+            errors.setdefault(k, err)
         vals[..., mask] = jm.val
         grads[..., mask, :] = jm.grad
         hess[..., mask, :, :] = jm.hess
-    return FieldJets(vals, grads, hess)
+    return FieldJets(vals, grads, hess, errors)
 
 
 class FieldCalculus:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the errors of the points that fail a check."""
+
+import numpy as np
 
 
 class CliffcheckError(Exception):
@@ -59,3 +61,22 @@ class ScenarioValidationError(CliffcheckError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("scenario validation failed:\n" + "\n".join(f"  - {p}" for p in self.problems))
+
+
+def point_errors(fails, error) -> dict:
+    """The errors of the points that fail a check, for a block; one point raises its error.
+
+    ``fails`` holds, in the order the checks are made, one mask per check:
+    the points of a block that fail it, or a 0-d mask for one point.
+    Returns ``{k: error(k, c)}`` for each point ``k`` that fails a check,
+    ``c`` being the index of the first check it fails.
+    """
+    fails = np.array(fails)
+    if not fails.any():
+        return {}
+    one = fails.ndim == 1
+    fails = fails.reshape(len(fails), -1)  # (check, point)
+    errors = {k: error(k, int(fails[:, k].argmax())) for k in np.flatnonzero(fails.any(axis=0)).tolist()}
+    if one:
+        raise errors[0]
+    return errors

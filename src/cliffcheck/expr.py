@@ -9,22 +9,25 @@ Grammar (EBNF, also reproduced in the README):
     atom    = NUMBER | IDENT | IDENT "(" expr { "," expr } ")" | "(" expr ")" ;
 
 ``^`` binds tighter than unary minus, so ``-t^2`` parses as ``-(t^2)``.
-Evaluation is over plain floats (:func:`evaluate`) or second-order jets
-(:func:`evaluate_jet2`): value, gradient and Hessian with respect to the four
-chart coordinates, exact to machine precision.  Parameters are constants.
+Evaluation gives second-order jets (:func:`evaluate_jet2`): value,
+gradient and Hessian with respect to the four chart coordinates, exact to
+machine precision.  Parameters are constants.
 
 Jets are evaluated at one point or at N points in one tree walk.  A point of
 shape (4,) gives a :class:`Jet2` with ``val`` a float, ``grad`` (4,) and
 ``hess`` (4, 4); points of shape (N, 4) give ``val`` (N,), ``grad`` (N, 4)
 and ``hess`` (N, 4, 4).  Lane i is bitwise equal to evaluating point i alone.
-:class:`ChunkJets` holds the jets of several expressions over a chunk of
-points and hands each point its own lane.
+The walk keeps, per point, the first operation in tree order that fails
+there: one point raises its error, and N points keep it in ``Jet2.errors``
+with a zero jet for that point.  :class:`ChunkJets` holds the jets of
+several expressions over a chunk of points and hands them out a block of
+points at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -348,11 +351,14 @@ class Jet2:
 
     At one point ``val`` is a float, ``grad`` is (4,) and ``hess`` is (4, 4);
     over N points they are (N,), (N, 4) and (N, 4, 4), one lane per point.
+    ``errors`` maps each of the N points whose evaluation fails to the
+    :class:`ExprError` that point raises alone; its jet is zero.
     """
 
     val: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
+    errors: dict = field(default_factory=dict)
 
 
 # The evaluator works on (val, grad, hess) tuples with the point axis last: at
@@ -364,9 +370,70 @@ class Jet2:
 # by lane with ``math`` and Python floats (:func:`_per_lane`).
 
 
-def _any(mask) -> bool:
-    """Whether a condition holds at any point: ``mask`` is a bool or a bool array."""
-    return mask if isinstance(mask, bool) else bool(mask.any())
+class _Walk:
+    """One evaluation of an expression tree at one point or at N points.
+
+    ``errors`` keeps, per point, the error of the first operation in tree
+    order that fails there, and ``failed`` marks those points.  A failed
+    lane computes on with whatever values it holds and is zeroed at the
+    end (:func:`evaluate_jet2`); one point raises its error at once.
+    """
+
+    def __init__(self, names: Mapping[str, tuple], coords: Sequence[str], lanes: tuple):
+        self.names = names
+        self.coord_names = frozenset(coords)
+        self.lanes = lanes
+        self.failed = np.zeros(lanes, dtype=bool)
+        self.errors: dict = {}
+
+    def reject(self, mask, error: Callable[[], ExprError]) -> None:
+        """Fail, with ``error()``, the points where ``mask`` holds and no earlier error did."""
+        new = mask & ~self.failed
+        if new.any():
+            if not self.lanes:
+                raise error()
+            self.errors.update(dict.fromkeys(np.flatnonzero(new).tolist(), error()))
+            self.failed = self.failed | new
+
+    def domain(self, mask, message: str, site: Expr) -> None:
+        self.reject(mask, lambda: DomainEvalError(message, serialize(site)))
+
+    def jet(self, e: Expr) -> tuple:
+        lanes = self.lanes
+        if isinstance(e, Num):
+            return _const(e.value, lanes)
+        if isinstance(e, Var):
+            if e.name in self.names:
+                return self.names[e.name]
+            self.reject(True, lambda: UnboundIdentifierError(
+                f"identifier '{e.name}' is neither a coordinate nor a parameter"))
+            return _const(0.0, lanes)
+        if isinstance(e, Neg):
+            v, g, h = self.jet(e.arg)
+            return -v, -g, -h
+        if isinstance(e, (Add, Sub)):
+            a = self.jet(e.left)
+            b = self.jet(e.right)
+            if isinstance(e, Add):
+                return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+            return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+        if isinstance(e, Mul):
+            return _mul(self.jet(e.left), self.jet(e.right))
+        if isinstance(e, Div):
+            return _div(self.jet(e.left), self.jet(e.right), e, self)
+        if isinstance(e, Pow):
+            return _pow(self.jet(e.left), self.jet(e.right), e.right, e, self)
+        if isinstance(e, Call):
+            if e.func == "pow":
+                return _pow(self.jet(e.args[0]), self.jet(e.args[1]), e.args[1], e, self)
+            a = self.jet(e.args[0])
+            if e.func == "log":
+                self.domain(a[0] <= 0.0, "log of non-positive value", e)
+            if e.func == "sqrt":
+                self.domain(a[0] < 0.0, "sqrt of negative value", e)
+                self.domain(a[0] == 0.0, "sqrt not differentiable at zero", e)
+            return _chain(a, *_per_lane(_UNARY_JET[e.func], a[0], e, self))
+        raise TypeError(f"not an Expr node: {e!r}")
 
 
 def _const(v: float, lanes: tuple) -> tuple:
@@ -381,11 +448,10 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return av * bv, av * bg + bv * ag, av * bh + bv * ah + cross + cross.swapaxes(0, 1)
 
 
-def _div(a: tuple, b: tuple, site: Expr) -> tuple:
+def _div(a: tuple, b: tuple, site: Expr, walk: _Walk) -> tuple:
     av, ag, ah = a
     bv, bg, bh = b
-    if _any(bv == 0.0):
-        raise DomainEvalError("division by zero", serialize(site))
+    walk.domain(bv == 0.0, "division by zero", site)
     val = av / bv
     grad = (ag - val * bg) / bv
     cross = grad[:, None] * bg[None, :]
@@ -411,15 +477,21 @@ def _range_error(err: ArithmeticError | ValueError, site: Expr) -> DomainEvalErr
     return DomainEvalError(kind, serialize(site))
 
 
-def _per_lane(fn, v, site: Expr) -> tuple:
-    """``fn(v) -> (f, d1, d2)`` with Python floats, on each lane of ``v``."""
-    try:
-        if isinstance(v, float):
-            return fn(v)
-        rows = [fn(x) for x in v.tolist()]
-    except _MATH_ERRORS as err:
-        raise _range_error(err, site) from None
-    return tuple(np.array(rows).T)
+def _per_lane(fn, v, site: Expr, walk: _Walk) -> tuple:
+    """``fn(v) -> (f, d1, d2)`` with Python floats, on each lane of ``v``.
+
+    A lane where ``fn`` raises fails with its :func:`_range_error` (if it
+    has not failed before) and is evaluated at 1.0 instead.
+    """
+    xs = np.reshape(v, -1).tolist()
+    rows = []
+    for k, x in enumerate(xs):
+        try:
+            rows.append(fn(x))
+        except _MATH_ERRORS as err:
+            walk.reject(np.arange(len(xs)).reshape(walk.lanes) == k, partial(_range_error, err, site))
+            rows.append(fn(1.0))
+    return rows[0] if isinstance(v, float) else tuple(np.array(rows).T)
 
 
 def _sqrt_jet(v: float) -> tuple:
@@ -447,69 +519,27 @@ def _small_int_exponent(expo: float, expo_node: Expr, coord_names: frozenset) ->
     return None
 
 
-def _int_pow(a: tuple, n: int, site: Expr) -> tuple:
+def _int_pow(a: tuple, n: int, site: Expr, walk: _Walk) -> tuple:
     if n == 0:
         return _const(1.0, np.shape(a[0]))
     if n < 0:
-        return _div(_const(1.0, np.shape(a[0])), _int_pow(a, -n, site), site)
+        return _div(_const(1.0, np.shape(a[0])), _int_pow(a, -n, site, walk), site, walk)
     out = a
     for _ in range(n - 1):
         out = _mul(out, a)
     return out
 
 
-def _pow(base: tuple, expo: tuple, expo_node: Expr, coord_names: frozenset, site: Expr) -> tuple:
+def _pow(base: tuple, expo: tuple, expo_node: Expr, site: Expr, walk: _Walk) -> tuple:
     # a coordinate-free exponent has the same value at every point
-    n = _small_int_exponent(expo[0] if isinstance(expo[0], float) else expo[0][0], expo_node, coord_names)
+    n = _small_int_exponent(expo[0] if isinstance(expo[0], float) else expo[0][0], expo_node,
+                            walk.coord_names)
     if n is not None:
-        return _int_pow(base, n, site)
-    if _any(base[0] <= 0.0):
-        raise DomainEvalError("power with non-integer exponent requires positive base", serialize(site))
+        return _int_pow(base, n, site, walk)
+    walk.domain(base[0] <= 0.0, "power with non-integer exponent requires positive base", site)
     # x^y = exp(y log x)
-    z = _mul(expo, _chain(base, *_per_lane(_UNARY_JET["log"], base[0], site)))
-    return _chain(z, *_per_lane(_UNARY_JET["exp"], z[0], site))
-
-
-def _eval_jet(e: Expr, names: Mapping[str, tuple], coord_names: frozenset, lanes: tuple) -> tuple:
-    if isinstance(e, Num):
-        return _const(e.value, lanes)
-    if isinstance(e, Var):
-        try:
-            return names[e.name]
-        except KeyError:
-            raise UnboundIdentifierError(
-                f"identifier '{e.name}' is neither a coordinate nor a parameter"
-            ) from None
-    if isinstance(e, Neg):
-        v, g, h = _eval_jet(e.arg, names, coord_names, lanes)
-        return -v, -g, -h
-    if isinstance(e, (Add, Sub)):
-        a = _eval_jet(e.left, names, coord_names, lanes)
-        b = _eval_jet(e.right, names, coord_names, lanes)
-        if isinstance(e, Add):
-            return a[0] + b[0], a[1] + b[1], a[2] + b[2]
-        return a[0] - b[0], a[1] - b[1], a[2] - b[2]
-    if isinstance(e, Mul):
-        return _mul(_eval_jet(e.left, names, coord_names, lanes), _eval_jet(e.right, names, coord_names, lanes))
-    if isinstance(e, Div):
-        return _div(_eval_jet(e.left, names, coord_names, lanes), _eval_jet(e.right, names, coord_names, lanes), e)
-    if isinstance(e, Pow):
-        return _pow(_eval_jet(e.left, names, coord_names, lanes), _eval_jet(e.right, names, coord_names, lanes),
-                    e.right, coord_names, e)
-    if isinstance(e, Call):
-        if e.func == "pow":
-            return _pow(_eval_jet(e.args[0], names, coord_names, lanes),
-                        _eval_jet(e.args[1], names, coord_names, lanes), e.args[1], coord_names, e)
-        a = _eval_jet(e.args[0], names, coord_names, lanes)
-        if e.func == "log" and _any(a[0] <= 0.0):
-            raise DomainEvalError("log of non-positive value", serialize(e))
-        if e.func == "sqrt":
-            if _any(a[0] < 0.0):
-                raise DomainEvalError("sqrt of negative value", serialize(e))
-            if _any(a[0] == 0.0):
-                raise DomainEvalError("sqrt not differentiable at zero", serialize(e))
-        return _chain(a, *_per_lane(_UNARY_JET[e.func], a[0], e))
-    raise TypeError(f"not an Expr node: {e!r}")
+    z = _mul(expo, _chain(base, *_per_lane(_UNARY_JET["log"], base[0], site, walk)))
+    return _chain(z, *_per_lane(_UNARY_JET["exp"], z[0], site, walk))
 
 
 def evaluate_jet2(
@@ -522,9 +552,9 @@ def evaluate_jet2(
 
     ``point`` is one point, shape (4,), or N points, shape (N, 4); the jet
     has the matching shapes (see :class:`Jet2`).  Lane i of a batch is
-    bitwise equal to evaluating point i alone.  A batch raises when any of
-    its points would: the error is that of the first failing operation in
-    tree order, which need not be the one a given point raises alone.
+    bitwise equal to evaluating point i alone.  One point raises the error
+    of its first failing operation in tree order; a batch raises nothing and
+    gives each failing point that error in ``errors``.
     """
     pts = np.asarray(point, dtype=float)
     lanes = pts.shape[:-1]
@@ -535,11 +565,15 @@ def evaluate_jet2(
     names = {name: (vals[axis], units[axis], hess) for axis, name in enumerate(coords)}
     for name, value in (params or {}).items():
         names[name] = _const(value, lanes)
+    walk = _Walk(names, coords, lanes)
     with np.errstate(all="ignore"):  # non-finite lanes are judged downstream
-        val, grad, hess = _eval_jet(e, names, frozenset(coords), lanes)
-    if lanes:
-        return Jet2(val, grad.T, hess.transpose(2, 0, 1))
-    return Jet2(val, grad, hess)
+        val, grad, hess = walk.jet(e)
+    if not lanes:
+        return Jet2(val, grad, hess)
+    if walk.errors:
+        failed = walk.failed
+        val, grad, hess = np.where(failed, 0.0, val), np.where(failed, 0.0, grad), np.where(failed, 0.0, hess)
+    return Jet2(val, grad.T, hess.transpose(2, 0, 1), walk.errors)
 
 
 def point_jets(coords: Sequence[str], point, params: Mapping[str, float] | None = None
@@ -549,15 +583,13 @@ def point_jets(coords: Sequence[str], point, params: Mapping[str, float] | None 
 
 
 class ChunkJets:
-    """Jets of several expressions over a chunk of points, read one point at a time.
+    """Jets of several expressions over a chunk of points, handed out a block at a time.
 
-    Each expression is evaluated once for the whole chunk.  ``at(i)`` is the
-    jet source of the chunk's point i: a function from an expression to its
-    jet there; ``block(start, stop)`` is that of points ``start:stop``, with
-    the jets of the block (see :func:`evaluate_jet2`).  An expression whose
-    chunk evaluation raised, or that was not listed, is evaluated at point i
-    alone (or on the block) when asked for, so every point gets exactly the
-    jet or the error it would get without the chunk.
+    Each expression is evaluated once for the whole chunk.
+    ``block(start, stop)`` is the jet source of points ``start:stop``: a
+    function from an expression to its jets there, with the errors of those
+    points (see :func:`evaluate_jet2`).  An expression that was not listed
+    is evaluated on the block when asked for.
     """
 
     def __init__(self, exprs: Iterable[Expr], coords: Sequence[str], points,
@@ -565,103 +597,17 @@ class ChunkJets:
         self.coords = tuple(coords)
         self.points = np.asarray(points, dtype=float)
         self.params = params
-        self._jets: dict = {}  # id(expr) -> (expr, chunk jet or None)
+        self._jets: dict = {}  # id(expr) -> (expr, chunk jet)
         for e in exprs:
-            if id(e) in self._jets:
-                continue
-            try:
-                jet = evaluate_jet2(e, self.coords, self.points, params)
-            except (ExprError, *_MATH_ERRORS):
-                jet = None
-            self._jets[id(e)] = (e, jet)
-
-    def at(self, i: int) -> Callable[[Expr], Jet2]:
-        return partial(self._jet, i)
+            if id(e) not in self._jets:
+                self._jets[id(e)] = (e, evaluate_jet2(e, self.coords, self.points, params))
 
     def block(self, start: int, stop: int) -> Callable[[Expr], Jet2]:
-        return partial(self._jet, slice(start, stop))
+        return partial(self._jet, start, stop)
 
-    def _jet(self, index: int | slice, e: Expr) -> Jet2:
+    def _jet(self, start: int, stop: int, e: Expr) -> Jet2:
         known, jet = self._jets.get(id(e), (None, None))
-        if known is not e or jet is None:
-            return evaluate_jet2(e, self.coords, self.points[index], self.params)
-        val = jet.val[index]
-        return Jet2(val if isinstance(index, slice) else float(val), jet.grad[index], jet.hess[index])
-
-
-def evaluate(
-    e: Expr,
-    coords: Sequence[str],
-    point: Sequence[float],
-    params: Mapping[str, float] | None = None,
-) -> float:
-    """Value-only fast path; bit-identical to ``evaluate_jet2(...).val``."""
-    names: dict = {}
-    for axis, name in enumerate(coords):
-        names[name] = float(point[axis])
-    for name, value in (params or {}).items():
-        names[name] = float(value)
-    return _eval_value(e, names, frozenset(coords))
-
-
-def _eval_value(e: Expr, names: Mapping[str, float], coord_names: frozenset) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return names[e.name]
-        except KeyError:
-            raise UnboundIdentifierError(
-                f"identifier '{e.name}' is neither a coordinate nor a parameter"
-            ) from None
-    if isinstance(e, Neg):
-        return -_eval_value(e.arg, names, coord_names)
-    if isinstance(e, Add):
-        return _eval_value(e.left, names, coord_names) + _eval_value(e.right, names, coord_names)
-    if isinstance(e, Sub):
-        return _eval_value(e.left, names, coord_names) - _eval_value(e.right, names, coord_names)
-    if isinstance(e, Mul):
-        return _eval_value(e.left, names, coord_names) * _eval_value(e.right, names, coord_names)
-    if isinstance(e, Div):
-        denom = _eval_value(e.right, names, coord_names)
-        if denom == 0.0:
-            raise DomainEvalError("division by zero", serialize(e))
-        return _eval_value(e.left, names, coord_names) / denom
-    if isinstance(e, Pow):
-        return _value_pow(_eval_value(e.left, names, coord_names), _eval_value(e.right, names, coord_names),
-                          e.right, coord_names, e)
-    if isinstance(e, Call):
-        if e.func == "pow":
-            return _value_pow(_eval_value(e.args[0], names, coord_names), _eval_value(e.args[1], names, coord_names),
-                              e.args[1], coord_names, e)
-        v = _eval_value(e.args[0], names, coord_names)
-        if e.func == "log" and v <= 0.0:
-            raise DomainEvalError("log of non-positive value", serialize(e))
-        if e.func == "sqrt" and v < 0.0:
-            raise DomainEvalError("sqrt of negative value", serialize(e))
-        try:
-            return getattr(math, e.func)(v)
-        except _MATH_ERRORS as err:
-            raise _range_error(err, e) from None
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def _value_pow(base: float, expo: float, expo_node: Expr, coord_names: frozenset, site: Expr) -> float:
-    n = _small_int_exponent(expo, expo_node, coord_names)
-    if n is not None:
-        if n == 0:
-            return 1.0
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        if n < 0:
-            if out == 0.0:
-                raise DomainEvalError("division by zero", serialize(site))
-            return 1.0 / out
-        return out
-    if base <= 0.0:
-        raise DomainEvalError("power with non-integer exponent requires positive base", serialize(site))
-    try:
-        return math.exp(expo * math.log(base))
-    except (OverflowError, ZeroDivisionError) as err:
-        raise _range_error(err, site) from None
+        if known is not e:
+            return evaluate_jet2(e, self.coords, self.points[start:stop], self.params)
+        errors = {k - start: err for k, err in jet.errors.items() if start <= k < stop}
+        return Jet2(jet.val[start:stop], jet.grad[start:stop], jet.hess[start:stop], errors)

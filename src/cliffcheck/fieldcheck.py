@@ -3,9 +3,9 @@
 Every check is one entry of :data:`CHECKS`: its name, the fields it needs,
 its notes and ``fn(ctx) -> (residuals, info)``, evaluated once on a block of
 sample points' :class:`BlockContext`, with one value per point (N first).
-One point is the same code without N: it is the reference, and the
-fallback for a point its block cannot give (its geometry is rejected, or a
-check raises on the block), so every point gets the record it gets alone.
+One point is the same code without N, and the reference.  A point that
+fails is not computed again: the block's geometry and field jets keep its
+error, and its record gets the error it gets alone (:func:`run_pointwise`).
 :func:`run_checks` visits each block once, computes its geometry and field
 jets once, runs every requested check against them and gathers one
 :class:`ResidualReport` per check.  Residuals under ``residuals`` gate the
@@ -28,7 +28,7 @@ from . import blades
 from . import expr as ex
 from .algebra import Multivector, grade_project, wedge
 from .diffops import FieldCalculus, MultivectorField, grad_scalar_product
-from .errors import CliffcheckError, FieldError
+from .errors import FieldError
 from .geometry import GeometryData, MetricSpec, curvature
 
 
@@ -122,18 +122,21 @@ class BlockContext:
         self.draw = draw  # (N, 3, 16) or (3, 16) random inputs of sandwich_identities, or None
         self.jet = jet  # jet source of the block or point, see geometry.metric_at
         self.lanes = range(len(gd.point)) if np.ndim(gd.point) == 2 else (None,)
+        self.asked: list = []  # the calculators handed out, in order, since it was last cleared
         self._calcs: dict = {}
 
     def calc(self, name: str) -> FieldCalculus:
         """The calculator of field ``name``, shared by every check on this block.
 
         Keyed by the field object, so K and a potential that is K itself
-        (coupling 1) share one set of jets.
+        (coupling 1) share one set of jets.  A check asks for its fields in
+        the order it reads their jets.
         """
         f = self.fields[name]
         fc = self._calcs.get(id(f))
         if fc is None:
             fc = self._calcs[id(f)] = FieldCalculus(f, self.gd, self.jet)
+        self.asked.append(fc)
         return fc
 
 
@@ -254,8 +257,8 @@ def _hamilton_jacobi(ctx: BlockContext) -> tuple:
     e, m = ctx.constants.e, ctx.constants.m
     pm = ctx.gd.metric
     fs = ctx.calc("S")
-    fv = ctx.calc("V")
     fa = ctx.calc("potential")
+    fv = ctx.calc("V")
     momentum = fs.exterior_d() + e * fa.value()  # dS + eA
     mass_shell = pm.scalar_product(momentum, momentum) - m * m
     wave = fs.hodge_dalembertian().value
@@ -280,15 +283,19 @@ class EnergyMomentum:
     form_mismatch: float = 0.0  # fluid only: the two printed expressions compared
 
 
+def _sandwich_oneform(gd: GeometryData, x: Multivector, beta: int, half: float) -> tuple:
+    """The sandwich x gamma_beta x and ``half`` times its grade-1 part, a stress 1-form."""
+    pm = gd.metric
+    sandwich = pm.clifford(x, pm.clifford(_lowered_basis(gd, beta), x))
+    return sandwich, half * grade_project(sandwich, 1)
+
+
 def energy_momentum_em(gd: GeometryData, F: Multivector, beta: int) -> EnergyMomentum:
     """Electromagnetic stress 1-form T_beta = -1/2 <F gamma_beta F>_1 and its dual."""
     if F.grades(tol=0.0) - {2}:
         raise FieldError("energy_momentum_em expects a 2-form field strength")
-    pm = gd.metric
-    sandwich = pm.clifford(F, pm.clifford(_lowered_basis(gd, beta), F))
-    closure = grade_project(sandwich, 3).sup()
-    t_form = -0.5 * grade_project(sandwich, 1)
-    return EnergyMomentum(t_form, pm.hodge(t_form), closure)
+    sandwich, t_form = _sandwich_oneform(gd, F, beta, -0.5)
+    return EnergyMomentum(t_form, gd.metric.hodge(t_form), grade_project(sandwich, 3).sup())
 
 
 def energy_momentum_fluid(gd: GeometryData, J: Multivector, alpha: int) -> EnergyMomentum:
@@ -296,10 +303,9 @@ def energy_momentum_fluid(gd: GeometryData, J: Multivector, alpha: int) -> Energ
     if J.grades(tol=0.0) - {1}:
         raise FieldError("energy_momentum_fluid expects a 1-form current")
     pm = gd.metric
-    basis = _lowered_basis(gd, alpha)
-    sandwich = pm.clifford(J, pm.clifford(basis, J))
+    sandwich, t_form = _sandwich_oneform(gd, J, alpha, 0.5)
     closure = grade_project(sandwich, 3).sup()
-    t_form = 0.5 * grade_project(sandwich, 1)
+    basis = _lowered_basis(gd, alpha)
     star_t = pm.hodge(t_form)
     star_j = pm.hodge(J)
     alt = 0.5 * (
@@ -323,9 +329,9 @@ def _einstein(ctx: BlockContext) -> tuple:
     worst = 0.0
     for alpha in range(4):
         g_form = Multivector.oneform(einstein_lower[..., alpha, :])
-        em = energy_momentum_em(gd, F, alpha)
-        fluid = energy_momentum_fluid(gd, J, alpha)
-        worst = np.maximum(worst, (g_form + em.oneform + fluid.oneform).sup())  # keeps a NaN
+        em = _sandwich_oneform(gd, F, alpha, -0.5)[1]  # energy_momentum_em(...).oneform
+        fluid = _sandwich_oneform(gd, J, alpha, 0.5)[1]  # energy_momentum_fluid(...).oneform
+        worst = np.maximum(worst, (g_form + em + fluid).sup())  # keeps a NaN
     j_sq = pm.scalar_product(J, J)
     residuals = {
         "einstein_eq": worst,
@@ -543,29 +549,6 @@ def _per_point(ctx: BlockContext, check: Check) -> list:
              {key: _at(v, i) for key, v in info.items()}) for i in ctx.lanes]
 
 
-def _point_record(ctx: BlockContext, check: Check, tol: float, point: tuple) -> PointRecord:
-    """The record of ``check`` at the one point of ``ctx``; an error it raises is the point's."""
-    try:
-        ((residuals, info),) = _per_point(ctx, check)
-    except CliffcheckError as err:
-        return PointRecord(point, {}, {}, str(err), False)
-    return _record(point, tol, residuals, info)
-
-
-def _run_point(spec: MetricSpec, pt, checks: Sequence[Check], tols: Sequence[float],
-               fields: dict, constants: Constants, draw, jet: Callable) -> list:
-    """The records of ``checks`` at one point alone, computing its curvature here.
-
-    A curvature error is the error of every record.
-    """
-    point = tuple(pt)
-    try:
-        ctx = BlockContext(curvature(spec, pt, jet=jet), fields, constants, draw, jet)
-    except CliffcheckError as err:
-        return [PointRecord(point, {}, {}, str(err), False) for _ in checks]
-    return [_point_record(ctx, check, tol, point) for check, tol in zip(checks, tols)]
-
-
 def run_pointwise(
     spec: MetricSpec,
     pts: Sequence,
@@ -582,45 +565,28 @@ def run_pointwise(
     ``pts`` are the block's N points, points ``first:first + N`` of the chunk
     whose jets are ``jets``; ``draws`` are their (N, 3, 16) random inputs of
     ``sandwich_identities``, or None.  The block's geometry is computed here
-    and each check runs once on the whole block.  Every point then gets what
-    it gets alone: a point the block's geometry rejects is computed alone
-    (:func:`_run_point`), and a check that raises on the block, such as a
-    field expression outside its domain at one point, runs again at each
-    point alone.  Returns every point's records, point by point.
+    and each check runs once on the whole block.  Every point gets what it
+    gets alone: a point the geometry rejects gets its geometry error, and
+    otherwise a check's point gets the error of the first field whose jets
+    that check reads there, if any.  Returns every point's records, point by
+    point.
     """
     stop = first + len(pts)
     points = [tuple(pt) for pt in pts]
     with np.errstate(all="ignore"):  # non-finite values become point errors in _record
         gd = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
         ctx = BlockContext(gd, fields, constants, draws, jets.block(first, stop))
-        accepted = [i for i in ctx.lanes if gd.ok[i]]
-        alone: dict = {}  # point -> its one-point context, built on first use
-
-        def point_ctx(i: int) -> BlockContext:
-            if i not in alone:
-                draw = None if draws is None else draws[i]
-                alone[i] = BlockContext(gd.lane(i), fields, constants, draw, jets.at(first + i))
-            return alone[i]
-
-        rows = {i: [] for i in accepted}
+        rows = []
         for check, tol in zip(checks, tols):
-            try:
-                results = _per_point(ctx, check)
-            except CliffcheckError:
-                for i in accepted:
-                    rows[i].append(_point_record(point_ctx(i), check, tol, points[i]))
-            else:
-                for i in accepted:
-                    rows[i].append(_record(points[i], tol, *results[i]))
-        records = []
-        for i in ctx.lanes:
-            if gd.ok[i]:
-                records += rows[i]
-            else:
-                draw = None if draws is None else draws[i]
-                records += _run_point(spec, pts[i], checks, tols, fields, constants, draw,
-                                      jets.at(first + i))
-    return PointResult(records)
+            ctx.asked.clear()
+            results = _per_point(ctx, check)
+            errors = dict(gd.errors)
+            for fc in ctx.asked:
+                for k, err in fc.jets.errors.items():
+                    errors.setdefault(k, err)
+            rows.append([PointRecord(points[i], {}, {}, str(errors[i]), False) if i in errors
+                         else _record(points[i], tol, *results[i]) for i in ctx.lanes])
+    return PointResult([row[i] for i in ctx.lanes for row in rows])
 
 
 def run_checks(

@@ -18,10 +18,12 @@ Conventions (validated by the commutator unit tests):
 :func:`metric_at` and :func:`curvature` take one point, shape (4,), or a
 block of N points, shape (N, 4), as :func:`cliffcheck.expr.evaluate_jet2`
 does, and a block puts N first on every array, the point metrics and their
-product tables included.  A block raises no point's error: its ``ok`` marks
-the points that raise nothing alone, each of which is bitwise equal to the
-point alone (:meth:`GeometryData.lane`), and a rejected point is evaluated
-alone to get its error.  The one-point path is the reference for blocks.
+product tables included.  One code serves both: each check records, per
+point, whether it fails and the numbers its message needs, and one
+function formats the message.  One point raises the error of the first
+check it fails; a block raises nothing and keeps that error for each
+rejected point in ``errors``, and every other point is bitwise equal to
+the point alone.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from . import blades
 from . import expr as ex
 from .algebra import Multivector, PointMetric
-from .errors import ExprError, GeometryError, SingularMetricError
+from .errors import ExprError, GeometryError, SingularMetricError, point_errors
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class MetricJets:
     values: np.ndarray  # (4,4)
     dg: np.ndarray  # (4,4,4): dg[s, m, n] = d_s g_{mn}
     ddg: np.ndarray  # (4,4,4,4): ddg[s, r, m, n] = d_s d_r g_{mn}
-    ok: bool | np.ndarray = True  # of a block: the points metric_at accepts
+    errors: dict  # of a block: each point metric_at rejects -> the error it raises alone
 
 
 @dataclass
@@ -107,7 +109,7 @@ class GeometryData:
     ricci: np.ndarray
     scalar: float
     metric: PointMetric
-    ok: bool | np.ndarray = True  # of a block: the points curvature accepts
+    errors: dict = field(default_factory=dict)  # of a block: each point curvature rejects -> its error
 
     @cached_property
     def _mixed_ricci(self) -> np.ndarray:
@@ -115,14 +117,15 @@ class GeometryData:
 
     @cached_property
     def ricci_oneforms(self) -> tuple:
-        """The 4 Multivectors R^mu_nu gamma^nu (one point)."""
-        return tuple(Multivector.oneform(self._mixed_ricci[mu]) for mu in range(4))
+        """The 4 Multivectors R^mu_nu gamma^nu."""
+        return tuple(Multivector.oneform(self._mixed_ricci[..., mu, :]) for mu in range(4))
 
     @cached_property
     def einstein_oneforms(self) -> tuple:
-        """The 4 Multivectors G^mu_nu gamma^nu (one point)."""
-        einstein_mixed = self._mixed_ricci - 0.5 * self.scalar * np.eye(4)
-        return tuple(Multivector.oneform(einstein_mixed[mu]) for mu in range(4))
+        """The 4 Multivectors G^mu_nu gamma^nu."""
+        half_scalar = np.asarray(0.5 * self.scalar)[..., np.newaxis, np.newaxis]
+        einstein_mixed = self._mixed_ricci - half_scalar * np.eye(4)
+        return tuple(Multivector.oneform(einstein_mixed[..., mu, :]) for mu in range(4))
 
     # -- operators of the connection, shared by every field's FieldCalculus --------
 
@@ -141,23 +144,6 @@ class GeometryData:
         """d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn}."""
         return -np.einsum("...ma,...sab,...bn->...smn", self.g_upper, self.dg, self.g_upper)
 
-    def lane(self, i: int) -> "GeometryData":
-        """Point ``i`` of a block, as a one-point bundle that shares the block's arrays."""
-        return GeometryData(
-            spec=self.spec,
-            point=self.point[i],
-            g_lower=self.g_lower[i],
-            g_upper=self.g_upper[i],
-            sqrt_abs_det=float(self.sqrt_abs_det[i]),
-            dg=self.dg[i],
-            gamma=self.gamma[i],
-            dgamma=self.dgamma[i],
-            riemann=self.riemann[i],
-            ricci=self.ricci[i],
-            scalar=float(self.scalar[i]),
-            metric=self.metric.lane(i),
-        )
-
 
 _FLAT = np.diag([1.0, -1.0, -1.0, -1.0])  # stands in for a block point metric_at rejects
 
@@ -167,14 +153,15 @@ def metric_at(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
 
     ``x`` is one point, shape (4,), or a block of N points, shape (N, 4), as
     in :func:`cliffcheck.expr.evaluate_jet2`.  ``jet(e)`` is the jet of
-    component ``e`` at ``x`` (for example one lane or a block of lanes of an
+    component ``e`` at ``x`` (for example a block of an
     :class:`~cliffcheck.expr.ChunkJets`); by default it is evaluated here.
 
     One point raises :class:`SingularMetricError` when its metric cannot be
-    evaluated or is singular or not Lorentzian.  A block raises nothing:
-    ``jets.ok`` marks the points that raise nothing alone, here or in
-    :class:`PointMetric`, and every other point holds the flat metric with
-    zero derivatives.  Each accepted point is bitwise the point alone.
+    evaluated or is singular or not Lorentzian, and :class:`PointMetric`'s
+    errors.  A block raises nothing: ``jets.errors`` maps each point that
+    fails to the error it raises alone, and a point rejected here holds the
+    flat metric with zero derivatives.  Each other point is bitwise the
+    point alone.
     """
     x = np.asarray(x, dtype=float)
     lanes = x.shape[:-1]
@@ -183,36 +170,42 @@ def metric_at(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
     values = np.zeros(lanes + (4, 4))
     dg = np.zeros(lanes + (4, 4, 4))
     ddg = np.zeros(lanes + (4, 4, 4, 4))
-    evaluable = True
-    try:
-        for i in range(4):
-            for j in range(i, 4):
+    causes: dict = {}  # point -> the error of its first component that cannot be evaluated
+    for i in range(4):
+        for j in range(i, 4):
+            try:
                 jij = jet(spec.g_lower[i][j])
-                values[..., i, j] = values[..., j, i] = jij.val
-                dg[..., :, i, j] = dg[..., :, j, i] = jij.grad
-                ddg[..., :, :, i, j] = ddg[..., :, :, j, i] = jij.hess
-    except ExprError as err:
-        if not lanes:
-            raise SingularMetricError(
-                f"metric of '{spec.name}' not evaluable at {_point_text(x)}: {err}"
-            ) from err
-        evaluable = False
+            except ExprError as err:  # one point raises it at once
+                raise _metric_error(spec, x, 0, None, err) from err
+            for k, err in jij.errors.items():
+                causes.setdefault(k, err)
+            values[..., i, j] = values[..., j, i] = jij.val
+            dg[..., :, i, j] = dg[..., :, j, i] = jij.grad
+            ddg[..., :, :, i, j] = ddg[..., :, :, j, i] = jij.hess
+    points = x.reshape(-1, 4)
     det = np.linalg.det(values)
-    if lanes:
-        ok = evaluable & np.isfinite(det) & (np.abs(det) >= 1e-14) & (det < 0.0)
-        values[~ok], dg[~ok], ddg[~ok] = _FLAT, 0.0, 0.0
-        pm = PointMetric(np.linalg.inv(values), _ginv=values)
-        return pm, MetricJets(values, dg, ddg, ok & pm.ok)
-    if not np.isfinite(det) or abs(det) < 1e-14:
-        raise SingularMetricError(
-            f"metric of '{spec.name}' is singular at {_point_text(x)} (det={det:.3e})"
-        )
-    if det >= 0.0:
-        raise SingularMetricError(
-            f"metric of '{spec.name}' is not Lorentzian at {_point_text(x)} (det={det:.3e})"
-        )
-    pm = PointMetric.from_tangent_metric(values)
-    return pm, MetricJets(values, dg, ddg)
+    fails = [np.array([k in causes for k in range(len(points))]).reshape(lanes),
+             ~np.isfinite(det) | (np.abs(det) < 1e-14), det >= 0.0]
+    errors = point_errors(
+        fails, lambda k, check: _metric_error(spec, points[k], check, det.flat[k], causes.get(k)))
+    rejected = fails[0] | fails[1] | fails[2]
+    values[rejected], dg[rejected], ddg[rejected] = _FLAT, 0.0, 0.0
+    pm = PointMetric(np.linalg.inv(values), _ginv=values)
+    return pm, MetricJets(values, dg, ddg, {**pm.errors, **errors})
+
+
+def _metric_error(spec: MetricSpec, x: np.ndarray, check: int, det: float, cause) -> SingularMetricError:
+    """The error of a point that fails :func:`metric_at`'s ``check``.
+
+    The checks, in order: 0 the components evaluate (``cause`` is the first
+    error), 1 a nonsingular metric, 2 Lorentzian signature (``det``).
+    """
+    at = _point_text(x)
+    if check == 0:
+        return SingularMetricError(f"metric of '{spec.name}' not evaluable at {at}: {cause}")
+    if check == 1:
+        return SingularMetricError(f"metric of '{spec.name}' is singular at {at} (det={det:.3e})")
+    return SingularMetricError(f"metric of '{spec.name}' is not Lorentzian at {at} (det={det:.3e})")
 
 
 def _point_text(x: np.ndarray) -> str:
@@ -247,10 +240,9 @@ def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True,
     """Evaluate the full geometry bundle at ``x``; ``x`` and ``jet`` as in :func:`metric_at`.
 
     One point raises the first error it meets.  A block of N points gives a
-    bundle with N first on every array and raises nothing: ``ok`` marks the
-    points that raise nothing alone, and :meth:`GeometryData.lane` gives
-    each of those, bitwise equal to the point alone.  A rejected point must
-    be evaluated alone to get its error.
+    bundle with N first on every array and raises nothing: ``errors`` maps
+    each point it rejects to the error that point raises alone, and every
+    other point is bitwise equal to the point alone.
     """
     x = np.asarray(x, dtype=float)
     pm, jets = metric_at(spec, x, jet)
@@ -280,18 +272,18 @@ def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True,
         ricci=ricci,
         scalar=float(scalar) if scalar.ndim == 0 else scalar,
         metric=pm,
-        ok=jets.ok,
+        errors=jets.errors,
     )
     if validate:
-        gd.ok = gd.ok & _validate(gd)
+        gd.errors = {**_validate(gd), **gd.errors}  # a metric error comes first
     return gd
 
 
-def _validate(gd: GeometryData):
+def _validate(gd: GeometryData) -> dict:
     """Five identities of the bundle, each within its bound.
 
     One point raises :class:`GeometryError` at the first bound exceeded; a
-    block returns the mask of points within all five.
+    block returns that error for each point that exceeds a bound.
     """
     lanes = gd.riemann.shape[:-4]
 
@@ -319,12 +311,10 @@ def _validate(gd: GeometryData):
          1e-11 * np.maximum(1.0, sup(gamma))),
         ("metric compatibility", sup(compat), 1e-11 * np.maximum(1.0, sup(gd.dg))),
     )
-    if lanes:
-        return np.logical_and.reduce([value <= bound for _, value, bound in bounds])
-    for name, value, bound in bounds:
-        if value > bound:
-            raise GeometryError(f"{name} violated ({value:.3e})")
-    return True
+    return point_errors(
+        [value > bound for _, value, bound in bounds],
+        lambda k, check: GeometryError(f"{bounds[check][0]} violated ({np.ravel(bounds[check][1])[k]:.3e})"),
+    )
 
 
 def volume_form(gd: GeometryData) -> Multivector:

@@ -7,7 +7,16 @@ sign tables or recursion with the package under test.
 
 from __future__ import annotations
 
+import math
+from typing import Mapping, Sequence
+
 import numpy as np
+
+from cliffcheck.errors import DomainEvalError, UnboundIdentifierError
+from cliffcheck.expr import (
+    _MATH_ERRORS, Add, Call, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, _range_error,
+    _small_int_exponent, serialize,
+)
 
 
 def sort_sign(seq) -> int:
@@ -198,3 +207,84 @@ def random_lorentzian_cotangent(rng: np.random.Generator, spread: float = 0.4) -
         L = np.eye(4) + spread * rng.standard_normal((4, 4))
         if abs(np.linalg.det(L)) > 0.2:
             return L @ eta @ L.T
+
+
+# -- expression values -----------------------------------------------------------
+
+
+def evaluate(
+    e: Expr,
+    coords: Sequence[str],
+    point: Sequence[float],
+    params: Mapping[str, float] | None = None,
+) -> float:
+    """Expression value at one point over plain floats; bit-identical to ``evaluate_jet2(...).val``."""
+    names: dict = {}
+    for axis, name in enumerate(coords):
+        names[name] = float(point[axis])
+    for name, value in (params or {}).items():
+        names[name] = float(value)
+    return _eval_value(e, names, frozenset(coords))
+
+
+def _eval_value(e: Expr, names: Mapping[str, float], coord_names: frozenset) -> float:
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            return names[e.name]
+        except KeyError:
+            raise UnboundIdentifierError(
+                f"identifier '{e.name}' is neither a coordinate nor a parameter"
+            ) from None
+    if isinstance(e, Neg):
+        return -_eval_value(e.arg, names, coord_names)
+    if isinstance(e, Add):
+        return _eval_value(e.left, names, coord_names) + _eval_value(e.right, names, coord_names)
+    if isinstance(e, Sub):
+        return _eval_value(e.left, names, coord_names) - _eval_value(e.right, names, coord_names)
+    if isinstance(e, Mul):
+        return _eval_value(e.left, names, coord_names) * _eval_value(e.right, names, coord_names)
+    if isinstance(e, Div):
+        denom = _eval_value(e.right, names, coord_names)
+        if denom == 0.0:
+            raise DomainEvalError("division by zero", serialize(e))
+        return _eval_value(e.left, names, coord_names) / denom
+    if isinstance(e, Pow):
+        return _value_pow(_eval_value(e.left, names, coord_names), _eval_value(e.right, names, coord_names),
+                          e.right, coord_names, e)
+    if isinstance(e, Call):
+        if e.func == "pow":
+            return _value_pow(_eval_value(e.args[0], names, coord_names), _eval_value(e.args[1], names, coord_names),
+                              e.args[1], coord_names, e)
+        v = _eval_value(e.args[0], names, coord_names)
+        if e.func == "log" and v <= 0.0:
+            raise DomainEvalError("log of non-positive value", serialize(e))
+        if e.func == "sqrt" and v < 0.0:
+            raise DomainEvalError("sqrt of negative value", serialize(e))
+        try:
+            return getattr(math, e.func)(v)
+        except _MATH_ERRORS as err:
+            raise _range_error(err, e) from None
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _value_pow(base: float, expo: float, expo_node: Expr, coord_names: frozenset, site: Expr) -> float:
+    n = _small_int_exponent(expo, expo_node, coord_names)
+    if n is not None:
+        if n == 0:
+            return 1.0
+        out = base
+        for _ in range(abs(n) - 1):
+            out = out * base
+        if n < 0:
+            if out == 0.0:
+                raise DomainEvalError("division by zero", serialize(site))
+            return 1.0 / out
+        return out
+    if base <= 0.0:
+        raise DomainEvalError("power with non-integer exponent requires positive base", serialize(site))
+    try:
+        return math.exp(expo * math.log(base))
+    except (OverflowError, ZeroDivisionError) as err:
+        raise _range_error(err, site) from None

@@ -444,32 +444,34 @@ def _block_of_awkward_metrics(rng):
 
 
 def _alone(g, require_lorentzian):
+    """The metric built alone, or the error it raises as "<class>: <message>"."""
     try:
         return PointMetric(g, require_lorentzian=require_lorentzian)
-    except (ValueError, DegenerateMetricError, SignatureError):
-        return None
+    except (ValueError, DegenerateMetricError, SignatureError) as err:
+        return f"{type(err).__name__}: {err}"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det")  # the NaN metric
 @pytest.mark.parametrize("require_lorentzian", [True, False])
 def test_point_metric_block_lanes_equal_each_metric_alone(rng, require_lorentzian):
-    # a block raises nothing: ok marks the metrics that raise nothing alone,
-    # and each of those is bitwise the metric alone, tables included
+    # a block raises nothing: errors holds the error each rejected metric
+    # raises alone, and every other metric is bitwise the metric alone,
+    # tables included
     gs = _block_of_awkward_metrics(rng)
     block = PointMetric(gs, require_lorentzian=require_lorentzian)
-    assert block.g.shape == gs.shape and block.ok.shape == (len(gs),)
+    assert block.g.shape == gs.shape
     alone = [_alone(g, require_lorentzian) for g in gs]
-    assert list(block.ok) == [m is not None for m in alone]
-    assert sum(block.ok) == 13 + (not require_lorentzian) * 2
+    assert {i: f"{type(err).__name__}: {err}" for i, err in block.errors.items()} == {
+        i: m for i, m in enumerate(alone) if isinstance(m, str)}
+    assert len(gs) - len(block.errors) == 13 + (not require_lorentzian) * 2
     for i, m in enumerate(alone):
-        if m is None:
+        if isinstance(m, str):
             continue
-        lane = block.lane(i)
         for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian"):
-            assert np.asarray(getattr(lane, name)).tobytes() == np.asarray(getattr(m, name)).tobytes()
-        assert lane.tables.keys() == m.tables.keys()
+            assert np.asarray(getattr(block, name))[i].tobytes() == np.asarray(getattr(m, name)).tobytes()
+        assert block.tables.keys() == m.tables.keys()
         for key, table in m.tables.items():
-            assert lane.tables[key].tobytes() == table.tobytes(), key
+            assert block.tables[key][i].tobytes() == table.tobytes(), key
 
 
 def test_volume_form_squares_to_signature_sign(rng):

@@ -474,7 +474,7 @@ def test_block_operator_lanes_equal_each_point_alone_bitwise(key):
     rng = np.random.default_rng(29)
     points = np.array([[rng.uniform(*box[c]) for c in spec.coords] for _ in range(7)])
     block = geo.curvature(spec, points)
-    assert block.ok.all()
+    assert block.errors == {}
     lanes = operator_outputs(block)
     for i, pt in enumerate(points):
         for got, want in zip(lanes, operator_outputs(geo.curvature(spec, pt))):
@@ -482,11 +482,16 @@ def test_block_operator_lanes_equal_each_point_alone_bitwise(key):
             assert got[i].tobytes() == want.tobytes()
 
 
-def test_block_field_error_is_raised_for_the_block():
-    # one point of the block is outside the field's domain: the block raises
-    # that point's error, and fieldcheck then evaluates each point alone
+def test_block_field_error_is_kept_for_its_point():
+    # one point of the block is outside the field's domain: the block keeps
+    # that point's error and zero jets there, and the other point is bitwise
+    # the point alone
     points = np.array([(0.1, 0.5, 0.2, 0.3), (0.2, -0.5, 0.1, 0.0)])
     field = MultivectorField.from_components({"t": "sqrt(x)"}, MINK.coords)
+    fc = FieldCalculus(field, geo.curvature(MINK, points))
+    assert {k: str(err) for k, err in fc.jets.errors.items()} == {1: "sqrt of negative value in 'sqrt(x)'"}
+    assert not (fc.jets.vals[1].any() or fc.jets.grads[1].any() or fc.jets.hess[1].any())
     with pytest.raises(DomainEvalError, match="sqrt of negative value in 'sqrt\\(x\\)'"):
-        FieldCalculus(field, geo.curvature(MINK, points)).value()
-    assert FieldCalculus(field, geo.curvature(MINK, points[0])).value().sup() > 0.0
+        FieldCalculus(field, geo.curvature(MINK, points[1])).value()
+    alone = FieldCalculus(field, geo.curvature(MINK, points[0])).value()
+    assert alone.sup() > 0.0 and fc.value().coeffs[0].tobytes() == alone.coeffs.tobytes()

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffcheck import diffops
 from cliffcheck import expr as ex
 from cliffcheck import fieldcheck as fch
 from cliffcheck import geometry as geo
 from cliffcheck.algebra import Multivector, grade_project
 from cliffcheck.diffops import FieldCalculus, MultivectorField
-from cliffcheck.errors import FieldError
+from cliffcheck.errors import CliffcheckError, FieldError
 
 from test_geometry import BLOCK_CASES, MIXED, MIXED_ERRORS, mixed_points
 
@@ -280,15 +281,16 @@ def test_einstein_schwarzschild_vacuum():
 
 def test_einstein_nan_for_one_index_is_a_point_error(monkeypatch):
     # the worst structure-equation residual over the four indices keeps a NaN
-    real = fch.energy_momentum_em
+    # (here in the electromagnetic stress 1-form of index 2)
+    real = fch._sandwich_oneform
 
-    def nan_at_index_2(gd, F, beta):
-        em = real(gd, F, beta)
-        if beta != 2:
-            return em
-        return fch.EnergyMomentum(em.oneform * np.nan, em.threeform, em.closure_residual)
+    def nan_at_index_2(gd, x, beta, half):
+        sandwich, t_form = real(gd, x, beta, half)
+        if (beta, half) != (2, -0.5):
+            return sandwich, t_form
+        return sandwich, t_form * np.nan
 
-    monkeypatch.setattr(fch, "energy_momentum_em", nan_at_index_2)
+    monkeypatch.setattr(fch, "_sandwich_oneform", nan_at_index_2)
     A = field({"x": "t*y"}, MINK)
     report = run_check("einstein", MINK, fch.ScenarioFields(A=A), MINK_PTS, 1e-8)
     assert [r.error for r in report.records] == ["non-finite residual 'einstein_eq'"] * 3
@@ -565,7 +567,7 @@ def test_block_checks_equal_each_point_alone_bitwise(key, potential):
     fields = block_fields(spec, potential)
     constants = fch.Constants(e=0.7, m=1.3)
     block = fch.BlockContext(geo.curvature(spec, points), fields, constants, draws, None)
-    assert block.gd.ok.all()
+    assert block.gd.errors == {}
     alone = [fch.BlockContext(geo.curvature(spec, pt), fields, constants, draws[i], None)
              for i, pt in enumerate(points)]
     checks = list(fch.CHECKS.values()) if potential else [fch.CHECKS["sandwich_identities"]]
@@ -608,9 +610,32 @@ def test_block_size_does_not_change_report_bytes(monkeypatch, block):
     assert "log of non-positive value" in default
 
 
+def records_alone(spec, fields, names, tols, pt) -> list:
+    """The records of checks ``names`` at ``pt`` from the one-point code (no block axis).
+
+    An error the geometry raises is every record's; an error a check raises
+    is that check's record.
+    """
+    by_name = {"K": fields.K, "S": fields.S, "V": fields.V, "potential": fields.potential()}
+    point = tuple(pt)
+    try:
+        ctx = fch.BlockContext(geo.curvature(spec, pt), by_name, fields.constants, None, None)
+    except CliffcheckError as err:
+        return [fch.PointRecord(point, {}, {}, str(err), False) for _ in names]
+    records = []
+    for name, tol in zip(names, tols):
+        try:
+            ((residuals, info),) = fch._per_point(ctx, fch.CHECKS[name])
+        except CliffcheckError as err:
+            records.append(fch.PointRecord(point, {}, {}, str(err), False))
+        else:
+            records.append(fch._record(point, tol, residuals, info))
+    return records
+
+
 def test_field_error_at_one_point_leaves_the_others_bitwise():
-    # sqrt(x+1) fails at point 5 only: the block raises, every check then runs
-    # at each point alone, and the other points keep their block results
+    # sqrt(x+1) fails at point 5 only: that point gets the error it raises
+    # alone, and the other points keep the results they get without it
     K = field({"t": "sqrt(x+1)", "x": "t*y"}, MINK)
     fields = fch.ScenarioFields(K=K)
     names = [n for n, c in fch.CHECKS.items() if set(c.needs) <= {"K", "potential"}]
@@ -619,9 +644,7 @@ def test_field_error_at_one_point_leaves_the_others_bitwise():
     points[5] = (0.1, -2.0, 0.3, 0.4)
     reports = fch.run_checks(MINK, fields, names, points, tols)
     good = fch.run_checks(MINK, fields, names, points[:5] + points[6:], tols)
-    by_name = {"K": K, "S": None, "V": None, "potential": K}
-    alone = fch._run_point(MINK, points[5], [fch.CHECKS[n] for n in names], tols, by_name,
-                           fields.constants, None, ex.point_jets(MINK.coords, points[5]))
+    alone = records_alone(MINK, fields, names, tols, points[5])
     for report, clean, record in zip(reports, good, alone):
         assert report.records[5].error.startswith("sqrt of negative value in 'sqrt(x + 1.0)'")
         assert record_json(report.records[5]) == record_json(record)
@@ -673,3 +696,84 @@ def test_block_stress_forms_and_sandwich_links_equal_each_point_alone(key):
     for i, pt in enumerate(points):
         for got, want in zip(lanes, stress_outputs(geo.curvature(spec, pt))):
             assert got[i].tobytes() == want.tobytes()
+
+
+# -- points with two failures, and no point computed twice ------------------------------
+
+
+def two_failure_reports() -> list:
+    """Reports of small Minkowski blocks in which one point fails twice, per case.
+
+    Fields S = log(t), A = 1/x dx and V = sqrt(y) dt + log(y+0.9) dz: at the
+    second point S and A fail, at the third A and both components of V.
+    The metric has g_tz = 0*log(z) and g_xx = -1 - 0*sqrt(y): at its second
+    point both fail.
+    """
+    S = field({"1": "log(t)"}, MINK)
+    A = field({"x": "1/x"}, MINK)
+    V = field({"t": "sqrt(y)", "z": "log(y+0.9)"}, MINK)
+    points = [(1.0, 0.5, 0.5, 0.0), (-1.0, 0.0, 0.5, 0.0), (1.0, 0.0, -1.0, 0.0), (1.2, 0.5, 0.5, 0.3)]
+    names = ["hamilton_jacobi", "lorentz_force"]
+    reports = fch.run_checks(MINK, fch.ScenarioFields(A=A, S=S, V=V), names, points, [1e-8] * 2)
+    rows = [["1", "0", "0", "0*log(z)"], ["0", "-1-0*sqrt(y)", "0", "0"], ["0", "0", "-1", "0"],
+            ["0*log(z)", "0", "0", "-1"]]
+    spec = geo.MetricSpec.from_strings(MINK.coords, rows, name="two-bad")
+    points = [(0.1, 0.2, 0.3, 0.4), (0.1, 0.2, -0.3, -0.4), (0.2, 0.1, 0.5, 0.6)]
+    return reports + fch.run_checks(spec, fch.ScenarioFields(K=field({"t": "1"}, spec)), ["killing"],
+                                    points, [1e-8])
+
+
+# sha256 of the JSON of two_failure_reports, computed with the one-point fallback
+# (each failing point recomputed alone) before rejections became per-point data
+TWO_FAILURE_REPORTS_SHA256 = "5c194d234b0e860420f7ce7f8a0349a881f46f7c8efd06638850456d95842547"
+
+
+def test_a_point_failing_twice_gets_the_error_it_gets_alone():
+    reports = two_failure_reports()
+    errors = [[r.error for r in report.records] for report in reports]
+    assert errors[0][1:3] == ["log of non-positive value in 'log(t)'", "division by zero in '1.0/x'"]
+    assert errors[1][1:3] == ["division by zero in '1.0/x'", "sqrt of negative value in 'sqrt(y)'"]
+    assert errors[2][1] == ("metric of 'two-bad' not evaluable at (0.1, 0.2, -0.3, -0.4): "
+                            "log of non-positive value in 'log(z)'")
+    digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+    assert digest == TWO_FAILURE_REPORTS_SHA256
+
+
+def test_bad_points_are_not_computed_again_alone(monkeypatch):
+    # 48 points, ten checks; each block of 16 holds one point where S leaves
+    # its domain (log(t+q), q = 3) and one where the metric does (log(r-p),
+    # p = 5).  With p = 0 and q = 10 the same points are clean.  Both runs
+    # must make the same number of geometry, field-jet and expression-jet
+    # calls: a point that fails is not computed again alone.
+    rows = [["1-2*M/r+0*log(r-p)", "0", "0", "0"], ["0", "-1/(1-2*M/r)", "0", "0"],
+            ["0", "0", "-r^2", "0"], ["0", "0", "0", "-r^2*sin(theta)^2"]]
+    coords = SCHW.coords
+    fields = fch.ScenarioFields(
+        K=field({"t": "1-2*M/r"}, SCHW),
+        S=field({"1": "t+1e-3*log(t+q)"}, SCHW),
+        V=field({"t": "sqrt(1-2*M/r)"}, SCHW),
+    )
+    rng = np.random.default_rng(35)
+    points = [tuple(p) for p in rng.uniform([-2.5, 6.0, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2], (48, 4))]
+    for first in (0, 16, 32):
+        points[first + 3] = (-3.5, 8.0, 1.0, 0.3)  # t + 3 < 0
+        points[first + 11] = (0.5, 4.0, 1.0, 0.3)  # r - 5 < 0
+    names = list(fch.CHECKS)
+    calls = {}
+    for module, name in ((fch, "curvature"), (diffops, "field_jets"), (ex, "evaluate_jet2")):
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    def run(p, q):
+        calls.clear()
+        spec = geo.MetricSpec.from_strings(coords, rows, {"M": 1.0, "p": p, "q": q}, "schwarzschild")
+        reports = fch.run_checks(spec, fields, names, points, [1e-8] * len(names))
+        return dict(calls), sum(r.error is not None for report in reports for r in report.records)
+
+    bad_calls, bad_errors = run(5.0, 3.0)
+    clean_calls, clean_errors = run(0.0, 10.0)
+    assert (bad_errors, clean_errors) == (3 * len(names) + 3, 0)
+    assert bad_calls == clean_calls
+    assert clean_calls == {"curvature": 3, "field_jets": 9, "evaluate_jet2": 10 + 3}

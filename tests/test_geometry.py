@@ -32,7 +32,7 @@ def metric_values(spec, x):
     vals = np.zeros((4, 4))
     for i in range(4):
         for j in range(4):
-            vals[i, j] = ex.evaluate(spec.g_lower[i][j], spec.coords, x, spec.params)
+            vals[i, j] = oracles.evaluate(spec.g_lower[i][j], spec.coords, x, spec.params)
     return vals
 
 
@@ -318,17 +318,18 @@ def _bits(x) -> bytes:
     return np.asarray(x).tobytes()
 
 
-def assert_lane_is_the_point_alone(lane, alone):
+def assert_lane_is_the_point_alone(block, k, alone):
+    """Point ``k`` of the bundle ``block`` is bitwise the one-point bundle ``alone``."""
     for name in _BUNDLE:
-        assert _bits(getattr(lane, name)) == _bits(getattr(alone, name)), name
+        assert _bits(getattr(block, name)[k]) == _bits(getattr(alone, name)), name
     for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian"):
-        assert _bits(getattr(lane.metric, name)) == _bits(getattr(alone.metric, name)), name
-    assert lane.metric.tables.keys() == alone.metric.tables.keys()
+        assert _bits(getattr(block.metric, name)[k]) == _bits(getattr(alone.metric, name)), name
+    assert block.metric.tables.keys() == alone.metric.tables.keys()
     for key, table in alone.metric.tables.items():
-        assert _bits(lane.metric.tables[key]) == _bits(table), key
-    for got, want in zip(lane.ricci_oneforms + lane.einstein_oneforms,
+        assert _bits(block.metric.tables[key][k]) == _bits(table), key
+    for got, want in zip(block.ricci_oneforms + block.einstein_oneforms,
                          alone.ricci_oneforms + alone.einstein_oneforms):
-        assert _bits(got.coeffs) == _bits(want.coeffs)
+        assert _bits(got.coeffs[k]) == _bits(want.coeffs)
 
 
 @pytest.mark.parametrize("key", sorted(BLOCK_CASES))
@@ -340,10 +341,9 @@ def test_block_lanes_equal_each_point_alone_bitwise(key):
     jets = ex.ChunkJets(exprs, spec.coords, points, spec.params)
     for first in range(0, len(points), 16):
         block = geo.curvature(spec, points[first:first + 16], jet=jets.block(first, first + 16))
-        assert block.riemann.shape == (16, 4, 4, 4, 4) and block.ok.all()
+        assert block.riemann.shape == (16, 4, 4, 4, 4) and block.errors == {}
         for k in range(16):
-            alone = geo.curvature(spec, points[first + k], jet=jets.at(first + k))
-            assert_lane_is_the_point_alone(block.lane(k), alone)
+            assert_lane_is_the_point_alone(block, k, geo.curvature(spec, points[first + k]))
 
 
 MIXED = geo.MetricSpec.from_strings(
@@ -378,21 +378,20 @@ def test_block_rejects_exactly_the_points_that_raise_alone():
             geo.curvature(MIXED, points[k])
         assert str(err.value) == message
     # blocks of four: the first holds the singular point; the second the
-    # non-Lorentzian point and the point whose jets raise, so the chunk has
-    # no jets of g_yy and the second block cannot evaluate them either
+    # non-Lorentzian point and the point whose jet of g_yy fails
     exprs = [MIXED.g_lower[i][j] for i in range(4) for j in range(i, 4)]
     jets = ex.ChunkJets(exprs, MIXED.coords, points, MIXED.params)
-    oks = []
+    errors = {}
     for first in range(0, 10, 4):
         stop = min(first + 4, 10)
         pm, mjets = geo.metric_at(MIXED, points[first:stop], jet=jets.block(first, stop))
         block = geo.curvature(MIXED, points[first:stop], jet=jets.block(first, stop))
-        assert list(mjets.ok) == list(block.ok) == list(pm.ok & mjets.ok)
-        oks += list(block.ok)
-        for k in np.flatnonzero(block.ok):
-            alone = geo.curvature(MIXED, points[first + k], jet=jets.at(first + k))
-            assert_lane_is_the_point_alone(block.lane(k), alone)
-    assert oks == [True, True, False, True] + [False] * 4 + [True, True]
+        assert mjets.errors.keys() == block.errors.keys() and pm.errors.keys() <= mjets.errors.keys()
+        errors.update({first + k: str(err) for k, err in block.errors.items()})
+        for k in range(stop - first):
+            if k not in block.errors:
+                assert_lane_is_the_point_alone(block, k, geo.curvature(MIXED, points[first + k]))
+    assert errors == MIXED_ERRORS
 
 
 def test_block_rejects_what_the_point_metric_checks_and_validation_reject():
@@ -413,30 +412,47 @@ def test_block_rejects_what_the_point_metric_checks_and_validation_reject():
         geo.curvature(spec, points[4])
     _, jets = geo.metric_at(spec, points)
     block = geo.curvature(spec, points)
-    assert list(jets.ok) == [True, True, False, True, True, True]
-    assert list(block.ok) == [True, True, False, True, False, True]
+    assert {k: str(err) for k, err in jets.errors.items()} == {2: "metric inverse failed the identity check"}
+    assert {k: str(err) for k, err in block.errors.items()} == {
+        2: "metric inverse failed the identity check", 4: "metric compatibility violated (1.455e-11)"}
     for k in (0, 1, 3, 5):
-        assert_lane_is_the_point_alone(block.lane(k), geo.curvature(spec, points[k]))
+        assert_lane_is_the_point_alone(block, k, geo.curvature(spec, points[k]))
+
+
+def break_identity(gd, k, at=()):
+    """Break identity ``k`` (1-5, in ``_validate``'s order) of ``gd`` at block lane ``at``."""
+    if k == 1:
+        gd.riemann[at + (0, 1, 2, 3)] += 1.0
+    elif k == 2:  # antisymmetric, but not cyclic
+        gd.riemann[at + (0, 1, 2, 3)] += 1.0
+        gd.riemann[at + (0, 1, 3, 2)] -= 1.0
+    elif k == 3:
+        gd.ricci[at + (0, 1)] += 1.0
+    elif k == 4:
+        gd.gamma[at + (0, 1, 2)] += 1.0
+    else:
+        gd.dg[at + (0, 1, 1)] += 1.0
 
 
 def test_block_validation_matches_each_point_alone():
-    # break one identity in each of lanes 1..5; lane 0 stays intact
+    # break one identity in each of lanes 1..5, and the same one at that point
+    # alone; lane 0 stays intact
     spec = catalog_spec("schwarzschild")
     points = np.array([(0.1 * k, 4.0 + k, 1.0, 0.5) for k in range(6)])
     block = geo.curvature(spec, points, validate=False)
-    block.riemann[1, 0, 1, 2, 3] += 1.0
-    block.riemann[2, 0, 1, 2, 3] += 1.0  # antisymmetric, but not cyclic
-    block.riemann[2, 0, 1, 3, 2] -= 1.0
-    block.ricci[3, 0, 1] += 1.0
-    block.gamma[4, 0, 1, 2] += 1.0
-    block.dg[5, 0, 1, 1] += 1.0
-    assert list(geo._validate(block)) == [True, False, False, False, False, False]
+    for k in range(1, 6):
+        break_identity(block, k, (k,))
+    errors = geo._validate(block)
+    assert sorted(errors) == [1, 2, 3, 4, 5]
     broken = ("Riemann antisymmetry", "first Bianchi identity", "Ricci symmetry",
               "connection symmetry", "metric compatibility")
-    assert geo._validate(block.lane(0))
+    assert geo._validate(geo.curvature(spec, points[0], validate=False)) == {}
     for k, name in enumerate(broken, start=1):
-        with pytest.raises(GeometryError, match=f"^{name} violated"):
-            geo._validate(block.lane(k))
+        alone = geo.curvature(spec, points[k], validate=False)
+        break_identity(alone, k)
+        with pytest.raises(GeometryError, match=f"^{name} violated") as err:
+            geo._validate(alone)
+        assert str(errors[k]) == str(err.value)
 
 
 def test_lazy_oneforms_are_built_only_when_read():

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import importlib.util
 import io
 import json
@@ -504,3 +505,16 @@ def test_traced_verify_records_every_required_span(tmp_path, workload):
     assert code == op.expected_exit
     assert set(wl.required_spans) <= tracer.present
     tracing.check_required(tracer, wl.required_spans)
+
+
+def test_every_traced_target_exists():
+    # the tracer reports a target it cannot find as absent and leaves its
+    # per-layer metrics out; a renamed method or function would drop them
+    # without a failure, so every target must resolve
+    tracing = _perfbench_module("tracing")
+    for _, module_name, path in tracing.TARGETS:
+        importlib.import_module(module_name)
+        assert tracing._resolve(module_name, path) is not None, f"{module_name}.{path}"
+    # the tracer patches curvature where fieldcheck binds it by name
+    from cliffcheck import fieldcheck, geometry
+    assert fieldcheck.curvature is geometry.curvature

@@ -1,9 +1,10 @@
 """Pointwise Clifford algebra of the cotangent space.
 
 The coefficient layout follows :mod:`cliffcheck.blades`: 16 reals indexed by
-blade mask.  All metric-dependent products are driven by per-metric tables,
-built by :func:`build_tables` for a stack of metrics at once and once per
-:class:`PointMetric` as the stack of one:
+blade mask.  All metric-dependent products are driven by per-metric tables.
+:func:`build_tables` gives them for a stack of metrics at once, each table
+built the first time it is read and never again; a :class:`PointMetric` reads
+its own as the stack of one, or of its block:
 
 * left multiplication by a single covector is the operator
   ``L[i] = C[i] + W[i]`` (interior + exterior part),
@@ -23,6 +24,8 @@ tangent metric whose determinant fixes signature and volume normalization.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -223,10 +226,10 @@ class PointMetric:
     metric raises the error of the first check it fails.  A block, the same
     code with N first on every attribute, raises nothing: ``errors`` maps
     each metric that fails to that error, and every other metric is bitwise
-    that metric alone.  The block's tables are built once, for all of its
-    metrics.  The product methods of a block take block :class:`Multivector`
-    operands, one row per metric, and give one result per metric, each
-    bitwise that metric's alone.
+    that metric alone.  Each table (:attr:`tables`) is built the first time
+    it is read, once for all the block's metrics.  The product methods of a
+    block take block :class:`Multivector` operands, one row per metric, and
+    give one result per metric, each bitwise that metric's alone.
     """
 
     __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "errors", "_tables")
@@ -257,30 +260,32 @@ class PointMetric:
         if g.ndim == 2:
             sqrt_abs_det, sign_det = float(sqrt_abs_det), float(sign_det)
         _set_slots(self, g=_readonly(g), ginv=_readonly(ginv), sqrt_abs_det=sqrt_abs_det,
-                   sign_det=sign_det, lorentzian=det_tan < 0.0, errors=errors, _tables=None)
+                   sign_det=sign_det, lorentzian=det_tan < 0.0, errors=errors, _tables={})
 
     def __setattr__(self, name, value):
         raise AttributeError("PointMetric is immutable")
 
     # -- tables ------------------------------------------------------------
 
-    def _build_tables(self) -> dict:
-        """The tables of this metric, or of every metric of a block (N first)."""
-        one = self.g.ndim == 2
-        if one:  # the stack of one
-            stack = build_tables(self.g[np.newaxis], np.array([self.sqrt_abs_det]),
-                                 np.array([self.sign_det]))
-        else:
-            stack = build_tables(self.g, self.sqrt_abs_det, self.sign_det)
-        # left multiplication by the coordinate bivectors gamma^a ^ gamma^b
-        stack["B2"] = stack["M"][:, blades.BIVECTOR_MASK] * blades.BIVECTOR_SIGN[:, :, np.newaxis, np.newaxis]
-        return {key: value[0] for key, value in stack.items()} if one else stack
+    def _build_tables(self, key: str) -> np.ndarray:
+        """Build table ``key``, and the tables it needs, for this metric or its block.
+
+        :attr:`tables` calls it when ``key`` is read and not built yet; it
+        returns the table with N first, the stack of one for one metric.
+        """
+        if not self._tables:  # the first table read: one metric's are the stack of one
+            object.__setattr__(self, "_tables", build_tables(
+                self.g.reshape(-1, 4, 4), np.reshape(self.sqrt_abs_det, -1), np.reshape(self.sign_det, -1)))
+        return self._tables[key]
 
     @property
-    def tables(self) -> dict:
-        if self._tables is None:
-            object.__setattr__(self, "_tables", self._build_tables())
-        return self._tables
+    def tables(self) -> Mapping:
+        """The product tables of :func:`build_tables` by name, N first for a block.
+
+        Each table is built the first time it is read; iterating gives the
+        tables built so far.
+        """
+        return _MetricTables(self)
 
     def contraction_ops(self) -> np.ndarray:
         """Stack of the four single-covector interior-product operators."""
@@ -321,11 +326,39 @@ class PointMetric:
         return Multivector.from_mask(blades.FULL_MASK, self.sqrt_abs_det)
 
 
+class _MetricTables(Mapping):
+    """:attr:`PointMetric.tables`: a miss goes to ``PointMetric._build_tables``.
+
+    A new view per read of the attribute: it holds the metric and the metric
+    holds only the tables, so no reference cycle keeps a block's tables alive.
+    """
+
+    __slots__ = ("_metric",)
+
+    def __init__(self, metric: PointMetric):
+        self._metric = metric
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        metric = self._metric
+        table = metric._tables[key] if key in metric._tables else metric._build_tables(key)
+        return table[0] if metric.g.ndim == 2 else table
+
+    def __contains__(self, key) -> bool:
+        return key in self._metric._tables
+
+    def __iter__(self):
+        return iter(self._metric._tables)
+
+    def __len__(self) -> int:
+        return len(self._metric._tables)
+
+
 def build_tables(g, sqrt_abs_det, sign_det) -> dict:
     """Product tables of a stack of N cotangent metrics, N first on every table.
 
     ``g`` is (N, 4, 4); ``sqrt_abs_det`` and ``sign_det`` are (N,) and fix
-    each metric's volume form as in :class:`PointMetric`.  The tables:
+    each metric's volume form as in :class:`PointMetric`.  The tables, by
+    name (:data:`TABLE_NAMES`):
 
     * ``C``, ``L`` (N, 4, 16, 16): interior product by, and left Clifford
       multiplication by, the covector gamma^i;
@@ -334,49 +367,145 @@ def build_tables(g, sqrt_abs_det, sign_det) -> dict:
     * ``SP`` (N, 16, 16): scalar products between blades;
     * ``tau`` (N, 16): the unit volume form;
     * ``H`` (N, 16, 16): the Hodge star, ``star(A) = H @ A``, and
-      ``Hinv_scale`` (N, 16): the per-blade signs of its inverse.
+      ``Hinv_scale`` (N, 16): the per-blade signs of its inverse;
+    * ``B2`` (N, 4, 4, 16, 16): left Clifford multiplication by the
+      coordinate bivectors gamma^a ^ gamma^b (zero for a = b).
 
-    Every operation acts on each metric separately (a stacked matmul is one
-    product per metric), so table n is bitwise the table of metric n built
-    alone; :meth:`PointMetric._build_tables` is the stack of one.
+    The returned dict starts empty and builds a table the first time it is
+    read, together with the tables it needs, so its keys are the tables built
+    so far; nothing is built twice.  Every operation acts on each metric
+    separately (a stacked matmul is one product per metric), so table n is
+    bitwise the table of metric n built alone; :class:`PointMetric` builds
+    the stack of one, or of its block.
     """
-    g = np.asarray(g, dtype=float)
-    count = g.shape[0]
-    n = blades.N_BLADES
-    # single-covector interior products and left multiplications
-    C = np.einsum("nij,jkl->nikl", g, blades.CONTRACT_STRUCT)
-    L = C + blades.WEDGE_OP
+    return _Tables(g, sqrt_abs_det, sign_det)
 
-    # blade left-multiplication operators by peeling the lowest covector,
-    #   gamma^M X = gamma^i (gamma^rest X) - (gamma^i _| gamma^rest) X,
-    # and left-contraction operators by composing interior products; one
-    # grade at a time, since each grade reads only lower ones
+
+class _Tables(dict):
+    """The dict of :func:`build_tables`: a table missing on read is built and kept."""
+
+    __slots__ = ("g", "sqrt_abs_det", "sign_det")
+
+    def __init__(self, g, sqrt_abs_det, sign_det):
+        super().__init__()
+        self.g = np.asarray(g, dtype=float)
+        self.sqrt_abs_det, self.sign_det = sqrt_abs_det, sign_det
+
+    def __missing__(self, key):
+        if key not in _BUILDERS:
+            raise KeyError(key)
+        table = self[key] = _BUILDERS[key](self)
+        return table
+
+
+# Blade left-multiplication operators come from peeling the lowest covector,
+#   gamma^M X = gamma^i (gamma^rest X) - (gamma^i _| gamma^rest) X,
+# and left-contraction operators from composing interior products; one grade
+# at a time, since each grade reads only lower ones.  The grade-2 step is all
+# that B2 needs, and M continues from it.
+
+_G2_MASKS, _G2_LOWEST, _G2_REST = blades.PEEL_STEPS[0]
+_G2_COVECTOR = np.searchsorted(blades.COVECTOR_MASKS, _G2_REST)  # the j of rest = gamma^j
+_DIAG = np.arange(blades.N_BLADES)
+_B2_BLOCK = np.searchsorted(blades.MASKS_BY_GRADE[2], blades.BIVECTOR_MASK)  # B2[a, b]'s grade-2 block
+
+
+def _grade2(t: _Tables) -> np.ndarray:
+    """(N, 6, 16, 16): left multiplication by the grade-2 blades, in mask order.
+
+    The grade-2 peel step runs once per stack: M and B2 both hold its
+    result, so whichever is built second reads it from the first.
+    """
+    if "M" in t:
+        return t["M"][:, _G2_MASKS]
+    if "B2" in t:
+        return t["B2"][:, _G2_LOWEST, _G2_COVECTOR]  # gamma^i ^ gamma^j with i < j: sign +1
+    return _peel_grade2(t["C"], t["L"])
+
+
+def _peel_grade2(C: np.ndarray, L: np.ndarray) -> np.ndarray:
+    grade2 = np.empty((C.shape[0], len(_G2_LOWEST), blades.N_BLADES, blades.N_BLADES))
+    # gamma^i ^ gamma^j = gamma^i gamma^j - gamma^i _| gamma^j, a multiple of the unit;
+    # one product per blade, so no gathered copy of L is made
+    for k, (i, j) in enumerate(zip(_G2_LOWEST, _G2_COVECTOR)):
+        np.matmul(L[:, i], L[:, j], out=grade2[:, k])
+    grade2[..., _DIAG, _DIAG] -= C[:, _G2_LOWEST, 0, _G2_REST][..., np.newaxis]
+    return grade2
+
+
+def _blade_left(t: _Tables) -> np.ndarray:
+    C, L = t["C"], t["L"]
+    count, n = C.shape[0], blades.N_BLADES
     M = np.zeros((count, n, n, n))  # blades not yet built enter with weight 0
-    K = np.zeros((count, n, n, n))
-    M[:, 0] = K[:, 0] = _EYE16
+    M[:, 0] = _EYE16
     M[:, list(blades.MASKS_BY_GRADE[1])] = L
-    K[:, list(blades.MASKS_BY_GRADE[1])] = C
+    M[:, _G2_MASKS] = _grade2(t)
     flat = M.reshape(count, 1, n, n * n)
-    for masks, lowest, rest in blades.PEEL_STEPS:
+    for masks, lowest, rest in blades.PEEL_STEPS[1:]:
         # coefficients of gamma^i _| gamma^rest, shape (N, blades of the grade, 1, 16)
         corr = C[:, lowest, :, rest].transpose(1, 0, 2)[:, :, np.newaxis, :]
         M[:, masks] = L[:, lowest] @ M[:, rest] - (corr @ flat).reshape(count, len(masks), n, n)
-        K[:, masks] = C[:, lowest] @ K[:, rest]
+    return M
 
+
+def _blade_contract(t: _Tables) -> np.ndarray:
+    C = t["C"]
+    count, n = C.shape[0], blades.N_BLADES
+    K = np.zeros((count, n, n, n))
+    K[:, 0] = _EYE16
+    K[:, list(blades.MASKS_BY_GRADE[1])] = C
+    for masks, lowest, rest in blades.PEEL_STEPS:
+        K[:, masks] = C[:, lowest] @ K[:, rest]
+    return K
+
+
+def _bivector_left(t: _Tables) -> np.ndarray:
+    grade2 = _grade2(t)
+    B2 = np.zeros((grade2.shape[0], blades.DIM, blades.DIM) + grade2.shape[2:])  # zero for a = b
+    for a, b in zip(*np.nonzero(blades.BIVECTOR_SIGN)):  # gamma^a ^ gamma^b = sign * blade
+        np.multiply(grade2[:, _B2_BLOCK[a, b]], blades.BIVECTOR_SIGN[a, b], out=B2[:, a, b])
+    return B2
+
+
+def _scalar_products(t: _Tables) -> np.ndarray:
     # Gram-determinant scalar products between equal-grade blades,
     # batched per grade for speed
-    SP = np.zeros((count, n, n))
+    g, n = t.g, blades.N_BLADES
+    SP = np.zeros((g.shape[0], n, n))
     SP[:, 0, 0] = 1.0
     for k in range(1, 5):
         amasks, bmasks, rows, cols = blades.GRAM_PAIRS[k]
         SP[:, amasks, bmasks] = np.linalg.det(g[:, rows, cols])
+    return SP
 
-    tau = np.zeros((count, n))
-    tau[:, blades.FULL_MASK] = sqrt_abs_det
-    # Hodge matrix: star(A) = H @ A with H[:, m] = rev_sign(m) * (gamma^m _| tau)
-    H = np.einsum("nikj,nj->nki", K, tau) * blades.REVERSE_SIGN
-    inv_scale = np.multiply.outer(sign_det, (-1.0) ** (blades.GRADE * (4 - blades.GRADE)))
-    return {"C": C, "L": L, "M": M, "K": K, "SP": SP, "tau": tau, "H": H, "Hinv_scale": inv_scale}
+
+def _volume_form(t: _Tables) -> np.ndarray:
+    tau = np.zeros((t.g.shape[0], blades.N_BLADES))
+    tau[:, blades.FULL_MASK] = t.sqrt_abs_det
+    return tau
+
+
+def _hodge(t: _Tables) -> np.ndarray:
+    # star(A) = H @ A with H[:, m] = rev_sign(m) * (gamma^m _| tau)
+    return np.einsum("nikj,nj->nki", t["K"], t["tau"]) * blades.REVERSE_SIGN
+
+
+def _hodge_inv_scale(t: _Tables) -> np.ndarray:
+    return np.multiply.outer(t.sign_det, (-1.0) ** (blades.GRADE * (4 - blades.GRADE)))
+
+
+_BUILDERS = {
+    "C": lambda t: np.einsum("nij,jkl->nikl", t.g, blades.CONTRACT_STRUCT),
+    "L": lambda t: t["C"] + blades.WEDGE_OP,
+    "M": _blade_left,
+    "K": _blade_contract,
+    "SP": _scalar_products,
+    "tau": _volume_form,
+    "H": _hodge,
+    "Hinv_scale": _hodge_inv_scale,
+    "B2": _bivector_left,
+}
+TABLE_NAMES = tuple(_BUILDERS)  # every table build_tables and PointMetric.tables give
 
 
 # -- products on coefficient rows, one metric's tables per row -----------------

@@ -525,28 +525,44 @@ def _plain(values: dict) -> dict:
             for key, v in values.items()}
 
 
-def _nonfinite(value) -> bool:
-    items = value if isinstance(value, list) else (value,)
-    return any(isinstance(x, float) and not math.isfinite(x) for x in items)
-
-
-def _record(point: tuple, tol: float, residuals: dict, info: dict) -> PointRecord:
-    """A point's record; a non-finite residual or info value is a point error."""
+def _first_nonfinite(residuals: dict, info: dict) -> str | None:
+    """One point's error: its first non-finite value, residuals before info."""
     for kind, values in (("residual", residuals), ("info", info)):
         for key, value in values.items():
-            if _nonfinite(value):
-                return PointRecord(point, {}, {}, f"non-finite {kind} '{key}'", False)
+            items = value if isinstance(value, list) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+                return f"non-finite {kind} '{key}'"
+    return None
+
+
+def _record(point: tuple, tol: float, residuals: dict, info: dict, error: str | None) -> PointRecord:
+    """A point's record; ``error``, a non-finite residual or info value, is a point error."""
+    if error is not None:
+        return PointRecord(point, {}, {}, error, False)
     return PointRecord(point, residuals, info, None, all(v <= tol for v in residuals.values()))
 
 
 def _per_point(ctx: BlockContext, check: Check) -> list:
-    """``check`` on ``ctx``, as one ``(residuals, info)`` per point of ``ctx.lanes``."""
+    """``check`` on ``ctx``, as one ``(residuals, info, error)`` per point of ``ctx.lanes``.
+
+    ``error`` names the point's first non-finite value, residuals before
+    info and each in key order, or is None.
+    """
     out = check.fn(ctx)
     if isinstance(out, list):  # already one pair per point
-        return [(_plain(residuals), _plain(info)) for residuals, info in out]
+        pairs = [(_plain(residuals), _plain(info)) for residuals, info in out]
+        return [(residuals, info, _first_nonfinite(residuals, info)) for residuals, info in pairs]
+    # one finiteness test per key over the whole block, before the values become lists
+    errors = [None] * len(ctx.lanes)
+    for kind, values in (("residual", out[0]), ("info", out[1])):
+        for key, value in values.items():
+            finite = np.isfinite(np.reshape(value, (len(errors), -1))).all(axis=1)
+            for k in np.flatnonzero(~finite):
+                errors[k] = errors[k] or f"non-finite {kind} '{key}'"
     residuals, info = _plain(out[0]), _plain(out[1])  # a block's arrays become lists once
     return [({key: _at(v, i) for key, v in residuals.items()},
-             {key: _at(v, i) for key, v in info.items()}) for i in ctx.lanes]
+             {key: _at(v, i) for key, v in info.items()},
+             error) for i, error in zip(ctx.lanes, errors)]
 
 
 def run_pointwise(
@@ -573,7 +589,7 @@ def run_pointwise(
     """
     stop = first + len(pts)
     points = [tuple(pt) for pt in pts]
-    with np.errstate(all="ignore"):  # non-finite values become point errors in _record
+    with np.errstate(all="ignore"):  # non-finite values become point errors in _per_point
         gd = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
         ctx = BlockContext(gd, fields, constants, draws, jets.block(first, stop))
         rows = []

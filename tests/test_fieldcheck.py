@@ -548,7 +548,7 @@ def block_fields(spec, potential=True) -> dict:
 
 
 def plain_results(ctx, check) -> list:
-    """The check's per-point residuals and info as report JSON: equal text is equal bits."""
+    """The check's per-point residuals, info and error as report JSON: equal text is equal bits."""
     return [json.dumps(pair) for pair in fch._per_point(ctx, check)]
 
 
@@ -576,6 +576,35 @@ def test_block_checks_equal_each_point_alone_bitwise(key, potential):
         assert len(lanes) == len(points)
         for i, ctx in enumerate(alone):
             assert lanes[i] == plain_results(ctx, check)[0], (check.name, i)
+
+
+def test_nonfinite_values_are_point_errors_lane_by_lane(monkeypatch):
+    # one lane with a NaN residual, one with an inf info entry, one with both;
+    # each gets the message of its first non-finite value, residuals before
+    # info and keys in order, and the other lanes keep their values
+    def fake(ctx):
+        x = ctx.gd.point[:, 1]
+        a, b, y = np.abs(x) * 1e-9, x * x, x + 1.0
+        current = np.stack([x, 2.0 * x, 3.0 * x, 4.0 * x], axis=1)
+        b[1] = np.nan
+        current[3, 2] = np.inf
+        a[5] = y[5] = np.nan
+        current[7, 0], y[7] = -np.inf, np.nan
+        a[11], b[11], current[11, 1] = np.inf, np.nan, np.nan
+        return {"a": a, "b": b}, {"current": current, "y": y}
+
+    monkeypatch.setitem(fch.CHECKS, "killing", fch.Check("killing", ("K",), (), fake))
+    points = [tuple(p) for p in np.random.default_rng(35).uniform(-2.0, 2.0, size=(16, 4))]
+    (report,) = fch.run_checks(MINK, fch.ScenarioFields(K=field({"t": "1"}, MINK)), ["killing"],
+                               points, [1.0])
+    errors = {k: r.error for k, r in enumerate(report.records) if r.error is not None}
+    assert errors == {1: "non-finite residual 'b'", 3: "non-finite info 'current'",
+                      5: "non-finite residual 'a'", 7: "non-finite info 'current'",
+                      11: "non-finite residual 'a'"}
+    assert {r.passed for r in report.records if r.error is None} == {True, False}
+    # the records of the value-by-value test these replaced
+    digest = hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest()
+    assert digest == "79ab7d13b29ca272e581b8d43e8cc2b164da2cd10852fa68d472663be3095c70"
 
 
 def schwarzschild_mixed_points(count: int) -> list:
@@ -625,11 +654,11 @@ def records_alone(spec, fields, names, tols, pt) -> list:
     records = []
     for name, tol in zip(names, tols):
         try:
-            ((residuals, info),) = fch._per_point(ctx, fch.CHECKS[name])
+            (values,) = fch._per_point(ctx, fch.CHECKS[name])
         except CliffcheckError as err:
             records.append(fch.PointRecord(point, {}, {}, str(err), False))
         else:
-            records.append(fch._record(point, tol, residuals, info))
+            records.append(fch._record(point, tol, *values))
     return records
 
 

@@ -1,0 +1,162 @@
+"""The product tables are built one at a time, when first read, and equal the eager build."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from cliffcheck import algebra, blades, selftest
+from cliffcheck import fieldcheck as fch
+from cliffcheck import geometry as geo
+from cliffcheck.algebra import TABLE_NAMES, PointMetric
+from cliffcheck.diffops import MultivectorField
+
+SCHW = geo.build_metric("schwarzschild", {"M": 1.0})
+
+
+def eager_tables(g, sqrt_abs_det, sign_det) -> dict:
+    """Every table of a stack of metrics at once: the reference the lazy tables must equal.
+
+    This is the eager build the lazy one replaced, kept operation for
+    operation, so equal bytes mean the same arithmetic.
+    """
+    g = np.asarray(g, dtype=float)
+    count = g.shape[0]
+    n = blades.N_BLADES
+    eye = np.eye(n)
+    C = np.einsum("nij,jkl->nikl", g, blades.CONTRACT_STRUCT)
+    L = C + blades.WEDGE_OP
+    M = np.zeros((count, n, n, n))
+    K = np.zeros((count, n, n, n))
+    M[:, 0] = K[:, 0] = eye
+    M[:, list(blades.MASKS_BY_GRADE[1])] = L
+    K[:, list(blades.MASKS_BY_GRADE[1])] = C
+    flat = M.reshape(count, 1, n, n * n)
+    for masks, lowest, rest in blades.PEEL_STEPS:
+        corr = C[:, lowest, :, rest].transpose(1, 0, 2)[:, :, np.newaxis, :]
+        M[:, masks] = L[:, lowest] @ M[:, rest] - (corr @ flat).reshape(count, len(masks), n, n)
+        K[:, masks] = C[:, lowest] @ K[:, rest]
+    SP = np.zeros((count, n, n))
+    SP[:, 0, 0] = 1.0
+    for k in range(1, 5):
+        amasks, bmasks, rows, cols = blades.GRAM_PAIRS[k]
+        SP[:, amasks, bmasks] = np.linalg.det(g[:, rows, cols])
+    tau = np.zeros((count, n))
+    tau[:, blades.FULL_MASK] = sqrt_abs_det
+    H = np.einsum("nikj,nj->nki", K, tau) * blades.REVERSE_SIGN
+    inv_scale = np.multiply.outer(sign_det, (-1.0) ** (blades.GRADE * (4 - blades.GRADE)))
+    B2 = M[:, blades.BIVECTOR_MASK] * blades.BIVECTOR_SIGN[:, :, np.newaxis, np.newaxis]
+    return {"C": C, "L": L, "M": M, "K": K, "SP": SP, "tau": tau, "H": H, "Hinv_scale": inv_scale,
+            "B2": B2}
+
+
+def _metrics(lorentzian: bool) -> np.ndarray:
+    """16 cotangent metrics: random Lorentzian ones, or random symmetric ones of any
+    signature with exact zeros, negative zeros and a diagonal metric among them."""
+    rng = np.random.default_rng(41 + lorentzian)
+    if lorentzian:
+        return np.array([selftest.random_lorentzian_metric(rng).g for _ in range(16)])
+    a = rng.normal(size=(16, 4, 4))
+    a[rng.random((16, 4, 4)) < 0.25] = 0.0
+    a[rng.random((16, 4, 4)) < 0.1] = -0.0
+    gs = np.where(np.triu(np.ones((4, 4), dtype=bool)), a, np.swapaxes(a, 1, 2))
+    gs[0] = np.diag([-2.0, 1.0, 0.5, 3.0])
+    return gs
+
+
+ORDERS = {"as-listed": TABLE_NAMES, "reversed": TABLE_NAMES[::-1]}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("lorentzian", [True, False], ids=["lorentzian", "any-signature"])
+@pytest.mark.parametrize("block", [True, False], ids=["block", "one"])
+def test_lazy_tables_equal_the_eager_build_bitwise(block, lorentzian, order):
+    gs = _metrics(lorentzian)
+    metric = PointMetric(gs if block else gs[0], require_lorentzian=lorentzian)
+    assert not metric.errors
+    stack = (metric.g, metric.sqrt_abs_det, metric.sign_det)
+    if not block:
+        stack = (metric.g[np.newaxis], np.array([metric.sqrt_abs_det]), np.array([metric.sign_det]))
+    want = eager_tables(*stack)
+    lazy = algebra.build_tables(*stack)
+    for key in ORDERS[order]:
+        got = metric.tables[key]
+        assert got.tobytes() == (want[key] if block else want[key][0]).tobytes(), key
+        assert lazy[key].tobytes() == want[key].tobytes(), key
+
+
+def _spy_on_misses(monkeypatch) -> list:
+    """Record each ``(metric, key)`` that PointMetric._build_tables is called with."""
+    calls = []
+    original = PointMetric._build_tables
+
+    def build(self, key):
+        calls.append((self, key))
+        return original(self, key)
+
+    monkeypatch.setattr(PointMetric, "_build_tables", build)
+    return calls
+
+
+def _run_one_block(names, fields) -> None:
+    points = [tuple(p) for p in np.random.default_rng(42).uniform([-3, 2.5, 0.35, 0], [3, 20, 2.8, 6.2],
+                                                                  size=(fch.BLOCK, 4))]
+    fch.run_checks(SCHW, fields, names, points, [1e-8] * len(names))
+
+
+def _killing_form() -> fch.ScenarioFields:
+    return fch.ScenarioFields(K=MultivectorField.from_components({"t": "1-2*M/r"}, SCHW.coords))
+
+
+def test_killing_identities_builds_only_what_it_reads(monkeypatch):
+    # delta K reads C and the Ricci operator reads B2; B2 is built from the
+    # grade-2 peel step, which reads L, so M, K, SP, tau and H are never built
+    calls = _spy_on_misses(monkeypatch)
+    _run_one_block(["killing_identities"], _killing_form())
+    assert sorted(key for _, key in calls) == ["B2", "C"]
+    (metric,) = {id(m): m for m, _ in calls}.values()
+    assert set(metric.tables) == {"C", "L", "B2"}
+
+
+def test_killing_builds_no_table(monkeypatch):
+    calls = _spy_on_misses(monkeypatch)
+    _run_one_block(["killing"], _killing_form())
+    assert calls == []
+
+
+def test_no_table_is_built_twice(monkeypatch):
+    builds = Counter()
+    kept = []  # every stack stays alive, so no id is reused
+
+    def counting(key, build):
+        def counted(tables):
+            kept.append(tables)
+            builds[id(tables), key] += 1
+            return build(tables)
+        return counted
+
+    for key, build in list(algebra._BUILDERS.items()):
+        monkeypatch.setitem(algebra._BUILDERS, key, counting(key, build))
+    grade2_steps = Counter()
+    peel = algebra._peel_grade2
+
+    def counted_peel(C, L):
+        grade2_steps[id(C)] += 1
+        return peel(C, L)
+
+    monkeypatch.setattr(algebra, "_peel_grade2", counted_peel)
+    calls = _spy_on_misses(monkeypatch)
+    s = SCHW.coords
+    fields = fch.ScenarioFields(K=_killing_form().K,
+                                S=MultivectorField.from_components({"1": f"{s[0]}*{s[1]}"}, s),
+                                V=MultivectorField.from_components({"t": "sqrt(1-2*M/r)"}, s))
+    _run_one_block(list(fch.CHECKS), fields)
+    assert len({id(m) for m, _ in calls}) == 1
+    # then every table, on fresh metrics, M or B2 first
+    for order in (*ORDERS.values(), ("B2", "M"), ("M", "B2")):
+        metric = PointMetric(_metrics(True))
+        for key in order + order:
+            metric.tables[key]
+    assert builds and set(builds.values()) == {1}
+    assert set(grade2_steps.values()) == {1}
+    assert len(calls) == len(set(calls))  # a miss is never repeated for one metric

@@ -392,9 +392,7 @@ class _Tables(dict):
         self.sqrt_abs_det, self.sign_det = sqrt_abs_det, sign_det
 
     def __missing__(self, key):
-        if key not in _BUILDERS:
-            raise KeyError(key)
-        table = self[key] = _BUILDERS[key](self)
+        table = self[key] = _BUILDERS[key](self)  # an unknown key raises KeyError here
         return table
 
 

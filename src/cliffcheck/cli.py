@@ -7,6 +7,7 @@ validation or runtime errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import partial
 
@@ -29,6 +30,16 @@ _positive_int = partial(_int_at_least, 1)
 _seed = partial(_int_at_least, 0)  # numpy's default_rng takes no negative seed
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliffcheck",
@@ -40,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("scenario", help="path to a scenario JSON file")
     verify.add_argument("--report", metavar="OUT", help="write the JSON report here")
     verify.add_argument(
-        "--tol", type=float, metavar="X",
+        "--tol", type=_tolerance, metavar="X",
         help="override the default tolerance (per-check overrides still apply)",
     )
     verify.add_argument(

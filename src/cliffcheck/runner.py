@@ -7,16 +7,21 @@ column, missing required fields, out-of-domain sample points) before failing.
 
 Reports are fully deterministic: the same scenario and tool version produce
 byte-identical report files.  Wall time is kept on the in-memory
-:class:`Report` and printed to the console, never serialized.
+:class:`Report` and printed to the console, never serialized.  A report is
+written by :func:`json_text`, which gives ``json.dumps(..., indent=2)``'s
+bytes without its pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from typing import Mapping
 
 import jsonschema
@@ -76,7 +81,54 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json_text(self.to_dict()) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a tree of JSON values.
+
+    With an indent, CPython's json leaves its C encoder for a pure-Python
+    generator one; this writer joins strings instead.  It dispatches on the
+    exact type, so a value of any other type (a subclass of float, int or
+    str too) or a key that is not a str raises TypeError.  ``indent``
+    is the indentation of the line ``value`` starts on.
+    """
+    kind = type(value)
+    if kind is float:
+        text = _float_repr(value)
+        return _NONFINITE.get(text, text)
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {float}:
+            body = sep.join(map(_float_repr, value))
+            if "n" in body:  # only nan and inf have an "n" in their repr
+                body = sep.join([_NONFINITE.get(text, text) for text in map(_float_repr, value)])
+        else:
+            body = sep.join([json_text(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        body = sep.join([f"{_encode_str(key)}: {json_text(item, inner)}" for key, item in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _scenario_schema() -> dict:
@@ -97,23 +149,24 @@ def canonical_digest(raw: dict) -> str:
 def load_scenario(path) -> Scenario:
     """Parse and fully validate a scenario file, reporting every problem found."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as err:
         raise ScenarioValidationError([f"cannot read scenario: {err}"]) from err
+    except UnicodeDecodeError as err:
+        raise ScenarioValidationError([f"cannot read scenario: not UTF-8 text ({err})"]) from err
     except json.JSONDecodeError as err:
         raise ScenarioValidationError(
             [f"malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}"]
         ) from err
+    except ValueError as err:  # the int-to-str digit limit of json's int() call
+        raise ScenarioValidationError(
+            [f"malformed JSON: an integer literal has more than "
+             f"{sys.get_int_max_str_digits()} digits"]
+        ) from err
 
+    sample_points = _check_structure(raw)
     problems = []
-    validator = jsonschema.Draft202012Validator(_scenario_schema())
-    for error in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        where = ".".join(str(p) for p in error.absolute_path) or "<root>"
-        problems.append(f"{where}: {error.message}")
-    if problems:
-        raise ScenarioValidationError(problems)
-
     spec = _resolve_metric(raw["metric"], problems)
     constants = Constants(**raw.get("constants", {}))
     fields = _resolve_fields(raw.get("fields", {}), spec, constants, problems)
@@ -127,12 +180,15 @@ def load_scenario(path) -> Scenario:
             problems.extend(requirement_problems(name, fields))
 
     tolerances = dict(raw.get("tolerances", {}))
-    for name in tolerances:
+    for name, value in tolerances.items():
         if name != "default" and name not in CHECKS:
             problems.append(f"tolerances: unknown check '{name}'")
+        if not math.isfinite(value):
+            problems.append(f"tolerances.{name}: {value} is not a finite number")
 
-    seed = int(raw.get("samples", {}).get("random", {}).get("seed", 0))
-    points = _resolve_samples(raw.get("samples", {}), spec, problems) if spec else ()
+    samples = raw["samples"]
+    seed = int(samples.get("random", {}).get("seed", 0))
+    points = _resolve_samples(samples, sample_points, spec, problems) if spec else ()
     if problems:
         raise ScenarioValidationError(problems)
 
@@ -146,6 +202,59 @@ def load_scenario(path) -> Scenario:
         seed=seed,
         digest=canonical_digest(raw),
     )
+
+
+def _check_structure(raw) -> np.ndarray:
+    """Check ``raw`` against the scenario schema; return ``samples.points`` as an (n, 4) array.
+
+    The schema walks a document one value at a time, so a well-formed points
+    array (a list of 4-element lists of int and float; the schema's "number"
+    excludes bool) is checked here as one array and left out of the walk.
+    Any other points array goes through the schema with the rest, so the
+    problems are the schema's either way.  An integer too large for a float
+    is a problem too.  Raises ScenarioValidationError listing every problem.
+    """
+    samples = raw.get("samples") if type(raw) is dict else None
+    points = samples.get("points") if type(samples) is dict else None
+    document = raw
+    if _is_point_array(points):
+        document = {**raw, "samples": {**samples, "points": []}}
+    validator = jsonschema.Draft202012Validator(_scenario_schema())
+    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+    problems = [f"{_where(error.absolute_path)}: {error.message}" for error in errors]
+    if not problems:
+        try:
+            array = np.array(points or [], dtype=float).reshape(-1, 4)
+        except OverflowError:
+            document = raw  # name the point values that overflow too
+        problems = _unfloatable(document)
+    if problems:
+        raise ScenarioValidationError(problems)
+    return array
+
+
+def _is_point_array(points) -> bool:
+    """Whether ``points`` is a list of rows of four values, each an int or a float."""
+    return (type(points) is list and set(map(type, points)) <= {list}
+            and set(map(len, points)) <= {4}
+            and set(map(type, chain.from_iterable(points))) <= {int, float})
+
+
+def _where(path) -> str:
+    return ".".join(str(p) for p in path) or "<root>"
+
+
+def _unfloatable(value, path=()) -> list:
+    """A problem for each integer in ``value`` too large to convert to a float."""
+    kind = type(value)
+    if kind is int:
+        try:
+            float(value)
+        except OverflowError:
+            return [f"{_where(path)}: integer too large for a float"]
+        return []
+    items = value.items() if kind is dict else enumerate(value) if kind is list else ()
+    return [problem for key, item in items for problem in _unfloatable(item, (*path, key))]
 
 
 def _resolve_metric(block: dict, problems: list) -> MetricSpec | None:
@@ -231,18 +340,13 @@ def _resolve_fields(block: dict, spec, constants, problems: list):
         return None
 
 
-def _resolve_samples(block: dict, spec, problems: list) -> tuple:
+def _resolve_samples(block: dict, sample_points: np.ndarray, spec, problems: list) -> tuple:
     box = spec.domain_box()
-    points = []
-
-    def in_box(pt) -> bool:
-        return all(box[c][0] <= v <= box[c][1] for c, v in zip(spec.coords, pt))
-
-    for idx, pt in enumerate(block.get("points", [])):
-        pt = tuple(float(v) for v in pt)
-        if not in_box(pt):
-            problems.append(f"samples.points[{idx}]: {pt} outside the domain box {box}")
-        points.append(pt)
+    lo, hi = zip(*(_float_bounds(*box[c]) for c in spec.coords))
+    outside = ~((sample_points >= lo) & (sample_points <= hi)).all(axis=1)
+    points = list(map(tuple, sample_points.tolist()))
+    for idx in np.flatnonzero(outside).tolist():
+        problems.append(f"samples.points[{idx}]: {points[idx]} outside the domain box {box}")
 
     grid = block.get("grid")
     if grid:
@@ -280,6 +384,17 @@ def _resolve_samples(block: dict, spec, problems: list) -> tuple:
     if not points:
         problems.append("samples: no sample points resolved")
     return tuple(points)
+
+
+def _float_bounds(lo, hi) -> tuple:
+    """Float bounds that a float lies within exactly when it lies within ``[lo, hi]``.
+
+    An int bound no float holds is rounded inward, so the test keeps
+    Python's exact comparison of a float with an int.
+    """
+    flo, fhi = float(lo), float(hi)
+    return (flo if flo >= lo else math.nextafter(flo, math.inf),
+            fhi if fhi <= hi else math.nextafter(fhi, -math.inf))
 
 
 def run(

@@ -177,6 +177,70 @@ def test_digest_is_format_insensitive(tmp_path):
     assert canonical_digest(BASE) == load_scenario(a).digest
 
 
+def test_point_test_keeps_exact_comparison_with_int_bounds(tmp_path):
+    # 2**53 + 1 is no float: the bounds must not round outward to 2**53
+    lo, hi = 2**53 + 1, 2**53 + 3
+    body = dict(BASE)
+    body["metric"] = {
+        "coords": ["t", "x", "y", "z"],
+        "components": [["1", "0", "0", "0"], ["0", "-1", "0", "0"],
+                       ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+        "domain": {"t": [lo, hi], "x": [-1, 1], "y": [-1, 1], "z": [-1, 1]},
+    }
+    body["samples"] = {"points": [[2.0**53 + 2, 0, 0, 0], [2.0**53, 0, 0, 0]]}
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(write_scenario(tmp_path, body))
+    box = {"t": (lo, hi), "x": (-1, 1), "y": (-1, 1), "z": (-1, 1)}
+    assert err.value.problems == [
+        f"samples.points[1]: {(2.0**53, 0.0, 0.0, 0.0)} outside the domain box {box}"
+    ]
+
+
+HUGE = 10**400  # an integer no float holds
+
+
+@pytest.mark.parametrize("where, edit", [
+    ("samples.points.1.2", lambda b: b.update(samples={"points": [[0, 0, 0, 0], [0, 0, -HUGE, 0]]})),
+    ("metric.params.M", lambda b: b.update(metric={"builtin": "schwarzschild", "params": {"M": HUGE}},
+                                           fields={"K": {"t": "1-2*M/r"}})),
+    ("constants.coupling", lambda b: b.update(constants={"coupling": HUGE})),
+    ("tolerances.killing", lambda b: b.update(tolerances={"killing": HUGE})),
+])
+def test_integer_too_large_for_a_float_is_a_problem(tmp_path, where, edit):
+    body = json.loads(json.dumps(BASE))
+    edit(body)
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(write_scenario(tmp_path, body))
+    assert err.value.problems == [f"{where}: integer too large for a float"]
+
+
+def test_integer_literal_over_the_digit_limit_is_a_problem(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(BASE).replace("[[0.0, 0.0, 0.0, 0.0]]", f"[[{'1' * 5000}, 0, 0, 0]]"))
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(path)
+    assert err.value.problems == [
+        f"malformed JSON: an integer literal has more than {sys.get_int_max_str_digits()} digits"
+    ]
+
+
+def test_integers_stay_integers_in_the_digest(tmp_path):
+    body = dict(BASE, samples={"points": [[0, 1, -2, 2]]}, tolerances={"default": 1})
+    scenario = load_scenario(write_scenario(tmp_path, body))
+    assert scenario.digest == canonical_digest(body)
+    assert scenario.digest != canonical_digest(dict(body, samples={"points": [[0.0, 1.0, -2.0, 2.0]]}))
+    assert scenario.points == ((0.0, 1.0, -2.0, 2.0),)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_nonfinite_scenario_tolerance_is_a_problem(tmp_path, value):
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(BASE)[:-1] + f', "tolerances": {{"default": 1e-9, "killing": {value}}}}}')
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(path)
+    assert err.value.problems == [f"tolerances.killing: {float(value.lower())} is not a finite number"]
+
+
 # -- running ----------------------------------------------------------------------
 
 
@@ -371,6 +435,29 @@ def test_cli_negative_seed_is_a_usage_error(argv):
     assert "Traceback" not in proc.stderr
     assert "argument --seed: must be at least 0, got -1" in proc.stderr
     assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "0.0"])
+def test_cli_tolerance_must_be_finite_and_positive(tol):
+    proc = run_cli("verify", str(SCENARIOS / "minkowski_boost.json"), f"--tol={tol}")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"argument --tol: must be a finite number > 0, got {tol}" in proc.stderr
+    assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize("body, message", [
+    (b"\xff\xfe{}", "cannot read scenario: not UTF-8 text"),
+    (json.dumps(dict(BASE, tolerances={"default": HUGE})).encode(),
+     "tolerances.default: integer too large for a float"),
+])
+def test_cli_unreadable_scenario_values_exit_two(tmp_path, body, message):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(body)
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def strict_json(text):

@@ -1,10 +1,10 @@
 """Pointwise Clifford algebra of the cotangent space.
 
 The coefficient layout follows :mod:`cliffcheck.blades`: 16 reals indexed by
-blade mask.  All metric-dependent products are driven by per-metric tables.
-:func:`build_tables` gives them for a stack of metrics at once, each table
-built the first time it is read and never again; a :class:`PointMetric` reads
-its own as the stack of one, or of its block:
+blade mask.  All metric-dependent products are driven by per-metric tables,
+which a :class:`PointMetric` builds for its metric, or for its block of
+metrics at once, each the first time it is read (:class:`_Tables` lists
+them):
 
 * left multiplication by a single covector is the operator
   ``L[i] = C[i] + W[i]`` (interior + exterior part),
@@ -15,8 +15,8 @@ its own as the stack of one, or of its block:
 The products themselves (:func:`clifford_rows` and its siblings) act on
 (..., 16) coefficient rows against tables with the same leading axes, one
 metric per row: :class:`PointMetric`'s product methods are the case of one
-row and no leading axis, and the algebra selftest runs them on a chunk of
-metrics at once, so both run one implementation.
+row and no leading axis, and the algebra selftest runs them on the tables of
+a block :class:`PointMetric`, so both run one implementation.
 
 The metric handed to :class:`PointMetric` is the *cotangent* scalar product
 (the matrix of products of the coordinate covectors); its inverse is the
@@ -274,13 +274,13 @@ class PointMetric:
         returns the table with N first, the stack of one for one metric.
         """
         if not self._tables:  # the first table read: one metric's are the stack of one
-            object.__setattr__(self, "_tables", build_tables(
+            object.__setattr__(self, "_tables", _Tables(
                 self.g.reshape(-1, 4, 4), np.reshape(self.sqrt_abs_det, -1), np.reshape(self.sign_det, -1)))
         return self._tables[key]
 
     @property
     def tables(self) -> Mapping:
-        """The product tables of :func:`build_tables` by name, N first for a block.
+        """The product tables of :class:`_Tables` by name, N first for a block.
 
         Each table is built the first time it is read; iterating gives the
         tables built so far.
@@ -353,7 +353,7 @@ class _MetricTables(Mapping):
         return len(self._metric._tables)
 
 
-def build_tables(g, sqrt_abs_det, sign_det) -> dict:
+class _Tables(dict):
     """Product tables of a stack of N cotangent metrics, N first on every table.
 
     ``g`` is (N, 4, 4); ``sqrt_abs_det`` and ``sign_det`` are (N,) and fix
@@ -362,6 +362,8 @@ def build_tables(g, sqrt_abs_det, sign_det) -> dict:
 
     * ``C``, ``L`` (N, 4, 16, 16): interior product by, and left Clifford
       multiplication by, the covector gamma^i;
+    * ``G2`` (N, 6, 16, 16): left Clifford multiplication by the grade-2
+      blades, in mask order, which ``M`` and ``B2`` both read;
     * ``M`` (N, 16, 16, 16): left Clifford multiplication by each blade;
     * ``K`` (N, 16, 16, 16): left contraction by each blade;
     * ``SP`` (N, 16, 16): scalar products between blades;
@@ -371,18 +373,12 @@ def build_tables(g, sqrt_abs_det, sign_det) -> dict:
     * ``B2`` (N, 4, 4, 16, 16): left Clifford multiplication by the
       coordinate bivectors gamma^a ^ gamma^b (zero for a = b).
 
-    The returned dict starts empty and builds a table the first time it is
-    read, together with the tables it needs, so its keys are the tables built
-    so far; nothing is built twice.  Every operation acts on each metric
+    The dict starts empty and builds a table the first time it is read,
+    together with the tables it needs, so its keys are the tables built so
+    far; nothing is built twice.  Every operation acts on each metric
     separately (a stacked matmul is one product per metric), so table n is
-    bitwise the table of metric n built alone; :class:`PointMetric` builds
-    the stack of one, or of its block.
+    bitwise the table of metric n built alone.
     """
-    return _Tables(g, sqrt_abs_det, sign_det)
-
-
-class _Tables(dict):
-    """The dict of :func:`build_tables`: a table missing on read is built and kept."""
 
     __slots__ = ("g", "sqrt_abs_det", "sign_det")
 
@@ -399,8 +395,8 @@ class _Tables(dict):
 # Blade left-multiplication operators come from peeling the lowest covector,
 #   gamma^M X = gamma^i (gamma^rest X) - (gamma^i _| gamma^rest) X,
 # and left-contraction operators from composing interior products; one grade
-# at a time, since each grade reads only lower ones.  The grade-2 step is all
-# that B2 needs, and M continues from it.
+# at a time, since each grade reads only lower ones.  The grade-2 step (G2) is
+# all that B2 needs, and M continues from it.
 
 _G2_MASKS, _G2_LOWEST, _G2_REST = blades.PEEL_STEPS[0]
 _G2_COVECTOR = np.searchsorted(blades.COVECTOR_MASKS, _G2_REST)  # the j of rest = gamma^j
@@ -409,19 +405,8 @@ _B2_BLOCK = np.searchsorted(blades.MASKS_BY_GRADE[2], blades.BIVECTOR_MASK)  # B
 
 
 def _grade2(t: _Tables) -> np.ndarray:
-    """(N, 6, 16, 16): left multiplication by the grade-2 blades, in mask order.
-
-    The grade-2 peel step runs once per stack: M and B2 both hold its
-    result, so whichever is built second reads it from the first.
-    """
-    if "M" in t:
-        return t["M"][:, _G2_MASKS]
-    if "B2" in t:
-        return t["B2"][:, _G2_LOWEST, _G2_COVECTOR]  # gamma^i ^ gamma^j with i < j: sign +1
-    return _peel_grade2(t["C"], t["L"])
-
-
-def _peel_grade2(C: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """G2: left multiplication by the grade-2 blades, in mask order."""
+    C, L = t["C"], t["L"]
     grade2 = np.empty((C.shape[0], len(_G2_LOWEST), blades.N_BLADES, blades.N_BLADES))
     # gamma^i ^ gamma^j = gamma^i gamma^j - gamma^i _| gamma^j, a multiple of the unit;
     # one product per blade, so no gathered copy of L is made
@@ -437,7 +422,7 @@ def _blade_left(t: _Tables) -> np.ndarray:
     M = np.zeros((count, n, n, n))  # blades not yet built enter with weight 0
     M[:, 0] = _EYE16
     M[:, list(blades.MASKS_BY_GRADE[1])] = L
-    M[:, _G2_MASKS] = _grade2(t)
+    M[:, _G2_MASKS] = t["G2"]
     flat = M.reshape(count, 1, n, n * n)
     for masks, lowest, rest in blades.PEEL_STEPS[1:]:
         # coefficients of gamma^i _| gamma^rest, shape (N, blades of the grade, 1, 16)
@@ -458,7 +443,7 @@ def _blade_contract(t: _Tables) -> np.ndarray:
 
 
 def _bivector_left(t: _Tables) -> np.ndarray:
-    grade2 = _grade2(t)
+    grade2 = t["G2"]
     B2 = np.zeros((grade2.shape[0], blades.DIM, blades.DIM) + grade2.shape[2:])  # zero for a = b
     for a, b in zip(*np.nonzero(blades.BIVECTOR_SIGN)):  # gamma^a ^ gamma^b = sign * blade
         np.multiply(grade2[:, _B2_BLOCK[a, b]], blades.BIVECTOR_SIGN[a, b], out=B2[:, a, b])
@@ -495,6 +480,7 @@ def _hodge_inv_scale(t: _Tables) -> np.ndarray:
 _BUILDERS = {
     "C": lambda t: np.einsum("nij,jkl->nikl", t.g, blades.CONTRACT_STRUCT),
     "L": lambda t: t["C"] + blades.WEDGE_OP,
+    "G2": _grade2,
     "M": _blade_left,
     "K": _blade_contract,
     "SP": _scalar_products,
@@ -503,7 +489,7 @@ _BUILDERS = {
     "Hinv_scale": _hodge_inv_scale,
     "B2": _bivector_left,
 }
-TABLE_NAMES = tuple(_BUILDERS)  # every table build_tables and PointMetric.tables give
+TABLE_NAMES = tuple(_BUILDERS)  # every table PointMetric.tables gives
 
 
 # -- products on coefficient rows, one metric's tables per row -----------------

@@ -77,9 +77,6 @@ for _i in range(DIM):
         if not _m >> _i & 1:
             WEDGE_OP[_i, _m | 1 << _i, _m] = WEDGE_SIGN[1 << _i, _m]
 
-# WEDGE2_OP[a,b] @ x  ==  gamma^a ^ gamma^b ^ x  (used by the curvature operator)
-WEDGE2_OP = np.einsum("akl,blm->abkm", WEDGE_OP, WEDGE_OP)
-
 # Interior product by gamma^i is the antiderivation
 #   gamma^i _| (a_1^...^a_p) = sum_m (-1)^(m-1) g(gamma^i, a_m) a_1^..â_m..^a_p,
 # linear in the metric row g[i,:]:  C[i] = sum_j g[i,j] * CONTRACT_STRUCT[j].

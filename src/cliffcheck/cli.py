@@ -12,22 +12,25 @@ import sys
 from functools import partial
 
 from .errors import CliffcheckError, ScenarioValidationError
-from .runner import list_builtins, load_scenario, run
+from .runner import MAX_POINTS, list_builtins, load_scenario, run
 from .selftest import run_algebra_suite, run_diffops_suite
 
 
-def _int_at_least(low: int, text: str) -> int:
+def _int_between(low: int, high: float, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    if value > high:
+        raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
     return value
 
 
-_positive_int = partial(_int_at_least, 1)
-_seed = partial(_int_at_least, 0)  # numpy's default_rng takes no negative seed
+_positive_int = partial(_int_between, 1, math.inf)
+_point_count = partial(_int_between, 1, MAX_POINTS)
+_seed = partial(_int_between, 0, math.inf)  # numpy's default_rng takes no negative seed
 
 
 def _tolerance(text: str) -> float:
@@ -55,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override the default tolerance (per-check overrides still apply)",
     )
     verify.add_argument(
-        "--points", type=_positive_int, metavar="N",
+        "--points", type=_point_count, metavar="N",
         help="replace the scenario samples with N random in-domain points",
     )
     verify.add_argument(

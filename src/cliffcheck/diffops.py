@@ -318,37 +318,6 @@ class HodgeSquare:
         return self.second_order_route
 
 
-# -- convenience wrappers ------------------------------------------------------------
-
-
-def covariant_derivative(field: MultivectorField, alpha: int, gd: GeometryData) -> Multivector:
-    return FieldCalculus(field, gd).covariant_derivative(alpha)
-
-
-def dirac(field: MultivectorField, gd: GeometryData) -> Multivector:
-    return FieldCalculus(field, gd).dirac()
-
-
-def exterior_d(field: MultivectorField, gd: GeometryData) -> Multivector:
-    return FieldCalculus(field, gd).exterior_d()
-
-
-def codifferential(field: MultivectorField, gd: GeometryData) -> Multivector:
-    return FieldCalculus(field, gd).codifferential()
-
-
-def covariant_dalembertian(field: MultivectorField, gd: GeometryData) -> Multivector:
-    return FieldCalculus(field, gd).covariant_dalembertian()
-
-
-def ricci_operator(field: MultivectorField, gd: GeometryData) -> Multivector:
-    return FieldCalculus(field, gd).ricci_operator()
-
-
-def hodge_dalembertian(field: MultivectorField, gd: GeometryData) -> HodgeSquare:
-    return FieldCalculus(field, gd).hodge_dalembertian()
-
-
 def grad_scalar_product(ja: FieldJets, jb: FieldJets, gd: GeometryData) -> Multivector:
     """Gradient 1-form of the scalar field a . b, from the jets of grade-1 fields a and b.
 

@@ -235,8 +235,7 @@ def _christoffels_from_jets(g_upper: np.ndarray, jets: MetricJets) -> tuple:
     return gamma, dgamma
 
 
-def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True,
-              jet: Callable | None = None) -> GeometryData:
+def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None) -> GeometryData:
     """Evaluate the full geometry bundle at ``x``; ``x`` and ``jet`` as in :func:`metric_at`.
 
     One point raises the first error it meets.  A block of N points gives a
@@ -274,8 +273,7 @@ def curvature(spec: MetricSpec, x: Sequence[float], validate: bool = True,
         metric=pm,
         errors=jets.errors,
     )
-    if validate:
-        gd.errors = {**_validate(gd), **gd.errors}  # a metric error comes first
+    gd.errors = {**_validate(gd), **gd.errors}  # a metric error comes first
     return gd
 
 
@@ -315,10 +313,6 @@ def _validate(gd: GeometryData) -> dict:
         [value > bound for _, value, bound in bounds],
         lambda k, check: GeometryError(f"{bounds[check][0]} violated ({np.ravel(bounds[check][1])[k]:.3e})"),
     )
-
-
-def volume_form(gd: GeometryData) -> Multivector:
-    return gd.metric.volume_form()
 
 
 # -- builtin catalog -----------------------------------------------------------

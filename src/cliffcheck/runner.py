@@ -41,6 +41,7 @@ from .geometry import CATALOG, MetricSpec, build_metric
 
 REPORT_SCHEMA = "cliffcheck-report/v1"
 DEFAULT_TOLERANCE = 1e-8
+MAX_POINTS = 1_000_000  # sample points a scenario, or --points, may resolve to
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,10 @@ def load_scenario(path) -> Scenario:
             [f"malformed JSON: an integer literal has more than "
              f"{sys.get_int_max_str_digits()} digits"]
         ) from err
+    except RecursionError as err:
+        raise ScenarioValidationError(
+            ["malformed JSON: arrays or objects nested deeper than the parser's recursion limit"]
+        ) from err
 
     sample_points = _check_structure(raw)
     problems = []
@@ -188,7 +193,12 @@ def load_scenario(path) -> Scenario:
 
     samples = raw["samples"]
     seed = int(samples.get("random", {}).get("seed", 0))
-    points = _resolve_samples(samples, sample_points, spec, problems) if spec else ()
+    count = _sample_count(samples)
+    points = ()
+    if count > MAX_POINTS:  # found before any point of the grid or random block is made
+        problems.append(f"samples: {count} sample points, more than the limit of {MAX_POINTS}")
+    elif spec:
+        points = _resolve_samples(samples, sample_points, spec, problems)
     if problems:
         raise ScenarioValidationError(problems)
 
@@ -340,6 +350,26 @@ def _resolve_fields(block: dict, spec, constants, problems: list):
         return None
 
 
+def _sample_count(block: dict) -> int:
+    """The sample points ``block`` asks for: its points, its grid's and its random ones."""
+    grid = block.get("grid")
+    return (len(block.get("points", ()))
+            + (math.prod(axis["count"] for axis in grid.values()) if grid else 0)
+            + block.get("random", {}).get("count", 0))
+
+
+def random_points(spec: MetricSpec, count: int, seed: int) -> list:
+    """``count`` points drawn uniformly from ``spec``'s domain box, as 4-tuples of floats.
+
+    One draw of (count, 4) values: point after point, coordinate after
+    coordinate, the same values as one ``rng.uniform(lo, hi)`` call each.
+    """
+    box = spec.domain_box()
+    bounds = np.array([box[c] for c in spec.coords], dtype=float)
+    draws = np.random.default_rng(seed).uniform(bounds[:, 0], bounds[:, 1], size=(count, len(bounds)))
+    return list(map(tuple, draws.tolist()))
+
+
 def _resolve_samples(block: dict, sample_points: np.ndarray, spec, problems: list) -> tuple:
     box = spec.domain_box()
     lo, hi = zip(*(_float_bounds(*box[c]) for c in spec.coords))
@@ -375,11 +405,7 @@ def _resolve_samples(block: dict, sample_points: np.ndarray, spec, problems: lis
 
     rnd = block.get("random")
     if rnd:
-        rng = np.random.default_rng(int(rnd.get("seed", 0)))
-        for _ in range(int(rnd["count"])):
-            points.append(
-                tuple(float(rng.uniform(*box[c])) for c in spec.coords)
-            )
+        points.extend(random_points(spec, int(rnd["count"]), int(rnd.get("seed", 0))))
 
     if not points:
         problems.append("samples: no sample points resolved")
@@ -406,14 +432,8 @@ def run(
     """Execute the scenario's checks in order and assemble the report."""
     points = list(scenario.points)
     if points_override is not None:
-        box = scenario.spec.domain_box()
-        rng = np.random.default_rng(
-            seed_override if seed_override is not None else scenario.seed
-        )
-        points = [
-            tuple(float(rng.uniform(*box[c])) for c in scenario.spec.coords)
-            for _ in range(points_override)
-        ]
+        seed = seed_override if seed_override is not None else scenario.seed
+        points = random_points(scenario.spec, points_override, seed)
 
     start = time.perf_counter()
     tols = [scenario.tolerance_for(name, tol_override) for name in scenario.checks]

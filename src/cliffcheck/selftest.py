@@ -5,17 +5,18 @@ multivectors every trial and evaluates the full list of product, contraction
 and duality laws, tracking the worst relative residual per law.  It works on
 ``CHUNK`` trials at a time: it draws each trial's inputs in turn, in the
 order metric (the rejection loop of :func:`random_lorentzian_metric`), a, b,
-c, r, s, i, j, k; builds the chunk's product tables at once with
-:func:`cliffcheck.algebra.build_tables`; evaluates every law on (chunk, 16)
-coefficient rows, a conditional law only on the trials it covers; and drops
-the chunk before drawing the next, so memory does not grow with the number
-of trials.  The products are :mod:`cliffcheck.algebra`'s row products, the
-ones :class:`~cliffcheck.algebra.PointMetric` runs for a single metric, so
-the suite checks the implementation that ``verify`` uses.  A seed gives the
-same trials, and the same maxima, whatever the chunk size.  The operator
-suite exercises the differential-operator consistency statements on random
-polynomial fields over the builtin metric catalog.  Both back the
-``algebra-selftest`` CLI command and the acceptance suite.
+c, r, s, i, j, k; checks the chunk's metrics as one block
+:class:`~cliffcheck.algebra.PointMetric`; evaluates every law on (chunk, 16)
+coefficient rows against that block's tables, a conditional law only on the
+trials it covers; and drops the chunk before drawing the next, so memory
+does not grow with the number of trials.  The products are
+:mod:`cliffcheck.algebra`'s row products, the ones a
+:class:`~cliffcheck.algebra.PointMetric` runs for its own metric, so the
+suite checks the metric checks, tables and products that ``verify`` uses.
+A seed gives the same trials, and the same maxima, whatever the chunk size.
+The operator suite exercises the differential-operator consistency
+statements on random polynomial fields over the builtin metric catalog.
+Both back the ``algebra-selftest`` CLI command and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from functools import partial
 
 from . import algebra, blades
 from . import expr as ex
-from .algebra import (_EYE16, Multivector, PointMetric, build_tables, grade_project, grade_rows,
-                      scalar_rows)
+from .algebra import _EYE16, Multivector, PointMetric, grade_project, grade_rows, scalar_rows
 from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
@@ -71,12 +71,12 @@ class SuiteResult:
         return out
 
 
-def random_lorentzian_metric(rng: np.random.Generator, spread: float = 0.4) -> PointMetric:
-    """Congruent image of the flat metric; always signature (1,3)."""
+def random_lorentzian_metric(rng: np.random.Generator, spread: float = 0.4) -> np.ndarray:
+    """4x4 cotangent metric, a congruent image of the flat one; always signature (1,3)."""
     while True:
         L = np.eye(4) + spread * rng.standard_normal((4, 4))
         if abs(np.linalg.det(L)) > 0.2:
-            return PointMetric(L @ ETA @ L.T)
+            return L @ ETA @ L.T
 
 
 def _rel(diff, *scales):
@@ -131,9 +131,10 @@ def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _draw_trials(rng: np.random.Generator, count: int) -> tuple:
     """Inputs of ``count`` trials, each drawn in turn in the order one trial uses.
 
-    Returns the metrics' g, sqrt_abs_det and sign_det, coefficient rows a, b,
-    c and the integer draws r, s (grades), i, j (covector indices) and k
-    (grade), one per trial.
+    Returns the block :class:`PointMetric` of the trials' metrics, coefficient
+    rows a, b, c and the integer draws r, s (grades), i, j (covector indices)
+    and k (grade), one per trial.  A metric that fails its checks raises the
+    error it raises alone (the first such trial's).
     """
     metrics, vectors, ints = [], [], []
     for _ in range(count):
@@ -142,19 +143,19 @@ def _draw_trials(rng: np.random.Generator, count: int) -> tuple:
         r, s = rng.integers(0, 5), rng.integers(0, 5)
         i, j = rng.integers(0, 4), rng.integers(0, 4)
         ints.append((r, s, i, j, rng.integers(0, 5)))
-    g = np.array([m.g for m in metrics])
-    sqrt_abs_det = np.array([m.sqrt_abs_det for m in metrics])
-    sign_det = np.array([m.sign_det for m in metrics])
+    pm = PointMetric(np.array(metrics))
+    if pm.errors:
+        raise pm.errors[min(pm.errors)]
     a, b, c = np.array(vectors).transpose(1, 0, 2)
-    return (g, sqrt_abs_det, sign_det, a, b, c, *np.array(ints).T)
+    return (pm, a, b, c, *np.array(ints).T)
 
 
-def _chunk_laws(g, sqrt_abs_det, sign_det, a, b, c, r, s, i, j, k) -> dict:
+def _chunk_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
     """Relative residual of each law per trial; a conditional law only where it applies.
 
-    The chunk's tables are built here and freed on return.
+    The chunk's tables are built here, as the laws read them from the block ``pm``.
     """
-    tables = build_tables(g, sqrt_abs_det, sign_det)
+    tables = pm.tables
     clifford = partial(algebra.clifford_rows, tables)
     left_contract = partial(algebra.left_contract_rows, tables)
     right_contract = partial(algebra.right_contract_rows, tables)
@@ -175,7 +176,7 @@ def _chunk_laws(g, sqrt_abs_det, sign_det, a, b, c, r, s, i, j, k) -> dict:
     # anticommutator of covectors reproduces the metric
     gi, gj = _EYE16[1 << i], _EYE16[1 << j]
     anti = clifford(gi, gj) + clifford(gj, gi)
-    target = scalar_rows(2.0 * g[np.arange(len(a)), i, j])
+    target = scalar_rows(2.0 * pm.g[np.arange(len(a)), i, j])
     out["anticommutator"] = _rel(_sup(anti - target), _sup(target))
 
     # a B = a _| B + a ^ B and B a = B |_ a + B ^ a
@@ -245,7 +246,7 @@ def _chunk_laws(g, sqrt_abs_det, sign_det, a, b, c, r, s, i, j, k) -> dict:
     conv = _sup(ar_contract_star_bs - _sign(r * s) * hodge(_wedge(rev_ar, bs)))
     out["star_contraction_to_wedge"] = _rel(conv, sup_ar, sup_bs)[r + s <= 4]
 
-    vol = _sup(hodge(tau) - scalar_rows(sign_det))
+    vol = _sup(hodge(tau) - scalar_rows(pm.sign_det))
     unit = _sup(hodge(scalar_rows(np.ones(len(a)))) - tau)
     out["star_of_volume_and_unit"] = _rel(np.maximum(vol, unit), _sup(tau))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cliffcheck import geometry as geo
-from cliffcheck.algebra import Multivector, grade_project
+from cliffcheck.algebra import Multivector, PointMetric, grade_project
 from cliffcheck.diffops import FieldCalculus, MultivectorField
 from cliffcheck.fieldcheck import solve_structure_quadratic
 from cliffcheck.selftest import (
@@ -212,7 +212,7 @@ def test_criterion_6_sandwich_identities():
     rng = np.random.default_rng(31337)
     worst = 0.0
     for _ in range(10_000):
-        m = random_lorentzian_metric(rng)
+        m = PointMetric(random_lorentzian_metric(rng))
         a = grade_project(Multivector(rng.uniform(-1, 1, 16)), 1)
         f2 = grade_project(Multivector(rng.uniform(-1, 1, 16)), 2)
         j = grade_project(Multivector(rng.uniform(-1, 1, 16)), 1)

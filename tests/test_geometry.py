@@ -241,7 +241,7 @@ def test_geometry_invariant_validation_runs():
 
 def test_volume_form():
     gd = geo.curvature(catalog_spec("schwarzschild"), (0.0, 4.0, np.pi / 2, 0.0))
-    tau = geo.volume_form(gd)
+    tau = gd.metric.volume_form()
     assert abs(tau.coeffs[15] - 16.0) < 1e-12
     assert abs(gd.metric.scalar_product(tau, tau) + 1.0) < 1e-12
     # star(1) with this tau reproduces tau
@@ -271,7 +271,7 @@ def test_contracted_bianchi_by_fd():
         spec = catalog_spec(key)
 
         def einstein_upper(p):
-            gd = geo.curvature(spec, p, validate=False)
+            gd = geo.curvature(spec, p)
             ric_up = gd.g_upper @ gd.ricci @ gd.g_upper
             return ric_up - 0.5 * gd.scalar * gd.g_upper
 
@@ -438,16 +438,16 @@ def test_block_validation_matches_each_point_alone():
     # alone; lane 0 stays intact
     spec = catalog_spec("schwarzschild")
     points = np.array([(0.1 * k, 4.0 + k, 1.0, 0.5) for k in range(6)])
-    block = geo.curvature(spec, points, validate=False)
+    block = geo.curvature(spec, points)
     for k in range(1, 6):
         break_identity(block, k, (k,))
     errors = geo._validate(block)
     assert sorted(errors) == [1, 2, 3, 4, 5]
     broken = ("Riemann antisymmetry", "first Bianchi identity", "Ricci symmetry",
               "connection symmetry", "metric compatibility")
-    assert geo._validate(geo.curvature(spec, points[0], validate=False)) == {}
+    assert geo._validate(geo.curvature(spec, points[0])) == {}
     for k, name in enumerate(broken, start=1):
-        alone = geo.curvature(spec, points[k], validate=False)
+        alone = geo.curvature(spec, points[k])
         break_identity(alone, k)
         with pytest.raises(GeometryError, match=f"^{name} violated") as err:
             geo._validate(alone)

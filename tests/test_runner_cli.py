@@ -7,18 +7,23 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from cliffcheck import cli
 from cliffcheck.errors import ScenarioValidationError
 from cliffcheck.fieldcheck import CHECKS
+from cliffcheck.geometry import build_metric
 from cliffcheck.runner import (
+    MAX_POINTS,
     canonical_digest,
     list_builtins,
     load_scenario,
+    random_points,
     report_schema,
     run,
 )
@@ -167,6 +172,49 @@ def test_grid_expansion_and_count(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, body))
     assert len(scenario.points) == 6
     assert scenario.points[0] == (0.0, 0.0, 0.0, 0.0)
+
+
+def per_coordinate_draws(spec, count, seed) -> list:
+    """Random points as one ``rng.uniform`` call per coordinate draws them."""
+    box = spec.domain_box()
+    rng = np.random.default_rng(seed)
+    return [tuple(float(rng.uniform(*box[c])) for c in spec.coords) for _ in range(count)]
+
+
+def hexes(points) -> list:
+    return [tuple(map(float.hex, p)) for p in points]
+
+
+def test_random_points_equal_per_coordinate_draws(tmp_path):
+    spec = build_metric("schwarzschild", {"M": 1.0})
+    want = hexes(per_coordinate_draws(spec, 5000, 17))
+    assert hexes(random_points(spec, 5000, 17)) == want
+    body = dict(BASE, metric={"builtin": "schwarzschild", "params": {"M": 1.0}},
+                samples={"random": {"count": 5000, "seed": 17}})
+    scenario = load_scenario(write_scenario(tmp_path, body))
+    assert hexes(scenario.points) == want
+    report = run(scenario, points_override=5000, seed_override=17)
+    assert hexes(record.point for record in report.checks[0].records) == want
+
+
+@pytest.mark.parametrize("samples", [
+    {"points": [[0.0, 0.0, 0.0, 0.0]], "random": {"count": MAX_POINTS}},
+    {"points": [[0.0, 0.0, 0.0, 0.0]],
+     "grid": {c: {"min": 0, "max": 0, "count": n} for c, n in zip("txyz", (100, 100, 100, 1))}},
+], ids=["random", "grid"])
+def test_more_sample_points_than_the_limit_is_a_problem(tmp_path, samples):
+    # each block alone is within the limit; the points, grid and draws together are not
+    path = write_scenario(tmp_path, dict(BASE, samples=samples))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.problems == [
+        f"samples: {MAX_POINTS + 1} sample points, more than the limit of {MAX_POINTS}"]
+    assert peak < 8 * 2**20  # no grid or random point was made
 
 
 def test_digest_is_format_insensitive(tmp_path):
@@ -425,6 +473,14 @@ def test_cli_nonpositive_count_is_a_usage_error(argv):
     assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
 
 
+def test_cli_more_points_than_the_limit_is_a_usage_error():
+    proc = run_cli("verify", str(SCENARIOS / "minkowski_boost.json"), "--points", str(MAX_POINTS + 1))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"argument --points: must be at most {MAX_POINTS}, got {MAX_POINTS + 1}" in proc.stderr
+    assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ("algebra-selftest", "--seed", "-1"),
     ("verify", str(SCENARIOS / "minkowski_boost.json"), "--points", "3", "--seed", "-1"),
@@ -458,6 +514,17 @@ def test_cli_unreadable_scenario_values_exit_two(tmp_path, body, message):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("depth", [990, 100_000])
+def test_cli_nesting_deeper_than_the_recursion_limit_exits_two(tmp_path, depth):
+    text = json.dumps(dict(BASE, description="HERE")).replace('"HERE"', "[" * depth + "]" * depth)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "malformed JSON: arrays or objects nested deeper than the parser's recursion limit" in proc.stderr
 
 
 def strict_json(text):

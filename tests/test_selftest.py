@@ -1,5 +1,7 @@
 """The chunked algebra selftest against the single-metric algebra it checks."""
 
+import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,12 @@ import pytest
 from cliffcheck import algebra, selftest
 from cliffcheck.algebra import Multivector, PointMetric, wedge
 from cliffcheck.diffops import FieldCalculus
+from cliffcheck.errors import DegenerateMetricError, SignatureError
 
 
 def _metrics(seed: int, count: int) -> list:
     rng = np.random.default_rng(seed)
-    metrics = [selftest.random_lorentzian_metric(rng) for _ in range(count)]
+    metrics = [PointMetric(selftest.random_lorentzian_metric(rng)) for _ in range(count)]
     # a Riemannian one too: sign_det +1 flips the Hodge inverse signs
     spd = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1
     return metrics + [PointMetric(spd, require_lorentzian=False)]
@@ -22,13 +25,16 @@ def _maxima(result) -> dict:
     return {law.name: law.max_residual for law in result.laws}
 
 
-def test_build_tables_lanes_equal_point_metric_tables_bitwise():
+def _block(metrics) -> PointMetric:
+    """The block PointMetric of ``metrics``, as the suite checks a chunk's metrics."""
+    block = PointMetric(np.array([m.g for m in metrics]), require_lorentzian=False)
+    assert not block.errors
+    return block
+
+
+def test_block_tables_lanes_equal_point_metric_tables_bitwise():
     metrics = _metrics(11, 60)
-    stack = algebra.build_tables(
-        np.array([m.g for m in metrics]),
-        np.array([m.sqrt_abs_det for m in metrics]),
-        np.array([m.sign_det for m in metrics]),
-    )
+    stack = _block(metrics).tables
     for n, m in enumerate(metrics):
         for key in algebra.TABLE_NAMES:
             assert stack[key].shape[0] == len(metrics)
@@ -39,11 +45,7 @@ def test_batched_products_equal_point_metric_products_bitwise():
     # the suite runs the row products on a stack of metrics; verify runs them
     # through PointMetric one metric at a time: lane n must be metric n alone
     metrics = _metrics(12, 40)
-    tables = algebra.build_tables(
-        np.array([m.g for m in metrics]),
-        np.array([m.sqrt_abs_det for m in metrics]),
-        np.array([m.sign_det for m in metrics]),
-    )
+    tables = _block(metrics).tables
     rng = np.random.default_rng(13)
     a, b = rng.uniform(-1.0, 1.0, size=(2, len(metrics), 16))
     binary = {
@@ -63,6 +65,46 @@ def test_batched_products_equal_point_metric_products_bitwise():
         for name, got in unary.items():
             assert got[n].tobytes() == getattr(m, name)(an).coeffs.tobytes(), (n, name)
         assert wedged[n].tobytes() == wedge(an, bn).coeffs.tobytes(), n
+
+
+# sha256 of the law lines of run_algebra_suite(iterations=200, seed=5), joined by
+# newlines, as the suite gave them when it built its tables without PointMetric
+ALGEBRA_LINES_SHA256 = "8fd5a4175ba351139b411106de6db9c9b6deae5bf571cbf7fbb9315d81dae7eb"
+
+
+def test_law_lines_are_pinned():
+    lines = selftest.run_algebra_suite(iterations=200, seed=5).lines()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ALGEBRA_LINES_SHA256
+
+
+@pytest.mark.parametrize("chunk", [selftest.CHUNK, 7])
+def test_suite_checks_one_block_metric_per_chunk(monkeypatch, chunk):
+    inits = []
+    original = PointMetric.__init__
+
+    def init(self, g, *args, **kwargs):
+        inits.append(np.shape(g))
+        original(self, g, *args, **kwargs)
+
+    monkeypatch.setattr(PointMetric, "__init__", init)
+    monkeypatch.setattr(selftest, "CHUNK", chunk)
+    selftest.run_algebra_suite(iterations=50, seed=5)
+    assert len(inits) == math.ceil(50 / chunk)
+    assert inits == [(chunk, 4, 4)] * (50 // chunk) + [(50 % chunk, 4, 4)]
+
+
+def test_a_failing_metric_raises_its_error_alone(monkeypatch):
+    # trial 1 is Riemannian and trial 2 singular: the chunk raises trial 1's
+    # error, the one its metric raises alone
+    drawn = iter([np.diag([1.0, -1.0, -1.0, -1.0]), np.eye(4), np.zeros((4, 4))])
+    monkeypatch.setattr(selftest, "random_lorentzian_metric", lambda rng: next(drawn))
+    with pytest.raises(SignatureError) as err:
+        selftest._draw_trials(np.random.default_rng(0), 3)
+    with pytest.raises(SignatureError) as alone:
+        PointMetric(np.eye(4))
+    assert str(err.value) == str(alone.value)
+    with pytest.raises(DegenerateMetricError):
+        PointMetric(np.zeros((4, 4)))
 
 
 def test_law_maxima_do_not_depend_on_the_chunk(monkeypatch):
@@ -85,12 +127,14 @@ CORRUPTIONS = [
 
 @pytest.mark.parametrize("key, blade, failing, untouched", CORRUPTIONS)
 def test_suite_fails_on_a_corrupted_table(monkeypatch, key, blade, failing, untouched):
-    def corrupted(g, sqrt_abs_det, sign_det):
-        tables = algebra.build_tables(g, sqrt_abs_det, sign_det)
-        tables[key][:, blade, 0] += 1e-6
-        return tables
+    build = algebra._BUILDERS[key]
 
-    monkeypatch.setattr(selftest, "build_tables", corrupted)
+    def corrupted(tables):
+        table = build(tables)
+        table[:, blade, 0] += 1e-6
+        return table
+
+    monkeypatch.setitem(algebra._BUILDERS, key, corrupted)
     result = selftest.run_algebra_suite(iterations=50, seed=3)
     assert not result.passed
     failed = {law.name for law in result.laws if not law.passed}
@@ -99,12 +143,14 @@ def test_suite_fails_on_a_corrupted_table(monkeypatch, key, blade, failing, unto
 
 
 def test_nan_residual_is_a_failure(monkeypatch):
-    def poisoned(g, sqrt_abs_det, sign_det):
-        tables = algebra.build_tables(g, sqrt_abs_det, sign_det)
-        tables["H"][-1] = np.nan
-        return tables
+    build = algebra._BUILDERS["H"]
 
-    monkeypatch.setattr(selftest, "build_tables", poisoned)
+    def poisoned(tables):
+        table = build(tables)
+        table[-1] = np.nan
+        return table
+
+    monkeypatch.setitem(algebra._BUILDERS, "H", poisoned)
     result = selftest.run_algebra_suite(iterations=40, seed=3)
     law = {law.name: law for law in result.laws}["hodge_inverse"]
     assert np.isnan(law.max_residual) and not law.passed

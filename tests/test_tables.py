@@ -46,8 +46,9 @@ def eager_tables(g, sqrt_abs_det, sign_det) -> dict:
     H = np.einsum("nikj,nj->nki", K, tau) * blades.REVERSE_SIGN
     inv_scale = np.multiply.outer(sign_det, (-1.0) ** (blades.GRADE * (4 - blades.GRADE)))
     B2 = M[:, blades.BIVECTOR_MASK] * blades.BIVECTOR_SIGN[:, :, np.newaxis, np.newaxis]
-    return {"C": C, "L": L, "M": M, "K": K, "SP": SP, "tau": tau, "H": H, "Hinv_scale": inv_scale,
-            "B2": B2}
+    G2 = M[:, blades.PEEL_STEPS[0][0]]
+    return {"C": C, "L": L, "G2": G2, "M": M, "K": K, "SP": SP, "tau": tau, "H": H,
+            "Hinv_scale": inv_scale, "B2": B2}
 
 
 def _metrics(lorentzian: bool) -> np.ndarray:
@@ -55,7 +56,7 @@ def _metrics(lorentzian: bool) -> np.ndarray:
     signature with exact zeros, negative zeros and a diagonal metric among them."""
     rng = np.random.default_rng(41 + lorentzian)
     if lorentzian:
-        return np.array([selftest.random_lorentzian_metric(rng).g for _ in range(16)])
+        return np.array([selftest.random_lorentzian_metric(rng) for _ in range(16)])
     a = rng.normal(size=(16, 4, 4))
     a[rng.random((16, 4, 4)) < 0.25] = 0.0
     a[rng.random((16, 4, 4)) < 0.1] = -0.0
@@ -78,11 +79,10 @@ def test_lazy_tables_equal_the_eager_build_bitwise(block, lorentzian, order):
     if not block:
         stack = (metric.g[np.newaxis], np.array([metric.sqrt_abs_det]), np.array([metric.sign_det]))
     want = eager_tables(*stack)
-    lazy = algebra.build_tables(*stack)
+    assert set(want) == set(TABLE_NAMES)
     for key in ORDERS[order]:
         got = metric.tables[key]
         assert got.tobytes() == (want[key] if block else want[key][0]).tobytes(), key
-        assert lazy[key].tobytes() == want[key].tobytes(), key
 
 
 def _spy_on_misses(monkeypatch) -> list:
@@ -110,12 +110,12 @@ def _killing_form() -> fch.ScenarioFields:
 
 def test_killing_identities_builds_only_what_it_reads(monkeypatch):
     # delta K reads C and the Ricci operator reads B2; B2 is built from the
-    # grade-2 peel step, which reads L, so M, K, SP, tau and H are never built
+    # grade-2 peel step G2, which reads L, so M, K, SP, tau and H are never built
     calls = _spy_on_misses(monkeypatch)
     _run_one_block(["killing_identities"], _killing_form())
     assert sorted(key for _, key in calls) == ["B2", "C"]
     (metric,) = {id(m): m for m, _ in calls}.values()
-    assert set(metric.tables) == {"C", "L", "B2"}
+    assert set(metric.tables) == {"C", "L", "G2", "B2"}
 
 
 def test_killing_builds_no_table(monkeypatch):
@@ -137,14 +137,6 @@ def test_no_table_is_built_twice(monkeypatch):
 
     for key, build in list(algebra._BUILDERS.items()):
         monkeypatch.setitem(algebra._BUILDERS, key, counting(key, build))
-    grade2_steps = Counter()
-    peel = algebra._peel_grade2
-
-    def counted_peel(C, L):
-        grade2_steps[id(C)] += 1
-        return peel(C, L)
-
-    monkeypatch.setattr(algebra, "_peel_grade2", counted_peel)
     calls = _spy_on_misses(monkeypatch)
     s = SCHW.coords
     fields = fch.ScenarioFields(K=_killing_form().K,
@@ -158,5 +150,6 @@ def test_no_table_is_built_twice(monkeypatch):
         for key in order + order:
             metric.tables[key]
     assert builds and set(builds.values()) == {1}
-    assert set(grade2_steps.values()) == {1}
+    # the grade-2 peel step is the table G2: once per stack, whether M or B2 reads it first
+    assert {key for _, key in builds} == set(TABLE_NAMES)
     assert len(calls) == len(set(calls))  # a miss is never repeated for one metric

@@ -176,7 +176,7 @@ def _per_row(scale):
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product; metric independent."""
-    return Multivector(np.einsum("...i,...j,ijk->...k", a.coeffs, b.coeffs, blades.WEDGE_TENSOR))
+    return Multivector(wedge_rows(a.coeffs, b.coeffs))
 
 
 def reverse(a: Multivector) -> Multivector:
@@ -287,18 +287,6 @@ class PointMetric:
         """
         return _MetricTables(self)
 
-    def contraction_ops(self) -> np.ndarray:
-        """Stack of the four single-covector interior-product operators."""
-        return self.tables["C"]
-
-    def covector_left_ops(self) -> np.ndarray:
-        """Stack of the four 'left multiply by gamma^i' operators."""
-        return self.tables["L"]
-
-    def bivector_left_ops(self) -> np.ndarray:
-        """(4,4,16,16) stack: left Clifford multiplication by gamma^a ^ gamma^b."""
-        return self.tables["B2"]
-
     # -- products ----------------------------------------------------------
 
     def clifford(self, a: Multivector, b: Multivector) -> Multivector:
@@ -363,15 +351,14 @@ class _Tables(dict):
     * ``C``, ``L`` (N, 4, 16, 16): interior product by, and left Clifford
       multiplication by, the covector gamma^i;
     * ``G2`` (N, 6, 16, 16): left Clifford multiplication by the grade-2
-      blades, in mask order, which ``M`` and ``B2`` both read;
+      blades, in mask order, which ``M`` and the Ricci operator of
+      :class:`~cliffcheck.diffops.FieldCalculus` read;
     * ``M`` (N, 16, 16, 16): left Clifford multiplication by each blade;
     * ``K`` (N, 16, 16, 16): left contraction by each blade;
     * ``SP`` (N, 16, 16): scalar products between blades;
     * ``tau`` (N, 16): the unit volume form;
     * ``H`` (N, 16, 16): the Hodge star, ``star(A) = H @ A``, and
-      ``Hinv_scale`` (N, 16): the per-blade signs of its inverse;
-    * ``B2`` (N, 4, 4, 16, 16): left Clifford multiplication by the
-      coordinate bivectors gamma^a ^ gamma^b (zero for a = b).
+      ``Hinv_scale`` (N, 16): the per-blade signs of its inverse.
 
     The dict starts empty and builds a table the first time it is read,
     together with the tables it needs, so its keys are the tables built so
@@ -396,12 +383,11 @@ class _Tables(dict):
 #   gamma^M X = gamma^i (gamma^rest X) - (gamma^i _| gamma^rest) X,
 # and left-contraction operators from composing interior products; one grade
 # at a time, since each grade reads only lower ones.  The grade-2 step (G2) is
-# all that B2 needs, and M continues from it.
+# all that the Ricci operator needs, and M continues from it.
 
 _G2_MASKS, _G2_LOWEST, _G2_REST = blades.PEEL_STEPS[0]
 _G2_COVECTOR = np.searchsorted(blades.COVECTOR_MASKS, _G2_REST)  # the j of rest = gamma^j
 _DIAG = np.arange(blades.N_BLADES)
-_B2_BLOCK = np.searchsorted(blades.MASKS_BY_GRADE[2], blades.BIVECTOR_MASK)  # B2[a, b]'s grade-2 block
 
 
 def _grade2(t: _Tables) -> np.ndarray:
@@ -442,14 +428,6 @@ def _blade_contract(t: _Tables) -> np.ndarray:
     return K
 
 
-def _bivector_left(t: _Tables) -> np.ndarray:
-    grade2 = t["G2"]
-    B2 = np.zeros((grade2.shape[0], blades.DIM, blades.DIM) + grade2.shape[2:])  # zero for a = b
-    for a, b in zip(*np.nonzero(blades.BIVECTOR_SIGN)):  # gamma^a ^ gamma^b = sign * blade
-        np.multiply(grade2[:, _B2_BLOCK[a, b]], blades.BIVECTOR_SIGN[a, b], out=B2[:, a, b])
-    return B2
-
-
 def _scalar_products(t: _Tables) -> np.ndarray:
     # Gram-determinant scalar products between equal-grade blades,
     # batched per grade for speed
@@ -487,12 +465,13 @@ _BUILDERS = {
     "tau": _volume_form,
     "H": _hodge,
     "Hinv_scale": _hodge_inv_scale,
-    "B2": _bivector_left,
 }
 TABLE_NAMES = tuple(_BUILDERS)  # every table PointMetric.tables gives
 
 
 # -- products on coefficient rows, one metric's tables per row -----------------
+
+_WEDGE_ROWS = blades.WEDGE_TENSOR.reshape(-1, blades.N_BLADES)  # row a * 16 + b: blade a ^ blade b
 
 
 def _bilinear(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -501,6 +480,12 @@ def _bilinear(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     flat = table.reshape(table.shape[:-3] + (n, n * n))
     ops = (a[..., np.newaxis, :] @ flat).reshape(a.shape[:-1] + (n, n))
     return (ops @ b[..., np.newaxis])[..., 0]
+
+
+def wedge_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exterior product of each pair of (..., 16) rows; it reads no table."""
+    pairs = a[..., :, np.newaxis] * b[..., np.newaxis, :]
+    return pairs.reshape(pairs.shape[:-2] + (-1,)) @ _WEDGE_ROWS
 
 
 def clifford_rows(tables: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:

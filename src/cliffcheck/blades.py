@@ -132,15 +132,6 @@ for _k in range(2, DIM + 1):
         np.array([m ^ (1 << i) for m, i in zip(_masks, _lowest)]),
     ))
 
-# blade masks of the coordinate bivectors, with wedge orientation signs
-BIVECTOR_MASK = np.zeros((DIM, DIM), dtype=np.int64)
-BIVECTOR_SIGN = np.zeros((DIM, DIM))
-for _a in range(DIM):
-    for _b in range(DIM):
-        if _a != _b:
-            BIVECTOR_MASK[_a, _b] = (1 << _a) | (1 << _b)
-            BIVECTOR_SIGN[_a, _b] = 1.0 if _a < _b else -1.0
-
 
 def blade_name(mask: int, names=("g0", "g1", "g2", "g3")) -> str:
     if mask == 0:

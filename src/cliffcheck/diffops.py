@@ -11,7 +11,10 @@ field jets and the metric jets provide in closed form.
 Index conventions:  ``cov1[a]`` are the blade components of D_a F,
 ``cov2[a, b]`` those of D_a D_b F, and the covariant correction enters
 through ``Gop[a] = sum Gamma^r_{a i} INDEX_SUB[i, r]`` (``GeometryData.gop``,
-shared by every field at the same geometry).
+shared by every field at the same geometry).  The operators read the field's
+jets from ``GeometryData.jet`` and the metric's product tables ``C``, ``L``
+and ``G2`` from ``GeometryData.metric.tables``; the Ricci operator acts by
+the grade-2 blades of ``G2``, one block per pair a < b of covectors.
 
 A :class:`FieldCalculus` works at one point, or at a block of N points when
 its :class:`~cliffcheck.geometry.GeometryData` is a block: every array then
@@ -28,18 +31,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import Multivector, grade_project
+from .algebra import _G2_COVECTOR, _G2_LOWEST, Multivector, grade_project
 from .errors import FieldError
 from .geometry import GeometryData
 
 _ZERO = ex.ZERO
 _NOT_GRADE1 = blades.GRADE != 1
+# the grade-2 block of gamma^a ^ gamma^b for each ordered pair a != b, in (a, b) order
+_RICCI_BLOCKS = [list(zip(_G2_LOWEST, _G2_COVECTOR)).index((min(a, b), max(a, b)))
+                 for a in range(4) for b in range(4) if a != b]
 
 
 @dataclass(frozen=True)
@@ -142,17 +148,14 @@ class FieldJets:
     errors: dict  # of a block: each point whose jets fail -> its first component's error there
 
 
-def field_jets(field: MultivectorField, gd: GeometryData, jet: Callable | None = None) -> FieldJets:
-    """The field's component jets at ``gd.point``; ``jet`` as in :func:`geometry.metric_at`.
+def field_jets(field: MultivectorField, gd: GeometryData) -> FieldJets:
+    """The field's component jets at ``gd.point``, from the jet source ``gd.jet``.
 
-    ``gd.point`` may be a block of N points, and ``jet`` then gives the
-    block's jets; every array has N first.  One point raises the error of
-    its first component that cannot be evaluated; a block keeps it in
-    ``errors`` for each such point, whose jets are zero.
+    ``gd.point`` may be a block of N points, and every array then has N
+    first.  One point raises the error of its first component that cannot
+    be evaluated; a block keeps it in ``errors`` for each such point, whose
+    jets are zero.
     """
-    spec = gd.spec
-    if jet is None:
-        jet = ex.point_jets(spec.coords, gd.point, spec.params)
     lanes = np.shape(gd.point)[:-1]
     vals = np.zeros(lanes + (16,))
     grads = np.zeros(lanes + (16, 4))
@@ -162,7 +165,7 @@ def field_jets(field: MultivectorField, gd: GeometryData, jet: Callable | None =
         e = field.comps[mask]
         if ex.is_zero(e):
             continue
-        jm = jet(e)
+        jm = gd.jet(e)
         for k, err in jm.errors.items():
             errors.setdefault(k, err)
         vals[..., mask] = jm.val
@@ -174,19 +177,26 @@ def field_jets(field: MultivectorField, gd: GeometryData, jet: Callable | None =
 class FieldCalculus:
     """All operator evaluations for one field at one geometry point, or at a block of them."""
 
-    def __init__(self, field: MultivectorField, gd: GeometryData, jet: Callable | None = None):
+    def __init__(self, field: MultivectorField, gd: GeometryData):
         self.field = field
         self.gd = gd
-        self._jet = jet  # jet source of gd.point, see field_jets
 
     @cached_property
     def jets(self) -> FieldJets:
-        return field_jets(self.field, self.gd, self._jet)
+        return field_jets(self.field, self.gd)
+
+    def _cov(self, val: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The components of D_a G, from the values and partials of G's components."""
+        return _swap(grad) - np.einsum("...amn,...n->...am", self.gd.gop, val)
+
+    def _contract(self, cov: np.ndarray) -> np.ndarray:
+        """sum_a gamma^a _| cov[a]: minus the codifferential of G when cov[a] is D_a G."""
+        return np.einsum("...amn,...an->...m", self.gd.metric.tables["C"], cov)
 
     @cached_property
     def cov1(self) -> np.ndarray:
         """cov1[a] = components of D_a F."""
-        return _swap(self.jets.grads) - np.einsum("...amn,...n->...am", self.gd.gop, self.jets.vals)
+        return self._cov(self.jets.vals, self.jets.grads)
 
     @cached_property
     def _pd_cov1(self) -> np.ndarray:
@@ -202,12 +212,6 @@ class FieldCalculus:
         """cov2[a, b] = components of D_a D_b F."""
         return self._pd_cov1 - np.einsum("...amn,...bn->...abm", self.gd.gop, self.cov1)
 
-    # -- metric jets shared by the composed first-order operators ---------------
-
-    @cached_property
-    def _contract_val(self) -> np.ndarray:
-        return self.gd.metric.contraction_ops()
-
     @cached_property
     def _contract_grad(self) -> np.ndarray:
         return np.einsum("...sij,jkl->...sikl", self.gd.dg_upper, blades.CONTRACT_STRUCT)
@@ -221,14 +225,14 @@ class FieldCalculus:
         return Multivector(self.cov1[..., alpha, :])
 
     def dirac(self) -> Multivector:
-        L = self.gd.metric.covector_left_ops()
+        L = self.gd.metric.tables["L"]
         return Multivector(np.einsum("...amn,...an->...m", L, self.cov1))
 
     def exterior_d(self) -> Multivector:
         return Multivector(np.einsum("amn,...an->...m", blades.WEDGE_OP, self.cov1))
 
     def codifferential(self) -> Multivector:
-        return Multivector(-np.einsum("...amn,...an->...m", self._contract_val, self.cov1))
+        return Multivector(-self._contract(self.cov1))
 
     def codifferential_hodge_route(self) -> Multivector:
         """delta via (-1)^p star^{-1} d star, using D_a(star F) = star(D_a F)."""
@@ -252,10 +256,10 @@ class FieldCalculus:
 
     @cached_property
     def _delta_jet(self) -> tuple:
-        val = -np.einsum("...amn,...an->...m", self._contract_val, self.cov1)
+        val = -self._contract(self.cov1)
         grad = -(
             np.einsum("...samn,...an->...ms", self._contract_grad, self.cov1)
-            + np.einsum("...amn,...san->...ms", self._contract_val, self._pd_cov1)
+            + np.einsum("...amn,...san->...ms", self.gd.metric.tables["C"], self._pd_cov1)
         )
         return val, grad
 
@@ -265,14 +269,10 @@ class FieldCalculus:
 
     def maxwell_current(self) -> Multivector:
         """J = -delta(dF): the source current when this field is a potential."""
-        dval, dgrad = self._d_jet
-        cov_d = _swap(dgrad) - np.einsum("...amn,...n->...am", self.gd.gop, dval)
-        return Multivector(np.einsum("...amn,...an->...m", self._contract_val, cov_d))
+        return Multivector(self._contract(self._cov(*self._d_jet)))
 
     def codifferential_squared(self) -> Multivector:
-        val, grad = self._delta_jet
-        cov_delta = _swap(grad) - np.einsum("...amn,...n->...am", self.gd.gop, val)
-        return Multivector(-np.einsum("...amn,...an->...m", self._contract_val, cov_delta))
+        return Multivector(-self._contract(self._cov(*self._delta_jet)))
 
     # -- second-order operators -----------------------------------------------------
 
@@ -287,16 +287,23 @@ class FieldCalculus:
         # Clifford product (its grade-raising part dies by the first Bianchi
         # identity; the grade-preserving part is the curvature action)
         comm = self.cov2 - np.einsum("...abm->...bam", self.cov2)
-        biv = self.gd.metric.bivector_left_ops()
-        return Multivector(0.5 * np.einsum("...abmn,...abn->...m", biv, comm))
+        # The sum over a, b, n of (gamma^a ^ gamma^b)[m, n] comm[a, b, n], in the
+        # order of its dense einsum, so that its bytes stay those of a (4, 4)
+        # table of bivector operators: one n-sum (einsum, n last) per grade-2
+        # block, a < b, which is bitwise also the (b, a) term, as both of its
+        # factors change sign; then the 12 pairs a != b in (a, b) order.
+        # Another order or grouping of the sums may round differently.
+        blocks = np.einsum("...kmn,...kn->...km", self.gd.metric.tables["G2"],
+                           comm[..., _G2_LOWEST, _G2_COVECTOR, :])
+        total = 0.0
+        for k in _RICCI_BLOCKS:
+            total = total + blocks[..., k, :]
+        return Multivector(0.5 * total)
 
     def hodge_dalembertian(self) -> "HodgeSquare":
         # route (i): -(d delta + delta d) F from the exact operator jets
-        dval, dgrad = self._d_jet
-        delta_val, delta_grad = self._delta_jet
-        d_delta = np.einsum("amn,...na->...m", blades.WEDGE_OP, delta_grad)
-        cov_d = _swap(dgrad) - np.einsum("...amn,...n->...am", self.gd.gop, dval)
-        delta_d = -np.einsum("...amn,...an->...m", self._contract_val, cov_d)
+        d_delta = np.einsum("amn,...na->...m", blades.WEDGE_OP, self._delta_jet[1])
+        delta_d = -self._contract(self._cov(*self._d_jet))
         first_order = Multivector(-(d_delta + delta_d))
         second_order = self.covariant_dalembertian() + self.ricci_operator()
         return HodgeSquare(first_order, second_order)

@@ -588,8 +588,8 @@ class ChunkJets:
     Each expression is evaluated once for the whole chunk.
     ``block(start, stop)`` is the jet source of points ``start:stop``: a
     function from an expression to its jets there, with the errors of those
-    points (see :func:`evaluate_jet2`).  An expression that was not listed
-    is evaluated on the block when asked for.
+    points (see :func:`evaluate_jet2`).  Only the listed expressions have
+    jets: asking for another raises ``KeyError``.
     """
 
     def __init__(self, exprs: Iterable[Expr], coords: Sequence[str], points,
@@ -606,8 +606,6 @@ class ChunkJets:
         return partial(self._jet, start, stop)
 
     def _jet(self, start: int, stop: int, e: Expr) -> Jet2:
-        known, jet = self._jets.get(id(e), (None, None))
-        if known is not e:
-            return evaluate_jet2(e, self.coords, self.points[start:stop], self.params)
+        _, jet = self._jets[id(e)]
         errors = {k - start: err for k, err in jet.errors.items() if start <= k < stop}
         return Jet2(jet.val[start:stop], jet.grad[start:stop], jet.hess[start:stop], errors)

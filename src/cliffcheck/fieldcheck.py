@@ -115,12 +115,11 @@ class BlockContext:
     points: ``range(N)``, or ``(None,)`` for one point (see :func:`_at`).
     """
 
-    def __init__(self, gd: GeometryData, fields: dict, constants: Constants, draw, jet):
+    def __init__(self, gd: GeometryData, fields: dict, constants: Constants, draw):
         self.gd = gd
         self.fields = fields  # "K" | "S" | "V" | "potential" -> MultivectorField | None
         self.constants = constants
         self.draw = draw  # (N, 3, 16) or (3, 16) random inputs of sandwich_identities, or None
-        self.jet = jet  # jet source of the block or point, see geometry.metric_at
         self.lanes = range(len(gd.point)) if np.ndim(gd.point) == 2 else (None,)
         self.asked: list = []  # the calculators handed out, in order, since it was last cleared
         self._calcs: dict = {}
@@ -135,7 +134,7 @@ class BlockContext:
         f = self.fields[name]
         fc = self._calcs.get(id(f))
         if fc is None:
-            fc = self._calcs[id(f)] = FieldCalculus(f, self.gd, self.jet)
+            fc = self._calcs[id(f)] = FieldCalculus(f, self.gd)
         self.asked.append(fc)
         return fc
 
@@ -591,7 +590,7 @@ def run_pointwise(
     points = [tuple(pt) for pt in pts]
     with np.errstate(all="ignore"):  # non-finite values become point errors in _per_point
         gd = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
-        ctx = BlockContext(gd, fields, constants, draws, jets.block(first, stop))
+        ctx = BlockContext(gd, fields, constants, draws)
         rows = []
         for check, tol in zip(checks, tols):
             ctx.asked.clear()

@@ -109,6 +109,7 @@ class GeometryData:
     ricci: np.ndarray
     scalar: float
     metric: PointMetric
+    jet: Callable  # expression -> its jets at ``point``, as in :func:`metric_at`
     errors: dict = field(default_factory=dict)  # of a block: each point curvature rejects -> its error
 
     @cached_property
@@ -238,12 +239,17 @@ def _christoffels_from_jets(g_upper: np.ndarray, jets: MetricJets) -> tuple:
 def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None) -> GeometryData:
     """Evaluate the full geometry bundle at ``x``; ``x`` and ``jet`` as in :func:`metric_at`.
 
+    The bundle keeps ``jet`` as the jet source of the fields at ``x``
+    (:func:`cliffcheck.diffops.field_jets`).
+
     One point raises the first error it meets.  A block of N points gives a
     bundle with N first on every array and raises nothing: ``errors`` maps
     each point it rejects to the error that point raises alone, and every
     other point is bitwise equal to the point alone.
     """
     x = np.asarray(x, dtype=float)
+    if jet is None:
+        jet = ex.point_jets(spec.coords, x, spec.params)
     pm, jets = metric_at(spec, x, jet)
     gamma, dgamma = _christoffels_from_jets(pm.g, jets)
 
@@ -271,6 +277,7 @@ def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
         ricci=ricci,
         scalar=float(scalar) if scalar.ndim == 0 else scalar,
         metric=pm,
+        jet=jet,
         errors=jets.errors,
     )
     gd.errors = {**_validate(gd), **gd.errors}  # a metric error comes first

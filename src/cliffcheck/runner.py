@@ -397,11 +397,10 @@ def _resolve_samples(block: dict, sample_points: np.ndarray, spec, problems: lis
                     )
                     axes = None
                     break
-                axes.append(np.linspace(lo, hi, count))
+                axes.append(np.linspace(lo, hi, int(count)))  # the schema's integer may be 2.0
             if axes is not None:
                 mesh = np.meshgrid(*axes, indexing="ij")
-                for pt in np.stack([m.ravel() for m in mesh], axis=-1):
-                    points.append(tuple(float(v) for v in pt))
+                points.extend(map(tuple, np.stack([m.ravel() for m in mesh], axis=-1).tolist()))
 
     rnd = block.get("random")
     if rnd:

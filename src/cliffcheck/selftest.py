@@ -30,7 +30,7 @@ from functools import partial
 
 from . import algebra, blades
 from . import expr as ex
-from .algebra import _EYE16, Multivector, PointMetric, grade_project, grade_rows, scalar_rows
+from .algebra import _EYE16, Multivector, PointMetric, grade_project, grade_rows, scalar_rows, wedge_rows
 from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
@@ -123,11 +123,6 @@ def _sign(exponent: np.ndarray) -> np.ndarray:
     return np.where(exponent % 2, -1.0, 1.0)[:, np.newaxis]
 
 
-def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    pairs = (a[:, :, np.newaxis] * b[:, np.newaxis, :]).reshape(len(a), -1)
-    return pairs @ blades.WEDGE_TENSOR.reshape(-1, blades.N_BLADES)
-
-
 def _draw_trials(rng: np.random.Generator, count: int) -> tuple:
     """Inputs of ``count`` trials, each drawn in turn in the order one trial uses.
 
@@ -180,8 +175,8 @@ def _chunk_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
     out["anticommutator"] = _rel(_sup(anti - target), _sup(target))
 
     # a B = a _| B + a ^ B and B a = B |_ a + B ^ a
-    split = _sup(clifford(one_form, b) - left_contract(one_form, b) - _wedge(one_form, b))
-    split2 = _sup(clifford(b, one_form) - right_contract(b, one_form) - _wedge(b, one_form))
+    split = _sup(clifford(one_form, b) - left_contract(one_form, b) - wedge_rows(one_form, b))
+    split2 = _sup(clifford(b, one_form) - right_contract(b, one_form) - wedge_rows(b, one_form))
     out["product_split"] = _rel(np.maximum(split, split2), _sup(b))
 
     # a _| B_s = (a B_s - (-1)^s B_s a)/2
@@ -195,7 +190,7 @@ def _chunk_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
 
     # a ^ B_s = (a B_s + (-1)^s B_s a)/2
     half_wedge = 0.5 * (ab + _sign(s) * ba)
-    out["wedge_half_commutator"] = _rel(_sup(_wedge(one_form, bs) - half_wedge), sup_bs)
+    out["wedge_half_commutator"] = _rel(_sup(wedge_rows(one_form, bs) - half_wedge), sup_bs)
 
     # grade spectrum of A_r B_s: grades |r-s|, |r-s|+2, ..., min(r+s, 8-r-s)
     prod = clifford(ar, bs)
@@ -218,32 +213,32 @@ def _chunk_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
 
     # a _| (X ^ Y) = (a _| X) ^ Y + hat(X) ^ (a _| Y)
     t54 = (
-        left_contract(one_form, _wedge(b, c))
-        - _wedge(left_contract(one_form, b), c)
-        - _wedge(b * blades.INVOLUTE_SIGN, left_contract(one_form, c))
+        left_contract(one_form, wedge_rows(b, c))
+        - wedge_rows(left_contract(one_form, b), c)
+        - wedge_rows(b * blades.INVOLUTE_SIGN, left_contract(one_form, c))
     )
     out["contraction_antiderivation"] = _rel(_sup(t54), _sup(b), _sup(c))
 
     # A _| (B _| C) = (A ^ B) _| C
-    t55 = left_contract(a, left_contract(b, c)) - left_contract(_wedge(a, b), c)
+    t55 = left_contract(a, left_contract(b, c)) - left_contract(wedge_rows(a, b), c)
     out["contraction_composition"] = _rel(_sup(t55), _sup(a), _sup(b), _sup(c))
 
     # [B_k . A_k] tau = B_k ^ star(A_k) against the contraction route
     ak, bk = grade_rows(a, k), grade_rows(b, k)
-    pairing = _sup(scalar_product(bk, ak)[:, np.newaxis] * tau - _wedge(bk, hodge(ak)))
+    pairing = _sup(scalar_product(bk, ak)[:, np.newaxis] * tau - wedge_rows(bk, hodge(ak)))
     out["hodge_defining_pairing"] = _rel(pairing, _sup(ak), _sup(bk))
 
     # star conversion identities, each on the trials whose grades it covers
     star_ar, star_bs = hodge(ar), hodge(bs)
-    ar_wedge_star_bs = _wedge(ar, star_bs)
+    ar_wedge_star_bs = wedge_rows(ar, star_bs)
     ar_contract_star_bs = left_contract(ar, star_bs)
-    sym = _sup(ar_wedge_star_bs - _wedge(bs, star_ar))
+    sym = _sup(ar_wedge_star_bs - wedge_rows(bs, star_ar))
     out["star_wedge_symmetry"] = _rel(sym, sup_ar, sup_bs)[r == s]
     pair = np.abs(ar_contract_star_bs[:, 0] - left_contract(bs, star_ar)[:, 0])
     out["star_pairing_symmetry"] = _rel(pair, sup_ar, sup_bs)[r + s == 4]
     conv = _sup(ar_wedge_star_bs - _sign(r * (s - 1)) * hodge(left_contract(rev_ar, bs)))
     out["star_wedge_to_contraction"] = _rel(conv, sup_ar, sup_bs)[r <= s]
-    conv = _sup(ar_contract_star_bs - _sign(r * s) * hodge(_wedge(rev_ar, bs)))
+    conv = _sup(ar_contract_star_bs - _sign(r * s) * hodge(wedge_rows(rev_ar, bs)))
     out["star_contraction_to_wedge"] = _rel(conv, sup_ar, sup_bs)[r + s <= 4]
 
     vol = _sup(hodge(tau) - scalar_rows(pm.sign_det))

@@ -1,12 +1,13 @@
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cliffcheck import blades
+from cliffcheck import blades, selftest
 from cliffcheck import expr as ex
 from cliffcheck import geometry as geo
-from cliffcheck.algebra import Multivector, grade_project, wedge
+from cliffcheck.algebra import Multivector, PointMetric, grade_project, wedge
 from cliffcheck.diffops import FieldCalculus, MultivectorField, field_jets, grad_scalar_product
 from cliffcheck.errors import DomainEvalError, FieldError
 
@@ -326,6 +327,38 @@ def test_ricci_operator_flat_constant_field():
     gd = geo.curvature(MINK, (0.1, 0.2, 0.3, 0.4))
     F = MultivectorField.from_components({"t": "1", "x^y": "2"}, MINK.coords)
     assert FieldCalculus(F, gd).ricci_operator().sup() == 0.0
+
+
+def dense_ricci_operator(G2: np.ndarray, comm: np.ndarray) -> np.ndarray:
+    """1/2 (gamma^a ^ gamma^b) comm[a, b] through the dense (4, 4, 16, 16) bivector table."""
+    B2 = np.zeros(G2.shape[:-3] + (4, 4, 16, 16))  # zero for a = b
+    for k, mask in enumerate(blades.MASKS_BY_GRADE[2]):
+        a, b = blades.indices(mask)  # gamma^a ^ gamma^b = blade, gamma^b ^ gamma^a = -blade
+        B2[..., a, b, :, :] = G2[..., k, :, :]
+        B2[..., b, a, :, :] = -G2[..., k, :, :]
+    return 0.5 * np.einsum("...abmn,...abn->...m", B2, comm)
+
+
+@pytest.mark.parametrize("count", [None, 1, 2, 5, 16])
+def test_ricci_operator_equals_the_dense_bivector_table_bitwise(count):
+    rng = np.random.default_rng(61 + (count or 0))
+    lanes = () if count is None else (count,)
+    for trial in range(30):
+        gs = [selftest.random_lorentzian_metric(rng) for _ in range(count or 1)]
+        gd = SimpleNamespace(metric=PointMetric(np.reshape(gs, lanes + (4, 4))))  # all it reads
+        scale = 10.0 ** rng.integers(-8, 9, size=lanes + (4, 4, 1))
+        cov2 = rng.normal(size=lanes + (4, 4, 16)) * scale
+        cov2[rng.random(cov2.shape) < 0.2] = 0.0
+        cov2[rng.random(cov2.shape) < 0.1] = -0.0
+        if trial % 3 == 0:  # a commutator of exact zeros of either sign
+            cov2 = np.where(rng.random(cov2.shape) < 0.5, 0.0, -0.0)
+        fc = FieldCalculus(MultivectorField.zero(), gd)
+        fc.__dict__["cov2"] = cov2  # the cached second covariant derivatives
+        comm = cov2 - np.swapaxes(cov2, -2, -3)
+        want = dense_ricci_operator(gd.metric.tables["G2"], comm)
+        got = fc.ricci_operator().coeffs
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
 
 
 def test_commutator_curvature_identity():

@@ -566,9 +566,9 @@ def test_block_checks_equal_each_point_alone_bitwise(key, potential):
     draws = np.random.default_rng(32).uniform(-1.0, 1.0, size=(16, 3, 16))
     fields = block_fields(spec, potential)
     constants = fch.Constants(e=0.7, m=1.3)
-    block = fch.BlockContext(geo.curvature(spec, points), fields, constants, draws, None)
+    block = fch.BlockContext(geo.curvature(spec, points), fields, constants, draws)
     assert block.gd.errors == {}
-    alone = [fch.BlockContext(geo.curvature(spec, pt), fields, constants, draws[i], None)
+    alone = [fch.BlockContext(geo.curvature(spec, pt), fields, constants, draws[i])
              for i, pt in enumerate(points)]
     checks = list(fch.CHECKS.values()) if potential else [fch.CHECKS["sandwich_identities"]]
     for check in checks:
@@ -648,7 +648,7 @@ def records_alone(spec, fields, names, tols, pt) -> list:
     by_name = {"K": fields.K, "S": fields.S, "V": fields.V, "potential": fields.potential()}
     point = tuple(pt)
     try:
-        ctx = fch.BlockContext(geo.curvature(spec, pt), by_name, fields.constants, None, None)
+        ctx = fch.BlockContext(geo.curvature(spec, pt), by_name, fields.constants, None)
     except CliffcheckError as err:
         return [fch.PointRecord(point, {}, {}, str(err), False) for _ in names]
     records = []

@@ -393,6 +393,18 @@ def run_cli(*args):
     )
 
 
+def test_grid_points_equal_per_point_construction(tmp_path):
+    spec = build_metric("schwarzschild", {"M": 1.0})
+    grid = {"t": (-2.9, 2.7, 7), "r": (2.6, 19.3, 5), "theta": (0.4, 2.75, 3), "phi": (0.1, 6.1, 4)}
+    mesh = np.meshgrid(*(np.linspace(*grid[c]) for c in spec.coords), indexing="ij")
+    want = hexes(tuple(float(v) for v in pt) for pt in np.stack([m.ravel() for m in mesh], axis=-1))
+    body = dict(BASE, metric={"builtin": "schwarzschild", "params": {"M": 1.0}},
+                samples={"grid": {c: {"min": lo, "max": hi, "count": n} for c, (lo, hi, n) in grid.items()}})
+    scenario = load_scenario(write_scenario(tmp_path, body))
+    assert len(want) == 7 * 5 * 3 * 4
+    assert hexes(scenario.points) == want
+
+
 def test_cli_verify_pass_exit_zero(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("verify", str(SCENARIOS / "minkowski_boost.json"), "--report", str(out))
@@ -408,6 +420,22 @@ def test_cli_verify_fail_exit_one():
     assert proc.returncode == 1
     assert "[FAIL] killing" in proc.stdout
     assert "killing_eq" in proc.stdout
+
+
+def test_cli_float_grid_count_is_its_integer(tmp_path):
+    # JSON Schema's "integer" accepts 2.0: the grid has the points of count 2
+    points = []
+    for count in (2.0, 2):
+        grid = {c: {"min": -1, "max": 1, "count": count if c == "x" else 1} for c in "txyz"}
+        path = tmp_path / f"grid_{count!r}.json"
+        path.write_text(json.dumps(dict(BASE, samples={"grid": grid})))
+        out = tmp_path / f"report_{count!r}.json"
+        proc = run_cli("verify", str(path), "--report", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        points.append([p["point"] for p in json.loads(out.read_text())["checks"][0]["points"]])
+    assert '"count": 2.0' in (tmp_path / "grid_2.0.json").read_text()
+    assert points[0] == points[1] == [[-1.0, -1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, -1.0]]
 
 
 def test_cli_validation_error_exit_two(tmp_path):

@@ -55,7 +55,7 @@ def test_batched_products_equal_point_metric_products_bitwise():
         "scalar_product": algebra.scalar_product_rows(tables, a, b),
     }
     unary = {"hodge": algebra.hodge_rows(tables, a), "hodge_inv": algebra.hodge_inv_rows(tables, a)}
-    wedged = selftest._wedge(a, b)
+    wedged = algebra.wedge_rows(a, b)
     for n, m in enumerate(metrics):
         an, bn = Multivector(a[n]), Multivector(b[n])
         for name, got in binary.items():

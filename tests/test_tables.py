@@ -45,10 +45,9 @@ def eager_tables(g, sqrt_abs_det, sign_det) -> dict:
     tau[:, blades.FULL_MASK] = sqrt_abs_det
     H = np.einsum("nikj,nj->nki", K, tau) * blades.REVERSE_SIGN
     inv_scale = np.multiply.outer(sign_det, (-1.0) ** (blades.GRADE * (4 - blades.GRADE)))
-    B2 = M[:, blades.BIVECTOR_MASK] * blades.BIVECTOR_SIGN[:, :, np.newaxis, np.newaxis]
     G2 = M[:, blades.PEEL_STEPS[0][0]]
     return {"C": C, "L": L, "G2": G2, "M": M, "K": K, "SP": SP, "tau": tau, "H": H,
-            "Hinv_scale": inv_scale, "B2": B2}
+            "Hinv_scale": inv_scale}
 
 
 def _metrics(lorentzian: bool) -> np.ndarray:
@@ -109,13 +108,13 @@ def _killing_form() -> fch.ScenarioFields:
 
 
 def test_killing_identities_builds_only_what_it_reads(monkeypatch):
-    # delta K reads C and the Ricci operator reads B2; B2 is built from the
-    # grade-2 peel step G2, which reads L, so M, K, SP, tau and H are never built
+    # delta K reads C and the Ricci operator reads the grade-2 peel step G2,
+    # which reads L, so M, K, SP, tau and H are never built
     calls = _spy_on_misses(monkeypatch)
     _run_one_block(["killing_identities"], _killing_form())
-    assert sorted(key for _, key in calls) == ["B2", "C"]
+    assert sorted(key for _, key in calls) == ["C", "G2"]
     (metric,) = {id(m): m for m, _ in calls}.values()
-    assert set(metric.tables) == {"C", "L", "G2", "B2"}
+    assert set(metric.tables) == {"C", "L", "G2"}
 
 
 def test_killing_builds_no_table(monkeypatch):
@@ -144,12 +143,12 @@ def test_no_table_is_built_twice(monkeypatch):
                                 V=MultivectorField.from_components({"t": "sqrt(1-2*M/r)"}, s))
     _run_one_block(list(fch.CHECKS), fields)
     assert len({id(m) for m, _ in calls}) == 1
-    # then every table, on fresh metrics, M or B2 first
-    for order in (*ORDERS.values(), ("B2", "M"), ("M", "B2")):
+    # then every table, on fresh metrics, M or G2 first
+    for order in (*ORDERS.values(), ("G2", "M"), ("M", "G2")):
         metric = PointMetric(_metrics(True))
         for key in order + order:
             metric.tables[key]
     assert builds and set(builds.values()) == {1}
-    # the grade-2 peel step is the table G2: once per stack, whether M or B2 reads it first
+    # the grade-2 peel step is the table G2: once per stack, whether M reads it or it is read first
     assert {key for _, key in builds} == set(TABLE_NAMES)
     assert len(calls) == len(set(calls))  # a miss is never repeated for one metric

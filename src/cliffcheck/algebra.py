@@ -127,9 +127,6 @@ class Multivector:
 
     # -- structure ---------------------------------------------------------
 
-    def grade(self, k: int) -> "Multivector":
-        return grade_project(self, k)
-
     def grades(self, tol: float = 0.0) -> frozenset:
         """Grades with a coefficient above ``tol``, at any point of a block."""
         present = (np.abs(self.coeffs) > tol).reshape(-1, blades.N_BLADES).any(axis=0)

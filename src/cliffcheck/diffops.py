@@ -6,7 +6,10 @@ derivatives for the first-order operators, analytic second covariant
 derivatives (never differences of operator outputs) for the second-order
 ones.  The composed operators d(delta F) and delta(d F) are obtained by
 carrying exact first-order jets of delta F and d F, which the second-order
-field jets and the metric jets provide in closed form.
+field jets and the metric jets provide in closed form.  So the squared Dirac
+operator has two routes: :meth:`FieldCalculus.hodge_dalembertian` gives
+-(d delta + delta d) F, and a caller adds ``covariant_dalembertian()`` and
+``ricci_operator()`` for the second-order route.
 
 Index conventions:  ``cov1[a]`` are the blade components of D_a F,
 ``cov2[a, b]`` those of D_a D_b F, and the covariant correction enters
@@ -112,12 +115,6 @@ class MultivectorField:
             e if ex.is_zero(e) else ex.Mul(ex.const(factor), e) for e in self.comps
         )
         return MultivectorField(comps, self.grades)
-
-    def free_names(self) -> frozenset:
-        out = frozenset()
-        for e in self.comps:
-            out |= ex.free_names(e)
-        return out
 
 
 def _parse_blade_key(key: str, coords) -> tuple:
@@ -300,29 +297,10 @@ class FieldCalculus:
             total = total + blocks[..., k, :]
         return Multivector(0.5 * total)
 
-    def hodge_dalembertian(self) -> "HodgeSquare":
-        # route (i): -(d delta + delta d) F from the exact operator jets
+    def hodge_dalembertian(self) -> Multivector:
+        """The squared Dirac operator by its first-order route, -(d delta + delta d) F."""
         d_delta = np.einsum("amn,...na->...m", blades.WEDGE_OP, self._delta_jet[1])
-        delta_d = -self._contract(self._cov(*self._d_jet))
-        first_order = Multivector(-(d_delta + delta_d))
-        second_order = self.covariant_dalembertian() + self.ricci_operator()
-        return HodgeSquare(first_order, second_order)
-
-
-@dataclass(frozen=True)
-class HodgeSquare:
-    """Both evaluations of the squared Dirac operator, with their disagreement."""
-
-    first_order_route: Multivector  # -(d delta + delta d) F
-    second_order_route: Multivector  # covariant D'Alembertian + Ricci operator
-
-    @property
-    def disagreement(self):
-        return (self.first_order_route - self.second_order_route).sup()
-
-    @property
-    def value(self) -> Multivector:
-        return self.second_order_route
+        return Multivector(-(d_delta - self.maxwell_current().coeffs))  # delta d F = -J
 
 
 def grad_scalar_product(ja: FieldJets, jb: FieldJets, gd: GeometryData) -> Multivector:

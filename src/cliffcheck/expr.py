@@ -19,9 +19,9 @@ shape (4,) gives a :class:`Jet2` with ``val`` a float, ``grad`` (4,) and
 and ``hess`` (N, 4, 4).  Lane i is bitwise equal to evaluating point i alone.
 The walk keeps, per point, the first operation in tree order that fails
 there: one point raises its error, and N points keep it in ``Jet2.errors``
-with a zero jet for that point.  :class:`ChunkJets` holds the jets of
-several expressions over a chunk of points and hands them out a block of
-points at a time.
+with a zero jet for that point.  :class:`ChunkJets` evaluates each
+expression asked for once over a chunk of points and hands its jets out a
+block of points at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -102,10 +102,6 @@ ONE = Num(1.0)
 
 def const(v: float) -> Num:
     return Num(float(v))
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 def is_zero(e: Expr) -> bool:
@@ -583,29 +579,26 @@ def point_jets(coords: Sequence[str], point, params: Mapping[str, float] | None 
 
 
 class ChunkJets:
-    """Jets of several expressions over a chunk of points, handed out a block at a time.
+    """Jets of expressions over a chunk of points, handed out a block at a time.
 
-    Each expression is evaluated once for the whole chunk.
     ``block(start, stop)`` is the jet source of points ``start:stop``: a
     function from an expression to its jets there, with the errors of those
-    points (see :func:`evaluate_jet2`).  Only the listed expressions have
-    jets: asking for another raises ``KeyError``.
+    points (see :func:`evaluate_jet2`).  Each expression is evaluated for the
+    whole chunk the first time a block asks for it, and never if none does.
     """
 
-    def __init__(self, exprs: Iterable[Expr], coords: Sequence[str], points,
-                 params: Mapping[str, float] | None = None):
+    def __init__(self, coords: Sequence[str], points, params: Mapping[str, float] | None = None):
         self.coords = tuple(coords)
         self.points = np.asarray(points, dtype=float)
         self.params = params
         self._jets: dict = {}  # id(expr) -> (expr, chunk jet)
-        for e in exprs:
-            if id(e) not in self._jets:
-                self._jets[id(e)] = (e, evaluate_jet2(e, self.coords, self.points, params))
 
     def block(self, start: int, stop: int) -> Callable[[Expr], Jet2]:
         return partial(self._jet, start, stop)
 
     def _jet(self, start: int, stop: int, e: Expr) -> Jet2:
+        if id(e) not in self._jets:  # kept with its expression, so the id is not reused
+            self._jets[id(e)] = (e, evaluate_jet2(e, self.coords, self.points, self.params))
         _, jet = self._jets[id(e)]
         errors = {k - start: err for k, err in jet.errors.items() if start <= k < stop}
         return Jet2(jet.val[start:stop], jet.grad[start:stop], jet.hess[start:stop], errors)

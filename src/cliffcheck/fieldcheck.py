@@ -235,8 +235,8 @@ def _lorentz_force(ctx: BlockContext) -> tuple:
     pm = gd.metric
     fv = ctx.calc("V")
     fa = ctx.calc("potential")
-    vval = fv.value()
-    force_form = m * fv.exterior_d() - e * fa.exterior_d()  # d(mV - eA)
+    vval, dv = fv.value(), fv.exterior_d()
+    force_form = m * dv - e * fa.exterior_d()  # d(mV - eA)
     residuals = {
         "lorentz_force": pm.left_contract(vval, force_form).sup(),
         "unit_velocity": abs(pm.scalar_product(vval, vval) - 1.0),
@@ -247,7 +247,7 @@ def _lorentz_force(ctx: BlockContext) -> tuple:
     for mu in range(4):
         directional = directional + v_up[..., mu] * Multivector(fv.cov1[..., mu, :])
     correction = 0.5 * grad_scalar_product(fv.jets, fv.jets, gd)
-    transport = directional - pm.left_contract(vval, fv.exterior_d()) - correction
+    transport = directional - pm.left_contract(vval, dv) - correction
     residuals["transport_identity"] = transport.sup()
     return residuals, {}
 
@@ -260,7 +260,7 @@ def _hamilton_jacobi(ctx: BlockContext) -> tuple:
     fv = ctx.calc("V")
     momentum = fs.exterior_d() + e * fa.value()  # dS + eA
     mass_shell = pm.scalar_product(momentum, momentum) - m * m
-    wave = fs.hodge_dalembertian().value
+    wave = fs.covariant_dalembertian() + fs.ricci_operator()  # the squared Dirac operator on S
     delta_a = fa.codifferential().scalar_part
     residuals = {
         "momentum_match": (momentum - m * fv.value()).sup(),
@@ -389,8 +389,8 @@ def _structure_current(ctx: BlockContext) -> list:
     F = fa.exterior_d()
     J = fa.maxwell_current()
     B = pm.clifford(F, pm.clifford(aval, F.reverse()))
-    closure = (B - grade_project(B, 1)).sup()
     B1 = grade_project(B, 1)
+    closure = (B - B1).sup()
     c = pm.scalar_product(aval, B1)
     consistency = (J + B1 - 2.0 * pm.scalar_product(aval, J) * J).sup()
     results = []
@@ -615,11 +615,12 @@ def run_checks(
     """Run checks ``names`` with tolerances ``tols`` over ``points``, block by block.
 
     The jets of every metric component and of every component of the fields
-    the checks read are evaluated for :data:`CHUNK` points at a time
-    (:class:`expr.ChunkJets`).  The geometry, the product tables and every
-    check then run on :data:`BLOCK` points of a chunk at a time
-    (:func:`run_pointwise`), and each block is dropped before the next;
-    every point gets exactly the record it gets alone.
+    the checks read are evaluated for :data:`CHUNK` points at a time, when
+    the first block of the chunk asks for them (:class:`expr.ChunkJets`).
+    The geometry, the product tables and every check then run on
+    :data:`BLOCK` points of a chunk at a time (:func:`run_pointwise`), and
+    each block is dropped before the next; every point gets exactly the
+    record it gets alone.
 
     Returns one :class:`ResidualReport` per name, in order, with records in
     point order.  ``seed`` draws the random inputs of ``sandwich_identities``
@@ -635,14 +636,10 @@ def run_checks(
         # keyed by point, so a repeated point gets the same draw
         rng = np.random.default_rng(seed)
         draws = {_point_key(pt): rng.uniform(-1.0, 1.0, size=(3, 16)) for pt in points}
-    exprs = [spec.g_lower[i][j] for i in range(4) for j in range(i, 4)]
-    for name in sorted({n for c in checks for n in c.needs + c.optional}):
-        if by_name[name] is not None:
-            exprs += [e for e in by_name[name].comps if not ex.is_zero(e)]
     rows = [[] for _ in checks]
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
-        jets = ex.ChunkJets(exprs, spec.coords, chunk, spec.params)
+        jets = ex.ChunkJets(spec.coords, chunk, spec.params)
         for first in range(0, len(chunk), BLOCK):
             pts = chunk[first:first + BLOCK]
             block_draws = np.stack([draws[_point_key(pt)] for pt in pts]) if draws else None

@@ -24,6 +24,11 @@ function formats the message.  One point raises the error of the first
 check it fails; a block raises nothing and keeps that error for each
 rejected point in ``errors``, and every other point is bitwise equal to
 the point alone.
+
+The builtin spacetimes are the rows of :data:`CATALOG`, one
+:class:`CatalogEntry` each: chart, domain, diagonal metric and Killing
+1-forms as expression sources, and the rule that checks its parameters.
+:func:`build_metric` and :func:`killing_forms` fill and read those sources.
 """
 
 from __future__ import annotations
@@ -335,132 +340,113 @@ class KillingForm:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One builtin spacetime, described once: its chart, metric and Killing 1-forms as sources.
+
+    Every builtin is diagonal in its chart.  A source may hold a field such
+    as ``{a}``, filled by ``str.format``: ``rule(params)`` checks the
+    parameters and returns the :class:`MetricSpec` params and the fill values.
+    """
+
     key: str
     description: str
     param_doc: Mapping[str, str]
     coords: tuple
     domain: Mapping[str, tuple]
-    killing: tuple
-    _builder: object
+    diagonal: tuple  # sources of g_{mu mu}
+    killing_sources: tuple  # KillingForms whose components are sources
+    rule: Callable  # params -> (MetricSpec params, fill values); raises on bad params
 
     def build(self, params: Mapping | None = None) -> MetricSpec:
-        return self._builder(dict(params or {}))
+        spec_params, fill = self.rule(dict(params or {}))
+        rows = [[src.format(**fill) if i == j else "0" for j in range(4)]
+                for i, src in enumerate(self.diagonal)]
+        return MetricSpec.from_strings(self.coords, rows, spec_params, self.key, self.domain)
+
+    @property
+    def killing(self) -> tuple:
+        """The Killing 1-forms at the default parameters."""
+        return killing_forms(self.key)
 
 
-def _build_minkowski(params: Mapping) -> MetricSpec:
+def _no_params(params: dict) -> tuple:
     if params:
         raise GeometryError(f"minkowski takes no parameters, got {sorted(params)}")
-    rows = [["0"] * 4 for _ in range(4)]
-    for i, v in enumerate(("1", "-1", "-1", "-1")):
-        rows[i][i] = v
-    return MetricSpec.from_strings(
-        ("t", "x", "y", "z"), rows, {}, "minkowski", _CATALOG_DOMAINS["minkowski"]
-    )
+    return {}, {}
 
 
-def _build_schwarzschild(params: Mapping) -> MetricSpec:
+def _mass_param(params: dict) -> tuple:
     mass = float(params.pop("M", 1.0))
     if params:
         raise GeometryError(f"schwarzschild takes only parameter M, got {sorted(params)}")
     if mass <= 0.0:
         raise GeometryError("schwarzschild mass M must be positive")
-    rows = [["0"] * 4 for _ in range(4)]
-    rows[0][0] = "1-2*M/r"
-    rows[1][1] = "-1/(1-2*M/r)"
-    rows[2][2] = "-r^2"
-    rows[3][3] = "-r^2*sin(theta)^2"
-    return MetricSpec.from_strings(
-        ("t", "r", "theta", "phi"),
-        rows,
-        {"M": mass},
-        "schwarzschild",
-        _CATALOG_DOMAINS["schwarzschild"],
-    )
+    return {"M": mass}, {}
 
 
-def _build_flrw(params: Mapping) -> MetricSpec:
+def _scale_factor_param(params: dict) -> tuple:
+    # ``a`` is parsed alone first: its errors keep their columns, and a source
+    # that parses alone parses to the same tree inside the template's ``({a})``
     a_src = str(params.pop("a", "t"))
     if params:
         raise GeometryError(f"flrw takes only the scale-factor expression a, got {sorted(params)}")
-    a_expr = ex.parse(a_src)
-    extra = ex.free_names(a_expr) - {"t"}
+    extra = ex.free_names(ex.parse(a_src)) - {"t"}
     if extra:
         raise GeometryError(f"flrw scale factor may only depend on t, uses {sorted(extra)}")
-    neg_a2 = ex.Neg(ex.Pow(a_expr, ex.const(2)))
-    zero, one = ex.const(0), ex.const(1)
-    comps = [[zero] * 4 for _ in range(4)]
-    comps[0][0] = one
-    for i in (1, 2, 3):
-        comps[i][i] = neg_a2
-    return MetricSpec(
-        ("t", "x", "y", "z"),
-        tuple(tuple(row) for row in comps),
-        {},
-        "flrw",
-        dict(_CATALOG_DOMAINS["flrw"]),
-    )
+    return {}, {"a": a_src}
 
 
-_CATALOG_DOMAINS = {
-    "minkowski": {"t": (-3.0, 3.0), "x": (-3.0, 3.0), "y": (-3.0, 3.0), "z": (-3.0, 3.0)},
-    "schwarzschild": {"t": (-3.0, 3.0), "r": (2.5, 20.0), "theta": (0.35, 2.8), "phi": (0.0, 6.2)},
-    "flrw": {"t": (0.4, 3.0), "x": (-3.0, 3.0), "y": (-3.0, 3.0), "z": (-3.0, 3.0)},
-}
-
-_MINKOWSKI_KILLING = (
-    KillingForm("dt-dual", {"t": "1"}),
-    KillingForm("dx-dual", {"x": "-1"}),
-    KillingForm("dy-dual", {"y": "-1"}),
-    KillingForm("dz-dual", {"z": "-1"}),
-    KillingForm("rot-xy", {"x": "y", "y": "-x"}),
-    KillingForm("rot-yz", {"y": "z", "z": "-y"}),
-    KillingForm("rot-zx", {"z": "x", "x": "-z"}),
-    KillingForm("boost-tx", {"t": "x", "x": "-t"}),
-    KillingForm("boost-ty", {"t": "y", "y": "-t"}),
-    KillingForm("boost-tz", {"t": "z", "z": "-t"}),
-)
-
-
-def _flrw_killing_sources(a_src: str = "t") -> tuple:
-    comp = f"-({a_src})^2"
-    return (
-        KillingForm("dx-dual", {"x": comp}),
-        KillingForm("dy-dual", {"y": comp}),
-        KillingForm("dz-dual", {"z": comp}),
-    )
-
+_BOX = {c: (-3.0, 3.0) for c in ("t", "x", "y", "z")}
 
 CATALOG = {
-    "minkowski": CatalogEntry(
-        key="minkowski",
-        description="flat spacetime, diag(1,-1,-1,-1)",
-        param_doc={},
-        coords=("t", "x", "y", "z"),
-        domain=_CATALOG_DOMAINS["minkowski"],
-        killing=_MINKOWSKI_KILLING,
-        _builder=_build_minkowski,
-    ),
-    "schwarzschild": CatalogEntry(
-        key="schwarzschild",
-        description="static spherically symmetric vacuum, areal radius chart",
-        param_doc={"M": "mass (default 1)"},
-        coords=("t", "r", "theta", "phi"),
-        domain=_CATALOG_DOMAINS["schwarzschild"],
-        killing=(
-            KillingForm("dt-dual", {"t": "1-2*M/r"}),
-            KillingForm("dphi-dual", {"phi": "-r^2*sin(theta)^2"}),
+    e.key: e
+    for e in (
+        CatalogEntry(
+            key="minkowski",
+            description="flat spacetime, diag(1,-1,-1,-1)",
+            param_doc={},
+            coords=("t", "x", "y", "z"),
+            domain=_BOX,
+            diagonal=("1", "-1", "-1", "-1"),
+            killing_sources=(
+                KillingForm("dt-dual", {"t": "1"}), KillingForm("dx-dual", {"x": "-1"}),
+                KillingForm("dy-dual", {"y": "-1"}), KillingForm("dz-dual", {"z": "-1"}),
+                KillingForm("rot-xy", {"x": "y", "y": "-x"}),
+                KillingForm("rot-yz", {"y": "z", "z": "-y"}),
+                KillingForm("rot-zx", {"z": "x", "x": "-z"}),
+                KillingForm("boost-tx", {"t": "x", "x": "-t"}),
+                KillingForm("boost-ty", {"t": "y", "y": "-t"}),
+                KillingForm("boost-tz", {"t": "z", "z": "-t"}),
+            ),
+            rule=_no_params,
         ),
-        _builder=_build_schwarzschild,
-    ),
-    "flrw": CatalogEntry(
-        key="flrw",
-        description="spatially flat cosmology dt^2 - a(t)^2 (dx^2+dy^2+dz^2)",
-        param_doc={"a": "scale-factor expression in t (default 't')"},
-        coords=("t", "x", "y", "z"),
-        domain=_CATALOG_DOMAINS["flrw"],
-        killing=_flrw_killing_sources(),
-        _builder=_build_flrw,
-    ),
+        CatalogEntry(
+            key="schwarzschild",
+            description="static spherically symmetric vacuum, areal radius chart",
+            param_doc={"M": "mass (default 1)"},
+            coords=("t", "r", "theta", "phi"),
+            domain={"t": (-3.0, 3.0), "r": (2.5, 20.0), "theta": (0.35, 2.8), "phi": (0.0, 6.2)},
+            diagonal=("1-2*M/r", "-1/(1-2*M/r)", "-r^2", "-r^2*sin(theta)^2"),
+            killing_sources=(
+                KillingForm("dt-dual", {"t": "1-2*M/r"}),
+                KillingForm("dphi-dual", {"phi": "-r^2*sin(theta)^2"}),
+            ),
+            rule=_mass_param,
+        ),
+        CatalogEntry(
+            key="flrw",
+            description="spatially flat cosmology dt^2 - a(t)^2 (dx^2+dy^2+dz^2)",
+            param_doc={"a": "scale-factor expression in t (default 't')"},
+            coords=("t", "x", "y", "z"),
+            domain={**_BOX, "t": (0.4, 3.0)},
+            diagonal=("1", "-({a})^2", "-({a})^2", "-({a})^2"),
+            killing_sources=(
+                KillingForm("dx-dual", {"x": "-({a})^2"}),
+                KillingForm("dy-dual", {"y": "-({a})^2"}),
+                KillingForm("dz-dual", {"z": "-({a})^2"}),
+            ),
+            rule=_scale_factor_param,
+        ),
+    )
 }
 
 
@@ -475,8 +461,8 @@ def build_metric(key: str, params: Mapping | None = None) -> MetricSpec:
 
 
 def killing_forms(key: str, params: Mapping | None = None) -> tuple:
-    """Killing 1-forms of a builtin metric, with parameter-aware components."""
+    """Killing 1-forms of a builtin metric at ``params``, checked as in :func:`build_metric`."""
     entry = CATALOG[key]
-    if key == "flrw":
-        return _flrw_killing_sources(str((params or {}).get("a", "t")))
-    return entry.killing
+    fill = entry.rule(dict(params or {}))[1]
+    return tuple(KillingForm(kf.name, {c: src.format(**fill) for c, src in kf.components.items()})
+                 for kf in entry.killing_sources)

@@ -423,7 +423,7 @@ def test_chunk_lane_error_matches_the_point_alone(src, bad_x, message):
     alone = _single(tree, points)
     assert [isinstance(a, str) for a in alone] == [False, False, True, False, False]
     assert alone[2] == f"DomainEvalError: {message} in '{ex.serialize(tree)}'"
-    jets = ex.ChunkJets([tree], COORDS, points)
+    jets = ex.ChunkJets(COORDS, points)
     for start, stop in ((0, 5), (1, 3), (3, 5), (2, 3)):
         block = jets.block(start, stop)(tree)
         assert list(block.errors) == ([2 - start] if start <= 2 < stop else [])
@@ -434,3 +434,23 @@ def test_chunk_lane_error_matches_the_point_alone(src, bad_x, message):
             else:
                 assert _bits(block, i - start) == alone[i]
 
+
+
+def test_chunk_evaluates_each_expression_once_and_only_when_asked(monkeypatch):
+    read = ex.parse("t*x + y^2")
+    points = np.random.default_rng(3).uniform(0.5, 1.5, size=(10, 4))
+    evaluated = []
+
+    def counting(e, *args):
+        evaluated.append(e)
+        return evaluate(e, *args)
+
+    evaluate = ex.evaluate_jet2
+    monkeypatch.setattr(ex, "evaluate_jet2", counting)
+    jets = ex.ChunkJets(COORDS, points)
+    assert evaluated == []
+    for start, stop in ((0, 4), (4, 8), (8, 10), (0, 10)):
+        for _ in range(2):
+            block = jets.block(start, stop)(read)
+            assert _bits(block) == _bits(evaluate(read, COORDS, points[start:stop]))
+    assert evaluated == [read]

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,30 @@ def field(components, spec):
 def run_check(name, spec, fields, points, tol, seed=0):
     (report,) = fch.run_checks(spec, fields, [name], points, [tol], seed)
     return report
+
+
+def test_readme_checks_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Checks", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines() if line.startswith("| `")]
+    assert [name.strip("`") for name, *_ in rows] == list(fch.CHECKS)
+    for (name, requires, _), check in zip(rows, fch.CHECKS.values()):
+        derived = ", ".join("A or K" if need == "potential" else need for need in check.needs)
+        assert requires == (derived or "none"), name
+
+
+def test_run_checks_evaluates_each_expression_it_reads_once_per_chunk(monkeypatch):
+    K, S = field({"t": "x", "x": "-t"}, MINK), field({"1": "t*x"}, MINK)  # no check reads S
+    evaluated = []
+    evaluate = ex.evaluate_jet2
+    monkeypatch.setattr(ex, "evaluate_jet2", lambda e, *args: evaluated.append(id(e)) or evaluate(e, *args))
+    points = [tuple(p) for p in np.random.default_rng(2).uniform(-1, 1, size=(fch.CHUNK + 40, 4))]
+    fch.run_checks(MINK, fch.ScenarioFields(K=K, S=S), ["killing", "killing_identities"], points,
+                   [1e-10, 1e-10])
+    read = [MINK.g_lower[i][j] for i in range(4) for j in range(i, 4)]
+    read += [e for e in K.comps if not ex.is_zero(e)]
+    assert Counter(evaluated) == {id(e): 2 for e in read}  # two chunks
 
 
 # -- killing ---------------------------------------------------------------------

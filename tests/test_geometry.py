@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,52 @@ def test_catalog_parameter_validation():
         geo.build_metric("flrw", {"a": "t+x"})  # scale factor may only use t
     with pytest.raises(GeometryError):
         geo.build_metric("kerr")
+
+
+CATALOG_LISTING_SHA256 = "ca5a28df4ae30b3f248dc94c5e2959021662303cf8505495adea06611a29c42d"
+
+# sha256 of repr((coords, g_lower, params, name, domain, killing_forms(key, params)))
+CATALOG_BUILD_SHA256 = [
+    ("minkowski", None, "555b33c4d5ff371d7bb7ce895aa878d3e46367502ab78b67a4aff10aff07148b"),
+    ("schwarzschild", None, "a3c6a661ab401c3c238c0307de0d0d46f68e8ad27c0b7afd8918051cd8efeaad"),
+    ("schwarzschild", {"M": 2}, "d3feb5d426637343e6a445eb0d1a4a528f0366259352cf5879a650e6539893fd"),
+    ("flrw", None, "9e89c6429328d7d011e8ef5c58bcf579327be6b34ddb32e0ae08616c08e628e5"),
+    ("flrw", {"a": "t"}, "9e89c6429328d7d011e8ef5c58bcf579327be6b34ddb32e0ae08616c08e628e5"),
+    ("flrw", {"a": "t^2+1"}, "dd48349b3625cc34a1a1286f44430e86496fbeb5e6b8340b9adb522031b0b075"),
+]
+
+CATALOG_PARAM_ERRORS = [
+    ("minkowski", {"M": 1.0}, "GeometryError", "minkowski takes no parameters, got ['M']"),
+    ("schwarzschild", {"M": -2.0}, "GeometryError", "schwarzschild mass M must be positive"),
+    ("schwarzschild", {"mass": 1.0}, "GeometryError",
+     "schwarzschild takes only parameter M, got ['mass']"),
+    ("flrw", {"a": "t+x"}, "GeometryError", "flrw scale factor may only depend on t, uses ['x']"),
+    ("flrw", {"a": "t+"}, "ParseError", "expected a value (column 3)"),
+    ("flrw", {"b": "t"}, "GeometryError", "flrw takes only the scale-factor expression a, got ['b']"),
+    ("kerr", None, "GeometryError",
+     "unknown builtin metric 'kerr' (known: flrw, minkowski, schwarzschild)"),
+]
+
+
+def test_catalog_listing_is_pinned():
+    from cliffcheck.runner import list_builtins
+
+    assert hashlib.sha256(list_builtins().encode()).hexdigest() == CATALOG_LISTING_SHA256
+
+
+@pytest.mark.parametrize("key, params, digest", CATALOG_BUILD_SHA256)
+def test_catalog_builds_are_pinned(key, params, digest):
+    spec = geo.build_metric(key, params)
+    text = repr((spec.coords, spec.g_lower, dict(spec.params), spec.name, dict(spec.domain),
+                 geo.killing_forms(key, params)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+@pytest.mark.parametrize("key, params, kind, message", CATALOG_PARAM_ERRORS)
+def test_catalog_parameter_errors_are_pinned(key, params, kind, message):
+    with pytest.raises(Exception) as err:
+        geo.build_metric(key, params)
+    assert (type(err.value).__name__, str(err.value)) == (kind, message)
 
 
 def test_catalog_build_does_not_mutate_params():
@@ -336,8 +384,7 @@ def test_block_lanes_equal_each_point_alone_bitwise(key):
     # blocks as the point loop builds them: 16 points of a 48-point chunk of jets
     spec, (lo, hi) = BLOCK_CASES[key]
     points = np.random.default_rng(11).uniform(lo, hi, size=(48, 4))
-    exprs = [spec.g_lower[i][j] for i in range(4) for j in range(i, 4)]
-    jets = ex.ChunkJets(exprs, spec.coords, points, spec.params)
+    jets = ex.ChunkJets(spec.coords, points, spec.params)
     for first in range(0, len(points), 16):
         block = geo.curvature(spec, points[first:first + 16], jet=jets.block(first, first + 16))
         assert block.riemann.shape == (16, 4, 4, 4, 4) and block.errors == {}
@@ -378,8 +425,7 @@ def test_block_rejects_exactly_the_points_that_raise_alone():
         assert str(err.value) == message
     # blocks of four: the first holds the singular point; the second the
     # non-Lorentzian point and the point whose jet of g_yy fails
-    exprs = [MIXED.g_lower[i][j] for i in range(4) for j in range(i, 4)]
-    jets = ex.ChunkJets(exprs, MIXED.coords, points, MIXED.params)
+    jets = ex.ChunkJets(MIXED.coords, points, MIXED.params)
     errors = {}
     for first in range(0, 10, 4):
         stop = min(first + 4, 10)

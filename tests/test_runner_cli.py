@@ -700,3 +700,21 @@ def test_every_traced_target_exists():
     # the tracer patches curvature where fieldcheck binds it by name
     from cliffcheck import fieldcheck, geometry
     assert fieldcheck.curvature is geometry.curvature
+
+
+# sha256 of the report file of each verify workload of perfbench at seed 1,
+# at its default number of points; computed before checks kept their
+# results as columns
+WORKLOAD_REPORT_SHA256 = {
+    "schw_10check": "0144a43a335a69069e977d0181826cd91fc83fbb336f213cf13844797c09bde5",
+    "kerr_identities": "dcd732ce5212d6e9096f13dfff4805f1c385c2f3c35808b2ecf647094e4284f1",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_REPORT_SHA256))
+def test_workload_report_bytes_pinned(tmp_path, workload):
+    workloads = _perfbench_module("workloads")
+    (op,) = getattr(workloads, workload)(REPO, tmp_path, seed=1).ops
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(op.argv)) == op.expected_exit
+    assert hashlib.sha256(op.report.read_bytes()).hexdigest() == WORKLOAD_REPORT_SHA256[workload]

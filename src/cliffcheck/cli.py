@@ -78,20 +78,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_check_lines(report) -> None:
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        npts = len(check.records)
-        errors = sum(1 for r in check.records if r.error)
-        suffix = f", {errors} point error(s)" if errors else ""
+        suffix = f", {len(check.errors)} point error(s)" if check.errors else ""
         print(
             f"[{status}] {check.check:<24} max_residual={check.max_residual:.3e} "
-            f"(tol {check.tolerance:.0e}, {npts} points{suffix})"
+            f"(tol {check.tolerance:.0e}, {len(check.points)} points{suffix})"
         )
+        worst = check.worst()
+        if worst is not None:
+            point, key, value = worst
+            print(f"         worst point {point}: {key}={value:.3e}")
         if not check.passed:
-            for rec in check.records:
-                if rec.error:
-                    print(f"         point {rec.point}: error: {rec.error}")
-                elif not rec.passed:
-                    failing = {k: v for k, v in rec.residuals.items() if v > check.tolerance}
-                    print(f"         point {rec.point}: failing {failing}")
+            for point, error, failing in check.failures():
+                if error:
+                    print(f"         point {point}: error: {error}")
+                else:
+                    print(f"         point {point}: failing {failing}")
 
 
 def main(argv=None) -> int:

@@ -5,10 +5,11 @@ its notes and ``fn(ctx) -> (residuals, info)``, evaluated once on a block of
 sample points' :class:`BlockContext`, with one value per point (N first).
 One point is the same code without N, and the reference.  A point that
 fails is not computed again: the block's geometry and field jets keep its
-error, and its record gets the error it gets alone (:func:`run_pointwise`).
+error, and the point gets the error it gets alone (:func:`run_pointwise`).
 :func:`run_checks` visits each block once, computes its geometry and field
 jets once, runs every requested check against them and gathers one
-:class:`ResidualReport` per check.  Residuals under ``residuals`` gate the
+:class:`ResidualReport` per check, which keeps the results as columns: one
+array per key, one row per point.  Residuals under ``residuals`` gate the
 pass flag; quantities under ``info`` (sampled currents, quadratic roots,
 solution-matching distances) are diagnostics that depend on the supplied
 fields actually solving the coupled system, which hand-built scenarios
@@ -17,9 +18,8 @@ generally do not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,6 +68,8 @@ class ScenarioFields:
 
 @dataclass
 class PointRecord:
+    """One point of a check as the report holds it, built from the columns on demand."""
+
     point: tuple
     residuals: dict
     info: dict = field(default_factory=dict)
@@ -76,13 +78,95 @@ class PointRecord:
 
 
 @dataclass
+class Layout:
+    """The points of a check that share one key layout, and their columns.
+
+    ``index`` holds the points' indices, ascending.  Every column has one
+    row per point of ``index``: one (M,) array per residual key and one
+    (M, ...) array per info key, each in the order the report writes them.
+    """
+
+    index: np.ndarray
+    residuals: dict
+    info: dict
+
+
+@dataclass
 class ResidualReport:
+    """One check at P points, as columns.
+
+    Each point has an error (``errors``: point index -> message) or belongs
+    to one :class:`Layout`.  A point passes when each of its residuals is at
+    most ``tolerance``, and the check passes when it has points and each of
+    them passes.  :attr:`records` and :meth:`to_dict` are the per-point view.
+    """
+
     check: str
     tolerance: float
-    records: list
-    max_residual: float
-    passed: bool
+    points: np.ndarray  # (P, 4)
+    layouts: list
+    errors: dict
     notes: tuple = ()
+
+    @cached_property
+    def verdicts(self) -> list:
+        """Per layout, whether each of its points passes."""
+        out = []
+        for lay in self.layouts:
+            ok = np.ones(len(lay.index), dtype=bool)
+            for column in lay.residuals.values():
+                ok &= column <= self.tolerance
+            out.append(ok)
+        return out
+
+    @cached_property
+    def max_residual(self) -> float:
+        """The largest residual of the points without an error, or 0.0 when none is larger."""
+        return max([0.0, *(float(np.max(c)) for lay in self.layouts
+                           for c in lay.residuals.values() if len(c))])
+
+    @cached_property
+    def passed(self) -> bool:
+        return len(self.points) > 0 and not self.errors and all(ok.all() for ok in self.verdicts)
+
+    def worst(self) -> tuple | None:
+        """``(point, key, value)`` of the largest residual, first in point order; None if none."""
+        best = None
+        for lay in self.layouts:
+            if lay.residuals and len(lay.index):
+                table = np.stack(list(lay.residuals.values()), axis=1)
+                row, col = divmod(int(np.argmax(table)), table.shape[1])
+                at = (float(table[row, col]), -int(lay.index[row]))
+                if best is None or at > best[0]:
+                    best = (at, list(lay.residuals)[col])
+        if best is None:
+            return None
+        (value, index), key = best
+        return tuple(self.points[-index].tolist()), key, value
+
+    def failures(self) -> list:
+        """``(point, error, failing residuals)`` of each point that fails, in point order."""
+        rows = {i: (error, {}) for i, error in self.errors.items()}
+        for lay, ok in zip(self.layouts, self.verdicts):
+            bad = np.flatnonzero(~ok)
+            columns = {key: c[bad].tolist() for key, c in lay.residuals.items()}
+            for j, i in enumerate(lay.index[bad].tolist()):
+                rows[i] = (None, {key: v[j] for key, v in columns.items() if v[j] > self.tolerance})
+        return [(tuple(self.points[i].tolist()), *rows[i]) for i in sorted(rows)]
+
+    @property
+    def records(self) -> list:
+        """One :class:`PointRecord` per point, in point order, built from the columns."""
+        points = list(map(tuple, self.points.tolist()))
+        out = [None] * len(points)
+        for i, error in self.errors.items():
+            out[i] = PointRecord(points[i], {}, {}, error, False)
+        for lay, ok in zip(self.layouts, self.verdicts):
+            count = len(lay.index)
+            rows = zip(lay.index.tolist(), _rows(lay.residuals, count), _rows(lay.info, count), ok.tolist())
+            for i, residuals, info, passed in rows:
+                out[i] = PointRecord(points[i], residuals, info, None, passed)
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -94,7 +178,7 @@ class ResidualReport:
             "points": [
                 {
                     "point": list(r.point),
-                    "residuals": dict(r.residuals),
+                    "residuals": r.residuals,
                     "info": r.info,
                     "error": r.error,
                     "passed": r.passed,
@@ -104,6 +188,13 @@ class ResidualReport:
         }
 
 
+def _rows(columns: dict, count: int) -> list:
+    """The ``count`` rows of ``columns`` as dicts of Python values."""
+    if not columns:
+        return [{} for _ in range(count)]
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+
+
 # -- the block context and the shape of a check ----------------------------------------
 
 
@@ -111,8 +202,7 @@ class BlockContext:
     """A block of N sample points, or one point: geometry and one memoized calculator per field.
 
     Over a block ``gd`` is the block's :class:`GeometryData` and every array
-    has N first; one point is the case without N.  ``lanes`` indexes the
-    points: ``range(N)``, or ``(None,)`` for one point (see :func:`_at`).
+    has N first; one point is the case without N.
     """
 
     def __init__(self, gd: GeometryData, fields: dict, constants: Constants, draw):
@@ -120,7 +210,6 @@ class BlockContext:
         self.fields = fields  # "K" | "S" | "V" | "potential" -> MultivectorField | None
         self.constants = constants
         self.draw = draw  # (N, 3, 16) or (3, 16) random inputs of sandwich_identities, or None
-        self.lanes = range(len(gd.point)) if np.ndim(gd.point) == 2 else (None,)
         self.asked: list = []  # the calculators handed out, in order, since it was last cleared
         self._calcs: dict = {}
 
@@ -144,7 +233,9 @@ class Check:
     """One check.  ``fn(ctx)`` runs once on a :class:`BlockContext` and returns
     ``(residuals, info)``: dicts whose values have one entry per point, N
     first (none for one point).  A check whose keys differ from point to
-    point returns a list of per-point ``(residuals, info)`` instead.
+    point returns a list of ``(rows, residuals, info)`` instead, one per key
+    layout, with ``rows`` the points that have it and every value rows
+    first, one point included (:func:`check_columns`).
     """
 
     name: str
@@ -155,13 +246,6 @@ class Check:
 
 
 # -- helpers ---------------------------------------------------------------------
-
-
-def _at(x, i):
-    """Point ``i`` of a block value; ``i`` None is the one point, ``x`` itself."""
-    if i is None:
-        return x
-    return Multivector(x.coeffs[i]) if isinstance(x, Multivector) else x[i]
 
 
 def _lowered_basis(gd: GeometryData, beta: int) -> Multivector:
@@ -349,28 +433,37 @@ class StructureRoots:
     discriminant: float
 
 
+_OUTCOMES = np.array(["linear", "two-roots", "double-root", "no-real-f"])
+
+
+def _structure_roots(c: np.ndarray) -> tuple:
+    """Real solutions of 2 c f^2 + f + 1 = 0 at each of the N values ``c``.
+
+    Returns the outcome (an index into :data:`_OUTCOMES`), the discriminant
+    1 - 8c, the roots, ascending in the first ``count`` of two slots, and
+    ``count``.  At c = 0 the equation is linear, f = -1.
+    """
+    disc = 1.0 - 8.0 * c
+    twice, four = (2.0 * c)[:, np.newaxis], (4.0 * c)[:, np.newaxis]
+    with np.errstate(all="ignore"):  # each point computes every case and keeps its own
+        q = -0.5 * (1.0 + np.sqrt(disc))
+        f = np.stack([q / (2.0 * c), 1.0 / q], axis=-1)
+        finite = np.isfinite(f)  # a root beyond float range (|c| subnormal) is dropped
+        for _ in range(2):  # Newton polish; derivative nonzero off the double root
+            deriv = four * f + 1.0
+            f = np.where(deriv != 0.0, f - (twice * f * f + f + 1.0) / deriv, f)
+        double_root = -1.0 / (4.0 * c)
+    roots = np.where((~finite[:, 0] | finite[:, 1] & (f[:, 1] < f[:, 0]))[:, np.newaxis], f[:, ::-1], f)
+    linear, none, double = c == 0.0, disc < 0.0, disc == 0.0
+    roots[:, 0] = np.where(linear, -1.0, np.where(double, double_root, roots[:, 0]))
+    count = np.where(linear | double, 1, np.where(none, 0, finite.sum(axis=1)))
+    return np.where(linear, 0, np.where(none, 3, np.where(double, 2, 1))), disc, roots, count
+
+
 def solve_structure_quadratic(c: float) -> StructureRoots:
     """Real solutions of 2 c f^2 + f + 1 = 0; degenerates to f = -1 at c = 0."""
-    if c == 0.0:
-        return StructureRoots("linear", (-1.0,), 1.0)
-    disc = 1.0 - 8.0 * c
-    if disc < 0.0:
-        return StructureRoots("no-real-f", (), disc)
-    if disc == 0.0:
-        return StructureRoots("double-root", (-1.0 / (4.0 * c),), disc)
-    sq = math.sqrt(disc)
-    q = -0.5 * (1.0 + sq)
-    roots = [q / (2.0 * c), 1.0 / q]
-    polished = []
-    for f in roots:
-        if not math.isfinite(f):
-            continue  # root magnitude beyond float range (|c| subnormal)
-        for _ in range(2):  # Newton polish; derivative nonzero off the double root
-            deriv = 4.0 * c * f + 1.0
-            if deriv != 0.0:
-                f = f - (2.0 * c * f * f + f + 1.0) / deriv
-        polished.append(f)
-    return StructureRoots("two-roots", tuple(sorted(polished)), disc)
+    outcome, disc, roots, count = _structure_roots(np.array([float(c)]))
+    return StructureRoots(str(_OUTCOMES[outcome[0]]), tuple(roots[0, :count[0]].tolist()), float(disc[0]))
 
 
 def _structure_current(ctx: BlockContext) -> list:
@@ -380,8 +473,8 @@ def _structure_current(ctx: BlockContext) -> list:
     quadratic equation satisfied by each root); the distances between the
     Maxwell current and -f B are informational, as is the printed form of the
     consistency equation, since both hold only on exact solutions.  The
-    products run on the whole block; the roots, whose number sets the keys,
-    are solved point by point.
+    number of roots sets the keys: the points with 0, 1 and 2 roots are one
+    key layout each.
     """
     pm = ctx.gd.metric
     fa = ctx.calc("potential")
@@ -390,29 +483,35 @@ def _structure_current(ctx: BlockContext) -> list:
     J = fa.maxwell_current()
     B = pm.clifford(F, pm.clifford(aval, F.reverse()))
     B1 = grade_project(B, 1)
-    closure = (B - B1).sup()
-    c = pm.scalar_product(aval, B1)
-    consistency = (J + B1 - 2.0 * pm.scalar_product(aval, J) * J).sup()
-    results = []
-    for i in ctx.lanes:
-        ci, Ji, B1i = float(_at(c, i)), _at(J, i), _at(B1, i)
-        sol = solve_structure_quadratic(ci)
-        residuals = {"sandwich_grade": _at(closure, i)}
+    closure = np.reshape((B - B1).sup(), -1)
+    c = np.reshape(pm.scalar_product(aval, B1), -1)
+    consistency = np.reshape((J + B1 - 2.0 * pm.scalar_product(aval, J) * J).sup(), -1)
+    outcome, disc, roots, count = _structure_roots(c)
+    quadratic = np.abs(2.0 * c[:, np.newaxis] * roots * roots + roots + 1.0)
+    j, b, f = J.coeffs.reshape(-1, 1, 16), B1.coeffs.reshape(-1, 1, 16), roots[..., np.newaxis]
+    minus, plus = np.max(np.abs(j - b * -f), axis=-1), np.max(np.abs(j - b * f), axis=-1)
+    current, b_comps = J.oneform_components().reshape(-1, 4), B1.oneform_components().reshape(-1, 4)
+    layouts = []
+    for n in range(3):
+        rows = np.flatnonzero(count == n)
+        if not len(rows):
+            continue
+        residuals = {"sandwich_grade": closure[rows]}
         info = {
-            "c": ci,
-            "discriminant": sol.discriminant,
-            "outcome": sol.outcome,
-            "roots": list(sol.roots),
-            "current": Ji.oneform_components(),
-            "B": B1i.oneform_components(),
-            "self_consistency_residual": _at(consistency, i),
+            "c": c[rows],
+            "discriminant": disc[rows],
+            "outcome": _OUTCOMES[outcome[rows]],
+            "roots": roots[rows, :n],
+            "current": current[rows],
+            "B": b_comps[rows],
+            "self_consistency_residual": consistency[rows],
         }
-        for k, f in enumerate(sol.roots):
-            residuals[f"quadratic_root_{k}"] = abs(2.0 * ci * f * f + f + 1.0)
-            info[f"current_match_minus_fB_{k}"] = (Ji - (-f) * B1i).sup()
-            info[f"current_match_plus_fB_{k}"] = (Ji - f * B1i).sup()
-        results.append((residuals, info))
-    return results
+        for k in range(n):
+            residuals[f"quadratic_root_{k}"] = quadratic[rows, k]
+            info[f"current_match_minus_fB_{k}"] = minus[rows, k]
+            info[f"current_match_plus_fB_{k}"] = plus[rows, k]
+        layouts.append((rows, residuals, info))
+    return layouts
 
 
 def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, j: Multivector) -> dict:
@@ -511,57 +610,74 @@ BLOCK = 16  # points of a chunk whose geometry, tables and checks are computed t
 
 @dataclass
 class PointResult:
-    records: list  # one PointRecord per point and requested check, point by point
+    reports: list  # one ResidualReport per requested check, over the block's points
+
+    @property
+    def records(self) -> list:
+        """Every requested check's :class:`PointRecord` at every point, built on demand."""
+        return [record for report in self.reports for record in report.records]
 
 
 def _point_key(pt) -> tuple:
     return tuple(float(v) for v in pt)
 
 
-def _plain(values: dict) -> dict:
-    """A check's values as a report holds them: numpy values become Python floats or lists."""
-    return {key: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
-            for key, v in values.items()}
+def check_columns(ctx: BlockContext, check: Check) -> list:
+    """``check`` on ``ctx`` as key layouts ``(rows, residuals, info)``, rows first on every value.
 
-
-def _first_nonfinite(residuals: dict, info: dict) -> str | None:
-    """One point's error: its first non-finite value, residuals before info."""
-    for kind, values in (("residual", residuals), ("info", info)):
-        for key, value in values.items():
-            items = value if isinstance(value, list) else (value,)
-            if any(isinstance(x, float) and not math.isfinite(x) for x in items):
-                return f"non-finite {kind} '{key}'"
-    return None
-
-
-def _record(point: tuple, tol: float, residuals: dict, info: dict, error: str | None) -> PointRecord:
-    """A point's record; ``error``, a non-finite residual or info value, is a point error."""
-    if error is not None:
-        return PointRecord(point, {}, {}, error, False)
-    return PointRecord(point, residuals, info, None, all(v <= tol for v in residuals.values()))
-
-
-def _per_point(ctx: BlockContext, check: Check) -> list:
-    """``check`` on ``ctx``, as one ``(residuals, info, error)`` per point of ``ctx.lanes``.
-
-    ``error`` names the point's first non-finite value, residuals before
-    info and each in key order, or is None.
+    A check that returns one ``(residuals, info)`` has one layout of all
+    points; one point is a block of one here.
     """
     out = check.fn(ctx)
-    if isinstance(out, list):  # already one pair per point
-        pairs = [(_plain(residuals), _plain(info)) for residuals, info in out]
-        return [(residuals, info, _first_nonfinite(residuals, info)) for residuals, info in pairs]
-    # one finiteness test per key over the whole block, before the values become lists
-    errors = [None] * len(ctx.lanes)
-    for kind, values in (("residual", out[0]), ("info", out[1])):
-        for key, value in values.items():
-            finite = np.isfinite(np.reshape(value, (len(errors), -1))).all(axis=1)
-            for k in np.flatnonzero(~finite):
-                errors[k] = errors[k] or f"non-finite {kind} '{key}'"
-    residuals, info = _plain(out[0]), _plain(out[1])  # a block's arrays become lists once
-    return [({key: _at(v, i) for key, v in residuals.items()},
-             {key: _at(v, i) for key, v in info.items()},
-             error) for i, error in zip(ctx.lanes, errors)]
+    if isinstance(out, list):
+        return out
+    lead = (np.newaxis,) if np.ndim(ctx.gd.point) == 1 else ()
+    residuals, info = ({key: np.asarray(v)[lead] for key, v in values.items()} for values in out)
+    return [(np.arange(len(np.reshape(ctx.gd.point, (-1, 4)))), residuals, info)]
+
+
+def _block_report(check: Check, tol: float, points: np.ndarray, layouts: list, errors: dict) -> ResidualReport:
+    """The report of ``check`` on a block from its :func:`check_columns` layouts.
+
+    ``errors`` maps each point that fails before the check (its geometry or
+    a field the check reads) to its error.  Any other point with a value
+    that is not finite gets the error of the first, residuals before info
+    and each in key order, and leaves its layout.
+    """
+    errors = dict(errors)
+    kept = []
+    for rows, residuals, info in layouts:
+        fresh = np.array([i not in errors for i in rows.tolist()], dtype=bool)
+        named = [(kind, key, v.reshape(len(rows), -1)) for kind, values in (("residual", residuals), ("info", info))
+                 for key, v in values.items() if v.dtype.kind == "f"]
+        if named and not np.isfinite(np.hstack([v for *_, v in named])).all(axis=1)[fresh].all():
+            for kind, key, value in named:
+                bad = fresh & ~np.isfinite(value).all(axis=1)
+                errors.update((i, f"non-finite {kind} '{key}'") for i in rows[bad].tolist())
+                fresh &= ~bad
+        if not fresh.all():
+            rows = rows[fresh]
+            residuals, info = ({key: v[fresh] for key, v in values.items()} for values in (residuals, info))
+        kept.append(Layout(rows, residuals, info))
+    return ResidualReport(check.name, tol, points, kept, errors, check.notes)
+
+
+def _merge(check: Check, tol: float, points: np.ndarray, parts: list) -> ResidualReport:
+    """The report of ``check`` at ``points`` from its block reports ``(first point, report)``."""
+    errors, groups = {}, {}
+    for first, part in parts:
+        errors.update((first + i, error) for i, error in part.errors.items())
+        for lay in part.layouts:
+            keys = (tuple(lay.residuals), tuple((key, v.shape[1:]) for key, v in lay.info.items()))
+            groups.setdefault(keys, []).append((first, lay))
+    layouts = []
+    for group in groups.values():
+        index = np.concatenate([first + lay.index for first, lay in group])
+        residuals, info = ({key: np.concatenate([getattr(lay, kind)[key] for _, lay in group])
+                            for key in getattr(group[0][1], kind)} for kind in ("residuals", "info"))
+        if len(index):
+            layouts.append(Layout(index, residuals, info))
+    return ResidualReport(check.name, tol, points, layouts, errors, check.notes)
 
 
 def run_pointwise(
@@ -583,25 +699,24 @@ def run_pointwise(
     and each check runs once on the whole block.  Every point gets what it
     gets alone: a point the geometry rejects gets its geometry error, and
     otherwise a check's point gets the error of the first field whose jets
-    that check reads there, if any.  Returns every point's records, point by
-    point.
+    that check reads there, if any.  Returns one report per check over the
+    block's points.
     """
     stop = first + len(pts)
-    points = [tuple(pt) for pt in pts]
-    with np.errstate(all="ignore"):  # non-finite values become point errors in _per_point
+    with np.errstate(all="ignore"):  # non-finite values become point errors in _block_report
         gd = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
         ctx = BlockContext(gd, fields, constants, draws)
-        rows = []
+        failed = {i: str(err) for i, err in gd.errors.items()}
+        reports = []
         for check, tol in zip(checks, tols):
             ctx.asked.clear()
-            results = _per_point(ctx, check)
-            errors = dict(gd.errors)
+            layouts = check_columns(ctx, check)
+            errors = dict(failed)
             for fc in ctx.asked:
                 for k, err in fc.jets.errors.items():
-                    errors.setdefault(k, err)
-            rows.append([PointRecord(points[i], {}, {}, str(errors[i]), False) if i in errors
-                         else _record(points[i], tol, *results[i]) for i in ctx.lanes])
-    return PointResult([row[i] for i in ctx.lanes for row in rows])
+                    errors.setdefault(k, str(err))
+            reports.append(_block_report(check, tol, gd.point, layouts, errors))
+    return PointResult(reports)
 
 
 def run_checks(
@@ -620,11 +735,10 @@ def run_checks(
     The geometry, the product tables and every check then run on
     :data:`BLOCK` points of a chunk at a time (:func:`run_pointwise`), and
     each block is dropped before the next; every point gets exactly the
-    record it gets alone.
+    results it gets alone.
 
-    Returns one :class:`ResidualReport` per name, in order, with records in
-    point order.  ``seed`` draws the random inputs of ``sandwich_identities``
-    when no potential is given.
+    Returns one :class:`ResidualReport` per name, in order.  ``seed`` draws
+    the random inputs of ``sandwich_identities`` when no potential is given.
     """
     problems = [p for n in names for p in requirement_problems(n, fields)]
     if problems:
@@ -636,7 +750,7 @@ def run_checks(
         # keyed by point, so a repeated point gets the same draw
         rng = np.random.default_rng(seed)
         draws = {_point_key(pt): rng.uniform(-1.0, 1.0, size=(3, 16)) for pt in points}
-    rows = [[] for _ in checks]
+    parts = [[] for _ in checks]
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         jets = ex.ChunkJets(spec.coords, chunk, spec.params)
@@ -645,11 +759,7 @@ def run_checks(
             block_draws = np.stack([draws[_point_key(pt)] for pt in pts]) if draws else None
             result = run_pointwise(spec, pts, checks, tols, by_name, fields.constants,
                                    block_draws, jets, first)
-            for k, rec in enumerate(result.records):
-                rows[k % len(checks)].append(rec)
-    reports = []
-    for check, tol, records in zip(checks, tols, rows):
-        max_res = max([0.0, *(v for r in records for v in r.residuals.values())])
-        passed = bool(records) and all(r.passed for r in records)
-        reports.append(ResidualReport(check.name, tol, records, max_res, passed, check.notes))
-    return reports
+            for part, report in zip(parts, result.reports):
+                part.append((start + first, report))
+    at = np.asarray(points, dtype=float).reshape(-1, 4)
+    return [_merge(check, tol, at, part) for check, tol, part in zip(checks, tols, parts)]

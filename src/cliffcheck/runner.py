@@ -8,8 +8,8 @@ column, missing required fields, out-of-domain sample points) before failing.
 Reports are fully deterministic: the same scenario and tool version produce
 byte-identical report files.  Wall time is kept on the in-memory
 :class:`Report` and printed to the console, never serialized.  A report is
-written by :func:`json_text`, which gives ``json.dumps(..., indent=2)``'s
-bytes without its pure-Python indenting encoder.
+written straight from each check's columns (:meth:`Report.to_json`) and
+gives the bytes of ``json.dumps(report.to_dict(), indent=2)``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,20 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json_text(self.to_dict()) + "\n"
+        """``json.dumps(self.to_dict(), indent=2)`` and a newline, written from the columns."""
+        head = json_text({
+            "schema": REPORT_SCHEMA,
+            "tool": {"name": "cliffcheck", "version": __version__},
+            "scenario_digest": self.scenario_digest,
+            "description": self.description,
+            "passed": self.passed,
+        })
+        points = {}  # id of a points array -> the text of each point; the checks share one
+        for check in self.checks:
+            if id(check.points) not in points:
+                points[id(check.points)] = _point_texts(check.points, " " * 10)
+        checks = _items([_check_text(c, "    ", points[id(c.points)]) for c in self.checks], "  ")
+        return f'{head[:-2]},\n  "checks": {checks}\n}}\n'
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -130,6 +143,80 @@ def json_text(value, indent: str = "") -> str:
         body = sep.join([f"{_encode_str(key)}: {json_text(item, inner)}" for key, item in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+_BOOLS = {True: "true", False: "false"}
+_SLOT = "\x01"  # a value's place in a point's template; no key is this string
+
+
+def _items(texts: list, indent: str) -> str:
+    """A JSON array of the value ``texts``, the array starting on a line indented by ``indent``."""
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
+
+
+def _template(skeleton: dict, indent: str) -> str:
+    """``json_text(skeleton, indent)`` with a ``%s`` in place of each :data:`_SLOT` value."""
+    return json_text(skeleton, indent).replace("%", "%%").replace(_encode_str(_SLOT), "%s")
+
+
+def _texts(column: np.ndarray) -> list:
+    """The JSON text of each value of a 1-D column."""
+    values = column.tolist()
+    if column.dtype.kind == "b":
+        return [_BOOLS[v] for v in values]
+    if column.dtype.kind != "f":
+        return list(map(json_text, values))
+    texts = list(map(_float_repr, values))
+    if not np.isfinite(column).all():
+        texts = [_NONFINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _point_texts(points: np.ndarray, indent: str) -> list:
+    """The JSON text of each point, a list whose closing line is indented by ``indent``."""
+    template = _template([_SLOT] * 4, indent)
+    return [template % values for values in zip(*map(_texts, points.T))]
+
+
+def _check_text(report, indent: str, points: list) -> str:
+    """``json_text(report.to_dict(), indent)``, each point written from one template of its layout.
+
+    ``points`` are the texts of ``report.points`` (:func:`_point_texts`).  A
+    layout's template is made once; each of its columns becomes text with
+    one ``tolist()``, a column of shape (M, ...) as one column per entry.
+    """
+    inner = indent + "    "  # a point's dict, inside the "points" array
+    texts = [None] * len(points)
+    for lay, ok in zip(report.layouts, report.verdicts):
+        template = _template({
+            "point": _SLOT,
+            "residuals": dict.fromkeys(lay.residuals, _SLOT),
+            "info": {key: np.full(v.shape[1:], _SLOT, dtype=object).tolist() for key, v in lay.info.items()},
+            "error": None,
+            "passed": _SLOT,
+        }, inner)
+        columns = [*lay.residuals.values(), *lay.info.values(), ok]
+        slots = [points if len(lay.index) == len(points) else [points[i] for i in lay.index.tolist()]]
+        slots += [_texts(entry) for column in columns
+                  for entry in column.reshape(len(column), math.prod(column.shape[1:])).T]
+        for i, values in zip(lay.index.tolist(), zip(*slots)):
+            texts[i] = template % values
+    if report.errors:
+        template = _template({"point": _SLOT, "residuals": {}, "info": {}, "error": _SLOT,
+                              "passed": False}, inner)
+        for i, error in report.errors.items():
+            texts[i] = template % (points[i], _encode_str(error))
+    head = json_text({
+        "check": report.check,
+        "tolerance": report.tolerance,
+        "passed": report.passed,
+        "max_residual": report.max_residual,
+        "notes": list(report.notes),
+    }, indent)
+    return f'{head[:-len(indent) - 2]},\n{indent}  "points": {_items(texts, indent + "  ")}\n{indent}}}'
 
 
 def _scenario_schema() -> dict:

@@ -574,8 +574,10 @@ def block_fields(spec, potential=True) -> dict:
 
 
 def plain_results(ctx, check) -> list:
-    """The check's per-point residuals, info and error as report JSON: equal text is equal bits."""
-    return [json.dumps(pair) for pair in fch._per_point(ctx, check)]
+    """The check's per-point records as report JSON: equal text is equal bits."""
+    layouts = fch.check_columns(ctx, check)
+    report = fch._block_report(check, 1e-8, np.reshape(ctx.gd.point, (-1, 4)), layouts, {})
+    return [record_json(record) for record in report.records]
 
 
 def record_json(record) -> str:
@@ -679,12 +681,13 @@ def records_alone(spec, fields, names, tols, pt) -> list:
         return [fch.PointRecord(point, {}, {}, str(err), False) for _ in names]
     records = []
     for name, tol in zip(names, tols):
+        check = fch.CHECKS[name]
         try:
-            (values,) = fch._per_point(ctx, fch.CHECKS[name])
+            layouts = fch.check_columns(ctx, check)
         except CliffcheckError as err:
             records.append(fch.PointRecord(point, {}, {}, str(err), False))
         else:
-            records.append(fch._record(point, tol, *values))
+            records += fch._block_report(check, tol, np.array([point]), layouts, {}).records
     return records
 
 

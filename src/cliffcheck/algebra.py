@@ -247,7 +247,9 @@ class PointMetric:
             ginv = np.linalg.inv(np.where((fails[0] | fails[1])[..., np.newaxis, np.newaxis], eye, g))
         else:
             ginv = np.array(_ginv, dtype=float)
-        fails.append(np.max(np.abs(g @ ginv - eye), axis=(-2, -1)) > 1e-10)
+        # the identity check is relative to |g| |g^-1|, the size of its rounding errors
+        size = np.max(np.abs(g), axis=(-2, -1)) * np.max(np.abs(ginv), axis=(-2, -1))
+        fails.append(np.max(np.abs(g @ ginv - eye), axis=(-2, -1)) > 1e-10 * size)
         det_tan = np.linalg.det(ginv)
         if require_lorentzian:
             fails.append(~(det_tan < 0.0))

@@ -110,14 +110,9 @@ class ResidualReport:
 
     @cached_property
     def verdicts(self) -> list:
-        """Per layout, whether each of its points passes."""
-        out = []
-        for lay in self.layouts:
-            ok = np.ones(len(lay.index), dtype=bool)
-            for column in lay.residuals.values():
-                ok &= column <= self.tolerance
-            out.append(ok)
-        return out
+        """Per layout, whether each of its points passes: ``residual <= tolerance`` on every column."""
+        return [np.ones(len(lay.index), dtype=bool)
+                & np.all([c <= self.tolerance for c in lay.residuals.values()], axis=0) for lay in self.layouts]
 
     @cached_property
     def max_residual(self) -> float:
@@ -130,19 +125,17 @@ class ResidualReport:
         return len(self.points) > 0 and not self.errors and all(ok.all() for ok in self.verdicts)
 
     def worst(self) -> tuple | None:
-        """``(point, key, value)`` of the largest residual, first in point order; None if none."""
-        best = None
+        """``(point, key, value)`` of the largest residual, the first in point and key order, or None."""
+        best = []  # per layout: (-value, point index, key) of its argmax
         for lay in self.layouts:
-            if lay.residuals and len(lay.index):
+            if lay.residuals:
                 table = np.stack(list(lay.residuals.values()), axis=1)
                 row, col = divmod(int(np.argmax(table)), table.shape[1])
-                at = (float(table[row, col]), -int(lay.index[row]))
-                if best is None or at > best[0]:
-                    best = (at, list(lay.residuals)[col])
-        if best is None:
+                best.append((-float(table[row, col]), int(lay.index[row]), list(lay.residuals)[col]))
+        if not best:
             return None
-        (value, index), key = best
-        return tuple(self.points[-index].tolist()), key, value
+        value, i, key = min(best)
+        return tuple(self.points[i].tolist()), key, -value
 
     def failures(self) -> list:
         """``(point, error, failing residuals)`` of each point that fails, in point order."""
@@ -162,9 +155,8 @@ class ResidualReport:
         for i, error in self.errors.items():
             out[i] = PointRecord(points[i], {}, {}, error, False)
         for lay, ok in zip(self.layouts, self.verdicts):
-            count = len(lay.index)
-            rows = zip(lay.index.tolist(), _rows(lay.residuals, count), _rows(lay.info, count), ok.tolist())
-            for i, residuals, info, passed in rows:
+            residuals, info = _rows(lay.residuals, len(ok)), _rows(lay.info, len(ok))
+            for i, residuals, info, passed in zip(lay.index.tolist(), residuals, info, ok.tolist()):
                 out[i] = PointRecord(points[i], residuals, info, None, passed)
         return out
 
@@ -443,9 +435,9 @@ def _structure_roots(c: np.ndarray) -> tuple:
     1 - 8c, the roots, ascending in the first ``count`` of two slots, and
     ``count``.  At c = 0 the equation is linear, f = -1.
     """
-    disc = 1.0 - 8.0 * c
-    twice, four = (2.0 * c)[:, np.newaxis], (4.0 * c)[:, np.newaxis]
     with np.errstate(all="ignore"):  # each point computes every case and keeps its own
+        disc = 1.0 - 8.0 * c
+        twice, four = (2.0 * c)[:, np.newaxis], (4.0 * c)[:, np.newaxis]
         q = -0.5 * (1.0 + np.sqrt(disc))
         f = np.stack([q / (2.0 * c), 1.0 / q], axis=-1)
         finite = np.isfinite(f)  # a root beyond float range (|c| subnormal) is dropped
@@ -463,7 +455,8 @@ def _structure_roots(c: np.ndarray) -> tuple:
 def solve_structure_quadratic(c: float) -> StructureRoots:
     """Real solutions of 2 c f^2 + f + 1 = 0; degenerates to f = -1 at c = 0."""
     outcome, disc, roots, count = _structure_roots(np.array([float(c)]))
-    return StructureRoots(str(_OUTCOMES[outcome[0]]), tuple(roots[0, :count[0]].tolist()), float(disc[0]))
+    roots = tuple(roots[0, :count[0]].tolist())
+    return StructureRoots(str(_OUTCOMES[outcome[0]]), roots, float(disc[0]))
 
 
 def _structure_current(ctx: BlockContext) -> list:
@@ -610,12 +603,14 @@ BLOCK = 16  # points of a chunk whose geometry, tables and checks are computed t
 
 @dataclass
 class PointResult:
-    reports: list  # one ResidualReport per requested check, over the block's points
+    points: np.ndarray  # the block's (N, 4) points
+    checks: list  # per requested check: (check, tolerance, its check_columns layouts, errors)
 
     @property
     def records(self) -> list:
         """Every requested check's :class:`PointRecord` at every point, built on demand."""
-        return [record for report in self.reports for record in report.records]
+        return [record for check, tol, layouts, errors in self.checks
+                for record in _report(check, tol, self.points, layouts, errors).records]
 
 
 def _point_key(pt) -> tuple:
@@ -636,8 +631,8 @@ def check_columns(ctx: BlockContext, check: Check) -> list:
     return [(np.arange(len(np.reshape(ctx.gd.point, (-1, 4)))), residuals, info)]
 
 
-def _block_report(check: Check, tol: float, points: np.ndarray, layouts: list, errors: dict) -> ResidualReport:
-    """The report of ``check`` on a block from its :func:`check_columns` layouts.
+def _report(check: Check, tol: float, points: np.ndarray, layouts: list, errors: dict) -> ResidualReport:
+    """The report of ``check`` at ``points`` from its :func:`check_columns` layouts.
 
     ``errors`` maps each point that fails before the check (its geometry or
     a field the check reads) to its error.  Any other point with a value
@@ -648,36 +643,31 @@ def _block_report(check: Check, tol: float, points: np.ndarray, layouts: list, e
     kept = []
     for rows, residuals, info in layouts:
         fresh = np.array([i not in errors for i in rows.tolist()], dtype=bool)
-        named = [(kind, key, v.reshape(len(rows), -1)) for kind, values in (("residual", residuals), ("info", info))
-                 for key, v in values.items() if v.dtype.kind == "f"]
-        if named and not np.isfinite(np.hstack([v for *_, v in named])).all(axis=1)[fresh].all():
-            for kind, key, value in named:
-                bad = fresh & ~np.isfinite(value).all(axis=1)
-                errors.update((i, f"non-finite {kind} '{key}'") for i in rows[bad].tolist())
-                fresh &= ~bad
-        if not fresh.all():
-            rows = rows[fresh]
-            residuals, info = ({key: v[fresh] for key, v in values.items()} for values in (residuals, info))
-        kept.append(Layout(rows, residuals, info))
+        for kind, values in (("residual", residuals), ("info", info)):
+            for key, value in values.items():
+                if value.dtype.kind == "f":
+                    bad = fresh & ~np.isfinite(value).all(axis=tuple(range(1, value.ndim)))
+                    errors.update((i, f"non-finite {kind} '{key}'") for i in rows[bad].tolist())
+                    fresh &= ~bad
+        if fresh.any():
+            kept.append(Layout(rows[fresh], *({key: v[fresh] for key, v in values.items()}
+                                              for values in (residuals, info))))
     return ResidualReport(check.name, tol, points, kept, errors, check.notes)
 
 
-def _merge(check: Check, tol: float, points: np.ndarray, parts: list) -> ResidualReport:
-    """The report of ``check`` at ``points`` from its block reports ``(first point, report)``."""
-    errors, groups = {}, {}
-    for first, part in parts:
-        errors.update((first + i, error) for i, error in part.errors.items())
-        for lay in part.layouts:
-            keys = (tuple(lay.residuals), tuple((key, v.shape[1:]) for key, v in lay.info.items()))
-            groups.setdefault(keys, []).append((first, lay))
-    layouts = []
+def _joined(parts: list) -> list:
+    """The layouts of blocks ``(first point, layouts)`` joined: one per key layout, all points' rows."""
+    groups: dict = {}
+    for first, layouts in parts:
+        for rows, residuals, info in layouts:
+            keys = (tuple(residuals), tuple((key, v.shape[1:]) for key, v in info.items()))
+            groups.setdefault(keys, []).append((first + rows, residuals, info))
+    joined = []
     for group in groups.values():
-        index = np.concatenate([first + lay.index for first, lay in group])
-        residuals, info = ({key: np.concatenate([getattr(lay, kind)[key] for _, lay in group])
-                            for key in getattr(group[0][1], kind)} for kind in ("residuals", "info"))
-        if len(index):
-            layouts.append(Layout(index, residuals, info))
-    return ResidualReport(check.name, tol, points, layouts, errors, check.notes)
+        rows, *columns = zip(*group)
+        joined.append((np.concatenate(rows), *({key: np.concatenate([c[key] for c in blocks])
+                                                for key in blocks[0]} for blocks in columns)))
+    return joined
 
 
 def run_pointwise(
@@ -699,15 +689,14 @@ def run_pointwise(
     and each check runs once on the whole block.  Every point gets what it
     gets alone: a point the geometry rejects gets its geometry error, and
     otherwise a check's point gets the error of the first field whose jets
-    that check reads there, if any.  Returns one report per check over the
-    block's points.
+    that check reads there, if any.  Returns each check's layouts and errors.
     """
     stop = first + len(pts)
-    with np.errstate(all="ignore"):  # non-finite values become point errors in _block_report
+    with np.errstate(all="ignore"):  # non-finite values become point errors in _report
         gd = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
         ctx = BlockContext(gd, fields, constants, draws)
         failed = {i: str(err) for i, err in gd.errors.items()}
-        reports = []
+        results = []
         for check, tol in zip(checks, tols):
             ctx.asked.clear()
             layouts = check_columns(ctx, check)
@@ -715,8 +704,8 @@ def run_pointwise(
             for fc in ctx.asked:
                 for k, err in fc.jets.errors.items():
                     errors.setdefault(k, str(err))
-            reports.append(_block_report(check, tol, gd.point, layouts, errors))
-    return PointResult(reports)
+            results.append((check, tol, layouts, errors))
+    return PointResult(gd.point, results)
 
 
 def run_checks(
@@ -750,7 +739,7 @@ def run_checks(
         # keyed by point, so a repeated point gets the same draw
         rng = np.random.default_rng(seed)
         draws = {_point_key(pt): rng.uniform(-1.0, 1.0, size=(3, 16)) for pt in points}
-    parts = [[] for _ in checks]
+    parts = [([], {}) for _ in checks]  # per check: (first point, layouts) of each block, errors
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         jets = ex.ChunkJets(spec.coords, chunk, spec.params)
@@ -759,7 +748,9 @@ def run_checks(
             block_draws = np.stack([draws[_point_key(pt)] for pt in pts]) if draws else None
             result = run_pointwise(spec, pts, checks, tols, by_name, fields.constants,
                                    block_draws, jets, first)
-            for part, report in zip(parts, result.reports):
-                part.append((start + first, report))
+            for (blocks, errors), (_, _, layouts, failed) in zip(parts, result.checks):
+                blocks.append((start + first, layouts))
+                errors.update((start + first + k, err) for k, err in failed.items())
     at = np.asarray(points, dtype=float).reshape(-1, 4)
-    return [_merge(check, tol, at, part) for check, tol, part in zip(checks, tols, parts)]
+    return [_report(check, tol, at, _joined(blocks), errors)
+            for check, tol, (blocks, errors) in zip(checks, tols, parts)]

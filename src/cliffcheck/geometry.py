@@ -77,10 +77,21 @@ class MetricSpec:
 
     @classmethod
     def from_strings(cls, coords, rows, params=None, name="custom", domain=None):
-        parsed = tuple(
-            tuple(ex.parse(src) if isinstance(src, str) else ex.const(src) for src in row)
-            for row in rows
-        )
+        """A spec from component sources, expression strings or numbers.
+
+        Each distinct string is parsed once, so equal sources share one tree
+        and their jets are evaluated once (:class:`~cliffcheck.expr.ChunkJets`).
+        """
+        trees: dict = {}
+
+        def tree(src):
+            if not isinstance(src, str):
+                return ex.const(src)
+            if src not in trees:
+                trees[src] = ex.parse(src)
+            return trees[src]
+
+        parsed = tuple(tuple(map(tree, row)) for row in rows)
         return cls(tuple(coords), parsed, dict(params or {}), name, dict(domain or {}))
 
     def domain_box(self) -> dict:
@@ -307,19 +318,22 @@ def _validate(gd: GeometryData) -> dict:
     riemann, ricci, gamma = gd.riemann, gd.ricci, gd.gamma
     scale = np.maximum(1.0, sup(riemann))
     bianchi = riemann + swap(riemann, 0, 2, 3, 1) + swap(riemann, 0, 3, 1, 2)
-    # metric compatibility: d_s g_{mn} - Gamma^r_{sm} g_{rn} - Gamma^r_{sn} g_{mr} = 0
+    # metric compatibility: d_s g_{mn} - Gamma^r_{sm} g_{rn} - Gamma^r_{sn} g_{mr} = 0, bounded
+    # by the size of its terms, sum_r |Gamma^r_{sm}| |g_{rn}| at most, as rounding leaves it
     compat = (
         gd.dg
         - np.einsum("...rsm,...rn->...smn", gamma, gd.g_lower)
         - np.einsum("...rsn,...mr->...smn", gamma, gd.g_lower)
     )
+    terms = np.maximum(sup(gd.dg), sup(np.einsum("...rsm,...rn->...smn", np.abs(gamma),
+                                                 np.abs(gd.g_lower))))
     bounds = (
         ("Riemann antisymmetry", sup(riemann + swap(riemann, 0, 1, 3, 2)), 1e-10 * scale),
         ("first Bianchi identity", sup(bianchi), 1e-10 * scale),
         ("Ricci symmetry", sup(ricci - swap(ricci, 1, 0)), 1e-10 * np.maximum(1.0, sup(ricci))),
         ("connection symmetry", sup(gamma - swap(gamma, 0, 2, 1)),
          1e-11 * np.maximum(1.0, sup(gamma))),
-        ("metric compatibility", sup(compat), 1e-11 * np.maximum(1.0, sup(gd.dg))),
+        ("metric compatibility", sup(compat), 1e-11 * np.maximum(1.0, terms)),
     )
     return point_errors(
         [value > bound for _, value, bound in bounds],
@@ -450,19 +464,22 @@ CATALOG = {
 }
 
 
-def build_metric(key: str, params: Mapping | None = None) -> MetricSpec:
+def _entry(key: str) -> CatalogEntry:
     try:
-        entry = CATALOG[key]
+        return CATALOG[key]
     except KeyError:
         raise GeometryError(
             f"unknown builtin metric '{key}' (known: {', '.join(sorted(CATALOG))})"
         ) from None
-    return entry.build(params)
+
+
+def build_metric(key: str, params: Mapping | None = None) -> MetricSpec:
+    return _entry(key).build(params)
 
 
 def killing_forms(key: str, params: Mapping | None = None) -> tuple:
     """Killing 1-forms of a builtin metric at ``params``, checked as in :func:`build_metric`."""
-    entry = CATALOG[key]
+    entry = _entry(key)
     fill = entry.rule(dict(params or {}))[1]
     return tuple(KillingForm(kf.name, {c: src.format(**fill) for c, src in kf.components.items()})
                  for kf in entry.killing_sources)

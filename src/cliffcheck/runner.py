@@ -72,30 +72,26 @@ class Report:
     wall_time_s: float  # console diagnostics only; never serialized
 
     def to_dict(self) -> dict:
+        return self._tree([c.to_dict() for c in self.checks])
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2)`` and a newline, written from the checks' columns."""
+        points = {}  # id of a points array -> the text of each point; the checks share one
+        for check in self.checks:
+            if id(check.points) not in points:
+                points[id(check.points)] = _point_texts(check.points, " " * 10)
+        checks = [_check_text(c, "    ", points[id(c.points)]) for c in self.checks]
+        return _template(self._tree([_SLOT] * len(checks)), "") % tuple(checks) + "\n"
+
+    def _tree(self, checks: list) -> dict:
         return {
             "schema": REPORT_SCHEMA,
             "tool": {"name": "cliffcheck", "version": __version__},
             "scenario_digest": self.scenario_digest,
             "description": self.description,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": checks,
         }
-
-    def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)`` and a newline, written from the columns."""
-        head = json_text({
-            "schema": REPORT_SCHEMA,
-            "tool": {"name": "cliffcheck", "version": __version__},
-            "scenario_digest": self.scenario_digest,
-            "description": self.description,
-            "passed": self.passed,
-        })
-        points = {}  # id of a points array -> the text of each point; the checks share one
-        for check in self.checks:
-            if id(check.points) not in points:
-                points[id(check.points)] = _point_texts(check.points, " " * 10)
-        checks = _items([_check_text(c, "    ", points[id(c.points)]) for c in self.checks], "  ")
-        return f'{head[:-2]},\n  "checks": {checks}\n}}\n'
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -109,8 +105,9 @@ def json_text(value, indent: str = "") -> str:
     With an indent, CPython's json leaves its C encoder for a pure-Python
     generator one; this writer joins strings instead.  It dispatches on the
     exact type, so a value of any other type (a subclass of float, int or
-    str too) or a key that is not a str raises TypeError.  ``indent``
-    is the indentation of the line ``value`` starts on.
+    str too) or a key that is not a str raises TypeError; :data:`_SLOT` is
+    written as a NUL, which no other value's text holds.  ``indent`` is the
+    indentation of the line ``value`` starts on.
     """
     kind = type(value)
     if kind is float:
@@ -129,12 +126,7 @@ def json_text(value, indent: str = "") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        if set(map(type, value)) == {float}:
-            body = sep.join(map(_float_repr, value))
-            if "n" in body:  # only nan and inf have an "n" in their repr
-                body = sep.join([_NONFINITE.get(text, text) for text in map(_float_repr, value)])
-        else:
-            body = sep.join([json_text(item, inner) for item in value])
+        body = sep.join([json_text(item, inner) for item in value])
         return f"[\n{inner}{body}\n{indent}]"
     if kind is dict:
         if not value:
@@ -142,31 +134,22 @@ def json_text(value, indent: str = "") -> str:
         # encode_basestring_ascii raises TypeError on a key that is not a str
         body = sep.join([f"{_encode_str(key)}: {json_text(item, inner)}" for key, item in value.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
+    if value is _SLOT:
+        return "\0"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-_BOOLS = {True: "true", False: "false"}
-_SLOT = "\x01"  # a value's place in a point's template; no key is this string
+_SLOT = object()  # the place of a value in a template (:func:`_template`)
 
 
-def _items(texts: list, indent: str) -> str:
-    """A JSON array of the value ``texts``, the array starting on a line indented by ``indent``."""
-    if not texts:
-        return "[]"
-    inner = indent + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}]"
-
-
-def _template(skeleton: dict, indent: str) -> str:
-    """``json_text(skeleton, indent)`` with a ``%s`` in place of each :data:`_SLOT` value."""
-    return json_text(skeleton, indent).replace("%", "%%").replace(_encode_str(_SLOT), "%s")
+def _template(tree, indent: str) -> str:
+    """``json_text(tree, indent)`` as a %-format, a ``%s`` in place of each :data:`_SLOT`."""
+    return json_text(tree, indent).replace("%", "%%").replace("\0", "%s")
 
 
 def _texts(column: np.ndarray) -> list:
     """The JSON text of each value of a 1-D column."""
     values = column.tolist()
-    if column.dtype.kind == "b":
-        return [_BOOLS[v] for v in values]
     if column.dtype.kind != "f":
         return list(map(json_text, values))
     texts = list(map(_float_repr, values))
@@ -182,7 +165,7 @@ def _point_texts(points: np.ndarray, indent: str) -> list:
 
 
 def _check_text(report, indent: str, points: list) -> str:
-    """``json_text(report.to_dict(), indent)``, each point written from one template of its layout.
+    """``json_text(report.to_dict(), indent)``, each point written from the template of its layout.
 
     ``points`` are the texts of ``report.points`` (:func:`_point_texts`).  A
     layout's template is made once; each of its columns becomes text with
@@ -191,32 +174,26 @@ def _check_text(report, indent: str, points: list) -> str:
     inner = indent + "    "  # a point's dict, inside the "points" array
     texts = [None] * len(points)
     for lay, ok in zip(report.layouts, report.verdicts):
-        template = _template({
-            "point": _SLOT,
-            "residuals": dict.fromkeys(lay.residuals, _SLOT),
-            "info": {key: np.full(v.shape[1:], _SLOT, dtype=object).tolist() for key, v in lay.info.items()},
-            "error": None,
-            "passed": _SLOT,
-        }, inner)
-        columns = [*lay.residuals.values(), *lay.info.values(), ok]
+        info = {key: np.full(v.shape[1:], _SLOT, dtype=object).tolist() for key, v in lay.info.items()}
+        template = _template({"point": _SLOT, "residuals": dict.fromkeys(lay.residuals, _SLOT),
+                              "info": info, "error": None, "passed": _SLOT}, inner)
         slots = [points if len(lay.index) == len(points) else [points[i] for i in lay.index.tolist()]]
-        slots += [_texts(entry) for column in columns
+        slots += [_texts(entry) for column in (*lay.residuals.values(), *lay.info.values(), ok)
                   for entry in column.reshape(len(column), math.prod(column.shape[1:])).T]
         for i, values in zip(lay.index.tolist(), zip(*slots)):
             texts[i] = template % values
-    if report.errors:
-        template = _template({"point": _SLOT, "residuals": {}, "info": {}, "error": _SLOT,
-                              "passed": False}, inner)
-        for i, error in report.errors.items():
-            texts[i] = template % (points[i], _encode_str(error))
-    head = json_text({
+    template = _template({"point": _SLOT, "residuals": {}, "info": {}, "error": _SLOT,
+                          "passed": False}, inner)
+    for i, error in report.errors.items():
+        texts[i] = template % (points[i], _encode_str(error))
+    return _template({
         "check": report.check,
         "tolerance": report.tolerance,
         "passed": report.passed,
         "max_residual": report.max_residual,
         "notes": list(report.notes),
-    }, indent)
-    return f'{head[:-len(indent) - 2]},\n{indent}  "points": {_items(texts, indent + "  ")}\n{indent}}}'
+        "points": [_SLOT] * len(texts),
+    }, indent) % tuple(texts)
 
 
 def _scenario_schema() -> dict:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -417,6 +418,75 @@ def test_structure_current_c_value_flrw():
     assert abs(report.records[0].info["c"] + 4.0) < 1e-12
 
 
+def scalar_structure_roots(c: float) -> tuple:
+    """The quadratic's (outcome, roots, discriminant) at ``c``, one Python float at a time.
+
+    The reference for the columns of ``_structure_roots``: the scalar code
+    ``solve_structure_quadratic`` ran before the check kept its results as
+    columns.
+    """
+    if c == 0.0:
+        return "linear", (-1.0,), 1.0
+    disc = 1.0 - 8.0 * c
+    if disc < 0.0:
+        return "no-real-f", (), disc
+    if disc == 0.0:
+        return "double-root", (-1.0 / (4.0 * c),), disc
+    q = -0.5 * (1.0 + math.sqrt(disc))
+    polished = []
+    for f in (q / (2.0 * c), 1.0 / q):
+        if not math.isfinite(f):
+            continue
+        for _ in range(2):
+            deriv = 4.0 * c * f + 1.0
+            if deriv != 0.0:
+                f = f - (2.0 * c * f * f + f + 1.0) / deriv
+        polished.append(f)
+    return "two-roots", tuple(sorted(polished)), disc
+
+
+QUADRATIC_EDGES = [0.0, -0.0, 0.125, 0.12500000000000003, 0.12499999999999999, 5e-324, -5e-324,
+                   1e-320, -1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan, -1.0, 0.2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(QUADRATIC_EDGES),
+                min_size=1, max_size=20))
+def test_structure_roots_columns_equal_the_scalar_solution_bitwise(cs):
+    outcome, disc, roots, count = fch._structure_roots(np.array(cs))
+    for k, c in enumerate(cs):
+        want = scalar_structure_roots(c)
+        got = (str(fch._OUTCOMES[outcome[k]]), tuple(roots[k, :count[k]].tolist()), float(disc[k]))
+        assert repr(got) == repr(want), c
+        sol = fch.solve_structure_quadratic(c)
+        assert repr((sol.outcome, sol.roots, sol.discriminant)) == repr(want), c
+
+
+# sha256 of the JSON of structure_current and lorenz_gauge on MIXED_ROOT_POINTS,
+# computed with the per-point records the checks had before they kept columns
+MIXED_ROOTS_SHA256 = "79a24713b49a716bb562d6bf38dd88052a988080f387d197fb3a3291fba6e04e"
+MIXED_ROOT_POINTS = [(0.3, 0.0, 0.5, 0.2), (0.5, 1.0, 1.0, 0.5), (0.1, 0.3, -0.2, 0.4),
+                     (1.0, -1.0, 2.0, 1.0), (0.2, 0.6, 0.1, -0.3), (0.1, -0.3, 0.2, 0.0)]
+
+
+def test_structure_current_keys_follow_the_number_of_roots_point_by_point():
+    # A = x^2 y dt: c = 0 at x = 0 (one root), c > 1/8 at two points (none),
+    # small c elsewhere (two): three key layouts in one check
+    A = field({"t": "x^2*y"}, MINK)
+    reports = fch.run_checks(MINK, fch.ScenarioFields(A=A, K=A), ["structure_current", "lorenz_gauge"],
+                             MIXED_ROOT_POINTS, [1e-8, 1e-8])
+    records = reports[0].records
+    assert [len(r.info["roots"]) for r in records] == [1, 0, 2, 0, 2, 2]
+    for record in records:
+        n = len(record.info["roots"])
+        assert list(record.residuals) == ["sandwich_grade"] + [f"quadratic_root_{k}" for k in range(n)]
+        assert list(record.info)[7:] == [f"current_match_{sign}_fB_{k}" for k in range(n)
+                                          for sign in ("minus", "plus")]
+    assert len(reports[0].layouts) == 3
+    digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+    assert digest == MIXED_ROOTS_SHA256
+
+
 # -- sandwich algebraic links ------------------------------------------------------------------
 
 
@@ -473,6 +543,30 @@ def test_checks_run_together_match_each_alone():
         assert [r.check for r in together] == order
         for report in together:
             assert report.to_dict() == alone[report.check], report.check
+
+
+def test_worst_point_is_an_argmax_over_every_layout_and_key():
+    points = np.arange(20.0).reshape(5, 4)
+    layouts = [fch.Layout(np.array([0, 3]), {"a": np.array([1.0, 7.0]), "b": np.array([7.0, 2.0])}, {}),
+               fch.Layout(np.array([1, 4]), {"a": np.array([7.0, 9.0])}, {})]
+    report = fch.ResidualReport("fake", 1.0, points, layouts, {2: "an error"})
+    assert report.worst() == ((16.0, 17.0, 18.0, 19.0), "a", 9.0)
+    layouts[1].residuals["a"][1] = 7.0  # three points tie at 7: the first, and its first key
+    assert report.worst() == ((0.0, 1.0, 2.0, 3.0), "b", 7.0)
+    assert fch.ResidualReport("fake", 1.0, points[:1], [], {0: "an error"}).worst() is None
+
+
+@pytest.mark.parametrize("residuals, errors", [
+    ([-0.0, -0.0], {}), ([], {0: "e", 1: "e"}), ([-1.0, -0.0], {}), ([0.0, -0.0], {}), ([-0.0], {1: "e"}),
+])
+def test_max_residual_keeps_the_bits_of_max_from_zero(residuals, errors):
+    # max([0.0, *values]) over the points' residuals: +0.0 unless one is larger
+    index = np.array([i for i in range(2) if i not in errors])
+    layouts = [fch.Layout(index, {"a": np.array(residuals)}, {})] if len(index) else []
+    report = fch.ResidualReport("fake", 1e-8, np.zeros((2, 4)), layouts, errors)
+    want = max([0.0, *residuals])
+    assert math.copysign(1.0, report.max_residual) == 1.0 and report.max_residual == want == 0.0
+    assert report.passed is (not errors)
 
 
 def test_missing_field_raises_before_any_point():
@@ -576,7 +670,7 @@ def block_fields(spec, potential=True) -> dict:
 def plain_results(ctx, check) -> list:
     """The check's per-point records as report JSON: equal text is equal bits."""
     layouts = fch.check_columns(ctx, check)
-    report = fch._block_report(check, 1e-8, np.reshape(ctx.gd.point, (-1, 4)), layouts, {})
+    report = fch._report(check, 1e-8, np.reshape(ctx.gd.point, (-1, 4)), layouts, {})
     return [record_json(record) for record in report.records]
 
 
@@ -687,7 +781,7 @@ def records_alone(spec, fields, names, tols, pt) -> list:
         except CliffcheckError as err:
             records.append(fch.PointRecord(point, {}, {}, str(err), False))
         else:
-            records += fch._block_report(check, tol, np.array([point]), layouts, {}).records
+            records += fch._report(check, tol, np.array([point]), layouts, {}).records
     return records
 
 
@@ -834,4 +928,5 @@ def test_bad_points_are_not_computed_again_alone(monkeypatch):
     clean_calls, clean_errors = run(0.0, 10.0)
     assert (bad_errors, clean_errors) == (3 * len(names) + 3, 0)
     assert bad_calls == clean_calls
-    assert clean_calls == {"curvature": 3, "field_jets": 9, "evaluate_jet2": 10 + 3}
+    # the metric's five distinct sources (its zeros share one tree) and K, S and V
+    assert clean_calls == {"curvature": 3, "field_jets": 9, "evaluate_jet2": 5 + 3}

@@ -1,11 +1,12 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from cliffcheck import expr as ex
 from cliffcheck import geometry as geo
-from cliffcheck.algebra import TABLE_NAMES, Multivector
+from cliffcheck.algebra import TABLE_NAMES, Multivector, PointMetric
 from cliffcheck.errors import DegenerateMetricError, GeometryError, SingularMetricError
 
 import oracles
@@ -154,6 +155,25 @@ def test_catalog_parameter_errors_are_pinned(key, params, kind, message):
     with pytest.raises(Exception) as err:
         geo.build_metric(key, params)
     assert (type(err.value).__name__, str(err.value)) == (kind, message)
+
+
+def test_killing_forms_of_an_unknown_key_name_the_known_ones():
+    known = r"\(known: flrw, minkowski, schwarzschild\)"
+    with pytest.raises(GeometryError, match=rf"^unknown builtin metric 'kerr' {known}$"):
+        geo.killing_forms("kerr")
+
+
+def test_equal_sources_share_one_tree():
+    # ChunkJets evaluates each tree once per chunk, so equal sources must be one tree
+    rows = [["1", "0", "0", "x"], ["0", "-(t)^2", "0", "0"], ["0", "0", "-(t)^2", "0"],
+            ["x", "0", "0", 0]]
+    spec = geo.MetricSpec.from_strings(("t", "x", "y", "z"), rows)
+    trees = {src: {id(e) for row, srcs in zip(spec.g_lower, rows) for e, s in zip(row, srcs) if s == src}
+             for src in ("0", "-(t)^2", "x")}
+    assert {src: len(ids) for src, ids in trees.items()} == {"0": 1, "-(t)^2": 1, "x": 1}
+    assert spec.g_lower[3][3] is not spec.g_lower[0][1]  # the number 0 is not the source "0"
+    for key in ("minkowski", "flrw"):  # "1", "0" and "-1" or "-(t)^2"
+        assert len({id(e) for row in geo.build_metric(key).g_lower for e in row}) == 3
 
 
 def test_catalog_build_does_not_mutate_params():
@@ -439,29 +459,44 @@ def test_block_rejects_exactly_the_points_that_raise_alone():
     assert errors == MIXED_ERRORS
 
 
+ILL = geo.MetricSpec.from_strings(
+    ("t", "x", "y", "z"),
+    [["t", "y", "0", "0"], ["y", "x", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+    name="ill",
+)
+
+
 def test_block_rejects_what_the_point_metric_checks_and_validation_reject():
-    # metric_at accepts points 2 and 4 (det < 0), but the inverse at 2 is too
-    # ill-conditioned for PointMetric's identity check, and at 4 the
-    # curvature fails validation
-    spec = geo.MetricSpec.from_strings(
-        ("t", "x", "y", "z"),
-        [["t", "y", "0", "0"], ["y", "x", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
-        name="ill",
-    )
+    # metric_at accepts points 2, 3 and 4 (det < 0).  PointMetric rejects 3:
+    # its cotangent metric, the inverse of g, is singular.  Points 2 and 4
+    # failed on rounding alone while the bounds were absolute: PointMetric's
+    # identity check at 2, and validation's metric compatibility at 4, which
+    # rounds to (1429.80, 88.65, 356.02, 0).  Relative to the size of their
+    # terms both are accepted, and every accepted lane is the point alone.
     points = np.array([(1.0 + 0.1 * k, -1.0, 0.1 * k, 0.0) for k in range(6)])
     points[2, :3] = (1121731.956830163, 5325304.725886299, -2444087.6602293462)
+    points[3, :3] = (667559878.3362491, 447681333.5491468, 546882912.3762716)
     points[4, :3] = (1429.7973621448605, 88.64936474844573, 356.0221186483432)
-    with pytest.raises(DegenerateMetricError, match="^metric inverse failed the identity check$"):
-        geo.curvature(spec, points[2])
-    with pytest.raises(GeometryError, match=r"^metric compatibility violated \(1.455e-11\)$"):
-        geo.curvature(spec, points[4])
-    _, jets = geo.metric_at(spec, points)
-    block = geo.curvature(spec, points)
-    assert {k: str(err) for k, err in jets.errors.items()} == {2: "metric inverse failed the identity check"}
-    assert {k: str(err) for k, err in block.errors.items()} == {
-        2: "metric inverse failed the identity check", 4: "metric compatibility violated (1.455e-11)"}
-    for k in (0, 1, 3, 5):
-        assert_lane_is_the_point_alone(block, k, geo.curvature(spec, points[k]))
+    singular = "cotangent metric is singular (det=-4.409e-15)"
+    with pytest.raises(DegenerateMetricError, match=rf"^{re.escape(singular)}$"):
+        geo.curvature(ILL, points[3])
+    _, jets = geo.metric_at(ILL, points)
+    block = geo.curvature(ILL, points)
+    assert {k: str(err) for k, err in jets.errors.items()} == {3: singular}
+    assert {k: str(err) for k, err in block.errors.items()} == {3: singular}
+    for k in (0, 1, 2, 4, 5):
+        assert_lane_is_the_point_alone(block, k, geo.curvature(ILL, points[k]))
+
+
+def test_a_singular_metric_is_still_rejected():
+    # t x = y^2: the (t, x) block of ILL is singular, and so is its cotangent metric
+    with pytest.raises(SingularMetricError,
+                       match=r"^metric of 'ill' is singular at \(4.0, 1.0, 2.0, 0.0\) \(det=0.000e\+00\)$"):
+        geo.curvature(ILL, (4.0, 1.0, 2.0, 0.0))
+    g = np.diag([1.0, -1.0, -1.0, -1.0])
+    g[:2, :2] = [[4.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(DegenerateMetricError, match=r"^cotangent metric is singular \(det=0.000e\+00\)$"):
+        PointMetric(g)
 
 
 def break_identity(gd, k, at=()):

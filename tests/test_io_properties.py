@@ -1,7 +1,8 @@
 """Property checks of scenario and report I/O against json and the full schema walk.
 
 The report writer must give ``json.dumps(value, indent=2)``'s bytes for any
-tree of JSON values.  ``load_scenario`` checks a well-formed
+tree of JSON values, and a report written from its checks' columns the
+bytes of ``json.dumps`` of its dict tree.  ``load_scenario`` checks a well-formed
 ``samples.points`` as one array, outside the schema walk; for any document
 it must give the problems of the full walk over the whole document, and for
 an accepted one the same points and digest.
@@ -18,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffcheck.errors import ScenarioValidationError
-from cliffcheck.runner import _scenario_schema, json_text, load_scenario
+from cliffcheck.fieldcheck import Layout, ResidualReport
+from cliffcheck.runner import Report, _scenario_schema, json_text, load_scenario
 
 # -- the report writer --------------------------------------------------------------
 
@@ -62,6 +64,82 @@ def test_writer_writes_a_tuple_as_a_list():
 def test_writer_raises_type_error_rather_than_write_other_bytes(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+# -- reports written from columns ------------------------------------------------------
+
+column_floats = edge_floats | st.sampled_from([1e308, -1e308]) | st.floats()
+column_keys = st.text(st.characters(exclude_characters="\x01"), max_size=8) | st.sampled_from(
+    ["quadratic_root_0", "100%", "%s", '"', "\\"])
+ROOT_KEYS = ("c", "discriminant", "outcome", "roots", "current", "B", "self_consistency_residual")
+
+
+def floats_column(draw, shape):
+    return np.array(draw(st.lists(column_floats, min_size=math.prod(shape), max_size=math.prod(shape))),
+                    dtype=float).reshape(shape)
+
+
+@st.composite
+def layout_columns(draw, count):
+    """Residual and info columns of ``count`` points: floats, vectors of 0-4 floats and text."""
+    residuals = {key: floats_column(draw, (count,))
+                 for key in draw(st.lists(column_keys, max_size=3, unique=True))}
+    info = {}
+    for key in draw(st.lists(column_keys, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["float", "vector", "text"]))
+        if kind == "text":
+            info[key] = np.array(draw(st.lists(st.sampled_from(["two-roots", "linear", "é\"x"]),
+                                               min_size=count, max_size=count)), dtype=str)
+        else:
+            info[key] = floats_column(draw, (count,) + ((draw(st.sampled_from([0, 1, 2, 4])),)
+                                                        if kind == "vector" else ()))
+    return residuals, info
+
+
+def root_columns(draw, count, roots):
+    """structure_current's columns at ``count`` points with ``roots`` roots each."""
+    residuals = {"sandwich_grade": floats_column(draw, (count,))}
+    info = {key: floats_column(draw, (count,)) for key in ROOT_KEYS}
+    info["outcome"] = np.full(count, ("no-real-f", "linear", "two-roots")[roots])
+    info["roots"] = floats_column(draw, (count, roots))
+    info["current"], info["B"] = floats_column(draw, (count, 4)), floats_column(draw, (count, 4))
+    for k in range(roots):
+        residuals[f"quadratic_root_{k}"] = floats_column(draw, (count,))
+        info[f"current_match_minus_fB_{k}"] = floats_column(draw, (count,))
+        info[f"current_match_plus_fB_{k}"] = floats_column(draw, (count,))
+    return residuals, info
+
+
+@st.composite
+def check_reports(draw, points):
+    """A ResidualReport at ``points``: each point an error or in one of up to three layouts."""
+    roots = draw(st.booleans())  # the three layouts are structure_current's 0, 1 and 2 roots
+    owner = draw(st.lists(st.integers(-1, 2), min_size=len(points), max_size=len(points)))
+    errors = {i: draw(json_strings) for i, o in enumerate(owner) if o < 0}
+    layouts = []
+    for layout in range(3):
+        index = np.array([i for i, o in enumerate(owner) if o == layout], dtype=int)
+        if len(index):
+            count = len(index)
+            columns = root_columns(draw, count, layout) if roots else draw(layout_columns(count))
+            layouts.append(Layout(index, *columns))
+    own = draw(st.booleans())  # run_checks shares one points array; a report may hold its own
+    return ResidualReport(draw(column_keys), draw(column_floats), points.copy() if own else points,
+                          layouts, errors, tuple(draw(st.lists(json_strings, max_size=2))))
+
+
+@st.composite
+def reports(draw):
+    count = draw(st.integers(0, 6))
+    points = floats_column(draw, (count, 4))
+    checks = draw(st.lists(check_reports(points), max_size=4))
+    return Report(draw(json_strings), draw(json_strings), checks, all(c.passed for c in checks), 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports())
+def test_report_from_columns_gives_json_dumps_bytes_of_its_dict_tree(report):
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 # -- samples.points outside the schema walk -------------------------------------------

@@ -422,6 +422,23 @@ def test_cli_verify_fail_exit_one():
     assert "killing_eq" in proc.stdout
 
 
+def test_cli_prints_each_checks_worst_point_and_not_in_the_report(tmp_path):
+    # K = x y dx: killing_eq is max(2|y|, |x|), largest at (0, 1, 2, 0) and,
+    # tied, at the later (0, -1, -2, 0); lorenz_gauge is |y|, and passes
+    body = dict(BASE, fields={"K": {"x": "x*y"}}, checks=["killing", "lorenz_gauge"],
+                samples={"points": [[0, 0, 0, 0], [0, 3, 1, 0], [0, 1, 2, 0], [0, -1, -2, 0]]},
+                tolerances={"lorenz_gauge": 10})
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", str(write_scenario(tmp_path, body)), "--report", str(out))
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("[")]
+    assert lines[at[0]].startswith("[FAIL] killing") and lines[at[1]].startswith("[PASS] lorenz_gauge")
+    assert lines[at[0] + 1] == "         worst point (0.0, 1.0, 2.0, 0.0): killing_eq=4.000e+00"
+    assert lines[at[1] + 1] == "         worst point (0.0, 1.0, 2.0, 0.0): lorenz_gauge=2.000e+00"
+    assert "worst" not in out.read_text()
+
+
 def test_cli_float_grid_count_is_its_integer(tmp_path):
     # JSON Schema's "integer" accepts 2.0: the grid has the points of count 2
     points = []

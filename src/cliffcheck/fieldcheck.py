@@ -77,7 +77,7 @@ class PointRecord:
     passed: bool = True
 
 
-@dataclass
+@dataclass(eq=False)  # these hold arrays, so == is identity, not a field compare
 class Layout:
     """The points of a check that share one key layout, and their columns.
 
@@ -91,7 +91,7 @@ class Layout:
     info: dict
 
 
-@dataclass
+@dataclass(eq=False)
 class ResidualReport:
     """One check at P points, as columns.
 
@@ -601,7 +601,7 @@ CHUNK = 256  # sample points whose expression jets are evaluated together
 BLOCK = 16  # points of a chunk whose geometry, tables and checks are computed together
 
 
-@dataclass
+@dataclass(eq=False)
 class PointResult:
     points: np.ndarray  # the block's (N, 4) points
     checks: list  # per requested check: (check, tolerance, its check_columns layouts, errors)

@@ -34,7 +34,7 @@ The builtin spacetimes are the rows of :data:`CATALOG`, one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -82,16 +82,11 @@ class MetricSpec:
         Each distinct string is parsed once, so equal sources share one tree
         and their jets are evaluated once (:class:`~cliffcheck.expr.ChunkJets`).
         """
-        trees: dict = {}
-
-        def tree(src):
-            if not isinstance(src, str):
-                return ex.const(src)
-            if src not in trees:
-                trees[src] = ex.parse(src)
-            return trees[src]
-
-        parsed = tuple(tuple(map(tree, row)) for row in rows)
+        parse = cache(ex.parse)
+        parsed = tuple(
+            tuple(parse(src) if isinstance(src, str) else ex.const(src) for src in row)
+            for row in rows
+        )
         return cls(tuple(coords), parsed, dict(params or {}), name, dict(domain or {}))
 
     def domain_box(self) -> dict:

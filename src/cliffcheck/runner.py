@@ -76,11 +76,8 @@ class Report:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2)`` and a newline, written from the checks' columns."""
-        points = {}  # id of a points array -> the text of each point; the checks share one
-        for check in self.checks:
-            if id(check.points) not in points:
-                points[id(check.points)] = _point_texts(check.points, " " * 10)
-        checks = [_check_text(c, "    ", points[id(c.points)]) for c in self.checks]
+        points = {}  # id of a points array -> its points' texts; run_checks' reports share one
+        checks = [_check_text(c, "    ", points) for c in self.checks]
         return _template(self._tree([_SLOT] * len(checks)), "") % tuple(checks) + "\n"
 
     def _tree(self, checks: list) -> dict:
@@ -164,14 +161,18 @@ def _point_texts(points: np.ndarray, indent: str) -> list:
     return [template % values for values in zip(*map(_texts, points.T))]
 
 
-def _check_text(report, indent: str, points: list) -> str:
+def _check_text(report, indent: str, written: dict) -> str:
     """``json_text(report.to_dict(), indent)``, each point written from the template of its layout.
 
-    ``points`` are the texts of ``report.points`` (:func:`_point_texts`).  A
-    layout's template is made once; each of its columns becomes text with
+    A layout's template is made once; each of its columns becomes text with
     one ``tolist()``, a column of shape (M, ...) as one column per entry.
+    ``written`` keeps the texts of each points array, by id, for the next
+    report at the same points.
     """
     inner = indent + "    "  # a point's dict, inside the "points" array
+    if id(report.points) not in written:
+        written[id(report.points)] = _point_texts(report.points, inner + "  ")
+    points = written[id(report.points)]
     texts = [None] * len(points)
     for lay, ok in zip(report.layouts, report.verdicts):
         info = {key: np.full(v.shape[1:], _SLOT, dtype=object).tolist() for key, v in lay.info.items()}

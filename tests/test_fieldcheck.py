@@ -638,7 +638,8 @@ def test_block_size_does_not_change_reports(monkeypatch):
 def test_point_loop_memory_does_not_grow_with_blocks():
     # one block's geometry and tables take about 2 MB; a block kept after its
     # points would add that for every 16 points.  What does grow is the
-    # records, about 1.1 kB per point here (1.0 MB from 100 to 1000 points).
+    # result columns, about 0.3 kB per point here (0.28 MB from 100 to 1000
+    # points; 0.93 MB when each point's results were dicts).
     K = field({"t": "1-2*M/r"}, SCHW)
     rng = np.random.default_rng(9)
 

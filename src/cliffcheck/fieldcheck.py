@@ -155,8 +155,8 @@ class ResidualReport:
         for i, error in self.errors.items():
             out[i] = PointRecord(points[i], {}, {}, error, False)
         for lay, ok in zip(self.layouts, self.verdicts):
-            residuals, info = _rows(lay.residuals, len(ok)), _rows(lay.info, len(ok))
-            for i, residuals, info, passed in zip(lay.index.tolist(), residuals, info, ok.tolist()):
+            rows = zip(lay.index.tolist(), _rows(lay.residuals, len(ok)), _rows(lay.info, len(ok)), ok.tolist())
+            for i, residuals, info, passed in rows:
                 out[i] = PointRecord(points[i], residuals, info, None, passed)
         return out
 

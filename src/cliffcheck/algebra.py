@@ -218,9 +218,9 @@ class PointMetric:
         When true (the default), reject metrics whose tangent determinant is
         not negative; property tests may relax this for random signatures.
 
-    The checks, in order: symmetry, a nonsingular cotangent metric, the
-    inverse's identity check and (optionally) Lorentzian signature.  One
-    metric raises the error of the first check it fails.  A block, the same
+    The checks, in order: symmetry, a nonsingular cotangent metric and
+    (optionally) Lorentzian signature.  One metric raises the error of the
+    first check it fails.  A block, the same
     code with N first on every attribute, raises nothing: ``errors`` maps
     each metric that fails to that error, and every other metric is bitwise
     that metric alone.  Each table (:attr:`tables`) is built the first time
@@ -247,9 +247,6 @@ class PointMetric:
             ginv = np.linalg.inv(np.where((fails[0] | fails[1])[..., np.newaxis, np.newaxis], eye, g))
         else:
             ginv = np.array(_ginv, dtype=float)
-        # the identity check is relative to |g| |g^-1|, the size of its rounding errors
-        size = np.max(np.abs(g), axis=(-2, -1)) * np.max(np.abs(ginv), axis=(-2, -1))
-        fails.append(np.max(np.abs(g @ ginv - eye), axis=(-2, -1)) > 1e-10 * size)
         det_tan = np.linalg.det(ginv)
         if require_lorentzian:
             fails.append(~(det_tan < 0.0))
@@ -516,15 +513,12 @@ def _metric_error(check: int, det_cot: float, det_tan: float) -> Exception:
     """The error of a metric that fails :class:`PointMetric`'s ``check``.
 
     The checks, in order: 0 symmetry, 1 a nonsingular cotangent metric
-    (``det_cot``), 2 the inverse's identity check, 3 Lorentzian signature
-    (``det_tan``).
+    (``det_cot``), 2 Lorentzian signature (``det_tan``).
     """
     if check == 0:
         return ValueError("metric must be symmetric")
     if check == 1:
         return DegenerateMetricError(f"cotangent metric is singular (det={det_cot:.3e})")
-    if check == 2:
-        return DegenerateMetricError("metric inverse failed the identity check")
     return SignatureError(f"tangent metric determinant {det_tan:.3e} is not negative")
 
 

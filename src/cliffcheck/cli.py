@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replace the scenario samples with N random in-domain points",
     )
     verify.add_argument(
-        "--seed", type=_seed, metavar="S", help="seed for --points sampling"
+        "--seed", type=_seed, metavar="S", help="seed for --points sampling (needs --points)"
     )
 
     sub.add_parser("catalog", help="list builtin metrics and their Killing forms")
@@ -98,6 +98,8 @@ def _print_check_lines(report) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.seed is not None and args.points is None:
+        parser.error("argument --seed: seeds the random points of --points N, which is not given")
 
     if args.command == "catalog":
         print(list_builtins(), end="")

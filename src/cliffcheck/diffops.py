@@ -70,7 +70,7 @@ class MultivectorField:
 
     @classmethod
     def from_components(cls, components: Mapping, coords=None, grades=None) -> "MultivectorField":
-        """Build from a mapping of blade keys to expression sources.
+        """Build from a mapping of blade keys to expression sources (:func:`~cliffcheck.expr.tree`).
 
         Keys are either integer masks, ``"1"`` for the scalar part, or
         coordinate names joined by ``^`` (e.g. ``"t^r"``); out-of-order names
@@ -85,9 +85,7 @@ class MultivectorField:
                     raise FieldError(f"blade mask {mask} out of range")
             else:
                 mask, sign = _parse_blade_key(str(key), coords)
-            e = value if not isinstance(value, str) else ex.parse(value)
-            if isinstance(e, (int, float)):
-                e = ex.const(e)
+            e = ex.tree(value)
             if sign < 0:
                 e = ex.Neg(e)
             if not ex.is_zero(comps[mask]):

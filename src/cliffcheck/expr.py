@@ -22,13 +22,19 @@ there: one point raises its error, and N points keep it in ``Jet2.errors``
 with a zero jet for that point.  :class:`ChunkJets` evaluates each
 expression asked for once over a chunk of points and hands its jets out a
 block of points at a time.
+
+This module is the one place where a source becomes a tree: :func:`tree`
+parses a string or makes a constant of a number, and :func:`parse` keeps
+the tree of each source text it has parsed.  So equal sources, wherever a
+scenario holds them (metric entries, field components), are one tree, and
+a :class:`ChunkJets`, keyed by tree, evaluates their jets once per chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -254,15 +260,30 @@ class _Parser:
         raise ParseError("expected a value", tok.column)
 
 
+PARSE_CACHE_SIZE = 4096  # distinct source texts whose trees :func:`parse` keeps
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(src: str) -> Expr:
+    """The tree of ``src``; the same tree for the same text (a ParseError is raised anew)."""
     if not src or not src.strip():
         raise ParseError("empty expression", 1)
     parser = _Parser(_tokenize(src))
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:  # parentheses or signs nested past the interpreter's limit
+        raise ParseError("expression nested too deeply", 1) from None
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input '{tok.text}'", tok.column)
     return node
+
+
+def tree(src: str | float | Expr) -> Expr:
+    """A source as a tree: a string parsed by :func:`parse`, a number as a constant, a tree itself."""
+    if isinstance(src, str):
+        return parse(src)
+    return const(src) if isinstance(src, (int, float)) else src
 
 
 # -- serialization ---------------------------------------------------------------

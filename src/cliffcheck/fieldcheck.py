@@ -234,7 +234,6 @@ class Check:
     needs: tuple  # fields read: "K", "S", "V", "potential" (A, else coupling * K)
     notes: tuple
     fn: Callable  # BlockContext -> (residuals, info)
-    optional: tuple = ()  # fields read when present
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -577,7 +576,7 @@ CHECKS = {
         Check("hamilton_jacobi", ("potential", "S", "V"), (), _hamilton_jacobi),
         Check("einstein", ("potential",), (), _einstein),
         Check("structure_current", ("potential",), _STRUCTURE_NOTES, _structure_current),
-        Check("sandwich_identities", (), (), _sandwich_identities, ("potential",)),
+        Check("sandwich_identities", (), (), _sandwich_identities),
     )
 }
 

@@ -34,7 +34,7 @@ The builtin spacetimes are the rows of :data:`CATALOG`, one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -77,16 +77,13 @@ class MetricSpec:
 
     @classmethod
     def from_strings(cls, coords, rows, params=None, name="custom", domain=None):
-        """A spec from component sources, expression strings or numbers.
+        """A spec from component sources, expression strings or numbers (:func:`~cliffcheck.expr.tree`).
 
-        Each distinct string is parsed once, so equal sources share one tree
-        and their jets are evaluated once (:class:`~cliffcheck.expr.ChunkJets`).
+        Equal strings are one tree (:func:`~cliffcheck.expr.parse` keeps each
+        source's tree), here and in any field of the same process, so their
+        jets are evaluated once per chunk (:class:`~cliffcheck.expr.ChunkJets`).
         """
-        parse = cache(ex.parse)
-        parsed = tuple(
-            tuple(parse(src) if isinstance(src, str) else ex.const(src) for src in row)
-            for row in rows
-        )
+        parsed = tuple(tuple(map(ex.tree, row)) for row in rows)
         return cls(tuple(coords), parsed, dict(params or {}), name, dict(domain or {}))
 
     def domain_box(self) -> dict:
@@ -114,6 +111,7 @@ class GeometryData:
     g_upper: np.ndarray
     sqrt_abs_det: float
     dg: np.ndarray
+    dg_upper: np.ndarray  # d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn} -> dg_upper[s, m, n]
     gamma: np.ndarray  # Gamma^r_{ab} -> gamma[r, a, b]
     dgamma: np.ndarray  # d_s Gamma^r_{ab} -> dgamma[s, r, a, b]
     riemann: np.ndarray  # R^r_{s mu nu} -> riemann[r, s, mu, nu]
@@ -150,11 +148,6 @@ class GeometryData:
     def dgop(self) -> np.ndarray:
         """dGop[s, a] = d_s Gop[a]."""
         return np.einsum("...srai,irmn->...samn", self.dgamma, blades.INDEX_SUB)
-
-    @cached_property
-    def dg_upper(self) -> np.ndarray:
-        """d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn}."""
-        return -np.einsum("...ma,...sab,...bn->...smn", self.g_upper, self.dg, self.g_upper)
 
 
 _FLAT = np.diag([1.0, -1.0, -1.0, -1.0])  # stands in for a block point metric_at rejects
@@ -228,10 +221,11 @@ def _point_text(x: np.ndarray) -> str:
 def christoffels(spec: MetricSpec, x: Sequence[float]) -> tuple:
     """Levi-Civita coefficients and their first derivatives at ``x``."""
     pm, jets = metric_at(spec, x)
-    return _christoffels_from_jets(pm.g, jets)
+    return _christoffels_from_jets(pm.g, jets)[:2]
 
 
 def _christoffels_from_jets(g_upper: np.ndarray, jets: MetricJets) -> tuple:
+    """``(gamma, dgamma, dgu)``: the Christoffel symbols, their partials and d_s g^{rl}."""
     dg, ddg = jets.dg, jets.ddg
     # bracket[l, a, b] = d_a g_{lb} + d_b g_{la} - d_l g_{ab}
     bracket = np.einsum("...alb->...lab", dg) + np.einsum("...bla->...lab", dg) - dg
@@ -244,7 +238,7 @@ def _christoffels_from_jets(g_upper: np.ndarray, jets: MetricJets) -> tuple:
         np.einsum("...srl,...lab->...srab", dgu, bracket)
         + np.einsum("...rl,...slab->...srab", g_upper, dbracket)
     )
-    return gamma, dgamma
+    return gamma, dgamma, dgu
 
 
 def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None) -> GeometryData:
@@ -262,7 +256,7 @@ def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
     if jet is None:
         jet = ex.point_jets(spec.coords, x, spec.params)
     pm, jets = metric_at(spec, x, jet)
-    gamma, dgamma = _christoffels_from_jets(pm.g, jets)
+    gamma, dgamma, dg_upper = _christoffels_from_jets(pm.g, jets)
 
     # R^r_{s mu nu} = d_mu G^r_{nu s} - d_nu G^r_{mu s} + G^r_{mu l} G^l_{nu s}
     #                 - G^r_{nu l} G^l_{mu s}, with dgamma[s,r,a,b] = d_s G^r_{ab}
@@ -282,6 +276,7 @@ def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
         g_upper=pm.g,
         sqrt_abs_det=pm.sqrt_abs_det,
         dg=jets.dg,
+        dg_upper=dg_upper,
         gamma=gamma,
         dgamma=dgamma,
         riemann=riemann,

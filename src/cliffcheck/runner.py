@@ -339,34 +339,26 @@ def _resolve_metric(block: dict, problems: list) -> MetricSpec | None:
         except (GeometryError, ExprError) as err:
             problems.append(f"metric: {err}")
             return None
-    coords = tuple(block["coords"])
     rows = block["components"]
-    parsed = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            src = rows[i][j]
+    found = len(problems)
+    for i, row in enumerate(rows):
+        for j, src in enumerate(row):
             try:
-                parsed[i][j] = ex.parse(src) if isinstance(src, str) else ex.const(src)
+                ex.tree(src)
             except ExprError as err:
                 problems.append(f"metric.components[{i}][{j}]: {err}")
-    if any(e is None for row in parsed for e in row):
+    if len(problems) > found:
         return None
     domain = {k: tuple(v) for k, v in block.get("domain", {}).items()}
     if not domain:
         problems.append("metric: inline metrics must declare a domain box")
         return None
-    missing = set(coords) - set(domain)
+    missing = set(block["coords"]) - set(domain)
     if missing:
         problems.append(f"metric.domain: missing coordinates {sorted(missing)}")
         return None
     try:
-        return MetricSpec(
-            coords,
-            tuple(tuple(row) for row in parsed),
-            dict(block.get("params", {})),
-            "inline",
-            domain,
-        )
+        return MetricSpec.from_strings(block["coords"], rows, block.get("params"), "inline", domain)
     except GeometryError as err:
         problems.append(f"metric: {err}")
         return None
@@ -379,27 +371,21 @@ def _resolve_fields(block: dict, spec, constants, problems: list):
     for name in ("K", "A", "S", "V"):
         if name not in block:
             continue
-        comps = {}
-        broken = False
+        found = len(problems)
         for key, src in block[name].items():
             try:
-                e = ex.parse(src) if isinstance(src, str) else ex.const(src)
+                unknown = ex.free_names(ex.tree(src)) - set(spec.coords) - set(spec.params)
             except ExprError as err:
                 problems.append(f"fields.{name}.components[{key}]: {err}")
-                broken = True
                 continue
-            unknown = ex.free_names(e) - set(spec.coords) - set(spec.params)
             if unknown:
                 problems.append(
                     f"fields.{name}.components[{key}]: unknown identifiers {sorted(unknown)}"
                 )
-                broken = True
-                continue
-            comps[key] = e
-        if broken:
+        if len(problems) > found:
             continue
         try:
-            parsed[name] = MultivectorField.from_components(comps, spec.coords)
+            parsed[name] = MultivectorField.from_components(block[name], spec.coords)
         except CliffcheckError as err:
             problems.append(f"fields.{name}: {err}")
     try:

@@ -473,6 +473,43 @@ def test_point_metric_block_lanes_equal_each_metric_alone(rng, require_lorentzia
             assert block.tables[key][i].tobytes() == m.tables[key].tobytes(), key
 
 
+def _with_entry(g, i, j, value):
+    g = g.copy()
+    g[i, j] = g[j, i] = value
+    return g
+
+
+_NOT_NEGATIVE = "SignatureError: tangent metric determinant {}0.000e+00 is not negative"
+_NOT_SYMMETRIC = "ValueError: metric must be symmetric"
+# metrics with an infinite, NaN or huge entry, and the error each gets with
+# and without the Lorentzian check ("<class>: <message>", None when accepted)
+EXTREME_METRICS = [
+    (_with_entry(ETA, 0, 0, np.inf), _NOT_NEGATIVE.format(""), None),
+    (_with_entry(ETA, 1, 1, -np.inf), _NOT_NEGATIVE.format(""), None),
+    (_with_entry(ETA, 0, 1, np.inf), _NOT_NEGATIVE.format(""), None),
+    (_with_entry(ETA, 2, 2, np.nan), _NOT_SYMMETRIC, _NOT_SYMMETRIC),
+    (_with_entry(ETA, 1, 3, np.nan), _NOT_SYMMETRIC, _NOT_SYMMETRIC),
+    (_with_entry(ETA, 0, 0, 1e200), None, None),
+    (_with_entry(ETA, 3, 3, -1e200), None, None),
+    (_with_entry(ETA, 0, 2, 1e200), _NOT_NEGATIVE.format("-"), None),
+    (1e100 * ETA, _NOT_NEGATIVE.format("-"), None),
+    (1e200 * ETA, _NOT_NEGATIVE.format("-"), None),
+    (1e-200 * ETA, *["DegenerateMetricError: cotangent metric is singular (det=-0.000e+00)"] * 2),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # det and inv of inf and NaN entries
+@pytest.mark.parametrize("require_lorentzian", [True, False])
+def test_point_metric_errors_of_infinite_nan_and_huge_entries(require_lorentzian):
+    gs = np.array([g for g, _, _ in EXTREME_METRICS])
+    expected = {k: err for k, (_, strict, relaxed) in enumerate(EXTREME_METRICS)
+                if (err := strict if require_lorentzian else relaxed) is not None}
+    alone = [_alone(g, require_lorentzian) for g in gs]
+    assert {k: m for k, m in enumerate(alone) if isinstance(m, str)} == expected
+    block = PointMetric(gs, require_lorentzian=require_lorentzian)
+    assert {k: f"{type(err).__name__}: {err}" for k, err in block.errors.items()} == expected
+
+
 def test_volume_form_squares_to_signature_sign(rng):
     m = random_metric(rng)
     tau = m.volume_form()

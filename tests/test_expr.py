@@ -37,6 +37,19 @@ def test_parse_error_column():
     assert err.value.column == 3
 
 
+def test_equal_sources_are_one_tree():
+    assert ex.parse("1-2*M/r") is ex.parse("1-2*M/r") is ex.tree("1-2*M/r")
+    assert ex.tree(2) == ex.Num(2.0) and ex.tree(-1.5) == ex.Num(-1.5)
+    assert ex.tree(ex.ONE) is ex.ONE
+
+
+@pytest.mark.parametrize("src", ["(" * 2000 + "x" + ")" * 2000, "-" * 2000 + "x", "x" + "^x" * 2000])
+def test_nesting_past_the_recursion_limit_is_a_parse_error(src):
+    for _ in range(2):  # a ParseError is not kept: the second parse raises it again
+        with pytest.raises(ParseError, match=r"^expression nested too deeply \(column 1\)$"):
+            ex.parse(src)
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ParseError) as err:
         ex.parse("foo(1)")

@@ -378,8 +378,8 @@ BLOCK_CASES = {
     "minkowski": (catalog_spec("minkowski"), ([-3.0] * 4, [3.0] * 4)),
 }
 
-_BUNDLE = ("point", "g_lower", "g_upper", "sqrt_abs_det", "dg", "gamma", "dgamma", "riemann",
-           "ricci", "scalar")
+_BUNDLE = ("point", "g_lower", "g_upper", "sqrt_abs_det", "dg", "dg_upper", "gamma", "dgamma",
+           "riemann", "ricci", "scalar")
 
 
 def _bits(x) -> bytes:
@@ -410,6 +410,17 @@ def test_block_lanes_equal_each_point_alone_bitwise(key):
         assert block.riemann.shape == (16, 4, 4, 4, 4) and block.errors == {}
         for k in range(16):
             assert_lane_is_the_point_alone(block, k, geo.curvature(spec, points[first + k]))
+
+
+@pytest.mark.parametrize("count", [None, 5, 16])
+@pytest.mark.parametrize("key", sorted(BLOCK_CASES))
+def test_dg_upper_is_the_product_formula_bitwise(key, count):
+    # d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn}, kept from the Christoffel symbols' computation
+    spec, (lo, hi) = BLOCK_CASES[key]
+    points = np.random.default_rng(5).uniform(lo, hi, size=(count or 1, 4))
+    gd = geo.curvature(spec, points if count else points[0])
+    assert gd.dg_upper.shape == gd.dg.shape
+    assert _bits(gd.dg_upper) == _bits(-np.einsum("...ma,...sab,...bn->...smn", gd.g_upper, gd.dg, gd.g_upper))
 
 
 MIXED = geo.MetricSpec.from_strings(
@@ -469,10 +480,9 @@ ILL = geo.MetricSpec.from_strings(
 def test_block_rejects_what_the_point_metric_checks_and_validation_reject():
     # metric_at accepts points 2, 3 and 4 (det < 0).  PointMetric rejects 3:
     # its cotangent metric, the inverse of g, is singular.  Points 2 and 4
-    # failed on rounding alone while the bounds were absolute: PointMetric's
-    # identity check at 2, and validation's metric compatibility at 4, which
-    # rounds to (1429.80, 88.65, 356.02, 0).  Relative to the size of their
-    # terms both are accepted, and every accepted lane is the point alone.
+    # are ill-conditioned and accepted: at 4, which rounds to (1429.80,
+    # 88.65, 356.02, 0), validation's metric compatibility holds only
+    # relative to the size of its terms.  Every accepted lane is the point alone.
     points = np.array([(1.0 + 0.1 * k, -1.0, 0.1 * k, 0.0) for k in range(6)])
     points[2, :3] = (1121731.956830163, 5325304.725886299, -2444087.6602293462)
     points[3, :3] = (667559878.3362491, 447681333.5491468, 546882912.3762716)

@@ -5,10 +5,14 @@ tree of JSON values, and a report written from its checks' columns the
 bytes of ``json.dumps`` of its dict tree.  ``load_scenario`` checks a well-formed
 ``samples.points`` as one array, outside the schema walk; for any document
 it must give the problems of the full walk over the whole document, and for
-an accepted one the same points and digest.
+an accepted one the same points and digest.  Any expression source, in an
+inline metric entry and a field component, must end ``verify`` in exit code
+0, 1 or 2, and load with the same problems each time.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cliffcheck import cli
 from cliffcheck.errors import ScenarioValidationError
 from cliffcheck.fieldcheck import Layout, ResidualReport
 from cliffcheck.runner import Report, _scenario_schema, json_text, load_scenario
@@ -226,3 +231,49 @@ def test_load_scenario_gives_the_full_schema_walk(tmp_path_factory, points, faul
         tuple(map(float.hex, pt)) for pt in want]
     body = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
     assert scenario.digest == "sha256:" + hashlib.sha256(body).hexdigest()
+
+
+# -- expression sources in an inline metric and a field --------------------------------
+
+source_tokens = st.sampled_from([
+    "t", "x", "y", "z", "M", "w", "0", "1", "2.5", ".5", "3e", "1e308", "+", "-", "*", "/",
+    "^", "(", ")", ",", " ", "sin(", "sqrt(", "log(", "pow(", "exp(", "foo(",
+])
+expression_sources = st.lists(source_tokens, max_size=16).map("".join) | st.text(max_size=8)
+
+
+def inline_scenario(src: str) -> dict:
+    """Flat space in an inline chart with ``src`` as g_xx, and as the x component of K."""
+    rows = [["1", "0", "0", "0"], ["0", src, "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    return {
+        "metric": {"coords": list(MINKOWSKI_BOX), "components": rows, "params": {"M": 1.0},
+                   "domain": {c: [0.5, 1.5] for c in MINKOWSKI_BOX}},
+        "fields": {"K": {"t": "1", "x": src}},
+        "samples": {"points": [[1.0, 1.0, 1.0, 1.0], [0.5, 1.5, 0.75, 1.25]]},
+        "checks": ["killing", "killing_identities"],
+    }
+
+
+def load_problems(path) -> list:
+    try:
+        load_scenario(path)
+    except ScenarioValidationError as err:
+        return err.problems
+    return []
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_sources)
+@example("-1")  # flat space: both checks pass
+@example("-(1+x")  # a ParseError with its column
+@example("-w")  # an unknown identifier
+@example("1/(x-1)")  # a point error at x = 1
+@example("-x^2")  # not Killing
+@example("(" * 400 + "x" + ")" * 400)  # nested past the recursion limit: a ParseError
+@example("-" * 1000 + "1")
+def test_expression_sources_end_in_an_exit_code_and_load_alike(tmp_path_factory, src):
+    path = tmp_path_factory.mktemp("source") / "scenario.json"
+    path.write_text(json.dumps(inline_scenario(src)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["verify", str(path)]) in (0, 1, 2)
+    assert load_problems(path) == load_problems(path)

@@ -14,7 +14,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cliffcheck import cli
+from cliffcheck import cli, fieldcheck
+from cliffcheck import expr as ex
 from cliffcheck.errors import ScenarioValidationError
 from cliffcheck.fieldcheck import CHECKS
 from cliffcheck.geometry import build_metric
@@ -538,6 +539,15 @@ def test_cli_negative_seed_is_a_usage_error(argv):
     assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
 
 
+def test_cli_seed_without_points_is_a_usage_error():
+    # --seed seeds only the random points of --points; alone it would change nothing
+    proc = run_cli("verify", str(SCENARIOS / "minkowski_boost.json"), "--seed", "3")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "argument --seed: seeds the random points of --points N, which is not given" in proc.stderr
+    assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1", "0.0"])
 def test_cli_tolerance_must_be_finite_and_positive(tol):
     proc = run_cli("verify", str(SCENARIOS / "minkowski_boost.json"), f"--tol={tol}")
@@ -735,3 +745,23 @@ def test_workload_report_bytes_pinned(tmp_path, workload):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(op.argv)) == op.expected_exit
     assert hashlib.sha256(op.report.read_bytes()).hexdigest() == WORKLOAD_REPORT_SHA256[workload]
+
+
+@pytest.mark.parametrize("workload, per_chunk", [("kerr_identities", 6), ("schw_10check", 7)])
+def test_equal_sources_are_evaluated_once_per_chunk(tmp_path, monkeypatch, workload, per_chunk):
+    # kerr_identities' K is the t-row of its inline metric and schw_10check's K
+    # the catalog's g_tt: each distinct source is one tree, evaluated once per chunk
+    workloads = _perfbench_module("workloads")
+    (op,) = getattr(workloads, workload)(REPO, tmp_path, seed=1, points=fieldcheck.CHUNK + 1).ops
+    evaluated = []
+    evaluate = ex.evaluate_jet2
+
+    def counting(e, *args):
+        evaluated.append(e)
+        return evaluate(e, *args)
+
+    monkeypatch.setattr(ex, "evaluate_jet2", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(op.argv)) == op.expected_exit
+    assert len(evaluated) == 2 * per_chunk  # two chunks
+    assert len(set(map(id, evaluated))) == per_chunk

@@ -218,9 +218,9 @@ class PointMetric:
         When true (the default), reject metrics whose tangent determinant is
         not negative; property tests may relax this for random signatures.
 
-    The checks, in order: symmetry, a nonsingular cotangent metric and
-    (optionally) Lorentzian signature.  One metric raises the error of the
-    first check it fails.  A block, the same
+    The checks, in order: symmetry, a nonsingular cotangent metric with a
+    finite determinant and (optionally) Lorentzian signature.  One metric
+    raises the error of the first check it fails.  A block, the same
     code with N first on every attribute, raises nothing: ``errors`` maps
     each metric that fails to that error, and every other metric is bitwise
     that metric alone.  Each table (:attr:`tables`) is built the first time
@@ -239,10 +239,11 @@ class PointMetric:
         gt = np.swapaxes(g, -1, -2)
         atol = 1e-12 * np.fmax(1.0, np.max(np.abs(g), axis=(-2, -1)))[..., np.newaxis, np.newaxis]
         # np.isclose with rtol 0: an infinite entry is close only to itself
-        symmetric = ((np.abs(g - gt) <= atol) & np.isfinite(gt) | (g == gt)).all(axis=(-2, -1))
-        g = 0.5 * (g + gt)
-        det_cot = np.linalg.det(g)
-        fails = [~symmetric, np.abs(det_cot) < 1e-14]
+        with np.errstate(invalid="ignore", over="ignore"):  # the checks judge non-finite values
+            symmetric = ((np.abs(g - gt) <= atol) & np.isfinite(gt) | (g == gt)).all(axis=(-2, -1))
+            g = 0.5 * (g + gt)
+            det_cot = np.linalg.det(g)
+        fails = [~symmetric, ~np.isfinite(det_cot) | (np.abs(det_cot) < 1e-14)]
         if _ginv is None:  # a metric already rejected is not inverted
             ginv = np.linalg.inv(np.where((fails[0] | fails[1])[..., np.newaxis, np.newaxis], eye, g))
         else:
@@ -513,7 +514,9 @@ def _metric_error(check: int, det_cot: float, det_tan: float) -> Exception:
     """The error of a metric that fails :class:`PointMetric`'s ``check``.
 
     The checks, in order: 0 symmetry, 1 a nonsingular cotangent metric
-    (``det_cot``), 2 Lorentzian signature (``det_tan``).
+    with a finite determinant (``det_cot``; an infinite or NaN one is called
+    singular, as ``geometry.metric_at`` does), 2 Lorentzian signature
+    (``det_tan``).
     """
     if check == 0:
         return ValueError("metric must be symmetric")

@@ -261,11 +261,19 @@ class _Parser:
 
 
 PARSE_CACHE_SIZE = 4096  # distinct source texts whose trees :func:`parse` keeps
+# Levels a parsed tree may have.  The walks over a tree (jets, free_names,
+# serialize) recurse once per level; this leaves them room under Python's
+# default recursion limit of 1000 frames.
+MAX_DEPTH = 900
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(src: str) -> Expr:
-    """The tree of ``src``; the same tree for the same text (a ParseError is raised anew)."""
+    """The tree of ``src``; the same tree for the same text (a ParseError is raised anew).
+
+    A tree deeper than :data:`MAX_DEPTH` levels is a ParseError too: a sum
+    of 901 terms is 901 levels deep.
+    """
     if not src or not src.strip():
         raise ParseError("empty expression", 1)
     parser = _Parser(_tokenize(src))
@@ -276,7 +284,29 @@ def parse(src: str) -> Expr:
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input '{tok.text}'", tok.column)
+    if _deeper_than(node, MAX_DEPTH):
+        raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 1)
     return node
+
+
+def _deeper_than(e: Expr, levels: int) -> bool:
+    """Whether the tree ``e`` has more than ``levels`` levels, walked level by level without recursion."""
+    nodes = [e]
+    for _ in range(levels):
+        nodes = [child for node in nodes for child in _children(node)]
+        if not nodes:
+            return False
+    return True
+
+
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (Num, Var)):
+        return ()
+    if isinstance(e, Neg):
+        return (e.arg,)
+    if isinstance(e, Call):
+        return e.args
+    return e.left, e.right
 
 
 def tree(src: str | float | Expr) -> Expr:

@@ -1,9 +1,11 @@
 """Scenario ingestion, check orchestration, and deterministic report emission.
 
-Scenarios are JSON documents validated in two stages: a JSON-schema pass for
-structure, then a semantic pass that collects *every* problem (unknown
-metrics or checks, unparseable component expressions with their JSON path and
-column, missing required fields, out-of-domain sample points) before failing.
+Scenarios are JSON documents validated in two stages: a structural pass, the
+in-package walk of ``scenario.schema.json`` (:mod:`cliffcheck.schema`, the
+problems ``jsonschema`` would give, without importing it), then a semantic
+pass that collects *every* problem (unknown metrics or checks, unparseable
+component expressions with their JSON path and column, missing required
+fields, out-of-domain sample points) before failing.
 
 Reports are fully deterministic: the same scenario and tool version produce
 byte-identical report files.  Wall time is kept on the in-memory
@@ -20,15 +22,16 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import chain
 from typing import Mapping
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from . import expr as ex
+from . import schema
 from .diffops import MultivectorField
 from .errors import (
     CliffcheckError,
@@ -197,7 +200,9 @@ def _check_text(report, indent: str, written: dict) -> str:
     }, indent) % tuple(texts)
 
 
+@cache
 def _scenario_schema() -> dict:
+    """The scenario schema, read once per process; callers must not change it."""
     with resources.files("cliffcheck.schemas").joinpath("scenario.schema.json").open() as fh:
         return json.load(fh)
 
@@ -294,9 +299,7 @@ def _check_structure(raw) -> np.ndarray:
     document = raw
     if _is_point_array(points):
         document = {**raw, "samples": {**samples, "points": []}}
-    validator = jsonschema.Draft202012Validator(_scenario_schema())
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
-    problems = [f"{_where(error.absolute_path)}: {error.message}" for error in errors]
+    problems = schema.problems(document, _scenario_schema())
     if not problems:
         try:
             array = np.array(points or [], dtype=float).reshape(-1, 4)
@@ -315,10 +318,6 @@ def _is_point_array(points) -> bool:
             and set(map(type, chain.from_iterable(points))) <= {int, float})
 
 
-def _where(path) -> str:
-    return ".".join(str(p) for p in path) or "<root>"
-
-
 def _unfloatable(value, path=()) -> list:
     """A problem for each integer in ``value`` too large to convert to a float."""
     kind = type(value)
@@ -326,7 +325,7 @@ def _unfloatable(value, path=()) -> list:
         try:
             float(value)
         except OverflowError:
-            return [f"{_where(path)}: integer too large for a float"]
+            return [f"{schema.where(path)}: integer too large for a float"]
         return []
     items = value.items() if kind is dict else enumerate(value) if kind is list else ()
     return [problem for key, item in items for problem in _unfloatable(item, (*path, key))]

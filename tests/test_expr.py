@@ -50,6 +50,15 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error(src):
             ex.parse(src)
 
 
+def test_a_tree_deeper_than_max_depth_is_a_parse_error():
+    assert ex.MAX_DEPTH == 900
+    assert ex.parse("+".join(["1"] * 900)) is ex.parse("+".join(["1"] * 900))  # 900 levels
+    for src in ("+".join(["1"] * 901), "+".join(["1"] * 2000), "x" + "*x" * 900, "x" + "/x-1" * 900):
+        for _ in range(2):
+            with pytest.raises(ParseError, match=r"^expression tree deeper than 900 levels \(column 1\)$"):
+                ex.parse(src)
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ParseError) as err:
         ex.parse("foo(1)")

@@ -1,13 +1,15 @@
-"""Property checks of scenario and report I/O against json and the full schema walk.
+"""Property checks of scenario and report I/O against json and jsonschema.
 
 The report writer must give ``json.dumps(value, indent=2)``'s bytes for any
 tree of JSON values, and a report written from its checks' columns the
 bytes of ``json.dumps`` of its dict tree.  ``load_scenario`` checks a well-formed
 ``samples.points`` as one array, outside the schema walk; for any document
 it must give the problems of the full walk over the whole document, and for
-an accepted one the same points and digest.  Any expression source, in an
-inline metric entry and a field component, must end ``verify`` in exit code
-0, 1 or 2, and load with the same problems each time.
+an accepted one the same points and digest.  The in-package schema walk
+(:mod:`cliffcheck.schema`) must give ``jsonschema``'s problem lists for
+whole scenario documents.  Any expression source, in an inline metric entry
+and a field component, and any whole document must end ``verify`` in exit
+code 0, 1 or 2, with a report that validates against its schema.
 """
 
 import contextlib
@@ -22,10 +24,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliffcheck import cli
+from cliffcheck import cli, schema
 from cliffcheck.errors import ScenarioValidationError
-from cliffcheck.fieldcheck import Layout, ResidualReport
-from cliffcheck.runner import Report, _scenario_schema, json_text, load_scenario
+from cliffcheck.fieldcheck import CHECKS, Layout, ResidualReport
+from cliffcheck.runner import (
+    Report,
+    _check_structure,
+    _scenario_schema,
+    json_text,
+    load_scenario,
+    report_schema,
+)
 
 # -- the report writer --------------------------------------------------------------
 
@@ -152,9 +161,9 @@ VALIDATOR = jsonschema.Draft202012Validator(_scenario_schema())
 MINKOWSKI_BOX = {c: (-3.0, 3.0) for c in ("t", "x", "y", "z")}
 
 
-def schema_problems(raw) -> list:
-    """The problems of the schema walk over the whole document."""
-    errors = sorted(VALIDATOR.iter_errors(raw), key=lambda e: list(e.absolute_path))
+def schema_problems(raw, validator=VALIDATOR) -> list:
+    """The problems of jsonschema's walk over the whole document."""
+    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     return [f"{'.'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
             for e in errors]
 
@@ -277,3 +286,168 @@ def test_expression_sources_end_in_an_exit_code_and_load_alike(tmp_path_factory,
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["verify", str(path)]) in (0, 1, 2)
     assert load_problems(path) == load_problems(path)
+
+
+# -- whole scenario documents ------------------------------------------------------------
+
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3)
+    | st.sampled_from([0, -1, 0.0, -0.0, 1e-9, -1e-9, 2.0, 2.5, 1e-300, "1", "t"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+key_names = st.sampled_from(["t", "x", "y", "z", "r", "points", "builtin", "coords", "extra"]) | st.text(max_size=3)
+counts = st.sampled_from([0, 1, 2, 2.0, 2.5, -1, True, "2", None, 1e300]) | json_scalars
+tolerance_values = st.sampled_from([0, 0.0, -0.0, -1e-9, -1, 1e-8, 1, True, False]) | json_scalars
+component_sources = st.sampled_from(["1", "t", "x", "1-2*M/r", "sin(", ""]) | json_scalars
+
+
+@st.composite
+def objects(draw, fields: dict):
+    """Most of ``fields`` (key -> strategy of its value), maybe extra keys; now and then any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    out = {key: draw(value) for key, value in fields.items() if draw(st.integers(0, 3))}
+    for key in draw(st.lists(key_names, max_size=2)):
+        out[key] = draw(json_values)
+    return out
+
+
+def merged(pair):
+    """Two metric blocks as one: a document under both ``oneOf`` branches, or neither."""
+    first, second = pair
+    return {**first, **second} if type(first) is dict and type(second) is dict else first
+
+
+components = st.dictionaries(st.sampled_from(["t", "x", "1", "t^x"]) | st.text(max_size=2),
+                             component_sources, max_size=3) | json_values
+builtin_metrics = objects({
+    "builtin": st.sampled_from(["minkowski", "schwarzschild", "kerr"]) | json_scalars,
+    "params": st.dictionaries(key_names, component_sources, max_size=2) | json_values,
+})
+inline_metrics = objects({
+    "coords": st.lists(key_names, min_size=3, max_size=5) | json_values,
+    "components": st.lists(st.lists(component_sources, min_size=3, max_size=5), min_size=3, max_size=5)
+    | json_values,
+    "params": st.dictionaries(key_names, json_scalars, max_size=2) | json_values,
+    "domain": st.dictionaries(key_names, st.lists(json_scalars, min_size=1, max_size=3), max_size=3)
+    | json_values,
+})
+grid_axes = objects({"min": json_scalars, "max": json_scalars, "count": counts})
+scenario_documents = objects({
+    "description": st.text(max_size=4) | json_scalars,
+    "metric": builtin_metrics | inline_metrics | st.tuples(builtin_metrics, inline_metrics).map(merged),
+    "constants": objects({"e": json_scalars, "m": json_scalars, "coupling": json_scalars}),
+    "fields": objects({"K": components, "A": components, "S": components, "V": components}),
+    "samples": objects({
+        "points": point_arrays,
+        "grid": st.dictionaries(key_names, grid_axes, max_size=2) | json_values,
+        "random": objects({"count": counts, "seed": counts}),
+    }),
+    "checks": st.lists(st.sampled_from(sorted(CHECKS)) | json_scalars, max_size=3) | json_values,
+    "tolerances": st.dictionaries(st.sampled_from(["default", "killing"]) | st.text(max_size=2),
+                                  tolerance_values, max_size=3) | json_values,
+})
+
+DEEP_SOURCE = "+".join(["1"] * 2000)  # a tree of 2000 levels: a ParseError, not a RecursionError
+field_sources = expression_sources | st.just(DEEP_SOURCE)
+good_sources = st.sampled_from(["1", "x", "-t", "2*t", "x*t", "sin(x)", "1/(x-1)", "exp(700)*exp(700)*t"]) | st.floats(-2, 2)
+FIELD_KEYS = {"A": ["t", "x"], "S": ["1"], "V": ["t", "x"]}
+
+
+@st.composite
+def runnable_documents(draw):
+    """Documents the schema accepts, on the minkowski builtin or an inline flat chart; most of them run."""
+    inline = draw(st.booleans())
+    raw = inline_scenario("-1") if inline else {
+        "metric": {"builtin": "minkowski"}, "samples": {"points": [[0.0, 0.5, -1.0, 2.0]]}}
+    fields = {"K": {"t": draw(good_sources)}}
+    for name in draw(st.lists(st.sampled_from(sorted(FIELD_KEYS)), unique=True)):
+        fields[name] = {draw(st.sampled_from(FIELD_KEYS[name])): draw(good_sources)}
+    if draw(st.booleans()):  # one source, in the metric or in K, is any text or the deep tree
+        src = draw(field_sources)
+        if inline and draw(st.booleans()):
+            raw["metric"]["components"][1][1] = src
+        else:
+            fields["K"]["x"] = src
+    raw["fields"] = fields
+    raw["samples"] = draw(st.sampled_from([
+        raw["samples"],
+        {"grid": {c: {"min": 0.5, "max": 1.5, "count": n} for c, n in zip(MINKOWSKI_BOX, (2, 1, 1, 2.0))}},
+        {"random": {"count": 3, "seed": 5}},
+    ]))
+    raw["checks"] = draw(st.lists(st.sampled_from(sorted(CHECKS)), min_size=1, max_size=3))
+    raw["tolerances"] = draw(st.dictionaries(
+        st.sampled_from(["default", *sorted(CHECKS)]), st.sampled_from([1e-8, 1e-12, 1.0, 1e300, math.inf]),
+        max_size=2))
+    raw["constants"] = draw(st.fixed_dictionaries({}, optional={"coupling": st.floats(-2, 2), "e": st.just(0.5)}))
+    return raw
+
+
+@settings(max_examples=400, deadline=None)
+@given(scenario_documents | runnable_documents())
+@example({"metric": {"builtin": "minkowski", "coords": ["t"] * 4, "components": [["1"] * 4] * 4},
+          "samples": {}, "checks": []})
+@example({"metric": {}, "fields": {"K": {}}, "samples": {"random": {"count": 2.5, "seed": -1}},
+          "checks": ["killing"], "tolerances": {"default": 0, "killing": -1e-9}, "x": 1, "y": True})
+@example({"metric": {"builtin": True}, "constants": {"e": True, "q": 1},
+          "samples": {"grid": {"t": {"min": 0, "max": 1, "count": 0}}}, "checks": "killing"})
+@example({"metric": [], "samples": {"points": [[1, 2, 3, 4, 5], [1], []]}, "checks": ["killing"]})
+@example([])
+def test_schema_walk_gives_the_problems_of_jsonschema(raw):
+    expected = schema_problems(raw)
+    assert schema.problems(raw, _scenario_schema()) == expected
+    if expected:  # the structural pass, with its points fast path, reports them as they are
+        with pytest.raises(ScenarioValidationError) as err:
+            _check_structure(raw)
+        assert err.value.problems == expected
+
+
+OVERLAPPING_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "one": {"oneOf": [{"type": "number"}, {"type": "integer"}, {"minimum": 0}]},
+        "ref": {"$ref": "#/$defs/a~1b"},
+    },
+    "additionalProperties": {"type": "array", "items": {"$ref": "#/$defs/a~1b"}, "maxItems": 1},
+    "minProperties": 2,
+    "$defs": {"a/b": {"type": ["integer", "string"], "exclusiveMinimum": 0}},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(["one", "ref", "x", "y"]), json_values, max_size=4) | json_values)
+@example({"one": 1, "ref": 2.0})  # valid under each of the three
+@example({"one": "x", "x": [0, "a", True]})
+def test_schema_walk_gives_jsonschema_texts_beyond_the_scenario_schema(raw):
+    validator = jsonschema.Draft202012Validator(OVERLAPPING_SCHEMA)
+    assert schema.problems(raw, OVERLAPPING_SCHEMA) == schema_problems(raw, validator)
+
+
+def test_schema_walk_rejects_a_keyword_it_does_not_know():
+    with pytest.raises(ValueError, match="'pattern' is not supported"):
+        schema.problems("x", {"type": "string", "pattern": "^x$"})
+
+
+REPORT_VALIDATOR = jsonschema.Draft202012Validator(report_schema())
+
+
+@settings(max_examples=200, deadline=None)
+@given(runnable_documents() | scenario_documents)
+@example(dict(inline_scenario("1"), fields={"K": {"t": DEEP_SOURCE}}))
+@example(dict(inline_scenario("-1"), fields={"K": {"x": "1/(x-1)"}}, checks=["killing", "einstein"]))
+def test_whole_documents_end_in_an_exit_code_with_a_valid_report(tmp_path_factory, raw):
+    folder = tmp_path_factory.mktemp("document")
+    path, out = folder / "scenario.json", folder / "report.json"
+    path.write_text(json.dumps(raw))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["verify", str(path), "--report", str(out)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.exists():
+        assert code in (0, 1)
+        REPORT_VALIDATOR.validate(json.loads(out.read_text()))

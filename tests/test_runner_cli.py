@@ -582,6 +582,25 @@ def test_cli_nesting_deeper_than_the_recursion_limit_exits_two(tmp_path, depth):
     assert "malformed JSON: arrays or objects nested deeper than the parser's recursion limit" in proc.stderr
 
 
+@pytest.mark.parametrize("terms, code", [(900, 0), (2000, 2)])
+def test_cli_a_source_deeper_than_the_tree_limit_exits_two(tmp_path, terms, code):
+    body = dict(BASE, fields={"K": {"t": "+".join(["1"] * terms)}})
+    proc = run_cli("verify", str(write_scenario(tmp_path, body)))
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert "fields.K.components[t]: expression tree deeper than 900 levels (column 1)" in proc.stderr
+
+
+def test_cli_verify_imports_no_jsonschema():
+    probe = ("import sys; from cliffcheck import cli; "
+             "code = cli.main(['verify', 'scenarios/minkowski_boost.json']); "
+             "print('jsonschema' in sys.modules); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def strict_json(text):
     def reject(token):
         raise ValueError(f"non-finite constant {token} in report")

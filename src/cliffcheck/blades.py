@@ -105,6 +105,31 @@ for _i in range(DIM):
             _tup = [_r if q == _i else q for q in indices(_m)]
             INDEX_SUB[_i, _r, _m, _src] = sort_parity(_tup)
 
+
+def _place_in_group(keys: np.ndarray) -> np.ndarray:
+    """For sorted ``keys``, the place of each entry among the entries of its key."""
+    return np.arange(len(keys)) - np.searchsorted(keys, keys)
+
+
+# INDEX_SUB by its non-zeros, which the covariant correction gathers instead
+# of contracting the dense table.  SUB_POSITIONS: the 63 flat positions
+# m * 16 + n where some INDEX_SUB[i, r, m, n] is non-zero, ascending.
+# SUB_TAKE[t, p]: the t-th (i, r) term of position p, in (i, r) order, as a
+# column of a signed table x of 33 columns: x[i * 4 + r] holds the (i, r)
+# entry, x[16 + i * 4 + r] its negative and x[32] zero, which pads every
+# position to the 4 terms of the fullest.  SUB_ROW_N[m]: row m's non-zero n
+# ascending, padded with n = 0 to the width of the fullest row (5); an index
+# substitution keeps the grade, so the scalar column n = 0 is zero in every row.
+_flat, _ir = np.nonzero(INDEX_SUB.transpose(2, 3, 0, 1).reshape(N_BLADES ** 2, DIM ** 2))
+_count = np.bincount(_flat)  # (i, r) terms per flat position
+SUB_POSITIONS = np.flatnonzero(_count)
+SUB_TAKE = np.full((_count.max(), len(SUB_POSITIONS)), 2 * DIM ** 2)
+SUB_TAKE[_place_in_group(_flat), np.searchsorted(SUB_POSITIONS, _flat)] = (
+    _ir + DIM ** 2 * (INDEX_SUB.reshape(DIM ** 2, -1)[_ir, _flat] < 0))
+_row, _col = np.divmod(SUB_POSITIONS, N_BLADES)
+SUB_ROW_N = np.zeros((N_BLADES, np.bincount(_row).max()), dtype=np.int64)
+SUB_ROW_N[_row, _place_in_group(_row)] = _col
+
 # static index scaffolding for batched Gram determinants: per grade k, the
 # row/column coordinate arrays of every equal-grade blade pair
 GRAM_PAIRS = {}

@@ -19,6 +19,20 @@ jets from ``GeometryData.jet`` and the metric's product tables ``C``, ``L``
 and ``G2`` from ``GeometryData.metric.tables``; the Ricci operator acts by
 the grade-2 blades of ``G2``, one block per pair a < b of covectors.
 
+The correction is sparse: ``INDEX_SUB`` has 63 non-zero (m, n) positions of
+256, at most 5 in a row.  ``GeometryData`` gathers ``Gop`` from them and
+scatters it into a dense (4, 16, 16) per point, and keeps its derivative
+``dGop`` as its non-zeros only, (4, 4, 63) per point.  Each contraction
+gives the bits of the dense einsum it replaced, which the tests check on
+each host.  ``Gop . grads`` (in ``_pd_cov1``) is a gather that sums each
+row's non-zero n in order from 0.0, as that einsum, which reads ``grads``
+strided, does.  The contractions whose n axis is contiguous stay dense
+einsums: ``Gop . vals`` (``cov1``), ``Gop . cov1`` (``cov2``) and
+``dGop . vals``, which scatters ``dGop`` into a dense slab of one s at a
+time (128 kB on a block of 16 points).  numpy sums a contiguous axis of 16
+in SIMD lanes, and a sequential sum of the non-zero terms differs from it
+in the last bits.
+
 A :class:`FieldCalculus` works at one point, or at a block of N points when
 its :class:`~cliffcheck.geometry.GeometryData` is a block: every array then
 has N first (``vals`` (N, 16), ``cov1`` (N, 4, 16), ...), the operators
@@ -46,6 +60,7 @@ from .geometry import GeometryData
 
 _ZERO = ex.ZERO
 _NOT_GRADE1 = blades.GRADE != 1
+_ROW_FLAT = np.arange(0, 256, 16) + blades.SUB_ROW_N.T  # [k, m]: flat (m, n) of row m's k-th n
 # the grade-2 block of gamma^a ^ gamma^b for each ordered pair a != b, in (a, b) order
 _RICCI_BLOCKS = [list(zip(_G2_LOWEST, _G2_COVECTOR)).index((min(a, b), max(a, b)))
                  for a in range(4) for b in range(4) if a != b]
@@ -196,11 +211,40 @@ class FieldCalculus:
     @cached_property
     def _pd_cov1(self) -> np.ndarray:
         """pd[s, a] = plain partial d_s of (D_a F) components."""
-        return (
-            np.einsum("...mas->...sam", self.jets.hess)
-            - np.einsum("...samn,...n->...sam", self.gd.dgop, self.jets.vals)
-            - np.einsum("...amn,...ns->...sam", self.gd.gop, self.jets.grads)
-        )
+        return np.einsum("...mas->...sam", self.jets.hess) - self._dgop_vals() - self._gop_grads()
+
+    def _dgop_vals(self) -> np.ndarray:
+        """[s, a, m] = sum_n dGop[s, a][m, n] vals[n], by the dense einsum on one slab of s at a time.
+
+        A slab scatters dGop for one s, or for 2 or 4 of them when there are
+        at most 8 or 4 points, so on a block of up to 16 points
+        (``fieldcheck.BLOCK``) it holds at most 16 (4, 16, 16) operators, 128 kB.
+        """
+        dgop = self.gd.dgop
+        points = dgop[..., 0, 0, 0].size
+        step = 4 if points <= 4 else 2 if points <= 8 else 1  # s per slab
+        slab = np.zeros(dgop.shape[:-3] + (step, 4, 256))
+        flat = slab.reshape(-1)
+        at = (np.arange(flat.size, step=256)[:, np.newaxis] + blades.SUB_POSITIONS).ravel()
+        dense = slab.reshape(slab.shape[:-1] + (16, 16))
+        parts = []
+        for s in range(0, 4, step):
+            flat[at] = dgop[..., s:s + step, :, :].ravel()
+            parts.append(np.einsum("...samn,...n->...sam", dense, self.jets.vals))
+        return np.concatenate(parts, axis=-3)
+
+    def _gop_grads(self) -> np.ndarray:
+        """[s, a, m] = sum_n Gop[a][m, n] grads[n, s], over each row's non-zero n in order from 0.0.
+
+        Each row's up to 5 non-zero n are gathered onto an axis k, which the
+        einsum reads strided and so sums in order, as the dense einsum over
+        all 16 n does.  A row with fewer is padded with n = 0, where Gop[a][m]
+        is zero; such a term adds +-0.0, which leaves the sum as it is.
+        """
+        gop = self.gd.gop
+        rows = gop.reshape(gop.shape[:-2] + (256,))[..., _ROW_FLAT]  # [a, k, m] = Gop[a][m, SUB_ROW_N[m, k]]
+        grads = _swap(self.jets.grads)[..., blades.SUB_ROW_N.T]  # [s, k, m] = grads[SUB_ROW_N[m, k], s]
+        return np.einsum("...akm,...skm->...sam", rows, grads)
 
     @cached_property
     def cov2(self) -> np.ndarray:

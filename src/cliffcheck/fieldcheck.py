@@ -584,14 +584,18 @@ CHECKS = {
 # -- the point loop ------------------------------------------------------------------
 
 
-def requirement_problems(name: str, fields: ScenarioFields) -> list:
-    """One message per field that check ``name`` needs and ``fields`` lacks."""
+def requirement_problems(name: str, fields: ScenarioFields, unparsed=frozenset()) -> list:
+    """One message per field that check ``name`` needs and ``fields`` lacks.
+
+    A field named in ``unparsed`` was given but not built, and its own
+    problems are reported, so a check that needs it adds none.
+    """
     problems = []
     for need in CHECKS[name].needs:
         if need == "potential":
-            if fields.potential() is None:
+            if fields.potential() is None and not unparsed & {"A", "K"}:
                 problems.append(f"check {name} requires field A (or K with coupling)")
-        elif getattr(fields, need) is None:
+        elif getattr(fields, need) is None and need not in unparsed:
             problems.append(f"check {name} requires field {need}")
     return problems
 

@@ -141,13 +141,42 @@ class GeometryData:
 
     @cached_property
     def gop(self) -> np.ndarray:
-        """Gop[a][m, n] = sum Gamma^r_{a i} INDEX_SUB[i, r, m, n]: the covariant correction."""
-        return np.einsum("...rai,irmn->...amn", self.gamma, blades.INDEX_SUB)
+        """Gop[a][m, n] = sum Gamma^r_{a i} INDEX_SUB[i, r, m, n]: the covariant correction.
+
+        Dense, (4, 16, 16) per point: its 63 non-zeros are gathered
+        (:func:`_index_sub_gather`) and scattered into zeros, as the
+        contractions that read it sum over all 16 n.
+        """
+        nonzeros = _index_sub_gather(np.einsum("...rai->...air", self.gamma))
+        gop = np.zeros(nonzeros.shape[:-1] + (blades.N_BLADES ** 2,))
+        gop[..., blades.SUB_POSITIONS] = nonzeros
+        return gop.reshape(gop.shape[:-1] + (blades.N_BLADES, blades.N_BLADES))
 
     @cached_property
     def dgop(self) -> np.ndarray:
-        """dGop[s, a] = d_s Gop[a]."""
-        return np.einsum("...srai,irmn->...samn", self.dgamma, blades.INDEX_SUB)
+        """dGop[s, a] = d_s Gop[a], kept as its non-zeros: (4, 4, 63) per point.
+
+        ``dgop[s, a, p]`` is d_s Gop[a] at the flat position
+        ``blades.SUB_POSITIONS[p]``; every other entry of d_s Gop[a] is zero.
+        """
+        return _index_sub_gather(np.einsum("...srai->...sair", self.dgamma))
+
+
+def _index_sub_gather(table: np.ndarray) -> np.ndarray:
+    """The 63 non-zeros of sum_{i, r} table[i, r] INDEX_SUB[i, r], shape (..., 63).
+
+    Position p is ``blades.SUB_POSITIONS[p]``.  Each position adds its 4
+    signed terms (:data:`blades.SUB_TAKE`, padded with zeros) to 0.0 in
+    (i, r) order, as the einsum over the dense table does, so the result is
+    bitwise that einsum's at those positions, -0.0 included.
+    """
+    flat = table.reshape(table.shape[:-2] + (blades.DIM ** 2,))
+    signed = np.concatenate([flat, -flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
+    first, *more = blades.SUB_TAKE
+    out = 0.0 + signed[..., first]  # 0.0 first turns a lone -0.0 into 0.0, as the einsum does
+    for take in more:
+        out += signed[..., take]
+    return out
 
 
 _FLAT = np.diag([1.0, -1.0, -1.0, -1.0])  # stands in for a block point metric_at rejects
@@ -293,8 +322,10 @@ def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
 def _validate(gd: GeometryData) -> dict:
     """Five identities of the bundle, each within its bound.
 
-    One point raises :class:`GeometryError` at the first bound exceeded; a
-    block returns that error for each point that exceeds a bound.
+    A value that is not within its bound fails, NaN included: a connection
+    or curvature that is not finite shows as NaN in these values.  One
+    point raises :class:`GeometryError` at the first identity it fails; a
+    block returns that error for each point that fails one.
     """
     lanes = gd.riemann.shape[:-4]
 
@@ -326,7 +357,7 @@ def _validate(gd: GeometryData) -> dict:
         ("metric compatibility", sup(compat), 1e-11 * np.maximum(1.0, terms)),
     )
     return point_errors(
-        [value > bound for _, value, bound in bounds],
+        [~(value <= bound) for _, value, bound in bounds],  # a NaN value fails too
         lambda k, check: GeometryError(f"{bounds[check][0]} violated ({np.ravel(bounds[check][1])[k]:.3e})"),
     )
 

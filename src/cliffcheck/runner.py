@@ -246,13 +246,15 @@ def load_scenario(path) -> Scenario:
     constants = Constants(**raw.get("constants", {}))
     fields = _resolve_fields(raw.get("fields", {}), spec, constants, problems)
     checks = tuple(raw["checks"])
+    # a field given but not built has its problems already; no check repeats them
+    unparsed = {n for n in raw.get("fields", {}) if fields is not None and getattr(fields, n) is None}
     for name in checks:
         if name not in CHECKS:
             problems.append(
                 f"checks: unknown check '{name}' (known: {', '.join(sorted(CHECKS))})"
             )
         elif fields is not None:
-            problems.extend(requirement_problems(name, fields))
+            problems.extend(requirement_problems(name, fields, unparsed))
 
     tolerances = dict(raw.get("tolerances", {}))
     for name, value in tolerances.items():

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,10 +10,11 @@ from cliffcheck import blades, selftest
 from cliffcheck import expr as ex
 from cliffcheck import geometry as geo
 from cliffcheck.algebra import Multivector, PointMetric, grade_project, wedge
-from cliffcheck.diffops import FieldCalculus, MultivectorField, field_jets, grad_scalar_product
+from cliffcheck.diffops import FieldCalculus, FieldJets, MultivectorField, field_jets, grad_scalar_product
 from cliffcheck.errors import DomainEvalError, FieldError
 
 import oracles
+from test_geometry import BLOCK_CASES
 
 MINK = geo.build_metric("minkowski")
 SCHW = geo.build_metric("schwarzschild", {"M": 1.0})
@@ -516,3 +519,92 @@ def test_block_field_error_is_kept_for_its_point():
         FieldCalculus(field, geo.curvature(MINK, points[1])).value()
     alone = FieldCalculus(field, geo.curvature(MINK, points[0])).value()
     assert alone.sup() > 0.0 and fc.value().coeffs[0].tobytes() == alone.coeffs.tobytes()
+
+
+# -- the covariant correction, gathered from INDEX_SUB's non-zeros --------------------
+#
+# The dense einsums against INDEX_SUB below are the oracle: each gather must
+# give their bits.  numpy picks its einsum kernels by host, so these tests
+# check on each machine that the gathers sum in the order those kernels do.
+
+
+def test_index_sub_nonzeros_and_their_gather_tables():
+    nonzero = blades.INDEX_SUB != 0
+    per_position = nonzero.sum(axis=(0, 1)).ravel()  # flat (m, n): its number of (i, r) terms
+    assert nonzero.sum() == 80
+    assert Counter(per_position[per_position > 0].tolist()) == {1: 52, 2: 6, 3: 4, 4: 1}
+    # the 63 positions ascending, each with its terms in (i, r) order, then
+    # the zero column 32 up to 4 terms
+    positions = blades.SUB_POSITIONS.tolist()
+    assert positions == np.flatnonzero(per_position).tolist()
+    assert blades.SUB_TAKE.shape == (4, 63)
+    rebuilt = np.zeros_like(blades.INDEX_SUB)
+    for p, flat in enumerate(positions):
+        columns = blades.SUB_TAKE[:per_position[flat], p].tolist()
+        assert blades.SUB_TAKE[per_position[flat]:, p].tolist() == [32] * (4 - per_position[flat])
+        assert [c % 16 for c in columns] == sorted(set(c % 16 for c in columns))  # (i, r) order
+        for c in columns:
+            i, r = divmod(c % 16, 4)
+            rebuilt[(i, r) + divmod(flat, 16)] = -1.0 if c >= 16 else 1.0
+    assert rebuilt.tobytes() == blades.INDEX_SUB.tobytes()
+    # each row's non-zero n ascending, then n where the row is zero
+    assert not blades.INDEX_SUB[..., 0].any()
+    per_row = (per_position > 0).reshape(16, 16)
+    assert per_row.sum(axis=1).max() == 5 == blades.SUB_ROW_N.shape[1]
+    for m in range(16):
+        count = per_row[m].sum()
+        assert blades.SUB_ROW_N[m, :count].tolist() == np.flatnonzero(per_row[m]).tolist()
+        assert not per_row[m, blades.SUB_ROW_N[m, count:]].any()
+
+
+def dense_gop(gamma):
+    return np.einsum("...rai,irmn->...amn", gamma, blades.INDEX_SUB)
+
+
+def dense_dgop(dgamma):
+    return np.einsum("...srai,irmn->...samn", dgamma, blades.INDEX_SUB)
+
+
+def assert_gathers_equal_the_dense_einsums(fc):
+    gd, jets = fc.gd, fc.jets
+    gop, dgop = dense_gop(gd.gamma), dense_dgop(gd.dgamma)
+    assert gd.gop.tobytes() == gop.tobytes()
+    flat = dgop.reshape(dgop.shape[:-2] + (256,))
+    assert gd.dgop.shape == flat.shape[:-1] + (63,)
+    assert gd.dgop.tobytes() == flat[..., blades.SUB_POSITIONS].tobytes()
+    assert not np.delete(flat, blades.SUB_POSITIONS, axis=-1).any()
+    assert fc._dgop_vals().tobytes() == np.einsum("...samn,...n->...sam", dgop, jets.vals).tobytes()
+    assert fc._gop_grads().tobytes() == np.einsum("...amn,...ns->...sam", gop, jets.grads).tobytes()
+
+
+@pytest.mark.parametrize("count", [None, 16])
+@pytest.mark.parametrize("key", sorted(BLOCK_CASES))
+def test_gathers_equal_the_dense_einsums_on_the_block_metrics(key, count):
+    spec, (lo, hi) = BLOCK_CASES[key]
+    points = np.random.default_rng(41).uniform(lo, hi, size=(count or 1, 4))
+    gd = geo.curvature(spec, points if count else points[0])
+    for f in operator_fields(spec):
+        assert_gathers_equal_the_dense_einsums(FieldCalculus(f, gd))
+
+
+def random_entries(rng, shape):
+    """Magnitudes 1e-8 to 1e8 of either sign, 20% of them 0.0 and 10% -0.0."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+    u = rng.random(shape)
+    x[u < 0.2] = 0.0
+    x[(u >= 0.2) & (u < 0.3)] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("count", [None, 16])
+def test_gathers_equal_the_dense_einsums_on_random_entries(count):
+    rng = np.random.default_rng(43)
+    lanes = (count,) if count else ()
+    base = geo.curvature(MINK, np.zeros(lanes + (4,)))
+    for _ in range(25):
+        gd = dataclasses.replace(base, gamma=random_entries(rng, lanes + (4, 4, 4)),
+                                 dgamma=random_entries(rng, lanes + (4, 4, 4, 4)))
+        fc = FieldCalculus(MultivectorField.zero(), gd)
+        fc.jets = FieldJets(random_entries(rng, lanes + (16,)), random_entries(rng, lanes + (16, 4)),
+                            random_entries(rng, lanes + (16, 4, 4)), {})
+        assert_gathers_equal_the_dense_einsums(fc)

@@ -18,7 +18,8 @@ from cliffcheck.algebra import Multivector, grade_project
 from cliffcheck.diffops import FieldCalculus, MultivectorField
 from cliffcheck.errors import CliffcheckError, FieldError
 
-from test_geometry import BLOCK_CASES, MIXED, MIXED_ERRORS, mixed_points
+from test_diffops import dense_dgop, dense_gop
+from test_geometry import BLOCK_CASES, MIXED, MIXED_ERRORS, OVERFLOW, OVERFLOW_POINT, mixed_points
 
 MINK = geo.build_metric("minkowski")
 SCHW = geo.build_metric("schwarzschild", {"M": 1.0})
@@ -931,3 +932,52 @@ def test_bad_points_are_not_computed_again_alone(monkeypatch):
     assert bad_calls == clean_calls
     # the metric's five distinct sources (its zeros share one tree) and K, S and V
     assert clean_calls == {"curvature": 3, "field_jets": 9, "evaluate_jet2": 5 + 3}
+
+
+def test_a_point_whose_connection_overflows_gets_a_geometry_error_in_every_check():
+    # the metric is finite at OVERFLOW_POINT but its connection is not: each
+    # check gives the point the geometry error, whether alone or in a block
+    fields = fch.ScenarioFields(K=field({"t": "1", "x": "y"}, OVERFLOW), S=field({"1": "t"}, OVERFLOW),
+                                V=field({"t": "1"}, OVERFLOW))
+    names = list(fch.CHECKS)
+    points = [OVERFLOW_POINT, (1.5, 0.0, -2.0, 0.7)]
+    error = "Riemann antisymmetry violated (nan)"
+    for pts in (points, points[:1]):
+        reports = fch.run_checks(OVERFLOW, fields, names, pts, [1e-8] * len(names))
+        for report in reports:
+            assert [r.error for r in report.records] == [error] * len(pts), report.check
+            assert not report.passed
+
+
+def dense_pd_cov1(fc):
+    """d_s (D_a F) as the dense operators gave it, the oracle of the gathers."""
+    return (np.einsum("...mas->...sam", fc.jets.hess)
+            - np.einsum("...samn,...n->...sam", dense_dgop(fc.gd.dgamma), fc.jets.vals)
+            - np.einsum("...amn,...ns->...sam", dense_gop(fc.gd.gamma), fc.jets.grads))
+
+
+# exp(700 u) overflows at u > 1.0140 and its partials a little before: the
+# second ones from u = 1.0033 on and the first ones from 1.0047 on
+OVERFLOWING_JETS = {
+    "minkowski": (MINK, "exp(700*x)", [(0.3, u, 1.2, 0.1) for u in np.linspace(0.995, 1.02, 12)]),
+    "schwarzschild": (SCHW, "exp(700*(r-3))", [(0.3, 3 + u, 1.2, 0.1) for u in np.linspace(0.995, 1.02, 12)]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OVERFLOWING_JETS))
+def test_points_with_non_finite_jets_get_the_reports_of_the_dense_operators(monkeypatch, key):
+    # where a jet is not finite, 0 * inf is NaN in a dense contraction but
+    # not in a gather; the points with errors, and their errors, must not change
+    spec, source, points = OVERFLOWING_JETS[key]
+    t, a, b, _ = spec.coords
+    fields = fch.ScenarioFields(K=field({t: source, b: f"{a}*{t}"}, spec), S=field({"1": t}, spec),
+                                V=field({t: "1"}, spec))
+    names = list(fch.CHECKS)
+    tols = [1e-8] * len(names)
+    gathered = [r.to_dict() for r in fch.run_checks(spec, fields, names, points, tols)]
+    monkeypatch.setattr(FieldCalculus, "_pd_cov1", property(dense_pd_cov1))
+    dense = [r.to_dict() for r in fch.run_checks(spec, fields, names, points, tols)]
+    assert any(p["error"] and "non-finite" in p["error"] for r in dense for p in r["points"])
+    for got, want in zip(gathered, dense):
+        assert [p["error"] for p in got["points"]] == [p["error"] for p in want["points"]], got["check"]
+        assert got == want

@@ -550,3 +550,31 @@ def test_lazy_oneforms_are_built_only_when_read():
     assert "ricci_oneforms" not in vars(gd) and "einstein_oneforms" not in vars(gd)
     assert gd.ricci_oneforms is gd.ricci_oneforms
     assert "ricci_oneforms" in vars(gd) and "einstein_oneforms" not in vars(gd)
+
+
+# g_xx = -1 at x = 0, finite, but d_x g_xx = 1e308 overflows the Christoffel
+# bracket there: Gamma, dGamma and Riemann hold inf and NaN
+OVERFLOW = geo.MetricSpec.from_strings(
+    ("t", "x", "y", "z"),
+    [["1", "0", "0", "0"], ["0", "-1+1e308*x", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+    name="overflow",
+)
+OVERFLOW_POINT = (0.1, 0.0, 0.2, 0.3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validation_rejects_a_nan_connection():
+    # NaN > bound is False: validation must fail a value that is not <= its bound
+    with pytest.raises(GeometryError, match=r"^Riemann antisymmetry violated \(nan\)$"):
+        geo.curvature(OVERFLOW, OVERFLOW_POINT)
+    gd = geo.curvature(catalog_spec("minkowski"), OVERFLOW_POINT)
+    gd.gamma[0, 1, 1] = gd.riemann[0, 1, 0, 1] = np.nan
+    with pytest.raises(GeometryError, match=r"^Riemann antisymmetry violated \(nan\)$"):
+        geo._validate(gd)
+    points = np.array([OVERFLOW_POINT, (1.5, 0.0, -2.0, 0.7), (0.1, 0.5, 0.2, 0.3)])
+    block = geo.curvature(OVERFLOW, points)
+    assert {k: str(err) for k, err in block.errors.items()} == {
+        0: "Riemann antisymmetry violated (nan)",
+        1: "Riemann antisymmetry violated (nan)",
+        2: "metric of 'overflow' is not Lorentzian at (0.1, 0.5, 0.2, 0.3) (det=5.000e+307)",
+    }

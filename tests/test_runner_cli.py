@@ -592,13 +592,32 @@ def test_cli_a_source_deeper_than_the_tree_limit_exits_two(tmp_path, terms, code
         assert "fields.K.components[t]: expression tree deeper than 900 levels (column 1)" in proc.stderr
 
 
+@pytest.mark.parametrize("checks", [["killing"], ["killing", "lorenz_gauge", "killing_identities"]])
+def test_cli_a_field_that_fails_to_parse_is_reported_once(tmp_path, checks):
+    # the checks that need K (or the potential it gives) add no "requires field K"
+    body = dict(BASE, fields={"K": {"t": "+".join(["1"] * 2000)}}, checks=checks)
+    proc = run_cli("verify", str(write_scenario(tmp_path, body)))
+    assert proc.returncode == 2
+    problems = [line for line in proc.stderr.splitlines() if line.startswith("  - ")]
+    assert problems == ["  - fields.K.components[t]: expression tree deeper than 900 levels (column 1)"]
+
+
+def test_a_field_not_given_is_still_required_beside_one_that_fails_to_parse(tmp_path):
+    body = dict(BASE, fields={"K": {"t": "x^"}, "S": {"1": "t"}}, checks=["killing", "hamilton_jacobi"])
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(write_scenario(tmp_path, body))
+    assert err.value.problems[1:] == ["check hamilton_jacobi requires field V"]
+    assert err.value.problems[0].startswith("fields.K.components[t]: ")
+
+
 def test_cli_verify_imports_no_jsonschema():
+    # nor numpy.ma, which np.unique imports: about 1.7 MB of resident memory
     probe = ("import sys; from cliffcheck import cli; "
              "code = cli.main(['verify', 'scenarios/minkowski_boost.json']); "
-             "print('jsonschema' in sys.modules); sys.exit(code)")
+             "print('jsonschema' in sys.modules, 'numpy.ma' in sys.modules); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
 def strict_json(text):

@@ -243,7 +243,7 @@ class PointMetric:
             symmetric = ((np.abs(g - gt) <= atol) & np.isfinite(gt) | (g == gt)).all(axis=(-2, -1))
             g = 0.5 * (g + gt)
             det_cot = np.linalg.det(g)
-        fails = [~symmetric, ~np.isfinite(det_cot) | (np.abs(det_cot) < 1e-14)]
+        fails = [~symmetric, near_singular(g, det_cot)]
         if _ginv is None:  # a metric already rejected is not inverted
             ginv = np.linalg.inv(np.where((fails[0] | fails[1])[..., np.newaxis, np.newaxis], eye, g))
         else:
@@ -508,6 +508,17 @@ def hodge_rows(tables: dict, a: np.ndarray) -> np.ndarray:
 
 def hodge_inv_rows(tables: dict, a: np.ndarray) -> np.ndarray:
     return hodge_rows(tables, a * tables["Hinv_scale"])
+
+
+def near_singular(m: np.ndarray, det) -> np.ndarray:
+    """Whether ``det``, the determinant of the 4x4 matrix ``m`` (or of each of a block), is
+    not finite or is at most 1e-14 times Hadamard's bound on it, the product of the rows' 2-norms.
+
+    The floor scales with ``m``: a metric and any multiple of it are singular alike.
+    """
+    with np.errstate(over="ignore"):
+        bound = np.hypot.reduce(m, axis=-1).prod(axis=-1)  # hypot: a row of 1e200 has a finite norm
+    return ~np.isfinite(det) | (np.abs(det) <= 1e-14 * bound)
 
 
 def _metric_error(check: int, det_cot: float, det_tan: float) -> Exception:

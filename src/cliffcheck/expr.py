@@ -13,11 +13,12 @@ Evaluation gives second-order jets (:func:`evaluate_jet2`): value,
 gradient and Hessian with respect to the four chart coordinates, exact to
 machine precision.  Parameters are constants.
 
-Jets are evaluated at one point or at N points in one tree walk.  A point of
+Jets are evaluated at one point or at N points in one pass over the tree's
+nodes in post-order (:func:`_fold`), children before parents.  A point of
 shape (4,) gives a :class:`Jet2` with ``val`` a float, ``grad`` (4,) and
 ``hess`` (4, 4); points of shape (N, 4) give ``val`` (N,), ``grad`` (N, 4)
 and ``hess`` (N, 4, 4).  Lane i is bitwise equal to evaluating point i alone.
-The walk keeps, per point, the first operation in tree order that fails
+The pass keeps, per point, the first operation in tree order that fails
 there: one point raises its error, and N points keep it in ``Jet2.errors``
 with a zero jet for that point.  :class:`ChunkJets` evaluates each
 expression asked for once over a chunk of points and hands its jets out a
@@ -44,55 +45,75 @@ from .errors import DomainEvalError, ExprError, ParseError, UnboundIdentifierErr
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """A tree node.  Two trees are equal when their nodes in post-order have
+    the same types, numbers of children and labels; equality and hash are
+    loops over those lists (:func:`_postorder`), so a tree may be of any depth."""
+
+    __slots__ = ()
+    label = None  # what a node holds besides its children: a number, a name or a function
+
+    def _shape(self) -> tuple:
+        nodes, counts = _postorder(self)
+        return tuple(map(type, nodes)), tuple(counts), tuple(n.label for n in nodes)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self is other or self._shape() == other._shape()
+
+    def __hash__(self):
+        return hash(self._shape())
+
+
+@dataclass(frozen=True, eq=False)
+class Num(_Node):
     value: float
+    label = property(lambda self: self.value)
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
+    label = property(lambda self: self.name)
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False)
+class _Binary(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Add(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Pow:
-    left: "Expr"
-    right: "Expr"
+class Div(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Call:
+class Pow(_Binary):
+    pass
+
+
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     func: str
     args: tuple
+    label = property(lambda self: self.func)
 
 
 Expr = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
@@ -261,19 +282,11 @@ class _Parser:
 
 
 PARSE_CACHE_SIZE = 4096  # distinct source texts whose trees :func:`parse` keeps
-# Levels a parsed tree may have.  The walks over a tree (jets, free_names,
-# serialize) recurse once per level; this leaves them room under Python's
-# default recursion limit of 1000 frames.
-MAX_DEPTH = 900
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(src: str) -> Expr:
-    """The tree of ``src``; the same tree for the same text (a ParseError is raised anew).
-
-    A tree deeper than :data:`MAX_DEPTH` levels is a ParseError too: a sum
-    of 901 terms is 901 levels deep.
-    """
+    """The tree of ``src``; the same tree for the same text (a ParseError is raised anew)."""
     if not src or not src.strip():
         raise ParseError("empty expression", 1)
     parser = _Parser(_tokenize(src))
@@ -284,29 +297,50 @@ def parse(src: str) -> Expr:
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input '{tok.text}'", tok.column)
-    if _deeper_than(node, MAX_DEPTH):
-        raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 1)
     return node
 
 
-def _deeper_than(e: Expr, levels: int) -> bool:
-    """Whether the tree ``e`` has more than ``levels`` levels, walked level by level without recursion."""
-    nodes = [e]
-    for _ in range(levels):
-        nodes = [child for node in nodes for child in _children(node)]
-        if not nodes:
-            return False
-    return True
-
-
 def _children(e: Expr) -> tuple:
-    if isinstance(e, (Num, Var)):
-        return ()
-    if isinstance(e, Neg):
-        return (e.arg,)
+    if isinstance(e, _Binary):
+        return e.left, e.right
     if isinstance(e, Call):
         return e.args
-    return e.left, e.right
+    return (e.arg,) if isinstance(e, Neg) else ()
+
+
+def _postorder(e: Expr) -> tuple:
+    """The nodes of ``e``, children first and left to right, and the number of children of each.
+
+    Made with a stack, not by recursion, so a tree may be of any depth: the
+    nodes are listed root first, right subtree before left, and reversed.
+    """
+    nodes, counts, stack = [], [], [e]
+    while stack:
+        node = stack.pop()
+        kids = _children(node)
+        nodes.append(node)
+        counts.append(len(kids))
+        stack.extend(kids)
+    nodes.reverse()
+    counts.reverse()
+    return nodes, counts
+
+
+def _fold(e: Expr, step: Callable) -> object:
+    """``step(node, *values of its children)`` over ``e`` in post-order; the root's value.
+
+    Post-order is the order in which a recursive evaluation finishes its
+    nodes, so the first node whose step fails is the same.
+    """
+    values = []
+    for node, k in zip(*_postorder(e)):
+        if k:
+            args = values[-k:]
+            del values[-k:]
+            values.append(step(node, *args))
+        else:
+            values.append(step(node))
+    return values[0]
 
 
 def tree(src: str | float | Expr) -> Expr:
@@ -318,75 +352,36 @@ def tree(src: str | float | Expr) -> Expr:
 
 # -- serialization ---------------------------------------------------------------
 
-_PREC = {"add": 1, "mul": 2, "unary": 3, "pow": 4, "atom": 5}
+# binary node -> (operator text, precedence); ``^`` is right associative, the others left
+_BINARY = {Add: (" + ", 1), Sub: (" - ", 1), Mul: ("*", 2), Div: ("/", 2), Pow: ("^", 4)}
+_UNARY, _ATOM = 3, 5  # precedences of a negation and of a number, name or call
 
 
-def _fmt_num(v: float) -> str:
-    return repr(v)
-
-
-def _serialize(e: Expr) -> tuple:
-    # returns (text, precedence level)
+def _format(e: Expr, *args) -> tuple:
+    """``e`` as (text, precedence), given its children's."""
     if isinstance(e, Num):
-        if e.value < 0.0:
-            return f"-{_fmt_num(-e.value)}", _PREC["unary"]
-        return _fmt_num(e.value), _PREC["atom"]
+        return (f"-{-e.value!r}", _UNARY) if e.value < 0.0 else (repr(e.value), _ATOM)
     if isinstance(e, Var):
-        return e.name, _PREC["atom"]
+        return e.name, _ATOM
     if isinstance(e, Neg):
-        t, p = _serialize(e.arg)
-        if p < _PREC["unary"]:
-            t = f"({t})"
-        return f"-{t}", _PREC["unary"]
-    if isinstance(e, (Add, Sub)):
-        lt, lp = _serialize(e.left)
-        rt, rp = _serialize(e.right)
-        if lp < _PREC["add"]:
-            lt = f"({lt})"
-        if rp <= _PREC["add"]:
-            rt = f"({rt})"
-        op = "+" if isinstance(e, Add) else "-"
-        return f"{lt} {op} {rt}", _PREC["add"]
-    if isinstance(e, (Mul, Div)):
-        lt, lp = _serialize(e.left)
-        rt, rp = _serialize(e.right)
-        if lp < _PREC["mul"]:
-            lt = f"({lt})"
-        if rp <= _PREC["mul"]:
-            rt = f"({rt})"
-        op = "*" if isinstance(e, Mul) else "/"
-        return f"{lt}{op}{rt}", _PREC["mul"]
-    if isinstance(e, Pow):
-        lt, lp = _serialize(e.left)
-        rt, rp = _serialize(e.right)
-        if lp <= _PREC["pow"]:
-            lt = f"({lt})"
-        if rp < _PREC["pow"]:
-            rt = f"({rt})"
-        return f"{lt}^{rt}", _PREC["pow"]
+        ((text, prec),) = args
+        return (f"-({text})" if prec < _UNARY else f"-{text}"), _UNARY
     if isinstance(e, Call):
-        args = ", ".join(_serialize(a)[0] for a in e.args)
-        return f"{e.func}({args})", _PREC["atom"]
-    raise TypeError(f"not an Expr node: {e!r}")
+        return f"{e.func}({', '.join(text for text, _ in args)})", _ATOM
+    op, prec = _BINARY[type(e)]
+    right = isinstance(e, Pow)  # ^ groups right: an equal-precedence left operand takes parentheses
+    (lt, lp), (rt, rp) = args
+    lt = f"({lt})" if lp < prec + right else lt
+    rt = f"({rt})" if rp < prec + (not right) else rt
+    return f"{lt}{op}{rt}", prec
 
 
 def serialize(e: Expr) -> str:
-    return _serialize(e)[0]
+    return _fold(e, _format)[0]
 
 
 def free_names(e: Expr) -> frozenset:
-    if isinstance(e, Num):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_names(e.arg)
-    if isinstance(e, Call):
-        out = frozenset()
-        for a in e.args:
-            out |= free_names(a)
-        return out
-    return free_names(e.left) | free_names(e.right)
+    return frozenset(node.name for node in _postorder(e)[0] if isinstance(node, Var))
 
 
 # -- second-order jets ------------------------------------------------------------
@@ -445,7 +440,8 @@ class _Walk:
     def domain(self, mask, message: str, site: Expr) -> None:
         self.reject(mask, lambda: DomainEvalError(message, serialize(site)))
 
-    def jet(self, e: Expr) -> tuple:
+    def step(self, e: Expr, *args) -> tuple:
+        """The jet of node ``e`` from its children's jets (see :func:`_fold`)."""
         lanes = self.lanes
         if isinstance(e, Num):
             return _const(e.value, lanes)
@@ -456,31 +452,26 @@ class _Walk:
                 f"identifier '{e.name}' is neither a coordinate nor a parameter"))
             return _const(0.0, lanes)
         if isinstance(e, Neg):
-            v, g, h = self.jet(e.arg)
+            v, g, h = args[0]
             return -v, -g, -h
         if isinstance(e, (Add, Sub)):
-            a = self.jet(e.left)
-            b = self.jet(e.right)
-            if isinstance(e, Add):
-                return a[0] + b[0], a[1] + b[1], a[2] + b[2]
-            return a[0] - b[0], a[1] - b[1], a[2] - b[2]
+            (av, ag, ah), (bv, bg, bh) = args
+            return (av + bv, ag + bg, ah + bh) if isinstance(e, Add) else (av - bv, ag - bg, ah - bh)
         if isinstance(e, Mul):
-            return _mul(self.jet(e.left), self.jet(e.right))
+            return _mul(*args)
         if isinstance(e, Div):
-            return _div(self.jet(e.left), self.jet(e.right), e, self)
+            return _div(*args, e, self)
         if isinstance(e, Pow):
-            return _pow(self.jet(e.left), self.jet(e.right), e.right, e, self)
-        if isinstance(e, Call):
-            if e.func == "pow":
-                return _pow(self.jet(e.args[0]), self.jet(e.args[1]), e.args[1], e, self)
-            a = self.jet(e.args[0])
-            if e.func == "log":
-                self.domain(a[0] <= 0.0, "log of non-positive value", e)
-            if e.func == "sqrt":
-                self.domain(a[0] < 0.0, "sqrt of negative value", e)
-                self.domain(a[0] == 0.0, "sqrt not differentiable at zero", e)
-            return _chain(a, *_per_lane(_UNARY_JET[e.func], a[0], e, self))
-        raise TypeError(f"not an Expr node: {e!r}")
+            return _pow(*args, e.right, e, self)
+        if e.func == "pow":  # a Call
+            return _pow(*args, e.args[1], e, self)
+        a = args[0]
+        if e.func == "log":
+            self.domain(a[0] <= 0.0, "log of non-positive value", e)
+        if e.func == "sqrt":
+            self.domain(a[0] < 0.0, "sqrt of negative value", e)
+            self.domain(a[0] == 0.0, "sqrt not differentiable at zero", e)
+        return _chain(a, *_per_lane(_UNARY_JET[e.func], a[0], e, self))
 
 
 def _const(v: float, lanes: tuple) -> tuple:
@@ -561,7 +552,8 @@ _UNARY_JET = {
 
 def _small_int_exponent(expo: float, expo_node: Expr, coord_names: frozenset) -> int | None:
     """``expo`` as an int when the exponent is a coordinate-free integer of at most 64."""
-    if float(expo).is_integer() and abs(expo) <= 64 and not (free_names(expo_node) & coord_names):
+    if float(expo).is_integer() and abs(expo) <= 64 and (
+            isinstance(expo_node, Num) or not free_names(expo_node) & coord_names):
         return int(expo)
     return None
 
@@ -614,7 +606,7 @@ def evaluate_jet2(
         names[name] = _const(value, lanes)
     walk = _Walk(names, coords, lanes)
     with np.errstate(all="ignore"):  # non-finite lanes are judged downstream
-        val, grad, hess = walk.jet(e)
+        val, grad, hess = _fold(e, walk.step)
     if not lanes:
         return Jet2(val, grad, hess)
     if walk.errors:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import Multivector, PointMetric
+from .algebra import Multivector, PointMetric, near_singular
 from .errors import ExprError, GeometryError, SingularMetricError, point_errors
 
 
@@ -219,7 +219,7 @@ def metric_at(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
     points = x.reshape(-1, 4)
     det = np.linalg.det(values)
     fails = [np.array([k in causes for k in range(len(points))]).reshape(lanes),
-             ~np.isfinite(det) | (np.abs(det) < 1e-14), det >= 0.0]
+             near_singular(values, det), det >= 0.0]
     errors = point_errors(
         fails, lambda k, check: _metric_error(spec, points[k], check, det.flat[k], causes.get(k)))
     rejected = fails[0] | fails[1] | fails[2]

@@ -354,9 +354,21 @@ def _resolve_metric(block: dict, problems: list) -> MetricSpec | None:
     if not domain:
         problems.append("metric: inline metrics must declare a domain box")
         return None
+    found = len(problems)
     missing = set(block["coords"]) - set(domain)
+    extra = set(domain) - set(block["coords"])
     if missing:
         problems.append(f"metric.domain: missing coordinates {sorted(missing)}")
+    if extra:
+        problems.append(f"metric.domain: unknown coordinates {sorted(extra)}")
+    for c, (lo, hi) in domain.items():  # random points need a finite lo <= hi and a finite hi - lo
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            problems.append(f"metric.domain.{c}: [{lo}, {hi}] has a bound that is not a finite number")
+        elif lo > hi:
+            problems.append(f"metric.domain.{c}: lower bound {lo} is above upper bound {hi}")
+        elif not math.isfinite(float(hi) - float(lo)):
+            problems.append(f"metric.domain.{c}: the width of [{lo}, {hi}] overflows a float")
+    if len(problems) > found:
         return None
     try:
         return MetricSpec.from_strings(block["coords"], rows, block.get("params"), "inline", domain)

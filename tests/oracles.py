@@ -288,3 +288,8 @@ def _value_pow(base: float, expo: float, expo_node: Expr, coord_names: frozenset
         return math.exp(expo * math.log(base))
     except (OverflowError, ZeroDivisionError) as err:
         raise _range_error(err, site) from None
+
+
+def nested(frames: int, fn, *args):
+    """``fn(*args)`` called from ``frames`` nested frames of the caller's own recursion."""
+    return fn(*args) if frames == 0 else nested(frames - 1, fn, *args)

@@ -432,10 +432,10 @@ def _block_of_awkward_metrics(rng):
     metrics = [oracles.random_lorentzian_cotangent(rng) for _ in range(12)]
     skew = oracles.random_lorentzian_cotangent(rng)
     skew[0, 1] += 1e-6  # not symmetric
-    tiny = 1e-4 * oracles.random_lorentzian_cotangent(rng)  # det ~ 1e-16: degenerate
+    tiny = 1e-4 * oracles.random_lorentzian_cotangent(rng)  # det ~ 1e-16, but well conditioned: accepted
     rot = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     ill = rot @ np.diag([1e8, -1e-7, -1.0, -1.0]) @ rot.T
-    ill = 0.5 * (ill + ill.T)  # cond 1e15, but its inverse is within its rounding: accepted
+    ill = 0.5 * (ill + ill.T)  # cond 1e15: |det| ~ 10 is below 1e-14 of the rows' norms' product
     nan = ETA.copy()
     nan[2, 2] = np.nan
     metrics += [skew, tiny, np.eye(4), np.zeros((4, 4)), ill, nan, -ETA, np.diag([1.0, 1, -1, -1])]

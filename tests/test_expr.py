@@ -50,13 +50,25 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error(src):
             ex.parse(src)
 
 
-def test_a_tree_deeper_than_max_depth_is_a_parse_error():
-    assert ex.MAX_DEPTH == 900
-    assert ex.parse("+".join(["1"] * 900)) is ex.parse("+".join(["1"] * 900))  # 900 levels
-    for src in ("+".join(["1"] * 901), "+".join(["1"] * 2000), "x" + "*x" * 900, "x" + "/x-1" * 900):
-        for _ in range(2):
-            with pytest.raises(ParseError, match=r"^expression tree deeper than 900 levels \(column 1\)$"):
-                ex.parse(src)
+@pytest.mark.parametrize("terms", [901, 2000, 100_000])
+def test_a_sum_of_any_length_is_parsed_compared_and_evaluated(terms):
+    # a sum of n terms is a tree n levels deep; no operation on it recurses
+    # once per level, so it runs from deep in the caller's own recursion
+    def run():
+        parse = ex.parse.__wrapped__  # parsed here, not kept from an earlier call
+        tree = parse("+".join(["1"] * terms))
+        spaced = parse(" + ".join(["1"] * terms))
+        assert ex.serialize(tree) == " + ".join(["1.0"] * terms)
+        assert ex.free_names(tree) == frozenset() and ex.free_names(ex.Add(tree, ex.Var("x"))) == {"x"}
+        assert spaced is not tree and spaced == tree and hash(spaced) == hash(tree)
+        assert tree != ex.Add(tree.left, ex.Num(2.0)) and tree != ex.Add(tree, ex.ONE)
+        jet = ex.evaluate_jet2(tree, COORDS, (0.5, 1.0, -1.0, 2.0))
+        assert (jet.val, jet.grad.tolist(), jet.hess.tolist()) == (terms, [0.0] * 4, [[0.0] * 4] * 4)
+        block = ex.evaluate_jet2(tree, COORDS, np.zeros((3, 4)))
+        assert block.val.tolist() == [terms] * 3 and not block.grad.any() and not block.hess.any()
+        assert block.errors == {}
+
+    oracles.nested(800, run)
 
 
 def test_unknown_function_rejected():

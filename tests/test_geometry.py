@@ -478,23 +478,27 @@ ILL = geo.MetricSpec.from_strings(
 
 
 def test_block_rejects_what_the_point_metric_checks_and_validation_reject():
-    # metric_at accepts points 2, 3 and 4 (det < 0).  PointMetric rejects 3:
-    # its cotangent metric, the inverse of g, is singular.  Points 2 and 4
-    # are ill-conditioned and accepted: at 4, which rounds to (1429.80,
-    # 88.65, 356.02, 0), validation's metric compatibility holds only
-    # relative to the size of its terms.  Every accepted lane is the point alone.
+    # The determinant floors are relative to Hadamard's bound (the product of
+    # the rows' norms).  metric_at rejects point 2: t x - y^2 is 1e-15 of t x.
+    # Point 3 is accepted: its cotangent metric's determinant, -4.409e-15, is
+    # small only because the metric's entries are near 1e8.  Point 4, which
+    # rounds to (1429.80, 88.65, 356.02, 0), is ill-conditioned and accepted:
+    # validation's metric compatibility holds only relative to the size of its
+    # terms.  Every accepted lane is the point alone.
     points = np.array([(1.0 + 0.1 * k, -1.0, 0.1 * k, 0.0) for k in range(6)])
     points[2, :3] = (1121731.956830163, 5325304.725886299, -2444087.6602293462)
     points[3, :3] = (667559878.3362491, 447681333.5491468, 546882912.3762716)
     points[4, :3] = (1429.7973621448605, 88.64936474844573, 356.0221186483432)
-    singular = "cotangent metric is singular (det=-4.409e-15)"
-    with pytest.raises(DegenerateMetricError, match=rf"^{re.escape(singular)}$"):
-        geo.curvature(ILL, points[3])
+    singular = ("metric of 'ill' is singular at (1121731.956830163, 5325304.725886299, "
+                "-2444087.6602293462, 0.0) (det=-7.967e-03)")
+    with pytest.raises(SingularMetricError, match=rf"^{re.escape(singular)}$"):
+        geo.curvature(ILL, points[2])
+    assert np.linalg.det(geo.curvature(ILL, points[3]).metric.g) == pytest.approx(-4.409e-15, rel=1e-3)
     _, jets = geo.metric_at(ILL, points)
     block = geo.curvature(ILL, points)
-    assert {k: str(err) for k, err in jets.errors.items()} == {3: singular}
-    assert {k: str(err) for k, err in block.errors.items()} == {3: singular}
-    for k in (0, 1, 2, 4, 5):
+    assert {k: str(err) for k, err in jets.errors.items()} == {2: singular}
+    assert {k: str(err) for k, err in block.errors.items()} == {2: singular}
+    for k in (0, 1, 3, 4, 5):
         assert_lane_is_the_point_alone(block, k, geo.curvature(ILL, points[k]))
 
 

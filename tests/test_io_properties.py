@@ -353,7 +353,7 @@ scenario_documents = objects({
                                   tolerance_values, max_size=3) | json_values,
 })
 
-DEEP_SOURCE = "+".join(["1"] * 2000)  # a tree of 2000 levels: a ParseError, not a RecursionError
+DEEP_SOURCE = "+".join(["1"] * 2000)  # a tree of 2000 levels: parsed and evaluated without recursion
 field_sources = expression_sources | st.just(DEEP_SOURCE)
 good_sources = st.sampled_from(["1", "x", "-t", "2*t", "x*t", "sin(x)", "1/(x-1)", "exp(700)*exp(700)*t"]) | st.floats(-2, 2)
 FIELD_KEYS = {"A": ["t", "x"], "S": ["1"], "V": ["t", "x"]}

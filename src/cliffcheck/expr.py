@@ -358,26 +358,34 @@ _UNARY, _ATOM = 3, 5  # precedences of a negation and of a number, name or call
 
 
 def _format(e: Expr, *args) -> tuple:
-    """``e`` as (text, precedence), given its children's."""
+    """``e`` as (pieces, precedence), given its children's; pieces are a string or a tuple of pieces."""
     if isinstance(e, Num):
         return (f"-{-e.value!r}", _UNARY) if e.value < 0.0 else (repr(e.value), _ATOM)
     if isinstance(e, Var):
         return e.name, _ATOM
     if isinstance(e, Neg):
         ((text, prec),) = args
-        return (f"-({text})" if prec < _UNARY else f"-{text}"), _UNARY
+        return (("-(", text, ")") if prec < _UNARY else ("-", text)), _UNARY
     if isinstance(e, Call):
-        return f"{e.func}({', '.join(text for text, _ in args)})", _ATOM
+        return (e.func, "(", args[0][0], *((", ", text) for text, _ in args[1:]), ")"), _ATOM
     op, prec = _BINARY[type(e)]
     right = isinstance(e, Pow)  # ^ groups right: an equal-precedence left operand takes parentheses
     (lt, lp), (rt, rp) = args
-    lt = f"({lt})" if lp < prec + right else lt
-    rt = f"({rt})" if rp < prec + (not right) else rt
-    return f"{lt}{op}{rt}", prec
+    lt = ("(", lt, ")") if lp < prec + right else lt
+    rt = ("(", rt, ")") if rp < prec + (not right) else rt
+    return (lt, op, rt), prec
 
 
 def serialize(e: Expr) -> str:
-    return _fold(e, _format)[0]
+    """The text of ``e``: its pieces (:func:`_format`) joined once, left to right, with a stack."""
+    out, stack = [], [_fold(e, _format)[0]]
+    while stack:
+        pieces = stack.pop()
+        if isinstance(pieces, str):
+            out.append(pieces)
+        else:
+            stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 def free_names(e: Expr) -> frozenset:

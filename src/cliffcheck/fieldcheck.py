@@ -18,7 +18,8 @@ generally do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
@@ -66,17 +67,6 @@ class ScenarioFields:
         return None
 
 
-@dataclass
-class PointRecord:
-    """One point of a check as the report holds it, built from the columns on demand."""
-
-    point: tuple
-    residuals: dict
-    info: dict = field(default_factory=dict)
-    error: str | None = None
-    passed: bool = True
-
-
 @dataclass(eq=False)  # these hold arrays, so == is identity, not a field compare
 class Layout:
     """The points of a check that share one key layout, and their columns.
@@ -98,7 +88,7 @@ class ResidualReport:
     Each point has an error (``errors``: point index -> message) or belongs
     to one :class:`Layout`.  A point passes when each of its residuals is at
     most ``tolerance``, and the check passes when it has points and each of
-    them passes.  :attr:`records` and :meth:`to_dict` are the per-point view.
+    them passes.  The report file is written from the columns.
     """
 
     check: str
@@ -146,45 +136,6 @@ class ResidualReport:
             for j, i in enumerate(lay.index[bad].tolist()):
                 rows[i] = (None, {key: v[j] for key, v in columns.items() if v[j] > self.tolerance})
         return [(tuple(self.points[i].tolist()), *rows[i]) for i in sorted(rows)]
-
-    @property
-    def records(self) -> list:
-        """One :class:`PointRecord` per point, in point order, built from the columns."""
-        points = list(map(tuple, self.points.tolist()))
-        out = [None] * len(points)
-        for i, error in self.errors.items():
-            out[i] = PointRecord(points[i], {}, {}, error, False)
-        for lay, ok in zip(self.layouts, self.verdicts):
-            rows = zip(lay.index.tolist(), _rows(lay.residuals, len(ok)), _rows(lay.info, len(ok)), ok.tolist())
-            for i, residuals, info, passed in rows:
-                out[i] = PointRecord(points[i], residuals, info, None, passed)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "notes": list(self.notes),
-            "points": [
-                {
-                    "point": list(r.point),
-                    "residuals": r.residuals,
-                    "info": r.info,
-                    "error": r.error,
-                    "passed": r.passed,
-                }
-                for r in self.records
-            ],
-        }
-
-
-def _rows(columns: dict, count: int) -> list:
-    """The ``count`` rows of ``columns`` as dicts of Python values."""
-    if not columns:
-        return [{} for _ in range(count)]
-    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 # -- the block context and the shape of a check ----------------------------------------
@@ -604,6 +555,10 @@ CHUNK = 256  # sample points whose expression jets are evaluated together
 BLOCK = 16  # points of a chunk whose geometry, tables and checks are computed together
 
 
+PointError = namedtuple("PointError", "error")  # a point of a check as PointResult.records counts it
+_NO_ERROR = PointError(None)
+
+
 @dataclass(eq=False)
 class PointResult:
     points: np.ndarray  # the block's (N, 4) points
@@ -611,9 +566,14 @@ class PointResult:
 
     @property
     def records(self) -> list:
-        """Every requested check's :class:`PointRecord` at every point, built on demand."""
-        return [record for check, tol, layouts, errors in self.checks
-                for record in _report(check, tol, self.points, layouts, errors).records]
+        """A ``PointError`` per requested check and point: its error in the check's report (or None)."""
+        out = []
+        for check, tol, layouts, errors in self.checks:
+            entries = [_NO_ERROR] * len(self.points)
+            for i, error in _report(check, tol, self.points, layouts, errors).errors.items():
+                entries[i] = PointError(error)
+            out += entries
+        return out
 
 
 def _point_key(pt) -> tuple:

@@ -3,15 +3,16 @@
 Scenarios are JSON documents validated in two stages: a structural pass, the
 in-package walk of ``scenario.schema.json`` (:mod:`cliffcheck.schema`, the
 problems ``jsonschema`` would give, without importing it), then a semantic
-pass that collects *every* problem (unknown metrics or checks, unparseable
-component expressions with their JSON path and column, missing required
-fields, out-of-domain sample points) before failing.
+pass that collects *every* problem (unknown metrics or checks, numbers that
+are not finite, unparseable component expressions with their JSON path and
+column, missing required fields, out-of-domain sample points) before failing.
 
 Reports are fully deterministic: the same scenario and tool version produce
 byte-identical report files.  Wall time is kept on the in-memory
 :class:`Report` and printed to the console, never serialized.  A report is
-written straight from each check's columns (:meth:`Report.to_json`) and
-gives the bytes of ``json.dumps(report.to_dict(), indent=2)``.
+written straight from each check's columns (:meth:`Report.to_json`), with
+the bytes ``json.dumps(..., indent=2)`` gives for its tree of JSON values;
+a caller reads it back with ``json.loads(report.to_json())``.
 """
 
 from __future__ import annotations
@@ -74,24 +75,19 @@ class Report:
     passed: bool
     wall_time_s: float  # console diagnostics only; never serialized
 
-    def to_dict(self) -> dict:
-        return self._tree([c.to_dict() for c in self.checks])
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)`` and a newline, written from the checks' columns."""
+        """The report file: ``json.dumps(tree, indent=2)`` and a newline, written from the checks' columns."""
         points = {}  # id of a points array -> its points' texts; run_checks' reports share one
         checks = [_check_text(c, "    ", points) for c in self.checks]
-        return _template(self._tree([_SLOT] * len(checks)), "") % tuple(checks) + "\n"
-
-    def _tree(self, checks: list) -> dict:
-        return {
+        tree = {
             "schema": REPORT_SCHEMA,
             "tool": {"name": "cliffcheck", "version": __version__},
             "scenario_digest": self.scenario_digest,
             "description": self.description,
             "passed": self.passed,
-            "checks": checks,
+            "checks": [_SLOT] * len(checks),
         }
+        return _template(tree, "") % tuple(checks) + "\n"
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -165,7 +161,7 @@ def _point_texts(points: np.ndarray, indent: str) -> list:
 
 
 def _check_text(report, indent: str, written: dict) -> str:
-    """``json_text(report.to_dict(), indent)``, each point written from the template of its layout.
+    """The JSON text of ``report``'s dict, each point written from the template of its layout.
 
     A layout's template is made once; each of its columns becomes text with
     one ``tolist()``, a column of shape (M, ...) as one column per entry.
@@ -243,6 +239,7 @@ def load_scenario(path) -> Scenario:
     sample_points = _check_structure(raw)
     problems = []
     spec = _resolve_metric(raw["metric"], problems)
+    problems += _nonfinite((f"constants.{k}", v) for k, v in raw.get("constants", {}).items())
     constants = Constants(**raw.get("constants", {}))
     fields = _resolve_fields(raw.get("fields", {}), spec, constants, problems)
     checks = tuple(raw["checks"])
@@ -260,8 +257,7 @@ def load_scenario(path) -> Scenario:
     for name, value in tolerances.items():
         if name != "default" and name not in CHECKS:
             problems.append(f"tolerances: unknown check '{name}'")
-        if not math.isfinite(value):
-            problems.append(f"tolerances.{name}: {value} is not a finite number")
+        problems += _nonfinite([(f"tolerances.{name}", value)])
 
     samples = raw["samples"]
     seed = int(samples.get("random", {}).get("seed", 0))
@@ -333,15 +329,25 @@ def _unfloatable(value, path=()) -> list:
     return [problem for key, item in items for problem in _unfloatable(item, (*path, key))]
 
 
+def _nonfinite(items) -> list:
+    """A problem for each ``(path, value)`` whose value is a float that is not finite."""
+    return [f"{path}: {value} is not a finite number" for path, value in items
+            if type(value) is float and not math.isfinite(value)]
+
+
 def _resolve_metric(block: dict, problems: list) -> MetricSpec | None:
+    found = len(problems)
+    problems += _nonfinite((f"metric.params.{k}", v) for k, v in block.get("params", {}).items())
     if "builtin" in block:
         try:
-            return build_metric(block["builtin"], block.get("params"))
+            spec = build_metric(block["builtin"], block.get("params"))
         except (GeometryError, ExprError) as err:
             problems.append(f"metric: {err}")
             return None
+        return spec if len(problems) == found else None
     rows = block["components"]
-    found = len(problems)
+    problems += _nonfinite((f"metric.components[{i}][{j}]", src)
+                           for i, row in enumerate(rows) for j, src in enumerate(row))
     for i, row in enumerate(rows):
         for j, src in enumerate(row):
             try:
@@ -385,6 +391,7 @@ def _resolve_fields(block: dict, spec, constants, problems: list):
         if name not in block:
             continue
         found = len(problems)
+        problems += _nonfinite((f"fields.{name}.components[{key}]", src) for key, src in block[name].items())
         for key, src in block[name].items():
             try:
                 unknown = ex.free_names(ex.tree(src)) - set(spec.coords) - set(spec.params)

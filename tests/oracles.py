@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from cliffcheck import __version__
 from cliffcheck.errors import DomainEvalError, UnboundIdentifierError
 from cliffcheck.expr import (
     _MATH_ERRORS, Add, Call, Div, Expr, Mul, Neg, Num, Pow, Sub, Var, _range_error,
@@ -293,3 +294,33 @@ def _value_pow(base: float, expo: float, expo_node: Expr, coord_names: frozenset
 def nested(frames: int, fn, *args):
     """``fn(*args)`` called from ``frames`` nested frames of the caller's own recursion."""
     return fn(*args) if frames == 0 else nested(frames - 1, fn, *args)
+
+
+def records(report) -> list:
+    """Each point of a ResidualReport as a dict of the report file, read from the columns."""
+    out = [{"point": point, "residuals": {}, "info": {}, "error": report.errors.get(i), "passed": False}
+           for i, point in enumerate(report.points.tolist())]
+    for lay in report.layouts:
+        rows = [out[i] for i in lay.index.tolist()]
+        for part, columns in (("residuals", lay.residuals), ("info", lay.info)):
+            for key, column in columns.items():
+                for row, value in zip(rows, column.tolist()):
+                    row[part][key] = value
+        for row in rows:
+            row["passed"] = all(value <= report.tolerance for value in row["residuals"].values())
+    return out
+
+
+def check_dict(report) -> dict:
+    """A ResidualReport as the dict of the report file; ``max_residual`` (NaN-aware) is the report's."""
+    points = records(report)
+    passed = bool(points) and all(p["passed"] for p in points)
+    return {"check": report.check, "tolerance": report.tolerance, "passed": passed,
+            "max_residual": report.max_residual, "notes": list(report.notes), "points": points}
+
+
+def report_dict(report) -> dict:
+    """A runner Report as the dict of its report file."""
+    return {"schema": "cliffcheck-report/v1", "tool": {"name": "cliffcheck", "version": __version__},
+            "scenario_digest": report.scenario_digest, "description": report.description,
+            "passed": report.passed, "checks": [check_dict(c) for c in report.checks]}

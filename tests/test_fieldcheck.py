@@ -18,6 +18,7 @@ from cliffcheck.algebra import Multivector, grade_project
 from cliffcheck.diffops import FieldCalculus, MultivectorField
 from cliffcheck.errors import CliffcheckError, FieldError
 
+from oracles import check_dict, records
 from test_diffops import dense_dgop, dense_gop
 from test_geometry import BLOCK_CASES, MIXED, MIXED_ERRORS, OVERFLOW, OVERFLOW_POINT, mixed_points
 
@@ -76,7 +77,7 @@ def test_killing_minkowski_translation():
 def test_killing_schwarzschild_static():
     K = field({"t": "1-2*M/r"}, SCHW)
     report = run_check("killing", SCHW, fch.ScenarioFields(K=K), SCHW_PTS, 1e-10)
-    assert report.passed, report.to_dict()
+    assert report.passed, check_dict(report)
 
 
 def test_killing_negative_witness():
@@ -109,8 +110,8 @@ def test_point_errors_recorded_not_raised():
     pts = [(0.0, 4.0, 1.0, 0.0), (0.0, 2.0, 1.0, 0.0)]  # second on the horizon
     report = run_check("killing", SCHW, fch.ScenarioFields(K=K), pts, 1e-10)
     assert not report.passed
-    assert report.records[0].passed
-    assert report.records[1].error is not None
+    assert records(report)[0]["passed"]
+    assert records(report)[1]["error"] is not None
 
 
 # -- killing identity bundle ------------------------------------------------------------------
@@ -119,22 +120,22 @@ def test_point_errors_recorded_not_raised():
 def test_killing_identities_minkowski_boost():
     K = field({"t": "x", "x": "-t"}, MINK)
     report = run_check("killing_identities", MINK, fch.ScenarioFields(K=K), MINK_PTS, 1e-10)
-    assert report.passed, report.to_dict()
+    assert report.passed, check_dict(report)
 
 
 def test_killing_identities_flrw_translation_nontrivial():
     K = field({"x": "-t^2"}, FLRW)
     report = run_check("killing_identities", FLRW, fch.ScenarioFields(K=K), FLRW_PTS, 1e-8)
-    assert report.passed, report.to_dict()
+    assert report.passed, check_dict(report)
     assert any(
-        max(abs(v) for v in rec.info["curvature_coupling"]) > 1e-3 for rec in report.records
+        max(abs(v) for v in rec["info"]["curvature_coupling"]) > 1e-3 for rec in records(report)
     )
 
 
 def test_killing_identities_schwarzschild_axial():
     K = field({"phi": "-r^2*sin(theta)^2"}, SCHW)
     report = run_check("killing_identities", SCHW, fch.ScenarioFields(K=K), SCHW_PTS, 1e-8)
-    assert report.passed, report.to_dict()
+    assert report.passed, check_dict(report)
 
 
 def test_killing_identities_all_catalog_forms():
@@ -158,23 +159,23 @@ def test_current_vacuum_is_null():
     A = field({"t": "1-2*M/r"}, SCHW)
     report = run_check("superconducting_current", SCHW, fch.ScenarioFields(A=A), SCHW_PTS, 1e-9)
     assert report.passed
-    for rec in report.records:
-        assert rec.info["current_sup"] < 1e-9
-        assert rec.info["proportional_rhs_sup"] < 1e-9
+    for rec in records(report):
+        assert rec["info"]["current_sup"] < 1e-9
+        assert rec["info"]["proportional_rhs_sup"] < 1e-9
 
 
 def test_current_flrw_nonzero_and_proportional():
     A = field({"x": "-t^2"}, FLRW)
     report = run_check("superconducting_current", FLRW, fch.ScenarioFields(A=A), FLRW_PTS, 1e-8)
-    assert report.passed, report.to_dict()
-    assert all(rec.info["current_sup"] > 1e-3 for rec in report.records)
+    assert report.passed, check_dict(report)
+    assert all(rec["info"]["current_sup"] > 1e-3 for rec in records(report))
 
 
 def test_current_uniform_field_strength():
     A = field({"t": "x"}, MINK)
     report = run_check("superconducting_current", MINK, fch.ScenarioFields(A=A), MINK_PTS, 1e-12)
     assert report.passed
-    assert all(rec.info["current_sup"] == 0.0 for rec in report.records)
+    assert all(rec["info"]["current_sup"] == 0.0 for rec in records(report))
 
 
 def test_current_scaled_potential():
@@ -183,8 +184,8 @@ def test_current_scaled_potential():
     r1 = run_check("superconducting_current", FLRW, fch.ScenarioFields(A=K), [FLRW_PTS[0]], 1e-8)
     doubled = fch.ScenarioFields(A=K.scaled(2.0))
     r2 = run_check("superconducting_current", FLRW, doubled, [FLRW_PTS[0]], 1e-8)
-    j1 = np.array(r1.records[0].info["current"])
-    j2 = np.array(r2.records[0].info["current"])
+    j1 = np.array(records(r1)[0]["info"]["current"])
+    j2 = np.array(records(r2)[0]["info"]["current"])
     assert np.max(np.abs(j2 - 2.0 * j1)) < 1e-12
 
 
@@ -205,7 +206,7 @@ def test_lorentz_force_gradient_velocity():
         V=field({"t": "sqrt(2)", "x": "-1"}, MINK), A=MultivectorField.zero()
     )
     report = run_check("lorentz_force", MINK, fields, MINK_PTS, 1e-12)
-    assert report.passed, report.to_dict()
+    assert report.passed, check_dict(report)
 
 
 def test_lorentz_force_fail_witness():
@@ -220,7 +221,7 @@ def test_hamilton_jacobi_free_particle():
         S=field({"1": "t"}, MINK), V=field({"t": "1"}, MINK), A=MultivectorField.zero()
     )
     report = run_check("hamilton_jacobi", MINK, fields, MINK_PTS, 1e-12)
-    assert report.passed, report.to_dict()
+    assert report.passed, check_dict(report)
 
 
 def test_hamilton_jacobi_lorenz_gauge_wave():
@@ -230,9 +231,9 @@ def test_hamilton_jacobi_lorenz_gauge_wave():
     )
     report = run_check("hamilton_jacobi", MINK, fields, MINK_PTS, 1e-12)
     assert not report.passed  # momentum no longer matches mV
-    for rec in report.records:
-        assert rec.residuals["action_wave"] == 0.0
-        assert rec.info["delta_potential"] == 0.0
+    for rec in records(report):
+        assert rec["residuals"]["action_wave"] == 0.0
+        assert rec["info"]["delta_potential"] == 0.0
 
 
 def test_hamilton_jacobi_mass_mismatch():
@@ -241,7 +242,7 @@ def test_hamilton_jacobi_mass_mismatch():
     )
     report = run_check("hamilton_jacobi", MINK, fields, MINK_PTS, 1e-10)
     assert not report.passed
-    assert abs(report.records[0].residuals["mass_shell"] - 3.0) < 1e-12
+    assert abs(records(report)[0]["residuals"]["mass_shell"] - 3.0) < 1e-12
 
 
 # -- energy momentum ---------------------------------------------------------------------
@@ -304,7 +305,7 @@ def test_einstein_trivial_vacuum():
 def test_einstein_schwarzschild_vacuum():
     fields = fch.ScenarioFields(A=MultivectorField.zero())
     report = run_check("einstein", SCHW, fields, SCHW_PTS, 1e-8)
-    assert report.passed, report.to_dict()
+    assert report.passed, check_dict(report)
 
 
 def test_einstein_nan_for_one_index_is_a_point_error(monkeypatch):
@@ -321,7 +322,7 @@ def test_einstein_nan_for_one_index_is_a_point_error(monkeypatch):
     monkeypatch.setattr(fch, "_sandwich_oneform", nan_at_index_2)
     A = field({"x": "t*y"}, MINK)
     report = run_check("einstein", MINK, fch.ScenarioFields(A=A), MINK_PTS, 1e-8)
-    assert [r.error for r in report.records] == ["non-finite residual 'einstein_eq'"] * 3
+    assert [r["error"] for r in records(report)] == ["non-finite residual 'einstein_eq'"] * 3
 
 
 def test_einstein_flrw_without_sources_fails():
@@ -394,21 +395,21 @@ def test_quadratic_small_c_limit():
 def test_structure_current_flrw():
     A = field({"x": "-t^2"}, FLRW)
     report = run_check("structure_current", FLRW, fch.ScenarioFields(A=A), FLRW_PTS, 1e-10)
-    assert report.passed, report.to_dict()
-    for rec in report.records:
+    assert report.passed, check_dict(report)
+    for rec in records(report):
         # c = A.B = -4 t^4 * g^xx-weighted: negative and nontrivial here
-        assert rec.info["c"] < -0.1
-        assert rec.info["outcome"] == "two-roots"
-        assert len(rec.info["roots"]) == 2
-        assert "self_consistency_residual" in rec.info
+        assert rec["info"]["c"] < -0.1
+        assert rec["info"]["outcome"] == "two-roots"
+        assert len(rec["info"]["roots"]) == 2
+        assert "self_consistency_residual" in rec["info"]
 
 
 def test_structure_current_reports_both_orientations():
     A = field({"x": "-t^2"}, FLRW)
     report = run_check("structure_current", FLRW, fch.ScenarioFields(A=A), [FLRW_PTS[1]], 1e-10)
-    rec = report.records[0]
-    assert "current_match_minus_fB_0" in rec.info
-    assert "current_match_plus_fB_0" in rec.info
+    rec = records(report)[0]
+    assert "current_match_minus_fB_0" in rec["info"]
+    assert "current_match_plus_fB_0" in rec["info"]
 
 
 def test_structure_current_c_value_flrw():
@@ -416,7 +417,7 @@ def test_structure_current_c_value_flrw():
     A = field({"x": "-t^2"}, FLRW)
     fields = fch.ScenarioFields(A=A)
     report = run_check("structure_current", FLRW, fields, [(1.0, 0.0, 0.0, 0.0)], 1e-10)
-    assert abs(report.records[0].info["c"] + 4.0) < 1e-12
+    assert abs(records(report)[0]["info"]["c"] + 4.0) < 1e-12
 
 
 def scalar_structure_roots(c: float) -> tuple:
@@ -476,15 +477,15 @@ def test_structure_current_keys_follow_the_number_of_roots_point_by_point():
     A = field({"t": "x^2*y"}, MINK)
     reports = fch.run_checks(MINK, fch.ScenarioFields(A=A, K=A), ["structure_current", "lorenz_gauge"],
                              MIXED_ROOT_POINTS, [1e-8, 1e-8])
-    records = reports[0].records
-    assert [len(r.info["roots"]) for r in records] == [1, 0, 2, 0, 2, 2]
-    for record in records:
-        n = len(record.info["roots"])
-        assert list(record.residuals) == ["sandwich_grade"] + [f"quadratic_root_{k}" for k in range(n)]
-        assert list(record.info)[7:] == [f"current_match_{sign}_fB_{k}" for k in range(n)
+    points = records(reports[0])
+    assert [len(r["info"]["roots"]) for r in points] == [1, 0, 2, 0, 2, 2]
+    for record in points:
+        n = len(record["info"]["roots"])
+        assert list(record["residuals"]) == ["sandwich_grade"] + [f"quadratic_root_{k}" for k in range(n)]
+        assert list(record["info"])[7:] == [f"current_match_{sign}_fB_{k}" for k in range(n)
                                           for sign in ("minus", "plus")]
     assert len(reports[0].layouts) == 3
-    digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps([check_dict(r) for r in reports]).encode()).hexdigest()
     assert digest == MIXED_ROOTS_SHA256
 
 
@@ -494,13 +495,13 @@ def test_structure_current_keys_follow_the_number_of_roots_point_by_point():
 def test_sandwich_identities_random_inputs():
     fields = fch.ScenarioFields()
     report = run_check("sandwich_identities", FLRW, fields, FLRW_PTS, 1e-12, seed=3)
-    assert report.passed, report.to_dict()
+    assert report.passed, check_dict(report)
 
 
 def test_sandwich_identities_with_supplied_potential():
     fields = fch.ScenarioFields(K=field({"x": "-t^2"}, FLRW))
     report = run_check("sandwich_identities", FLRW, fields, FLRW_PTS, 1e-10)
-    assert report.passed, report.to_dict()
+    assert report.passed, check_dict(report)
 
 
 def test_sandwich_identities_zero_potential_trivial():
@@ -538,12 +539,12 @@ def test_checks_run_together_match_each_alone():
         V=field({"t": "sqrt(1-2*M/r)"}, SCHW),
     )
     names = list(fch.CHECKS)
-    alone = {name: run_check(name, SCHW, fields, SCHW_PTS, 1e-8).to_dict() for name in names}
+    alone = {name: check_dict(run_check(name, SCHW, fields, SCHW_PTS, 1e-8)) for name in names}
     for order in (names, names[::-1]):
         together = fch.run_checks(SCHW, fields, order, SCHW_PTS, [1e-8] * len(order))
         assert [r.check for r in together] == order
         for report in together:
-            assert report.to_dict() == alone[report.check], report.check
+            assert check_dict(report) == alone[report.check], report.check
 
 
 def test_worst_point_is_an_argmax_over_every_layout_and_key():
@@ -587,14 +588,14 @@ def test_chunked_points_match_each_point_alone(monkeypatch):
     names = ["killing", "killing_identities"]
     tols = [1e-3, 1e-3]
     together = fch.run_checks(SCHW, fields, names, points, tols)
-    errors = [r.error for r in together[0].records]
+    errors = [r["error"] for r in records(together[0])]
     assert errors[5].startswith("log of non-positive value in 'log(t)'")
     assert errors[6].startswith("metric of 'schwarzschild' not evaluable")
     assert errors[:5] == [None] * 5 and errors[7:] == [None] * 3
     for k, pt in enumerate(points):
         alone = fch.run_checks(SCHW, fields, names, [pt], tols)
         for report, one in zip(together, alone):
-            assert report.records[k] == one.records[0], (report.check, k)
+            assert records(report)[k] == records(one)[0], (report.check, k)
 
 
 # -- blocks of points ----------------------------------------------------------------
@@ -614,8 +615,8 @@ def test_block_with_bad_points_reports_what_each_point_gives_alone(monkeypatch, 
     names = ["killing", "killing_identities", "maxwell_current"]
     reports = fch.run_checks(MIXED, fields, names, mixed_points(), [1e-8] * 3)
     for report in reports:
-        assert {k: r.error for k, r in enumerate(report.records) if r.error} == MIXED_ERRORS
-    digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+        assert {k: r["error"] for k, r in enumerate(records(report)) if r["error"]} == MIXED_ERRORS
+    digest = hashlib.sha256(json.dumps([check_dict(r) for r in reports]).encode()).hexdigest()
     assert digest == MIXED_REPORTS_SHA256
 
 
@@ -630,10 +631,10 @@ def test_block_size_does_not_change_reports(monkeypatch):
     points = [tuple(p) for p in rng.uniform([-3, 2.5, 0.35, 0], [3, 20, 2.8, 6.2], size=(37, 4))]
     points[20] = (0.5, 2.0, 1.0, 0.3)  # on the horizon: a point error
     tols = [1e-8] * len(names)
-    default = [r.to_dict() for r in fch.run_checks(SCHW, fields, names, points, tols)]
+    default = [check_dict(r) for r in fch.run_checks(SCHW, fields, names, points, tols)]
     monkeypatch.setattr(fch, "BLOCK", 3)
     monkeypatch.setattr(fch, "CHUNK", 16)
-    assert [r.to_dict() for r in fch.run_checks(SCHW, fields, names, points, tols)] == default
+    assert [check_dict(r) for r in fch.run_checks(SCHW, fields, names, points, tols)] == default
 
 
 def test_point_loop_memory_does_not_grow_with_blocks():
@@ -673,11 +674,7 @@ def plain_results(ctx, check) -> list:
     """The check's per-point records as report JSON: equal text is equal bits."""
     layouts = fch.check_columns(ctx, check)
     report = fch._report(check, 1e-8, np.reshape(ctx.gd.point, (-1, 4)), layouts, {})
-    return [record_json(record) for record in report.records]
-
-
-def record_json(record) -> str:
-    return json.dumps([record.point, record.residuals, record.info, record.error, record.passed])
+    return list(map(json.dumps, records(report)))
 
 
 @pytest.mark.parametrize("potential", [True, False], ids=["potential", "random-draws"])
@@ -721,13 +718,13 @@ def test_nonfinite_values_are_point_errors_lane_by_lane(monkeypatch):
     points = [tuple(p) for p in np.random.default_rng(35).uniform(-2.0, 2.0, size=(16, 4))]
     (report,) = fch.run_checks(MINK, fch.ScenarioFields(K=field({"t": "1"}, MINK)), ["killing"],
                                points, [1.0])
-    errors = {k: r.error for k, r in enumerate(report.records) if r.error is not None}
+    errors = {k: r["error"] for k, r in enumerate(records(report)) if r["error"] is not None}
     assert errors == {1: "non-finite residual 'b'", 3: "non-finite info 'current'",
                       5: "non-finite residual 'a'", 7: "non-finite info 'current'",
                       11: "non-finite residual 'a'"}
-    assert {r.passed for r in report.records if r.error is None} == {True, False}
+    assert {r["passed"] for r in records(report) if r["error"] is None} == {True, False}
     # the records of the value-by-value test these replaced
-    digest = hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(check_dict(report)).encode()).hexdigest()
     assert digest == "79ab7d13b29ca272e581b8d43e8cc2b164da2cd10852fa68d472663be3095c70"
 
 
@@ -754,7 +751,7 @@ def test_block_size_does_not_change_report_bytes(monkeypatch, block):
     def report_json():
         reports = fch.run_checks(SCHW, fields, names, points, [1e-8] * len(names))
         reports += fch.run_checks(SCHW, no_potential, ["sandwich_identities"], points, [1e-8], seed=5)
-        return json.dumps([r.to_dict() for r in reports])
+        return json.dumps([check_dict(r) for r in reports])
 
     default = report_json()
     monkeypatch.setattr(fch, "BLOCK", block)
@@ -770,21 +767,25 @@ def records_alone(spec, fields, names, tols, pt) -> list:
     is that check's record.
     """
     by_name = {"K": fields.K, "S": fields.S, "V": fields.V, "potential": fields.potential()}
-    point = tuple(pt)
+    point = list(pt)
+
+    def failed(err) -> dict:
+        return {"point": point, "residuals": {}, "info": {}, "error": str(err), "passed": False}
+
     try:
         ctx = fch.BlockContext(geo.curvature(spec, pt), by_name, fields.constants, None)
     except CliffcheckError as err:
-        return [fch.PointRecord(point, {}, {}, str(err), False) for _ in names]
-    records = []
+        return [failed(err) for _ in names]
+    out = []
     for name, tol in zip(names, tols):
         check = fch.CHECKS[name]
         try:
             layouts = fch.check_columns(ctx, check)
         except CliffcheckError as err:
-            records.append(fch.PointRecord(point, {}, {}, str(err), False))
+            out.append(failed(err))
         else:
-            records += fch._report(check, tol, np.array([point]), layouts, {}).records
-    return records
+            out += records(fch._report(check, tol, np.array([point]), layouts, {}))
+    return out
 
 
 def test_field_error_at_one_point_leaves_the_others_bitwise():
@@ -800,10 +801,11 @@ def test_field_error_at_one_point_leaves_the_others_bitwise():
     good = fch.run_checks(MINK, fields, names, points[:5] + points[6:], tols)
     alone = records_alone(MINK, fields, names, tols, points[5])
     for report, clean, record in zip(reports, good, alone):
-        assert report.records[5].error.startswith("sqrt of negative value in 'sqrt(x + 1.0)'")
-        assert record_json(report.records[5]) == record_json(record)
-        rest = report.records[:5] + report.records[6:]
-        assert [record_json(r) for r in rest] == [record_json(r) for r in clean.records]
+        got = records(report)
+        assert got[5]["error"].startswith("sqrt of negative value in 'sqrt(x + 1.0)'")
+        assert json.dumps(got[5]) == json.dumps(record)
+        rest = got[:5] + got[6:]
+        assert [json.dumps(r) for r in rest] == [json.dumps(r) for r in records(clean)]
 
 
 STRESS_POINTS = {
@@ -884,12 +886,12 @@ TWO_FAILURE_REPORTS_SHA256 = "5c194d234b0e860420f7ce7f8a0349a881f46f7c8efd066388
 
 def test_a_point_failing_twice_gets_the_error_it_gets_alone():
     reports = two_failure_reports()
-    errors = [[r.error for r in report.records] for report in reports]
+    errors = [[r["error"] for r in records(report)] for report in reports]
     assert errors[0][1:3] == ["log of non-positive value in 'log(t)'", "division by zero in '1.0/x'"]
     assert errors[1][1:3] == ["division by zero in '1.0/x'", "sqrt of negative value in 'sqrt(y)'"]
     assert errors[2][1] == ("metric of 'two-bad' not evaluable at (0.1, 0.2, -0.3, -0.4): "
                             "log of non-positive value in 'log(z)'")
-    digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps([check_dict(r) for r in reports]).encode()).hexdigest()
     assert digest == TWO_FAILURE_REPORTS_SHA256
 
 
@@ -924,7 +926,7 @@ def test_bad_points_are_not_computed_again_alone(monkeypatch):
         calls.clear()
         spec = geo.MetricSpec.from_strings(coords, rows, {"M": 1.0, "p": p, "q": q}, "schwarzschild")
         reports = fch.run_checks(spec, fields, names, points, [1e-8] * len(names))
-        return dict(calls), sum(r.error is not None for report in reports for r in report.records)
+        return dict(calls), sum(r["error"] is not None for report in reports for r in records(report))
 
     bad_calls, bad_errors = run(5.0, 3.0)
     clean_calls, clean_errors = run(0.0, 10.0)
@@ -945,7 +947,7 @@ def test_a_point_whose_connection_overflows_gets_a_geometry_error_in_every_check
     for pts in (points, points[:1]):
         reports = fch.run_checks(OVERFLOW, fields, names, pts, [1e-8] * len(names))
         for report in reports:
-            assert [r.error for r in report.records] == [error] * len(pts), report.check
+            assert [r["error"] for r in records(report)] == [error] * len(pts), report.check
             assert not report.passed
 
 
@@ -974,9 +976,9 @@ def test_points_with_non_finite_jets_get_the_reports_of_the_dense_operators(monk
                                 V=field({t: "1"}, spec))
     names = list(fch.CHECKS)
     tols = [1e-8] * len(names)
-    gathered = [r.to_dict() for r in fch.run_checks(spec, fields, names, points, tols)]
+    gathered = [check_dict(r) for r in fch.run_checks(spec, fields, names, points, tols)]
     monkeypatch.setattr(FieldCalculus, "_pd_cov1", property(dense_pd_cov1))
-    dense = [r.to_dict() for r in fch.run_checks(spec, fields, names, points, tols)]
+    dense = [check_dict(r) for r in fch.run_checks(spec, fields, names, points, tols)]
     assert any(p["error"] and "non-finite" in p["error"] for r in dense for p in r["points"])
     for got, want in zip(gathered, dense):
         assert [p["error"] for p in got["points"]] == [p["error"] for p in want["points"]], got["check"]

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -216,7 +217,7 @@ def test_random_points_equal_per_coordinate_draws(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, body))
     assert hexes(scenario.points) == want
     report = run(scenario, points_override=5000, seed_override=17)
-    assert hexes(record.point for record in report.checks[0].records) == want
+    assert hexes(record["point"] for record in oracles.records(report.checks[0])) == want
 
 
 @pytest.mark.parametrize("samples", [
@@ -311,13 +312,35 @@ def test_nonfinite_scenario_tolerance_is_a_problem(tmp_path, value):
     assert err.value.problems == [f"tolerances.killing: {float(value.lower())} is not a finite number"]
 
 
+INLINE = {"coords": list("txyz"), "params": {"k": 1.0}, "domain": {c: [-1, 1] for c in "txyz"},
+          "components": [["k", 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]}
+
+
+@pytest.mark.parametrize("body, problem", [
+    (dict(BASE, metric={"builtin": "schwarzschild", "params": {"M": math.nan}}),
+     "metric.params.M: nan is not a finite number"),
+    (dict(BASE, constants={"coupling": math.nan}, checks=["lorenz_gauge"]),
+     "constants.coupling: nan is not a finite number"),
+    (dict(BASE, metric=dict(INLINE, params={"k": math.inf})), "metric.params.k: inf is not a finite number"),
+    (dict(BASE, metric=dict(INLINE, components=[*INLINE["components"][:3], [0, 0, 0, -math.inf]])),
+     "metric.components[3][3]: -inf is not a finite number"),
+    (dict(BASE, fields={"K": {"t": math.inf}}), "fields.K.components[t]: inf is not a finite number"),
+], ids=["builtin-param", "constant", "inline-param", "inline-component", "field-component"])
+def test_nonfinite_scenario_number_exits_2(tmp_path, body, problem):
+    # a NaN or an infinity here would fail every point at run time; it is a problem at load
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert cli.main(["verify", str(write_scenario(tmp_path, body))]) == 2
+    assert stderr.getvalue() == f"scenario validation failed:\n  - {problem}\n"
+
+
 # -- running ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("path", POSITIVE, ids=lambda p: p.stem)
 def test_bundled_positive_scenarios_pass(path):
     report = run(load_scenario(path))
-    assert report.passed, report.to_dict()
+    assert report.passed, oracles.report_dict(report)
 
 
 @pytest.mark.parametrize("path", NEGATIVE, ids=lambda p: p.stem)
@@ -333,8 +356,8 @@ def test_negative_witness_names_failing_subcheck():
     assert not by_name["killing"].passed
     failing = [
         name
-        for rec in by_name["killing"].records
-        for name, value in rec.residuals.items()
+        for rec in oracles.records(by_name["killing"])
+        for name, value in rec["residuals"].items()
         if value > by_name["killing"].tolerance
     ]
     assert "killing_eq" in failing
@@ -344,7 +367,7 @@ def test_report_deterministic_and_schema_valid():
     scenario = load_scenario(SCENARIOS / "flrw_superconducting.json")
     r1, r2 = run(scenario), run(scenario)
     assert r1.to_json() == r2.to_json()
-    jsonschema.validate(r1.to_dict(), report_schema())
+    jsonschema.validate(json.loads(r1.to_json()), report_schema())
     assert "wall_time" not in r1.to_json()
 
 
@@ -384,7 +407,7 @@ def test_run_with_point_override():
     scenario = load_scenario(SCENARIOS / "minkowski_boost.json")
     report = run(scenario, points_override=3, seed_override=5)
     assert report.passed
-    assert all(len(c.records) == 3 for c in report.checks)
+    assert all(len(oracles.records(c)) == 3 for c in report.checks)
 
 
 def test_tolerance_override_loosens_default():
@@ -773,6 +796,33 @@ def test_traced_verify_records_every_required_span(tmp_path, workload):
     assert code == op.expected_exit
     assert set(wl.required_spans) <= tracer.present
     tracing.check_required(tracer, wl.required_spans)
+
+
+def test_traced_point_counters_match_the_report_file(tmp_path):
+    # fieldcheck.point_evals counts each check at each point and point_errors the
+    # points with an error in the report file: here a metric error (sqrt of
+    # y < 0), a field error (log of t < 0) and non-finite residuals (10^(150 t) squared)
+    tracing = _perfbench_module("tracing")
+    points = [[0.1 * k, 0.5, 0.3, 0.2] for k in range(1, 21)]
+    points[3], points[17] = [0.5, 0.5, -0.3, 0.2], [-0.5, 0.5, 0.3, 0.2]
+    metric = {"coords": list("txyz"), "domain": {c: [-3, 3] for c in "txyz"},
+              "components": [["1", 0, 0, 0], [0, "-1-0*sqrt(y)", 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]}
+    body = dict(BASE, metric=metric, fields={"K": {"t": "1+1e-3*log(t)"}, "A": {"t": "10^(150*t)*x"}},
+                samples={"points": points}, checks=["killing", "lorenz_gauge", "einstein"])
+    out = tmp_path / "report.json"
+    tracer = tracing.Tracer()
+    tracer.install(op=0)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", str(write_scenario(tmp_path, body)), "--report", str(out)]) == 1
+    finally:
+        tracer.uninstall()
+    checks = json.loads(out.read_text())["checks"]
+    errors = [p["error"] for c in checks for p in c["points"] if p["error"] is not None]
+    assert any(e.startswith("non-finite residual") for e in errors) and len(errors) < 3 * len(points)
+    counters = tracer.per_op()[0]["counter"]
+    assert counters["fieldcheck.point_evals"] == len(checks) * len(points)
+    assert counters["fieldcheck.point_errors"] == len(errors)
 
 
 def test_every_traced_target_exists():

@@ -1,10 +1,15 @@
-"""The package's sources are valid Python for the oldest version pyproject.toml allows."""
+"""The package's sources are valid Python for the oldest version pyproject.toml allows, and
+the README's Python API names exist."""
 
 import ast
+import functools
+import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+import cliffcheck
 
 REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted((REPO / "src" / "cliffcheck").rglob("*.py"))
@@ -17,3 +22,15 @@ def test_pyproject_requires_python_3_10():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(REPO).as_posix())
 def test_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_readme_python_api_names_resolve():
+    # each dotted name the README documents is an attribute path from the package
+    section = (REPO / "README.md").read_text().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`(\w+(?:\.\w+)+)", section)
+    assert len(names) >= 10, names
+    for name in names:
+        first = name.split(".")[0]
+        if (REPO / "src" / "cliffcheck" / f"{first}.py").exists():
+            importlib.import_module(f"cliffcheck.{first}")
+        functools.reduce(getattr, name.split("."), cliffcheck)

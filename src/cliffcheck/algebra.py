@@ -192,7 +192,7 @@ def grade_project(a: Multivector, k: int) -> Multivector:
 
 def grade_rows(x: np.ndarray, k) -> np.ndarray:
     """Grade-``k`` part of each (..., 16) coefficient row; ``k`` one grade or one per row."""
-    return np.where(blades.GRADE == np.expand_dims(k, -1), x, 0.0)
+    return np.where(blades.GRADE == np.asarray(k)[..., np.newaxis], x, 0.0)
 
 
 def reverse_rows(x: np.ndarray) -> np.ndarray:

@@ -41,14 +41,16 @@ of the block is bitwise the point alone.  One point is the case without N.
 One point raises when a field expression is outside its domain there; a
 block raises nothing, keeps each such point's error in ``FieldJets.errors``
 and computes on with zero jets there, and :mod:`cliffcheck.fieldcheck`
-gives the point that error.
+gives the point that error.  :meth:`FieldCalculus.of_lanes` holds a field of
+its own at each point of a block: lane i is bitwise field i at point i
+alone, and raises as that one point does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -161,6 +163,9 @@ class FieldJets:
 def field_jets(field: MultivectorField, gd: GeometryData) -> FieldJets:
     """The field's component jets at ``gd.point``, from the jet source ``gd.jet``.
 
+    Only those two attributes are read, so ``gd`` may also be a point and a
+    jet source without the rest of its geometry (:meth:`FieldCalculus.of_lanes`).
+
     ``gd.point`` may be a block of N points, and every array then has N
     first.  One point raises the error of its first component that cannot
     be evaluated; a block keeps it in ``errors`` for each such point, whose
@@ -184,12 +189,43 @@ def field_jets(field: MultivectorField, gd: GeometryData) -> FieldJets:
     return FieldJets(vals, grads, hess, errors)
 
 
+class _JetSite(NamedTuple):
+    """Where :func:`field_jets` evaluates a field: a point and its jet source."""
+
+    point: np.ndarray
+    jet: Callable
+
+
 class FieldCalculus:
-    """All operator evaluations for one field at one geometry point, or at a block of them."""
+    """All operator evaluations for one field at one geometry point, or at a block of them.
+
+    :meth:`of_lanes` gives a block whose points each hold a field of their own.
+    """
 
     def __init__(self, field: MultivectorField, gd: GeometryData):
         self.field = field
         self.gd = gd
+        self.grades = field.grades
+
+    @classmethod
+    def of_lanes(cls, fields, gd: GeometryData) -> "FieldCalculus":
+        """The operators of ``fields[i]`` at point i of the block ``gd``, for each i.
+
+        Lane i's jets are the one-point :func:`field_jets` of ``fields[i]`` at
+        point i, which raises when that field cannot be evaluated there, and
+        each operator's lane i is bitwise that of ``FieldCalculus(fields[i],
+        curvature(gd.spec, gd.point[i]))``.  Its grades are the union of the
+        fields' grades: a grade that a lane's field lacks adds exact zeros there.
+        """
+        spec = gd.spec
+        lanes = [field_jets(f, _JetSite(x, ex.point_jets(spec.coords, x, spec.params)))
+                 for f, x in zip(fields, gd.point)]
+        calc = cls.__new__(cls)
+        calc.field, calc.gd = None, gd  # no one field: the operators read only its jets and grades
+        calc.grades = frozenset().union(*(f.grades for f in fields))
+        calc.jets = FieldJets(np.stack([j.vals for j in lanes]), np.stack([j.grads for j in lanes]),
+                              np.stack([j.hess for j in lanes]), {})
+        return calc
 
     @cached_property
     def jets(self) -> FieldJets:
@@ -277,7 +313,7 @@ class FieldCalculus:
         """delta via (-1)^p star^{-1} d star, using D_a(star F) = star(D_a F)."""
         pm = self.gd.metric
         out = Multivector.zero()
-        for p in sorted(self.field.grades):
+        for p in sorted(self.grades):
             dstar = np.zeros(self.cov1.shape[:-2] + (16,))
             for a in range(4):
                 part = grade_project(Multivector(self.cov1[..., a, :]), p)

@@ -521,6 +521,55 @@ def test_block_field_error_is_kept_for_its_point():
     assert alone.sup() > 0.0 and fc.value().coeffs[0].tobytes() == alone.coeffs.tobytes()
 
 
+
+def lane_fields(spec) -> list:
+    """Fields of different masks and grades, lane 2 lacking grades 1, 3 and 4 that lane 0 has."""
+    t, a, b, c = spec.coords
+    mixed, oneform = operator_fields(spec)
+    rng = np.random.default_rng(37)
+    return [
+        mixed,
+        oneform,
+        MultivectorField.from_components({"1": f"{a}*{b}", f"{t}^{c}": f"sin({a})"}, spec.coords),
+        MultivectorField.from_components({f"{a}^{b}^{c}": f"{t}*{c}", f"{t}^{a}^{b}^{c}": f"{b}^2"},
+                                         spec.coords),
+        MultivectorField.zero(),
+        selftest.random_field(rng, spec.coords, selftest.random_mixed_masks(rng)),
+    ]
+
+
+def lane_outputs(fc) -> list:
+    """Every array the operator selftest reads of a calculator, with cov1 and cov2."""
+    ops = [fc.value(), fc.dirac(), fc.exterior_d(), fc.codifferential(), fc.codifferential_hodge_route(),
+           fc.exterior_d_squared(), fc.codifferential_squared(), fc.maxwell_current(),
+           fc.covariant_dalembertian(), fc.ricci_operator(), fc.hodge_dalembertian()]
+    return [fc.jets.vals, fc.cov1, fc.cov2] + [mv.coeffs for mv in ops]
+
+
+@pytest.mark.parametrize("spec", [MINK, SCHW, FLRW], ids=lambda spec: spec.name)
+def test_lane_fields_equal_each_field_at_its_point_alone_bitwise(spec):
+    fields = lane_fields(spec)
+    box = spec.domain_box()
+    rng = np.random.default_rng(31)
+    points = np.array([[rng.uniform(*box[c]) for c in spec.coords] for _ in fields])
+    block = geo.curvature(spec, points)
+    assert block.errors == {}
+    fc = FieldCalculus.of_lanes(fields, block)
+    assert fc.grades == frozenset(range(5))
+    lanes = lane_outputs(fc)
+    for i, (field, pt) in enumerate(zip(fields, points)):
+        alone = lane_outputs(FieldCalculus(field, geo.curvature(spec, pt)))
+        for k, (got, want) in enumerate(zip(lanes, alone)):
+            assert got.shape == (len(fields),) + want.shape
+            assert got[i].tobytes() == want.tobytes(), (i, k)
+
+
+def test_lane_field_error_is_raised_as_its_point_alone_raises():
+    points = np.array([(0.1, 0.5, 0.2, 0.3), (0.2, -0.5, 0.1, 0.0)])
+    fields = [MultivectorField.from_components({"t": "sqrt(x)"}, MINK.coords)] * 2
+    with pytest.raises(DomainEvalError, match="sqrt of negative value in 'sqrt\\(x\\)'"):
+        FieldCalculus.of_lanes(fields, geo.curvature(MINK, points))
+
 # -- the covariant correction, gathered from INDEX_SUB's non-zeros --------------------
 #
 # The dense einsums against INDEX_SUB below are the oracle: each gather must

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliffcheck import algebra, selftest
-from cliffcheck.algebra import Multivector, PointMetric, wedge
+from cliffcheck import algebra, blades, selftest
+from cliffcheck.algebra import Multivector, PointMetric, grade_project, wedge
 from cliffcheck.diffops import FieldCalculus
 from cliffcheck.errors import DegenerateMetricError, SignatureError
+from cliffcheck.geometry import CATALOG, build_metric, curvature
 
 
 def _metrics(seed: int, count: int) -> list:
@@ -168,6 +169,93 @@ def test_nan_operator_result_fails_its_diffops_law(monkeypatch):
     assert line.startswith("[FAIL]") and "max_residual=nan" in line
 
 
+# float.hex of each law's maximum, as the operator suite gave them one trial at a time
+DIFFOPS_MAXIMA = {
+    (25, 20240812): {
+        "dirac_grade_split": "0x1.b3bc4cb3647f0p-53",
+        "exterior_d_squared": "0x0.0p+0",
+        "codifferential_squared": "0x1.0000000000000p-51",
+        "codifferential_hodge_route": "0x1.60ab7052a45f6p-51",
+        "operator_square_routes": "0x1.05cee61c8e1e8p-49",
+        "ricci_extensoriality": "0x1.77f1f5f333565p-51",
+        "lorenz_trace_identity": "0x0.0p+0",
+    },
+    (2, 5): {
+        "dirac_grade_split": "0x1.1ece07c1117ebp-57",
+        "exterior_d_squared": "0x0.0p+0",
+        "codifferential_squared": "0x1.79fc891eb7119p-52",
+        "codifferential_hodge_route": "0x1.0be3c1ddead68p-53",
+        "operator_square_routes": "0x1.0000000000000p-51",
+        "ricci_extensoriality": "0x1.8a365629d7216p-52",
+        "lorenz_trace_identity": "0x0.0p+0",
+    },
+}
+
+
+@pytest.mark.parametrize("fields_per_metric, seed", sorted(DIFFOPS_MAXIMA))
+def test_diffops_law_maxima_are_pinned(fields_per_metric, seed):
+    result = selftest.run_diffops_suite(fields_per_metric=fields_per_metric, seed=seed)
+    assert {law.name: float.hex(law.max_residual) for law in result.laws} == \
+        DIFFOPS_MAXIMA[fields_per_metric, seed]
+    assert [law.trials for law in result.laws] == [3 * fields_per_metric] * len(result.laws)
+    assert result.passed
+
+
+def test_diffops_law_maxima_do_not_depend_on_the_chunk(monkeypatch):
+    default = selftest.run_diffops_suite(fields_per_metric=7, seed=5)
+    monkeypatch.setattr(selftest, "CHUNK", 3)
+    small = selftest.run_diffops_suite(fields_per_metric=7, seed=5)
+    assert _maxima(small) == _maxima(default)
+    assert [law.trials for law in small.laws] == [21] * len(small.laws)
+
+
+
+def _one_trial_laws(rng, spec) -> dict:
+    """One operator trial, drawn and checked alone: the reference for a block's lanes."""
+    rel = selftest._rel
+    gd = curvature(spec, selftest.catalog_sample_point(rng, spec))
+    fc = FieldCalculus(selftest.random_field(rng, spec.coords, selftest.random_mixed_masks(rng)), gd)
+    scale = max(1.0, fc.value().sup())
+    out = {}
+    split = [(fc.dirac() - fc.exterior_d() + fc.codifferential()).sup()]
+    p = int(rng.integers(0, 5))
+    fh = FieldCalculus(selftest.random_field(rng, spec.coords, list(blades.MASKS_BY_GRADE[p])), gd)
+    full = fh.dirac()
+    if p < 4:
+        split.append((grade_project(full, p + 1) - fh.exterior_d()).sup())
+    if p > 0:
+        split.append((grade_project(full, p - 1) + fh.codifferential()).sup())
+    out["dirac_grade_split"] = rel(np.max(split), scale)
+    out["exterior_d_squared"] = rel(fc.exterior_d_squared().sup(), scale)
+    out["codifferential_squared"] = rel(fc.codifferential_squared().sup(), scale)
+    out["codifferential_hodge_route"] = rel((fc.codifferential() - fc.codifferential_hodge_route()).sup(),
+                                            scale)
+    second = fc.covariant_dalembertian() + fc.ricci_operator()
+    out["operator_square_routes"] = rel((fc.hodge_dalembertian() - second).sup(), second.sup(), scale)
+    fa = FieldCalculus(selftest.random_field(rng, spec.coords, [1, 2, 4, 8]), gd)
+    rhs = Multivector.zero()
+    for mu in range(4):
+        rhs = rhs + fa.jets.vals[1 << mu] * gd.ricci_oneforms[mu]
+    out["ricci_extensoriality"] = rel((fa.ricci_operator() - rhs).sup(), rhs.sup(), fa.value().sup())
+    delta = fa.codifferential().scalar_part
+    trace = -sum(gd.g_upper[k, m] * fa.cov1[k][1 << m] for k in range(4) for m in range(4))
+    out["lorenz_trace_identity"] = rel(abs(delta - trace), abs(trace))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(CATALOG))
+def test_operator_block_residuals_equal_each_trial_alone_bitwise(key):
+    spec = build_metric(key, selftest._CATALOG_PARAMS[key])
+    trials = selftest._draw_operator_trials(np.random.default_rng(17), spec, selftest.CHUNK)
+    assert set(trials[2]) == set(range(5))  # every grade p, with and without its neighbours
+    block = selftest._operator_laws(*trials)
+    rng = np.random.default_rng(17)
+    for i in range(selftest.CHUNK):
+        alone = _one_trial_laws(rng, spec)
+        for name in selftest.DIFFOPS_LAWS:
+            assert block[name].shape == (selftest.CHUNK,)
+            assert np.float64(block[name][i]).tobytes() == np.float64(alone[name]).tobytes(), (i, name)
+
 def _peak_bytes(iterations: int) -> int:
     tracemalloc.reset_peak()
     selftest.run_algebra_suite(iterations=iterations, seed=9)
@@ -185,3 +273,4 @@ def test_suite_memory_does_not_grow_with_iterations():
     finally:
         tracemalloc.stop()
     assert large <= small + margin, (small, large)
+

@@ -1,3 +1,9 @@
+import hashlib
+import json
+import math
+import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ from hypothesis import strategies as st
 
 from cliffcheck import expr as ex
 from cliffcheck.errors import DomainEvalError, ParseError, UnboundIdentifierError
+from cliffcheck.geometry import CATALOG, killing_forms
 
 import oracles
 
@@ -48,6 +55,87 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error(src):
     for _ in range(2):  # a ParseError is not kept: the second parse raises it again
         with pytest.raises(ParseError, match=r"^expression nested too deeply \(column 1\)$"):
             ex.parse(src)
+
+
+PARSE_EDGE_CASES = [
+    "", " ", "\t\n", "1", "1.", ".5", "5.e3", "1e308", "1e-999", "1e", "1e+", "1E5", "2E-2", "1.2.3",
+    "..5", "1..2", "1e5.5", "1e3e3", "0x10", "2^-3", "-t^2", "2^3^2", "2^-x^2", "1-2-3", "1/2/3",
+    "2*-x", "--x", "-(-x)", "-2^2", "(-2)^2", "1-2*M/r", " 1 - 2 * M / r ", "sin(x)^2", "-sin(x)",
+    "sin (x)", "sin(", "sin()", "sin(1, 2)", "pow(1)", "pow(1,2)", "pow(1,2,3)", "pow(x,)", "foo(1)",
+    "foo", "foo ()", "(x", "x)", "()", "(", ")", "x,y", ",", "a b", "1 2", "x(1)", "_x1", "x_",
+    "x1y", "1x", "*", "^", "x^", "x^^2", "1 +", "+1", "2*", "@", "#", "x;", "θ", "θ+1", "sin(θ)",
+    "²", "x²", "1²", "٣", "٣+1", "x٣", "½", "1½", "x +1", "é", "_", "__", "e", "E1", "e1",
+    "(" * 50 + "x" + ")" * 50, "-" * 50 + "x", "x" + "^x" * 50, "2^" * 50 + "2", "sin(" * 30 + "x" + ")" * 30,
+]
+
+_NOISE = [*"0123456789.eE+-*/^(),", " ", "sin", "pow", "foo", "x", "θ", "²", "٣", "½"]
+_LEAVES = ["1", "2.5", ".5", "3.", "1e3", "2E-2", "0", "x", "t", "M", "θ", "x٣", "_a"]
+_OPS = ["+", "-", "*", "/", "^"]
+
+
+def _random_source(rng, depth):
+    """A source drawn from the grammar, with random spaces; nested at most ``depth`` levels."""
+    kind = rng.randrange(6) if depth else 0
+    pad = rng.choice(["", "", " "])
+    if kind == 0:
+        return rng.choice(_LEAVES)
+    if kind == 1:
+        return _random_source(rng, depth - 1) + pad + rng.choice(_OPS) + pad + _random_source(rng, depth - 1)
+    if kind == 2:
+        return "-" + pad + _random_source(rng, depth - 1)
+    if kind == 3:
+        return "(" + pad + _random_source(rng, depth - 1) + ")"
+    if kind == 4:
+        return rng.choice(["sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh"]) + (
+            "(" + _random_source(rng, depth - 1) + ")")
+    return f"pow({_random_source(rng, depth - 1)},{pad}{_random_source(rng, depth - 1)})"
+
+
+def parse_corpus() -> list:
+    """Fixed sources: the bundled scenarios' and the catalog's, edge cases and seeded random ones."""
+    sources = []
+    for path in sorted(Path(__file__).resolve().parents[1].glob("scenarios/**/*.json")):
+        raw = json.loads(path.read_text())
+        metric = raw["metric"]
+        sources += [v for v in metric.get("params", {}).values() if isinstance(v, str)]
+        sources += [v for row in metric.get("components", ()) for v in row if isinstance(v, str)]
+        sources += [v for f in raw.get("fields", {}).values() for v in f.values() if isinstance(v, str)]
+    for key, entry in sorted(CATALOG.items()):
+        fill = entry.rule({})[1]
+        sources += [src.format(**fill) for src in entry.diagonal]
+        sources += [src for kf in killing_forms(key) for src in kf.components.values()]
+    sources += PARSE_EDGE_CASES
+    rng = random.Random(20261019)
+    sources += ["".join(rng.choice(_NOISE) for _ in range(rng.randrange(1, 40))) for _ in range(3000)]
+    sources += [_random_source(rng, 8) for _ in range(1500)]
+    # a literal that overflows a float is a parse error of its own (test_overflowing_literal_*)
+    return [src for src in sources if not any(map(_overflows, re.findall(r"[\d.]+(?:[eE][+-]?\d+)?", src)))]
+
+
+def _overflows(text):
+    try:
+        return math.isinf(float(text))
+    except ValueError:
+        return False
+
+
+def _parse_record(src):
+    try:
+        nodes, counts = ex._postorder(ex.parse.__wrapped__(src))
+    except ParseError as err:
+        return str(err), err.column
+    return tuple(type(n).__name__ for n in nodes), tuple(counts), tuple(repr(n.label) for n in nodes)
+
+
+PARSE_CORPUS_SHA256 = "4ce2dc2fde26fcb179a7d20c757597e1aa51a4266af3edb9205887534d7f2e54"
+
+
+def test_parse_corpus_is_pinned():
+    # each source's tree (node types, child counts, labels) or its error text and column
+    corpus = parse_corpus()
+    assert len(corpus) > 4000
+    records = repr([_parse_record(src) for src in corpus])
+    assert hashlib.sha256(records.encode()).hexdigest() == PARSE_CORPUS_SHA256
 
 
 @pytest.mark.parametrize("terms", [901, 2000, 100_000])

@@ -9,6 +9,10 @@ Grammar (EBNF, also reproduced in the README):
     atom    = NUMBER | IDENT | IDENT "(" expr { "," expr } ")" | "(" expr ")" ;
 
 ``^`` binds tighter than unary minus, so ``-t^2`` parses as ``-(t^2)``.
+The parser (:func:`_climb`) reads each binary operator's precedence and
+associativity from :data:`_BINARY`, the table :func:`serialize` prints
+from, and the functions a source may call (:data:`FUNCTIONS`) from the
+evaluator's table.  A number literal past the float range is a parse error.
 Evaluation gives second-order jets (:func:`evaluate_jet2`): value,
 gradient and Hessian with respect to the four chart coordinates, exact to
 machine precision.  Parameters are constants.
@@ -118,11 +122,6 @@ class Call(_Node):
 
 Expr = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 
-FUNCTIONS = {
-    "sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1,
-    "sinh": 1, "cosh": 1, "tanh": 1, "pow": 2,
-}
-
 ZERO = Num(0.0)
 ONE = Num(1.0)
 
@@ -135,27 +134,33 @@ def is_zero(e: Expr) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
 
+# -- operators, read by the parser and the printer -------------------------------
+
+# binary node -> (operator text, precedence, right associative); only ``^`` groups right
+_BINARY = {Add: (" + ", 1, False), Sub: (" - ", 1, False), Mul: ("*", 2, False), Div: ("/", 2, False),
+           Pow: ("^", 4, True)}
+_UNARY, _ATOM = 3, 5  # precedences of a negation and of a number, name or call
+_INFIX = {text.strip(): (node, prec, right) for node, (text, prec, right) in _BINARY.items()}
+
+
 # -- tokenizer / parser --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | ident | op | lparen | rparen | comma | end
-    text: str
-    column: int  # 1-based
-
-
 def _tokenize(src: str) -> list:
+    """The tokens of ``src``, each ``(kind, text, column)`` with a 1-based column, and an end token.
+
+    ``kind`` is "num", "name", "end" or the character of an operator,
+    parenthesis or comma.
+    """
     tokens = []
     i, n = 0, len(src)
     while i < n:
         c = src[i]
-        col = i + 1
+        j = i + 1
         if c.isspace():
-            i += 1
+            i = j
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
+        if c.isdigit() or (c == "." and j < n and src[j].isdigit()):
             while j < n and (src[j].isdigit() or src[j] == "."):
                 j += 1
             if j < n and src[j] in "eE":
@@ -168,117 +173,76 @@ def _tokenize(src: str) -> list:
                         j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
-                raise ParseError(f"malformed number '{text}'", col)
-            tokens.append(_Token("num", text, col))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+                raise ParseError(f"malformed number '{text}'", i + 1) from None
+            if math.isinf(value):  # refused, as an infinity in a scenario file is
+                raise ParseError(f"number '{text}' overflows a float", i + 1)
+            kind = "num"
+        elif c.isalpha() or c == "_":
             while j < n and (src[j].isalnum() or src[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", src[i:j], col))
-            i = j
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, col))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, col))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, col))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("comma", c, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", col)
-    tokens.append(_Token("end", "", n + 1))
+            kind = "name"
+        elif c in "+-*/^(),":
+            kind = c
+        else:
+            raise ParseError(f"unexpected character {c!r}", i + 1)
+        tokens.append((kind, src[i:j], i + 1))
+        i = j
+    tokens.append(("end", "", n + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _climb(tokens: list, floor: int) -> Expr:
+    """The expression whose tokens end ``tokens``, a reversed token list, popping them.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.column)
-        return self.advance()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.parse_unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return Pow(base, self.parse_unary())  # right associative
-        return base
-
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if self.peek().kind == "lparen":
-                if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function '{tok.text}'", tok.column)
-                self.advance()
-                args = [self.parse_expr()]
-                while self.peek().kind == "comma":
-                    self.advance()
-                    args.append(self.parse_expr())
-                self.expect("rparen", "')'")
-                if len(args) != FUNCTIONS[tok.text]:
-                    raise ParseError(
-                        f"function '{tok.text}' takes {FUNCTIONS[tok.text]} argument(s)",
-                        tok.column,
-                    )
-                return Call(tok.text, tuple(args))
-            return Var(tok.text)
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.parse_expr()
-            self.expect("rparen", "')'")
+    Binary operators of precedence below ``floor`` are left to the caller;
+    a right operand takes those above its operator's precedence, or, for a
+    right-associative operator, of that precedence too (:data:`_BINARY`).
+    """
+    kind, text, column = tokens.pop()
+    if kind == "-":
+        node = Neg(_climb(tokens, _UNARY))
+    elif kind == "num":
+        node = Num(float(text))
+    elif kind == "(":
+        node = _climb(tokens, 1)
+        _close(tokens)
+    elif kind == "name" and tokens[-1][0] == "(":
+        node = _call(tokens, text, column)
+    elif kind == "name":
+        node = Var(text)
+    else:
+        raise ParseError("expected a value", column)
+    while True:
+        op = _INFIX.get(tokens[-1][0])
+        if op is None or op[1] < floor:
             return node
-        raise ParseError("expected a value", tok.column)
+        tokens.pop()
+        binary, prec, right = op
+        node = binary(node, _climb(tokens, prec + (not right)))
+
+
+def _call(tokens: list, name: str, column: int) -> Call:
+    """The call of function ``name``, whose "(" ends ``tokens``, popping its tokens."""
+    if name not in FUNCTIONS:
+        raise ParseError(f"unknown function '{name}'", column)
+    tokens.pop()
+    args = [_climb(tokens, 1)]
+    while tokens[-1][0] == ",":
+        tokens.pop()
+        args.append(_climb(tokens, 1))
+    _close(tokens)
+    if len(args) != FUNCTIONS[name]:
+        raise ParseError(f"function '{name}' takes {FUNCTIONS[name]} argument(s)", column)
+    return Call(name, tuple(args))
+
+
+def _close(tokens: list) -> None:
+    """Pop the ")" that ends ``tokens``."""
+    kind, _, column = tokens.pop()
+    if kind != ")":
+        raise ParseError("expected ')'", column)
 
 
 PARSE_CACHE_SIZE = 4096  # distinct source texts whose trees :func:`parse` keeps
@@ -287,16 +251,16 @@ PARSE_CACHE_SIZE = 4096  # distinct source texts whose trees :func:`parse` keeps
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(src: str) -> Expr:
     """The tree of ``src``; the same tree for the same text (a ParseError is raised anew)."""
-    if not src or not src.strip():
+    if not src.strip():
         raise ParseError("empty expression", 1)
-    parser = _Parser(_tokenize(src))
+    tokens = _tokenize(src)[::-1]  # all of them first: a bad character comes before a syntax error
     try:
-        node = parser.parse_expr()
+        node = _climb(tokens, 1)
     except RecursionError:  # parentheses or signs nested past the interpreter's limit
         raise ParseError("expression nested too deeply", 1) from None
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input '{tok.text}'", tok.column)
+    kind, text, column = tokens[-1]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input '{text}'", column)
     return node
 
 
@@ -352,11 +316,6 @@ def tree(src: str | float | Expr) -> Expr:
 
 # -- serialization ---------------------------------------------------------------
 
-# binary node -> (operator text, precedence); ``^`` is right associative, the others left
-_BINARY = {Add: (" + ", 1), Sub: (" - ", 1), Mul: ("*", 2), Div: ("/", 2), Pow: ("^", 4)}
-_UNARY, _ATOM = 3, 5  # precedences of a negation and of a number, name or call
-
-
 def _format(e: Expr, *args) -> tuple:
     """``e`` as (pieces, precedence), given its children's; pieces are a string or a tuple of pieces."""
     if isinstance(e, Num):
@@ -368,8 +327,8 @@ def _format(e: Expr, *args) -> tuple:
         return (("-(", text, ")") if prec < _UNARY else ("-", text)), _UNARY
     if isinstance(e, Call):
         return (e.func, "(", args[0][0], *((", ", text) for text, _ in args[1:]), ")"), _ATOM
-    op, prec = _BINARY[type(e)]
-    right = isinstance(e, Pow)  # ^ groups right: an equal-precedence left operand takes parentheses
+    # an operand of the operator's own precedence takes parentheses on the side it does not group to
+    op, prec, right = _BINARY[type(e)]
     (lt, lp), (rt, rp) = args
     lt = ("(", lt, ")") if lp < prec + right else lt
     rt = ("(", rt, ")") if rp < prec + (not right) else rt
@@ -556,6 +515,8 @@ _UNARY_JET = {
     "cosh": lambda v: (math.cosh(v), math.sinh(v), math.cosh(v)),
     "tanh": lambda v: (math.tanh(v), 1.0 - math.tanh(v) ** 2, -2.0 * math.tanh(v) * (1.0 - math.tanh(v) ** 2)),
 }
+
+FUNCTIONS = {**dict.fromkeys(_UNARY_JET, 1), "pow": 2}  # the functions a source may call: name -> arity
 
 
 def _small_int_exponent(expo: float, expo_node: Expr, coord_names: frozenset) -> int | None:

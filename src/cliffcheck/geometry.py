@@ -33,6 +33,7 @@ The builtin spacetimes are the rows of :data:`CATALOG`, one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -58,6 +59,9 @@ class MetricSpec:
     def __post_init__(self):
         if len(self.coords) != 4 or len(set(self.coords)) != 4:
             raise GeometryError("metric needs 4 distinct coordinate names")
+        shared = set(self.coords) & set(self.params)
+        if shared:  # a parameter would stand in for the coordinate in every jet
+            raise GeometryError(f"parameter names must differ from coordinate names, got {sorted(shared)}")
         if len(self.g_lower) != 4 or any(len(row) != 4 for row in self.g_lower):
             raise GeometryError("metric components must form a 4x4 array")
         for i in range(4):
@@ -410,9 +414,15 @@ def _no_params(params: dict) -> tuple:
 
 
 def _mass_param(params: dict) -> tuple:
-    mass = float(params.pop("M", 1.0))
+    raw = params.pop("M", 1.0)
     if params:
         raise GeometryError(f"schwarzschild takes only parameter M, got {sorted(params)}")
+    try:
+        mass = float(raw)
+    except (TypeError, ValueError):
+        mass = math.nan  # unreadable: refused as not finite
+    if not math.isfinite(mass):
+        raise GeometryError(f"schwarzschild mass M must be a finite number, got {raw!r}")
     if mass <= 0.0:
         raise GeometryError("schwarzschild mass M must be positive")
     return {"M": mass}, {}

@@ -342,7 +342,8 @@ def _resolve_metric(block: dict, problems: list) -> MetricSpec | None:
         try:
             spec = build_metric(block["builtin"], block.get("params"))
         except (GeometryError, ExprError) as err:
-            problems.append(f"metric: {err}")
+            if len(problems) == found:  # else a parameter is not finite, and the error may name it again
+                problems.append(f"metric: {err}")
             return None
         return spec if len(problems) == found else None
     rows = block["components"]

@@ -159,6 +159,19 @@ def test_a_sum_of_any_length_is_parsed_compared_and_evaluated(terms):
     oracles.nested(800, run)
 
 
+@pytest.mark.parametrize("src, column", [("1e999", 1), ("x/1e999", 3), ("-1.8e308*t", 2), ("2^" + "9" * 400, 3)])
+def test_overflowing_literal_is_a_parse_error(src, column):
+    # a literal past the float range would be an infinity, and x/1e999 a silent zero
+    with pytest.raises(ParseError, match=r"^number '[\d.e]+' overflows a float") as err:
+        ex.parse(src)
+    assert err.value.column == column
+
+
+def test_largest_literals_parse():
+    assert ex.parse("1e308") == ex.Num(1e308) and ex.parse("1.7976931348623157e308") == ex.Num(1.7976931348623157e308)
+    assert ex.parse("1e-999") == ex.ZERO  # an underflow is a number; only an overflow is refused
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ParseError) as err:
         ex.parse("foo(1)")

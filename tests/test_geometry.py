@@ -98,6 +98,14 @@ def test_metric_spec_requires_symmetry():
         geo.MetricSpec.from_strings(("t", "x", "y", "z"), rows)
 
 
+def test_metric_parameter_named_like_a_coordinate_is_rejected():
+    # evaluate_jet2 gives a parameter's constant jet in place of a coordinate of the same name
+    rows = [["1", "0", "0", "0"], ["0", "-(1+x^2)", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    with pytest.raises(GeometryError, match=r"^parameter names must differ from coordinate names, got \['x'\]$"):
+        geo.MetricSpec.from_strings(("t", "x", "y", "z"), rows, {"x": 0.0, "k": 1.0})
+    assert geo.MetricSpec.from_strings(("t", "x", "y", "z"), rows, {"k": 1.0}).params == {"k": 1.0}
+
+
 def test_catalog_parameter_validation():
     with pytest.raises(GeometryError):
         geo.build_metric("minkowski", {"M": 1.0})
@@ -133,6 +141,9 @@ CATALOG_PARAM_ERRORS = [
     ("flrw", {"b": "t"}, "GeometryError", "flrw takes only the scale-factor expression a, got ['b']"),
     ("kerr", None, "GeometryError",
      "unknown builtin metric 'kerr' (known: flrw, minkowski, schwarzschild)"),
+    # the scenario schema allows a string parameter (flrw's a is one); a mass must read as a finite float
+    *(("schwarzschild", {"M": text}, "GeometryError", f"schwarzschild mass M must be a finite number, got {text!r}")
+      for text in ("x", "", "0x10", "nan", "inf", "1e400")),
 ]
 
 

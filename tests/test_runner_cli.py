@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -325,13 +326,30 @@ INLINE = {"coords": list("txyz"), "params": {"k": 1.0}, "domain": {c: [-1, 1] fo
     (dict(BASE, metric=dict(INLINE, components=[*INLINE["components"][:3], [0, 0, 0, -math.inf]])),
      "metric.components[3][3]: -inf is not a finite number"),
     (dict(BASE, fields={"K": {"t": math.inf}}), "fields.K.components[t]: inf is not a finite number"),
-], ids=["builtin-param", "constant", "inline-param", "inline-component", "field-component"])
+    (dict(BASE, fields={"K": {"t": "x/1e999"}}), "fields.K.components[t]: number '1e999' overflows a float (column 3)"),
+    (dict(BASE, metric={"builtin": "schwarzschild", "params": {"M": "inf"}}),
+     "metric: schwarzschild mass M must be a finite number, got 'inf'"),
+], ids=["builtin-param", "constant", "inline-param", "inline-component", "field-component", "field-literal",
+        "builtin-param-text"])
 def test_nonfinite_scenario_number_exits_2(tmp_path, body, problem):
     # a NaN or an infinity here would fail every point at run time; it is a problem at load
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         assert cli.main(["verify", str(write_scenario(tmp_path, body))]) == 2
     assert stderr.getvalue() == f"scenario validation failed:\n  - {problem}\n"
+
+
+def test_metric_parameter_named_like_a_coordinate_exits_2(tmp_path):
+    metric = dict(INLINE, params={}, components=[["1", 0, 0, 0], [0, "-(1+x^2)", 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+    body = dict(BASE, metric=metric, fields={"K": {"x": "-(1+x^2)"}}, samples={"points": [[0.1, 0.5, 0.2, 0.3]]})
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert cli.main(["verify", str(write_scenario(tmp_path, body))]) == 1  # K is not Killing here
+        # a parameter x would hold x constant in every jet, and the check would pass
+        body["metric"] = dict(metric, params={"x": 0.0})
+        assert cli.main(["verify", str(write_scenario(tmp_path, body))]) == 2
+    assert stderr.getvalue() == ("scenario validation failed:\n"
+                                 "  - metric: parameter names must differ from coordinate names, got ['x']\n")
 
 
 # -- running ----------------------------------------------------------------------
@@ -854,6 +872,27 @@ def test_workload_report_bytes_pinned(tmp_path, workload):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(op.argv)) == op.expected_exit
     assert hashlib.sha256(op.report.read_bytes()).hexdigest() == WORKLOAD_REPORT_SHA256[workload]
+
+
+def test_pinned_digests_hold_at_numpy_baseline_dispatch():
+    # numpy picks SIMD kernels per host at import, and some of its elementwise
+    # functions change bits with them; the pinned report bytes and law lines
+    # must not, so the pins are re-checked in a child with every dispatched
+    # feature this host has disabled
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not features:
+        pytest.skip("numpy dispatches no CPU feature beyond its baseline on this host")
+    pins = [f"tests/test_runner_cli.py::{test_bundled_report_bytes_pinned.__name__}",
+            f"tests/test_runner_cli.py::{test_workload_report_bytes_pinned.__name__}",
+            "tests/test_selftest.py::test_law_lines_are_pinned"]
+    probe = ("import sys, pytest; from numpy._core import _multiarray_umath as m; "
+             f"assert not any(m.__cpu_features__[f] for f in {features!r}); "
+             f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{pins!r}]))")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(BUNDLED_REPORT_SHA256) + len(WORKLOAD_REPORT_SHA256) + 1} passed" in proc.stdout, proc.stdout
 
 
 @pytest.mark.parametrize("workload, per_chunk", [("kerr_identities", 6), ("schw_10check", 7)])

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .algebra import Multivector, PointMetric, grade_involution, grade_project, reverse, wedge
+from .algebra import Multivector, PointMetric, grade_project, wedge
 from .diffops import FieldCalculus, MultivectorField
 from .errors import CliffcheckError
 from .geometry import CATALOG, GeometryData, MetricSpec, build_metric, curvature, killing_forms
@@ -18,10 +18,8 @@ __all__ = [
     "PointMetric",
     "build_metric",
     "curvature",
-    "grade_involution",
     "grade_project",
     "killing_forms",
-    "reverse",
     "wedge",
     "__version__",
 ]

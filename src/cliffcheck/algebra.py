@@ -71,10 +71,8 @@ class Multivector:
         return cls(scalar_rows(value))
 
     @classmethod
-    def covector(cls, i: int, coeff: float = 1.0) -> "Multivector":
-        c = np.zeros(blades.N_BLADES)
-        c[1 << i] = coeff
-        return cls(c)
+    def covector(cls, i: int) -> "Multivector":
+        return cls.from_mask(1 << i)
 
     @classmethod
     def oneform(cls, components) -> "Multivector":
@@ -85,13 +83,13 @@ class Multivector:
         return cls(c)
 
     @classmethod
-    def blade(cls, idxs, coeff: float = 1.0) -> "Multivector":
+    def blade(cls, idxs) -> "Multivector":
         """Wedge of the listed covectors, e.g. ``blade((0, 1))`` = g0^g1."""
         idxs = tuple(idxs)
         if len(set(idxs)) != len(idxs):
             return cls.zero()
         c = np.zeros(blades.N_BLADES)
-        c[blades.mask_of(idxs)] = coeff * blades.sort_parity(idxs)
+        c[blades.mask_of(idxs)] = blades.sort_parity(idxs)
         return cls(c)
 
     @classmethod
@@ -116,9 +114,6 @@ class Multivector:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scale) -> "Multivector":
-        return Multivector(self.coeffs / _per_row(scale))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Multivector) and bool(np.array_equal(self.coeffs, other.coeffs))
 
@@ -127,9 +122,9 @@ class Multivector:
 
     # -- structure ---------------------------------------------------------
 
-    def grades(self, tol: float = 0.0) -> frozenset:
-        """Grades with a coefficient above ``tol``, at any point of a block."""
-        present = (np.abs(self.coeffs) > tol).reshape(-1, blades.N_BLADES).any(axis=0)
+    def grades(self) -> frozenset:
+        """Grades with a non-zero coefficient, at any point of a block; a NaN one adds none."""
+        present = (np.abs(self.coeffs) > 0.0).reshape(-1, blades.N_BLADES).any(axis=0)
         return frozenset(int(blades.GRADE[m]) for m in range(blades.N_BLADES) if present[m])
 
     def reverse(self) -> "Multivector":
@@ -174,14 +169,6 @@ def _per_row(scale):
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product; metric independent."""
     return Multivector(wedge_rows(a.coeffs, b.coeffs))
-
-
-def reverse(a: Multivector) -> Multivector:
-    return a.reverse()
-
-
-def grade_involution(a: Multivector) -> Multivector:
-    return a.involute()
 
 
 def grade_project(a: Multivector, k: int) -> Multivector:

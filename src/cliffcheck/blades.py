@@ -158,7 +158,7 @@ for _k in range(2, DIM + 1):
     ))
 
 
-def blade_name(mask: int, names=("g0", "g1", "g2", "g3")) -> str:
+def blade_name(mask: int) -> str:
     if mask == 0:
         return "1"
-    return "^".join(names[i] for i in indices(mask))
+    return "^".join(f"g{i}" for i in indices(mask))

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -86,12 +86,13 @@ class MultivectorField:
                 )
 
     @classmethod
-    def from_components(cls, components: Mapping, coords=None, grades=None) -> "MultivectorField":
+    def from_components(cls, components: Mapping, coords=None) -> "MultivectorField":
         """Build from a mapping of blade keys to expression sources (:func:`~cliffcheck.expr.tree`).
 
         Keys are either integer masks, ``"1"`` for the scalar part, or
         coordinate names joined by ``^`` (e.g. ``"t^r"``); out-of-order names
-        pick up the permutation sign.
+        pick up the permutation sign.  The field's grades are those of its
+        non-zero components.
         """
         comps = [_ZERO] * 16
         for key, value in components.items():
@@ -108,10 +109,8 @@ class MultivectorField:
             if not ex.is_zero(comps[mask]):
                 raise FieldError(f"duplicate component for blade {blades.blade_name(mask)}")
             comps[mask] = e
-        inferred = frozenset(
-            int(blades.GRADE[m]) for m in range(16) if not ex.is_zero(comps[m])
-        )
-        return cls(tuple(comps), frozenset(grades) if grades is not None else inferred)
+        grades = frozenset(int(blades.GRADE[m]) for m in range(16) if not ex.is_zero(comps[m]))
+        return cls(tuple(comps), grades)
 
     @classmethod
     def zero(cls) -> "MultivectorField":
@@ -160,18 +159,15 @@ class FieldJets:
     errors: dict  # of a block: each point whose jets fail -> its first component's error there
 
 
-def field_jets(field: MultivectorField, gd: GeometryData) -> FieldJets:
-    """The field's component jets at ``gd.point``, from the jet source ``gd.jet``.
+def field_jets(field: MultivectorField, point: np.ndarray, jet: Callable) -> FieldJets:
+    """The field's component jets at ``point``, from the jet source ``jet`` there.
 
-    Only those two attributes are read, so ``gd`` may also be a point and a
-    jet source without the rest of its geometry (:meth:`FieldCalculus.of_lanes`).
-
-    ``gd.point`` may be a block of N points, and every array then has N
+    ``point`` may be a block of N points, and every array then has N
     first.  One point raises the error of its first component that cannot
     be evaluated; a block keeps it in ``errors`` for each such point, whose
     jets are zero.
     """
-    lanes = np.shape(gd.point)[:-1]
+    lanes = np.shape(point)[:-1]
     vals = np.zeros(lanes + (16,))
     grads = np.zeros(lanes + (16, 4))
     hess = np.zeros(lanes + (16, 4, 4))
@@ -180,20 +176,13 @@ def field_jets(field: MultivectorField, gd: GeometryData) -> FieldJets:
         e = field.comps[mask]
         if ex.is_zero(e):
             continue
-        jm = gd.jet(e)
+        jm = jet(e)
         for k, err in jm.errors.items():
             errors.setdefault(k, err)
         vals[..., mask] = jm.val
         grads[..., mask, :] = jm.grad
         hess[..., mask, :, :] = jm.hess
     return FieldJets(vals, grads, hess, errors)
-
-
-class _JetSite(NamedTuple):
-    """Where :func:`field_jets` evaluates a field: a point and its jet source."""
-
-    point: np.ndarray
-    jet: Callable
 
 
 class FieldCalculus:
@@ -218,7 +207,7 @@ class FieldCalculus:
         fields' grades: a grade that a lane's field lacks adds exact zeros there.
         """
         spec = gd.spec
-        lanes = [field_jets(f, _JetSite(x, ex.point_jets(spec.coords, x, spec.params)))
+        lanes = [field_jets(f, x, ex.point_jets(spec.coords, x, spec.params))
                  for f, x in zip(fields, gd.point)]
         calc = cls.__new__(cls)
         calc.field, calc.gd = None, gd  # no one field: the operators read only its jets and grades
@@ -229,7 +218,7 @@ class FieldCalculus:
 
     @cached_property
     def jets(self) -> FieldJets:
-        return field_jets(self.field, self.gd)
+        return field_jets(self.field, self.gd.point, self.gd.jet)
 
     def _cov(self, val: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """The components of D_a G, from the values and partials of G's components."""
@@ -252,20 +241,17 @@ class FieldCalculus:
     def _dgop_vals(self) -> np.ndarray:
         """[s, a, m] = sum_n dGop[s, a][m, n] vals[n], by the dense einsum on one slab of s at a time.
 
-        A slab scatters dGop for one s, or for 2 or 4 of them when there are
-        at most 8 or 4 points, so on a block of up to 16 points
-        (``fieldcheck.BLOCK``) it holds at most 16 (4, 16, 16) operators, 128 kB.
+        A slab scatters dGop for one s, so on a block of 16 points
+        (``fieldcheck.BLOCK``) it holds 16 (4, 16, 16) operators, 128 kB.
         """
         dgop = self.gd.dgop
-        points = dgop[..., 0, 0, 0].size
-        step = 4 if points <= 4 else 2 if points <= 8 else 1  # s per slab
-        slab = np.zeros(dgop.shape[:-3] + (step, 4, 256))
+        slab = np.zeros(dgop.shape[:-3] + (1, 4, 256))
         flat = slab.reshape(-1)
         at = (np.arange(flat.size, step=256)[:, np.newaxis] + blades.SUB_POSITIONS).ravel()
         dense = slab.reshape(slab.shape[:-1] + (16, 16))
         parts = []
-        for s in range(0, 4, step):
-            flat[at] = dgop[..., s:s + step, :, :].ravel()
+        for s in range(4):
+            flat[at] = dgop[..., s, :, :].ravel()
             parts.append(np.einsum("...samn,...n->...sam", dense, self.jets.vals))
         return np.concatenate(parts, axis=-3)
 

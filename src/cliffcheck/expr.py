@@ -193,6 +193,14 @@ def _tokenize(src: str) -> list:
     return tokens
 
 
+def is_name(text) -> bool:
+    """Whether ``text`` is a string that reads as one name token, such as a variable."""
+    try:
+        return type(text) is str and [t[:2] for t in _tokenize(text)] == [("name", text), ("end", "")]
+    except ParseError:
+        return False
+
+
 def _climb(tokens: list, floor: int) -> Expr:
     """The expression whose tokens end ``tokens``, a reversed token list, popping them.
 

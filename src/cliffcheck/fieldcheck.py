@@ -317,7 +317,7 @@ def _sandwich_oneform(gd: GeometryData, x: Multivector, beta: int, half: float) 
 
 def energy_momentum_em(gd: GeometryData, F: Multivector, beta: int) -> EnergyMomentum:
     """Electromagnetic stress 1-form T_beta = -1/2 <F gamma_beta F>_1 and its dual."""
-    if F.grades(tol=0.0) - {2}:
+    if F.grades() - {2}:
         raise FieldError("energy_momentum_em expects a 2-form field strength")
     sandwich, t_form = _sandwich_oneform(gd, F, beta, -0.5)
     return EnergyMomentum(t_form, gd.metric.hodge(t_form), grade_project(sandwich, 3).sup())
@@ -325,7 +325,7 @@ def energy_momentum_em(gd: GeometryData, F: Multivector, beta: int) -> EnergyMom
 
 def energy_momentum_fluid(gd: GeometryData, J: Multivector, alpha: int) -> EnergyMomentum:
     """Fluid stress 1-form t_alpha = 1/2 <J gamma_alpha J>_1, both printed forms."""
-    if J.grades(tol=0.0) - {1}:
+    if J.grades() - {1}:
         raise FieldError("energy_momentum_fluid expects a 1-form current")
     pm = gd.metric
     sandwich, t_form = _sandwich_oneform(gd, J, alpha, 0.5)

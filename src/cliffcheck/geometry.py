@@ -59,6 +59,9 @@ class MetricSpec:
     def __post_init__(self):
         if len(self.coords) != 4 or len(set(self.coords)) != 4:
             raise GeometryError("metric needs 4 distinct coordinate names")
+        for name in self.coords:
+            if not ex.is_name(name):  # no expression or blade key could name it
+                raise GeometryError(f"coordinate name {name!r} is not a letter or _ followed by letters, digits or _")
         shared = set(self.coords) & set(self.params)
         if shared:  # a parameter would stand in for the coordinate in every jet
             raise GeometryError(f"parameter names must differ from coordinate names, got {sorted(shared)}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -290,7 +291,8 @@ def _check_structure(raw) -> np.ndarray:
     excludes bool) is checked here as one array and left out of the walk.
     Any other points array goes through the schema with the rest, so the
     problems are the schema's either way.  An integer too large for a float
-    is a problem too.  Raises ScenarioValidationError listing every problem.
+    is a problem too, as is a string or key that is not valid Unicode.
+    Raises ScenarioValidationError listing every problem.
     """
     samples = raw.get("samples") if type(raw) is dict else None
     points = samples.get("points") if type(samples) is dict else None
@@ -303,7 +305,7 @@ def _check_structure(raw) -> np.ndarray:
             array = np.array(points or [], dtype=float).reshape(-1, 4)
         except OverflowError:
             document = raw  # name the point values that overflow too
-        problems = _unfloatable(document)
+        problems = _unrepresentable(document)
     if problems:
         raise ScenarioValidationError(problems)
     return array
@@ -316,8 +318,12 @@ def _is_point_array(points) -> bool:
             and set(map(type, chain.from_iterable(points))) <= {int, float})
 
 
-def _unfloatable(value, path=()) -> list:
-    """A problem for each integer in ``value`` too large to convert to a float."""
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _unrepresentable(value, path=()) -> list:
+    """A problem for each integer in ``value`` too large for a float, and for each string
+    or key with a lone surrogate (JSON's ``\\ud800``), which no UTF-8 output can hold."""
     kind = type(value)
     if kind is int:
         try:
@@ -325,8 +331,12 @@ def _unfloatable(value, path=()) -> list:
         except OverflowError:
             return [f"{schema.where(path)}: integer too large for a float"]
         return []
+    if kind is str:
+        return [f"{schema.where(path)}: string is not valid Unicode"] if _SURROGATE.search(value) else []
+    problems = [f"{schema.where(path)}: key {ascii(key)} is not valid Unicode"
+                for key in (value if kind is dict else ()) if _SURROGATE.search(key)]
     items = value.items() if kind is dict else enumerate(value) if kind is list else ()
-    return [problem for key, item in items for problem in _unfloatable(item, (*path, key))]
+    return problems + [problem for key, item in items for problem in _unrepresentable(item, (*path, key))]
 
 
 def _nonfinite(items) -> list:

@@ -106,6 +106,16 @@ def test_metric_parameter_named_like_a_coordinate_is_rejected():
     assert geo.MetricSpec.from_strings(("t", "x", "y", "z"), rows, {"k": 1.0}).params == {"k": 1.0}
 
 
+@pytest.mark.parametrize("name", ["", "x y", "x^y", "1", " x", "x.y", "2x"])
+def test_metric_spec_rejects_a_coordinate_name_that_no_expression_reads(name):
+    # a blade key or a component could not name the coordinate, or "1" would be the scalar blade key
+    rows = [["1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    with pytest.raises(GeometryError, match=f"^coordinate name {re.escape(repr(name))} is not a letter or _"):
+        geo.MetricSpec.from_strings(("t", name, "y", "z"), rows)
+    for good in ("_x", "x_1", "θ"):
+        assert geo.MetricSpec.from_strings(("t", good, "y", "z"), rows).coords[1] == good
+
+
 def test_catalog_parameter_validation():
     with pytest.raises(GeometryError):
         geo.build_metric("minkowski", {"M": 1.0})

@@ -286,6 +286,19 @@ def test_integer_too_large_for_a_float_is_a_problem(tmp_path, where, edit):
     assert err.value.problems == [f"{where}: integer too large for a float"]
 
 
+@pytest.mark.parametrize("edit, problem", [
+    (lambda b: b.update(description="a\ud800"), "description: string is not valid Unicode"),
+    (lambda b: b["fields"]["K"].update({"\udc00": "1"}), "fields.K: key '\\udc00' is not valid Unicode"),
+], ids=["string", "key"])
+def test_a_string_or_key_that_is_not_unicode_is_a_problem(tmp_path, edit, problem):
+    # JSON's \ud800 escape reads as a lone surrogate, which printing it as UTF-8 would fail on
+    body = json.loads(json.dumps(BASE))
+    edit(body)
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(write_scenario(tmp_path, body))
+    assert err.value.problems == [problem]
+
+
 def test_integer_literal_over_the_digit_limit_is_a_problem(tmp_path):
     path = tmp_path / "long.json"
     path.write_text(json.dumps(BASE).replace("[[0.0, 0.0, 0.0, 0.0]]", f"[[{'1' * 5000}, 0, 0, 0]]"))
@@ -619,15 +632,55 @@ def test_cli_tolerance_must_be_finite_and_positive(tol):
     assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
 
 
+def with_coords(coords) -> dict:
+    return dict(BASE, metric=dict(INLINE, coords=coords, domain=dict.fromkeys(coords, [-1, 1])))
+
+
 @pytest.mark.parametrize("body, message", [
     (b"\xff\xfe{}", "cannot read scenario: not UTF-8 text"),
     (json.dumps(dict(BASE, tolerances={"default": HUGE})).encode(),
      "tolerances.default: integer too large for a float"),
+    (json.dumps(dict(BASE, description="\ud800")).encode(), "description: string is not valid Unicode"),
+    (json.dumps(dict(BASE, samples={"grid": {c: {"min": 0, "max": 0, "count": 1} for c in "txy"}})).encode(),
+     "samples.grid: missing coordinates ['z']"),
+    (json.dumps(dict(BASE, samples={"grid": {c: {"min": 0, "max": 0, "count": 1} for c in "txyzw"}})).encode(),
+     "samples.grid: unknown coordinates ['w']"),
+    (json.dumps(dict(BASE, samples={"grid": {c: {"min": -1.0, "max": 9.0 if c == "t" else 0, "count": 1}
+                                             for c in "txyz"}})).encode(),
+     "samples.grid.t: range [-1.0, 9.0] outside the domain box (-3.0, 3.0)"),
+    (json.dumps(dict(BASE, metric=dict(INLINE, domain={c: [-1, 1] for c in "txy"}))).encode(),
+     "metric.domain: missing coordinates ['z']"),
+    (json.dumps(dict(BASE, tolerances={"nope": 1e-9})).encode(), "tolerances: unknown check 'nope'"),
+    (json.dumps(dict(BASE, fields={"K": {"t^x": "1", "x^t": "1"}})).encode(),
+     "fields.K: duplicate component for blade g0^g1"),
+    (json.dumps(dict(BASE, fields={"K": {"1": "1", "t": "1"}})).encode(),
+     "fields: field K must be a 1-form, has grades [0, 1]"),
+    (json.dumps(dict(BASE, fields={"S": {"1": "t"}}, checks=["lorenz_gauge"])).encode(),
+     "check lorenz_gauge requires field A (or K with coupling)"),
+    (json.dumps(with_coords(list("txyt"))).encode(),
+     "metric: metric needs 4 distinct coordinate names"),
+    (json.dumps(with_coords(["t", "x y", "y", "z"])).encode(),
+     "metric: coordinate name 'x y' is not a letter or _ followed by letters, digits or _"),
+    (json.dumps(with_coords(["t", "1", "y", "z"])).encode(),
+     "metric: coordinate name '1' is not a letter or _ followed by letters, digits or _"),
 ])
 def test_cli_unreadable_scenario_values_exit_two(tmp_path, body, message):
     path = tmp_path / "scenario.json"
     path.write_bytes(body)
     proc = run_cli("verify", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("option, message", [
+    (("--points", "x"), "argument --points: invalid int value: 'x'"),
+    (("--tol", "x"), "argument --tol: invalid float value: 'x'"),
+    (("--report", "{tmp}/missing/report.json"), "error: cannot write report: "),
+])
+def test_cli_unusable_option_value_exits_two(tmp_path, option, message):
+    option = [text.format(tmp=tmp_path) for text in option]
+    proc = run_cli("verify", str(SCENARIOS / "minkowski_boost.json"), *option)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr

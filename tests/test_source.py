@@ -1,5 +1,5 @@
 """The package's sources are valid Python for the oldest version pyproject.toml allows, and
-the README's Python API names exist."""
+the README's Python API names and the package's ``__all__`` names exist."""
 
 import ast
 import functools
@@ -34,3 +34,10 @@ def test_readme_python_api_names_resolve():
         if (REPO / "src" / "cliffcheck" / f"{first}.py").exists():
             importlib.import_module(f"cliffcheck.{first}")
         functools.reduce(getattr, name.split("."), cliffcheck)
+
+
+def test_every_name_in_all_resolves():
+    # a stale entry would make `from cliffcheck import *` raise AttributeError
+    namespace = {}
+    exec("from cliffcheck import *", namespace)
+    assert set(cliffcheck.__all__) <= namespace.keys()

@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     _print_check_lines(report)
     print(f"overall:  {'PASS' if report.passed else 'FAIL'} ({report.wall_time_s:.2f}s)")
 
-    if args.report:
+    if args.report is not None:
         try:
             with open(args.report, "w") as fh:
                 fh.write(report.to_json())

@@ -70,20 +70,18 @@ _RICCI_BLOCKS = [list(zip(_G2_LOWEST, _G2_COVECTOR)).index((min(a, b), max(a, b)
 
 @dataclass(frozen=True)
 class MultivectorField:
-    """Multivector-valued field: one expression per blade, plus declared grades."""
+    """Multivector-valued field: one expression per blade."""
 
     comps: tuple  # 16 Expr, indexed by blade mask
-    grades: frozenset
 
     def __post_init__(self):
         if len(self.comps) != 16:
             raise FieldError("a multivector field needs 16 blade components")
-        for mask in range(16):
-            if int(blades.GRADE[mask]) not in self.grades and not ex.is_zero(self.comps[mask]):
-                raise FieldError(
-                    f"component {blades.blade_name(mask)} is outside the declared grades "
-                    f"{sorted(self.grades)}"
-                )
+
+    @cached_property
+    def grades(self) -> frozenset:
+        """The grades of the non-zero components."""
+        return frozenset(int(blades.GRADE[m]) for m in range(16) if not ex.is_zero(self.comps[m]))
 
     @classmethod
     def from_components(cls, components: Mapping, coords=None) -> "MultivectorField":
@@ -109,18 +107,17 @@ class MultivectorField:
             if not ex.is_zero(comps[mask]):
                 raise FieldError(f"duplicate component for blade {blades.blade_name(mask)}")
             comps[mask] = e
-        grades = frozenset(int(blades.GRADE[m]) for m in range(16) if not ex.is_zero(comps[m]))
-        return cls(tuple(comps), grades)
+        return cls(tuple(comps))
 
     @classmethod
     def zero(cls) -> "MultivectorField":
-        return cls((_ZERO,) * 16, frozenset())
+        return cls((_ZERO,) * 16)
 
     @classmethod
     def basis_covector(cls, i: int) -> "MultivectorField":
         comps = [_ZERO] * 16
         comps[1 << i] = ex.ONE
-        return cls(tuple(comps), frozenset((1,)))
+        return cls(tuple(comps))
 
     def scaled(self, factor: float) -> "MultivectorField":
         if factor == 1.0:
@@ -128,7 +125,7 @@ class MultivectorField:
         comps = tuple(
             e if ex.is_zero(e) else ex.Mul(ex.const(factor), e) for e in self.comps
         )
-        return MultivectorField(comps, self.grades)
+        return MultivectorField(comps)
 
 
 def _parse_blade_key(key: str, coords) -> tuple:

@@ -576,10 +576,6 @@ class PointResult:
         return out
 
 
-def _point_key(pt) -> tuple:
-    return tuple(float(v) for v in pt)
-
-
 def check_columns(ctx: BlockContext, check: Check) -> list:
     """``check`` on ``ctx`` as key layouts ``(rows, residuals, info)``, rows first on every value.
 
@@ -605,7 +601,7 @@ def _report(check: Check, tol: float, points: np.ndarray, layouts: list, errors:
     errors = dict(errors)
     kept = []
     for rows, residuals, info in layouts:
-        fresh = np.array([i not in errors for i in rows.tolist()], dtype=bool)
+        fresh = np.isin(rows, list(errors), invert=True)
         for kind, values in (("residual", residuals), ("info", info)):
             for key, value in values.items():
                 if value.dtype.kind == "f":
@@ -635,7 +631,6 @@ def _joined(parts: list) -> list:
 
 def run_pointwise(
     spec: MetricSpec,
-    pts: Sequence,
     checks: Sequence[Check],
     tols: Sequence[float],
     fields: dict,
@@ -643,18 +638,18 @@ def run_pointwise(
     draws,
     jets: ex.ChunkJets,
     first: int,
+    stop: int,
 ) -> PointResult:
     """Run ``checks`` on one block of points against one shared :class:`BlockContext`.
 
-    ``pts`` are the block's N points, points ``first:first + N`` of the chunk
-    whose jets are ``jets``; ``draws`` are their (N, 3, 16) random inputs of
-    ``sandwich_identities``, or None.  The block's geometry is computed here
-    and each check runs once on the whole block.  Every point gets what it
-    gets alone: a point the geometry rejects gets its geometry error, and
-    otherwise a check's point gets the error of the first field whose jets
-    that check reads there, if any.  Returns each check's layouts and errors.
+    The block is points ``first:stop`` of the chunk whose jets are ``jets``;
+    ``draws`` are their (N, 3, 16) random inputs of ``sandwich_identities``,
+    or None.  The block's geometry is computed here and each check runs once
+    on the whole block.  Every point gets what it gets alone: a point the
+    geometry rejects gets its geometry error, and otherwise a check's point
+    gets the error of the first field whose jets that check reads there, if
+    any.  Returns each check's layouts and errors.
     """
-    stop = first + len(pts)
     with np.errstate(all="ignore"):  # non-finite values become point errors in _report
         gd = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
         ctx = BlockContext(gd, fields, constants, draws)
@@ -675,19 +670,20 @@ def run_checks(
     spec: MetricSpec,
     fields: ScenarioFields,
     names: Sequence[str],
-    points: Sequence,
+    points,
     tols: Sequence[float],
     seed: int = 0,
 ) -> list:
     """Run checks ``names`` with tolerances ``tols`` over ``points``, block by block.
 
-    The jets of every metric component and of every component of the fields
-    the checks read are evaluated for :data:`CHUNK` points at a time, when
-    the first block of the chunk asks for them (:class:`expr.ChunkJets`).
-    The geometry, the product tables and every check then run on
-    :data:`BLOCK` points of a chunk at a time (:func:`run_pointwise`), and
-    each block is dropped before the next; every point gets exactly the
-    results it gets alone.
+    ``points`` is an (n, 4) float array, or anything ``np.asarray`` makes
+    one of; every report holds that one array.  The jets of every metric
+    component and of every component of the fields the checks read are
+    evaluated for :data:`CHUNK` points at a time, when the first block of
+    the chunk asks for them (:class:`expr.ChunkJets`).  The geometry, the
+    product tables and every check then run on :data:`BLOCK` points of a
+    chunk at a time (:func:`run_pointwise`), and each block is dropped
+    before the next; every point gets exactly the results it gets alone.
 
     Returns one :class:`ResidualReport` per name, in order.  ``seed`` draws
     the random inputs of ``sandwich_identities`` when no potential is given.
@@ -695,25 +691,25 @@ def run_checks(
     problems = [p for n in names for p in requirement_problems(n, fields)]
     if problems:
         raise FieldError("; ".join(problems))
+    points = np.asarray(points, dtype=float).reshape(-1, 4)
     checks = [CHECKS[n] for n in names]
     by_name = {"K": fields.K, "S": fields.S, "V": fields.V, "potential": fields.potential()}
     draws = {}
     if by_name["potential"] is None:
-        # keyed by point, so a repeated point gets the same draw
+        keys = [tuple(pt) for pt in points.tolist()]  # a repeated point gets one draw
         rng = np.random.default_rng(seed)
-        draws = {_point_key(pt): rng.uniform(-1.0, 1.0, size=(3, 16)) for pt in points}
+        draws = {key: rng.uniform(-1.0, 1.0, size=(3, 16)) for key in keys}
     parts = [([], {}) for _ in checks]  # per check: (first point, layouts) of each block, errors
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         jets = ex.ChunkJets(spec.coords, chunk, spec.params)
         for first in range(0, len(chunk), BLOCK):
-            pts = chunk[first:first + BLOCK]
-            block_draws = np.stack([draws[_point_key(pt)] for pt in pts]) if draws else None
-            result = run_pointwise(spec, pts, checks, tols, by_name, fields.constants,
-                                   block_draws, jets, first)
+            stop = min(first + BLOCK, len(chunk))
+            block_draws = np.stack([draws[k] for k in keys[start + first:start + stop]]) if draws else None
+            result = run_pointwise(spec, checks, tols, by_name, fields.constants,
+                                   block_draws, jets, first, stop)
             for (blocks, errors), (_, _, layouts, failed) in zip(parts, result.checks):
                 blocks.append((start + first, layouts))
                 errors.update((start + first + k, err) for k, err in failed.items())
-    at = np.asarray(points, dtype=float).reshape(-1, 4)
-    return [_report(check, tol, at, _joined(blocks), errors)
+    return [_report(check, tol, points, _joined(blocks), errors)
             for check, tol, (blocks, errors) in zip(checks, tols, parts)]

@@ -55,7 +55,7 @@ class Scenario:
     spec: MetricSpec
     fields: ScenarioFields
     checks: tuple
-    points: tuple  # resolved sample points, each a 4-tuple
+    points: np.ndarray  # resolved sample points: a read-only (n, 4) float array
     tolerances: Mapping[str, float]
     seed: int
     digest: str  # sha256 over the canonical raw document
@@ -263,7 +263,7 @@ def load_scenario(path) -> Scenario:
     samples = raw["samples"]
     seed = int(samples.get("random", {}).get("seed", 0))
     count = _sample_count(samples)
-    points = ()
+    points = np.empty((0, 4))
     if count > MAX_POINTS:  # found before any point of the grid or random block is made
         problems.append(f"samples: {count} sample points, more than the limit of {MAX_POINTS}")
     elif spec:
@@ -440,25 +440,28 @@ def _sample_count(block: dict) -> int:
             + block.get("random", {}).get("count", 0))
 
 
-def random_points(spec: MetricSpec, count: int, seed: int) -> list:
-    """``count`` points drawn uniformly from ``spec``'s domain box, as 4-tuples of floats.
+def random_points(spec: MetricSpec, count: int, seed: int) -> np.ndarray:
+    """``count`` points drawn uniformly from ``spec``'s domain box, as a (count, 4) float array.
 
     One draw of (count, 4) values: point after point, coordinate after
     coordinate, the same values as one ``rng.uniform(lo, hi)`` call each.
     """
     box = spec.domain_box()
     bounds = np.array([box[c] for c in spec.coords], dtype=float)
-    draws = np.random.default_rng(seed).uniform(bounds[:, 0], bounds[:, 1], size=(count, len(bounds)))
-    return list(map(tuple, draws.tolist()))
+    return np.random.default_rng(seed).uniform(bounds[:, 0], bounds[:, 1], size=(count, len(bounds)))
 
 
-def _resolve_samples(block: dict, sample_points: np.ndarray, spec, problems: list) -> tuple:
+def _resolve_samples(block: dict, points: np.ndarray, spec, problems: list) -> np.ndarray:
+    """``block``'s points (``points``), grid and random draw, checked and joined in one read-only array."""
     box = spec.domain_box()
+    finite = np.isfinite(points)
+    problems += _nonfinite((f"samples.points[{i}][{j}]", points[i, j].item())
+                           for i, j in np.argwhere(~finite).tolist())
     lo, hi = zip(*(_float_bounds(*box[c]) for c in spec.coords))
-    outside = ~((sample_points >= lo) & (sample_points <= hi)).all(axis=1)
-    points = list(map(tuple, sample_points.tolist()))
+    outside = finite.all(axis=1) & ~((points >= lo) & (points <= hi)).all(axis=1)
     for idx in np.flatnonzero(outside).tolist():
-        problems.append(f"samples.points[{idx}]: {points[idx]} outside the domain box {box}")
+        problems.append(f"samples.points[{idx}]: {tuple(points[idx].tolist())} outside the domain box {box}")
+    parts = [points]
 
     grid = block.get("grid")
     if grid:
@@ -473,24 +476,28 @@ def _resolve_samples(block: dict, sample_points: np.ndarray, spec, problems: lis
             axes = []
             for c in spec.coords:
                 lo, hi, count = grid[c]["min"], grid[c]["max"], grid[c]["count"]
-                if not (box[c][0] <= lo <= hi <= box[c][1]):
-                    problems.append(
-                        f"samples.grid.{c}: range [{lo}, {hi}] outside the domain box {box[c]}"
-                    )
-                    axes = None
-                    break
-                axes.append(np.linspace(lo, hi, int(count)))  # the schema's integer may be 2.0
-            if axes is not None:
+                nonfinite = _nonfinite([(f"samples.grid.{c}.min", lo), (f"samples.grid.{c}.max", hi)])
+                if nonfinite:
+                    problems += nonfinite
+                elif lo > hi:
+                    problems.append(f"samples.grid.{c}: lower bound {lo} is above upper bound {hi}")
+                elif not box[c][0] <= lo <= hi <= box[c][1]:
+                    problems.append(f"samples.grid.{c}: range [{lo}, {hi}] outside the domain box {box[c]}")
+                else:
+                    axes.append(np.linspace(lo, hi, int(count)))  # the schema's integer may be 2.0
+            if len(axes) == len(spec.coords):
                 mesh = np.meshgrid(*axes, indexing="ij")
-                points.extend(map(tuple, np.stack([m.ravel() for m in mesh], axis=-1).tolist()))
+                parts.append(np.stack([m.ravel() for m in mesh], axis=-1))
 
     rnd = block.get("random")
     if rnd:
-        points.extend(random_points(spec, int(rnd["count"]), int(rnd.get("seed", 0))))
+        parts.append(random_points(spec, int(rnd["count"]), int(rnd.get("seed", 0))))
 
-    if not points:
+    resolved = np.concatenate(parts)
+    if not len(resolved):
         problems.append("samples: no sample points resolved")
-    return tuple(points)
+    resolved.flags.writeable = False
+    return resolved
 
 
 def _float_bounds(lo, hi) -> tuple:
@@ -511,7 +518,7 @@ def run(
     seed_override: int | None = None,
 ) -> Report:
     """Execute the scenario's checks in order and assemble the report."""
-    points = list(scenario.points)
+    points = scenario.points
     if points_override is not None:
         seed = seed_override if seed_override is not None else scenario.seed
         points = random_points(scenario.spec, points_override, seed)

@@ -173,9 +173,13 @@ def schema_problems(raw, validator=VALIDATOR) -> list:
 def sample_problems(points) -> list:
     """The problems of a point list the schema accepts, tested one value at a time."""
     problems = [] if points else ["samples: no sample points resolved"]
-    for idx, pt in enumerate(points):
-        pt = tuple(float(v) for v in pt)
-        if not all(lo <= v <= hi for (lo, hi), v in zip(MINKOWSKI_BOX.values(), pt)):
+    rows = [tuple(float(v) for v in pt) for pt in points]
+    for idx, pt in enumerate(rows):
+        problems += [f"samples.points[{idx}][{j}]: {v} is not a finite number"
+                     for j, v in enumerate(pt) if not math.isfinite(v)]
+    for idx, pt in enumerate(rows):
+        inside = all(lo <= v <= hi for (lo, hi), v in zip(MINKOWSKI_BOX.values(), pt))
+        if all(map(math.isfinite, pt)) and not inside:
             problems.append(f"samples.points[{idx}]: {pt} outside the domain box {MINKOWSKI_BOX}")
     return problems
 

@@ -195,7 +195,7 @@ def test_grid_expansion_and_count(tmp_path):
     }
     scenario = load_scenario(write_scenario(tmp_path, body))
     assert len(scenario.points) == 6
-    assert scenario.points[0] == (0.0, 0.0, 0.0, 0.0)
+    assert scenario.points[0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def per_coordinate_draws(spec, count, seed) -> list:
@@ -239,6 +239,20 @@ def test_more_sample_points_than_the_limit_is_a_problem(tmp_path, samples):
     assert err.value.problems == [
         f"samples: {MAX_POINTS + 1} sample points, more than the limit of {MAX_POINTS}"]
     assert peak < 8 * 2**20  # no grid or random point was made
+
+
+def test_loaded_points_are_one_read_only_array(tmp_path):
+    path = write_scenario(tmp_path, dict(BASE, samples={"random": {"count": 20_000, "seed": 3}}))
+    load_scenario(path)  # the schema and the metric's caches are made here, not measured below
+    tracemalloc.start()
+    try:
+        scenario = load_scenario(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert type(scenario.points) is np.ndarray and scenario.points.dtype == np.float64
+    assert scenario.points.shape == (20_000, 4) and not scenario.points.flags.writeable
+    assert held <= 2**20  # the 640 kB array; 20 000 tuples of floats held 3.5 MB
 
 
 def test_digest_is_format_insensitive(tmp_path):
@@ -314,7 +328,7 @@ def test_integers_stay_integers_in_the_digest(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, body))
     assert scenario.digest == canonical_digest(body)
     assert scenario.digest != canonical_digest(dict(body, samples={"points": [[0.0, 1.0, -2.0, 2.0]]}))
-    assert scenario.points == ((0.0, 1.0, -2.0, 2.0),)
+    assert scenario.points.tolist() == [[0.0, 1.0, -2.0, 2.0]]
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -324,6 +338,12 @@ def test_nonfinite_scenario_tolerance_is_a_problem(tmp_path, value):
     with pytest.raises(ScenarioValidationError) as err:
         load_scenario(path)
     assert err.value.problems == [f"tolerances.killing: {float(value.lower())} is not a finite number"]
+
+
+def t_grid(lo, hi) -> dict:
+    """BASE's samples and a grid whose t axis runs from ``lo`` to ``hi``, the other axes pinned at 0."""
+    return {**BASE["samples"], "grid": {c: {"min": lo, "max": hi, "count": 1} if c == "t"
+                                        else {"min": 0, "max": 0, "count": 1} for c in "txyz"}}
 
 
 INLINE = {"coords": list("txyz"), "params": {"k": 1.0}, "domain": {c: [-1, 1] for c in "txyz"},
@@ -342,8 +362,13 @@ INLINE = {"coords": list("txyz"), "params": {"k": 1.0}, "domain": {c: [-1, 1] fo
     (dict(BASE, fields={"K": {"t": "x/1e999"}}), "fields.K.components[t]: number '1e999' overflows a float (column 3)"),
     (dict(BASE, metric={"builtin": "schwarzschild", "params": {"M": "inf"}}),
      "metric: schwarzschild mass M must be a finite number, got 'inf'"),
+    (dict(BASE, samples={"points": [[math.nan, 0, 0, 0]]}), "samples.points[0][0]: nan is not a finite number"),
+    (dict(BASE, samples={"points": [[0, 0, 0, 0], [0, 0, -math.inf, 0]]}),
+     "samples.points[1][2]: -inf is not a finite number"),
+    (dict(BASE, samples=t_grid(math.nan, 0)), "samples.grid.t.min: nan is not a finite number"),
+    (dict(BASE, samples=t_grid(0, math.inf)), "samples.grid.t.max: inf is not a finite number"),
 ], ids=["builtin-param", "constant", "inline-param", "inline-component", "field-component", "field-literal",
-        "builtin-param-text"])
+        "builtin-param-text", "point", "point-infinity", "grid-min", "grid-max"])
 def test_nonfinite_scenario_number_exits_2(tmp_path, body, problem):
     # a NaN or an infinity here would fail every point at run time; it is a problem at load
     stderr = io.StringIO()
@@ -648,6 +673,11 @@ def with_coords(coords) -> dict:
     (json.dumps(dict(BASE, samples={"grid": {c: {"min": -1.0, "max": 9.0 if c == "t" else 0, "count": 1}
                                              for c in "txyz"}})).encode(),
      "samples.grid.t: range [-1.0, 9.0] outside the domain box (-3.0, 3.0)"),
+    (json.dumps(dict(BASE, samples=t_grid(1, 0))).encode(), "samples.grid.t: lower bound 1 is above upper bound 0"),
+    (json.dumps(dict(BASE, samples={"points": [[0, math.nan, 0, 0]]})).encode(),
+     "samples.points[0][1]: nan is not a finite number"),
+    (json.dumps(dict(BASE, samples=t_grid(-math.inf, 0))).encode(),
+     "samples.grid.t.min: -inf is not a finite number"),
     (json.dumps(dict(BASE, metric=dict(INLINE, domain={c: [-1, 1] for c in "txy"}))).encode(),
      "metric.domain: missing coordinates ['z']"),
     (json.dumps(dict(BASE, tolerances={"nope": 1e-9})).encode(), "tolerances: unknown check 'nope'"),
@@ -677,6 +707,7 @@ def test_cli_unreadable_scenario_values_exit_two(tmp_path, body, message):
     (("--points", "x"), "argument --points: invalid int value: 'x'"),
     (("--tol", "x"), "argument --tol: invalid float value: 'x'"),
     (("--report", "{tmp}/missing/report.json"), "error: cannot write report: "),
+    (("--report", ""), "error: cannot write report: "),
 ])
 def test_cli_unusable_option_value_exits_two(tmp_path, option, message):
     option = [text.format(tmp=tmp_path) for text in option]

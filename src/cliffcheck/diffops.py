@@ -33,6 +33,11 @@ time (128 kB on a block of 16 points).  numpy sums a contiguous axis of 16
 in SIMD lanes, and a sequential sum of the non-zero terms differs from it
 in the last bits.
 
+A :class:`FieldCalculus` computes each operator without an argument on its
+first call and keeps it: every later call returns the same read-only
+:class:`~cliffcheck.algebra.Multivector`, so the checks on a block share
+one value of each operator per field.  The operators stay plain methods.
+
 A :class:`FieldCalculus` works at one point, or at a block of N points when
 its :class:`~cliffcheck.geometry.GeometryData` is a block: every array then
 has N first (``vals`` (N, 16), ``cov1`` (N, 4, 16), ...), the operators
@@ -49,7 +54,7 @@ alone, and raises as that one point does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Mapping
 
 import numpy as np
@@ -182,9 +187,28 @@ def field_jets(field: MultivectorField, point: np.ndarray, jet: Callable) -> Fie
     return FieldJets(vals, grads, hess, errors)
 
 
+def _once(operator: Callable) -> Callable:
+    """``operator`` run on its first call only: every call returns that first read-only Multivector.
+
+    It stays a plain method under its own name, so a caller that wraps the
+    class's methods wraps it as before.
+    """
+    kept = "_" + operator.__name__
+
+    @wraps(operator)
+    def once(self) -> Multivector:
+        if kept not in self.__dict__:
+            self.__dict__[kept] = operator(self)
+        return self.__dict__[kept]
+
+    return once
+
+
 class FieldCalculus:
     """All operator evaluations for one field at one geometry point, or at a block of them.
 
+    Each operator without an argument is computed on its first call and
+    kept: later calls return the same read-only Multivector.
     :meth:`of_lanes` gives a block whose points each hold a field of their own.
     """
 
@@ -276,22 +300,27 @@ class FieldCalculus:
 
     # -- first-order operators ---------------------------------------------------
 
+    @_once
     def value(self) -> Multivector:
         return Multivector(self.jets.vals)
 
     def covariant_derivative(self, alpha: int) -> Multivector:
         return Multivector(self.cov1[..., alpha, :])
 
+    @_once
     def dirac(self) -> Multivector:
         L = self.gd.metric.tables["L"]
         return Multivector(np.einsum("...amn,...an->...m", L, self.cov1))
 
+    @_once
     def exterior_d(self) -> Multivector:
         return Multivector(np.einsum("amn,...an->...m", blades.WEDGE_OP, self.cov1))
 
+    @_once
     def codifferential(self) -> Multivector:
         return Multivector(-self._contract(self.cov1))
 
+    @_once
     def codifferential_hodge_route(self) -> Multivector:
         """delta via (-1)^p star^{-1} d star, using D_a(star F) = star(D_a F)."""
         pm = self.gd.metric
@@ -321,25 +350,30 @@ class FieldCalculus:
         )
         return val, grad
 
+    @_once
     def exterior_d_squared(self) -> Multivector:
         _, grad = self._d_jet
         return Multivector(np.einsum("amn,...na->...m", blades.WEDGE_OP, grad))
 
+    @_once
     def maxwell_current(self) -> Multivector:
         """J = -delta(dF): the source current when this field is a potential."""
         return Multivector(self._contract(self._cov(*self._d_jet)))
 
+    @_once
     def codifferential_squared(self) -> Multivector:
         return Multivector(-self._contract(self._cov(*self._delta_jet)))
 
     # -- second-order operators -----------------------------------------------------
 
+    @_once
     def covariant_dalembertian(self) -> Multivector:
         gu = self.gd.g_upper
         trace = np.einsum("...ab,...abm->...m", gu, self.cov2)
         corr = np.einsum("...ab,...rab,...rm->...m", gu, self.gd.gamma, self.cov1)
         return Multivector(trace - corr)
 
+    @_once
     def ricci_operator(self) -> Multivector:
         # 1/2 (gamma^a ^ gamma^b) [D_a, D_b] F, the bivector acting by the
         # Clifford product (its grade-raising part dies by the first Bianchi
@@ -358,6 +392,7 @@ class FieldCalculus:
             total = total + blocks[..., k, :]
         return Multivector(0.5 * total)
 
+    @_once
     def hodge_dalembertian(self) -> Multivector:
         """The squared Dirac operator by its first-order route, -(d delta + delta d) F."""
         d_delta = np.einsum("amn,...na->...m", blades.WEDGE_OP, self._delta_jet[1])

@@ -6,10 +6,19 @@ sample points' :class:`BlockContext`, with one value per point (N first).
 One point is the same code without N, and the reference.  A point that
 fails is not computed again: the block's geometry and field jets keep its
 error, and the point gets the error it gets alone (:func:`run_pointwise`).
-:func:`run_checks` visits each block once, computes its geometry and field
-jets once, runs every requested check against them and gathers one
-:class:`ResidualReport` per check, which keeps the results as columns: one
-array per key, one row per point.  Residuals under ``residuals`` gate the
+:func:`run_checks` visits each block once and runs every requested check
+against one :class:`BlockContext`, which computes what several checks read
+once per block: the geometry first, then, when a check first reads them,
+each field's jets and operators, the curvature coupling of a field and the
+potential's :class:`MaxwellTerms` (the sandwiches F gamma_beta F and
+J gamma_beta J, J.J and A.J).  The operators' results and these products
+are read-only and made by the same operations wherever they are read, so
+no report depends on which other checks ran, and
+:func:`sandwich_link_identities`, :func:`energy_momentum_em` and
+:func:`energy_momentum_fluid` give the same bits called on their own.
+:func:`run_checks` gathers one :class:`ResidualReport` per check, which
+keeps the results as columns: one array per key, one row per point.
+Residuals under ``residuals`` gate the
 pass flag; quantities under ``info`` (sampled currents, quadratic roots,
 solution-matching distances) are diagnostics that depend on the supplied
 fields actually solving the coupled system, which hand-built scenarios
@@ -142,10 +151,15 @@ class ResidualReport:
 
 
 class BlockContext:
-    """A block of N sample points, or one point: geometry and one memoized calculator per field.
+    """A block of N sample points, or one point, and what every check on it shares.
 
     Over a block ``gd`` is the block's :class:`GeometryData` and every array
-    has N first; one point is the case without N.
+    has N first; one point is the case without N.  Shared by every check,
+    each computed once: the geometry, and the first time a check reads them
+    its product tables, one :class:`FieldCalculus` per field with each of
+    its operators, the curvature coupling of a field (:meth:`coupling`) and
+    the potential's :class:`MaxwellTerms` (:meth:`maxwell`).  The operators' results and
+    these products are read-only, so no check can change them under another.
     """
 
     def __init__(self, gd: GeometryData, fields: dict, constants: Constants, draw):
@@ -155,6 +169,8 @@ class BlockContext:
         self.draw = draw  # (N, 3, 16) or (3, 16) random inputs of sandwich_identities, or None
         self.asked: list = []  # the calculators handed out, in order, since it was last cleared
         self._calcs: dict = {}
+        self._couplings: dict = {}  # FieldCalculus -> its curvature coupling
+        self._maxwell = None
 
     def calc(self, name: str) -> FieldCalculus:
         """The calculator of field ``name``, shared by every check on this block.
@@ -169,6 +185,20 @@ class BlockContext:
             fc = self._calcs[id(f)] = FieldCalculus(f, self.gd)
         self.asked.append(fc)
         return fc
+
+    def coupling(self, name: str) -> Multivector:
+        """The curvature coupling A^beta R_beta of the 1-form field ``name``, once per calculator."""
+        fc = self.calc(name)
+        if fc not in self._couplings:
+            self._couplings[fc] = _ricci_coupling(self.gd, fc.value())
+        return self._couplings[fc]
+
+    def maxwell(self) -> "MaxwellTerms":
+        """The potential's value, dA and current, with the products of them that checks share."""
+        fc = self.calc("potential")
+        if self._maxwell is None:
+            self._maxwell = MaxwellTerms(self.gd, fc.value(), fc.exterior_d(), fc.maxwell_current())
+        return self._maxwell
 
 
 @dataclass(frozen=True)
@@ -205,10 +235,47 @@ def _ricci_coupling(gd: GeometryData, a: Multivector) -> Multivector:
     return Multivector.oneform((up[..., np.newaxis, :] @ gd.ricci)[..., 0, :])  # A^b R_{b nu}
 
 
-def _einstein_lower(gd: GeometryData) -> np.ndarray:
-    """G_{ab} = R_{ab} - R g_{ab} / 2 at each point."""
-    half_scalar = np.asarray(0.5 * gd.scalar)[..., np.newaxis, np.newaxis]
-    return gd.ricci - half_scalar * gd.g_lower
+def _sandwich(gd: GeometryData, x: Multivector, beta: int) -> Multivector:
+    """The sandwich x gamma_beta x."""
+    pm = gd.metric
+    return pm.clifford(x, pm.clifford(_lowered_basis(gd, beta), x))
+
+
+def _readonly(value):
+    """``value``, an array made read-only or a float as it is."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
+
+
+class MaxwellTerms:
+    """A potential A, its field F = dA and its current J at a block, or at one point.
+
+    The products of them that several checks read are computed the first
+    time one is read and kept, read-only: the sandwiches F gamma_beta F and
+    J gamma_beta J for beta = 0..3 (``einstein`` and ``sandwich_identities``),
+    J.J and A.J.  A product is the same operations on the same operands
+    wherever it is read, so sharing it changes no bit.
+    """
+
+    def __init__(self, gd: GeometryData, a: Multivector, f2: Multivector, j: Multivector):
+        self.gd, self.a, self.f2, self.j = gd, a, f2, j
+
+    @cached_property
+    def em_sandwiches(self) -> tuple:
+        return tuple(_sandwich(self.gd, self.f2, beta) for beta in range(4))
+
+    @cached_property
+    def fluid_sandwiches(self) -> tuple:
+        return tuple(_sandwich(self.gd, self.j, beta) for beta in range(4))
+
+    @cached_property
+    def j_sq(self):
+        return _readonly(self.gd.metric.scalar_product(self.j, self.j))
+
+    @cached_property
+    def a_dot_j(self):
+        return _readonly(self.gd.metric.scalar_product(self.a, self.j))
 
 
 # -- killing / proposition 1 ---------------------------------------------------------
@@ -222,8 +289,8 @@ def _killing(ctx: BlockContext) -> tuple:
 
 
 def _killing_identities(ctx: BlockContext) -> tuple:
-    gd, fc = ctx.gd, ctx.calc("K")
-    rhs = _ricci_coupling(gd, fc.value())
+    fc = ctx.calc("K")
+    rhs = ctx.coupling("K")
     residuals = {
         "lorenz": abs(fc.codifferential().scalar_part),
         "ricci_identity": (fc.ricci_operator() - rhs).sup(),
@@ -241,7 +308,7 @@ def _current(ctx: BlockContext, superconducting: bool) -> tuple:
     fc = ctx.calc("potential")
     current = fc.maxwell_current()
     residuals = {"closed_field": fc.exterior_d_squared().sup()}
-    rhs = 2.0 * _ricci_coupling(ctx.gd, fc.value())
+    rhs = 2.0 * ctx.coupling("potential")
     if superconducting:
         residuals["superconducting"] = (current - rhs).sup()
     info = {
@@ -308,18 +375,12 @@ class EnergyMomentum:
     form_mismatch: float = 0.0  # fluid only: the two printed expressions compared
 
 
-def _sandwich_oneform(gd: GeometryData, x: Multivector, beta: int, half: float) -> tuple:
-    """The sandwich x gamma_beta x and ``half`` times its grade-1 part, a stress 1-form."""
-    pm = gd.metric
-    sandwich = pm.clifford(x, pm.clifford(_lowered_basis(gd, beta), x))
-    return sandwich, half * grade_project(sandwich, 1)
-
-
 def energy_momentum_em(gd: GeometryData, F: Multivector, beta: int) -> EnergyMomentum:
     """Electromagnetic stress 1-form T_beta = -1/2 <F gamma_beta F>_1 and its dual."""
     if F.grades() - {2}:
         raise FieldError("energy_momentum_em expects a 2-form field strength")
-    sandwich, t_form = _sandwich_oneform(gd, F, beta, -0.5)
+    sandwich = _sandwich(gd, F, beta)
+    t_form = -0.5 * grade_project(sandwich, 1)
     return EnergyMomentum(t_form, gd.metric.hodge(t_form), grade_project(sandwich, 3).sup())
 
 
@@ -328,7 +389,8 @@ def energy_momentum_fluid(gd: GeometryData, J: Multivector, alpha: int) -> Energ
     if J.grades() - {1}:
         raise FieldError("energy_momentum_fluid expects a 1-form current")
     pm = gd.metric
-    sandwich, t_form = _sandwich_oneform(gd, J, alpha, 0.5)
+    sandwich = _sandwich(gd, J, alpha)
+    t_form = 0.5 * grade_project(sandwich, 1)
     closure = grade_project(sandwich, 3).sup()
     basis = _lowered_basis(gd, alpha)
     star_t = pm.hodge(t_form)
@@ -345,24 +407,18 @@ def _einstein(ctx: BlockContext) -> tuple:
     Hand-built field configurations generally fail this check unless they
     actually solve the coupled system (flat/empty and vacuum cases do).
     """
-    gd = ctx.gd
-    pm = gd.metric
-    fa = ctx.calc("potential")
-    F = fa.exterior_d()
-    J = fa.maxwell_current()
-    einstein_lower = _einstein_lower(gd)
+    gd, terms = ctx.gd, ctx.maxwell()
     worst = 0.0
     for alpha in range(4):
-        g_form = Multivector.oneform(einstein_lower[..., alpha, :])
-        em = _sandwich_oneform(gd, F, alpha, -0.5)[1]  # energy_momentum_em(...).oneform
-        fluid = _sandwich_oneform(gd, J, alpha, 0.5)[1]  # energy_momentum_fluid(...).oneform
+        g_form = Multivector.oneform(gd.einstein_lower[..., alpha, :])
+        em = -0.5 * grade_project(terms.em_sandwiches[alpha], 1)  # energy_momentum_em(...).oneform
+        fluid = 0.5 * grade_project(terms.fluid_sandwiches[alpha], 1)  # energy_momentum_fluid(...).oneform
         worst = np.maximum(worst, (g_form + em + fluid).sup())  # keeps a NaN
-    j_sq = pm.scalar_product(J, J)
     residuals = {
         "einstein_eq": worst,
-        "trace_equation": abs(gd.scalar - j_sq),
+        "trace_equation": abs(gd.scalar - terms.j_sq),
     }
-    return residuals, {"current": J.oneform_components(), "scalar_curvature": gd.scalar}
+    return residuals, {"current": terms.j.oneform_components(), "scalar_curvature": gd.scalar}
 
 
 # -- structure current, quadratic ------------------------------------------------------
@@ -420,15 +476,13 @@ def _structure_current(ctx: BlockContext) -> list:
     key layout each.
     """
     pm = ctx.gd.metric
-    fa = ctx.calc("potential")
-    aval = fa.value()
-    F = fa.exterior_d()
-    J = fa.maxwell_current()
+    terms = ctx.maxwell()
+    aval, F, J = terms.a, terms.f2, terms.j
     B = pm.clifford(F, pm.clifford(aval, F.reverse()))
     B1 = grade_project(B, 1)
     closure = np.reshape((B - B1).sup(), -1)
     c = np.reshape(pm.scalar_product(aval, B1), -1)
-    consistency = np.reshape((J + B1 - 2.0 * pm.scalar_product(aval, J) * J).sup(), -1)
+    consistency = np.reshape((J + B1 - 2.0 * terms.a_dot_j * J).sup(), -1)
     outcome, disc, roots, count = _structure_roots(c)
     quadratic = np.abs(2.0 * c[:, np.newaxis] * roots * roots + roots + 1.0)
     j, b, f = J.coeffs.reshape(-1, 1, 16), B1.coeffs.reshape(-1, 1, 16), roots[..., np.newaxis]
@@ -459,33 +513,36 @@ def _structure_current(ctx: BlockContext) -> list:
 
 def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, j: Multivector) -> dict:
     """The four algebraic links used by the structure-equation rewrite."""
+    return _sandwich_links(MaxwellTerms(gd, a, f2, j))
+
+
+def _sandwich_links(terms: MaxwellTerms) -> dict:
+    gd, a, f2, j = terms.gd, terms.a, terms.f2, terms.j
     pm = gd.metric
     a_up = _raise_index(gd, a.oneform_components())
 
-    def contracted_sandwich(x: Multivector) -> Multivector:
+    def contracted(sandwiches: tuple) -> Multivector:
         out = Multivector.zero()
         for beta in range(4):
-            out = out + a_up[..., beta] * pm.clifford(x, pm.clifford(_lowered_basis(gd, beta), x))
+            out = out + a_up[..., beta] * sandwiches[beta]
         return out
 
     faf = pm.clifford(f2, pm.clifford(a, f2))
     jaj = pm.clifford(j, pm.clifford(a, j))
-    j_sq = pm.scalar_product(j, j)
-    expansion = jaj - 2.0 * pm.scalar_product(a, j) * j + j_sq * a
+    expansion = jaj - 2.0 * terms.a_dot_j * j + terms.j_sq * a
 
     ricci_sum = Multivector.zero()
     einstein_sum = Multivector.zero()
-    einstein_lower = _einstein_lower(gd)
     for beta in range(4):
         ricci_row = Multivector.oneform(gd.ricci[..., beta, :])
-        einstein_row = Multivector.oneform(einstein_lower[..., beta, :])
+        einstein_row = Multivector.oneform(gd.einstein_lower[..., beta, :])
         ricci_sum = ricci_sum + a_up[..., beta] * ricci_row
         einstein_sum = einstein_sum + a_up[..., beta] * einstein_row
     trace_link = 2.0 * einstein_sum - (2.0 * ricci_sum - gd.scalar * a)
 
     return {
-        "em_sandwich_linearity": (contracted_sandwich(f2) - faf).sup(),
-        "fluid_sandwich_linearity": (contracted_sandwich(j) - jaj).sup(),
+        "em_sandwich_linearity": (contracted(terms.em_sandwiches) - faf).sup(),
+        "fluid_sandwich_linearity": (contracted(terms.fluid_sandwiches) - jaj).sup(),
         "sandwich_expansion": expansion.sup(),
         "einstein_trace_link": trace_link.sup(),
     }
@@ -494,15 +551,11 @@ def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, 
 def _sandwich_identities(ctx: BlockContext) -> tuple:
     """Point-level algebra suite; uses the potential when present, else random inputs."""
     if ctx.fields["potential"] is not None:
-        fa = ctx.calc("potential")
-        a = fa.value()
-        f2 = fa.exterior_d()
-        j = fa.maxwell_current()
-    else:
-        raw = ctx.draw
-        a = grade_project(Multivector(raw[..., 0, :]), 1)
-        f2 = grade_project(Multivector(raw[..., 1, :]), 2)
-        j = grade_project(Multivector(raw[..., 2, :]), 1)
+        return _sandwich_links(ctx.maxwell()), {}
+    raw = ctx.draw
+    a = grade_project(Multivector(raw[..., 0, :]), 1)
+    f2 = grade_project(Multivector(raw[..., 1, :]), 2)
+    j = grade_project(Multivector(raw[..., 2, :]), 1)
     return sandwich_link_identities(ctx.gd, a, f2, j), {}
 
 
@@ -666,6 +719,28 @@ def run_pointwise(
     return PointResult(gd.point, results)
 
 
+def _sandwich_draws(points: np.ndarray, seed: int) -> np.ndarray:
+    """The (n, 3, 16) random inputs of ``sandwich_identities`` at the (n, 4) ``points``.
+
+    One ``uniform(-1, 1)`` draw of (3, 16) per point from ``default_rng(seed)``,
+    in point order, made as one draw of the whole array.  Equal points
+    (``-0.0`` equal to ``0.0``) get one input, the draw of their last
+    occurrence.
+    """
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(len(points), 3, 16))
+    keys = points + 0.0  # -0.0 + 0.0 is 0.0
+    order = np.lexsort(keys.T)  # stable: equal points keep their order
+    ordered = keys[order]
+    last = np.ones(len(points), dtype=bool)  # whether a point in sorted order ends its run
+    last[:-1] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ends = np.flatnonzero(last)
+    source = np.empty(len(points), dtype=np.intp)  # the index of each point's last occurrence
+    source[order] = order[ends[np.searchsorted(ends, np.arange(len(points)))]]
+    moved = np.flatnonzero(source != np.arange(len(points)))
+    draws[moved] = draws[source[moved]]
+    return draws
+
+
 def run_checks(
     spec: MetricSpec,
     fields: ScenarioFields,
@@ -694,18 +769,14 @@ def run_checks(
     points = np.asarray(points, dtype=float).reshape(-1, 4)
     checks = [CHECKS[n] for n in names]
     by_name = {"K": fields.K, "S": fields.S, "V": fields.V, "potential": fields.potential()}
-    draws = {}
-    if by_name["potential"] is None:
-        keys = [tuple(pt) for pt in points.tolist()]  # a repeated point gets one draw
-        rng = np.random.default_rng(seed)
-        draws = {key: rng.uniform(-1.0, 1.0, size=(3, 16)) for key in keys}
+    draws = _sandwich_draws(points, seed) if by_name["potential"] is None else None
     parts = [([], {}) for _ in checks]  # per check: (first point, layouts) of each block, errors
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         jets = ex.ChunkJets(spec.coords, chunk, spec.params)
         for first in range(0, len(chunk), BLOCK):
             stop = min(first + BLOCK, len(chunk))
-            block_draws = np.stack([draws[k] for k in keys[start + first:start + stop]]) if draws else None
+            block_draws = None if draws is None else draws[start + first:start + stop]
             result = run_pointwise(spec, checks, tols, by_name, fields.constants,
                                    block_draws, jets, first, stop)
             for (blocks, errors), (_, _, layouts, failed) in zip(parts, result.checks):

@@ -133,6 +133,14 @@ class GeometryData:
         return self.g_upper @ self.ricci  # R^m_n
 
     @cached_property
+    def einstein_lower(self) -> np.ndarray:
+        """G_{ab} = R_{ab} - R g_{ab} / 2, read-only."""
+        half_scalar = np.asarray(0.5 * self.scalar)[..., np.newaxis, np.newaxis]
+        einstein = self.ricci - half_scalar * self.g_lower
+        einstein.flags.writeable = False
+        return einstein
+
+    @cached_property
     def ricci_oneforms(self) -> tuple:
         """The 4 Multivectors R^mu_nu gamma^nu."""
         return tuple(Multivector.oneform(self._mixed_ricci[..., mu, :]) for mu in range(4))

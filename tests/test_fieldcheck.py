@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -14,7 +15,8 @@ from cliffcheck import diffops
 from cliffcheck import expr as ex
 from cliffcheck import fieldcheck as fch
 from cliffcheck import geometry as geo
-from cliffcheck.algebra import Multivector, grade_project
+from cliffcheck import runner
+from cliffcheck.algebra import Multivector, PointMetric, grade_project
 from cliffcheck.diffops import FieldCalculus, MultivectorField
 from cliffcheck.errors import CliffcheckError, FieldError
 
@@ -311,15 +313,15 @@ def test_einstein_schwarzschild_vacuum():
 def test_einstein_nan_for_one_index_is_a_point_error(monkeypatch):
     # the worst structure-equation residual over the four indices keeps a NaN
     # (here in the electromagnetic stress 1-form of index 2)
-    real = fch._sandwich_oneform
+    real = fch._sandwich
 
-    def nan_at_index_2(gd, x, beta, half):
-        sandwich, t_form = real(gd, x, beta, half)
-        if (beta, half) != (2, -0.5):
-            return sandwich, t_form
-        return sandwich, t_form * np.nan
+    def nan_at_index_2(gd, x, beta):
+        sandwich = real(gd, x, beta)
+        if beta != 2 or x.grades() != {2}:
+            return sandwich
+        return sandwich * np.nan
 
-    monkeypatch.setattr(fch, "_sandwich_oneform", nan_at_index_2)
+    monkeypatch.setattr(fch, "_sandwich", nan_at_index_2)
     A = field({"x": "t*y"}, MINK)
     report = run_check("einstein", MINK, fch.ScenarioFields(A=A), MINK_PTS, 1e-8)
     assert [r["error"] for r in records(report)] == ["non-finite residual 'einstein_eq'"] * 3
@@ -498,6 +500,38 @@ def test_sandwich_identities_random_inputs():
     assert report.passed, check_dict(report)
 
 
+def dict_draws(points, seed):
+    """One (3, 16) draw per point into a dict keyed by the point's tuple: the reference."""
+    keys = [tuple(pt) for pt in np.asarray(points).tolist()]
+    rng = np.random.default_rng(seed)
+    draws = {key: rng.uniform(-1.0, 1.0, size=(3, 16)) for key in keys}
+    return np.stack([draws[key] for key in keys])
+
+
+def test_sandwich_draws_are_one_draw_per_point_and_one_per_repeated_point():
+    rng = np.random.default_rng(6)
+    points = rng.integers(-1, 2, size=(300, 4)) * 0.5  # few distinct points, each repeated
+    points[rng.random(points.shape) < 0.5] *= -1.0  # and 0.0 as -0.0 in places
+    zeros = points[points == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert fch._sandwich_draws(points, 3).tobytes() == dict_draws(points, 3).tobytes()
+    distinct = rng.uniform(-1.0, 1.0, size=(40, 4))
+    assert fch._sandwich_draws(distinct, 3).tobytes() == dict_draws(distinct, 3).tobytes()
+
+
+def test_sandwich_draws_take_about_the_memory_of_the_draw():
+    # the (200000, 3, 16) draw is 76.8 MB; the dict of per-point draws peaked at
+    # 3.4 times that under tracemalloc, and these bulk draws at 1.27 times
+    points = np.random.default_rng(8).uniform(-1.0, 1.0, size=(200_000, 4))
+    tracemalloc.start()
+    try:
+        draws = fch._sandwich_draws(points, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * draws.nbytes
+
+
 def test_sandwich_identities_with_supplied_potential():
     fields = fch.ScenarioFields(K=field({"x": "-t^2"}, FLRW))
     report = run_check("sandwich_identities", FLRW, fields, FLRW_PTS, 1e-10)
@@ -531,20 +565,78 @@ def test_potential_derived_from_killing():
 
 
 def test_checks_run_together_match_each_alone():
-    # the ten checks share one geometry and one calculator per field at each
-    # point; a check that mutated a shared cached array would show up here
+    # the ten checks share one geometry, one calculator per field and the
+    # products of the block context; a check that changed what another reads,
+    # or read what only another computes, would show here.  Two blocks; K,
+    # which is also the potential, cannot be evaluated at the point with t < 0.
     fields = fch.ScenarioFields(
-        K=field({"t": "1-2*M/r"}, SCHW),
+        K=field({"t": "1-2*M/r+0*log(t)"}, SCHW),
         S=field({"1": "t"}, SCHW),
         V=field({"t": "sqrt(1-2*M/r)"}, SCHW),
     )
+    points = np.random.default_rng(12).uniform([0.1, 2.5, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2], size=(20, 4))
+    points[17, 0] = -1.0
+    assert len(points) > fch.BLOCK
+
+    def texts(names):
+        reports = fch.run_checks(SCHW, fields, names, points, [1e-8] * len(names))
+        assert [r.check for r in reports] == names
+        return {r.check: runner._check_text(r, "", {}) for r in reports}
+
     names = list(fch.CHECKS)
-    alone = {name: check_dict(run_check(name, SCHW, fields, SCHW_PTS, 1e-8)) for name in names}
+    alone = {name: texts([name])[name] for name in names}
+    assert '"error": "log of non-positive value' in alone["killing"]
     for order in (names, names[::-1]):
-        together = fch.run_checks(SCHW, fields, order, SCHW_PTS, [1e-8] * len(order))
-        assert [r.check for r in together] == order
-        for report in together:
-            assert check_dict(report) == alone[report.check], report.check
+        assert texts(order) == alone
+
+
+OPERATORS = ("value", "dirac", "exterior_d", "codifferential", "codifferential_hodge_route",
+             "exterior_d_squared", "maxwell_current", "codifferential_squared",
+             "covariant_dalembertian", "ricci_operator", "hodge_dalembertian")  # FieldCalculus's, without argument
+
+
+def test_one_block_computes_each_operator_and_shared_product_once(monkeypatch):
+    # all ten checks on one Schwarzschild block of 16 points
+    body_runs = Counter()  # (operator, calculator) -> runs of the operator's body
+
+    class Counted(Multivector):
+        __slots__ = ()
+
+        def __init__(self, coeffs):
+            caller = sys._getframe(1)  # each operator's body builds its one result here
+            if caller.f_code.co_name in OPERATORS:
+                body_runs[caller.f_code.co_name, id(caller.f_locals["self"])] += 1
+            super().__init__(coeffs)
+
+    products = []
+    clifford = PointMetric.clifford
+    monkeypatch.setattr(diffops, "Multivector", Counted)
+    monkeypatch.setattr(PointMetric, "clifford", lambda pm, a, b: products.append(1) or clifford(pm, a, b))
+    fields = {"K": field({"t": "1-2*M/r"}, SCHW), "S": field({"1": "t"}, SCHW),
+              "V": field({"t": "sqrt(1-2*M/r)"}, SCHW)}
+    fields["potential"] = fields["K"]
+    points = np.random.default_rng(4).uniform([-3.0, 2.5, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2], size=(16, 4))
+    ctx = fch.BlockContext(geo.curvature(SCHW, points), fields, fch.Constants(), None)
+    for check in fch.CHECKS.values():
+        fch.check_columns(ctx, check)
+
+    assert body_runs and max(body_runs.values()) == 1
+    # 2 products per sandwich x gamma_beta x, for x = dA and J and beta = 0..3, read by
+    # einstein and sandwich_identities; 2 each for F A F and J A J (sandwich_identities)
+    # and for B = F A rev(F) (structure_current)
+    assert len(products) == 2 * 2 * 4 + 2 * 2 + 2
+
+    calcs = {id(fc): fc for fc in ctx._calcs.values()}
+    assert len(calcs) == 3  # K is the potential
+    assert len(body_runs) == 7 + 3 + 3  # the operators that K, S and V are read by
+
+    terms = ctx.maxwell()
+    shared = [getattr(calcs[fc], name)() for name, fc in body_runs]
+    assert all(getattr(calcs[fc], name)() is out for (name, fc), out in zip(body_runs, shared))
+    shared += [*terms.em_sandwiches, *terms.fluid_sandwiches, ctx.coupling("K")]
+    for array in [mv.coeffs for mv in shared] + [terms.j_sq, terms.a_dot_j, ctx.gd.einstein_lower]:
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def test_worst_point_is_an_argmax_over_every_layout_and_key():

@@ -30,7 +30,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import blades
-from .errors import DegenerateMetricError, SignatureError, point_errors
+from .errors import DegenerateMetricError, SignatureError, block_errors, point_errors
 
 _EYE16 = np.eye(blades.N_BLADES)
 
@@ -248,6 +248,19 @@ class PointMetric:
 
     def __setattr__(self, name, value):
         raise AttributeError("PointMetric is immutable")
+
+    def block(self, start: int, stop: int) -> "PointMetric":
+        """Metrics ``start:stop`` of this block, not checked again.
+
+        Its attributes are read-only views of this block's, ``errors`` are
+        those metrics' numbered from 0, and its tables are built for them
+        alone when read, as for those metrics' own block.
+        """
+        out = object.__new__(PointMetric)
+        _set_slots(out, **{name: readonly_rows(getattr(self, name), start, stop)
+                           for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian")},
+                   errors=block_errors(self.errors, start, stop), _tables={})
+        return out
 
     # -- tables ------------------------------------------------------------
 
@@ -526,6 +539,13 @@ def _metric_error(check: int, det_cot: float, det_tan: float) -> Exception:
 def _set_slots(obj, **values) -> None:
     for name, value in values.items():
         object.__setattr__(obj, name, value)
+
+
+def readonly_rows(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``arr[start:stop]``, a view that cannot be written through."""
+    rows = arr[start:stop]
+    rows.flags.writeable = False
+    return rows
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

@@ -80,3 +80,8 @@ def point_errors(fails, error) -> dict:
     if one:
         raise errors[0]
     return errors
+
+
+def block_errors(errors: dict, start: int, stop: int) -> dict:
+    """The errors of points ``start:stop`` of ``errors``, numbered from 0, in the same order."""
+    return {k - start: err for k, err in errors.items() if start <= k < stop}

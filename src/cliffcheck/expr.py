@@ -17,16 +17,25 @@ Evaluation gives second-order jets (:func:`evaluate_jet2`): value,
 gradient and Hessian with respect to the four chart coordinates, exact to
 machine precision.  Parameters are constants.
 
-Jets are evaluated at one point or at N points in one pass over the tree's
-nodes in post-order (:func:`_fold`), children before parents.  A point of
-shape (4,) gives a :class:`Jet2` with ``val`` a float, ``grad`` (4,) and
-``hess`` (4, 4); points of shape (N, 4) give ``val`` (N,), ``grad`` (N, 4)
-and ``hess`` (N, 4, 4).  Lane i is bitwise equal to evaluating point i alone.
-The pass keeps, per point, the first operation in tree order that fails
-there: one point raises its error, and N points keep it in ``Jet2.errors``
-with a zero jet for that point.  :class:`ChunkJets` evaluates each
-expression asked for once over a chunk of points and hands its jets out a
-block of points at a time.
+Jets are evaluated at one point or at N points, children before parents,
+each distinct subtree of a tree once (:class:`_Tape`,
+:meth:`_Walk.evaluate`): subtrees are equal by structure (node types,
+labels, a number by its bits), not by object, and a subtree's jet is held
+only until its last reader is evaluated.  A point of shape (4,) gives a
+:class:`Jet2` with ``val`` a float, ``grad`` (4,) and ``hess`` (4, 4);
+points of shape (N, 4) give ``val`` (N,), ``grad`` (N, 4) and ``hess``
+(N, 4, 4).  Lane i is bitwise equal to evaluating point i alone.  One
+point raises the error of the first operation in tree order that fails
+there.  Over N points each subtree keeps, per point, the first operation
+in its own tree order that fails there, so a shared subtree gives each
+tree holding it that tree's first error, in ``Jet2.errors``, with a zero
+jet for that point.  Over N points ``sin``, ``cos`` and ``sqrt`` are
+numpy's functions, which give ``math``'s bits, and the lanes where
+``math`` raises are masked with its error; the other functions, and all
+of them at one point, are ``math``'s, one lane at a time.
+:class:`ChunkJets` evaluates each expression asked for, and each distinct
+subtree of the expressions it is given, once over a chunk of points and
+hands the jets out a block of points at a time.
 
 This module is the one place where a source becomes a tree: :func:`tree`
 parses a string or makes a constant of a number, and :func:`parse` keeps
@@ -44,7 +53,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainEvalError, ExprError, ParseError, UnboundIdentifierError
+from .errors import DomainEvalError, ExprError, ParseError, UnboundIdentifierError, block_errors
 
 # -- AST ---------------------------------------------------------------------
 
@@ -382,26 +391,141 @@ class Jet2:
 # one point a float, (4,) and (4, 4); over N points (N,), (4, N) and (4, 4, N).
 # The same arithmetic serves both.  Sums, products and quotients are
 # elementwise, in the same order, so every lane is bitwise what that point
-# alone gives.  numpy transcendentals and ``**`` are not (they may differ in
-# the last ulp), so function values and derivative scalars are computed lane
-# by lane with ``math`` and Python floats (:func:`_per_lane`).
+# alone gives.  Most numpy transcendentals and ``**`` are not (they may differ
+# in the last ulp, by SIMD dispatch level), so function values and derivative
+# scalars are computed lane by lane with ``math`` and Python floats
+# (:func:`_per_lane`); ``sin``, ``cos`` and ``sqrt`` over N lanes are the
+# exceptions (:data:`_LANES_JET`).
+
+
+class _Tape:
+    """The distinct subtrees of some expression trees, each once, and the jets still to be read.
+
+    A subtree is keyed by its node's type and label (a number by its bits)
+    and its children's serial numbers, so structurally equal subtrees have
+    one serial; a child's serial is below its parent's.  ``left[s]`` counts
+    the reads of subtree ``s`` still to come, one by each distinct parent
+    and one per tree added with it as root.  At one set of points
+    (:meth:`_Walk.evaluate`) a subtree's jet is kept in ``kept`` while
+    reads of it are left, and dropped at its last, so a subtree read once
+    is held only until its parent is evaluated.  A tree not added before it
+    is evaluated is added then.
+    """
+
+    def __init__(self, trees: Sequence[Expr] = ()):
+        self._serials: dict = {}  # (node type, label, *children's serials) -> serial
+        self._roots: dict = {}  # id(tree) -> (tree, serial), kept with the tree so its id is not reused
+        self.steps: list = []  # serial -> (node, children's serials)
+        self.left: list = []
+        self.kept: dict = {}  # serial -> (jet, errors, failed) of a subtree that will be read again
+        for e in trees:
+            self.root(e)
+
+    def root(self, e: Expr) -> int:
+        """The serial of tree ``e``, whose subtrees are added when ``e`` is new here."""
+        if id(e) not in self._roots:
+            serials, steps = [], self.steps  # serials: those of the subtrees whose parent comes later
+            for node, k in zip(*_postorder(e)):
+                kind = type(node)
+                key = (kind, float(node.value).hex() if kind is Num else node.label, *serials[len(serials) - k:])
+                del serials[len(serials) - k:]
+                serial = self._serials.setdefault(key, len(steps))
+                if serial == len(steps):
+                    steps.append((node, key[2:]))
+                    self.left.append(0)
+                    for kid in key[2:]:
+                        self.left[kid] += 1
+                serials.append(serial)
+            self.left[serials[0]] += 1
+            self._roots[id(e)] = (e, serials[0])
+        return self._roots[id(e)][1]
 
 
 class _Walk:
-    """One evaluation of an expression tree at one point or at N points.
+    """One evaluation of expression trees at one point or at N points.
 
-    ``errors`` keeps, per point, the error of the first operation in tree
-    order that fails there, and ``failed`` marks those points.  A failed
-    lane computes on with whatever values it holds and is zeroed at the
-    end (:func:`evaluate_jet2`); one point raises its error at once.
+    Each subtree's entry is its jet and, per point, the error of the first
+    operation in that subtree's tree order that fails there (``errors``),
+    with those points marked (``failed``).  While a node is evaluated
+    ``errors`` and ``failed`` hold its children's, and the node's own
+    failures are added to points not failed before.  A failed lane computes
+    on with whatever values it holds and is zeroed at the end
+    (:func:`evaluate_jet2`); one point raises its error at once.
     """
 
-    def __init__(self, names: Mapping[str, tuple], coords: Sequence[str], lanes: tuple):
-        self.names = names
+    def __init__(self, coords: Sequence[str], points: np.ndarray, params: Mapping[str, float] | None):
+        self.lanes = lanes = points.shape[:-1]
         self.coord_names = frozenset(coords)
-        self.lanes = lanes
-        self.failed = np.zeros(lanes, dtype=bool)
+        self.failed = self.none_failed = np.zeros(lanes, dtype=bool)
         self.errors: dict = {}
+        # the derivatives of every constant: shared, as no operation writes into its operands
+        self.zero_grad, self.zero_hess = np.zeros((4,) + lanes), np.zeros((4, 4) + lanes)
+        vals = points.T.copy() if lanes else points.tolist()  # vals[axis]: that coordinate's values
+        units = np.zeros((4, 4) + lanes)
+        units[range(4), range(4)] = 1.0
+        self.names = {name: (vals[axis], units[axis], self.zero_hess) for axis, name in enumerate(coords)}
+        for name, value in (params or {}).items():
+            self.names[name] = self.const(value)
+
+    def const(self, v: float) -> tuple:
+        """The jet of the constant ``v``."""
+        return (np.full(self.lanes, float(v)) if self.lanes else float(v)), self.zero_grad, self.zero_hess
+
+    def evaluate(self, tape: _Tape, root: int) -> tuple:
+        """The entry ``(jet, errors, failed)`` of subtree ``root`` of ``tape``.
+
+        Depth first with a stack, children left to right before their
+        parent, skipping a subtree whose jet the tape keeps.  A serial ``s``
+        on the stack asks for the subtree, ``~s`` for its node once its
+        children's entries end ``done``.
+        """
+        steps, left, kept = tape.steps, tape.left, tape.kept
+        done, todo = [], [root]
+        while todo:
+            s = todo.pop()
+            if s < 0:
+                s = ~s
+                node, kids = steps[s]
+                entry = self.node(node, done[len(done) - len(kids):])
+                del done[len(done) - len(kids):]
+            elif s in kept:
+                entry = kept[s]
+            elif steps[s][1]:
+                todo.append(~s)
+                todo.extend(reversed(steps[s][1]))
+                continue
+            else:  # a leaf
+                entry = self.node(steps[s][0], [])
+            left[s] -= 1
+            owned = left[s] <= 0  # this is its last read: its parent may take over its errors
+            if owned:
+                kept.pop(s, None)
+            else:
+                kept[s] = entry
+            done.append((*entry, owned))
+        return done[0][:3]
+
+    def node(self, e: Expr, kids: list) -> tuple:
+        """The entry of node ``e`` from its children's entries ``(jet, errors, failed, owned)``.
+
+        A point keeps the error of the leftmost child failing there.  The
+        children's largest error dict is taken over, or copied if another
+        subtree will read it, and the others' written into it.
+        """
+        self.errors, self.failed = {}, self.none_failed  # failed is replaced, never written into
+        failing = [kid for kid in kids if kid[1]] if self.lanes else ()  # one point raises at once
+        if failing:
+            at = max(range(len(failing)), key=lambda k: len(failing[k][1]))
+            _, errors, self.failed, owned = failing[at]
+            self.errors = errors if owned else dict(errors)
+            for _, errors, failed, _ in reversed(failing[:at]):  # the leftmost last, so it wins
+                self.errors.update(errors)
+                self.failed = self.failed | failed
+            for _, errors, failed, _ in failing[at + 1:]:
+                for k, err in errors.items():
+                    self.errors.setdefault(k, err)
+                self.failed = self.failed | failed
+        return self.step(e, *[kid[0] for kid in kids]), self.errors, self.failed
 
     def reject(self, mask, error: Callable[[], ExprError]) -> None:
         """Fail, with ``error()``, the points where ``mask`` holds and no earlier error did."""
@@ -416,16 +540,16 @@ class _Walk:
         self.reject(mask, lambda: DomainEvalError(message, serialize(site)))
 
     def step(self, e: Expr, *args) -> tuple:
-        """The jet of node ``e`` from its children's jets (see :func:`_fold`)."""
+        """The jet of node ``e`` from its children's jets (see :meth:`evaluate`)."""
         lanes = self.lanes
         if isinstance(e, Num):
-            return _const(e.value, lanes)
+            return self.const(e.value)
         if isinstance(e, Var):
             if e.name in self.names:
                 return self.names[e.name]
             self.reject(True, lambda: UnboundIdentifierError(
                 f"identifier '{e.name}' is neither a coordinate nor a parameter"))
-            return _const(0.0, lanes)
+            return self.const(0.0)
         if isinstance(e, Neg):
             v, g, h = args[0]
             return -v, -g, -h
@@ -446,12 +570,9 @@ class _Walk:
         if e.func == "sqrt":
             self.domain(a[0] < 0.0, "sqrt of negative value", e)
             self.domain(a[0] == 0.0, "sqrt not differentiable at zero", e)
+        if lanes and e.func in _LANES_JET:
+            return _chain(a, *_LANES_JET[e.func](a[0], e, self))
         return _chain(a, *_per_lane(_UNARY_JET[e.func], a[0], e, self))
-
-
-def _const(v: float, lanes: tuple) -> tuple:
-    val = np.full(lanes, float(v)) if lanes else float(v)
-    return val, np.zeros((4,) + lanes), np.zeros((4, 4) + lanes)
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
@@ -524,6 +645,31 @@ _UNARY_JET = {
     "tanh": lambda v: (math.tanh(v), 1.0 - math.tanh(v) ** 2, -2.0 * math.tanh(v) * (1.0 - math.tanh(v) ** 2)),
 }
 
+
+def _sin_lanes(v: np.ndarray, site: Expr, walk: _Walk) -> tuple:
+    walk.domain(np.isinf(v), "infinite argument", site)  # where math.sin raises
+    s = np.sin(v)
+    return s, np.cos(v), -s
+
+
+def _cos_lanes(v: np.ndarray, site: Expr, walk: _Walk) -> tuple:
+    walk.domain(np.isinf(v), "infinite argument", site)
+    c = np.cos(v)
+    return c, -np.sin(v), -c
+
+
+def _sqrt_lanes(v: np.ndarray, site: Expr, walk: _Walk) -> tuple:
+    s = np.sqrt(v)  # the negative and zero lanes are rejected before
+    product = s * v
+    walk.domain(product == 0.0, "underflow", site)  # where the Python float division raises
+    return s, 0.5 / s, -0.25 / product
+
+
+# ``_UNARY_JET`` over N lanes with numpy's functions, which give math's bits
+# (held by tests at the host's and numpy's baseline SIMD dispatch), and the
+# lanes where math raises rejected with the error :func:`_per_lane` gives
+_LANES_JET = {"sin": _sin_lanes, "cos": _cos_lanes, "sqrt": _sqrt_lanes}
+
 FUNCTIONS = {**dict.fromkeys(_UNARY_JET, 1), "pow": 2}  # the functions a source may call: name -> arity
 
 
@@ -537,9 +683,9 @@ def _small_int_exponent(expo: float, expo_node: Expr, coord_names: frozenset) ->
 
 def _int_pow(a: tuple, n: int, site: Expr, walk: _Walk) -> tuple:
     if n == 0:
-        return _const(1.0, np.shape(a[0]))
+        return walk.const(1.0)
     if n < 0:
-        return _div(_const(1.0, np.shape(a[0])), _int_pow(a, -n, site, walk), site, walk)
+        return _div(walk.const(1.0), _int_pow(a, -n, site, walk), site, walk)
     out = a
     for _ in range(n - 1):
         out = _mul(out, a)
@@ -563,6 +709,7 @@ def evaluate_jet2(
     coords: Sequence[str],
     point: Sequence[float] | np.ndarray,
     params: Mapping[str, float] | None = None,
+    tape: _Tape | None = None,
 ) -> Jet2:
     """Evaluate value, gradient and Hessian at ``point`` (coordinate order).
 
@@ -570,26 +717,22 @@ def evaluate_jet2(
     has the matching shapes (see :class:`Jet2`).  Lane i of a batch is
     bitwise equal to evaluating point i alone.  One point raises the error
     of its first failing operation in tree order; a batch raises nothing and
-    gives each failing point that error in ``errors``.
+    gives each failing point that error in ``errors``, in point order.
+
+    Each distinct subtree of ``e`` is evaluated once.  ``tape`` keeps the
+    jets of subtrees shared with trees evaluated later at the same
+    coordinates, points and parameters (:class:`ChunkJets`); by default
+    nothing is kept past the call.
     """
-    pts = np.asarray(point, dtype=float)
-    lanes = pts.shape[:-1]
-    vals = pts.T.copy() if lanes else pts.tolist()  # vals[axis]: that coordinate's values
-    units = np.zeros((4, 4) + lanes)
-    units[range(4), range(4)] = 1.0
-    hess = np.zeros((4, 4) + lanes)  # shared: no operation writes into its operands
-    names = {name: (vals[axis], units[axis], hess) for axis, name in enumerate(coords)}
-    for name, value in (params or {}).items():
-        names[name] = _const(value, lanes)
-    walk = _Walk(names, coords, lanes)
+    walk = _Walk(coords, np.asarray(point, dtype=float), params)
+    tape = _Tape() if tape is None else tape
     with np.errstate(all="ignore"):  # non-finite lanes are judged downstream
-        val, grad, hess = _fold(e, walk.step)
-    if not lanes:
+        (val, grad, hess), errors, failed = walk.evaluate(tape, tape.root(e))
+    if not walk.lanes:
         return Jet2(val, grad, hess)
-    if walk.errors:
-        failed = walk.failed
+    if errors:
         val, grad, hess = np.where(failed, 0.0, val), np.where(failed, 0.0, grad), np.where(failed, 0.0, hess)
-    return Jet2(val, grad.T, hess.transpose(2, 0, 1), walk.errors)
+    return Jet2(val, grad.T, hess.transpose(2, 0, 1), dict(sorted(errors.items())))
 
 
 def point_jets(coords: Sequence[str], point, params: Mapping[str, float] | None = None
@@ -605,20 +748,26 @@ class ChunkJets:
     function from an expression to its jets there, with the errors of those
     points (see :func:`evaluate_jet2`).  Each expression is evaluated for the
     whole chunk the first time a block asks for it, and never if none does.
+    The subtrees of ``sources``, the expressions blocks may ask for, are one
+    :class:`_Tape`: each distinct subtree of those asked for is evaluated
+    once for the chunk, and its jet is kept only while a source not yet
+    evaluated holds it.
     """
 
-    def __init__(self, coords: Sequence[str], points, params: Mapping[str, float] | None = None):
+    def __init__(self, coords: Sequence[str], points, params: Mapping[str, float] | None = None,
+                 sources: Sequence[Expr] = ()):
         self.coords = tuple(coords)
         self.points = np.asarray(points, dtype=float)
         self.params = params
         self._jets: dict = {}  # id(expr) -> (expr, chunk jet)
+        self._tape = _Tape(sources)
 
     def block(self, start: int, stop: int) -> Callable[[Expr], Jet2]:
         return partial(self._jet, start, stop)
 
     def _jet(self, start: int, stop: int, e: Expr) -> Jet2:
         if id(e) not in self._jets:  # kept with its expression, so the id is not reused
-            self._jets[id(e)] = (e, evaluate_jet2(e, self.coords, self.points, self.params))
+            self._jets[id(e)] = (e, evaluate_jet2(e, self.coords, self.points, self.params, self._tape))
         _, jet = self._jets[id(e)]
-        errors = {k - start: err for k, err in jet.errors.items() if start <= k < stop}
-        return Jet2(jet.val[start:stop], jet.grad[start:stop], jet.hess[start:stop], errors)
+        return Jet2(jet.val[start:stop], jet.grad[start:stop], jet.hess[start:stop],
+                    block_errors(jet.errors, start, stop))

@@ -6,12 +6,16 @@ sample points' :class:`BlockContext`, with one value per point (N first).
 One point is the same code without N, and the reference.  A point that
 fails is not computed again: the block's geometry and field jets keep its
 error, and the point gets the error it gets alone (:func:`run_pointwise`).
-:func:`run_checks` visits each block once and runs every requested check
-against one :class:`BlockContext`, which computes what several checks read
-once per block: the geometry first, then, when a check first reads them,
-each field's jets and operators, the curvature coupling of a field and the
+:func:`run_checks` computes the expression jets and the geometry once per
+chunk of :data:`CHUNK` points, then visits each block of :data:`BLOCK`
+points of the chunk once and runs every requested check against one
+:class:`BlockContext`.  It holds the block's slice of the chunk's geometry
+(:meth:`GeometryData.block`) and computes what several checks read once
+per block, when a check first reads them: the product tables, each
+field's jets and operators, the curvature coupling of a field and the
 potential's :class:`MaxwellTerms` (the sandwiches F gamma_beta F and
-J gamma_beta J, J.J and A.J).  The operators' results and these products
+J gamma_beta J, J.J and A.J).  These stay per block, as they take far
+more memory a point than the geometry.  The operators' results and these products
 are read-only and made by the same operations wherever they are read, so
 no report depends on which other checks ran, and
 :func:`sandwich_link_identities`, :func:`energy_momentum_em` and
@@ -153,12 +157,13 @@ class ResidualReport:
 class BlockContext:
     """A block of N sample points, or one point, and what every check on it shares.
 
-    Over a block ``gd`` is the block's :class:`GeometryData` and every array
-    has N first; one point is the case without N.  Shared by every check,
-    each computed once: the geometry, and the first time a check reads them
-    its product tables, one :class:`FieldCalculus` per field with each of
-    its operators, the curvature coupling of a field (:meth:`coupling`) and
-    the potential's :class:`MaxwellTerms` (:meth:`maxwell`).  The operators' results and
+    Over a block ``gd`` is the block's :class:`GeometryData` (in the point
+    loop a slice of its chunk's) and every array has N first; one point is
+    the case without N.  Shared by every check, each computed once: the
+    geometry, and the first time a check reads them its product tables, one
+    :class:`FieldCalculus` per field with each of its operators, the
+    curvature coupling of a field (:meth:`coupling`) and the potential's
+    :class:`MaxwellTerms` (:meth:`maxwell`).  The operators' results and
     these products are read-only, so no check can change them under another.
     """
 
@@ -604,8 +609,8 @@ def requirement_problems(name: str, fields: ScenarioFields, unparsed=frozenset()
     return problems
 
 
-CHUNK = 256  # sample points whose expression jets are evaluated together
-BLOCK = 16  # points of a chunk whose geometry, tables and checks are computed together
+CHUNK = 256  # sample points whose expression jets and geometry are computed together
+BLOCK = 16  # points of a chunk whose tables, operators and checks are computed together
 
 
 PointError = namedtuple("PointError", "error")  # a point of a check as PointResult.records counts it
@@ -683,28 +688,24 @@ def _joined(parts: list) -> list:
 
 
 def run_pointwise(
-    spec: MetricSpec,
+    gd: GeometryData,
     checks: Sequence[Check],
     tols: Sequence[float],
     fields: dict,
     constants: Constants,
     draws,
-    jets: ex.ChunkJets,
-    first: int,
-    stop: int,
 ) -> PointResult:
     """Run ``checks`` on one block of points against one shared :class:`BlockContext`.
 
-    The block is points ``first:stop`` of the chunk whose jets are ``jets``;
-    ``draws`` are their (N, 3, 16) random inputs of ``sandwich_identities``,
-    or None.  The block's geometry is computed here and each check runs once
-    on the whole block.  Every point gets what it gets alone: a point the
-    geometry rejects gets its geometry error, and otherwise a check's point
-    gets the error of the first field whose jets that check reads there, if
-    any.  Returns each check's layouts and errors.
+    ``gd`` is the block's geometry, a :meth:`GeometryData.block` of its
+    chunk's, and ``draws`` are the block's (N, 3, 16) random inputs of
+    ``sandwich_identities``, or None.  Each check runs once on the whole
+    block.  Every point gets what it gets alone: a point the geometry
+    rejects gets its geometry error, and otherwise a check's point gets the
+    error of the first field whose jets that check reads there, if any.
+    Returns each check's layouts and errors.
     """
     with np.errstate(all="ignore"):  # non-finite values become point errors in _report
-        gd = curvature(spec, jets.points[first:stop], jet=jets.block(first, stop))
         ctx = BlockContext(gd, fields, constants, draws)
         failed = {i: str(err) for i, err in gd.errors.items()}
         results = []
@@ -717,6 +718,28 @@ def run_pointwise(
                     errors.setdefault(k, str(err))
             results.append((check, tol, layouts, errors))
     return PointResult(gd.point, results)
+
+
+def _chunk_results(spec: MetricSpec, points: np.ndarray, checks: Sequence[Check], tols: Sequence[float],
+                   fields: dict, constants: Constants, draws):
+    """``(first point, PointResult)`` of each block of one chunk of ``points``, in order.
+
+    The chunk's expression jets (:class:`expr.ChunkJets`, given every
+    metric component and every non-zero component of ``fields``, so that
+    their shared subtrees are evaluated once) and geometry are computed
+    once, here; each block runs on its slice of them
+    (:func:`run_pointwise`).  Both are dropped when the last block is done.
+    """
+    sources = [e for row in spec.g_lower for e in row]
+    sources += [e for f in fields.values() if f is not None for e in f.comps if not ex.is_zero(e)]
+    jets = ex.ChunkJets(spec.coords, points, spec.params, sources)
+    with np.errstate(all="ignore"):  # non-finite values become point errors
+        chunk = curvature(spec, points, jet=jets.block(0, len(points)))
+    for first in range(0, len(points), BLOCK):
+        stop = min(first + BLOCK, len(points))
+        gd = chunk.block(first, stop, jets.block(first, stop))
+        block_draws = None if draws is None else draws[first:stop]
+        yield first, run_pointwise(gd, checks, tols, fields, constants, block_draws)
 
 
 def _sandwich_draws(points: np.ndarray, seed: int) -> np.ndarray:
@@ -755,10 +778,12 @@ def run_checks(
     one of; every report holds that one array.  The jets of every metric
     component and of every component of the fields the checks read are
     evaluated for :data:`CHUNK` points at a time, when the first block of
-    the chunk asks for them (:class:`expr.ChunkJets`).  The geometry, the
-    product tables and every check then run on :data:`BLOCK` points of a
-    chunk at a time (:func:`run_pointwise`), and each block is dropped
-    before the next; every point gets exactly the results it gets alone.
+    the chunk asks for them (:class:`expr.ChunkJets`), and so is the
+    geometry (:func:`_chunk_results`).  The product tables and every check
+    then run on :data:`BLOCK` points of a chunk at a time
+    (:func:`run_pointwise`), and each block is dropped before the next,
+    each chunk before the next; every point gets exactly the results it
+    gets alone.
 
     Returns one :class:`ResidualReport` per name, in order.  ``seed`` draws
     the random inputs of ``sandwich_identities`` when no potential is given.
@@ -772,13 +797,9 @@ def run_checks(
     draws = _sandwich_draws(points, seed) if by_name["potential"] is None else None
     parts = [([], {}) for _ in checks]  # per check: (first point, layouts) of each block, errors
     for start in range(0, len(points), CHUNK):
-        chunk = points[start:start + CHUNK]
-        jets = ex.ChunkJets(spec.coords, chunk, spec.params)
-        for first in range(0, len(chunk), BLOCK):
-            stop = min(first + BLOCK, len(chunk))
-            block_draws = None if draws is None else draws[start + first:start + stop]
-            result = run_pointwise(spec, checks, tols, by_name, fields.constants,
-                                   block_draws, jets, first, stop)
+        chunk_draws = None if draws is None else draws[start:start + CHUNK]
+        for first, result in _chunk_results(spec, points[start:start + CHUNK], checks, tols, by_name,
+                                            fields.constants, chunk_draws):
             for (blocks, errors), (_, _, layouts, failed) in zip(parts, result.checks):
                 blocks.append((start + first, layouts))
                 errors.update((start + first + k, err) for k, err in failed.items())

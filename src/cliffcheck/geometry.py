@@ -23,7 +23,9 @@ point, whether it fails and the numbers its message needs, and one
 function formats the message.  One point raises the error of the first
 check it fails; a block raises nothing and keeps that error for each
 rejected point in ``errors``, and every other point is bitwise equal to
-the point alone.
+the point alone.  :meth:`GeometryData.block` cuts a smaller block out of
+a block's bundle without computing anything again, so the point loop
+computes one bundle per chunk of points and hands each block its slice.
 
 The builtin spacetimes are the rows of :data:`CATALOG`, one
 :class:`CatalogEntry` each: chart, domain, diagonal metric and Killing
@@ -42,8 +44,8 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import Multivector, PointMetric, near_singular
-from .errors import ExprError, GeometryError, SingularMetricError, point_errors
+from .algebra import Multivector, PointMetric, near_singular, readonly_rows
+from .errors import ExprError, GeometryError, SingularMetricError, block_errors, point_errors
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,19 @@ class GeometryData:
     jet: Callable  # expression -> its jets at ``point``, as in :func:`metric_at`
     errors: dict = field(default_factory=dict)  # of a block: each point curvature rejects -> its error
 
+    def block(self, start: int, stop: int, jet: Callable) -> "GeometryData":
+        """The bundle of points ``start:stop`` of this block, whose jet source is ``jet``.
+
+        Nothing is computed again: every array is a read-only view of this
+        bundle's, the point metric is its :meth:`~PointMetric.block`, and
+        ``errors`` are those points' numbered from 0.  It is bitwise the
+        bundle :func:`curvature` gives those points alone.
+        """
+        metric = self.metric.block(start, stop)
+        arrays = {name: readonly_rows(getattr(self, name), start, stop) for name in _BLOCK_ARRAYS}
+        return GeometryData(spec=self.spec, g_upper=metric.g, sqrt_abs_det=metric.sqrt_abs_det, metric=metric,
+                            jet=jet, errors=block_errors(self.errors, start, stop), **arrays)
+
     @cached_property
     def _mixed_ricci(self) -> np.ndarray:
         return self.g_upper @ self.ricci  # R^m_n
@@ -175,6 +190,10 @@ class GeometryData:
         ``blades.SUB_POSITIONS[p]``; every other entry of d_s Gop[a] is zero.
         """
         return _index_sub_gather(np.einsum("...srai->...sair", self.dgamma))
+
+
+# the arrays of a GeometryData that are its own, not its point metric's
+_BLOCK_ARRAYS = ("point", "g_lower", "dg", "dg_upper", "gamma", "dgamma", "riemann", "ricci", "scalar")
 
 
 def _index_sub_gather(table: np.ndarray) -> np.ndarray:
@@ -276,12 +295,15 @@ def _christoffels_from_jets(g_upper: np.ndarray, jets: MetricJets) -> tuple:
     gamma = 0.5 * np.einsum("...rl,...lab->...rab", g_upper, bracket)
     # d_s g^{rl} = -g^{ra} (d_s g_{ab}) g^{bl}
     dgu = -np.einsum("...ra,...sab,...bl->...srl", g_upper, dg, g_upper)
-    # dbracket[s, l, a, b] = d_s bracket[l, a, b]
-    dbracket = np.einsum("...salb->...slab", ddg) + np.einsum("...sbla->...slab", ddg) - ddg
-    dgamma = 0.5 * (
-        np.einsum("...srl,...lab->...srab", dgu, bracket)
-        + np.einsum("...rl,...slab->...srab", g_upper, dbracket)
-    )
+    # dbracket[s, l, a, b] = d_s bracket[l, a, b]; the sums of these
+    # (..., 4, 4, 4, 4) arrays are made in place, in the order written
+    dbracket = np.einsum("...salb->...slab", ddg) + np.einsum("...sbla->...slab", ddg)
+    dbracket -= ddg
+    # dgamma = 0.5 * (dgu . bracket + g_upper . dbracket), dbracket dropped first
+    dgamma = np.einsum("...rl,...slab->...srab", g_upper, dbracket)
+    del dbracket
+    np.add(np.einsum("...srl,...lab->...srab", dgu, bracket), dgamma, out=dgamma)
+    dgamma *= 0.5
     return gamma, dgamma, dgu
 
 
@@ -301,25 +323,25 @@ def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
         jet = ex.point_jets(spec.coords, x, spec.params)
     pm, jets = metric_at(spec, x, jet)
     gamma, dgamma, dg_upper = _christoffels_from_jets(pm.g, jets)
+    g_lower, dg, errors = jets.values, jets.dg, jets.errors
+    del jets  # and with it the second derivatives, which dgamma holds now
 
     # R^r_{s mu nu} = d_mu G^r_{nu s} - d_nu G^r_{mu s} + G^r_{mu l} G^l_{nu s}
-    #                 - G^r_{nu l} G^l_{mu s}, with dgamma[s,r,a,b] = d_s G^r_{ab}
-    riemann = (
-        np.einsum("...mrns->...rsmn", dgamma)
-        - np.einsum("...nrms->...rsmn", dgamma)
-        + np.einsum("...rml,...lns->...rsmn", gamma, gamma)
-        - np.einsum("...rnl,...lms->...rsmn", gamma, gamma)
-    )
+    #                 - G^r_{nu l} G^l_{mu s}, with dgamma[s,r,a,b] = d_s G^r_{ab},
+    # summed in place in that order (the first two terms are views of dgamma)
+    riemann = np.einsum("...mrns->...rsmn", dgamma) - np.einsum("...nrms->...rsmn", dgamma)
+    riemann += np.einsum("...rml,...lns->...rsmn", gamma, gamma)
+    riemann -= np.einsum("...rnl,...lms->...rsmn", gamma, gamma)
     ricci = np.einsum("...mnsm->...ns", riemann)
     scalar = np.einsum("...ns,...ns->...", pm.g, ricci)
 
     gd = GeometryData(
         spec=spec,
         point=x,
-        g_lower=jets.values,
+        g_lower=g_lower,
         g_upper=pm.g,
         sqrt_abs_det=pm.sqrt_abs_det,
-        dg=jets.dg,
+        dg=dg,
         dg_upper=dg_upper,
         gamma=gamma,
         dgamma=dgamma,
@@ -328,7 +350,7 @@ def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
         scalar=float(scalar) if scalar.ndim == 0 else scalar,
         metric=pm,
         jet=jet,
-        errors=jets.errors,
+        errors=errors,
     )
     gd.errors = {**_validate(gd), **gd.errors}  # a metric error comes first
     return gd
@@ -344,8 +366,8 @@ def _validate(gd: GeometryData) -> dict:
     """
     lanes = gd.riemann.shape[:-4]
 
-    def sup(x):
-        return np.max(np.abs(x), axis=tuple(range(len(lanes), x.ndim)))
+    def sup(x, scratch=False):  # max |x| per point; a scratch x is overwritten
+        return np.max(np.abs(x, out=x if scratch else None), axis=tuple(range(len(lanes), x.ndim)))
 
     def swap(x, *axes):  # permute the last len(axes) axes, leading lanes kept
         first = len(lanes)
@@ -353,7 +375,11 @@ def _validate(gd: GeometryData) -> dict:
 
     riemann, ricci, gamma = gd.riemann, gd.ricci, gd.gamma
     scale = np.maximum(1.0, sup(riemann))
-    bianchi = riemann + swap(riemann, 0, 2, 3, 1) + swap(riemann, 0, 3, 1, 2)
+    antisymmetry = sup(riemann + swap(riemann, 0, 1, 3, 2), scratch=True)
+    cyclic = riemann + swap(riemann, 0, 2, 3, 1)
+    cyclic += swap(riemann, 0, 3, 1, 2)
+    bianchi = sup(cyclic, scratch=True)
+    del cyclic
     # metric compatibility: d_s g_{mn} - Gamma^r_{sm} g_{rn} - Gamma^r_{sn} g_{mr} = 0, bounded
     # by the size of its terms, sum_r |Gamma^r_{sm}| |g_{rn}| at most, as rounding leaves it
     compat = (
@@ -364,8 +390,8 @@ def _validate(gd: GeometryData) -> dict:
     terms = np.maximum(sup(gd.dg), sup(np.einsum("...rsm,...rn->...smn", np.abs(gamma),
                                                  np.abs(gd.g_lower))))
     bounds = (
-        ("Riemann antisymmetry", sup(riemann + swap(riemann, 0, 1, 3, 2)), 1e-10 * scale),
-        ("first Bianchi identity", sup(bianchi), 1e-10 * scale),
+        ("Riemann antisymmetry", antisymmetry, 1e-10 * scale),
+        ("first Bianchi identity", bianchi, 1e-10 * scale),
         ("Ricci symmetry", sup(ricci - swap(ricci, 1, 0)), 1e-10 * np.maximum(1.0, sup(ricci))),
         ("connection symmetry", sup(gamma - swap(gamma, 0, 2, 1)),
          1e-11 * np.maximum(1.0, sup(gamma))),

@@ -1,8 +1,12 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from cliffcheck import expr as ex
 from cliffcheck.errors import DomainEvalError, ParseError, UnboundIdentifierError
+from cliffcheck.fieldcheck import CHUNK
 from cliffcheck.geometry import CATALOG, killing_forms
 
 import oracles
@@ -589,3 +594,182 @@ def test_chunk_evaluates_each_expression_once_and_only_when_asked(monkeypatch):
             block = jets.block(start, stop)(read)
             assert _bits(block) == _bits(evaluate(read, COORDS, points[start:stop]))
     assert evaluated == [read]
+
+
+# -- transcendentals over N lanes --------------------------------------------------------
+
+
+def lane_samples() -> np.ndarray:
+    """Hard arguments for sin, cos and sqrt, of both signs: zeros, subnormals, neighbours of
+    multiples of pi/2, 1e-300 to 1e300, NaN, infinities and seeded random values."""
+    tiny = 2.2250738585072014e-308  # the smallest normal float
+    subnormal = np.array([5e-324, 1e-320, tiny / 3, np.nextafter(tiny, 0.0), tiny])
+    multiples = np.pi / 2 * np.concatenate([np.arange(1.0, 2001.0), 2.0 ** np.arange(20.0, 1000.0, 7.0)])
+    near = np.concatenate([np.nextafter(multiples, np.inf), multiples, np.nextafter(multiples, -np.inf)])
+    values = np.concatenate([[0.0, np.nan, np.inf], subnormal, near, np.logspace(-300, 300, 4001),
+                             np.random.default_rng(25).uniform(-20.0, 20.0, 4000)])
+    return np.concatenate([values, -values])
+
+
+def _raises(func: str, v: float) -> bool:
+    try:
+        ex._UNARY_JET[func](v)
+    except ex._MATH_ERRORS:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("func", sorted(ex._LANES_JET))
+def test_lane_transcendentals_equal_math_bitwise(func):
+    # numpy's function and the two derivative scalars of the jet, lane by lane,
+    # against math's on one float; the lanes where math raises are rejected
+    # with its error, but sqrt's negative lanes, which its node rejects before
+    # as it does the zeros (test_lane_transcendental_jets_equal_the_point_alone)
+    values = lane_samples()
+    raises = np.array([_raises(func, v) for v in values.tolist()])
+    walk = ex._Walk(COORDS, np.zeros((len(values), 4)), None)
+    site = ex.parse(f"{func}(x)")
+    with np.errstate(all="ignore"):
+        got = ex._LANES_JET[func](values, site, walk)
+    masked = raises & ~(values < 0.0) if func == "sqrt" else raises
+    assert sorted(walk.errors) == np.flatnonzero(masked).tolist()
+    message = "underflow" if func == "sqrt" else "infinite argument"
+    assert {str(err) for err in walk.errors.values()} == {f"{message} in '{func}(x)'"}
+    want = np.array([ex._UNARY_JET[func](v) for v in values[~raises].tolist()]).T
+    for g, w in zip(got, want):
+        assert g[~raises].view(np.uint64).tolist() == w.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("func", sorted(ex._LANES_JET))
+def test_lane_transcendental_jets_equal_the_point_alone(func):
+    # one lane per sample, in a batch of the lanes where math computes and in
+    # one of those where it raises and some others: each lane is its point
+    # alone, errors and their texts included
+    values = lane_samples()
+    raises = np.array([_raises(func, v) for v in values.tolist()])
+    tree = ex.parse(f"{func}(x)")
+    texts = set()
+    for lanes in (values[~raises], np.concatenate([values[raises], values[~raises][::40]])):
+        points = np.zeros((len(lanes), 4))
+        points[:, 1] = lanes
+        batch = ex.evaluate_jet2(tree, COORDS, points)
+        alone = _single(tree, points)
+        assert sorted(batch.errors) == [i for i, a in enumerate(alone) if isinstance(a, str)]
+        for i, a in enumerate(alone):
+            if i in batch.errors:
+                assert f"{type(batch.errors[i]).__name__}: {batch.errors[i]}" == a
+                texts.add(a)
+            else:
+                assert _bits(batch, i) == a
+    site = f"in '{func}(x)'"
+    expected = ({f"DomainEvalError: infinite argument {site}"} if func != "sqrt" else
+                {f"DomainEvalError: {m} {site}" for m in
+                 ("sqrt of negative value", "sqrt not differentiable at zero", "underflow")})
+    assert texts == expected
+
+
+def test_lane_transcendentals_hold_at_numpy_baseline_dispatch():
+    # numpy picks SIMD kernels per host at import; the two tests above are
+    # run again in a child with every dispatched feature this host has disabled
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not features:
+        pytest.skip("numpy dispatches no CPU feature beyond its baseline on this host")
+    tests = [f"tests/test_expr.py::{test.__name__}" for test in
+             (test_lane_transcendentals_equal_math_bitwise, test_lane_transcendental_jets_equal_the_point_alone)]
+    probe = ("import sys, pytest; from numpy._core import _multiarray_umath as m; "
+             f"assert not any(m.__cpu_features__[f] for f in {features!r}); "
+             f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{tests!r}]))")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    repo = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=repo, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{2 * len(ex._LANES_JET)} passed" in proc.stdout, proc.stdout
+
+
+# -- subtrees shared within a chunk ------------------------------------------------------
+
+
+def _jet_record(jet) -> tuple:
+    """A batched jet's bytes and its errors, in order, as (point, class, text)."""
+    errors = [(k, type(err).__name__, str(err)) for k, err in jet.errors.items()]
+    return jet.val.tobytes(), jet.grad.tobytes(), jet.hess.tobytes(), errors
+
+
+def assert_chunk_is_each_source_alone(sources, coords, points, params):
+    # with the sources given, shared subtrees are evaluated once, and every
+    # kept jet is dropped at its last read; without, each source's subtrees
+    # are added as it is asked for
+    alone = [_jet_record(ex.evaluate_jet2(tree, coords, points, params)) for tree in sources]
+    for given in (sources, ()):
+        chunk = ex.ChunkJets(coords, points, params, given)
+        jets = chunk.block(0, len(points))
+        got = [_jet_record(jets(tree)) for tree in sources]  # every source asked before any is compared
+        for tree, record, want in zip(sources, got, alone):
+            assert record == want, ex.serialize(tree)
+        assert chunk._tape.kept == {}
+
+
+def test_chunk_jets_of_the_parse_corpus_are_each_source_alone():
+    # the corpus's trees share many subtrees; some names are unbound and some
+    # lanes leave a function's domain, so most kinds of error occur
+    trees = []
+    for src in parse_corpus():
+        try:
+            trees.append(ex.parse(src))
+        except ParseError:
+            pass
+    assert len(trees) > 1500
+    trees += [ex.const(0.0), ex.const(-0.0), ex.Mul(ex.Var("x"), ex.const(-0.0))]  # equal only by value
+    coords = ("t", "x", "r", "θ")
+    points = np.random.default_rng(4).uniform(-2.0, 2.0, size=(7, 4))
+    points[3] = (0.0, 0.0, 1.0, -1.0)
+    assert_chunk_is_each_source_alone(trees, coords, points, {"M": 1.0, "_a": 0.5, "x٣": -0.3})
+
+
+# sources sharing log(x-p), which fails where x <= p; sqrt(y) fails where y <= 0 and
+# comes first in its source's tree order in two of them
+SHARED_FAILING = ("log(x-p)", "log(x-p)*t", "sqrt(y)+log(x-p)", "log(x-p)+sqrt(y)", "1/t+log(x-p)^2",
+                  "exp(log(x-p))*sqrt(y)", "sqrt(y)*log(x-p)")
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_a_shared_failing_subtree_keeps_each_source_s_first_error(order):
+    xs = [2.0, 0.5, 0.25, 2.0, 0.1, 3.0, 0.5]  # x <= p = 0.5 on lanes 1, 2, 4, 6
+    ys = [1.0, 1.0, -1.0, -2.0, 0.0, 0.5, -1.0]  # y <= 0 on lanes 2, 3, 4, 6
+    ts = [1.0, 0.5, 1.5, 0.0, 2.0, 1.0, 0.0]  # t = 0 on lanes 3, 6
+    points = np.array([[t, x, y, 0.2] for t, x, y in zip(ts, xs, ys)])
+    params = {"p": 0.5}
+    sources = [ex.parse(src) for src in SHARED_FAILING[::order]]
+    assert_chunk_is_each_source_alone(sources, COORDS, points, params)
+    jets = ex.ChunkJets(COORDS, points, params, sources).block(0, len(points))
+    for tree in sources:
+        alone = _single(tree, points, params)
+        errors = jets(tree).errors
+        assert {k: f"DomainEvalError: {err}" for k, err in errors.items()} == {
+            k: a for k, a in enumerate(alone) if isinstance(a, str)}
+    first = {src: {k: str(err).split(" in ")[0] for k, err in jets(ex.parse(src)).errors.items()}
+             for src in ("sqrt(y)+log(x-p)", "log(x-p)+sqrt(y)")}
+    log, negative, zero = "log of non-positive value", "sqrt of negative value", "sqrt not differentiable at zero"
+    assert first == {"sqrt(y)+log(x-p)": {1: log, 2: negative, 3: negative, 4: zero, 6: negative},
+                     "log(x-p)+sqrt(y)": {1: log, 2: log, 3: negative, 4: log, 6: log}}
+
+
+def test_a_long_sum_holds_a_few_jets_at_a_time():
+    # each partial sum of a left-associated sum is a distinct subtree read
+    # once, so its jet is dropped when the next one is made: over a chunk the
+    # sum takes a few jets' memory a point, not one jet per term (which at
+    # this length would be 430 MB; test_a_sum_of_any_length_is_parsed_compared_and_evaluated
+    # evaluates 100 000 terms)
+    terms = 10_000
+    tree = ex.parse.__wrapped__("+".join(["1"] * terms))
+    peaks = {}
+    for n in (2, CHUNK):
+        jets = ex.ChunkJets(COORDS, np.zeros((n, 4)), None, [tree])  # its tape is made here, untraced
+        tracemalloc.start()
+        jet = jets.block(0, n)(tree)
+        peaks[n] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert jet.val.tolist() == [terms] * n and jet.errors == {}
+    jet_bytes = (1 + 4 + 16) * 8  # one point's value, gradient and Hessian
+    assert peaks[CHUNK] - peaks[2] < 6 * jet_bytes * (CHUNK - 2)

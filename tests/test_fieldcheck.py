@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import math
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -750,6 +752,33 @@ def test_point_loop_memory_does_not_grow_with_blocks():
     assert peak(1000) - peak(100) < 2_000_000
 
 
+def test_a_chunk_s_geometry_and_jets_are_freed_when_the_loop_moves_on(monkeypatch):
+    # with the garbage collector off, only reference counts free a chunk: each
+    # chunk's geometry and jets must be gone before the next chunk's are made
+    monkeypatch.setattr(fch, "CHUNK", 32)
+    made = []  # weak references to each chunk's jets and geometry
+    curvature, chunk_jets = fch.curvature, ex.ChunkJets
+
+    def kept(obj):
+        made.append(weakref.ref(obj))
+        return obj
+
+    def next_chunk(*args):
+        assert [ref() for ref in made] == [None] * len(made)
+        return kept(chunk_jets(*args))
+
+    monkeypatch.setattr(ex, "ChunkJets", next_chunk)
+    monkeypatch.setattr(fch, "curvature", lambda *args, **kwargs: kept(curvature(*args, **kwargs)))
+    points = np.random.default_rng(9).uniform([-3, 2.5, 0.35, 0], [3, 20, 2.8, 6.2], size=(100, 4))
+    gc.disable()
+    try:
+        fch.run_checks(SCHW, fch.ScenarioFields(K=field({"t": "1-2*M/r"}, SCHW)), list(fch.CHECKS)[:3],
+                       points, [1e-8] * 3)
+        assert len(made) == 8 and [ref() for ref in made] == [None] * 8  # two per chunk
+    finally:
+        gc.enable()
+
+
 # -- checks over a block of points ---------------------------------------------------
 
 
@@ -1024,8 +1053,10 @@ def test_bad_points_are_not_computed_again_alone(monkeypatch):
     clean_calls, clean_errors = run(0.0, 10.0)
     assert (bad_errors, clean_errors) == (3 * len(names) + 3, 0)
     assert bad_calls == clean_calls
-    # the metric's five distinct sources (its zeros share one tree) and K, S and V
-    assert clean_calls == {"curvature": 3, "field_jets": 9, "evaluate_jet2": 5 + 3}
+    # one chunk: its geometry once, the field jets once per block and field,
+    # and the metric's five distinct sources (its zeros share one tree) and K, S and V
+    assert len(points) <= fch.CHUNK
+    assert clean_calls == {"curvature": 1, "field_jets": 9, "evaluate_jet2": 5 + 3}
 
 
 def test_a_point_whose_connection_overflows_gets_a_geometry_error_in_every_check():

@@ -491,6 +491,69 @@ def test_block_rejects_exactly_the_points_that_raise_alone():
     assert errors == MIXED_ERRORS
 
 
+def _errors(errors: dict) -> list:
+    return [(k, type(err).__name__, str(err)) for k, err in errors.items()]
+
+
+def assert_bundle_is_the_block_alone(got, want):
+    """The bundle ``got`` is bitwise ``want``: every array, the point metric and its tables, the errors."""
+    for name in _BUNDLE:
+        assert np.shape(getattr(got, name)) == np.shape(getattr(want, name)), name
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian"):
+        assert _bits(getattr(got.metric, name)) == _bits(getattr(want.metric, name)), name
+    for key in TABLE_NAMES:
+        assert _bits(got.metric.tables[key]) == _bits(want.metric.tables[key]), key
+    assert _errors(got.metric.errors) == _errors(want.metric.errors)
+    assert _errors(got.errors) == _errors(want.errors)
+
+
+def chunk_blocks(spec, points, block: int, chunk: int):
+    """``(first point, bundle)`` of each block, sliced from its chunk's bundle as the point loop does."""
+    for start in range(0, len(points), chunk):
+        pts = points[start:start + chunk]
+        jets = ex.ChunkJets(spec.coords, pts, spec.params)
+        whole = geo.curvature(spec, pts, jet=jets.block(0, len(pts)))
+        for first in range(0, len(pts), block):
+            stop = min(first + block, len(pts))
+            yield start + first, whole.block(first, stop, jets.block(first, stop))
+
+
+BLOCK_CHUNK_SIZES = [(16, 256), (16, 48), (5, 37), (4, 4), (1, 3)]
+
+
+@pytest.mark.parametrize("block, chunk", BLOCK_CHUNK_SIZES)
+@pytest.mark.parametrize("key", sorted(BLOCK_CASES))
+def test_blocks_of_a_chunk_bundle_are_each_block_alone_bitwise(key, block, chunk):
+    # the points cross a chunk boundary and end in a short block
+    spec, (lo, hi) = BLOCK_CASES[key]
+    points = np.random.default_rng(12).uniform(lo, hi, size=(chunk + block + 2, 4))
+    for first, got in chunk_blocks(spec, points, block, chunk):
+        want = geo.curvature(spec, points[first:first + len(got.point)])
+        assert_bundle_is_the_block_alone(got, want)
+        for name in _BUNDLE:
+            if name != "scalar" or block > 1:
+                assert not getattr(got, name).flags.writeable, name
+        for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian"):
+            assert not getattr(got.metric, name).flags.writeable, name
+
+
+@pytest.mark.parametrize("block, chunk", [(4, 12), (3, 7), (2, 5), (1, 2)])
+def test_rejected_points_across_block_and_chunk_boundaries_keep_their_errors(block, chunk):
+    # MIXED's three bad points, each on either side of block and chunk boundaries
+    good = [p for k, p in enumerate(mixed_points()) if k not in MIXED_ERRORS]
+    bad = [mixed_points()[k] for k in MIXED_ERRORS]
+    points = np.array([good[k % len(good)] for k in range(30)])
+    at = sorted({i for b in range(block, 30, block) for i in (b - 1, b)} | {c for c in range(chunk, 30, chunk)})
+    for n, i in enumerate(at):
+        points[i] = bad[n % len(bad)]
+    errors = {}
+    for first, got in chunk_blocks(MIXED, points, block, chunk):
+        assert_bundle_is_the_block_alone(got, geo.curvature(MIXED, points[first:first + len(got.point)]))
+        errors.update({first + k: str(err) for k, err in got.errors.items()})
+    assert errors == {i: MIXED_ERRORS[list(MIXED_ERRORS)[n % len(bad)]] for n, i in enumerate(at)}
+
+
 ILL = geo.MetricSpec.from_strings(
     ("t", "x", "y", "z"),
     [["t", "y", "0", "0"], ["y", "x", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],

@@ -997,3 +997,31 @@ def test_equal_sources_are_evaluated_once_per_chunk(tmp_path, monkeypatch, workl
         assert cli.main(list(op.argv)) == op.expected_exit
     assert len(evaluated) == 2 * per_chunk  # two chunks
     assert len(set(map(id, evaluated))) == per_chunk
+
+
+def test_each_distinct_subtree_is_evaluated_once_per_chunk(tmp_path, monkeypatch):
+    # kerr_identities' six distinct sources hold 127 nodes, of which 35 subtrees
+    # are distinct (the metric's 0 entry among them): a chunk evaluates each once
+    workloads = _perfbench_module("workloads")
+    (op,) = workloads.kerr_identities(REPO, tmp_path, seed=1, points=fieldcheck.CHUNK + 1).ops
+    asked, steps = [], []
+    evaluate, step = ex.evaluate_jet2, ex._Walk.step
+
+    def evaluating(e, *args):
+        asked.append(e)
+        return evaluate(e, *args)
+
+    def stepping(self, e, *args):
+        steps.append(e)
+        return step(self, e, *args)
+
+    monkeypatch.setattr(ex, "evaluate_jet2", evaluating)
+    monkeypatch.setattr(ex._Walk, "step", stepping)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(op.argv)) == op.expected_exit
+    sources = list({id(e): e for e in asked}.values())
+    assert len(sources) == 6 and sum(len(ex._postorder(e)[0]) for e in sources) == 127
+    distinct = {node for e in sources for node in ex._postorder(e)[0]}  # equal by structure
+    assert len(distinct) == 35
+    assert len(steps) == 2 * len(distinct)  # two chunks
+    assert set(steps[:len(distinct)]) == set(steps[len(distinct):]) == distinct

@@ -25,15 +25,17 @@ def test_module_parses_as_python_3_10(path):
 
 
 def test_readme_python_api_names_resolve():
-    # each dotted name the README documents is an attribute path from the package
+    # each dotted name the README documents is an attribute path from the
+    # package, and one it writes as a call, `name(...)`, can be called
     section = (REPO / "README.md").read_text().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
-    names = re.findall(r"`(\w+(?:\.\w+)+)", section)
-    assert len(names) >= 10, names
-    for name in names:
+    names = re.findall(r"`(\w+(?:\.\w+)+)(\(?)", section)
+    assert len(names) >= 10 and sum(bool(call) for _, call in names) >= 10, names
+    for name, call in names:
         first = name.split(".")[0]
         if (REPO / "src" / "cliffcheck" / f"{first}.py").exists():
             importlib.import_module(f"cliffcheck.{first}")
-        functools.reduce(getattr, name.split("."), cliffcheck)
+        value = functools.reduce(getattr, name.split("."), cliffcheck)
+        assert callable(value) or not call, f"README calls {name}, which is not callable"
 
 
 def test_every_name_in_all_resolves():

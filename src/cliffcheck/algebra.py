@@ -35,7 +35,24 @@ from .errors import DegenerateMetricError, SignatureError, block_errors, point_e
 _EYE16 = np.eye(blades.N_BLADES)
 
 
-class Multivector:
+class ReadOnly:
+    """Base of a read-only object: assigning to an attribute raises ``AttributeError``.
+
+    A subclass names its fields in ``__slots__`` and sets them once, in
+    ``__init__``, with :meth:`_set`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+
+class Multivector(ReadOnly):
     """Immutable element of the 16-dimensional algebra at a point, or at a block of points.
 
     ``coeffs`` is (16,) at one point.  Over a block of N points it is (N, 16),
@@ -56,9 +73,6 @@ class Multivector:
             raise ValueError(f"expected 16 blade coefficients, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -193,7 +207,7 @@ def scalar_rows(values) -> np.ndarray:
     return out
 
 
-class PointMetric:
+class PointMetric(ReadOnly):
     """Nondegenerate symmetric cotangent metric at one point, with product tables.
 
     Parameters
@@ -243,11 +257,8 @@ class PointMetric:
         sign_det = np.where(det_tan < 0.0, -1.0, 1.0)
         if g.ndim == 2:
             sqrt_abs_det, sign_det = float(sqrt_abs_det), float(sign_det)
-        _set_slots(self, g=_readonly(g), ginv=_readonly(ginv), sqrt_abs_det=sqrt_abs_det,
-                   sign_det=sign_det, lorentzian=det_tan < 0.0, errors=errors, _tables={})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointMetric is immutable")
+        self._set(g=_readonly(g), ginv=_readonly(ginv), sqrt_abs_det=sqrt_abs_det, sign_det=sign_det,
+                  lorentzian=det_tan < 0.0, errors=errors, _tables={})
 
     def block(self, start: int, stop: int) -> "PointMetric":
         """Metrics ``start:stop`` of this block, not checked again.
@@ -257,9 +268,9 @@ class PointMetric:
         alone when read, as for those metrics' own block.
         """
         out = object.__new__(PointMetric)
-        _set_slots(out, **{name: readonly_rows(getattr(self, name), start, stop)
-                           for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian")},
-                   errors=block_errors(self.errors, start, stop), _tables={})
+        out._set(**{name: readonly_rows(getattr(self, name), start, stop)
+                    for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian")},
+                 errors=block_errors(self.errors, start, stop), _tables={})
         return out
 
     # -- tables ------------------------------------------------------------
@@ -534,11 +545,6 @@ def _metric_error(check: int, det_cot: float, det_tan: float) -> Exception:
     if check == 1:
         return DegenerateMetricError(f"cotangent metric is singular (det={det_cot:.3e})")
     return SignatureError(f"tangent metric determinant {det_tan:.3e} is not negative")
-
-
-def _set_slots(obj, **values) -> None:
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
 
 
 def readonly_rows(arr: np.ndarray, start: int, stop: int) -> np.ndarray:

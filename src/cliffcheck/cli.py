@@ -1,13 +1,14 @@
 """Command-line interface: verify scenarios, list builtins, run the selftest.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage,
-validation or runtime errors.
+validation or runtime errors, and console output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import partial
 
@@ -151,7 +152,22 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run :func:`main` on the command line and exit with its code.
+
+    Console output that cannot be written (a full disk or a closed pipe)
+    ends in exit 2 with a message, not a traceback.  ``main`` reports the
+    OSErrors of reading a scenario and writing a report itself, so one that
+    reaches here came from writing the console.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as err:
+        # what stdout still buffers would fail again at exit: send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ alone, and raises as that one point does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Mapping
 
@@ -61,7 +60,7 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import _G2_COVECTOR, _G2_LOWEST, Multivector, grade_project
+from .algebra import _G2_COVECTOR, _G2_LOWEST, Multivector, ReadOnly, grade_project
 from .errors import FieldError
 from .geometry import GeometryData
 
@@ -73,13 +72,14 @@ _RICCI_BLOCKS = [list(zip(_G2_LOWEST, _G2_COVECTOR)).index((min(a, b), max(a, b)
                  for a in range(4) for b in range(4) if a != b]
 
 
-@dataclass(frozen=True)
-class MultivectorField:
-    """Multivector-valued field: one expression per blade."""
+class MultivectorField(ReadOnly):
+    """Multivector-valued field: one expression per blade; read-only.
 
-    comps: tuple  # 16 Expr, indexed by blade mask
+    ``comps`` holds the 16 Expr, indexed by blade mask.
+    """
 
-    def __post_init__(self):
+    def __init__(self, comps: tuple):
+        self._set(comps=comps)
         if len(self.comps) != 16:
             raise FieldError("a multivector field needs 16 blade components")
 
@@ -151,14 +151,16 @@ def _parse_blade_key(key: str, coords) -> tuple:
     return mask, blades.sort_parity(idxs)
 
 
-@dataclass
 class FieldJets:
     """Component values and first/second partials of a field at one point (or N first)."""
 
-    vals: np.ndarray  # (16,)
-    grads: np.ndarray  # (16, 4)
-    hess: np.ndarray  # (16, 4, 4)
-    errors: dict  # of a block: each point whose jets fail -> its first component's error there
+    __slots__ = ("vals", "grads", "hess", "errors")
+
+    def __init__(self, vals: np.ndarray, grads: np.ndarray, hess: np.ndarray, errors: dict):
+        self.vals = vals  # (16,)
+        self.grads = grads  # (16, 4)
+        self.hess = hess  # (16, 4, 4)
+        self.errors = errors  # of a block: each point whose jets fail -> its first component's error there
 
 
 def field_jets(field: MultivectorField, point: np.ndarray, jet: Callable) -> FieldJets:

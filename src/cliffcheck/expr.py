@@ -37,6 +37,10 @@ of them at one point, are ``math``'s, one lane at a time.
 subtree of the expressions it is given, once over a chunk of points and
 hands the jets out a block of points at a time.
 
+Tree nodes and :class:`Jet2` values are read-only: assigning to a field
+raises ``AttributeError``.  A node's repr names its fields, as in
+``Call(func='sin', args=(Var(name='r'),))``.
+
 This module is the one place where a source becomes a tree: :func:`tree`
 parses a string or makes a constant of a number, and :func:`parse` keeps
 the tree of each source text it has parsed.  So equal sources, wherever a
@@ -47,7 +51,6 @@ a :class:`ChunkJets`, keyed by tree, evaluates their jets once per chunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence, Union
 
@@ -59,12 +62,23 @@ from .errors import DomainEvalError, ExprError, ParseError, UnboundIdentifierErr
 
 
 class _Node:
-    """A tree node.  Two trees are equal when their nodes in post-order have
-    the same types, numbers of children and labels; equality and hash are
-    loops over those lists (:func:`_postorder`), so a tree may be of any depth."""
+    """A read-only tree node whose fields are its ``__slots__``.
+
+    Two trees are equal when their nodes in post-order have the same types,
+    numbers of children and labels; equality and hash are loops over those
+    lists (:func:`_postorder`), so a tree may be of any depth.  The repr
+    names each field, as in ``Add(left=Num(value=1.0), right=Var(name='t'))``.
+    """
 
     __slots__ = ()
     label = None  # what a node holds besides its children: a number, a name or a function
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        names = next(c.__slots__ for c in type(self).__mro__ if c.__slots__)  # Add's are _Binary's
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
     def _shape(self) -> tuple:
         nodes, counts = _postorder(self)
@@ -79,54 +93,64 @@ class _Node:
         return hash(self._shape())
 
 
-@dataclass(frozen=True, eq=False)
 class Num(_Node):
-    value: float
+    __slots__ = ("value",)
     label = property(lambda self: self.value)
 
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True, eq=False)
+
 class Var(_Node):
-    name: str
+    __slots__ = ("name",)
     label = property(lambda self: self.name)
 
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
-@dataclass(frozen=True, eq=False)
+
 class Neg(_Node):
-    arg: "Expr"
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: "Expr"):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False)
 class _Binary(_Node):
-    left: "Expr"
-    right: "Expr"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Expr", right: "Expr"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 class Add(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Sub(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Mul(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Div(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Pow(_Binary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Call(_Node):
-    func: str
-    args: tuple
+    __slots__ = ("func", "args")
     label = property(lambda self: self.func)
+
+    def __init__(self, func: str, args: tuple):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "args", args)
 
 
 Expr = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
@@ -371,9 +395,8 @@ def free_names(e: Expr) -> frozenset:
 # -- second-order jets ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Jet2:
-    """Value, gradient and (symmetric) Hessian w.r.t. the four coordinates.
+    """Value, gradient and (symmetric) Hessian w.r.t. the four coordinates; read-only.
 
     At one point ``val`` is a float, ``grad`` is (4,) and ``hess`` is (4, 4);
     over N points they are (N,), (N, 4) and (N, 4, 4), one lane per point.
@@ -381,10 +404,16 @@ class Jet2:
     :class:`ExprError` that point raises alone; its jet is zero.
     """
 
-    val: float | np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-    errors: dict = field(default_factory=dict)
+    __slots__ = ("val", "grad", "hess", "errors")
+
+    def __init__(self, val: float | np.ndarray, grad: np.ndarray, hess: np.ndarray, errors: dict | None = None):
+        object.__setattr__(self, "val", val)
+        object.__setattr__(self, "grad", grad)
+        object.__setattr__(self, "hess", hess)
+        object.__setattr__(self, "errors", {} if errors is None else errors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Jet2 is immutable")
 
 
 # The evaluator works on (val, grad, hess) tuples with the point axis last: at

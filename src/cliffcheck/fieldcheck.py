@@ -1,8 +1,9 @@
 """Physics-level residual checks on user-supplied fields.
 
-Every check is one entry of :data:`CHECKS`: its name, the fields it needs,
-its notes and ``fn(ctx) -> (residuals, info)``, evaluated once on a block of
-sample points' :class:`BlockContext`, with one value per point (N first).
+Every check is one entry of :data:`CHECKS`, a read-only :class:`Check`: its
+name, the fields it needs, its notes and ``fn(ctx) -> (residuals, info)``,
+evaluated once on a block of sample points' :class:`BlockContext`, with one
+value per point (N first).
 One point is the same code without N, and the reference.  A point that
 fails is not computed again: the block's geometry and field jets keep its
 error, and the point gets the error it gets alone (:func:`run_pointwise`).
@@ -32,38 +33,37 @@ generally do not.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import Multivector, grade_project, wedge
+from .algebra import Multivector, ReadOnly, grade_project, wedge
 from .diffops import FieldCalculus, MultivectorField, grad_scalar_product
 from .errors import FieldError
 from .geometry import GeometryData, MetricSpec, curvature
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Physical constants: charge, mass, and the potential-to-Killing factor."""
+class Constants(ReadOnly):
+    """Physical constants: charge, mass, and the potential-to-Killing factor; read-only."""
 
-    e: float = 1.0
-    m: float = 1.0
-    coupling: float = 1.0
+    __slots__ = ("e", "m", "coupling")
+
+    def __init__(self, e: float = 1.0, m: float = 1.0, coupling: float = 1.0):
+        self._set(e=e, m=m, coupling=coupling)
 
 
-@dataclass(frozen=True)
-class ScenarioFields:
-    K: MultivectorField | None = None
-    A: MultivectorField | None = None
-    S: MultivectorField | None = None
-    V: MultivectorField | None = None
-    constants: Constants = Constants()
+class ScenarioFields(ReadOnly):
+    """A scenario's fields, each absent or of the grade its checks need, and its constants; read-only."""
 
-    def __post_init__(self):
+    __slots__ = ("K", "A", "S", "V", "constants")
+
+    def __init__(self, K: MultivectorField | None = None, A: MultivectorField | None = None,
+                 S: MultivectorField | None = None, V: MultivectorField | None = None,
+                 constants: Constants = Constants()):
+        self._set(K=K, A=A, S=S, V=V, constants=constants)
         for name, grade in (("K", 1), ("A", 1), ("V", 1)):
             f = getattr(self, name)
             if f is not None and f.grades - {grade}:
@@ -80,7 +80,6 @@ class ScenarioFields:
         return None
 
 
-@dataclass(eq=False)  # these hold arrays, so == is identity, not a field compare
 class Layout:
     """The points of a check that share one key layout, and their columns.
 
@@ -89,12 +88,14 @@ class Layout:
     (M, ...) array per info key, each in the order the report writes them.
     """
 
-    index: np.ndarray
-    residuals: dict
-    info: dict
+    __slots__ = ("index", "residuals", "info")
+
+    def __init__(self, index: np.ndarray, residuals: dict, info: dict):
+        self.index = index
+        self.residuals = residuals
+        self.info = info
 
 
-@dataclass(eq=False)
 class ResidualReport:
     """One check at P points, as columns.
 
@@ -104,12 +105,14 @@ class ResidualReport:
     them passes.  The report file is written from the columns.
     """
 
-    check: str
-    tolerance: float
-    points: np.ndarray  # (P, 4)
-    layouts: list
-    errors: dict
-    notes: tuple = ()
+    def __init__(self, check: str, tolerance: float, points: np.ndarray, layouts: list, errors: dict,
+                 notes: tuple = ()):
+        self.check = check
+        self.tolerance = tolerance
+        self.points = points  # (P, 4)
+        self.layouts = layouts
+        self.errors = errors
+        self.notes = notes
 
     @cached_property
     def verdicts(self) -> list:
@@ -206,20 +209,20 @@ class BlockContext:
         return self._maxwell
 
 
-@dataclass(frozen=True)
-class Check:
-    """One check.  ``fn(ctx)`` runs once on a :class:`BlockContext` and returns
+class Check(ReadOnly):
+    """One check; read-only.  ``fn(ctx)`` runs once on a :class:`BlockContext` and returns
     ``(residuals, info)``: dicts whose values have one entry per point, N
     first (none for one point).  A check whose keys differ from point to
     point returns a list of ``(rows, residuals, info)`` instead, one per key
     layout, with ``rows`` the points that have it and every value rows
-    first, one point included (:func:`check_columns`).
+    first, one point included (:func:`check_columns`).  ``needs`` names the
+    fields it reads: "K", "S", "V", "potential" (A, else coupling * K).
     """
 
-    name: str
-    needs: tuple  # fields read: "K", "S", "V", "potential" (A, else coupling * K)
-    notes: tuple
-    fn: Callable  # BlockContext -> (residuals, info)
+    __slots__ = ("name", "needs", "notes", "fn")
+
+    def __init__(self, name: str, needs: tuple, notes: tuple, fn: Callable):
+        self._set(name=name, needs=needs, notes=notes, fn=fn)
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -372,8 +375,7 @@ def _hamilton_jacobi(ctx: BlockContext) -> tuple:
 # -- energy momentum ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnergyMomentum:
+class EnergyMomentum(NamedTuple):
     oneform: Multivector  # T_beta (or fluid t_alpha)
     threeform: Multivector  # its Hodge dual
     closure_residual: float  # grade-3 mass of the sandwich (must vanish)
@@ -429,8 +431,7 @@ def _einstein(ctx: BlockContext) -> tuple:
 # -- structure current, quadratic ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureRoots:
+class StructureRoots(NamedTuple):
     outcome: str  # "linear" | "two-roots" | "double-root" | "no-real-f"
     roots: tuple
     discriminant: float
@@ -617,10 +618,12 @@ PointError = namedtuple("PointError", "error")  # a point of a check as PointRes
 _NO_ERROR = PointError(None)
 
 
-@dataclass(eq=False)
 class PointResult:
-    points: np.ndarray  # the block's (N, 4) points
-    checks: list  # per requested check: (check, tolerance, its check_columns layouts, errors)
+    __slots__ = ("points", "checks")
+
+    def __init__(self, points: np.ndarray, checks: list):
+        self.points = points  # the block's (N, 4) points
+        self.checks = checks  # per requested check: (check, tolerance, its check_columns layouts, errors)
 
     @property
     def records(self) -> list:

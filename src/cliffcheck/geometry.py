@@ -27,7 +27,7 @@ the point alone.  :meth:`GeometryData.block` cuts a smaller block out of
 a block's bundle without computing anything again, so the point loop
 computes one bundle per chunk of points and hands each block its slice.
 
-The builtin spacetimes are the rows of :data:`CATALOG`, one
+The builtin spacetimes are the rows of :data:`CATALOG`, one read-only
 :class:`CatalogEntry` each: chart, domain, diagonal metric and Killing
 1-forms as expression sources, and the rule that checks its parameters.
 :func:`build_metric` and :func:`killing_forms` fill and read those sources.
@@ -36,29 +36,30 @@ The builtin spacetimes are the rows of :data:`CATALOG`, one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import Multivector, PointMetric, near_singular, readonly_rows
+from .algebra import Multivector, PointMetric, ReadOnly, near_singular, readonly_rows
 from .errors import ExprError, GeometryError, SingularMetricError, block_errors, point_errors
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """Spacetime chart: coordinate names, covariant metric components, parameters."""
+class MetricSpec(ReadOnly):
+    """Spacetime chart: coordinate names, covariant metric components, parameters; read-only.
 
-    coords: tuple
-    g_lower: tuple  # 4x4 nested tuple of Expr for g_{mu nu}(x)
-    params: Mapping[str, float] = field(default_factory=dict)
-    name: str = "custom"
-    domain: Mapping[str, tuple] = field(default_factory=dict)  # coord -> (lo, hi)
+    ``g_lower`` is a 4x4 nested tuple of Expr for g_{mu nu}(x), and ``domain``
+    maps a coordinate to its sampling range ``(lo, hi)``.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("coords", "g_lower", "params", "name", "domain")
+
+    def __init__(self, coords: tuple, g_lower: tuple, params: Mapping[str, float] | None = None,
+                 name: str = "custom", domain: Mapping[str, tuple] | None = None):
+        self._set(coords=coords, g_lower=g_lower, params={} if params is None else params, name=name,
+                  domain={} if domain is None else domain)
         if len(self.coords) != 4 or len(set(self.coords)) != 4:
             raise GeometryError("metric needs 4 distinct coordinate names")
         for name in self.coords:
@@ -100,35 +101,40 @@ class MetricSpec:
         return {c: tuple(self.domain.get(c, (-2.0, 2.0))) for c in self.coords}
 
 
-@dataclass
 class MetricJets:
     """Metric values and first/second partials at one point, or N first on every array."""
 
-    values: np.ndarray  # (4,4)
-    dg: np.ndarray  # (4,4,4): dg[s, m, n] = d_s g_{mn}
-    ddg: np.ndarray  # (4,4,4,4): ddg[s, r, m, n] = d_s d_r g_{mn}
-    errors: dict  # of a block: each point metric_at rejects -> the error it raises alone
+    __slots__ = ("values", "dg", "ddg", "errors")
+
+    def __init__(self, values: np.ndarray, dg: np.ndarray, ddg: np.ndarray, errors: dict):
+        self.values = values  # (4,4)
+        self.dg = dg  # (4,4,4): dg[s, m, n] = d_s g_{mn}
+        self.ddg = ddg  # (4,4,4,4): ddg[s, r, m, n] = d_s d_r g_{mn}
+        self.errors = errors  # of a block: each point metric_at rejects -> the error it raises alone
 
 
-@dataclass
 class GeometryData:
     """Full curvature bundle at one point, or at a block of N points (N first)."""
 
-    spec: MetricSpec
-    point: np.ndarray
-    g_lower: np.ndarray
-    g_upper: np.ndarray
-    sqrt_abs_det: float
-    dg: np.ndarray
-    dg_upper: np.ndarray  # d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn} -> dg_upper[s, m, n]
-    gamma: np.ndarray  # Gamma^r_{ab} -> gamma[r, a, b]
-    dgamma: np.ndarray  # d_s Gamma^r_{ab} -> dgamma[s, r, a, b]
-    riemann: np.ndarray  # R^r_{s mu nu} -> riemann[r, s, mu, nu]
-    ricci: np.ndarray
-    scalar: float
-    metric: PointMetric
-    jet: Callable  # expression -> its jets at ``point``, as in :func:`metric_at`
-    errors: dict = field(default_factory=dict)  # of a block: each point curvature rejects -> its error
+    def __init__(self, spec: MetricSpec, point: np.ndarray, g_lower: np.ndarray, g_upper: np.ndarray,
+                 sqrt_abs_det: float | np.ndarray, dg: np.ndarray, dg_upper: np.ndarray,
+                 gamma: np.ndarray, dgamma: np.ndarray, riemann: np.ndarray, ricci: np.ndarray,
+                 scalar: float | np.ndarray, metric: PointMetric, jet: Callable, errors: dict | None = None):
+        self.spec = spec
+        self.point = point
+        self.g_lower = g_lower
+        self.g_upper = g_upper
+        self.sqrt_abs_det = sqrt_abs_det
+        self.dg = dg
+        self.dg_upper = dg_upper  # d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn} -> dg_upper[s, m, n]
+        self.gamma = gamma  # Gamma^r_{ab} -> gamma[r, a, b]
+        self.dgamma = dgamma  # d_s Gamma^r_{ab} -> dgamma[s, r, a, b]
+        self.riemann = riemann  # R^r_{s mu nu} -> riemann[r, s, mu, nu]
+        self.ricci = ricci
+        self.scalar = scalar
+        self.metric = metric
+        self.jet = jet  # expression -> its jets at ``point``, as in :func:`metric_at`
+        self.errors = {} if errors is None else errors  # of a block: each point curvature rejects -> its error
 
     def block(self, start: int, stop: int, jet: Callable) -> "GeometryData":
         """The bundle of points ``start:stop`` of this block, whose jet source is ``jet``.
@@ -406,31 +412,29 @@ def _validate(gd: GeometryData) -> dict:
 # -- builtin catalog -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KillingForm:
+class KillingForm(NamedTuple):
     """Named Killing 1-form, stored as blade-component expressions."""
 
     name: str
     components: Mapping[str, str]  # coordinate name -> expression source
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One builtin spacetime, described once: its chart, metric and Killing 1-forms as sources.
+class CatalogEntry(ReadOnly):
+    """One builtin spacetime, described once: its chart, metric and Killing 1-forms as sources; read-only.
 
     Every builtin is diagonal in its chart.  A source may hold a field such
     as ``{a}``, filled by ``str.format``: ``rule(params)`` checks the
     parameters and returns the :class:`MetricSpec` params and the fill values.
+    ``diagonal`` holds the sources of g_{mu mu}, and ``killing_sources`` the
+    Killing forms whose components are sources.
     """
 
-    key: str
-    description: str
-    param_doc: Mapping[str, str]
-    coords: tuple
-    domain: Mapping[str, tuple]
-    diagonal: tuple  # sources of g_{mu mu}
-    killing_sources: tuple  # KillingForms whose components are sources
-    rule: Callable  # params -> (MetricSpec params, fill values); raises on bad params
+    __slots__ = ("key", "description", "param_doc", "coords", "domain", "diagonal", "killing_sources", "rule")
+
+    def __init__(self, key: str, description: str, param_doc: Mapping[str, str], coords: tuple,
+                 domain: Mapping[str, tuple], diagonal: tuple, killing_sources: tuple, rule: Callable):
+        self._set(key=key, description=description, param_doc=param_doc, coords=coords, domain=domain,
+                  diagonal=diagonal, killing_sources=killing_sources, rule=rule)
 
     def build(self, params: Mapping | None = None) -> MetricSpec:
         spec_params, fill = self.rule(dict(params or {}))

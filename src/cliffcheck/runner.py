@@ -6,6 +6,7 @@ problems ``jsonschema`` would give, without importing it), then a semantic
 pass that collects *every* problem (unknown metrics or checks, numbers that
 are not finite, unparseable component expressions with their JSON path and
 column, missing required fields, out-of-domain sample points) before failing.
+A scenario that passes is a read-only :class:`Scenario`.
 
 Reports are fully deterministic: the same scenario and tool version produce
 byte-identical report files.  Wall time is kept on the in-memory
@@ -23,7 +24,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from itertools import chain
@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from . import expr as ex
 from . import schema
+from .algebra import ReadOnly
 from .diffops import MultivectorField
 from .errors import (
     CliffcheckError,
@@ -49,16 +50,19 @@ DEFAULT_TOLERANCE = 1e-8
 MAX_POINTS = 1_000_000  # sample points a scenario, or --points, may resolve to
 
 
-@dataclass(frozen=True)
-class Scenario:
-    description: str
-    spec: MetricSpec
-    fields: ScenarioFields
-    checks: tuple
-    points: np.ndarray  # resolved sample points: a read-only (n, 4) float array
-    tolerances: Mapping[str, float]
-    seed: int
-    digest: str  # sha256 over the canonical raw document
+class Scenario(ReadOnly):
+    """A validated scenario; read-only.
+
+    ``points`` are the resolved sample points, a read-only (n, 4) float
+    array, and ``digest`` is the sha256 over the canonical raw document.
+    """
+
+    __slots__ = ("description", "spec", "fields", "checks", "points", "tolerances", "seed", "digest")
+
+    def __init__(self, description: str, spec: MetricSpec, fields: ScenarioFields, checks: tuple,
+                 points: np.ndarray, tolerances: Mapping[str, float], seed: int, digest: str):
+        self._set(description=description, spec=spec, fields=fields, checks=checks, points=points,
+                  tolerances=tolerances, seed=seed, digest=digest)
 
     def tolerance_for(self, check: str, default_override: float | None = None) -> float:
         if check in self.tolerances:
@@ -68,13 +72,15 @@ class Scenario:
         return float(self.tolerances.get("default", DEFAULT_TOLERANCE))
 
 
-@dataclass
 class Report:
-    scenario_digest: str
-    description: str
-    checks: list
-    passed: bool
-    wall_time_s: float  # console diagnostics only; never serialized
+    __slots__ = ("scenario_digest", "description", "checks", "passed", "wall_time_s")
+
+    def __init__(self, scenario_digest: str, description: str, checks: list, passed: bool, wall_time_s: float):
+        self.scenario_digest = scenario_digest
+        self.description = description
+        self.checks = checks
+        self.passed = passed
+        self.wall_time_s = wall_time_s  # console diagnostics only; never serialized
 
     def to_json(self) -> str:
         """The report file: ``json.dumps(tree, indent=2)`` and a newline, written from the checks' columns."""

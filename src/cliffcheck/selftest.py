@@ -3,37 +3,37 @@
 The algebra suite draws a fresh Lorentzian point metric and fresh random
 multivectors every trial and evaluates the full list of product, contraction
 and duality laws, tracking the worst relative residual per law.  It works on
-``CHUNK`` trials at a time: it draws each trial's inputs in turn, in the
-order metric (the rejection loop of :func:`random_lorentzian_metric`), a, b,
-c, r, s, i, j, k; checks the chunk's metrics as one block
-:class:`~cliffcheck.algebra.PointMetric`; evaluates every law on (chunk, 16)
-coefficient rows against that block's tables, a conditional law only on the
-trials it covers; and drops the chunk before drawing the next, so memory
-does not grow with the number of trials.  The products are
-:mod:`cliffcheck.algebra`'s row products, the ones a
+a block of :data:`TRIALS_PER_BLOCK` trials at a time: it draws each trial's
+inputs in turn, in the order metric (the rejection loop of
+:func:`random_lorentzian_metric`), a, b, c, r, s, i, j, k; checks the
+block's metrics as one :class:`~cliffcheck.algebra.PointMetric`; evaluates
+every law on (block, 16) coefficient rows against that metric's tables, a
+conditional law only on the trials it covers; and drops the block before
+drawing the next, so memory does not grow with the number of trials.  The
+products are :mod:`cliffcheck.algebra`'s row products, the ones a
 :class:`~cliffcheck.algebra.PointMetric` runs for its own metric, so the
 suite checks the metric checks, tables and products that ``verify`` uses.
-A seed gives the same trials, and the same maxima, whatever the chunk size.
+A seed gives the same trials, and the same maxima, whatever the block size.
 The operator suite exercises the differential-operator consistency
 statements on random polynomial fields over the builtin metric catalog.
-It too works on ``CHUNK`` trials of one metric at a time: it draws each
-trial's inputs in turn, in the order point, mixed field F, grade p, its
-homogeneous field, 1-form A; evaluates the chunk's points as one block
-:func:`~cliffcheck.geometry.curvature`; and runs each operator once on a
-:meth:`FieldCalculus.of_lanes` block that holds trial i's field at point i.
-Each trial's residuals are bitwise those of the trial alone, so a seed gives
-the same maxima, whatever the chunk size.  Both suites back the
-``algebra-selftest`` CLI command and the acceptance suite.
+It too works on a block of :data:`TRIALS_PER_BLOCK` trials of one metric at
+a time: it draws each trial's inputs in turn, in the order point, mixed
+field F, grade p, its homogeneous field, 1-form A; evaluates the block's
+points as one :func:`~cliffcheck.geometry.curvature` block; and runs each
+operator once on a :meth:`FieldCalculus.of_lanes` block that holds trial
+i's field at point i.  Each trial's residuals are bitwise those of the
+trial alone, so a seed gives the same maxima, whatever the block size.
+Both suites back the ``algebra-selftest`` CLI command and the acceptance
+suite.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
-
-from functools import partial
 
 from . import algebra, blades
 from . import expr as ex
@@ -44,20 +44,21 @@ from .geometry import CATALOG, build_metric, curvature
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-@dataclass
-class LawStat:
+class LawStat(NamedTuple):
     name: str
     trials: int
     max_residual: float
     passed: bool
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    threshold: float
-    laws: list
-    elapsed_s: float
+    __slots__ = ("name", "threshold", "laws", "elapsed_s")
+
+    def __init__(self, name: str, threshold: float, laws: list, elapsed_s: float):
+        self.name = name
+        self.threshold = threshold
+        self.laws = laws  # LawStat per law
+        self.elapsed_s = elapsed_s
 
     @property
     def passed(self) -> bool:
@@ -94,9 +95,9 @@ def _rel(diff, *scales):
     return diff / scale
 
 
-# -- the algebra suite, over a chunk of trials at once ------------------------------
+# -- the algebra suite, over a block of trials at once ------------------------------
 
-CHUNK = 16  # trials per chunk; the tables of one trial take about 85 kB
+TRIALS_PER_BLOCK = 16  # the tables of one trial take about 85 kB
 
 ALGEBRA_LAWS = (
     "associativity",
@@ -152,10 +153,10 @@ def _draw_trials(rng: np.random.Generator, count: int) -> tuple:
     return (pm, a, b, c, *np.array(ints).T)
 
 
-def _chunk_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
+def _block_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
     """Relative residual of each law per trial; a conditional law only where it applies.
 
-    The chunk's tables are built here, as the laws read them from the block ``pm``.
+    The block's tables are built here, as the laws read them from the block ``pm``.
     """
     tables = pm.tables
     clifford = partial(algebra.clifford_rows, tables)
@@ -275,8 +276,8 @@ def _suite(name: str, laws: tuple, threshold: float, trials: int, blocks) -> Sui
 
 def run_algebra_suite(iterations: int = 10_000, seed: int = 20240811) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    blocks = (_chunk_laws(*_draw_trials(rng, min(CHUNK, iterations - first)))
-              for first in range(0, iterations, CHUNK))
+    blocks = (_block_laws(*_draw_trials(rng, min(TRIALS_PER_BLOCK, iterations - first)))
+              for first in range(0, iterations, TRIALS_PER_BLOCK))
     return _suite("algebra", ALGEBRA_LAWS, 1e-10, iterations, blocks)
 
 
@@ -392,7 +393,7 @@ def _operator_laws(gd, mixed, p, homogeneous, potentials) -> dict:
 
 def run_diffops_suite(fields_per_metric: int = 25, seed: int = 20240812) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    blocks = (_operator_laws(*_draw_operator_trials(rng, spec, min(CHUNK, fields_per_metric - first)))
+    blocks = (_operator_laws(*_draw_operator_trials(rng, spec, min(TRIALS_PER_BLOCK, fields_per_metric - first)))
               for spec in (build_metric(key, _CATALOG_PARAMS[key]) for key in sorted(CATALOG))
-              for first in range(0, fields_per_metric, CHUNK))
+              for first in range(0, fields_per_metric, TRIALS_PER_BLOCK))
     return _suite("diffops", DIFFOPS_LAWS, 1e-8, fields_per_metric * len(CATALOG), blocks)

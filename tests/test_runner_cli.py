@@ -30,7 +30,7 @@ from cliffcheck.runner import (
     report_schema,
     run,
 )
-from cliffcheck.selftest import ALGEBRA_LAWS, CHUNK
+from cliffcheck.selftest import ALGEBRA_LAWS, TRIALS_PER_BLOCK
 
 import oracles
 
@@ -594,7 +594,7 @@ def test_cli_catalog():
 
 def test_cli_selftest_quick():
     # three full chunks of trials and a partial one
-    iterations = 3 * CHUNK + 5
+    iterations = 3 * TRIALS_PER_BLOCK + 5
     runs = [run_cli("algebra-selftest", "--iterations", str(iterations), "--seed", "7") for _ in range(2)]
     laws = []
     for proc in runs:
@@ -617,6 +617,22 @@ def test_cli_nonpositive_count_is_a_usage_error(argv):
     assert "Traceback" not in proc.stderr
     assert f"must be at least 1, got {argv[-1]}" in proc.stderr
     assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("catalog",),
+    ("verify", str(SCENARIOS / "minkowski_boost.json")),
+    ("algebra-selftest", "--iterations", "1"),
+], ids=lambda argv: argv[0])
+def test_cli_console_output_that_cannot_be_written_exits_2(argv):
+    # verify's exit 1 means a check failed, so a failed write must not end in it
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cliffcheck", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, cwd=REPO)
+    assert proc.returncode == 2, proc.stderr
+    # one line: no traceback, and no "Exception ignored" from flushing stdout at exit
+    assert re.fullmatch(r"error: cannot write output: \[Errno 28\] .*\n", proc.stderr), proc.stderr
 
 
 def test_cli_more_points_than_the_limit_is_a_usage_error():

@@ -78,7 +78,7 @@ def test_law_lines_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ALGEBRA_LINES_SHA256
 
 
-@pytest.mark.parametrize("chunk", [selftest.CHUNK, 7])
+@pytest.mark.parametrize("chunk", [selftest.TRIALS_PER_BLOCK, 7])
 def test_suite_checks_one_block_metric_per_chunk(monkeypatch, chunk):
     inits = []
     original = PointMetric.__init__
@@ -88,7 +88,7 @@ def test_suite_checks_one_block_metric_per_chunk(monkeypatch, chunk):
         original(self, g, *args, **kwargs)
 
     monkeypatch.setattr(PointMetric, "__init__", init)
-    monkeypatch.setattr(selftest, "CHUNK", chunk)
+    monkeypatch.setattr(selftest, "TRIALS_PER_BLOCK", chunk)
     selftest.run_algebra_suite(iterations=50, seed=5)
     assert len(inits) == math.ceil(50 / chunk)
     assert inits == [(chunk, 4, 4)] * (50 // chunk) + [(50 % chunk, 4, 4)]
@@ -110,7 +110,7 @@ def test_a_failing_metric_raises_its_error_alone(monkeypatch):
 
 def test_law_maxima_do_not_depend_on_the_chunk(monkeypatch):
     default = selftest.run_algebra_suite(iterations=100, seed=5)
-    monkeypatch.setattr(selftest, "CHUNK", 3)
+    monkeypatch.setattr(selftest, "TRIALS_PER_BLOCK", 3)
     small = selftest.run_algebra_suite(iterations=100, seed=5)
     assert _maxima(small) == _maxima(default)
     assert [law.trials for law in small.laws] == [100] * len(selftest.ALGEBRA_LAWS)
@@ -203,7 +203,7 @@ def test_diffops_law_maxima_are_pinned(fields_per_metric, seed):
 
 def test_diffops_law_maxima_do_not_depend_on_the_chunk(monkeypatch):
     default = selftest.run_diffops_suite(fields_per_metric=7, seed=5)
-    monkeypatch.setattr(selftest, "CHUNK", 3)
+    monkeypatch.setattr(selftest, "TRIALS_PER_BLOCK", 3)
     small = selftest.run_diffops_suite(fields_per_metric=7, seed=5)
     assert _maxima(small) == _maxima(default)
     assert [law.trials for law in small.laws] == [21] * len(small.laws)
@@ -246,14 +246,14 @@ def _one_trial_laws(rng, spec) -> dict:
 @pytest.mark.parametrize("key", sorted(CATALOG))
 def test_operator_block_residuals_equal_each_trial_alone_bitwise(key):
     spec = build_metric(key, selftest._CATALOG_PARAMS[key])
-    trials = selftest._draw_operator_trials(np.random.default_rng(17), spec, selftest.CHUNK)
+    trials = selftest._draw_operator_trials(np.random.default_rng(17), spec, selftest.TRIALS_PER_BLOCK)
     assert set(trials[2]) == set(range(5))  # every grade p, with and without its neighbours
     block = selftest._operator_laws(*trials)
     rng = np.random.default_rng(17)
-    for i in range(selftest.CHUNK):
+    for i in range(selftest.TRIALS_PER_BLOCK):
         alone = _one_trial_laws(rng, spec)
         for name in selftest.DIFFOPS_LAWS:
-            assert block[name].shape == (selftest.CHUNK,)
+            assert block[name].shape == (selftest.TRIALS_PER_BLOCK,)
             assert np.float64(block[name][i]).tobytes() == np.float64(alone[name]).tobytes(), (i, name)
 
 def _peak_bytes(iterations: int) -> int:
@@ -268,7 +268,7 @@ def test_suite_memory_does_not_grow_with_iterations():
     margin = 64 * 1024
     tracemalloc.start()
     try:
-        _peak_bytes(selftest.CHUNK)  # warm caches the first run fills
+        _peak_bytes(selftest.TRIALS_PER_BLOCK)  # warm caches the first run fills
         small, large = _peak_bytes(200), _peak_bytes(2000)
     finally:
         tracemalloc.stop()

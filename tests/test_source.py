@@ -1,10 +1,13 @@
-"""The package's sources are valid Python for the oldest version pyproject.toml allows, and
-the README's Python API names and the package's ``__all__`` names exist."""
+"""The package's sources are valid Python for the oldest version pyproject.toml allows, the
+README's Python API names and the package's ``__all__`` names exist, and a fresh ``verify``
+does not import ``dataclasses``."""
 
 import ast
 import functools
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,16 @@ def test_every_name_in_all_resolves():
     namespace = {}
     exec("from cliffcheck import *", namespace)
     assert set(cliffcheck.__all__) <= namespace.keys()
+
+
+def test_a_fresh_verify_does_not_import_dataclasses():
+    # every module a cold `verify` imports is paid on each call: generating the
+    # record classes with dataclasses took several times as long as checking a bundled scenario
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cliffcheck", "verify",
+                           "scenarios/minkowski_boost.json"], capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"cliffcheck.cli", "cliffcheck.runner"} <= imported
+    assert "dataclasses" not in imported
+    assert [p.name for p in (REPO / "src").rglob("*.py") if "dataclass" in p.read_text()] == []

@@ -65,8 +65,10 @@ def _node_fields(node) -> tuple:
         type(node), ("left", "right"))
 
 
-@pytest.mark.parametrize("record, kind, fields", list(_frozen_records()),
-                         ids=[kind for _, kind, _ in _frozen_records()])
+FROZEN = list(_frozen_records())
+
+
+@pytest.mark.parametrize("record, kind, fields", FROZEN, ids=[kind for _, kind, _ in FROZEN])
 def test_read_only_records_refuse_assignment_to_their_fields(record, kind, fields):
     assert type(record).__name__ == kind
     for name in fields:

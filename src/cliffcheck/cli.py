@@ -155,17 +155,22 @@ def entrypoint() -> None:
     """Run :func:`main` on the command line and exit with its code.
 
     Console output that cannot be written (a full disk or a closed pipe)
-    ends in exit 2 with a message, not a traceback.  ``main`` reports the
-    OSErrors of reading a scenario and writing a report itself, so one that
-    reaches here came from writing the console.
+    ends in exit 2 with a message, not a traceback, and in exit 2 without
+    one when stderr cannot be written either.  ``main`` reports the OSErrors
+    of reading a scenario and writing a report itself, so one that reaches
+    here came from writing the console.
     """
     try:
         code = main()
         sys.stdout.flush()
     except OSError as err:
-        # what stdout still buffers would fail again at exit: send it nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {err}", file=sys.stderr)
+        # what a console stream still buffers would fail again at exit: send it nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error: cannot write output: {err}", file=sys.stderr, flush=True)
+        except OSError:
+            os.dup2(devnull, sys.stderr.fileno())
         code = 2
     sys.exit(code)
 

@@ -635,6 +635,15 @@ def test_cli_console_output_that_cannot_be_written_exits_2(argv):
     assert re.fullmatch(r"error: cannot write output: \[Errno 28\] .*\n", proc.stderr), proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("catalog",), ("verify", str(SCENARIOS / "no_such_file.json"))],
+                         ids=lambda argv: argv[0])
+def test_cli_exits_2_when_neither_console_stream_can_be_written(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cliffcheck", *argv], stdout=full, stderr=full, cwd=REPO)
+    assert proc.returncode == 2
+
+
 def test_cli_more_points_than_the_limit_is_a_usage_error():
     proc = run_cli("verify", str(SCENARIOS / "minkowski_boost.json"), "--points", str(MAX_POINTS + 1))
     assert proc.returncode == 2

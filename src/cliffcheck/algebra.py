@@ -180,6 +180,14 @@ def _per_row(scale):
     return float(scale)
 
 
+def linear_combination(weights, terms) -> Multivector:
+    """``sum_k weights[..., k] * terms[k]``, added from zero in order of k, which fixes its bits."""
+    out = Multivector.zero()
+    for k, term in enumerate(terms):
+        out = out + weights[..., k] * term
+    return out
+
+
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """Exterior product; metric independent."""
     return Multivector(wedge_rows(a.coeffs, b.coeffs))

@@ -70,12 +70,9 @@ for _a in range(N_BLADES):
         if not _a & _b:
             WEDGE_TENSOR[_a, _b, _a | _b] = WEDGE_SIGN[_a, _b]
 
-# wedge-by-single-covector operators: WEDGE_OP[i] @ x  ==  gamma^i ^ x
-WEDGE_OP = np.zeros((DIM, N_BLADES, N_BLADES))
-for _i in range(DIM):
-    for _m in range(N_BLADES):
-        if not _m >> _i & 1:
-            WEDGE_OP[_i, _m | 1 << _i, _m] = WEDGE_SIGN[1 << _i, _m]
+# wedge-by-single-covector operators: WEDGE_OP[i] @ x  ==  gamma^i ^ x, the
+# covector rows of WEDGE_TENSOR as matrices, kept C-contiguous for the einsums
+WEDGE_OP = np.ascontiguousarray(WEDGE_TENSOR[COVECTOR_MASKS].transpose(0, 2, 1))
 
 # Interior product by gamma^i is the antiderivation
 #   gamma^i _| (a_1^...^a_p) = sum_m (-1)^(m-1) g(gamma^i, a_m) a_1^..â_m..^a_p,

@@ -21,6 +21,9 @@ are read-only and made by the same operations wherever they are read, so
 no report depends on which other checks ran, and
 :func:`sandwich_link_identities`, :func:`energy_momentum_em` and
 :func:`energy_momentum_fluid` give the same bits called on their own.
+Each index sum over a block, sum_k w_k X_k (V^mu D_mu V, and A^beta with
+the sandwiches and the Ricci and Einstein rows), is one
+:func:`~cliffcheck.algebra.linear_combination`, added in order of k.
 :func:`run_checks` gathers one :class:`ResidualReport` per check, which
 keeps the results as columns: one array per key, one row per point.
 Residuals under ``residuals`` gate the
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import Multivector, ReadOnly, grade_project, wedge
+from .algebra import Multivector, ReadOnly, grade_project, linear_combination, wedge
 from .diffops import FieldCalculus, MultivectorField, grad_scalar_product
 from .errors import FieldError
 from .geometry import GeometryData, MetricSpec, curvature
@@ -344,9 +347,7 @@ def _lorentz_force(ctx: BlockContext) -> tuple:
     }
     # transport identity: (V . dirac)V = V _| dV + 1/2 dirac(V.V)
     v_up = _raise_index(gd, vval.oneform_components())
-    directional = Multivector.zero()
-    for mu in range(4):
-        directional = directional + v_up[..., mu] * Multivector(fv.cov1[..., mu, :])
+    directional = linear_combination(v_up, (Multivector(fv.cov1[..., mu, :]) for mu in range(4)))
     correction = 0.5 * grad_scalar_product(fv.jets, fv.jets, gd)
     transport = directional - pm.left_contract(vval, dv) - correction
     residuals["transport_identity"] = transport.sup()
@@ -527,28 +528,17 @@ def _sandwich_links(terms: MaxwellTerms) -> dict:
     pm = gd.metric
     a_up = _raise_index(gd, a.oneform_components())
 
-    def contracted(sandwiches: tuple) -> Multivector:
-        out = Multivector.zero()
-        for beta in range(4):
-            out = out + a_up[..., beta] * sandwiches[beta]
-        return out
+    def contract_rows(rows: np.ndarray) -> Multivector:  # A^beta X_beta nu gamma^nu
+        return linear_combination(a_up, (Multivector.oneform(rows[..., beta, :]) for beta in range(4)))
 
     faf = pm.clifford(f2, pm.clifford(a, f2))
     jaj = pm.clifford(j, pm.clifford(a, j))
     expansion = jaj - 2.0 * terms.a_dot_j * j + terms.j_sq * a
-
-    ricci_sum = Multivector.zero()
-    einstein_sum = Multivector.zero()
-    for beta in range(4):
-        ricci_row = Multivector.oneform(gd.ricci[..., beta, :])
-        einstein_row = Multivector.oneform(gd.einstein_lower[..., beta, :])
-        ricci_sum = ricci_sum + a_up[..., beta] * ricci_row
-        einstein_sum = einstein_sum + a_up[..., beta] * einstein_row
-    trace_link = 2.0 * einstein_sum - (2.0 * ricci_sum - gd.scalar * a)
+    trace_link = 2.0 * contract_rows(gd.einstein_lower) - (2.0 * contract_rows(gd.ricci) - gd.scalar * a)
 
     return {
-        "em_sandwich_linearity": (contracted(terms.em_sandwiches) - faf).sup(),
-        "fluid_sandwich_linearity": (contracted(terms.fluid_sandwiches) - jaj).sup(),
+        "em_sandwich_linearity": (linear_combination(a_up, terms.em_sandwiches) - faf).sup(),
+        "fluid_sandwich_linearity": (linear_combination(a_up, terms.fluid_sandwiches) - jaj).sup(),
         "sandwich_expansion": expansion.sup(),
         "einstein_trace_link": trace_link.sup(),
     }

@@ -15,7 +15,9 @@ products are :mod:`cliffcheck.algebra`'s row products, the ones a
 suite checks the metric checks, tables and products that ``verify`` uses.
 A seed gives the same trials, and the same maxima, whatever the block size.
 The operator suite exercises the differential-operator consistency
-statements on random polynomial fields over the builtin metric catalog.
+statements on random polynomial fields over the builtin metric catalog,
+each metric at the catalog's default parameters (``build_metric(key)``).
+Its index sum A_mu R^mu is :func:`~cliffcheck.algebra.linear_combination`.
 It too works on a block of :data:`TRIALS_PER_BLOCK` trials of one metric at
 a time: it draws each trial's inputs in turn, in the order point, mixed
 field F, grade p, its homogeneous field, 1-form A; evaluates the block's
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import algebra, blades
 from . import expr as ex
-from .algebra import _EYE16, Multivector, PointMetric, grade_rows, scalar_rows, wedge_rows
+from .algebra import _EYE16, PointMetric, grade_rows, linear_combination, scalar_rows, wedge_rows
 from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
@@ -325,9 +327,6 @@ DIFFOPS_LAWS = (
     "lorenz_trace_identity",
 )
 
-_CATALOG_PARAMS = {"minkowski": None, "schwarzschild": {"M": 1.0}, "flrw": {"a": "t"}}
-
-
 def _draw_operator_trials(rng: np.random.Generator, spec, count: int) -> tuple:
     """Inputs of ``count`` operator trials on ``spec``, each drawn in turn in the order one trial uses.
 
@@ -377,9 +376,7 @@ def _operator_laws(gd, mixed, p, homogeneous, potentials) -> dict:
     out["operator_square_routes"] = _rel((fc.hodge_dalembertian() - second).sup(), second.sup(), scale)
 
     fa = FieldCalculus.of_lanes(potentials, gd)
-    rhs = Multivector.zero()
-    for mu in range(4):
-        rhs = rhs + fa.jets.vals[:, 1 << mu] * gd.ricci_oneforms[mu]
+    rhs = linear_combination(fa.jets.vals[:, blades.COVECTOR_MASKS], gd.ricci_oneforms)  # A_mu R^mu
     out["ricci_extensoriality"] = _rel((fa.ricci_operator() - rhs).sup(), rhs.sup(), fa.value().sup())
     delta = fa.codifferential().scalar_part
     trace = -sum(
@@ -394,6 +391,6 @@ def _operator_laws(gd, mixed, p, homogeneous, potentials) -> dict:
 def run_diffops_suite(fields_per_metric: int = 25, seed: int = 20240812) -> SuiteResult:
     rng = np.random.default_rng(seed)
     blocks = (_operator_laws(*_draw_operator_trials(rng, spec, min(TRIALS_PER_BLOCK, fields_per_metric - first)))
-              for spec in (build_metric(key, _CATALOG_PARAMS[key]) for key in sorted(CATALOG))
+              for spec in (build_metric(key) for key in sorted(CATALOG))
               for first in range(0, fields_per_metric, TRIALS_PER_BLOCK))
     return _suite("diffops", DIFFOPS_LAWS, 1e-8, fields_per_metric * len(CATALOG), blocks)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffcheck import blades
-from cliffcheck.algebra import TABLE_NAMES, Multivector, PointMetric, grade_project, wedge
+from cliffcheck.algebra import TABLE_NAMES, Multivector, PointMetric, grade_project, linear_combination, wedge
 from cliffcheck.errors import DegenerateMetricError, SignatureError
 
 import oracles
@@ -281,6 +281,60 @@ def test_grade_projection_partition(rng):
         assert np.array_equal(part.coeffs, again.coeffs)
         total = total + part
     assert np.array_equal(total.coeffs, x.coeffs)
+
+
+# -- linear combinations ---------------------------------------------------------
+
+
+def _sequential_sum(weights, terms) -> Multivector:
+    # the reference: one addition per term, from zero, in order of k
+    out = Multivector.zero()
+    for k in range(len(terms)):
+        out = out + weights[..., k] * terms[k]
+    return out
+
+
+def _special_draw(rng, shape):
+    """Values over 24 decades of both signs, with a share of ±0.0, NaN and ±inf."""
+    x = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+    pick = rng.random(shape) < 0.15
+    x[pick] = specials[rng.integers(0, len(specials), size=int(pick.sum()))]
+    return x
+
+
+@pytest.mark.parametrize("lead", [(), (16,)], ids=["one-point", "block-16"])
+@pytest.mark.parametrize("count", [1, 4, 7])
+def test_linear_combination_is_the_sequential_sum_bitwise(lead, count):
+    rng = np.random.default_rng(8100 + count + len(lead))
+    for _ in range(25):
+        weights = _special_draw(rng, lead + (count,))
+        coeffs = _special_draw(rng, (count,) + lead + (16,))
+        coeffs[rng.random(coeffs.shape) < 0.1] = -0.0
+        terms = [Multivector(c) for c in coeffs]
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and inf - inf give NaN
+            got = linear_combination(weights, terms).coeffs
+            want = _sequential_sum(weights, terms).coeffs
+            again = linear_combination(weights, (t for t in terms)).coeffs
+        assert got.shape == lead + (16,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(again.view(np.uint64), want.view(np.uint64))
+
+
+def test_linear_combination_order_shows_in_the_bits():
+    # the reference is sensitive to order: the same products summed last to
+    # first, or in pairs as an unrolled or blocked sum adds them, give other
+    # bits, so a rewrite that sums in such an order fails the test above
+    rng = np.random.default_rng(8200)
+    weights = rng.uniform(-1.0, 1.0, size=(16, 4)) * 10.0 ** rng.integers(-8, 9, size=(16, 4))
+    coeffs = rng.uniform(-1.0, 1.0, size=(4, 16, 16)) * 10.0 ** rng.integers(-8, 9, size=(4, 16, 16))
+    terms = [Multivector(c) for c in coeffs]
+    want = _sequential_sum(weights, terms).coeffs.view(np.uint64)
+    products = [w[:, np.newaxis] * c for w, c in zip(weights.T, coeffs)]
+    reversed_order = _sequential_sum(weights[..., ::-1], terms[::-1]).coeffs
+    pairwise = (products[0] + products[1]) + (products[2] + products[3])
+    assert not np.array_equal(reversed_order.view(np.uint64), want)
+    assert not np.array_equal(pairwise.view(np.uint64), want)
 
 
 # -- contraction identities ------------------------------------------------------

@@ -245,7 +245,7 @@ def _one_trial_laws(rng, spec) -> dict:
 
 @pytest.mark.parametrize("key", sorted(CATALOG))
 def test_operator_block_residuals_equal_each_trial_alone_bitwise(key):
-    spec = build_metric(key, selftest._CATALOG_PARAMS[key])
+    spec = build_metric(key)
     trials = selftest._draw_operator_trials(np.random.default_rng(17), spec, selftest.TRIALS_PER_BLOCK)
     assert set(trials[2]) == set(range(5))  # every grade p, with and without its neighbours
     block = selftest._operator_laws(*trials)

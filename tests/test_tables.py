@@ -64,6 +64,17 @@ def _metrics(lorentzian: bool) -> np.ndarray:
     return gs
 
 
+def test_wedge_operators_equal_their_definition_bitwise():
+    # the definition entry by entry: gamma^i ^ blade m = WEDGE_SIGN[gamma^i, m] blade (m | gamma^i)
+    ref = np.zeros((blades.DIM, blades.N_BLADES, blades.N_BLADES))
+    for i in range(blades.DIM):
+        for m in range(blades.N_BLADES):
+            if not m >> i & 1:
+                ref[i, m | 1 << i, m] = blades.WEDGE_SIGN[1 << i, m]
+    assert np.array_equal(blades.WEDGE_OP.view(np.uint64), ref.view(np.uint64))
+    assert blades.WEDGE_OP.flags.c_contiguous and blades.WEDGE_OP.strides == ref.strides
+
+
 ORDERS = {"as-listed": TABLE_NAMES, "reversed": TABLE_NAMES[::-1]}
 
 

@@ -47,8 +47,11 @@ One point raises when a field expression is outside its domain there; a
 block raises nothing, keeps each such point's error in ``FieldJets.errors``
 and computes on with zero jets there, and :mod:`cliffcheck.fieldcheck`
 gives the point that error.  :meth:`FieldCalculus.of_lanes` holds a field of
-its own at each point of a block: lane i is bitwise field i at point i
-alone, and raises as that one point does.
+its own at each point of a block: the non-zero components of all its
+fields are one forest of expression trees
+(:func:`~cliffcheck.expr.evaluate_forest`), each at its field's point.
+Lane i is bitwise field i at point i alone, and the block raises as the
+first of its points that fails alone does.
 """
 
 from __future__ import annotations
@@ -223,20 +226,30 @@ class FieldCalculus:
     def of_lanes(cls, fields, gd: GeometryData) -> "FieldCalculus":
         """The operators of ``fields[i]`` at point i of the block ``gd``, for each i.
 
-        Lane i's jets are the one-point :func:`field_jets` of ``fields[i]`` at
-        point i, which raises when that field cannot be evaluated there, and
-        each operator's lane i is bitwise that of ``FieldCalculus(fields[i],
-        curvature(gd.spec, gd.point[i]))``.  Its grades are the union of the
-        fields' grades: a grade that a lane's field lacks adds exact zeros there.
+        Lane i's jets are bitwise the one-point :func:`field_jets` of
+        ``fields[i]`` at point i, and each operator's lane i is bitwise that of
+        ``FieldCalculus(fields[i], curvature(gd.spec, gd.point[i]))``.  The
+        non-zero components of all the lanes are one forest
+        (:func:`~cliffcheck.expr.evaluate_forest`), each at its lane's point.
+        When one cannot be evaluated, the error of the lowest such lane's
+        lowest such component is raised, as the lanes one by one would.  Its
+        grades are the union of the fields' grades: a grade that a lane's
+        field lacks adds exact zeros there.
         """
         spec = gd.spec
-        lanes = [field_jets(f, x, ex.point_jets(spec.coords, x, spec.params))
-                 for f, x in zip(fields, gd.point)]
+        at = [(i, mask) for i, f in enumerate(fields) for mask in range(16) if not ex.is_zero(f.comps[mask])]
+        lanes, masks = np.array(at, dtype=np.intp).reshape(-1, 2).T
+        jet = ex.evaluate_forest([fields[i].comps[mask] for i, mask in at], spec.coords, gd.point[lanes],
+                                 spec.params)
+        if jet.errors:
+            raise jet.errors[min(jet.errors)]
+        shape = (len(fields), 16)
+        vals, grads, hess = np.zeros(shape), np.zeros(shape + (4,)), np.zeros(shape + (4, 4))
+        vals[lanes, masks], grads[lanes, masks], hess[lanes, masks] = jet.val, jet.grad, jet.hess
         calc = cls.__new__(cls)
         calc.field, calc.gd = None, gd  # no one field: the operators read only its jets and grades
         calc.grades = frozenset().union(*(f.grades for f in fields))
-        calc.jets = FieldJets(np.stack([j.vals for j in lanes]), np.stack([j.grads for j in lanes]),
-                              np.stack([j.hess for j in lanes]), {})
+        calc.jets = FieldJets(vals, grads, hess, {})
         return calc
 
     @cached_property

@@ -37,6 +37,19 @@ of them at one point, are ``math``'s, one lane at a time.
 subtree of the expressions it is given, once over a chunk of points and
 hands the jets out a block of points at a time.
 
+A forest (:func:`evaluate_forest`) is a list of trees, each at a point of
+its own: tree t at point t is lane t.  Its nodes are evaluated level by
+level (:class:`_Forest`): the nodes of one height, node type and variable
+name or function are one group, and each group is one step of the same
+node arithmetic over its lanes.  A group of numbers holds a value per
+lane, and a group of powers splits by each node's integer exponent.  Lane
+t is bitwise tree t at its point alone.  Each node keeps the error of its
+leftmost failing child, else its own, so lane t's error is the first
+failing operation in post-order, the one that point raises alone.  A
+forest holds every node's jet until it ends: it suits many small trees,
+as the operator selftest's random fields, and not one long sum, whose
+partial sums a :class:`ChunkJets` frees one by one.
+
 Tree nodes and :class:`Jet2` values are read-only: assigning to a field
 raises ``AttributeError``.  A node's repr names its fields, as in
 ``Call(func='sin', args=(Var(name='r'),))``.
@@ -556,17 +569,25 @@ class _Walk:
                 self.failed = self.failed | failed
         return self.step(e, *[kid[0] for kid in kids]), self.errors, self.failed
 
-    def reject(self, mask, error: Callable[[], ExprError]) -> None:
-        """Fail, with ``error()``, the points where ``mask`` holds and no earlier error did."""
+    def reject(self, mask, error: Callable[[Expr], ExprError], site: Expr) -> None:
+        """Fail, with ``error(site)``, the points where ``mask`` holds and no earlier error did."""
         new = mask & ~self.failed
         if new.any():
             if not self.lanes:
-                raise error()
-            self.errors.update(dict.fromkeys(np.flatnonzero(new).tolist(), error()))
+                raise error(site)
+            self.errors.update(dict.fromkeys(np.flatnonzero(new).tolist(), error(site)))
             self.failed = self.failed | new
 
     def domain(self, mask, message: str, site: Expr) -> None:
-        self.reject(mask, lambda: DomainEvalError(message, serialize(site)))
+        self.reject(mask, lambda at: DomainEvalError(message, serialize(at)), site)
+
+    def exponent(self, e: Expr, expo: tuple) -> int | None:
+        """The :func:`_small_int_exponent` of the power ``e``, whose exponent's jet is ``expo``.
+
+        A coordinate-free exponent has the same value at every point, so the first is read.
+        """
+        first = expo[0] if isinstance(expo[0], float) else expo[0][0]
+        return _small_int_exponent(first, _exponent(e), self.coord_names)
 
     def step(self, e: Expr, *args) -> tuple:
         """The jet of node ``e`` from its children's jets (see :meth:`evaluate`)."""
@@ -576,8 +597,8 @@ class _Walk:
         if isinstance(e, Var):
             if e.name in self.names:
                 return self.names[e.name]
-            self.reject(True, lambda: UnboundIdentifierError(
-                f"identifier '{e.name}' is neither a coordinate nor a parameter"))
+            self.reject(True, lambda _: UnboundIdentifierError(
+                f"identifier '{e.name}' is neither a coordinate nor a parameter"), e)
             return self.const(0.0)
         if isinstance(e, Neg):
             v, g, h = args[0]
@@ -589,10 +610,8 @@ class _Walk:
             return _mul(*args)
         if isinstance(e, Div):
             return _div(*args, e, self)
-        if isinstance(e, Pow):
-            return _pow(*args, e.right, e, self)
-        if e.func == "pow":  # a Call
-            return _pow(*args, e.args[1], e, self)
+        if isinstance(e, Pow) or e.func == "pow":  # else a Call of a function of one argument
+            return _pow(*args, self.exponent(e, args[1]), e, self)
         a = args[0]
         if e.func == "log":
             self.domain(a[0] <= 0.0, "log of non-positive value", e)
@@ -652,7 +671,7 @@ def _per_lane(fn, v, site: Expr, walk: _Walk) -> tuple:
         try:
             rows.append(fn(x))
         except _MATH_ERRORS as err:
-            walk.reject(np.arange(len(xs)).reshape(walk.lanes) == k, partial(_range_error, err, site))
+            walk.reject(np.arange(len(xs)).reshape(walk.lanes) == k, partial(_range_error, err), site)
             rows.append(fn(1.0))
     return rows[0] if isinstance(v, float) else tuple(np.array(rows).T)
 
@@ -721,10 +740,13 @@ def _int_pow(a: tuple, n: int, site: Expr, walk: _Walk) -> tuple:
     return out
 
 
-def _pow(base: tuple, expo: tuple, expo_node: Expr, site: Expr, walk: _Walk) -> tuple:
-    # a coordinate-free exponent has the same value at every point
-    n = _small_int_exponent(expo[0] if isinstance(expo[0], float) else expo[0][0], expo_node,
-                            walk.coord_names)
+def _exponent(e: Expr) -> Expr:
+    """The exponent of a power, ``x^y`` or ``pow(x, y)``."""
+    return e.right if isinstance(e, Pow) else e.args[1]
+
+
+def _pow(base: tuple, expo: tuple, n: int | None, site: Expr, walk: _Walk) -> tuple:
+    """``base`` to the power ``expo``, whose :func:`_small_int_exponent` is ``n``."""
     if n is not None:
         return _int_pow(base, n, site, walk)
     walk.domain(base[0] <= 0.0, "power with non-integer exponent requires positive base", site)
@@ -768,6 +790,127 @@ def point_jets(coords: Sequence[str], point, params: Mapping[str, float] | None 
                ) -> Callable[[Expr], Jet2]:
     """The jet source of one point: each expression is evaluated there alone."""
     return lambda e: evaluate_jet2(e, coords, point, params)
+
+
+class _Group(_Walk):
+    """One step of a forest (:class:`_Forest`): lane k is node ``sites[k]`` at its tree's point.
+
+    ``failed`` and ``errors`` start as the children's.  ``names`` holds the
+    jet of a group of variables, and ``power`` the exponent of a group of
+    powers, which a forest splits by it.  A lane failing here gets the error
+    named by its own node, not by the site the arithmetic passes, which is
+    the group's first node.
+    """
+
+    def __init__(self, coord_names: frozenset, names: dict, power: int | None, sites: list,
+                 failed: np.ndarray, errors: dict):
+        self.lanes = lanes = failed.shape
+        self.coord_names, self.names, self.power = coord_names, names, power
+        self.zero_grad, self.zero_hess = np.zeros((4,) + lanes), np.zeros((4, 4) + lanes)
+        self.sites, self.failed, self.errors = sites, failed, errors
+
+    def exponent(self, e: Expr, expo: tuple) -> int | None:
+        return self.power
+
+    def reject(self, mask, error: Callable[[Expr], ExprError], site: Expr) -> None:
+        new = mask & ~self.failed
+        if new.any():
+            self.errors.update((k, error(self.sites[k])) for k in np.flatnonzero(new).tolist())
+            self.failed = self.failed | new
+
+
+class _Forest:
+    """The nodes of some trees, tree t at point t, evaluated a group of nodes at a time.
+
+    Nodes are numbered in post-order, tree after tree, and grouped by
+    (height, node type, label): a variable's name or a call's function, a
+    number of any value.  A group's children are of lower height, so the
+    groups are evaluated by height, each group in one step over its lanes.
+    ``jets[:, i]`` is node i's value, gradient and Hessian, flat (1 + 4 +
+    16 rows); ``failed[i]`` says whether it failed, and ``errors[i]`` is then
+    its error, that of its leftmost failing child or else its own.
+    """
+
+    def __init__(self, trees: Sequence[Expr], coords: Sequence[str], points: np.ndarray,
+                 params: Mapping[str, float] | None):
+        self.walk = _Walk(coords, points, params)  # the names' jets at every tree's point
+        self.groups: dict = {}  # (height, type, label) -> [(id, node, tree, *children's ids)]
+        self.roots, heights = [], []
+        for t, e in enumerate(trees):
+            stack = []  # ids of the nodes whose parent comes later
+            for node, k in zip(*_postorder(e)):
+                i = len(heights)
+                if k:
+                    kids = stack[-k:]
+                    del stack[-k:]
+                    height = 1 + max([heights[kid] for kid in kids])
+                else:
+                    kids, height = [], 0
+                kind = type(node)
+                key, entry = (height, kind, None if kind is Num else node.label), (i, node, t, *kids)
+                group = self.groups.get(key)
+                if group is None:
+                    self.groups[key] = [entry]
+                else:
+                    group.append(entry)
+                heights.append(height)
+                stack.append(i)
+            self.roots.append(stack[0])
+        self.jets = np.zeros((21, len(heights)))
+        self.failed, self.errors = np.zeros(len(heights), dtype=bool), {}
+
+    def evaluate(self) -> None:
+        for key in sorted(self.groups, key=lambda key: key[0]):
+            ids, nodes, lanes, *kids = zip(*self.groups[key])
+            ids, lanes, kids = np.array(ids), np.array(lanes), np.array(kids, dtype=np.intp)
+            if key[1] is Num:  # a value per lane, and zero derivatives
+                self.jets[0, ids] = [node.value for node in nodes]
+            elif key[1:] in ((Pow, None), (Call, "pow")):  # split by each node's exponent
+                powers = [_small_int_exponent(x, _exponent(node), self.walk.coord_names)
+                          for x, node in zip(self.jets[0, kids[1]].tolist(), nodes)]
+                for power in dict.fromkeys(powers):
+                    pick = [k for k, p in enumerate(powers) if p == power]
+                    self.step(ids[pick], [nodes[k] for k in pick], lanes[pick], kids[:, pick], power)
+            else:
+                self.step(ids, nodes, lanes, kids)
+
+    def step(self, ids: np.ndarray, nodes: list, lanes: np.ndarray, kids: np.ndarray,
+             power: int | None = None) -> None:
+        """Evaluate nodes ``ids``, of one group, from their children ``kids`` (one row per child)."""
+        failed = self.failed[kids].any(axis=0) if len(kids) else np.zeros(len(ids), dtype=bool)
+        errors = {}
+        for k in np.flatnonzero(failed).tolist():  # each lane keeps its leftmost failing child's error
+            errors[k] = self.errors[next(kid for kid in kids[:, k].tolist() if self.failed[kid])]
+        names = {}
+        if type(nodes[0]) is Var and nodes[0].name in self.walk.names:  # a coordinate or a parameter
+            names[nodes[0].name] = tuple(x[..., lanes] for x in self.walk.names[nodes[0].name])
+        walk = _Group(self.walk.coord_names, names, power, nodes, failed, errors)
+        args = [(jet[0], jet[1:5], jet[5:].reshape(4, 4, -1)) for jet in (self.jets[:, kid] for kid in kids)]
+        val, grad, hess = walk.step(nodes[0], *args)
+        self.jets[0, ids], self.jets[1:5, ids], self.jets[5:, ids] = val, grad, np.reshape(hess, (16, -1))
+        self.failed[ids] = walk.failed
+        self.errors.update((int(ids[k]), err) for k, err in walk.errors.items())
+
+
+def evaluate_forest(trees: Sequence[Expr], coords: Sequence[str], points,
+                    params: Mapping[str, float] | None = None) -> Jet2:
+    """The jet of each tree at its own point: lane t is ``trees[t]`` at ``points[t]``.
+
+    ``points`` has shape (T, 4) for T trees, and the jet is as N points give
+    (see :class:`Jet2`).  Lane t is bitwise ``evaluate_jet2(trees[t], coords,
+    points[t], params)``, and ``errors[t]`` is the error that raises.  The
+    nodes of all the trees are evaluated in groups of one height, node type
+    and variable name or function, each group one step over its lanes
+    (:class:`_Forest`).
+    """
+    forest = _Forest(trees, coords, np.asarray(points, dtype=float).reshape(-1, 4), params)
+    with np.errstate(all="ignore"):  # non-finite lanes are judged downstream
+        forest.evaluate()
+    failed, jets = forest.failed[forest.roots], forest.jets[:, forest.roots]
+    errors = {t: forest.errors[root] for t, root in enumerate(forest.roots) if failed[t]}
+    if errors:
+        jets = np.where(failed, 0.0, jets)
+    return Jet2(jets[0], jets[1:5].T, jets[5:].reshape(4, 4, -1).transpose(2, 0, 1), errors)
 
 
 class ChunkJets:

@@ -150,10 +150,6 @@ class GeometryData:
                             jet=jet, errors=block_errors(self.errors, start, stop), **arrays)
 
     @cached_property
-    def _mixed_ricci(self) -> np.ndarray:
-        return self.g_upper @ self.ricci  # R^m_n
-
-    @cached_property
     def einstein_lower(self) -> np.ndarray:
         """G_{ab} = R_{ab} - R g_{ab} / 2, read-only."""
         half_scalar = np.asarray(0.5 * self.scalar)[..., np.newaxis, np.newaxis]
@@ -164,14 +160,8 @@ class GeometryData:
     @cached_property
     def ricci_oneforms(self) -> tuple:
         """The 4 Multivectors R^mu_nu gamma^nu."""
-        return tuple(Multivector.oneform(self._mixed_ricci[..., mu, :]) for mu in range(4))
-
-    @cached_property
-    def einstein_oneforms(self) -> tuple:
-        """The 4 Multivectors G^mu_nu gamma^nu."""
-        half_scalar = np.asarray(0.5 * self.scalar)[..., np.newaxis, np.newaxis]
-        einstein_mixed = self._mixed_ricci - half_scalar * np.eye(4)
-        return tuple(Multivector.oneform(einstein_mixed[..., mu, :]) for mu in range(4))
+        mixed = self.g_upper @ self.ricci  # R^m_n
+        return tuple(Multivector.oneform(mixed[..., mu, :]) for mu in range(4))
 
     # -- operators of the connection, shared by every field's FieldCalculus --------
 

@@ -23,8 +23,10 @@ a time: it draws each trial's inputs in turn, in the order point, mixed
 field F, grade p, its homogeneous field, 1-form A; evaluates the block's
 points as one :func:`~cliffcheck.geometry.curvature` block; and runs each
 operator once on a :meth:`FieldCalculus.of_lanes` block that holds trial
-i's field at point i.  Each trial's residuals are bitwise those of the
-trial alone, so a seed gives the same maxima, whatever the block size.
+i's field at point i, whose field components are evaluated as one forest
+of trees, level by level (:func:`~cliffcheck.expr.evaluate_forest`).
+Each trial's residuals are bitwise those of the trial alone, so a seed
+gives the same maxima, whatever the block size.
 Both suites back the ``algebra-selftest`` CLI command and the acceptance
 suite.
 """

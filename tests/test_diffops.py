@@ -11,7 +11,7 @@ from cliffcheck import expr as ex
 from cliffcheck import geometry as geo
 from cliffcheck.algebra import Multivector, PointMetric, grade_project, wedge
 from cliffcheck.diffops import FieldCalculus, FieldJets, MultivectorField, field_jets, grad_scalar_product
-from cliffcheck.errors import DomainEvalError, FieldError
+from cliffcheck.errors import DomainEvalError, ExprError, FieldError
 
 import oracles
 from test_geometry import BLOCK_CASES
@@ -562,11 +562,44 @@ def test_lane_fields_equal_each_field_at_its_point_alone_bitwise(spec):
             assert got[i].tobytes() == want.tobytes(), (i, k)
 
 
-def test_lane_field_error_is_raised_as_its_point_alone_raises():
-    points = np.array([(0.1, 0.5, 0.2, 0.3), (0.2, -0.5, 0.1, 0.0)])
-    fields = [MultivectorField.from_components({"t": "sqrt(x)"}, MINK.coords)] * 2
-    with pytest.raises(DomainEvalError, match="sqrt of negative value in 'sqrt\\(x\\)'"):
+# lanes' components, their points and the error the first failing lane raises alone
+LANE_FIELD_ERRORS = {
+    "sqrt": ([{"t": "sqrt(x)"}] * 2, [(0.1, 0.5, 0.2, 0.3), (0.2, -0.5, 0.1, 0.0)],
+             "sqrt of negative value in 'sqrt(x)'"),
+    "division": ([{"t": "1/x"}] * 2, [(0.1, 0.5, 0.2, 0.3), (0.2, 0.0, 0.1, 0.0)], "division by zero in '1.0/x'"),
+    "log": ([{"x": "log(x)"}] * 2, [(0.1, 0.5, 0.2, 0.3), (0.2, -0.5, 0.1, 0.0)],
+            "log of non-positive value in 'log(x)'"),
+    "unbound": ([{"1": "x"}, {"1": "x*q"}], [(0.1, 0.5, 0.2, 0.3), (0.2, -0.5, 0.1, 0.0)],
+                "identifier 'q' is neither a coordinate nor a parameter"),
+    "overflow": ([{"t^x": "exp(1000*x)"}] * 2, [(0.1, 0.5, 0.2, 0.3), (0.2, 1.0, 0.1, 0.0)],
+                 "overflow in 'exp(1000.0*x)'"),
+    "power": ([{"y": "x^0.5"}] * 2, [(0.1, 0.5, 0.2, 0.3), (0.2, -0.5, 0.1, 0.0)],
+              "power with non-integer exponent requires positive base in 'x^0.5'"),
+    # the left term fails four levels up, the right one at the first
+    "deeper left": ([{"t": "sqrt((x - 1)*2*3) + 1/y"}] * 2, [(0.1, 2.0, 0.2, 0.3), (0.2, 0.0, 0.0, 0.0)],
+                    "sqrt of negative value in 'sqrt((x - 1.0)*2.0*3.0)'"),
+    # lanes 1 and 2 fail, lane 2 at a lower level
+    "two lanes": ([{"t": "x"}, {"t": "sqrt(x*x*x)"}, {"t": "1/x"}],
+                  [(0.1, 0.5, 0.2, 0.3), (0.2, -1.0, 0.1, 0.0), (0.3, 0.0, 0.1, 0.0)],
+                  "sqrt of negative value in 'sqrt(x*x*x)'"),
+    # masks 0 and 1 fail, mask 1 at a lower level
+    "two masks": ([{"t": "x"}, {"1": "sqrt(2*x*x*x)", "t": "log(x)"}],
+                  [(0.1, 0.5, 0.2, 0.3), (0.2, -1.0, 0.1, 0.0)],
+                  "sqrt of negative value in 'sqrt(2.0*x*x*x)'"),
+}
+
+
+@pytest.mark.parametrize("lanes, points, message", LANE_FIELD_ERRORS.values(), ids=list(LANE_FIELD_ERRORS))
+def test_lane_field_error_is_raised_as_its_point_alone_raises(lanes, points, message):
+    fields = [MultivectorField.from_components(comps, MINK.coords) for comps in lanes]
+    points = np.array(points)
+    with pytest.raises(ExprError) as alone:
+        for field, x in zip(fields, points):
+            field_jets(field, x, ex.point_jets(MINK.coords, x, MINK.params))
+    assert str(alone.value) == message
+    with pytest.raises(type(alone.value)) as err:
         FieldCalculus.of_lanes(fields, geo.curvature(MINK, points))
+    assert str(err.value) == message
 
 # -- the covariant correction, gathered from INDEX_SUB's non-zeros --------------------
 #

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffcheck import expr as ex
-from cliffcheck.errors import DomainEvalError, ParseError, UnboundIdentifierError
+from cliffcheck import selftest
+from cliffcheck.errors import DomainEvalError, ExprError, ParseError, UnboundIdentifierError
 from cliffcheck.fieldcheck import CHUNK
-from cliffcheck.geometry import CATALOG, killing_forms
+from cliffcheck.geometry import CATALOG, build_metric, killing_forms
 
 import oracles
 
@@ -773,3 +774,74 @@ def test_a_long_sum_holds_a_few_jets_at_a_time():
         assert jet.val.tolist() == [terms] * n and jet.errors == {}
     jet_bytes = (1 + 4 + 16) * 8  # one point's value, gradient and Hessian
     assert peaks[CHUNK] - peaks[2] < 6 * jet_bytes * (CHUNK - 2)
+
+
+# -- forests: each tree at a point of its own ---------------------------------------------
+
+
+def _alone(tree, coords, point, params):
+    """The jet bytes of ``tree`` at ``point`` alone, or the error it raises as "<class>: <message>"."""
+    try:
+        return _bits(ex.evaluate_jet2(tree, coords, point, params))
+    except ExprError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def assert_forest_is_each_tree_alone(trees, coords, points, params=None) -> dict:
+    """Lane t of the forest is ``trees[t]`` at ``points[t]`` alone, bitwise; returns its errors."""
+    jet = ex.evaluate_forest(trees, coords, points, params)
+    assert jet.val.shape == (len(trees),) and jet.grad.shape == (len(trees), 4)
+    assert jet.hess.shape == (len(trees), 4, 4) and list(jet.errors) == sorted(jet.errors)
+    for t, (tree, point) in enumerate(zip(trees, points)):
+        want = _alone(tree, coords, point, params)
+        if t in jet.errors:
+            assert f"{type(jet.errors[t]).__name__}: {jet.errors[t]}" == want, ex.serialize(tree)
+            assert _bits(jet, t) == _ZERO_JET
+        else:
+            assert _bits(jet, t) == want, ex.serialize(tree)
+    return jet.errors
+
+
+def test_forest_of_the_parse_corpus_is_each_tree_at_its_point_alone():
+    # the trees in a random order, each at one of a few points, some of them
+    # zeros where divisions, logs and square roots fail, so most kinds of
+    # error occur, and lanes of one group hold different values
+    trees = []
+    for src in parse_corpus():
+        try:
+            trees.append(ex.parse(src))
+        except ParseError:
+            pass
+    rng = np.random.default_rng(8)
+    trees = [trees[k] for k in rng.permutation(len(trees))]
+    pool = rng.uniform(-2.0, 2.0, size=(9, 4))
+    pool[:2] = ((0.0, 0.0, 1.0, -1.0), (1.0, 0.0, 0.0, 0.0))
+    points = pool[rng.integers(0, len(pool), size=len(trees))]
+    errors = assert_forest_is_each_tree_alone(trees, ("t", "x", "r", "θ"), points,
+                                              {"M": 1.0, "_a": 0.5, "x٣": -0.3})
+    assert 0 < len(errors) < len(trees)
+    assert {type(err) for err in errors.values()} == {DomainEvalError, UnboundIdentifierError}
+    assert {str(err).split(" in ")[0] for err in errors.values()} >= {
+        "division by zero", "log of non-positive value", "sqrt of negative value",
+        "power with non-integer exponent requires positive base", "overflow"}
+
+
+@pytest.mark.parametrize("key", sorted(CATALOG))
+def test_forest_of_random_fields_is_each_tree_at_its_point_alone(key):
+    # the operator selftest's fields, each component at its field's point
+    spec = build_metric(key)
+    rng = np.random.default_rng(23)
+    trees, points = [], []
+    for _ in range(48):
+        field = selftest.random_field(rng, spec.coords, selftest.random_mixed_masks(rng))
+        point = selftest.catalog_sample_point(rng, spec)
+        comps = [e for e in field.comps if not ex.is_zero(e)]
+        trees += comps
+        points += [point] * len(comps)
+    assert any(isinstance(node, ex.Call) for e in trees for node in ex._postorder(e)[0])  # sin over lanes
+    assert assert_forest_is_each_tree_alone(trees, spec.coords, np.array(points), spec.params) == {}
+
+
+def test_an_empty_forest_is_an_empty_jet():
+    jet = ex.evaluate_forest([], COORDS, np.zeros((0, 4)))
+    assert (jet.val.shape, jet.grad.shape, jet.hess.shape, jet.errors) == ((0,), (0, 4), (0, 4, 4), {})

@@ -33,6 +33,7 @@ from cliffcheck.runner import (
 from cliffcheck.selftest import ALGEBRA_LAWS, TRIALS_PER_BLOCK
 
 import oracles
+from test_selftest import DIFFOPS_MAXIMA
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -987,21 +988,24 @@ def test_pinned_digests_hold_at_numpy_baseline_dispatch():
     # numpy picks SIMD kernels per host at import, and some of its elementwise
     # functions change bits with them; the pinned report bytes and law lines
     # must not, so the pins are re-checked in a child with every dispatched
-    # feature this host has disabled
+    # feature this host has disabled; the operator maxima too, as the
+    # operator suite's jets run sin over lanes
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     if not features:
         pytest.skip("numpy dispatches no CPU feature beyond its baseline on this host")
     pins = [f"tests/test_runner_cli.py::{test_bundled_report_bytes_pinned.__name__}",
             f"tests/test_runner_cli.py::{test_workload_report_bytes_pinned.__name__}",
-            "tests/test_selftest.py::test_law_lines_are_pinned"]
+            "tests/test_selftest.py::test_law_lines_are_pinned",
+            "tests/test_selftest.py::test_diffops_law_maxima_are_pinned"]
     probe = ("import sys, pytest; from numpy._core import _multiarray_umath as m; "
              f"assert not any(m.__cpu_features__[f] for f in {features!r}); "
              f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{pins!r}]))")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"{len(BUNDLED_REPORT_SHA256) + len(WORKLOAD_REPORT_SHA256) + 1} passed" in proc.stdout, proc.stdout
+    passed = len(BUNDLED_REPORT_SHA256) + len(WORKLOAD_REPORT_SHA256) + 1 + len(DIFFOPS_MAXIMA)
+    assert f"{passed} passed" in proc.stdout, proc.stdout
 
 
 @pytest.mark.parametrize("workload, per_chunk", [("kerr_identities", 6), ("schw_10check", 7)])

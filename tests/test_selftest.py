@@ -78,6 +78,16 @@ def test_law_lines_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ALGEBRA_LINES_SHA256
 
 
+# the same for the benchmark's algebra-selftest op at its seed 1: 62 full blocks
+# and a short last block of 8
+BENCH_LINES_SHA256 = "ad53aac57e7d06a51decc8103b575980ca8225ebb93b6bebcd9eccfe0d8fcdd2"
+
+
+def test_benchmark_law_lines_are_pinned():
+    lines = selftest.run_algebra_suite(iterations=1000, seed=20240812).lines()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BENCH_LINES_SHA256
+
+
 @pytest.mark.parametrize("chunk", [selftest.TRIALS_PER_BLOCK, 7])
 def test_suite_checks_one_block_metric_per_chunk(monkeypatch, chunk):
     inits = []
@@ -110,10 +120,11 @@ def test_a_failing_metric_raises_its_error_alone(monkeypatch):
 
 def test_law_maxima_do_not_depend_on_the_chunk(monkeypatch):
     default = selftest.run_algebra_suite(iterations=100, seed=5)
-    monkeypatch.setattr(selftest, "TRIALS_PER_BLOCK", 3)
-    small = selftest.run_algebra_suite(iterations=100, seed=5)
-    assert _maxima(small) == _maxima(default)
-    assert [law.trials for law in small.laws] == [100] * len(selftest.ALGEBRA_LAWS)
+    for chunk in (3, 7):  # 7 leaves a short last block of 2
+        monkeypatch.setattr(selftest, "TRIALS_PER_BLOCK", chunk)
+        small = selftest.run_algebra_suite(iterations=100, seed=5)
+        assert _maxima(small) == _maxima(default), chunk
+        assert [law.trials for law in small.laws] == [100] * len(selftest.ALGEBRA_LAWS)
 
 
 # (table, blade whose operator gets a wrong scalar row, laws that must fail,

@@ -1,5 +1,6 @@
 """The product tables are built one at a time, when first read, and equal the eager build."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -73,6 +74,31 @@ def test_wedge_operators_equal_their_definition_bitwise():
                 ref[i, m | 1 << i, m] = blades.WEDGE_SIGN[1 << i, m]
     assert np.array_equal(blades.WEDGE_OP.view(np.uint64), ref.view(np.uint64))
     assert blades.WEDGE_OP.flags.c_contiguous and blades.WEDGE_OP.strides == ref.strides
+
+
+# (dtype, shape, sha256 of the bytes) of blades' tables as its import built them
+# with numpy scatters: tobytes shows a -0.0 that == would pass
+BLADE_TABLES = {
+    "WEDGE_SIGN": ("int64", (16, 16), "c787945f7d7421f95b89928541bee173cfb3669acdd4ffc1955a85ea17e4a07a"),
+    "WEDGE_TENSOR": ("float64", (16, 16, 16),
+                     "91b5f556f3ec6851f8770064d58f0fd8a0107893782a48521deaf785d8a92d16"),
+    "WEDGE_OP": ("float64", (4, 16, 16), "c1e107464560df3522f6444af61f9c84efbfd81f3d3121fa45568dc89d99df87"),
+    "CONTRACT_STRUCT": ("float64", (4, 16, 16),
+                        "55238dd95b00c9413d20dc345b04440f60255fbb5df695cb90cca93943de9395"),
+    "INDEX_SUB": ("float64", (4, 4, 16, 16), "8cc00c6f8e34f85be6ece8db7fa2b108916562484e41bf823dcffa0744f26fc5"),
+    "SUB_POSITIONS": ("int64", (63,), "fb9a41f1b9181dab68fb573fed084b9b13e6d53455a04a48a77f79eaae7c5da6"),
+    "SUB_TAKE": ("int64", (4, 63), "a20197f5e2937303a1016e21858c56d7bd047ee943e33066877483579097ea15"),
+    "SUB_ROW_N": ("int64", (16, 5), "a41efe159c300879d96697c437cd0f961ec8d47de6c6bf971ec69b07d46d0567"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLADE_TABLES))
+def test_blade_tables_are_pinned_bytewise(name):
+    table = getattr(blades, name)
+    dtype, shape, digest = BLADE_TABLES[name]
+    assert (str(table.dtype), table.shape) == (dtype, shape)
+    assert table.flags.c_contiguous
+    assert hashlib.sha256(table.tobytes()).hexdigest() == digest
 
 
 ORDERS = {"as-listed": TABLE_NAMES, "reversed": TABLE_NAMES[::-1]}

@@ -101,6 +101,31 @@ def test_blade_tables_are_pinned_bytewise(name):
     assert hashlib.sha256(table.tobytes()).hexdigest() == digest
 
 
+def _index_arrays():
+    """blades' per-blade signs and the index arrays of GRAM_PAIRS and PEEL_STEPS, by name."""
+    for name in ("GRADE", "REVERSE_SIGN", "INVOLUTE_SIGN"):
+        yield name, getattr(blades, name)
+    for k, parts in sorted(blades.GRAM_PAIRS.items()):
+        for j, part in enumerate(parts):
+            yield f"GRAM_PAIRS[{k}][{j}]", part
+    for step, parts in enumerate(blades.PEEL_STEPS):
+        for j, part in enumerate(parts):
+            yield f"PEEL_STEPS[{step}][{j}]", part
+
+
+# sha256 over every _index_arrays() entry's name, dtype, shape and bytes, as blades' import built them
+INDEX_ARRAYS_SHA256 = "a11d4fe86e32e53f5fc56a2e68a7bd0523217b67fbb05e21d3296e8472f583c8"
+
+
+def test_blade_index_arrays_are_pinned_bytewise():
+    digest = hashlib.sha256()
+    for name, array in _index_arrays():
+        assert array.flags.c_contiguous, name
+        digest.update(f"{name} {array.dtype.str} {array.shape}".encode() + array.tobytes())
+    assert blades.MASKS_BY_GRADE == ((0,), (1, 2, 4, 8), (3, 5, 6, 9, 10, 12), (7, 11, 13, 14), (15,))
+    assert digest.hexdigest() == INDEX_ARRAYS_SHA256
+
+
 ORDERS = {"as-listed": TABLE_NAMES, "reversed": TABLE_NAMES[::-1]}
 
 

@@ -12,6 +12,9 @@ them):
   through ``gamma^M X = gamma^i (gamma^rest X) - (gamma^i _| gamma^rest) X``,
 * left contraction by a blade composes single-covector interior products.
 
+A :class:`TableStore` lends the memory of the largest tables to one block
+metric after another, as the algebra selftest's blocks use it.
+
 The products themselves (:func:`clifford_rows` and its siblings) act on
 (..., 16) coefficient rows against tables with the same leading axes, one
 metric per row: :class:`PointMetric`'s product methods are the case of one
@@ -25,6 +28,7 @@ tangent metric whose determinant fixes signature and volume normalization.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 
 import numpy as np
@@ -236,11 +240,15 @@ class PointMetric(ReadOnly):
     it is read, once for all the block's metrics.  The product methods of a
     block take block :class:`Multivector` operands, one row per metric, and
     give one result per metric, each bitwise that metric's alone.
+
+    ``_store``, a :class:`TableStore`, lends this metric the memory its
+    largest tables are built in, until a later metric takes the store.
     """
 
-    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "errors", "_tables")
+    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "errors", "_tables", "_store",
+                 "__weakref__")
 
-    def __init__(self, g, require_lorentzian: bool = True, _ginv=None):
+    def __init__(self, g, require_lorentzian: bool = True, _ginv=None, _store=None):
         g = np.array(g, dtype=float)
         if g.shape[-2:] != (4, 4) or g.ndim > 3:
             raise ValueError("metric must be 4x4")
@@ -266,7 +274,9 @@ class PointMetric(ReadOnly):
         if g.ndim == 2:
             sqrt_abs_det, sign_det = float(sqrt_abs_det), float(sign_det)
         self._set(g=_readonly(g), ginv=_readonly(ginv), sqrt_abs_det=sqrt_abs_det, sign_det=sign_det,
-                  lorentzian=det_tan < 0.0, errors=errors, _tables={})
+                  lorentzian=det_tan < 0.0, errors=errors, _tables={}, _store=_store)
+        if _store is not None:
+            _store._lend(self)
 
     def block(self, start: int, stop: int) -> "PointMetric":
         """Metrics ``start:stop`` of this block, not checked again.
@@ -278,7 +288,7 @@ class PointMetric(ReadOnly):
         out = object.__new__(PointMetric)
         out._set(**{name: readonly_rows(getattr(self, name), start, stop)
                     for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian")},
-                 errors=block_errors(self.errors, start, stop), _tables={})
+                 errors=block_errors(self.errors, start, stop), _tables={}, _store=None)
         return out
 
     # -- tables ------------------------------------------------------------
@@ -291,8 +301,13 @@ class PointMetric(ReadOnly):
         """
         if not self._tables:  # the first table read: one metric's are the stack of one
             object.__setattr__(self, "_tables", _Tables(
-                self.g.reshape(-1, 4, 4), np.reshape(self.sqrt_abs_det, -1), np.reshape(self.sign_det, -1)))
+                self.g.reshape(-1, 4, 4), np.reshape(self.sqrt_abs_det, -1), np.reshape(self.sign_det, -1),
+                self._store))
         return self._tables[key]
+
+    def _drop_tables(self) -> None:
+        """Forget the tables, and the store they were built in: a later read builds fresh ones."""
+        self._set(_tables={}, _store=None)
 
     @property
     def tables(self) -> Mapping:
@@ -357,11 +372,46 @@ class _MetricTables(Mapping):
         return len(self._metric._tables)
 
 
+class TableStore:
+    """Memory for the largest product tables, which one block :class:`PointMetric` at a time borrows.
+
+    A suite that checks block after block of metrics passes its store to
+    each block's metric (``PointMetric(g, _store=store)``), and each builds
+    its ``M`` and ``K`` (see :data:`STORED_TABLES`) into the store's arrays,
+    a block of n metrics into their leading n rows, instead of into new
+    ones.  Taking the store makes the metric that held it drop its tables,
+    so that metric never reads another block's numbers: a later read of
+    its tables builds them again, into new arrays.  An array read from a
+    metric's tables holds its values only while that metric holds the store.
+    """
+
+    __slots__ = ("_arrays", "_owner")
+
+    def __init__(self):
+        self._arrays = {}
+        self._owner = None  # a weak reference to the metric that holds the store
+
+    def _lend(self, metric: PointMetric) -> None:
+        owner = self._owner and self._owner()
+        if owner is not None:
+            owner._drop_tables()
+        self._owner = weakref.ref(metric)
+
+    def _rows(self, key: str, shape: tuple) -> np.ndarray:
+        """The leading ``shape[0]`` rows of table ``key``'s array, grown to hold them if need be."""
+        arr = self._arrays.get(key)
+        if arr is None or len(arr) < shape[0]:
+            arr = self._arrays[key] = np.empty(shape)
+        return arr[:shape[0]]
+
+
 class _Tables(dict):
     """Product tables of a stack of N cotangent metrics, N first on every table.
 
     ``g`` is (N, 4, 4); ``sqrt_abs_det`` and ``sign_det`` are (N,) and fix
-    each metric's volume form as in :class:`PointMetric`.  The tables, by
+    each metric's volume form as in :class:`PointMetric`.  ``store``, a
+    :class:`TableStore` or None, holds the memory of the tables in
+    :data:`STORED_TABLES`; without one they are new arrays.  The tables, by
     name (:data:`TABLE_NAMES`):
 
     * ``C``, ``L`` (N, 4, 16, 16): interior product by, and left Clifford
@@ -383,16 +433,21 @@ class _Tables(dict):
     bitwise the table of metric n built alone.
     """
 
-    __slots__ = ("g", "sqrt_abs_det", "sign_det")
+    __slots__ = ("g", "sqrt_abs_det", "sign_det", "store")
 
-    def __init__(self, g, sqrt_abs_det, sign_det):
+    def __init__(self, g, sqrt_abs_det, sign_det, store=None):
         super().__init__()
         self.g = np.asarray(g, dtype=float)
-        self.sqrt_abs_det, self.sign_det = sqrt_abs_det, sign_det
+        self.sqrt_abs_det, self.sign_det, self.store = sqrt_abs_det, sign_det, store
 
     def __missing__(self, key):
         table = self[key] = _BUILDERS[key](self)  # an unknown key raises KeyError here
         return table
+
+    def empty(self, key: str) -> np.ndarray:
+        """Memory for table ``key`` of :data:`STORED_TABLES`, its values not set."""
+        shape = (len(self.g),) + STORED_TABLES[key]
+        return np.empty(shape) if self.store is None else self.store._rows(key, shape)
 
 
 # Blade left-multiplication operators come from peeling the lowest covector,
@@ -404,6 +459,13 @@ class _Tables(dict):
 _G2_MASKS, _G2_LOWEST, _G2_REST = blades.PEEL_STEPS[0]
 _G2_COVECTOR = np.searchsorted(blades.COVECTOR_MASKS, _G2_REST)  # the j of rest = gamma^j
 _DIAG = np.arange(blades.N_BLADES)
+_COVECTORS = list(blades.MASKS_BY_GRADE[1])
+_ABOVE_GRADE2 = [m for k in (3, 4) for m in blades.MASKS_BY_GRADE[k]]
+# per grade >= 2, its peel step and its blades as (mask, lowest covector, mask of the rest)
+_PEEL_BLADES = [(step, list(zip(*(column.tolist() for column in step)))) for step in blades.PEEL_STEPS]
+
+# the (N-less) shape of each table a TableStore holds
+STORED_TABLES = {"M": (blades.N_BLADES,) * 3, "K": (blades.N_BLADES,) * 3}
 
 
 def _grade2(t: _Tables) -> np.ndarray:
@@ -421,26 +483,30 @@ def _grade2(t: _Tables) -> np.ndarray:
 def _blade_left(t: _Tables) -> np.ndarray:
     C, L = t["C"], t["L"]
     count, n = C.shape[0], blades.N_BLADES
-    M = np.zeros((count, n, n, n))  # blades not yet built enter with weight 0
+    M = t.empty("M")
+    M[:, _ABOVE_GRADE2] = 0.0  # blades not yet built enter the peel with weight 0
     M[:, 0] = _EYE16
-    M[:, list(blades.MASKS_BY_GRADE[1])] = L
+    M[:, _COVECTORS] = L
     M[:, _G2_MASKS] = t["G2"]
     flat = M.reshape(count, 1, n, n * n)
-    for masks, lowest, rest in blades.PEEL_STEPS[1:]:
+    for (masks, lowest, rest), grade in _PEEL_BLADES[1:]:
         # coefficients of gamma^i _| gamma^rest, shape (N, blades of the grade, 1, 16)
         corr = C[:, lowest, :, rest].transpose(1, 0, 2)[:, :, np.newaxis, :]
-        M[:, masks] = L[:, lowest] @ M[:, rest] - (corr @ flat).reshape(count, len(masks), n, n)
+        fix = (corr @ flat).reshape(count, len(masks), n, n)  # before any blade of the grade is set
+        for b, (m, i, r) in enumerate(grade):  # one product per blade, written in place
+            np.matmul(L[:, i], M[:, r], out=M[:, m])
+            M[:, m] -= fix[:, b]
     return M
 
 
 def _blade_contract(t: _Tables) -> np.ndarray:
     C = t["C"]
-    count, n = C.shape[0], blades.N_BLADES
-    K = np.zeros((count, n, n, n))
+    K = t.empty("K")  # every blade's slice is set below
     K[:, 0] = _EYE16
-    K[:, list(blades.MASKS_BY_GRADE[1])] = C
-    for masks, lowest, rest in blades.PEEL_STEPS:
-        K[:, masks] = C[:, lowest] @ K[:, rest]
+    K[:, _COVECTORS] = C
+    for _, grade in _PEEL_BLADES:
+        for m, i, r in grade:  # one product per blade, written in place
+            np.matmul(C[:, i], K[:, r], out=K[:, m])
     return K
 
 

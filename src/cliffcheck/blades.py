@@ -3,8 +3,8 @@
 A blade is encoded as a 4-bit mask: bit ``i`` set means the coordinate
 covector number ``i`` participates, with factors always kept in ascending
 index order.  Everything in this module is metric-free integer structure,
-computed once at import time; the metric-dependent tables live in
-:mod:`cliffcheck.algebra`.
+computed once at import time, each table from Python ints or in a few whole-array
+numpy steps; the metric-dependent tables live in :mod:`cliffcheck.algebra`.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ DIM = 4
 N_BLADES = 1 << DIM
 FULL_MASK = N_BLADES - 1
 
-GRADE = np.array([bin(m).count("1") for m in range(N_BLADES)], dtype=np.int64)
+_GRADES = [bin(m).count("1") for m in range(N_BLADES)]
+GRADE = np.array(_GRADES, dtype=np.int64)
 MASKS_BY_GRADE = tuple(
-    tuple(m for m in range(N_BLADES) if GRADE[m] == k) for k in range(DIM + 1)
+    tuple(m for m in range(N_BLADES) if _GRADES[m] == k) for k in range(DIM + 1)
 )
 COVECTOR_MASKS = [1 << i for i in range(DIM)]  # the mask of covector i, an index list
 
 # reversion (-1)^{k(k-1)/2} and grade involution (-1)^k, per blade
-REVERSE_SIGN = np.array([(-1.0) ** (GRADE[m] * (GRADE[m] - 1) // 2) for m in range(N_BLADES)])
-INVOLUTE_SIGN = np.array([(-1.0) ** GRADE[m] for m in range(N_BLADES)])
+REVERSE_SIGN = np.array([(-1.0) ** (k * (k - 1) // 2) for k in _GRADES])
+INVOLUTE_SIGN = np.array([(-1.0) ** k for k in _GRADES])
 
 
 def indices(mask: int) -> tuple[int, ...]:
@@ -38,12 +39,11 @@ def mask_of(idxs) -> int:
     return mask
 
 
-def _merge_sign(a: int, b: int) -> int:
-    # parity of sorting concat(indices(a), indices(b)); masks assumed disjoint
-    swaps = 0
-    for j in indices(b):
-        swaps += bin(a >> (j + 1)).count("1")
-    return -1 if swaps & 1 else 1
+def _table(shape, entries: dict, dtype=float) -> np.ndarray:
+    """A zero table of ``shape`` with the ``entries`` (index tuple -> value) set."""
+    table = np.zeros(shape, dtype=dtype)
+    table[tuple(zip(*entries))] = list(entries.values())
+    return table
 
 
 def sort_parity(seq) -> int:
@@ -57,18 +57,16 @@ def sort_parity(seq) -> int:
     return -1 if swaps & 1 else 1
 
 
-WEDGE_SIGN = np.zeros((N_BLADES, N_BLADES), dtype=np.int64)
-for _a in range(N_BLADES):
-    for _b in range(N_BLADES):
-        if not _a & _b:
-            WEDGE_SIGN[_a, _b] = _merge_sign(_a, _b)
+# blade a ^ blade b = WEDGE_SIGN[a, b] blade (a | b), 0 unless the masks are disjoint:
+# the parity of sorting indices(a) + indices(b), one swap per index of a above one of b
+_M = np.arange(N_BLADES)
+_SWAPS = sum((_M >> j & 1) * GRADE[_M >> j + 1][:, np.newaxis] for j in range(DIM))
+WEDGE_SIGN = np.where(_M[:, np.newaxis] & _M, 0, 1 - 2 * (_SWAPS & 1))
 
 # full exterior-product tensor: (A ^ B)_k = sum_{a,b} A_a B_b WEDGE_TENSOR[a,b,k]
-WEDGE_TENSOR = np.zeros((N_BLADES, N_BLADES, N_BLADES))
-for _a in range(N_BLADES):
-    for _b in range(N_BLADES):
-        if not _a & _b:
-            WEDGE_TENSOR[_a, _b, _a | _b] = WEDGE_SIGN[_a, _b]
+WEDGE_TENSOR = np.zeros((N_BLADES,) * 3)
+_a, _b = np.nonzero(WEDGE_SIGN)
+WEDGE_TENSOR[_a, _b, _a | _b] = WEDGE_SIGN[_a, _b]
 
 # wedge-by-single-covector operators: WEDGE_OP[i] @ x  ==  gamma^i ^ x, the
 # covector rows of WEDGE_TENSOR as matrices, kept C-contiguous for the einsums
@@ -77,30 +75,24 @@ WEDGE_OP = np.ascontiguousarray(WEDGE_TENSOR[COVECTOR_MASKS].transpose(0, 2, 1))
 # Interior product by gamma^i is the antiderivation
 #   gamma^i _| (a_1^...^a_p) = sum_m (-1)^(m-1) g(gamma^i, a_m) a_1^..â_m..^a_p,
 # linear in the metric row g[i,:]:  C[i] = sum_j g[i,j] * CONTRACT_STRUCT[j].
-CONTRACT_STRUCT = np.zeros((DIM, N_BLADES, N_BLADES))
-for _j in range(DIM):
-    for _m in range(N_BLADES):
-        if _m >> _j & 1:
-            _pos = bin(_m & ((1 << _j) - 1)).count("1")
-            CONTRACT_STRUCT[_j, _m ^ 1 << _j, _m] = (-1.0) ** _pos
+CONTRACT_STRUCT = _table((DIM, N_BLADES, N_BLADES), {
+    (j, m ^ 1 << j, m): (-1.0) ** _GRADES[m & ((1 << j) - 1)]
+    for j in range(DIM) for m in range(N_BLADES) if m >> j & 1})
 
 # INDEX_SUB[i, r][m, m'] is the signed coefficient of component m' in the
 # antisymmetrized component "m with covector i replaced by r"; zero when the
 # replacement repeats an index.  Used by covariant derivatives of p-forms.
-INDEX_SUB = np.zeros((DIM, DIM, N_BLADES, N_BLADES))
-for _i in range(DIM):
-    for _r in range(DIM):
-        for _m in range(N_BLADES):
-            if not _m >> _i & 1:
-                continue
-            if _r == _i:
-                INDEX_SUB[_i, _r, _m, _m] = 1.0
-                continue
-            if _m >> _r & 1:
-                continue  # repeated index: antisymmetric component vanishes
-            _src = (_m ^ (1 << _i)) | (1 << _r)
-            _tup = [_r if q == _i else q for q in indices(_m)]
-            INDEX_SUB[_i, _r, _m, _src] = sort_parity(_tup)
+# Putting r in the place of i and sorting moves r past the indices of m strictly
+# between i and r, one swap each; r == i moves nothing.
+def _between(i: int, r: int) -> int:
+    """The mask of the covector indices strictly between ``i`` and ``r``."""
+    return ((1 << max(i, r)) - 1) & ~((2 << min(i, r)) - 1)
+
+
+INDEX_SUB = _table((DIM, DIM, N_BLADES, N_BLADES), {
+    (i, r, m, m ^ 1 << i | 1 << r): (-1.0) ** _GRADES[m & _between(i, r)]
+    for i in range(DIM) for r in range(DIM) for m in range(N_BLADES)
+    if m >> i & 1 and (r == i or not m >> r & 1)})  # a repeated index: the component vanishes
 
 
 def _place_in_group(keys: np.ndarray) -> np.ndarray:
@@ -128,18 +120,17 @@ SUB_ROW_N = np.zeros((N_BLADES, np.bincount(_row).max()), dtype=np.int64)
 SUB_ROW_N[_row, _place_in_group(_row)] = _col
 
 # static index scaffolding for batched Gram determinants: per grade k, the
-# row/column coordinate arrays of every equal-grade blade pair
+# masks and row/column coordinate arrays of every equal-grade blade pair
+# (a, b), a-major: rows[p, x, y] is index x of a and cols[p, x, y] index y of b
 GRAM_PAIRS = {}
 for _k in range(1, 5):
-    _masks = MASKS_BY_GRADE[_k]
-    _pairs = [(a, b) for a in _masks for b in _masks]
-    _rows = np.array([[[i] * _k for i in indices(a)] for a, _ in _pairs])
-    _cols = np.array([[list(indices(b))] * _k for _, b in _pairs])
+    _masks = np.array(MASKS_BY_GRADE[_k])
+    _idx = np.array([indices(m) for m in MASKS_BY_GRADE[_k]])  # (blades, k)
     GRAM_PAIRS[_k] = (
-        np.array([a for a, _ in _pairs]),
-        np.array([b for _, b in _pairs]),
-        _rows,
-        _cols,
+        np.repeat(_masks, len(_masks)),
+        np.tile(_masks, len(_masks)),
+        np.repeat(np.repeat(_idx, len(_masks), axis=0)[:, :, np.newaxis], _k, axis=2),
+        np.repeat(np.tile(_idx, (len(_masks), 1))[:, np.newaxis, :], _k, axis=1),
     )
 
 # per grade k >= 2, every k-blade split into its lowest covector and the

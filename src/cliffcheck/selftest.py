@@ -9,7 +9,10 @@ inputs in turn, in the order metric (the rejection loop of
 block's metrics as one :class:`~cliffcheck.algebra.PointMetric`; evaluates
 every law on (block, 16) coefficient rows against that metric's tables, a
 conditional law only on the trials it covers; and drops the block before
-drawing the next, so memory does not grow with the number of trials.  The
+drawing the next, so memory does not grow with the number of trials.  Each
+block's metric builds its blade tables ``M`` and ``K`` into the memory of
+one :class:`~cliffcheck.algebra.TableStore` that the suite lends to each
+block in turn, so no block allocates them anew.  The
 products are :mod:`cliffcheck.algebra`'s row products, the ones a
 :class:`~cliffcheck.algebra.PointMetric` runs for its own metric, so the
 suite checks the metric checks, tables and products that ``verify`` uses.
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import algebra, blades
 from . import expr as ex
-from .algebra import _EYE16, PointMetric, grade_rows, linear_combination, scalar_rows, wedge_rows
+from .algebra import _EYE16, PointMetric, TableStore, grade_rows, linear_combination, scalar_rows, wedge_rows
 from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
@@ -135,10 +138,11 @@ def _sign(exponent: np.ndarray) -> np.ndarray:
     return np.where(exponent % 2, -1.0, 1.0)[:, np.newaxis]
 
 
-def _draw_trials(rng: np.random.Generator, count: int) -> tuple:
+def _draw_trials(rng: np.random.Generator, count: int, store: TableStore | None = None) -> tuple:
     """Inputs of ``count`` trials, each drawn in turn in the order one trial uses.
 
-    Returns the block :class:`PointMetric` of the trials' metrics, coefficient
+    Returns the block :class:`PointMetric` of the trials' metrics, which
+    builds its largest tables into ``store`` when one is given, coefficient
     rows a, b, c and the integer draws r, s (grades), i, j (covector indices)
     and k (grade), one per trial.  A metric that fails its checks raises the
     error it raises alone (the first such trial's).
@@ -150,7 +154,7 @@ def _draw_trials(rng: np.random.Generator, count: int) -> tuple:
         r, s = rng.integers(0, 5), rng.integers(0, 5)
         i, j = rng.integers(0, 4), rng.integers(0, 4)
         ints.append((r, s, i, j, rng.integers(0, 5)))
-    pm = PointMetric(np.array(metrics))
+    pm = PointMetric(np.array(metrics), _store=store)
     if pm.errors:
         raise pm.errors[min(pm.errors)]
     a, b, c = np.array(vectors).transpose(1, 0, 2)
@@ -280,7 +284,8 @@ def _suite(name: str, laws: tuple, threshold: float, trials: int, blocks) -> Sui
 
 def run_algebra_suite(iterations: int = 10_000, seed: int = 20240811) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    blocks = (_block_laws(*_draw_trials(rng, min(TRIALS_PER_BLOCK, iterations - first)))
+    store = TableStore()  # each block's metric builds M and K where the last block's were
+    blocks = (_block_laws(*_draw_trials(rng, min(TRIALS_PER_BLOCK, iterations - first), store))
               for first in range(0, iterations, TRIALS_PER_BLOCK))
     return _suite("algebra", ALGEBRA_LAWS, 1e-10, iterations, blocks)
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffcheck import blades
-from cliffcheck.algebra import TABLE_NAMES, Multivector, PointMetric, grade_project, linear_combination, wedge
+from cliffcheck.algebra import (STORED_TABLES, TABLE_NAMES, Multivector, PointMetric, TableStore, grade_project,
+                                linear_combination, wedge)
 from cliffcheck.errors import DegenerateMetricError, SignatureError
 
 import oracles
@@ -525,6 +526,35 @@ def test_point_metric_block_lanes_equal_each_metric_alone(rng, require_lorentzia
             assert np.asarray(getattr(block, name))[i].tobytes() == np.asarray(getattr(m, name)).tobytes()
         for key in TABLE_NAMES:
             assert block.tables[key][i].tobytes() == m.tables[key].tobytes(), key
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")  # the NaN metric
+@pytest.mark.parametrize("size", [1, 8, 16])
+def test_tables_built_into_a_used_store_equal_a_fresh_build(rng, size):
+    # a block builds M and K into the memory of a store that held NaN, then
+    # another block's tables: every table, rejected lanes included, must be
+    # bytewise the block's tables built into new arrays
+    gs = _block_of_awkward_metrics(rng)
+    rejected = sorted(PointMetric(gs).errors)
+    accepted = [i for i in range(len(gs)) if i not in rejected]
+    order = [i for pair in zip(accepted, rejected) for i in pair] + accepted[len(rejected):]
+    gs = gs[order][:size]  # accepted and rejected lanes in turn, an accepted one first
+    fresh = PointMetric(gs)
+    want = {key: fresh.tables[key].tobytes() for key in TABLE_NAMES}
+    assert len(fresh.errors) == {1: 0, 8: 4, 16: 6}[size]
+    store = TableStore()
+    others = np.array([oracles.random_lorentzian_cotangent(rng) for _ in range(16)])
+    filler = PointMetric(others, _store=store)
+    for key in STORED_TABLES:
+        filler.tables[key][...] = np.nan
+    for held in ("NaN", "another block's tables"):
+        if held != "NaN":
+            other = PointMetric(others, _store=store)
+            for key in TABLE_NAMES:
+                other.tables[key]
+        block = PointMetric(gs, _store=store)
+        for key in TABLE_NAMES:
+            assert block.tables[key].tobytes() == want[key], (held, key)
 
 
 def _with_entry(g, i, j, value):

@@ -389,7 +389,7 @@ class TableStore:
 
     def __init__(self):
         self._arrays = {}
-        self._owner = None  # a weak reference to the metric that holds the store
+        self._owner = None  # a weak reference to the metric that holds the store: it does not keep it alive
 
     def _lend(self, metric: PointMetric) -> None:
         owner = self._owner and self._owner()

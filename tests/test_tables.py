@@ -76,8 +76,8 @@ def test_wedge_operators_equal_their_definition_bitwise():
     assert blades.WEDGE_OP.flags.c_contiguous and blades.WEDGE_OP.strides == ref.strides
 
 
-# (dtype, shape, sha256 of the bytes) of blades' tables as its import built them
-# with numpy scatters: tobytes shows a -0.0 that == would pass
+# (dtype, shape, sha256 of the bytes) of each of blades' tables: tobytes shows
+# a -0.0 that == would pass
 BLADE_TABLES = {
     "WEDGE_SIGN": ("int64", (16, 16), "c787945f7d7421f95b89928541bee173cfb3669acdd4ffc1955a85ea17e4a07a"),
     "WEDGE_TENSOR": ("float64", (16, 16, 16),
@@ -113,7 +113,7 @@ def _index_arrays():
             yield f"PEEL_STEPS[{step}][{j}]", part
 
 
-# sha256 over every _index_arrays() entry's name, dtype, shape and bytes, as blades' import built them
+# sha256 over every _index_arrays() entry's name, dtype, shape and bytes
 INDEX_ARRAYS_SHA256 = "a11d4fe86e32e53f5fc56a2e68a7bd0523217b67fbb05e21d3296e8472f583c8"
 
 

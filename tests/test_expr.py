@@ -161,6 +161,13 @@ def test_a_sum_of_any_length_is_parsed_compared_and_evaluated(terms):
         block = ex.evaluate_jet2(tree, COORDS, np.zeros((3, 4)))
         assert block.val.tolist() == [terms] * 3 and not block.grad.any() and not block.hess.any()
         assert block.errors == {}
+        # a failing first leaf: each lane's error goes up every level of the sum to the root
+        failing = parse("+".join(["sqrt(x)"] + ["1"] * terms))
+        with pytest.raises(DomainEvalError) as alone:
+            ex.evaluate_jet2(failing, COORDS, (0.5, -1.0, -1.0, 2.0))
+        block = ex.evaluate_jet2(failing, COORDS, np.full((3, 4), -1.0))
+        assert {k: str(err) for k, err in block.errors.items()} == dict.fromkeys(range(3), str(alone.value))
+        assert not block.val.any() and not block.grad.any() and not block.hess.any()
 
     oracles.nested(800, run)
 
@@ -575,6 +582,17 @@ def test_chunk_lane_error_matches_the_point_alone(src, bad_x, message):
             else:
                 assert _bits(block, i - start) == alone[i]
 
+
+
+def test_a_node_failing_on_every_lane_of_a_chunk_gives_them_one_error():
+    # the lanes a node rejects share the one error it makes, so a chunk whose
+    # every lane fails builds (and a report serializes) one error, not CHUNK
+    points = np.zeros((CHUNK, 4))
+    points[:, 1] = -1.0
+    jet = ex.ChunkJets(COORDS, points).block(0, CHUNK)(ex.parse("sqrt(x)"))
+    assert CHUNK == 256 and list(jet.errors) == list(range(CHUNK))
+    assert len({id(err) for err in jet.errors.values()}) == 1
+    assert str(jet.errors[0]) == "sqrt of negative value in 'sqrt(x)'"
 
 
 def test_chunk_evaluates_each_expression_once_and_only_when_asked(monkeypatch):

@@ -456,8 +456,9 @@ class _Tables(dict):
 # at a time, since each grade reads only lower ones.  The grade-2 step (G2) is
 # all that the Ricci operator needs, and M continues from it.
 
-_G2_MASKS, _G2_LOWEST, _G2_REST = blades.PEEL_STEPS[0]
-_G2_COVECTOR = np.searchsorted(blades.COVECTOR_MASKS, _G2_REST)  # the j of rest = gamma^j
+# the grade-2 blades, in mask order, are gamma^i ^ gamma^j for (i, j) in zip(G2_LOWEST, G2_COVECTOR)
+_G2_MASKS, G2_LOWEST, _G2_REST = blades.PEEL_STEPS[0]
+G2_COVECTOR = np.searchsorted(blades.COVECTOR_MASKS, _G2_REST)  # the j of rest = gamma^j
 _DIAG = np.arange(blades.N_BLADES)
 _COVECTORS = list(blades.MASKS_BY_GRADE[1])
 _ABOVE_GRADE2 = [m for k in (3, 4) for m in blades.MASKS_BY_GRADE[k]]
@@ -471,12 +472,12 @@ STORED_TABLES = {"M": (blades.N_BLADES,) * 3, "K": (blades.N_BLADES,) * 3}
 def _grade2(t: _Tables) -> np.ndarray:
     """G2: left multiplication by the grade-2 blades, in mask order."""
     C, L = t["C"], t["L"]
-    grade2 = np.empty((C.shape[0], len(_G2_LOWEST), blades.N_BLADES, blades.N_BLADES))
+    grade2 = np.empty((C.shape[0], len(G2_LOWEST), blades.N_BLADES, blades.N_BLADES))
     # gamma^i ^ gamma^j = gamma^i gamma^j - gamma^i _| gamma^j, a multiple of the unit;
     # one product per blade, so no gathered copy of L is made
-    for k, (i, j) in enumerate(zip(_G2_LOWEST, _G2_COVECTOR)):
+    for k, (i, j) in enumerate(zip(G2_LOWEST, G2_COVECTOR)):
         np.matmul(L[:, i], L[:, j], out=grade2[:, k])
-    grade2[..., _DIAG, _DIAG] -= C[:, _G2_LOWEST, 0, _G2_REST][..., np.newaxis]
+    grade2[..., _DIAG, _DIAG] -= C[:, G2_LOWEST, 0, _G2_REST][..., np.newaxis]
     return grade2
 
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import _G2_COVECTOR, _G2_LOWEST, Multivector, ReadOnly, grade_project
+from .algebra import G2_COVECTOR, G2_LOWEST, Multivector, ReadOnly, grade_project
 from .errors import FieldError
 from .geometry import GeometryData
 
@@ -71,7 +71,7 @@ _ZERO = ex.ZERO
 _NOT_GRADE1 = blades.GRADE != 1
 _ROW_FLAT = np.arange(0, 256, 16) + blades.SUB_ROW_N.T  # [k, m]: flat (m, n) of row m's k-th n
 # the grade-2 block of gamma^a ^ gamma^b for each ordered pair a != b, in (a, b) order
-_RICCI_BLOCKS = [list(zip(_G2_LOWEST, _G2_COVECTOR)).index((min(a, b), max(a, b)))
+_RICCI_BLOCKS = [list(zip(G2_LOWEST, G2_COVECTOR)).index((min(a, b), max(a, b)))
                  for a in range(4) for b in range(4) if a != b]
 
 
@@ -401,7 +401,7 @@ class FieldCalculus:
         # factors change sign; then the 12 pairs a != b in (a, b) order.
         # Another order or grouping of the sums may round differently.
         blocks = np.einsum("...kmn,...kn->...km", self.gd.metric.tables["G2"],
-                           comm[..., _G2_LOWEST, _G2_COVECTOR, :])
+                           comm[..., G2_LOWEST, G2_COVECTOR, :])
         total = 0.0
         for k in _RICCI_BLOCKS:
             total = total + blocks[..., k, :]

@@ -26,8 +26,9 @@ only until its last reader is evaluated.  A point of shape (4,) gives a
 points of shape (N, 4) give ``val`` (N,), ``grad`` (N, 4) and ``hess``
 (N, 4, 4).  Lane i is bitwise equal to evaluating point i alone.  One
 point raises the error of the first operation in tree order that fails
-there.  Over N points each subtree keeps, per point, the first operation
-in its own tree order that fails there, so a shared subtree gives each
+there.  Over N points each subtree keeps ``first``, per point the index
+of the first operation in its own tree order that fails there in one
+list of errors, or -1, never written into: a shared subtree gives each
 tree holding it that tree's first error, in ``Jet2.errors``, with a zero
 jet for that point.  Over N points ``sin``, ``cos`` and ``sqrt`` are
 numpy's functions, which give ``math``'s bits, and the lanes where
@@ -43,12 +44,12 @@ level (:class:`_Forest`): the nodes of one height, node type and variable
 name or function are one group, and each group is one step of the same
 node arithmetic over its lanes.  A group of numbers holds a value per
 lane, and a group of powers splits by each node's integer exponent.  Lane
-t is bitwise tree t at its point alone.  Each node keeps the error of its
-leftmost failing child, else its own, so lane t's error is the first
-failing operation in post-order, the one that point raises alone.  A
-forest holds every node's jet until it ends: it suits many small trees,
-as the operator selftest's random fields, and not one long sum, whose
-partial sums a :class:`ChunkJets` frees one by one.
+t is bitwise tree t at its point alone.  Each node keeps the index of the
+error of its leftmost failing child, else its own, so lane t's error is
+the first failing operation in post-order, the one that point raises
+alone.  A forest holds every node's jet until it ends: it suits many
+small trees, as the operator selftest's random fields, and not one long
+sum, whose partial sums a :class:`ChunkJets` frees one by one.
 
 Tree nodes and :class:`Jet2` values are read-only: assigning to a field
 raises ``AttributeError``.  A node's repr names its fields, as in
@@ -448,7 +449,7 @@ class _Tape:
     one serial; a child's serial is below its parent's.  ``left[s]`` counts
     the reads of subtree ``s`` still to come, one by each distinct parent
     and one per tree added with it as root.  At one set of points
-    (:meth:`_Walk.evaluate`) a subtree's jet is kept in ``kept`` while
+    (:meth:`_Walk.evaluate`) a subtree's entry is kept in ``kept`` while
     reads of it are left, and dropped at its last, so a subtree read once
     is held only until its parent is evaluated.  A tree not added before it
     is evaluated is added then.
@@ -459,7 +460,8 @@ class _Tape:
         self._roots: dict = {}  # id(tree) -> (tree, serial), kept with the tree so its id is not reused
         self.steps: list = []  # serial -> (node, children's serials)
         self.left: list = []
-        self.kept: dict = {}  # serial -> (jet, errors, failed) of a subtree that will be read again
+        self.kept: dict = {}  # serial -> (jet, first) of a subtree that will be read again
+        self.errors: list = []  # the errors every entry's ``first`` indexes
         for e in trees:
             self.root(e)
 
@@ -486,20 +488,19 @@ class _Tape:
 class _Walk:
     """One evaluation of expression trees at one point or at N points.
 
-    Each subtree's entry is its jet and, per point, the error of the first
-    operation in that subtree's tree order that fails there (``errors``),
-    with those points marked (``failed``).  While a node is evaluated
-    ``errors`` and ``failed`` hold its children's, and the node's own
-    failures are added to points not failed before.  A failed lane computes
-    on with whatever values it holds and is zeroed at the end
-    (:func:`evaluate_jet2`); one point raises its error at once.
+    Each subtree's entry is its jet and ``first``: per point, the index in
+    ``errors`` of the first operation in that subtree's tree order that
+    fails there, or -1, and None where no point fails.  A node's ``first``
+    starts as its leftmost failing child's (:func:`_leftmost`), and each of
+    its own failures appends an error for the points not failed before.  A
+    failed lane computes on with whatever values it holds and is zeroed at
+    the end (:func:`_lanes_jet`); one point raises its error at once.
     """
 
     def __init__(self, coords: Sequence[str], points: np.ndarray, params: Mapping[str, float] | None):
         self.lanes = lanes = points.shape[:-1]
         self.coord_names = frozenset(coords)
-        self.failed = self.none_failed = np.zeros(lanes, dtype=bool)
-        self.errors: dict = {}
+        self.first, self.errors = None, []
         # the derivatives of every constant: shared, as no operation writes into its operands
         self.zero_grad, self.zero_hess = np.zeros((4,) + lanes), np.zeros((4, 4) + lanes)
         vals = points.T.copy() if lanes else points.tolist()  # vals[axis]: that coordinate's values
@@ -514,14 +515,15 @@ class _Walk:
         return (np.full(self.lanes, float(v)) if self.lanes else float(v)), self.zero_grad, self.zero_hess
 
     def evaluate(self, tape: _Tape, root: int) -> tuple:
-        """The entry ``(jet, errors, failed)`` of subtree ``root`` of ``tape``.
+        """The entry ``(jet, first)`` of subtree ``root`` of ``tape``; ``first`` indexes ``tape.errors``.
 
         Depth first with a stack, children left to right before their
-        parent, skipping a subtree whose jet the tape keeps.  A serial ``s``
-        on the stack asks for the subtree, ``~s`` for its node once its
-        children's entries end ``done``.
+        parent, skipping a subtree whose entry the tape keeps.  A serial
+        ``s`` on the stack asks for the subtree, ``~s`` for its node once
+        its children's entries end ``done``.
         """
         steps, left, kept = tape.steps, tape.left, tape.kept
+        self.errors = tape.errors
         done, todo = [], [root]
         while todo:
             s = todo.pop()
@@ -539,44 +541,32 @@ class _Walk:
             else:  # a leaf
                 entry = self.node(steps[s][0], [])
             left[s] -= 1
-            owned = left[s] <= 0  # this is its last read: its parent may take over its errors
-            if owned:
-                kept.pop(s, None)
-            else:
+            if left[s] > 0:
                 kept[s] = entry
-            done.append((*entry, owned))
-        return done[0][:3]
+            else:
+                kept.pop(s, None)
+            done.append(entry)
+        return done[0]
 
     def node(self, e: Expr, kids: list) -> tuple:
-        """The entry of node ``e`` from its children's entries ``(jet, errors, failed, owned)``.
-
-        A point keeps the error of the leftmost child failing there.  The
-        children's largest error dict is taken over, or copied if another
-        subtree will read it, and the others' written into it.
-        """
-        self.errors, self.failed = {}, self.none_failed  # failed is replaced, never written into
-        failing = [kid for kid in kids if kid[1]] if self.lanes else ()  # one point raises at once
-        if failing:
-            at = max(range(len(failing)), key=lambda k: len(failing[k][1]))
-            _, errors, self.failed, owned = failing[at]
-            self.errors = errors if owned else dict(errors)
-            for _, errors, failed, _ in reversed(failing[:at]):  # the leftmost last, so it wins
-                self.errors.update(errors)
-                self.failed = self.failed | failed
-            for _, errors, failed, _ in failing[at + 1:]:
-                for k, err in errors.items():
-                    self.errors.setdefault(k, err)
-                self.failed = self.failed | failed
-        return self.step(e, *[kid[0] for kid in kids]), self.errors, self.failed
+        """The entry of node ``e`` from its children's entries ``(jet, first)``."""
+        self.first = _leftmost([first for _, first in kids])
+        return self.step(e, *[jet for jet, _ in kids]), self.first
 
     def reject(self, mask, error: Callable[[Expr], ExprError], site: Expr) -> None:
         """Fail, with ``error(site)``, the points where ``mask`` holds and no earlier error did."""
-        new = mask & ~self.failed
-        if new.any():
+        first = self.first
+        new = mask if first is None else mask & (first < 0)
+        if np.any(new):
             if not self.lanes:
                 raise error(site)
-            self.errors.update(dict.fromkeys(np.flatnonzero(new).tolist(), error(site)))
-            self.failed = self.failed | new
+            before = np.full(self.lanes, -1) if first is None else first
+            self.first = np.where(new, self.fail(new, error, site), before)
+
+    def fail(self, new: np.ndarray, error: Callable[[Expr], ExprError], site: Expr) -> int:
+        """The index in ``errors`` of the points ``new`` fails: all share one error, ``error(site)``."""
+        self.errors.append(error(site))
+        return len(self.errors) - 1
 
     def domain(self, mask, message: str, site: Expr) -> None:
         self.reject(mask, lambda at: DomainEvalError(message, serialize(at)), site)
@@ -621,6 +611,15 @@ class _Walk:
         if lanes and e.func in _LANES_JET:
             return _chain(a, *_LANES_JET[e.func](a[0], e, self))
         return _chain(a, *_per_lane(_UNARY_JET[e.func], a[0], e, self))
+
+
+def _leftmost(firsts: Sequence) -> np.ndarray | None:
+    """Per point, the first of ``firsts`` that is not -1 there, or -1; None when all are None."""
+    out = None
+    for first in reversed(firsts):  # the leftmost last, so it wins
+        if first is not None:
+            out = first if out is None else np.where(first >= 0, first, out)
+    return out
 
 
 def _mul(a: tuple, b: tuple) -> tuple:
@@ -778,12 +777,17 @@ def evaluate_jet2(
     walk = _Walk(coords, np.asarray(point, dtype=float), params)
     tape = _Tape() if tape is None else tape
     with np.errstate(all="ignore"):  # non-finite lanes are judged downstream
-        (val, grad, hess), errors, failed = walk.evaluate(tape, tape.root(e))
-    if not walk.lanes:
-        return Jet2(val, grad, hess)
-    if errors:
-        val, grad, hess = np.where(failed, 0.0, val), np.where(failed, 0.0, grad), np.where(failed, 0.0, hess)
-    return Jet2(val, grad.T, hess.transpose(2, 0, 1), dict(sorted(errors.items())))
+        jet, first = walk.evaluate(tape, tape.root(e))
+    return _lanes_jet(jet, first, tape.errors) if walk.lanes else Jet2(*jet)
+
+
+def _lanes_jet(jet: tuple, first: np.ndarray | None, errors: list) -> Jet2:
+    """The :class:`Jet2` of N points from ``jet``, point axis last; point i fails with ``errors[first[i]]``."""
+    val, grad, hess = jet
+    lost = {} if first is None else {lane: errors[k] for lane, k in enumerate(first.tolist()) if k >= 0}
+    if lost:  # and those points' jets are zero
+        val, grad, hess = (np.where(first >= 0, 0.0, x) for x in jet)
+    return Jet2(val, grad.T, hess.transpose(2, 0, 1), lost)
 
 
 def point_jets(coords: Sequence[str], point, params: Mapping[str, float] | None = None
@@ -795,28 +799,28 @@ def point_jets(coords: Sequence[str], point, params: Mapping[str, float] | None 
 class _Group(_Walk):
     """One step of a forest (:class:`_Forest`): lane k is node ``sites[k]`` at its tree's point.
 
-    ``failed`` and ``errors`` start as the children's.  ``names`` holds the
-    jet of a group of variables, and ``power`` the exponent of a group of
-    powers, which a forest splits by it.  A lane failing here gets the error
-    named by its own node, not by the site the arithmetic passes, which is
-    the group's first node.
+    ``first`` starts as the children's, and ``errors`` is the forest's.
+    ``names`` holds the jet of a group of variables, and ``power`` the
+    exponent of a group of powers, which a forest splits by it.  A lane
+    failing here gets an error of its own, named by its own node, not by
+    the site the arithmetic passes, which is the group's first node.
     """
 
     def __init__(self, coord_names: frozenset, names: dict, power: int | None, sites: list,
-                 failed: np.ndarray, errors: dict):
-        self.lanes = lanes = failed.shape
+                 first: np.ndarray | None, errors: list):
+        self.lanes = lanes = (len(sites),)
         self.coord_names, self.names, self.power = coord_names, names, power
         self.zero_grad, self.zero_hess = np.zeros((4,) + lanes), np.zeros((4, 4) + lanes)
-        self.sites, self.failed, self.errors = sites, failed, errors
+        self.sites, self.first, self.errors = sites, first, errors
 
     def exponent(self, e: Expr, expo: tuple) -> int | None:
         return self.power
 
-    def reject(self, mask, error: Callable[[Expr], ExprError], site: Expr) -> None:
-        new = mask & ~self.failed
-        if new.any():
-            self.errors.update((k, error(self.sites[k])) for k in np.flatnonzero(new).tolist())
-            self.failed = self.failed | new
+    def fail(self, new: np.ndarray, error: Callable[[Expr], ExprError], site: Expr) -> np.ndarray:
+        new = np.broadcast_to(new, self.lanes)  # each point's error is named by its own node
+        at = len(self.errors) - 1 + np.cumsum(new)
+        self.errors.extend(error(self.sites[k]) for k in np.flatnonzero(new).tolist())
+        return at
 
 
 class _Forest:
@@ -827,8 +831,8 @@ class _Forest:
     number of any value.  A group's children are of lower height, so the
     groups are evaluated by height, each group in one step over its lanes.
     ``jets[:, i]`` is node i's value, gradient and Hessian, flat (1 + 4 +
-    16 rows); ``failed[i]`` says whether it failed, and ``errors[i]`` is then
-    its error, that of its leftmost failing child or else its own.
+    16 rows), and ``first[i]`` the index in ``errors`` of its error, that
+    of its leftmost failing child or else its own, or -1 if it did not fail.
     """
 
     def __init__(self, trees: Sequence[Expr], coords: Sequence[str], points: np.ndarray,
@@ -857,7 +861,7 @@ class _Forest:
                 stack.append(i)
             self.roots.append(stack[0])
         self.jets = np.zeros((21, len(heights)))
-        self.failed, self.errors = np.zeros(len(heights), dtype=bool), {}
+        self.first, self.errors = np.full(len(heights), -1), []
 
     def evaluate(self) -> None:
         for key in sorted(self.groups, key=lambda key: key[0]):
@@ -877,19 +881,17 @@ class _Forest:
     def step(self, ids: np.ndarray, nodes: list, lanes: np.ndarray, kids: np.ndarray,
              power: int | None = None) -> None:
         """Evaluate nodes ``ids``, of one group, from their children ``kids`` (one row per child)."""
-        failed = self.failed[kids].any(axis=0) if len(kids) else np.zeros(len(ids), dtype=bool)
-        errors = {}
-        for k in np.flatnonzero(failed).tolist():  # each lane keeps its leftmost failing child's error
-            errors[k] = self.errors[next(kid for kid in kids[:, k].tolist() if self.failed[kid])]
+        firsts = self.first[kids]  # one row per child
+        first = _leftmost(firsts) if firsts.max(initial=-1) >= 0 else None
         names = {}
         if type(nodes[0]) is Var and nodes[0].name in self.walk.names:  # a coordinate or a parameter
             names[nodes[0].name] = tuple(x[..., lanes] for x in self.walk.names[nodes[0].name])
-        walk = _Group(self.walk.coord_names, names, power, nodes, failed, errors)
+        walk = _Group(self.walk.coord_names, names, power, nodes, first, self.errors)
         args = [(jet[0], jet[1:5], jet[5:].reshape(4, 4, -1)) for jet in (self.jets[:, kid] for kid in kids)]
         val, grad, hess = walk.step(nodes[0], *args)
         self.jets[0, ids], self.jets[1:5, ids], self.jets[5:, ids] = val, grad, np.reshape(hess, (16, -1))
-        self.failed[ids] = walk.failed
-        self.errors.update((int(ids[k]), err) for k, err in walk.errors.items())
+        if walk.first is not None:
+            self.first[ids] = walk.first
 
 
 def evaluate_forest(trees: Sequence[Expr], coords: Sequence[str], points,
@@ -906,11 +908,8 @@ def evaluate_forest(trees: Sequence[Expr], coords: Sequence[str], points,
     forest = _Forest(trees, coords, np.asarray(points, dtype=float).reshape(-1, 4), params)
     with np.errstate(all="ignore"):  # non-finite lanes are judged downstream
         forest.evaluate()
-    failed, jets = forest.failed[forest.roots], forest.jets[:, forest.roots]
-    errors = {t: forest.errors[root] for t, root in enumerate(forest.roots) if failed[t]}
-    if errors:
-        jets = np.where(failed, 0.0, jets)
-    return Jet2(jets[0], jets[1:5].T, jets[5:].reshape(4, 4, -1).transpose(2, 0, 1), errors)
+    jets, first = forest.jets[:, forest.roots], forest.first[forest.roots]
+    return _lanes_jet((jets[0], jets[1:5], jets[5:].reshape(4, 4, -1)), first, forest.errors)
 
 
 class ChunkJets:

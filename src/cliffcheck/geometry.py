@@ -116,15 +116,11 @@ class MetricJets:
 class GeometryData:
     """Full curvature bundle at one point, or at a block of N points (N first)."""
 
-    def __init__(self, spec: MetricSpec, point: np.ndarray, g_lower: np.ndarray, g_upper: np.ndarray,
-                 sqrt_abs_det: float | np.ndarray, dg: np.ndarray, dg_upper: np.ndarray,
-                 gamma: np.ndarray, dgamma: np.ndarray, riemann: np.ndarray, ricci: np.ndarray,
-                 scalar: float | np.ndarray, metric: PointMetric, jet: Callable, errors: dict | None = None):
+    def __init__(self, spec: MetricSpec, point: np.ndarray, dg: np.ndarray, dg_upper: np.ndarray, gamma: np.ndarray,
+                 dgamma: np.ndarray, riemann: np.ndarray, ricci: np.ndarray, scalar: float | np.ndarray,
+                 metric: PointMetric, jet: Callable, errors: dict | None = None):
         self.spec = spec
         self.point = point
-        self.g_lower = g_lower
-        self.g_upper = g_upper
-        self.sqrt_abs_det = sqrt_abs_det
         self.dg = dg
         self.dg_upper = dg_upper  # d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn} -> dg_upper[s, m, n]
         self.gamma = gamma  # Gamma^r_{ab} -> gamma[r, a, b]
@@ -136,6 +132,11 @@ class GeometryData:
         self.jet = jet  # expression -> its jets at ``point``, as in :func:`metric_at`
         self.errors = {} if errors is None else errors  # of a block: each point curvature rejects -> its error
 
+    # read-only, the point metric's
+    g_lower = property(lambda self: self.metric.ginv)  # g_{mn}
+    g_upper = property(lambda self: self.metric.g)  # g^{mn}
+    sqrt_abs_det = property(lambda self: self.metric.sqrt_abs_det)
+
     def block(self, start: int, stop: int, jet: Callable) -> "GeometryData":
         """The bundle of points ``start:stop`` of this block, whose jet source is ``jet``.
 
@@ -146,8 +147,8 @@ class GeometryData:
         """
         metric = self.metric.block(start, stop)
         arrays = {name: readonly_rows(getattr(self, name), start, stop) for name in _BLOCK_ARRAYS}
-        return GeometryData(spec=self.spec, g_upper=metric.g, sqrt_abs_det=metric.sqrt_abs_det, metric=metric,
-                            jet=jet, errors=block_errors(self.errors, start, stop), **arrays)
+        return GeometryData(spec=self.spec, metric=metric, jet=jet, errors=block_errors(self.errors, start, stop),
+                            **arrays)
 
     @cached_property
     def einstein_lower(self) -> np.ndarray:
@@ -189,7 +190,7 @@ class GeometryData:
 
 
 # the arrays of a GeometryData that are its own, not its point metric's
-_BLOCK_ARRAYS = ("point", "g_lower", "dg", "dg_upper", "gamma", "dgamma", "riemann", "ricci", "scalar")
+_BLOCK_ARRAYS = ("point", "dg", "dg_upper", "gamma", "dgamma", "riemann", "ricci", "scalar")
 
 
 def _index_sub_gather(table: np.ndarray) -> np.ndarray:
@@ -319,7 +320,7 @@ def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
         jet = ex.point_jets(spec.coords, x, spec.params)
     pm, jets = metric_at(spec, x, jet)
     gamma, dgamma, dg_upper = _christoffels_from_jets(pm.g, jets)
-    g_lower, dg, errors = jets.values, jets.dg, jets.errors
+    dg, errors = jets.dg, jets.errors
     del jets  # and with it the second derivatives, which dgamma holds now
 
     # R^r_{s mu nu} = d_mu G^r_{nu s} - d_nu G^r_{mu s} + G^r_{mu l} G^l_{nu s}
@@ -334,9 +335,6 @@ def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
     gd = GeometryData(
         spec=spec,
         point=x,
-        g_lower=g_lower,
-        g_upper=pm.g,
-        sqrt_abs_det=pm.sqrt_abs_det,
         dg=dg,
         dg_upper=dg_upper,
         gamma=gamma,

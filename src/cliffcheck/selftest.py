@@ -44,7 +44,7 @@ import numpy as np
 
 from . import algebra, blades
 from . import expr as ex
-from .algebra import _EYE16, PointMetric, TableStore, grade_rows, linear_combination, scalar_rows, wedge_rows
+from .algebra import PointMetric, TableStore, grade_rows, linear_combination, scalar_rows, wedge_rows
 from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
@@ -185,7 +185,7 @@ def _block_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
     out["associativity"] = _rel(_sup(lhs - rhs), _sup(lhs), _sup(rhs))
 
     # anticommutator of covectors reproduces the metric
-    gi, gj = _EYE16[1 << i], _EYE16[1 << j]
+    gi, gj = np.eye(blades.N_BLADES)[[1 << i, 1 << j]]
     anti = clifford(gi, gj) + clifford(gj, gi)
     target = scalar_rows(2.0 * pm.g[np.arange(len(a)), i, j])
     out["anticommutator"] = _rel(_sup(anti - target), _sup(target))

@@ -651,9 +651,10 @@ def test_lane_transcendentals_equal_math_bitwise(func):
     with np.errstate(all="ignore"):
         got = ex._LANES_JET[func](values, site, walk)
     masked = raises & ~(values < 0.0) if func == "sqrt" else raises
-    assert sorted(walk.errors) == np.flatnonzero(masked).tolist()
+    errors = {} if walk.first is None else {k: walk.errors[i] for k, i in enumerate(walk.first.tolist()) if i >= 0}
+    assert sorted(errors) == np.flatnonzero(masked).tolist()
     message = "underflow" if func == "sqrt" else "infinite argument"
-    assert {str(err) for err in walk.errors.values()} == {f"{message} in '{func}(x)'"}
+    assert {str(err) for err in errors.values()} == {f"{message} in '{func}(x)'"}
     want = np.array([ex._UNARY_JET[func](v) for v in values[~raises].tolist()]).T
     for g, w in zip(got, want):
         assert g[~raises].view(np.uint64).tolist() == w.view(np.uint64).tolist()

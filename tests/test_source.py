@@ -1,6 +1,6 @@
-"""The package's sources are valid Python for the oldest version pyproject.toml allows, the
-README's Python API names and the package's ``__all__`` names exist, and a fresh ``verify``
-does not import ``dataclasses``."""
+"""The package's sources are valid Python for the oldest version pyproject.toml allows and
+import no other module's private names, the README's Python API names and the package's
+``__all__`` names exist, and a fresh ``verify`` does not import ``dataclasses``."""
 
 import ast
 import functools
@@ -25,6 +25,17 @@ def test_pyproject_requires_python_3_10():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(REPO).as_posix())
 def test_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(REPO).as_posix())
+def test_module_imports_no_private_name_of_another_module(path):
+    # a name with a leading underscore is its module's own; what another
+    # module needs of it gets a public name there (a dunder, as __version__, is public)
+    private = [f"line {node.lineno}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []
 
 
 def test_readme_python_api_names_resolve():

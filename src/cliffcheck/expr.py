@@ -881,7 +881,7 @@ class _Forest:
     def step(self, ids: np.ndarray, nodes: list, lanes: np.ndarray, kids: np.ndarray,
              power: int | None = None) -> None:
         """Evaluate nodes ``ids``, of one group, from their children ``kids`` (one row per child)."""
-        firsts = self.first[kids]  # one row per child
+        firsts = self.first[kids]
         first = _leftmost(firsts) if firsts.max(initial=-1) >= 0 else None
         names = {}
         if type(nodes[0]) is Var and nodes[0].name in self.walk.names:  # a coordinate or a parameter

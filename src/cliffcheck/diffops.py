@@ -1,15 +1,16 @@
 """Differential operators on multivector fields.
 
 Fields are 16 closed-form component expressions in the chart coordinates.
-Every operator is evaluated pointwise from exact jets: first covariant
-derivatives for the first-order operators, analytic second covariant
-derivatives (never differences of operator outputs) for the second-order
-ones.  The composed operators d(delta F) and delta(d F) are obtained by
-carrying exact first-order jets of delta F and d F, which the second-order
-field jets and the metric jets provide in closed form.  So the squared Dirac
-operator has two routes: :meth:`FieldCalculus.hodge_dalembertian` gives
--(d delta + delta d) F, and a caller adds ``covariant_dalembertian()`` and
-``ricci_operator()`` for the second-order route.
+Every operator is evaluated pointwise from exact jets: d from the partials
+alone (the connection is torsion free), delta and the Dirac operator from
+first covariant derivatives, the second-order ones from analytic second
+covariant derivatives (never differences of operator outputs).  The composed
+operators d(delta F) and delta(d F) carry exact first-order jets of d F and
+delta F: their values are ``exterior_d()`` and ``codifferential()``, and the
+second-order field jets and the metric jets give their partials in closed
+form.  So the squared Dirac operator has two routes:
+:meth:`FieldCalculus.hodge_dalembertian` gives -(d delta + delta d) F, and a
+caller adds ``covariant_dalembertian()`` and ``ricci_operator()``.
 
 Index conventions:  ``cov1[a]`` are the blade components of D_a F,
 ``cov2[a, b]`` those of D_a D_b F, and the covariant correction enters
@@ -329,7 +330,8 @@ class FieldCalculus:
 
     @_once
     def exterior_d(self) -> Multivector:
-        return Multivector(np.einsum("amn,...an->...m", blades.WEDGE_OP, self.cov1))
+        """sum_a gamma^a ^ d_a F: the connection is torsion free, so its terms in D_a F cancel."""
+        return Multivector(np.einsum("amn,...na->...m", blades.WEDGE_OP, self.jets.grads))
 
     @_once
     def codifferential(self) -> Multivector:
@@ -352,18 +354,15 @@ class FieldCalculus:
 
     @cached_property
     def _d_jet(self) -> tuple:
-        val = np.einsum("amn,...na->...m", blades.WEDGE_OP, self.jets.grads)
-        grad = np.einsum("amn,...nas->...ms", blades.WEDGE_OP, self.jets.hess)
-        return val, grad
+        return self.exterior_d().coeffs, np.einsum("amn,...nas->...ms", blades.WEDGE_OP, self.jets.hess)
 
     @cached_property
     def _delta_jet(self) -> tuple:
-        val = -self._contract(self.cov1)
         grad = -(
             np.einsum("...samn,...an->...ms", self._contract_grad, self.cov1)
             + np.einsum("...amn,...san->...ms", self.gd.metric.tables["C"], self._pd_cov1)
         )
-        return val, grad
+        return self.codifferential().coeffs, grad
 
     @_once
     def exterior_d_squared(self) -> Multivector:

@@ -22,7 +22,7 @@ no report depends on which other checks ran, and
 :func:`sandwich_link_identities`, :func:`energy_momentum_em` and
 :func:`energy_momentum_fluid` give the same bits called on their own.
 Each index sum over a block, sum_k w_k X_k (V^mu D_mu V, and A^beta with
-the sandwiches and the Ricci and Einstein rows), is one
+the sandwiches and the Einstein rows), is one
 :func:`~cliffcheck.algebra.linear_combination`, added in order of k.
 :func:`run_checks` gathers one :class:`ResidualReport` per check, which
 keeps the results as columns: one array per key, one row per point.
@@ -198,7 +198,7 @@ class BlockContext:
         return fc
 
     def coupling(self, name: str) -> Multivector:
-        """The curvature coupling A^beta R_beta of the 1-form field ``name``, once per calculator."""
+        """The curvature coupling A^beta R_beta of the 1-form field ``name``: one matmul per calculator."""
         fc = self.calc(name)
         if fc not in self._couplings:
             self._couplings[fc] = _ricci_coupling(self.gd, fc.value())
@@ -466,7 +466,9 @@ def _structure_roots(c: np.ndarray) -> tuple:
 
 
 def solve_structure_quadratic(c: float) -> StructureRoots:
-    """Real solutions of 2 c f^2 + f + 1 = 0; degenerates to f = -1 at c = 0."""
+    """Real solutions of 2 c f^2 + f + 1 = 0; degenerates to f = -1 at c = 0; raises ValueError at a c not finite."""
+    if not np.isfinite(float(c)):
+        raise ValueError(f"solve_structure_quadratic needs a finite c, got c={float(c)}")
     outcome, disc, roots, count = _structure_roots(np.array([float(c)]))
     roots = tuple(roots[0, :count[0]].tolist())
     return StructureRoots(str(_OUTCOMES[outcome[0]]), roots, float(disc[0]))
@@ -520,21 +522,18 @@ def _structure_current(ctx: BlockContext) -> list:
 
 def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, j: Multivector) -> dict:
     """The four algebraic links used by the structure-equation rewrite."""
-    return _sandwich_links(MaxwellTerms(gd, a, f2, j))
+    return _sandwich_links(MaxwellTerms(gd, a, f2, j), _ricci_coupling(gd, a))
 
 
-def _sandwich_links(terms: MaxwellTerms) -> dict:
+def _sandwich_links(terms: MaxwellTerms, coupling: Multivector) -> dict:  # coupling: A^beta R_beta of terms.a
     gd, a, f2, j = terms.gd, terms.a, terms.f2, terms.j
     pm = gd.metric
     a_up = _raise_index(gd, a.oneform_components())
-
-    def contract_rows(rows: np.ndarray) -> Multivector:  # A^beta X_beta nu gamma^nu
-        return linear_combination(a_up, (Multivector.oneform(rows[..., beta, :]) for beta in range(4)))
-
     faf = pm.clifford(f2, pm.clifford(a, f2))
     jaj = pm.clifford(j, pm.clifford(a, j))
     expansion = jaj - 2.0 * terms.a_dot_j * j + terms.j_sq * a
-    trace_link = 2.0 * contract_rows(gd.einstein_lower) - (2.0 * contract_rows(gd.ricci) - gd.scalar * a)
+    einstein = linear_combination(a_up, (Multivector.oneform(gd.einstein_lower[..., b, :]) for b in range(4)))
+    trace_link = 2.0 * einstein - (2.0 * coupling - gd.scalar * a)  # A^beta (2 G_beta - 2 R_beta + R g_beta)
 
     return {
         "em_sandwich_linearity": (linear_combination(a_up, terms.em_sandwiches) - faf).sup(),
@@ -547,7 +546,7 @@ def _sandwich_links(terms: MaxwellTerms) -> dict:
 def _sandwich_identities(ctx: BlockContext) -> tuple:
     """Point-level algebra suite; uses the potential when present, else random inputs."""
     if ctx.fields["potential"] is not None:
-        return _sandwich_links(ctx.maxwell()), {}
+        return _sandwich_links(ctx.maxwell(), ctx.coupling("potential")), {}
     raw = ctx.draw
     a = grade_project(Multivector(raw[..., 0, :]), 1)
     f2 = grade_project(Multivector(raw[..., 1, :]), 2)

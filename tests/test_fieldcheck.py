@@ -10,21 +10,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliffcheck import diffops
+from cliffcheck import blades, diffops, selftest
 from cliffcheck import expr as ex
 from cliffcheck import fieldcheck as fch
 from cliffcheck import geometry as geo
 from cliffcheck import runner
-from cliffcheck.algebra import Multivector, PointMetric, grade_project
+from cliffcheck.algebra import Multivector, PointMetric, grade_project, linear_combination
 from cliffcheck.diffops import FieldCalculus, MultivectorField
 from cliffcheck.errors import CliffcheckError, FieldError
 
 from oracles import check_dict, records
 from test_diffops import dense_dgop, dense_gop
-from test_geometry import BLOCK_CASES, MIXED, MIXED_ERRORS, OVERFLOW, OVERFLOW_POINT, mixed_points
+from test_geometry import BLOCK_CASES, KERR, MIXED, MIXED_ERRORS, OVERFLOW, OVERFLOW_POINT, mixed_points
 
 MINK = geo.build_metric("minkowski")
 SCHW = geo.build_metric("schwarzschild", {"M": 1.0})
@@ -458,12 +458,17 @@ QUADRATIC_EDGES = [0.0, -0.0, 0.125, 0.12500000000000003, 0.12499999999999999, 5
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(QUADRATIC_EDGES),
                 min_size=1, max_size=20))
+@example([math.nan, math.inf, -math.inf, 0.1])
 def test_structure_roots_columns_equal_the_scalar_solution_bitwise(cs):
     outcome, disc, roots, count = fch._structure_roots(np.array(cs))
     for k, c in enumerate(cs):
         want = scalar_structure_roots(c)
         got = (str(fch._OUTCOMES[outcome[k]]), tuple(roots[k, :count[k]].tolist()), float(disc[k]))
         assert repr(got) == repr(want), c
+        if not math.isfinite(c):  # the columns keep such a c; the public function refuses it
+            with pytest.raises(ValueError, match=rf"^solve_structure_quadratic needs a finite c, got c={c}$"):
+                fch.solve_structure_quadratic(c)
+            continue
         sol = fch.solve_structure_quadratic(c)
         assert repr((sol.outcome, sol.roots, sol.discriminant)) == repr(want), c
 
@@ -858,15 +863,18 @@ def schwarzschild_mixed_points(count: int) -> list:
     return points
 
 
-@pytest.mark.parametrize("block", [3, 1])
+@pytest.mark.parametrize("block", [3, 1, 64, 256])
 def test_block_size_does_not_change_report_bytes(monkeypatch, block):
+    # 300 points: at every size the run crosses a block boundary and the chunk
+    # boundary (fieldcheck.CHUNK)
     fields = fch.ScenarioFields(
         K=field({"t": "1-2*M/r"}, SCHW),
         S=field({"1": "t+1e-3*log(t+3)"}, SCHW),
         V=field({"t": "sqrt(1-2*M/r)"}, SCHW),
     )
     no_potential = fch.ScenarioFields(S=fields.S)
-    points = schwarzschild_mixed_points(21)
+    points = schwarzschild_mixed_points(300)
+    assert len(points) > fch.CHUNK
     names = list(fch.CHECKS)
 
     def report_json():
@@ -952,8 +960,11 @@ def stress_outputs(gd) -> list:
 
 
 # sha256 over stress_outputs at every STRESS_POINTS point, computed with the
-# one-point code before the checks took a block axis
-ONE_POINT_STRESS_SHA256 = "8842c5e40af873fc826f6506483545f6a60e4524457016fee1e00b47351f77dd"
+# one-point code.  Re-pinned when exterior_d() came to read the partials alone:
+# F = dA moved in its last bits at FLRW (0.7, 0.4, -1.1, 2.0), and with it the
+# stress forms and links built on F there.  Reading A^beta R_beta from the one
+# matmul of _ricci_coupling moved no bit of these outputs.
+ONE_POINT_STRESS_SHA256 = "d2c8867446d3195ef340f42516aea43576113c79d0b25a7e7fb50ab23de0d81b"
 
 
 def test_one_point_stress_forms_and_sandwich_links_are_unchanged():
@@ -973,6 +984,122 @@ def test_block_stress_forms_and_sandwich_links_equal_each_point_alone(key):
     for i, pt in enumerate(points):
         for got, want in zip(lanes, stress_outputs(geo.curvature(spec, pt))):
             assert got[i].tobytes() == want.tobytes()
+
+
+# -- the same spacetime in other charts -------------------------------------------------
+
+# Schwarzschild (M = 1) in the isotropic chart, r = rho (1 + M/2rho)^2, and in
+# the ingoing Eddington-Finkelstein chart, v = t + r + 2M log(r/2M - 1), whose
+# g_vr = -1 lies off the diagonal.  In each, K is d/dt lowered: g_tt dt in the
+# areal and isotropic charts, (1-2M/r) dv - dr in the EF one.
+_PSI = "(1+M/(2*rho))"
+ISOTROPIC = geo.MetricSpec.from_strings(
+    ("t", "rho", "theta", "phi"),
+    [
+        [f"((1-M/(2*rho))/{_PSI})^2", "0", "0", "0"],
+        ["0", f"-{_PSI}^4", "0", "0"],
+        ["0", "0", f"-{_PSI}^4*rho^2", "0"],
+        ["0", "0", "0", f"-{_PSI}^4*rho^2*sin(theta)^2"],
+    ],
+    {"M": 1.0},
+    "schwarzschild-isotropic",
+)
+INGOING_EF = geo.MetricSpec.from_strings(
+    ("v", "r", "theta", "phi"),
+    [["1-2*M/r", "-1", "0", "0"], ["-1", "0", "0", "0"], ["0", "0", "-r^2", "0"],
+     ["0", "0", "0", "-r^2*sin(theta)^2"]],
+    {"M": 1.0},
+    "schwarzschild-ingoing-ef",
+)
+CHART_CHECKS = ["killing", "killing_identities", "lorenz_gauge", "superconducting_current", "maxwell_current",
+                "structure_current", "sandwich_identities", "einstein"]
+
+
+def schwarzschild_charts(count: int) -> dict:
+    """Chart name -> (spec, K, its coordinates of the same ``count`` physical points)."""
+    rng = np.random.default_rng(41)
+    areal = rng.uniform([-3.0, 2.5, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2], size=(count, 4))
+    t, r, theta, phi = areal.T
+    rho = 0.5 * (r - 1.0 + np.sqrt(r * r - 2.0 * r))
+    v = t + r + 2.0 * np.log(r / 2.0 - 1.0)
+    return {
+        "areal": (SCHW, field({"t": "1-2*M/r"}, SCHW), areal),
+        "isotropic": (ISOTROPIC, field({"t": f"((1-M/(2*rho))/{_PSI})^2"}, ISOTROPIC),
+                      np.stack([t, rho, theta, phi], axis=1)),
+        "ingoing-ef": (INGOING_EF, field({"v": "1-2*M/r", "r": "-1"}, INGOING_EF),
+                       np.stack([v, r, theta, phi], axis=1)),
+    }
+
+
+def test_schwarzschild_gives_the_same_verdicts_and_scalars_in_every_chart():
+    # A = K: every check passes in every chart but einstein, which fails in
+    # every chart (the fields are not a solution); the scalar columns are
+    # invariants, so they agree across the charts
+    scalars = {}
+    for chart, (spec, K, points) in schwarzschild_charts(64).items():
+        reports = fch.run_checks(spec, fch.ScenarioFields(K=K), CHART_CHECKS, points, [1e-8] * len(CHART_CHECKS))
+        verdicts = {r.check: r.passed for r in reports}
+        assert verdicts == {name: name != "einstein" for name in CHART_CHECKS}, chart
+        by_check = {r.check: records(r) for r in reports}
+        columns = {key: [p["info"][key] for p in by_check["structure_current"]] for key in ("c", "discriminant")}
+        columns["scalar_curvature"] = [p["info"]["scalar_curvature"] for p in by_check["einstein"]]
+        scalars[chart] = {key: np.array(values) for key, values in columns.items()}
+    for chart, columns in scalars.items():
+        for key, got in columns.items():
+            want = scalars["areal"][key]
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (chart, key)
+
+
+# -- one route per quantity: dF and A^beta R_beta -------------------------------------
+
+# a generic metric: every component varies, and every pair of coordinates is
+# coupled off the diagonal; Lorentzian on its box
+GENERIC = geo.MetricSpec.from_strings(
+    ("t", "x", "y", "z"),
+    [
+        ["1+0.2*sin(x)", "0.1*y", "0.05*t*z", "0.1*x"],
+        ["0.1*y", "-1-0.1*t^2", "0.1*sin(z)", "0.05*t"],
+        ["0.05*t*z", "0.1*sin(z)", "-1.2+0.1*cos(x)", "0.1*x*y"],
+        ["0.1*x", "0.05*t", "0.1*x*y", "-0.9-0.1*y^2"],
+    ],
+    name="generic",
+    domain={c: (-1.0, 1.0) for c in ("t", "x", "y", "z")},
+)
+ROUTE_METRICS = {"minkowski": MINK, "schwarzschild": SCHW, "flrw": FLRW, "kerr": KERR, "generic": GENERIC}
+EPS = 2.0 ** -52
+
+
+@pytest.mark.parametrize("key", sorted(ROUTE_METRICS))
+def test_one_route_values_stay_within_four_ulps_of_the_other(key):
+    # dF is WEDGE_OP . dF, from the partials alone; the route it replaced read
+    # the covariant derivatives, WEDGE_OP . cov1, whose Christoffel terms cancel
+    # (the connection is torsion free).  A^beta R_beta is _ricci_coupling's one
+    # matmul; the route it replaced summed A^beta times the Ricci rows.  Each
+    # shipped value must lie within 4 eps of the scale of the terms it sums.
+    spec = ROUTE_METRICS[key]
+    rng = np.random.default_rng(31)
+    points = np.array([selftest.catalog_sample_point(rng, spec) for _ in range(16)])
+    gd = geo.curvature(spec, points)
+    assert gd.errors == {}
+    fields = [selftest.random_field(rng, spec.coords, list(blades.MASKS_BY_GRADE[p])) for p in range(5)]
+    fields += [selftest.random_field(rng, spec.coords, selftest.random_mixed_masks(rng)) for _ in range(3)]
+    oneforms = [selftest.random_field(rng, spec.coords, [1, 2, 4, 8]) for _ in range(2)]
+    fields += [f.scaled(10.0 ** k) for f in oneforms for k in range(-8, 9)]
+    wedge = np.abs(blades.WEDGE_OP)
+    for f in fields:
+        fc = FieldCalculus(f, gd)
+        shipped = fc.exterior_d().coeffs
+        reference = np.einsum("amn,...an->...m", blades.WEDGE_OP, fc.cov1)
+        connection = np.einsum("...amn,...n->...am", np.abs(gd.gop), np.abs(fc.jets.vals))
+        scale = np.einsum("amn,...an->...m", wedge, np.abs(np.swapaxes(fc.jets.grads, -1, -2)) + connection)
+        assert np.all(np.abs(shipped - reference) <= 4.0 * EPS * scale), f.grades
+    for f in fields[8:]:
+        a = FieldCalculus(f, gd).value()
+        up = fch._raise_index(gd, a.oneform_components())
+        shipped = fch._ricci_coupling(gd, a).oneform_components()
+        reference = linear_combination(up, (Multivector.oneform(gd.ricci[..., b, :]) for b in range(4)))
+        scale = np.einsum("...b,...bn->...n", np.abs(up), np.abs(gd.ricci))
+        assert np.all(np.abs(shipped - reference.oneform_components()) <= 4.0 * EPS * scale)
 
 
 # -- points with two failures, and no point computed twice ------------------------------

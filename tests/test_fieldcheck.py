@@ -1050,6 +1050,108 @@ def test_schwarzschild_gives_the_same_verdicts_and_scalars_in_every_chart():
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (chart, key)
 
 
+# Minkowski in spherical (t, r, theta, phi) and in boosted coordinates, t = g (t' + v x'),
+# x = g (x' + v t') with v = 0.6 and g = 1.25.  The fields are pulled back from
+# the Cartesian chart: K = dt + 0.3 (y dx - x dy) + 0.2 (x dt - t dx), a Killing
+# form with a constant F = dK; S = t; V = dt.  Both charts keep the orientation.
+MINK_SPHERICAL = geo.MetricSpec.from_strings(
+    ("t", "r", "theta", "phi"),
+    [["1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "-r^2", "0"], ["0", "0", "0", "-r^2*sin(theta)^2"]],
+    name="minkowski-spherical",
+)
+MINK_BOOSTED = geo.MetricSpec.from_strings(
+    ("tb", "xb", "y", "z"),
+    [["1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+    name="minkowski-boosted",
+)
+MINK_CHART_FIELDS = {
+    "cartesian": (MINK, {"t": "1+0.2*x", "x": "0.3*y-0.2*t", "y": "-0.3*x"}, "t", {"t": "1"}),
+    "spherical": (MINK_SPHERICAL,
+                  {"t": "1+0.2*r*sin(theta)*cos(phi)", "r": "-0.2*t*sin(theta)*cos(phi)",
+                   "theta": "-0.2*t*r*cos(theta)*cos(phi)",
+                   "phi": "-0.3*r^2*sin(theta)^2+0.2*t*r*sin(theta)*sin(phi)"},
+                  "t", {"t": "1"}),
+    "boosted": (MINK_BOOSTED, {"tb": "1.25+0.225*y+0.2*xb", "xb": "0.75+0.375*y-0.2*tb", "y": "-0.375*xb-0.225*tb"},
+                "1.25*tb+0.75*xb", {"tb": "1.25", "xb": "0.75"}),
+}
+# the scalar columns: invariants, so each chart must give the Cartesian values
+MINK_SCALARS = {
+    "killing_identities": ("lorenz",),
+    "lorenz_gauge": ("lorenz_gauge",),
+    "lorentz_force": ("unit_velocity",),
+    "hamilton_jacobi": ("mass_shell", "action_wave", "incompressible", "delta_potential"),
+    "einstein": ("trace_equation", "scalar_curvature"),
+    "structure_current": ("c", "discriminant"),
+}
+
+
+def minkowski_charts(count: int) -> dict:
+    """Chart name -> (spec, fields, its coordinates of the same ``count`` physical points)."""
+    rng = np.random.default_rng(43)
+    cart = rng.uniform(-2.0, 2.0, size=(4 * count, 4))
+    cart = cart[np.hypot(cart[:, 1], cart[:, 2]) > 0.2][:count]  # off the polar axis
+    t, x, y, z = cart.T
+    r = np.sqrt(x * x + y * y + z * z)
+    coords = {
+        "cartesian": cart,
+        "spherical": np.stack([t, r, np.arccos(z / r), np.arctan2(y, x)], axis=1),
+        "boosted": np.stack([1.25 * (t - 0.6 * x), 1.25 * (x - 0.6 * t), y, z], axis=1),
+    }
+    out = {}
+    for chart, (spec, K, S, V) in MINK_CHART_FIELDS.items():
+        fields = fch.ScenarioFields(K=field(K, spec), S=field({"1": S}, spec), V=field(V, spec))
+        out[chart] = (spec, fields, coords[chart])
+    return out
+
+
+def test_minkowski_gives_the_same_verdicts_and_scalars_in_spherical_and_boosted_charts():
+    names = list(fch.CHECKS)
+    verdicts, scalars = {}, {}
+    for chart, (spec, fields, points) in minkowski_charts(64).items():
+        assert len(points) == 64
+        reports = fch.run_checks(spec, fields, names, points, [1e-8] * len(names))
+        verdicts[chart] = {r.check: r.passed for r in reports}
+        by_check = {r.check: records(r) for r in reports}
+        assert not any(p["error"] for r in by_check.values() for p in r), chart
+        scalars[chart] = {(name, key): np.array([{**p["residuals"], **p["info"]}[key] for p in by_check[name]])
+                          for name, keys in MINK_SCALARS.items() for key in keys}
+    # K is a Killing form of a flat metric and A = K: only the checks that need
+    # a solution of the coupled system, or V = dS + eA, fail
+    failing = {"lorentz_force", "hamilton_jacobi", "einstein"}
+    assert verdicts["cartesian"] == {name: name not in failing for name in names}
+    for chart in ("spherical", "boosted"):
+        assert verdicts[chart] == verdicts["cartesian"], chart
+        for column, got in scalars[chart].items():
+            want = scalars["cartesian"][column]
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (chart, column)
+
+
+def test_permuting_the_points_permutes_each_check_s_point_texts():
+    # 300 points with a potential given: a permutation moves points across
+    # block and chunk boundaries, and each point's text in the report must
+    # move with it, byte for byte
+    fields = fch.ScenarioFields(
+        K=field({"t": "1-2*M/r"}, SCHW),
+        A=field({"t": "1-2*M/r", "r": "0.1*sin(theta)", "phi": "0.05*r"}, SCHW),
+        S=field({"1": "t+1e-3*log(t+3)"}, SCHW),
+        V=field({"t": "sqrt(1-2*M/r)"}, SCHW),
+    )
+    names = list(fch.CHECKS)
+    points = np.array(schwarzschild_mixed_points(300))
+    order = np.random.default_rng(44).permutation(len(points))
+    assert len(points) > fch.CHUNK
+
+    def point_texts(pts) -> list:
+        reports = fch.run_checks(SCHW, fields, names, pts, [1e-8] * len(names))
+        doc = json.loads(runner.Report("", "", reports, False, 0.0).to_json())
+        return [[json.dumps(p, indent=2) for p in check["points"]] for check in doc["checks"]]
+
+    default, permuted = point_texts(points), point_texts(points[order])
+    for name, want, got in zip(names, default, permuted):
+        assert got == [want[i] for i in order], name
+    assert any("not evaluable" in text for text in default[0])
+
+
 # -- one route per quantity: dF and A^beta R_beta -------------------------------------
 
 # a generic metric: every component varies, and every pair of coordinates is

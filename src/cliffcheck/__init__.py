@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .algebra import Multivector, PointMetric, grade_project, wedge
+from .algebra import PointMetric, grade_project, wedge
 from .diffops import FieldCalculus, MultivectorField
 from .errors import CliffcheckError
 from .geometry import CATALOG, GeometryData, MetricSpec, build_metric, curvature, killing_forms
@@ -13,7 +13,6 @@ __all__ = [
     "FieldCalculus",
     "GeometryData",
     "MetricSpec",
-    "Multivector",
     "MultivectorField",
     "PointMetric",
     "build_metric",

@@ -15,11 +15,15 @@ them):
 A :class:`TableStore` lends the memory of the largest tables to one block
 metric after another, as the algebra selftest's blocks use it.
 
-The products themselves (:func:`clifford_rows` and its siblings) act on
-(..., 16) coefficient rows against tables with the same leading axes, one
-metric per row: :class:`PointMetric`'s product methods are the case of one
-row and no leading axis, and the algebra selftest runs them on the tables of
-a block :class:`PointMetric`, so both run one implementation.
+A multivector is a plain (..., 16) float row indexed by blade mask, one row
+per point of a block; one point is the case without a leading axis.  The
+products are :class:`PointMetric`'s methods and :func:`wedge`: each acts on
+rows against tables with the same leading axes, one metric per row, so row i
+is bitwise metric i alone.  ``verify`` and the algebra selftest both call
+them, so there is one implementation.  The module functions around them are
+small helpers on rows: :func:`oneform`, :func:`scalars`, :func:`grades`,
+:func:`sup`, :func:`reverse`, :func:`grade_project` and
+:func:`linear_combination`.
 
 The metric handed to :class:`PointMetric` is the *cotangent* scalar product
 (the matrix of products of the coordinate covectors); its inverse is the
@@ -56,167 +60,83 @@ class ReadOnly:
             object.__setattr__(self, name, value)
 
 
-class Multivector(ReadOnly):
-    """Immutable element of the 16-dimensional algebra at a point, or at a block of points.
-
-    ``coeffs`` is (16,) at one point.  Over a block of N points it is (N, 16),
-    one row per point, as the block's :class:`PointMetric` and the operators
-    of :class:`~cliffcheck.diffops.FieldCalculus` give it: the arithmetic,
-    the products and the projections act on each row alone, so row i is
-    bitwise the point alone.  Scalars such as :meth:`sup`, :attr:`scalar_part`
-    or a scale factor are then one value per point, shape (N,).  One point
-    is the case without N, whose code and results do not depend on blocks.
-    """
-
-    __slots__ = ("coeffs",)
-    __array_ufunc__ = None  # ``lanes * mv`` is mv.__rmul__, not an object array
-
-    def __init__(self, coeffs):
-        arr = np.array(coeffs, dtype=float)
-        if arr.shape[-1:] != (blades.N_BLADES,):
-            raise ValueError(f"expected 16 blade coefficients, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Multivector":
-        return cls(np.zeros(blades.N_BLADES))
-
-    @classmethod
-    def scalar(cls, value: float) -> "Multivector":
-        return cls(scalar_rows(value))
-
-    @classmethod
-    def covector(cls, i: int) -> "Multivector":
-        return cls.from_mask(1 << i)
-
-    @classmethod
-    def oneform(cls, components) -> "Multivector":
-        """The 1-form ``sum components[nu] gamma^nu``; (N, 4) components give a block."""
-        components = np.asarray(components, dtype=float)
-        c = np.zeros(components.shape[:-1] + (blades.N_BLADES,))
-        c[..., blades.COVECTOR_MASKS] = components
-        return cls(c)
-
-    @classmethod
-    def blade(cls, idxs) -> "Multivector":
-        """Wedge of the listed covectors, e.g. ``blade((0, 1))`` = g0^g1."""
-        idxs = tuple(idxs)
-        if len(set(idxs)) != len(idxs):
-            return cls.zero()
-        c = np.zeros(blades.N_BLADES)
-        c[blades.mask_of(idxs)] = blades.sort_parity(idxs)
-        return cls(c)
-
-    @classmethod
-    def from_mask(cls, mask: int, coeff: float = 1.0) -> "Multivector":
-        c = np.zeros(blades.N_BLADES)
-        c[mask] = coeff
-        return cls(c)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "Multivector") -> "Multivector":
-        return Multivector(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return Multivector(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(-self.coeffs)
-
-    def __mul__(self, scale) -> "Multivector":
-        return Multivector(self.coeffs * _per_row(scale))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Multivector) and bool(np.array_equal(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
-    # -- structure ---------------------------------------------------------
-
-    def grades(self) -> frozenset:
-        """Grades with a non-zero coefficient, at any point of a block; a NaN one adds none."""
-        present = (np.abs(self.coeffs) > 0.0).reshape(-1, blades.N_BLADES).any(axis=0)
-        return frozenset(int(blades.GRADE[m]) for m in range(blades.N_BLADES) if present[m])
-
-    def reverse(self) -> "Multivector":
-        return Multivector(reverse_rows(self.coeffs))
-
-    def involute(self) -> "Multivector":
-        return Multivector(self.coeffs * blades.INVOLUTE_SIGN)
-
-    def oneform_components(self) -> np.ndarray:
-        """The covector coefficients, in coordinate order: (4,), or (N, 4) for a block."""
-        return self.coeffs[..., blades.COVECTOR_MASKS]
-
-    @property
-    def scalar_part(self):
-        """The scalar coefficient: a float, or one per point of a block."""
-        return float(self.coeffs[0]) if self.coeffs.ndim == 1 else self.coeffs[..., 0]
-
-    def sup(self):
-        """Sup norm over blade coefficients: a float, or one per point of a block."""
-        if self.coeffs.ndim == 1:
-            return float(np.max(np.abs(self.coeffs)))
-        return np.max(np.abs(self.coeffs), axis=-1)
-
-    def __repr__(self):
-        if self.coeffs.ndim > 1:
-            return f"Multivector(block of shape {self.coeffs.shape[:-1]})"
-        terms = [
-            f"{self.coeffs[m]:+.6g}*{blades.blade_name(m)}"
-            for m in range(blades.N_BLADES)
-            if self.coeffs[m] != 0.0
-        ]
-        return "Multivector(" + (" ".join(terms) if terms else "0") + ")"
+def readonly(value):
+    """``value``, an array made read-only in place, or anything else as it is."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
 
 
-def _per_row(scale):
-    """A scale factor: one float, or an array of one value per row of a block."""
-    if isinstance(scale, np.ndarray) and scale.ndim:
-        return scale[..., np.newaxis]
-    return float(scale)
+def check_index(name: str, value, stop: int = blades.DIM) -> int:
+    """``value`` when it is an integer in 0..stop-1, else a ValueError that names ``name`` and ``value``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < stop:
+        return value
+    raise ValueError(f"{name} must be an integer in 0..{stop - 1}, got {value!r}")
 
 
-def linear_combination(weights, terms) -> Multivector:
-    """``sum_k weights[..., k] * terms[k]``, added from zero in order of k, which fixes its bits."""
-    out = Multivector.zero()
-    for k, term in enumerate(terms):
-        out = out + weights[..., k] * term
+def oneform(components) -> np.ndarray:
+    """The row of the 1-form ``sum components[nu] gamma^nu``; (N, 4) components give (N, 16) rows."""
+    components = np.asarray(components, dtype=float)
+    out = np.zeros(components.shape[:-1] + (blades.N_BLADES,))
+    out[..., blades.COVECTOR_MASKS] = components
     return out
 
 
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product; metric independent."""
-    return Multivector(wedge_rows(a.coeffs, b.coeffs))
-
-
-def grade_project(a: Multivector, k: int) -> Multivector:
-    if not 0 <= k <= blades.DIM:
-        raise ValueError(f"grade {k} out of range 0..4")
-    return Multivector(grade_rows(a.coeffs, k))
-
-
-def grade_rows(x: np.ndarray, k) -> np.ndarray:
-    """Grade-``k`` part of each (..., 16) coefficient row; ``k`` one grade or one per row."""
-    return np.where(blades.GRADE == np.asarray(k)[..., np.newaxis], x, 0.0)
-
-
-def reverse_rows(x: np.ndarray) -> np.ndarray:
-    return x * blades.REVERSE_SIGN
-
-
-def scalar_rows(values) -> np.ndarray:
-    """Coefficient rows of the scalars ``values`` (one float gives one (16,) row)."""
+def scalars(values) -> np.ndarray:
+    """The rows of the scalars ``values`` (one float gives one (16,) row)."""
     out = np.zeros(np.shape(values) + (blades.N_BLADES,))
     out[..., 0] = values
     return out
+
+
+def grades(x: np.ndarray) -> frozenset:
+    """Grades with a non-zero coefficient in any of the (..., 16) rows ``x``; a NaN one adds none."""
+    present = (np.abs(x) > 0.0).reshape(-1, blades.N_BLADES).any(axis=0)
+    return frozenset(int(blades.GRADE[m]) for m in range(blades.N_BLADES) if present[m])
+
+
+def sup(x: np.ndarray):
+    """Sup norm over the blade coefficients of each (..., 16) row."""
+    return np.max(np.abs(x), axis=-1)
+
+
+def reverse(x: np.ndarray) -> np.ndarray:
+    return x * blades.REVERSE_SIGN
+
+
+def linear_combination(weights, terms) -> np.ndarray:
+    """``sum_k weights[..., k] * terms[k]`` of (..., 16) rows, added from zero in order of k, which fixes its bits."""
+    weights = np.asarray(weights)
+    out = np.zeros(blades.N_BLADES)
+    for k, term in enumerate(terms):
+        out = out + weights[..., k, np.newaxis] * term
+    return out
+
+
+_WEDGE_ROWS = blades.WEDGE_TENSOR.reshape(-1, blades.N_BLADES)  # row a * 16 + b: blade a ^ blade b
+
+
+def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exterior product of each pair of (..., 16) rows; metric independent, it reads no table."""
+    pairs = a[..., :, np.newaxis] * b[..., np.newaxis, :]
+    return pairs.reshape(pairs.shape[:-2] + (-1,)) @ _WEDGE_ROWS
+
+
+def grade_project(x: np.ndarray, k) -> np.ndarray:
+    """Grade-``k`` part of each (..., 16) row; ``k`` one grade, or one per row."""
+    grade = np.asarray(k)
+    if not grade.ndim:
+        check_index("grade k", k, blades.DIM + 1)
+    elif grade.dtype.kind not in "iu" or ((grade < 0) | (grade > blades.DIM)).any():
+        raise ValueError(f"grade k must be an integer in 0..{blades.DIM}, got {k!r}")
+    return np.where(blades.GRADE == grade[..., np.newaxis], x, 0.0)
+
+
+def _unit_volume(sqrt_abs_det) -> np.ndarray:
+    """The unit volume form sqrt|det| gamma^0123 of each metric: a row per value of ``sqrt_abs_det``."""
+    tau = np.zeros(np.shape(sqrt_abs_det) + (blades.N_BLADES,))
+    tau[..., blades.FULL_MASK] = sqrt_abs_det
+    return tau
 
 
 class PointMetric(ReadOnly):
@@ -237,9 +157,9 @@ class PointMetric(ReadOnly):
     code with N first on every attribute, raises nothing: ``errors`` maps
     each metric that fails to that error, and every other metric is bitwise
     that metric alone.  Each table (:attr:`tables`) is built the first time
-    it is read, once for all the block's metrics.  The product methods of a
-    block take block :class:`Multivector` operands, one row per metric, and
-    give one result per metric, each bitwise that metric's alone.
+    it is read, once for all the block's metrics.  The product methods take
+    (..., 16) rows, one per metric of a block, and give one result per
+    metric, each bitwise that metric's alone.
 
     ``_store``, a :class:`TableStore`, lends this metric the memory its
     largest tables are built in, until a later metric takes the store.
@@ -273,7 +193,7 @@ class PointMetric(ReadOnly):
         sign_det = np.where(det_tan < 0.0, -1.0, 1.0)
         if g.ndim == 2:
             sqrt_abs_det, sign_det = float(sqrt_abs_det), float(sign_det)
-        self._set(g=_readonly(g), ginv=_readonly(ginv), sqrt_abs_det=sqrt_abs_det, sign_det=sign_det,
+        self._set(g=readonly(g), ginv=readonly(ginv), sqrt_abs_det=sqrt_abs_det, sign_det=sign_det,
                   lorentzian=det_tan < 0.0, errors=errors, _tables={}, _store=_store)
         if _store is not None:
             _store._lend(self)
@@ -296,7 +216,7 @@ class PointMetric(ReadOnly):
     def _build_tables(self, key: str) -> np.ndarray:
         """Build table ``key``, and the tables it needs, for this metric or its block.
 
-        :attr:`tables` calls it when ``key`` is read and not built yet; it
+        :meth:`_table` calls it when ``key`` is read and not built yet; it
         returns the table with N first, the stack of one for one metric.
         """
         if not self._tables:  # the first table read: one metric's are the stack of one
@@ -309,6 +229,11 @@ class PointMetric(ReadOnly):
         """Forget the tables, and the store they were built in: a later read builds fresh ones."""
         self._set(_tables={}, _store=None)
 
+    def _table(self, key: str) -> np.ndarray:
+        """Table ``key``, built if it is not yet; N first for a block."""
+        table = self._tables[key] if key in self._tables else self._build_tables(key)
+        return table[0] if self.g.ndim == 2 else table
+
     @property
     def tables(self) -> Mapping:
         """The product tables of :class:`_Tables` by name, N first for a block.
@@ -320,33 +245,34 @@ class PointMetric(ReadOnly):
 
     # -- products ----------------------------------------------------------
 
-    def clifford(self, a: Multivector, b: Multivector) -> Multivector:
-        return Multivector(clifford_rows(self.tables, a.coeffs, b.coeffs))
+    def clifford(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _bilinear(self._table("M"), a, b)
 
-    def left_contract(self, a: Multivector, b: Multivector) -> Multivector:
-        return Multivector(left_contract_rows(self.tables, a.coeffs, b.coeffs))
+    def left_contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _bilinear(self._table("K"), a, b)
 
-    def right_contract(self, a: Multivector, b: Multivector) -> Multivector:
-        return Multivector(right_contract_rows(self.tables, a.coeffs, b.coeffs))
+    def right_contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # reversion swaps the contractions: (A |_ B)~ = B~ _| A~
+        return reverse(_bilinear(self._table("K"), reverse(b), reverse(a)))
 
-    def scalar_product(self, a: Multivector, b: Multivector):
-        """A float for one metric; one per metric of a block."""
-        out = scalar_product_rows(self.tables, a.coeffs, b.coeffs)
-        return float(out) if out.ndim == 0 else out
+    def scalar_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """One value per pair of rows: a 0-d array for one metric."""
+        return ((a[..., np.newaxis, :] @ self._table("SP")) @ b[..., np.newaxis])[..., 0, 0]
 
-    def hodge(self, a: Multivector) -> Multivector:
-        return Multivector(hodge_rows(self.tables, a.coeffs))
+    def hodge(self, a: np.ndarray) -> np.ndarray:
+        return _apply(self._table("H"), a)
 
-    def hodge_inv(self, a: Multivector) -> Multivector:
-        return Multivector(hodge_inv_rows(self.tables, a.coeffs))
+    def hodge_inv(self, a: np.ndarray) -> np.ndarray:
+        scaled = a * self._table("Hinv_scale")
+        return _apply(self._table("H"), scaled)
 
-    def volume_form(self) -> Multivector:
-        """Unit volume 4-form in coordinate-ascending orientation."""
-        return Multivector.from_mask(blades.FULL_MASK, self.sqrt_abs_det)
+    def volume_form(self) -> np.ndarray:
+        """Unit volume 4-form in coordinate-ascending orientation: a row per metric."""
+        return _unit_volume(self.sqrt_abs_det)
 
 
 class _MetricTables(Mapping):
-    """:attr:`PointMetric.tables`: a miss goes to ``PointMetric._build_tables``.
+    """:attr:`PointMetric.tables`: a read goes to ``PointMetric._table``.
 
     A new view per read of the attribute: it holds the metric and the metric
     holds only the tables, so no reference cycle keeps a block's tables alive.
@@ -358,9 +284,7 @@ class _MetricTables(Mapping):
         self._metric = metric
 
     def __getitem__(self, key: str) -> np.ndarray:
-        metric = self._metric
-        table = metric._tables[key] if key in metric._tables else metric._build_tables(key)
-        return table[0] if metric.g.ndim == 2 else table
+        return self._metric._table(key)
 
     def __contains__(self, key) -> bool:
         return key in self._metric._tables
@@ -523,12 +447,6 @@ def _scalar_products(t: _Tables) -> np.ndarray:
     return SP
 
 
-def _volume_form(t: _Tables) -> np.ndarray:
-    tau = np.zeros((t.g.shape[0], blades.N_BLADES))
-    tau[:, blades.FULL_MASK] = t.sqrt_abs_det
-    return tau
-
-
 def _hodge(t: _Tables) -> np.ndarray:
     # star(A) = H @ A with H[:, m] = rev_sign(m) * (gamma^m _| tau)
     return np.einsum("nikj,nj->nki", t["K"], t["tau"]) * blades.REVERSE_SIGN
@@ -545,16 +463,14 @@ _BUILDERS = {
     "M": _blade_left,
     "K": _blade_contract,
     "SP": _scalar_products,
-    "tau": _volume_form,
+    "tau": lambda t: _unit_volume(t.sqrt_abs_det),
     "H": _hodge,
     "Hinv_scale": _hodge_inv_scale,
 }
 TABLE_NAMES = tuple(_BUILDERS)  # every table PointMetric.tables gives
 
 
-# -- products on coefficient rows, one metric's tables per row -----------------
-
-_WEDGE_ROWS = blades.WEDGE_TENSOR.reshape(-1, blades.N_BLADES)  # row a * 16 + b: blade a ^ blade b
+# -- the products on (..., 16) rows, against tables with the same leading axes ------
 
 
 def _bilinear(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -565,35 +481,9 @@ def _bilinear(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (ops @ b[..., np.newaxis])[..., 0]
 
 
-def wedge_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exterior product of each pair of (..., 16) rows; it reads no table."""
-    pairs = a[..., :, np.newaxis] * b[..., np.newaxis, :]
-    return pairs.reshape(pairs.shape[:-2] + (-1,)) @ _WEDGE_ROWS
-
-
-def clifford_rows(tables: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _bilinear(tables["M"], a, b)
-
-
-def left_contract_rows(tables: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _bilinear(tables["K"], a, b)
-
-
-def right_contract_rows(tables: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # reversion swaps the contractions: (A |_ B)~ = B~ _| A~
-    return reverse_rows(left_contract_rows(tables, reverse_rows(b), reverse_rows(a)))
-
-
-def scalar_product_rows(tables: dict, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return ((a[..., np.newaxis, :] @ tables["SP"]) @ b[..., np.newaxis])[..., 0, 0]
-
-
-def hodge_rows(tables: dict, a: np.ndarray) -> np.ndarray:
-    return (tables["H"] @ a[..., np.newaxis])[..., 0]
-
-
-def hodge_inv_rows(tables: dict, a: np.ndarray) -> np.ndarray:
-    return hodge_rows(tables, a * tables["Hinv_scale"])
+def _apply(table: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per row, the (16, 16) operator ``table`` applied to ``a``."""
+    return (table @ a[..., np.newaxis])[..., 0]
 
 
 def near_singular(m: np.ndarray, det) -> np.ndarray:
@@ -627,9 +517,3 @@ def readonly_rows(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
     rows = arr[start:stop]
     rows.flags.writeable = False
     return rows
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr

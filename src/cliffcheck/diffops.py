@@ -34,16 +34,17 @@ time (128 kB on a block of 16 points).  numpy sums a contiguous axis of 16
 in SIMD lanes, and a sequential sum of the non-zero terms differs from it
 in the last bits.
 
-A :class:`FieldCalculus` computes each operator without an argument on its
-first call and keeps it: every later call returns the same read-only
-:class:`~cliffcheck.algebra.Multivector`, so the checks on a block share
-one value of each operator per field.  The operators stay plain methods.
+Every operator returns a (..., 16) row of blade coefficients, the one
+representation of a multivector (:mod:`cliffcheck.algebra`).  A
+:class:`FieldCalculus` computes each operator without an argument on its
+first call and keeps it: every later call returns the same read-only row,
+so the checks on a block share one value of each operator per field.  The
+operators stay plain methods.
 
 A :class:`FieldCalculus` works at one point, or at a block of N points when
 its :class:`~cliffcheck.geometry.GeometryData` is a block: every array then
 has N first (``vals`` (N, 16), ``cov1`` (N, 4, 16), ...), the operators
-return block :class:`~cliffcheck.algebra.Multivector` values, and point i
-of the block is bitwise the point alone.  One point is the case without N.
+return (N, 16) rows, and point i of the block is bitwise the point alone.  One point is the case without N.
 One point raises when a field expression is outside its domain there; a
 block raises nothing, keeps each such point's error in ``FieldJets.errors``
 and computes on with zero jets there, and :mod:`cliffcheck.fieldcheck`
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import G2_COVECTOR, G2_LOWEST, Multivector, ReadOnly, grade_project
+from .algebra import G2_COVECTOR, G2_LOWEST, ReadOnly, check_index, grade_project, oneform, readonly
 from .errors import FieldError
 from .geometry import GeometryData
 
@@ -77,7 +78,7 @@ _RICCI_BLOCKS = [list(zip(G2_LOWEST, G2_COVECTOR)).index((min(a, b), max(a, b)))
 
 
 class MultivectorField(ReadOnly):
-    """Multivector-valued field: one expression per blade; read-only.
+    """A multivector-valued field: one expression per blade; read-only.
 
     ``comps`` holds the 16 Expr, indexed by blade mask.
     """
@@ -125,7 +126,7 @@ class MultivectorField(ReadOnly):
     @classmethod
     def basis_covector(cls, i: int) -> "MultivectorField":
         comps = [_ZERO] * 16
-        comps[1 << i] = ex.ONE
+        comps[1 << check_index("i", i)] = ex.ONE
         return cls(tuple(comps))
 
     def scaled(self, factor: float) -> "MultivectorField":
@@ -194,7 +195,7 @@ def field_jets(field: MultivectorField, point: np.ndarray, jet: Callable) -> Fie
 
 
 def _once(operator: Callable) -> Callable:
-    """``operator`` run on its first call only: every call returns that first read-only Multivector.
+    """``operator`` run on its first call only: every call returns that first row, made read-only.
 
     It stays a plain method under its own name, so a caller that wraps the
     class's methods wraps it as before.
@@ -202,9 +203,9 @@ def _once(operator: Callable) -> Callable:
     kept = "_" + operator.__name__
 
     @wraps(operator)
-    def once(self) -> Multivector:
+    def once(self) -> np.ndarray:
         if kept not in self.__dict__:
-            self.__dict__[kept] = operator(self)
+            self.__dict__[kept] = readonly(operator(self))
         return self.__dict__[kept]
 
     return once
@@ -213,8 +214,9 @@ def _once(operator: Callable) -> Callable:
 class FieldCalculus:
     """All operator evaluations for one field at one geometry point, or at a block of them.
 
-    Each operator without an argument is computed on its first call and
-    kept: later calls return the same read-only Multivector.
+    Each operator returns a (..., 16) row.  One without an argument is
+    computed on its first call and kept: later calls return the same
+    read-only row.
     :meth:`of_lanes` gives a block whose points each hold a field of their own.
     """
 
@@ -317,44 +319,45 @@ class FieldCalculus:
     # -- first-order operators ---------------------------------------------------
 
     @_once
-    def value(self) -> Multivector:
-        return Multivector(self.jets.vals)
+    def value(self) -> np.ndarray:
+        return self.jets.vals.view()  # read-only, while the jets' values stay as they are
 
-    def covariant_derivative(self, alpha: int) -> Multivector:
-        return Multivector(self.cov1[..., alpha, :])
+    def covariant_derivative(self, alpha: int) -> np.ndarray:
+        """A read-only view of D_alpha F."""
+        return readonly(self.cov1[..., check_index("alpha", alpha), :])
 
     @_once
-    def dirac(self) -> Multivector:
+    def dirac(self) -> np.ndarray:
         L = self.gd.metric.tables["L"]
-        return Multivector(np.einsum("...amn,...an->...m", L, self.cov1))
+        return np.einsum("...amn,...an->...m", L, self.cov1)
 
     @_once
-    def exterior_d(self) -> Multivector:
+    def exterior_d(self) -> np.ndarray:
         """sum_a gamma^a ^ d_a F: the connection is torsion free, so its terms in D_a F cancel."""
-        return Multivector(np.einsum("amn,...na->...m", blades.WEDGE_OP, self.jets.grads))
+        return np.einsum("amn,...na->...m", blades.WEDGE_OP, self.jets.grads)
 
     @_once
-    def codifferential(self) -> Multivector:
-        return Multivector(-self._contract(self.cov1))
+    def codifferential(self) -> np.ndarray:
+        return -self._contract(self.cov1)
 
     @_once
-    def codifferential_hodge_route(self) -> Multivector:
+    def codifferential_hodge_route(self) -> np.ndarray:
         """delta via (-1)^p star^{-1} d star, using D_a(star F) = star(D_a F)."""
         pm = self.gd.metric
-        out = Multivector.zero()
+        out = np.zeros(16)
         for p in sorted(self.grades):
             dstar = np.zeros(self.cov1.shape[:-2] + (16,))
             for a in range(4):
-                part = grade_project(Multivector(self.cov1[..., a, :]), p)
-                dstar += (blades.WEDGE_OP[a] @ pm.hodge(part).coeffs[..., np.newaxis])[..., 0]
-            out = out + (-1.0) ** p * pm.hodge_inv(Multivector(dstar))
+                part = grade_project(self.cov1[..., a, :], p)
+                dstar += (blades.WEDGE_OP[a] @ pm.hodge(part)[..., np.newaxis])[..., 0]
+            out = out + (-1.0) ** p * pm.hodge_inv(dstar)
         return out
 
     # -- jets of dF and deltaF (exact, from second field jets) --------------------
 
     @cached_property
     def _d_jet(self) -> tuple:
-        return self.exterior_d().coeffs, np.einsum("amn,...nas->...ms", blades.WEDGE_OP, self.jets.hess)
+        return self.exterior_d(), np.einsum("amn,...nas->...ms", blades.WEDGE_OP, self.jets.hess)
 
     @cached_property
     def _delta_jet(self) -> tuple:
@@ -362,33 +365,33 @@ class FieldCalculus:
             np.einsum("...samn,...an->...ms", self._contract_grad, self.cov1)
             + np.einsum("...amn,...san->...ms", self.gd.metric.tables["C"], self._pd_cov1)
         )
-        return self.codifferential().coeffs, grad
+        return self.codifferential(), grad
 
     @_once
-    def exterior_d_squared(self) -> Multivector:
+    def exterior_d_squared(self) -> np.ndarray:
         _, grad = self._d_jet
-        return Multivector(np.einsum("amn,...na->...m", blades.WEDGE_OP, grad))
+        return np.einsum("amn,...na->...m", blades.WEDGE_OP, grad)
 
     @_once
-    def maxwell_current(self) -> Multivector:
+    def maxwell_current(self) -> np.ndarray:
         """J = -delta(dF): the source current when this field is a potential."""
-        return Multivector(self._contract(self._cov(*self._d_jet)))
+        return self._contract(self._cov(*self._d_jet))
 
     @_once
-    def codifferential_squared(self) -> Multivector:
-        return Multivector(-self._contract(self._cov(*self._delta_jet)))
+    def codifferential_squared(self) -> np.ndarray:
+        return -self._contract(self._cov(*self._delta_jet))
 
     # -- second-order operators -----------------------------------------------------
 
     @_once
-    def covariant_dalembertian(self) -> Multivector:
+    def covariant_dalembertian(self) -> np.ndarray:
         gu = self.gd.g_upper
         trace = np.einsum("...ab,...abm->...m", gu, self.cov2)
         corr = np.einsum("...ab,...rab,...rm->...m", gu, self.gd.gamma, self.cov1)
-        return Multivector(trace - corr)
+        return trace - corr
 
     @_once
-    def ricci_operator(self) -> Multivector:
+    def ricci_operator(self) -> np.ndarray:
         # 1/2 (gamma^a ^ gamma^b) [D_a, D_b] F, the bivector acting by the
         # Clifford product (its grade-raising part dies by the first Bianchi
         # identity; the grade-preserving part is the curvature action)
@@ -404,16 +407,16 @@ class FieldCalculus:
         total = 0.0
         for k in _RICCI_BLOCKS:
             total = total + blocks[..., k, :]
-        return Multivector(0.5 * total)
+        return 0.5 * total
 
     @_once
-    def hodge_dalembertian(self) -> Multivector:
+    def hodge_dalembertian(self) -> np.ndarray:
         """The squared Dirac operator by its first-order route, -(d delta + delta d) F."""
         d_delta = np.einsum("amn,...na->...m", blades.WEDGE_OP, self._delta_jet[1])
-        return Multivector(-(d_delta - self.maxwell_current().coeffs))  # delta d F = -J
+        return -(d_delta - self.maxwell_current())  # delta d F = -J
 
 
-def grad_scalar_product(ja: FieldJets, jb: FieldJets, gd: GeometryData) -> Multivector:
+def grad_scalar_product(ja: FieldJets, jb: FieldJets, gd: GeometryData) -> np.ndarray:
     """Gradient 1-form of the scalar field a . b, from the jets of grade-1 fields a and b.
 
     The jets and ``gd`` may be those of a block of points (N first).
@@ -430,7 +433,7 @@ def grad_scalar_product(ja: FieldJets, jb: FieldJets, gd: GeometryData) -> Multi
         + np.einsum("...i,...sij,...j->...s", va, gd.dg_upper, vb)
         + np.einsum("...i,...ij,...js->...s", va, gu, db)
     )
-    return Multivector.oneform(grad)
+    return oneform(grad)
 
 
 def _swap(x: np.ndarray) -> np.ndarray:

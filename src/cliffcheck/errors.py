@@ -52,7 +52,7 @@ class SingularMetricError(GeometryError):
 
 
 class FieldError(CliffcheckError):
-    """Multivector field violates a declared grade or shape constraint."""
+    """A multivector field violates a declared grade or shape constraint."""
 
 
 class ScenarioValidationError(CliffcheckError):

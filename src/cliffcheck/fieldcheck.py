@@ -21,6 +21,9 @@ are read-only and made by the same operations wherever they are read, so
 no report depends on which other checks ran, and
 :func:`sandwich_link_identities`, :func:`energy_momentum_em` and
 :func:`energy_momentum_fluid` give the same bits called on their own.
+Every multivector is a (..., 16) row of blade coefficients, and every
+product is one of :class:`~cliffcheck.algebra.PointMetric`'s methods or
+:func:`~cliffcheck.algebra.wedge`, the ones the algebra selftest checks.
 Each index sum over a block, sum_k w_k X_k (V^mu D_mu V, and A^beta with
 the sandwiches and the Einstein rows), is one
 :func:`~cliffcheck.algebra.linear_combination`, added in order of k.
@@ -43,7 +46,8 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import Multivector, ReadOnly, grade_project, linear_combination, wedge
+from .algebra import (ReadOnly, check_index, grade_project, grades, linear_combination, oneform, readonly, reverse,
+                      sup, wedge)
 from .diffops import FieldCalculus, MultivectorField, grad_scalar_product
 from .errors import FieldError
 from .geometry import GeometryData, MetricSpec, curvature
@@ -197,11 +201,11 @@ class BlockContext:
         self.asked.append(fc)
         return fc
 
-    def coupling(self, name: str) -> Multivector:
+    def coupling(self, name: str) -> np.ndarray:
         """The curvature coupling A^beta R_beta of the 1-form field ``name``: one matmul per calculator."""
         fc = self.calc(name)
         if fc not in self._couplings:
-            self._couplings[fc] = _ricci_coupling(self.gd, fc.value())
+            self._couplings[fc] = readonly(_ricci_coupling(self.gd, fc.value()))
         return self._couplings[fc]
 
     def maxwell(self) -> "MaxwellTerms":
@@ -231,8 +235,8 @@ class Check(ReadOnly):
 # -- helpers ---------------------------------------------------------------------
 
 
-def _lowered_basis(gd: GeometryData, beta: int) -> Multivector:
-    return Multivector.oneform(gd.g_lower[..., beta, :])
+def _lowered_basis(gd: GeometryData, beta: int) -> np.ndarray:
+    return oneform(gd.g_lower[..., beta, :])
 
 
 def _raise_index(gd: GeometryData, comps: np.ndarray) -> np.ndarray:
@@ -240,23 +244,16 @@ def _raise_index(gd: GeometryData, comps: np.ndarray) -> np.ndarray:
     return (gd.g_upper @ comps[..., np.newaxis])[..., 0]
 
 
-def _ricci_coupling(gd: GeometryData, a: Multivector) -> Multivector:
+def _ricci_coupling(gd: GeometryData, a: np.ndarray) -> np.ndarray:
     """A_alpha R^alpha = A^beta R_beta: the curvature coupling 1-form."""
-    up = _raise_index(gd, a.oneform_components())
-    return Multivector.oneform((up[..., np.newaxis, :] @ gd.ricci)[..., 0, :])  # A^b R_{b nu}
+    up = _raise_index(gd, a[..., blades.COVECTOR_MASKS])
+    return oneform((up[..., np.newaxis, :] @ gd.ricci)[..., 0, :])  # A^b R_{b nu}
 
 
-def _sandwich(gd: GeometryData, x: Multivector, beta: int) -> Multivector:
+def _sandwich(gd: GeometryData, x: np.ndarray, beta: int) -> np.ndarray:
     """The sandwich x gamma_beta x."""
     pm = gd.metric
     return pm.clifford(x, pm.clifford(_lowered_basis(gd, beta), x))
-
-
-def _readonly(value):
-    """``value``, an array made read-only or a float as it is."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    return value
 
 
 class MaxwellTerms:
@@ -269,24 +266,24 @@ class MaxwellTerms:
     wherever it is read, so sharing it changes no bit.
     """
 
-    def __init__(self, gd: GeometryData, a: Multivector, f2: Multivector, j: Multivector):
+    def __init__(self, gd: GeometryData, a: np.ndarray, f2: np.ndarray, j: np.ndarray):
         self.gd, self.a, self.f2, self.j = gd, a, f2, j
 
     @cached_property
     def em_sandwiches(self) -> tuple:
-        return tuple(_sandwich(self.gd, self.f2, beta) for beta in range(4))
+        return tuple(readonly(_sandwich(self.gd, self.f2, beta)) for beta in range(4))
 
     @cached_property
     def fluid_sandwiches(self) -> tuple:
-        return tuple(_sandwich(self.gd, self.j, beta) for beta in range(4))
+        return tuple(readonly(_sandwich(self.gd, self.j, beta)) for beta in range(4))
 
     @cached_property
-    def j_sq(self):
-        return _readonly(self.gd.metric.scalar_product(self.j, self.j))
+    def j_sq(self) -> np.ndarray:
+        return readonly(self.gd.metric.scalar_product(self.j, self.j))
 
     @cached_property
-    def a_dot_j(self):
-        return _readonly(self.gd.metric.scalar_product(self.a, self.j))
+    def a_dot_j(self) -> np.ndarray:
+        return readonly(self.gd.metric.scalar_product(self.a, self.j))
 
 
 # -- killing / proposition 1 ---------------------------------------------------------
@@ -303,30 +300,30 @@ def _killing_identities(ctx: BlockContext) -> tuple:
     fc = ctx.calc("K")
     rhs = ctx.coupling("K")
     residuals = {
-        "lorenz": abs(fc.codifferential().scalar_part),
-        "ricci_identity": (fc.ricci_operator() - rhs).sup(),
-        "wave_identity": (fc.covariant_dalembertian() - rhs).sup(),
+        "lorenz": abs(fc.codifferential()[..., 0]),
+        "ricci_identity": sup(fc.ricci_operator() - rhs),
+        "wave_identity": sup(fc.covariant_dalembertian() - rhs),
     }
-    return residuals, {"curvature_coupling": rhs.oneform_components()}
+    return residuals, {"curvature_coupling": rhs[..., blades.COVECTOR_MASKS]}
 
 
 def _lorenz_gauge(ctx: BlockContext) -> tuple:
-    return {"lorenz_gauge": abs(ctx.calc("potential").codifferential().scalar_part)}, {}
+    return {"lorenz_gauge": abs(ctx.calc("potential").codifferential()[..., 0])}, {}
 
 
 def _current(ctx: BlockContext, superconducting: bool) -> tuple:
     """Maxwell extraction J = -delta dA, with the proportional-current check."""
     fc = ctx.calc("potential")
     current = fc.maxwell_current()
-    residuals = {"closed_field": fc.exterior_d_squared().sup()}
+    residuals = {"closed_field": sup(fc.exterior_d_squared())}
     rhs = 2.0 * ctx.coupling("potential")
     if superconducting:
-        residuals["superconducting"] = (current - rhs).sup()
+        residuals["superconducting"] = sup(current - rhs)
     info = {
-        "current": current.oneform_components(),
-        "current_sup": current.sup(),
-        "proportional_rhs": rhs.oneform_components(),
-        "proportional_rhs_sup": rhs.sup(),
+        "current": current[..., blades.COVECTOR_MASKS],
+        "current_sup": sup(current),
+        "proportional_rhs": rhs[..., blades.COVECTOR_MASKS],
+        "proportional_rhs_sup": sup(rhs),
     }
     return residuals, info
 
@@ -342,15 +339,15 @@ def _lorentz_force(ctx: BlockContext) -> tuple:
     vval, dv = fv.value(), fv.exterior_d()
     force_form = m * dv - e * fa.exterior_d()  # d(mV - eA)
     residuals = {
-        "lorentz_force": pm.left_contract(vval, force_form).sup(),
+        "lorentz_force": sup(pm.left_contract(vval, force_form)),
         "unit_velocity": abs(pm.scalar_product(vval, vval) - 1.0),
     }
     # transport identity: (V . dirac)V = V _| dV + 1/2 dirac(V.V)
-    v_up = _raise_index(gd, vval.oneform_components())
-    directional = linear_combination(v_up, (Multivector(fv.cov1[..., mu, :]) for mu in range(4)))
+    v_up = _raise_index(gd, vval[..., blades.COVECTOR_MASKS])
+    directional = linear_combination(v_up, (fv.cov1[..., mu, :] for mu in range(4)))
     correction = 0.5 * grad_scalar_product(fv.jets, fv.jets, gd)
     transport = directional - pm.left_contract(vval, dv) - correction
-    residuals["transport_identity"] = transport.sup()
+    residuals["transport_identity"] = sup(transport)
     return residuals, {}
 
 
@@ -363,12 +360,12 @@ def _hamilton_jacobi(ctx: BlockContext) -> tuple:
     momentum = fs.exterior_d() + e * fa.value()  # dS + eA
     mass_shell = pm.scalar_product(momentum, momentum) - m * m
     wave = fs.covariant_dalembertian() + fs.ricci_operator()  # the squared Dirac operator on S
-    delta_a = fa.codifferential().scalar_part
+    delta_a = fa.codifferential()[..., 0]
     residuals = {
-        "momentum_match": (momentum - m * fv.value()).sup(),
+        "momentum_match": sup(momentum - m * fv.value()),
         "mass_shell": abs(mass_shell),
-        "action_wave": abs(wave.scalar_part - e * delta_a),
-        "incompressible": abs(fv.codifferential().scalar_part),
+        "action_wave": abs(wave[..., 0] - e * delta_a),
+        "incompressible": abs(fv.codifferential()[..., 0]),
     }
     return residuals, {"delta_potential": delta_a}
 
@@ -377,36 +374,38 @@ def _hamilton_jacobi(ctx: BlockContext) -> tuple:
 
 
 class EnergyMomentum(NamedTuple):
-    oneform: Multivector  # T_beta (or fluid t_alpha)
-    threeform: Multivector  # its Hodge dual
+    oneform: np.ndarray  # T_beta (or fluid t_alpha)
+    threeform: np.ndarray  # its Hodge dual
     closure_residual: float  # grade-3 mass of the sandwich (must vanish)
     form_mismatch: float = 0.0  # fluid only: the two printed expressions compared
 
 
-def energy_momentum_em(gd: GeometryData, F: Multivector, beta: int) -> EnergyMomentum:
+def energy_momentum_em(gd: GeometryData, F: np.ndarray, beta: int) -> EnergyMomentum:
     """Electromagnetic stress 1-form T_beta = -1/2 <F gamma_beta F>_1 and its dual."""
-    if F.grades() - {2}:
+    check_index("beta", beta)
+    if grades(F) - {2}:
         raise FieldError("energy_momentum_em expects a 2-form field strength")
     sandwich = _sandwich(gd, F, beta)
     t_form = -0.5 * grade_project(sandwich, 1)
-    return EnergyMomentum(t_form, gd.metric.hodge(t_form), grade_project(sandwich, 3).sup())
+    return EnergyMomentum(t_form, gd.metric.hodge(t_form), sup(grade_project(sandwich, 3)))
 
 
-def energy_momentum_fluid(gd: GeometryData, J: Multivector, alpha: int) -> EnergyMomentum:
+def energy_momentum_fluid(gd: GeometryData, J: np.ndarray, alpha: int) -> EnergyMomentum:
     """Fluid stress 1-form t_alpha = 1/2 <J gamma_alpha J>_1, both printed forms."""
-    if J.grades() - {1}:
+    check_index("alpha", alpha)
+    if grades(J) - {1}:
         raise FieldError("energy_momentum_fluid expects a 1-form current")
     pm = gd.metric
     sandwich = _sandwich(gd, J, alpha)
     t_form = 0.5 * grade_project(sandwich, 1)
-    closure = grade_project(sandwich, 3).sup()
+    closure = sup(grade_project(sandwich, 3))
     basis = _lowered_basis(gd, alpha)
     star_t = pm.hodge(t_form)
     star_j = pm.hodge(J)
     alt = 0.5 * (
-        pm.scalar_product(basis, J) * star_j + wedge(J, pm.left_contract(basis, star_j))
+        pm.scalar_product(basis, J)[..., np.newaxis] * star_j + wedge(J, pm.left_contract(basis, star_j))
     )
-    return EnergyMomentum(t_form, star_t, closure, (star_t - alt).sup())
+    return EnergyMomentum(t_form, star_t, closure, sup(star_t - alt))
 
 
 def _einstein(ctx: BlockContext) -> tuple:
@@ -418,15 +417,15 @@ def _einstein(ctx: BlockContext) -> tuple:
     gd, terms = ctx.gd, ctx.maxwell()
     worst = 0.0
     for alpha in range(4):
-        g_form = Multivector.oneform(gd.einstein_lower[..., alpha, :])
+        g_form = oneform(gd.einstein_lower[..., alpha, :])
         em = -0.5 * grade_project(terms.em_sandwiches[alpha], 1)  # energy_momentum_em(...).oneform
         fluid = 0.5 * grade_project(terms.fluid_sandwiches[alpha], 1)  # energy_momentum_fluid(...).oneform
-        worst = np.maximum(worst, (g_form + em + fluid).sup())  # keeps a NaN
+        worst = np.maximum(worst, sup(g_form + em + fluid))  # keeps a NaN
     residuals = {
         "einstein_eq": worst,
         "trace_equation": abs(gd.scalar - terms.j_sq),
     }
-    return residuals, {"current": terms.j.oneform_components(), "scalar_curvature": gd.scalar}
+    return residuals, {"current": terms.j[..., blades.COVECTOR_MASKS], "scalar_curvature": gd.scalar}
 
 
 # -- structure current, quadratic ------------------------------------------------------
@@ -487,16 +486,16 @@ def _structure_current(ctx: BlockContext) -> list:
     pm = ctx.gd.metric
     terms = ctx.maxwell()
     aval, F, J = terms.a, terms.f2, terms.j
-    B = pm.clifford(F, pm.clifford(aval, F.reverse()))
+    B = pm.clifford(F, pm.clifford(aval, reverse(F)))
     B1 = grade_project(B, 1)
-    closure = np.reshape((B - B1).sup(), -1)
+    closure = np.reshape(sup(B - B1), -1)
     c = np.reshape(pm.scalar_product(aval, B1), -1)
-    consistency = np.reshape((J + B1 - 2.0 * terms.a_dot_j * J).sup(), -1)
+    consistency = np.reshape(sup(J + B1 - (2.0 * terms.a_dot_j)[..., np.newaxis] * J), -1)
     outcome, disc, roots, count = _structure_roots(c)
     quadratic = np.abs(2.0 * c[:, np.newaxis] * roots * roots + roots + 1.0)
-    j, b, f = J.coeffs.reshape(-1, 1, 16), B1.coeffs.reshape(-1, 1, 16), roots[..., np.newaxis]
+    j, b, f = J.reshape(-1, 1, 16), B1.reshape(-1, 1, 16), roots[..., np.newaxis]
     minus, plus = np.max(np.abs(j - b * -f), axis=-1), np.max(np.abs(j - b * f), axis=-1)
-    current, b_comps = J.oneform_components().reshape(-1, 4), B1.oneform_components().reshape(-1, 4)
+    current, b_comps = J[..., blades.COVECTOR_MASKS].reshape(-1, 4), B1[..., blades.COVECTOR_MASKS].reshape(-1, 4)
     layouts = []
     for n in range(3):
         rows = np.flatnonzero(count == n)
@@ -520,26 +519,27 @@ def _structure_current(ctx: BlockContext) -> list:
     return layouts
 
 
-def sandwich_link_identities(gd: GeometryData, a: Multivector, f2: Multivector, j: Multivector) -> dict:
+def sandwich_link_identities(gd: GeometryData, a: np.ndarray, f2: np.ndarray, j: np.ndarray) -> dict:
     """The four algebraic links used by the structure-equation rewrite."""
     return _sandwich_links(MaxwellTerms(gd, a, f2, j), _ricci_coupling(gd, a))
 
 
-def _sandwich_links(terms: MaxwellTerms, coupling: Multivector) -> dict:  # coupling: A^beta R_beta of terms.a
+def _sandwich_links(terms: MaxwellTerms, coupling: np.ndarray) -> dict:  # coupling: A^beta R_beta of terms.a
     gd, a, f2, j = terms.gd, terms.a, terms.f2, terms.j
     pm = gd.metric
-    a_up = _raise_index(gd, a.oneform_components())
+    a_up = _raise_index(gd, a[..., blades.COVECTOR_MASKS])
     faf = pm.clifford(f2, pm.clifford(a, f2))
     jaj = pm.clifford(j, pm.clifford(a, j))
-    expansion = jaj - 2.0 * terms.a_dot_j * j + terms.j_sq * a
-    einstein = linear_combination(a_up, (Multivector.oneform(gd.einstein_lower[..., b, :]) for b in range(4)))
-    trace_link = 2.0 * einstein - (2.0 * coupling - gd.scalar * a)  # A^beta (2 G_beta - 2 R_beta + R g_beta)
+    expansion = jaj - (2.0 * terms.a_dot_j)[..., np.newaxis] * j + terms.j_sq[..., np.newaxis] * a
+    einstein = linear_combination(a_up, (oneform(gd.einstein_lower[..., b, :]) for b in range(4)))
+    # A^beta (2 G_beta - 2 R_beta + R g_beta)
+    trace_link = 2.0 * einstein - (2.0 * coupling - np.asarray(gd.scalar)[..., np.newaxis] * a)
 
     return {
-        "em_sandwich_linearity": (linear_combination(a_up, terms.em_sandwiches) - faf).sup(),
-        "fluid_sandwich_linearity": (linear_combination(a_up, terms.fluid_sandwiches) - jaj).sup(),
-        "sandwich_expansion": expansion.sup(),
-        "einstein_trace_link": trace_link.sup(),
+        "em_sandwich_linearity": sup(linear_combination(a_up, terms.em_sandwiches) - faf),
+        "fluid_sandwich_linearity": sup(linear_combination(a_up, terms.fluid_sandwiches) - jaj),
+        "sandwich_expansion": sup(expansion),
+        "einstein_trace_link": sup(trace_link),
     }
 
 
@@ -548,9 +548,9 @@ def _sandwich_identities(ctx: BlockContext) -> tuple:
     if ctx.fields["potential"] is not None:
         return _sandwich_links(ctx.maxwell(), ctx.coupling("potential")), {}
     raw = ctx.draw
-    a = grade_project(Multivector(raw[..., 0, :]), 1)
-    f2 = grade_project(Multivector(raw[..., 1, :]), 2)
-    j = grade_project(Multivector(raw[..., 2, :]), 1)
+    a = grade_project(raw[..., 0, :], 1)
+    f2 = grade_project(raw[..., 1, :], 2)
+    j = grade_project(raw[..., 2, :], 1)
     return sandwich_link_identities(ctx.gd, a, f2, j), {}
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import Multivector, PointMetric, ReadOnly, near_singular, readonly_rows
+from .algebra import PointMetric, ReadOnly, near_singular, oneform, readonly, readonly_rows
 from .errors import ExprError, GeometryError, SingularMetricError, block_errors, point_errors
 
 
@@ -160,9 +160,9 @@ class GeometryData:
 
     @cached_property
     def ricci_oneforms(self) -> tuple:
-        """The 4 Multivectors R^mu_nu gamma^nu."""
+        """The 4 read-only rows R^mu_nu gamma^nu."""
         mixed = self.g_upper @ self.ricci  # R^m_n
-        return tuple(Multivector.oneform(mixed[..., mu, :]) for mu in range(4))
+        return tuple(readonly(oneform(mixed[..., mu, :])) for mu in range(4))
 
     # -- operators of the connection, shared by every field's FieldCalculus --------
 

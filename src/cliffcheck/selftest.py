@@ -7,15 +7,15 @@ a block of :data:`TRIALS_PER_BLOCK` trials at a time: it draws each trial's
 inputs in turn, in the order metric (the rejection loop of
 :func:`random_lorentzian_metric`), a, b, c, r, s, i, j, k; checks the
 block's metrics as one :class:`~cliffcheck.algebra.PointMetric`; evaluates
-every law on (block, 16) coefficient rows against that metric's tables, a
-conditional law only on the trials it covers; and drops the block before
-drawing the next, so memory does not grow with the number of trials.  Each
-block's metric builds its blade tables ``M`` and ``K`` into the memory of
-one :class:`~cliffcheck.algebra.TableStore` that the suite lends to each
-block in turn, so no block allocates them anew.  The
-products are :mod:`cliffcheck.algebra`'s row products, the ones a
-:class:`~cliffcheck.algebra.PointMetric` runs for its own metric, so the
-suite checks the metric checks, tables and products that ``verify`` uses.
+every law on (block, 16) coefficient rows through that metric's product
+methods and :func:`~cliffcheck.algebra.wedge`, a conditional law only on the
+trials it covers; and drops the block before drawing the next, so memory
+does not grow with the number of trials.  Each block's metric builds its
+blade tables ``M`` and ``K`` into the memory of one
+:class:`~cliffcheck.algebra.TableStore` that the suite lends to each block
+in turn, so no block allocates them anew.  ``verify`` calls the same
+methods, one row per point of its blocks, so the suite checks the metric
+checks, tables and products that ``verify`` uses.
 A seed gives the same trials, and the same maxima, whatever the block size.
 The operator suite exercises the differential-operator consistency
 statements on random polynomial fields over the builtin metric catalog,
@@ -37,14 +37,13 @@ suite.
 from __future__ import annotations
 
 import time
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from . import algebra, blades
+from . import blades
 from . import expr as ex
-from .algebra import PointMetric, TableStore, grade_rows, linear_combination, scalar_rows, wedge_rows
+from .algebra import PointMetric, TableStore, grade_project, linear_combination, reverse, scalars, sup, wedge
 from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
@@ -128,11 +127,6 @@ ALGEBRA_LAWS = (
 )
 
 
-def _sup(x: np.ndarray) -> np.ndarray:
-    """Sup norm of each row of (N, 16) coefficients."""
-    return np.max(np.abs(x), axis=-1)
-
-
 def _sign(exponent: np.ndarray) -> np.ndarray:
     """(-1)**exponent per row, as a column to scale (N, 16) rows."""
     return np.where(exponent % 2, -1.0, 1.0)[:, np.newaxis]
@@ -164,108 +158,105 @@ def _draw_trials(rng: np.random.Generator, count: int, store: TableStore | None 
 def _block_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
     """Relative residual of each law per trial; a conditional law only where it applies.
 
-    The block's tables are built here, as the laws read them from the block ``pm``.
+    The products are the block ``pm``'s methods and :func:`~cliffcheck.algebra.wedge`,
+    which ``verify`` calls; the block's tables are built here, as they read them.
     """
-    tables = pm.tables
-    clifford = partial(algebra.clifford_rows, tables)
-    left_contract = partial(algebra.left_contract_rows, tables)
-    right_contract = partial(algebra.right_contract_rows, tables)
-    scalar_product = partial(algebra.scalar_product_rows, tables)
-    hodge = partial(algebra.hodge_rows, tables)
-    tau = tables["tau"]
+    clifford, left_contract, right_contract = pm.clifford, pm.left_contract, pm.right_contract
+    scalar_product, hodge = pm.scalar_product, pm.hodge
+    tau = pm.volume_form()
 
     out = {}
-    one_form = grade_rows(a, 1)
-    ar, bs = grade_rows(a, r), grade_rows(b, s)
-    sup_ar, sup_bs = _sup(ar), _sup(bs)
+    one_form = grade_project(a, 1)
+    ar, bs = grade_project(a, r), grade_project(b, s)
+    sup_ar, sup_bs = sup(ar), sup(bs)
 
     # associativity of the geometric product
     lhs = clifford(clifford(a, b), c)
     rhs = clifford(a, clifford(b, c))
-    out["associativity"] = _rel(_sup(lhs - rhs), _sup(lhs), _sup(rhs))
+    out["associativity"] = _rel(sup(lhs - rhs), sup(lhs), sup(rhs))
 
     # anticommutator of covectors reproduces the metric
     gi, gj = np.eye(blades.N_BLADES)[[1 << i, 1 << j]]
     anti = clifford(gi, gj) + clifford(gj, gi)
-    target = scalar_rows(2.0 * pm.g[np.arange(len(a)), i, j])
-    out["anticommutator"] = _rel(_sup(anti - target), _sup(target))
+    target = scalars(2.0 * pm.g[np.arange(len(a)), i, j])
+    out["anticommutator"] = _rel(sup(anti - target), sup(target))
 
     # a B = a _| B + a ^ B and B a = B |_ a + B ^ a
-    split = _sup(clifford(one_form, b) - left_contract(one_form, b) - wedge_rows(one_form, b))
-    split2 = _sup(clifford(b, one_form) - right_contract(b, one_form) - wedge_rows(b, one_form))
-    out["product_split"] = _rel(np.maximum(split, split2), _sup(b))
+    split = sup(clifford(one_form, b) - left_contract(one_form, b) - wedge(one_form, b))
+    split2 = sup(clifford(b, one_form) - right_contract(b, one_form) - wedge(b, one_form))
+    out["product_split"] = _rel(np.maximum(split, split2), sup(b))
 
     # a _| B_s = (a B_s - (-1)^s B_s a)/2
     ab, ba = clifford(one_form, bs), clifford(bs, one_form)
     half_contract = 0.5 * (ab - _sign(s) * ba)
-    out["contraction_half_commutator"] = _rel(_sup(left_contract(one_form, bs) - half_contract), sup_bs)
+    out["contraction_half_commutator"] = _rel(sup(left_contract(one_form, bs) - half_contract), sup_bs)
 
     # A_r _| B_s = (-1)^{r(s-r)} B_s |_ A_r
     lr = left_contract(ar, bs) - _sign(r * (s - r)) * right_contract(bs, ar)
-    out["left_right_contraction"] = _rel(_sup(lr), sup_ar, sup_bs)
+    out["left_right_contraction"] = _rel(sup(lr), sup_ar, sup_bs)
 
     # a ^ B_s = (a B_s + (-1)^s B_s a)/2
     half_wedge = 0.5 * (ab + _sign(s) * ba)
-    out["wedge_half_commutator"] = _rel(_sup(wedge_rows(one_form, bs) - half_wedge), sup_bs)
+    out["wedge_half_commutator"] = _rel(sup(wedge(one_form, bs) - half_wedge), sup_bs)
 
     # grade spectrum of A_r B_s: grades |r-s|, |r-s|+2, ..., min(r+s, 8-r-s)
     prod = clifford(ar, bs)
     lowest, highest = np.abs(r - s)[:, np.newaxis], np.minimum(r + s, 8 - r - s)[:, np.newaxis]
     grades = np.arange(blades.DIM + 1)
     allowed = (grades >= lowest) & (grades <= highest) & ((grades - lowest) % 2 == 0)
-    per_grade = np.stack([_sup(grade_rows(prod, gr)) for gr in grades], axis=1)
-    out["product_grade_spectrum"] = _rel(np.where(allowed, 0.0, per_grade).sum(axis=1), _sup(prod))
+    per_grade = np.stack([sup(grade_project(prod, gr)) for gr in grades], axis=1)
+    out["product_grade_spectrum"] = _rel(np.where(allowed, 0.0, per_grade).sum(axis=1), sup(prod))
 
     # A_r . B_r = <rev(A) B>_0 = <A rev(B)>_0 = rev(A) _| B
-    br = grade_rows(b, r)
-    rev_ar = algebra.reverse_rows(ar)
+    br = grade_project(b, r)
+    rev_ar = reverse(ar)
     sp = scalar_product(ar, br)
     rev_routes = np.maximum.reduce([
         np.abs(sp - clifford(rev_ar, br)[:, 0]),
-        np.abs(sp - clifford(ar, algebra.reverse_rows(br))[:, 0]),
+        np.abs(sp - clifford(ar, reverse(br))[:, 0]),
         np.abs(sp - left_contract(rev_ar, br)[:, 0]),
     ])
-    out["scalar_product_reversal_routes"] = _rel(rev_routes, np.abs(sp), sup_ar, _sup(br))
+    out["scalar_product_reversal_routes"] = _rel(rev_routes, np.abs(sp), sup_ar, sup(br))
 
     # a _| (X ^ Y) = (a _| X) ^ Y + hat(X) ^ (a _| Y)
     t54 = (
-        left_contract(one_form, wedge_rows(b, c))
-        - wedge_rows(left_contract(one_form, b), c)
-        - wedge_rows(b * blades.INVOLUTE_SIGN, left_contract(one_form, c))
+        left_contract(one_form, wedge(b, c))
+        - wedge(left_contract(one_form, b), c)
+        - wedge(b * blades.INVOLUTE_SIGN, left_contract(one_form, c))
     )
-    out["contraction_antiderivation"] = _rel(_sup(t54), _sup(b), _sup(c))
+    out["contraction_antiderivation"] = _rel(sup(t54), sup(b), sup(c))
 
     # A _| (B _| C) = (A ^ B) _| C
-    t55 = left_contract(a, left_contract(b, c)) - left_contract(wedge_rows(a, b), c)
-    out["contraction_composition"] = _rel(_sup(t55), _sup(a), _sup(b), _sup(c))
+    t55 = left_contract(a, left_contract(b, c)) - left_contract(wedge(a, b), c)
+    out["contraction_composition"] = _rel(sup(t55), sup(a), sup(b), sup(c))
 
     # [B_k . A_k] tau = B_k ^ star(A_k) against the contraction route
-    ak, bk = grade_rows(a, k), grade_rows(b, k)
-    pairing = _sup(scalar_product(bk, ak)[:, np.newaxis] * tau - wedge_rows(bk, hodge(ak)))
-    out["hodge_defining_pairing"] = _rel(pairing, _sup(ak), _sup(bk))
+    ak, bk = grade_project(a, k), grade_project(b, k)
+    pairing = sup(scalar_product(bk, ak)[:, np.newaxis] * tau - wedge(bk, hodge(ak)))
+    out["hodge_defining_pairing"] = _rel(pairing, sup(ak), sup(bk))
 
     # star conversion identities, each on the trials whose grades it covers
     star_ar, star_bs = hodge(ar), hodge(bs)
-    ar_wedge_star_bs = wedge_rows(ar, star_bs)
+    ar_wedge_star_bs = wedge(ar, star_bs)
     ar_contract_star_bs = left_contract(ar, star_bs)
-    sym = _sup(ar_wedge_star_bs - wedge_rows(bs, star_ar))
+    sym = sup(ar_wedge_star_bs - wedge(bs, star_ar))
     out["star_wedge_symmetry"] = _rel(sym, sup_ar, sup_bs)[r == s]
     pair = np.abs(ar_contract_star_bs[:, 0] - left_contract(bs, star_ar)[:, 0])
     out["star_pairing_symmetry"] = _rel(pair, sup_ar, sup_bs)[r + s == 4]
-    conv = _sup(ar_wedge_star_bs - _sign(r * (s - 1)) * hodge(left_contract(rev_ar, bs)))
+    conv = sup(ar_wedge_star_bs - _sign(r * (s - 1)) * hodge(left_contract(rev_ar, bs)))
     out["star_wedge_to_contraction"] = _rel(conv, sup_ar, sup_bs)[r <= s]
-    conv = _sup(ar_contract_star_bs - _sign(r * s) * hodge(wedge_rows(rev_ar, bs)))
+    conv = sup(ar_contract_star_bs - _sign(r * s) * hodge(wedge(rev_ar, bs)))
     out["star_contraction_to_wedge"] = _rel(conv, sup_ar, sup_bs)[r + s <= 4]
 
-    vol = _sup(hodge(tau) - scalar_rows(pm.sign_det))
-    unit = _sup(hodge(scalar_rows(np.ones(len(a)))) - tau)
-    out["star_of_volume_and_unit"] = _rel(np.maximum(vol, unit), _sup(tau))
+    vol = sup(hodge(tau) - scalars(pm.sign_det))
+    unit = sup(hodge(scalars(np.ones(len(a)))) - tau)
+    out["star_of_volume_and_unit"] = _rel(np.maximum(vol, unit), sup(tau))
 
-    out["hodge_inverse"] = _rel(_sup(algebra.hodge_inv_rows(tables, hodge(a)) - a), _sup(a))
+    out["hodge_inverse"] = _rel(sup(pm.hodge_inv(hodge(a)) - a), sup(a))
 
-    f2 = grade_rows(b, 2)
+    f2 = grade_project(b, 2)
     sandwich = clifford(f2, clifford(one_form, f2))
-    out["sandwich_trivector_closure"] = _rel(_sup(grade_rows(sandwich, 3)), _sup(sandwich))
+    out["sandwich_trivector_closure"] = _rel(sup(grade_project(sandwich, 3)), sup(sandwich))
     return out
 
 
@@ -361,31 +352,30 @@ def _operator_laws(gd, mixed, p, homogeneous, potentials) -> dict:
     """Relative residual of each operator law per trial of a block, as one trial gives it."""
     out = {}
     fc = FieldCalculus.of_lanes(mixed, gd)
-    value = fc.value().sup()
+    value = sup(fc.value())
     scale = np.where(value > 1.0, value, 1.0)  # max(1.0, value): a NaN value gives 1.0
 
     # mixed grades: dirac F = dF - delta F
-    split = (fc.dirac() - fc.exterior_d() + fc.codifferential()).sup()
+    split = sup(fc.dirac() - fc.exterior_d() + fc.codifferential())
     # homogeneous piece: the split is exactly the grade shift by +-1; a grade
     # without that neighbour has no such term, which -inf leaves out of the max
+    # (its grade is clipped to 0..4, and that row's value is dropped)
     fh = FieldCalculus.of_lanes(homogeneous, gd)
-    full = fh.dirac().coeffs
-    up = np.where(p < 4, _sup(grade_rows(full, p + 1) - fh.exterior_d().coeffs), -np.inf)
-    down = np.where(p > 0, _sup(grade_rows(full, p - 1) + fh.codifferential().coeffs), -np.inf)
+    full = fh.dirac()
+    up = np.where(p < 4, sup(grade_project(full, np.minimum(p + 1, 4)) - fh.exterior_d()), -np.inf)
+    down = np.where(p > 0, sup(grade_project(full, np.maximum(p - 1, 0)) + fh.codifferential()), -np.inf)
     out["dirac_grade_split"] = _rel(np.max([split, up, down], axis=0), scale)
 
-    out["exterior_d_squared"] = _rel(fc.exterior_d_squared().sup(), scale)
-    out["codifferential_squared"] = _rel(fc.codifferential_squared().sup(), scale)
-    out["codifferential_hodge_route"] = _rel(
-        (fc.codifferential() - fc.codifferential_hodge_route()).sup(), scale
-    )
+    out["exterior_d_squared"] = _rel(sup(fc.exterior_d_squared()), scale)
+    out["codifferential_squared"] = _rel(sup(fc.codifferential_squared()), scale)
+    out["codifferential_hodge_route"] = _rel(sup(fc.codifferential() - fc.codifferential_hodge_route()), scale)
     second = fc.covariant_dalembertian() + fc.ricci_operator()
-    out["operator_square_routes"] = _rel((fc.hodge_dalembertian() - second).sup(), second.sup(), scale)
+    out["operator_square_routes"] = _rel(sup(fc.hodge_dalembertian() - second), sup(second), scale)
 
     fa = FieldCalculus.of_lanes(potentials, gd)
     rhs = linear_combination(fa.jets.vals[:, blades.COVECTOR_MASKS], gd.ricci_oneforms)  # A_mu R^mu
-    out["ricci_extensoriality"] = _rel((fa.ricci_operator() - rhs).sup(), rhs.sup(), fa.value().sup())
-    delta = fa.codifferential().scalar_part
+    out["ricci_extensoriality"] = _rel(sup(fa.ricci_operator() - rhs), sup(rhs), sup(fa.value()))
+    delta = fa.codifferential()[:, 0]
     trace = -sum(
         gd.g_upper[:, k, mcomp] * fa.cov1[:, k, 1 << mcomp]
         for k in range(4)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffcheck import blades
-from cliffcheck.algebra import (STORED_TABLES, TABLE_NAMES, Multivector, PointMetric, TableStore, grade_project,
-                                linear_combination, wedge)
+from cliffcheck.algebra import (STORED_TABLES, TABLE_NAMES, PointMetric, TableStore, grade_project, linear_combination,
+                                reverse, scalars, sup, wedge)
 from cliffcheck.errors import DegenerateMetricError, SignatureError
 
 import oracles
@@ -24,7 +24,12 @@ def rng():
 
 
 def random_mv(rng, scale=1.0):
-    return Multivector(scale * rng.uniform(-1.0, 1.0, size=16))
+    return scale * rng.uniform(-1.0, 1.0, size=16)
+
+
+def blade(mask: int) -> np.ndarray:
+    """The row of the basis blade ``mask``."""
+    return np.eye(16)[mask]
 
 
 def random_metric(rng):
@@ -41,30 +46,30 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def test_wedge_same_covector_vanishes():
-    g0 = Multivector.covector(0)
-    assert wedge(g0, g0).sup() == 0.0
+    g0 = blade(1 << 0)
+    assert sup(wedge(g0, g0)) == 0.0
 
 
 def test_wedge_disjoint_masks():
-    g0, g1 = Multivector.covector(0), Multivector.covector(1)
+    g0, g1 = blade(1 << 0), blade(1 << 1)
     out = wedge(g0, g1)
-    assert out.coeffs[0b0011] == 1.0
-    assert np.count_nonzero(out.coeffs) == 1
+    assert out[0b0011] == 1.0
+    assert np.count_nonzero(out) == 1
 
 
 def test_wedge_top_grade_sign_via_oracle():
-    b01 = Multivector.blade((0, 1))
-    b23 = Multivector.blade((2, 3))
+    b01 = blade(0b0011)
+    b23 = blade(0b1100)
     out = wedge(b01, b23)
-    expected = oracles.wedge_oracle(b01.coeffs, b23.coeffs)
-    assert np.array_equal(out.coeffs, expected)
-    assert out.coeffs[0b1111] == 1.0
+    expected = oracles.wedge_oracle(b01, b23)
+    assert np.array_equal(out, expected)
+    assert out[0b1111] == 1.0
 
 
 def test_wedge_matches_oracle_random(rng):
     for _ in range(200):
         a, b = random_mv(rng), random_mv(rng)
-        assert rel_err(wedge(a, b).coeffs, oracles.wedge_oracle(a.coeffs, b.coeffs)) < 1e-14
+        assert rel_err(wedge(a, b), oracles.wedge_oracle(a, b)) < 1e-14
 
 
 def test_wedge_graded_anticommutativity(rng):
@@ -72,8 +77,8 @@ def test_wedge_graded_anticommutativity(rng):
         for s in range(5):
             a = grade_project(random_mv(rng), r)
             b = grade_project(random_mv(rng), s)
-            lhs = wedge(a, b).coeffs
-            rhs = (-1.0) ** (r * s) * wedge(b, a).coeffs
+            lhs = wedge(a, b)
+            rhs = (-1.0) ** (r * s) * wedge(b, a)
             assert rel_err(lhs, rhs) < 1e-14
 
 
@@ -81,9 +86,9 @@ def test_wedge_graded_anticommutativity(rng):
 
 
 def test_scalar_product_minkowski_basics(eta):
-    g0 = Multivector.covector(0)
+    g0 = blade(1 << 0)
     assert eta.scalar_product(g0, g0) == 1.0
-    b01 = Multivector.blade((0, 1))
+    b01 = blade(0b0011)
     assert eta.scalar_product(b01, b01) == -1.0
     # grade mismatch
     assert eta.scalar_product(g0, b01) == 0.0
@@ -94,7 +99,7 @@ def test_scalar_product_matches_gram_oracle(rng):
         m = random_metric(rng)
         a, b = random_mv(rng), random_mv(rng)
         got = m.scalar_product(a, b)
-        want = oracles.gram_scalar_oracle(a.coeffs, b.coeffs, m.g)
+        want = oracles.gram_scalar_oracle(a, b, m.g)
         assert abs(got - want) < 1e-11 * max(1.0, abs(want))
 
 
@@ -111,34 +116,34 @@ def test_scalar_product_symmetric_bilinear(rng):
 
 
 def test_left_contract_spec_cases(eta):
-    g0, g1 = Multivector.covector(0), Multivector.covector(1)
-    b01 = Multivector.blade((0, 1))
+    g0, g1 = blade(1 << 0), blade(1 << 1)
+    b01 = blade(0b0011)
     # gamma^1 _| (gamma^0 ^ gamma^1) = gamma^0 under eta
     out = eta.left_contract(g1, b01)
-    assert np.array_equal(out.coeffs, g0.coeffs)
+    assert np.array_equal(out, g0)
     # scalars contract as ordinary product
-    assert eta.left_contract(Multivector.scalar(2.0), Multivector.scalar(3.0)).scalar_part == 6.0
+    assert eta.left_contract(scalars(2.0), scalars(3.0))[0] == 6.0
     # higher grade into lower vanishes
-    assert eta.left_contract(b01, g0).sup() == 0.0
+    assert sup(eta.left_contract(b01, g0)) == 0.0
 
 
 def test_left_contract_matches_oracle(rng):
     for _ in range(60):
         m = random_metric(rng)
         a, b = random_mv(rng), random_mv(rng)
-        got = m.left_contract(a, b).coeffs
-        want = oracles.left_contract_oracle(a.coeffs, b.coeffs, m.g)
+        got = m.left_contract(a, b)
+        want = oracles.left_contract_oracle(a, b, m.g)
         assert rel_err(got, want) < 1e-12
 
 
 def test_right_contract_spec_cases(eta):
-    g0, g1 = Multivector.covector(0), Multivector.covector(1)
-    b01 = Multivector.blade((0, 1))
+    g0, g1 = blade(1 << 0), blade(1 << 1)
+    b01 = blade(0b0011)
     # (gamma^0 ^ gamma^1) |_ gamma^1 = -(gamma^1 _| (gamma^0^gamma^1)) = -gamma^0
     out = eta.right_contract(b01, g1)
-    assert np.array_equal(out.coeffs, (-g0).coeffs)
-    assert eta.right_contract(g0, b01).sup() == 0.0
-    assert eta.right_contract(Multivector.scalar(2.0), Multivector.scalar(3.0)).scalar_part == 6.0
+    assert np.array_equal(out, (-g0))
+    assert sup(eta.right_contract(g0, b01)) == 0.0
+    assert eta.right_contract(scalars(2.0), scalars(3.0))[0] == 6.0
 
 
 def test_left_right_contraction_relation(rng):
@@ -147,8 +152,8 @@ def test_left_right_contraction_relation(rng):
         for s in range(r, 5):
             a = grade_project(random_mv(rng), r)
             b = grade_project(random_mv(rng), s)
-            lhs = m.left_contract(a, b).coeffs
-            rhs = (-1.0) ** (r * (s - r)) * m.right_contract(b, a).coeffs
+            lhs = m.left_contract(a, b)
+            rhs = (-1.0) ** (r * (s - r)) * m.right_contract(b, a)
             assert rel_err(lhs, rhs) < 1e-13
 
 
@@ -156,20 +161,20 @@ def test_left_right_contraction_relation(rng):
 
 
 def test_clifford_minkowski_squares(eta):
-    g0 = Multivector.covector(0)
-    assert eta.clifford(g0, g0).coeffs[0] == 1.0
-    b01 = Multivector.blade((0, 1))
+    g0 = blade(1 << 0)
+    assert eta.clifford(g0, g0)[0] == 1.0
+    b01 = blade(0b0011)
     out = eta.clifford(b01, b01)
-    assert out.coeffs[0] == 1.0
-    assert np.count_nonzero(out.coeffs) == 1
+    assert out[0] == 1.0
+    assert np.count_nonzero(out) == 1
 
 
 def test_clifford_matches_monomial_oracle(rng):
     for _ in range(60):
         m = random_metric(rng)
         a, b = random_mv(rng), random_mv(rng)
-        got = m.clifford(a, b).coeffs
-        want = oracles.clifford_oracle(a.coeffs, b.coeffs, m.g)
+        got = m.clifford(a, b)
+        want = oracles.clifford_oracle(a, b, m.g)
         assert rel_err(got, want) < 1e-12
 
 
@@ -178,19 +183,19 @@ def test_anticommutator_exact(rng):
         m = random_metric(rng)
         for i in range(4):
             for j in range(4):
-                gi, gj = Multivector.covector(i), Multivector.covector(j)
+                gi, gj = blade(1 << i), blade(1 << j)
                 anti = m.clifford(gi, gj) + m.clifford(gj, gi)
                 expect = np.zeros(16)
                 expect[0] = 2.0 * m.g[i, j]
-                assert np.array_equal(anti.coeffs, expect)
+                assert np.array_equal(anti, expect)
 
 
 def test_associativity(rng):
     for _ in range(50):
         m = random_metric(rng)
         a, b, c = random_mv(rng), random_mv(rng), random_mv(rng)
-        lhs = m.clifford(m.clifford(a, b), c).coeffs
-        rhs = m.clifford(a, m.clifford(b, c)).coeffs
+        lhs = m.clifford(m.clifford(a, b), c)
+        rhs = m.clifford(a, m.clifford(b, c))
         assert rel_err(lhs, rhs) < 1e-12
 
 
@@ -199,8 +204,8 @@ def test_one_form_product_splits_into_contraction_and_wedge(rng):
     for _ in range(20):
         a = grade_project(random_mv(rng), 1)
         b = random_mv(rng)
-        lhs = m.clifford(a, b).coeffs
-        rhs = (m.left_contract(a, b) + wedge(a, b)).coeffs
+        lhs = m.clifford(a, b)
+        rhs = (m.left_contract(a, b) + wedge(a, b))
         assert rel_err(lhs, rhs) < 1e-13
 
 
@@ -214,7 +219,7 @@ def test_product_grade_spectrum(rng):
             prod = m.clifford(a, b)
             allowed = set(range(abs(r - s), min(r + s, 8 - r - s) + 1, 2))
             for k in range(5):
-                part = grade_project(prod, k).sup()
+                part = sup(grade_project(prod, k))
                 if k not in allowed:
                     assert part < 1e-13
 
@@ -227,10 +232,10 @@ def test_half_commutator_identities(rng):
         b = grade_project(random_mv(rng), s)
         ab = m.clifford(a, b)
         ba = m.clifford(b, a)
-        contract = 0.5 * (ab.coeffs - (-1.0) ** s * ba.coeffs)
-        wedge_part = 0.5 * (ab.coeffs + (-1.0) ** s * ba.coeffs)
-        assert rel_err(m.left_contract(a, b).coeffs, contract) < 1e-13
-        assert rel_err(wedge(a, b).coeffs, wedge_part) < 1e-13
+        contract = 0.5 * (ab - (-1.0) ** s * ba)
+        wedge_part = 0.5 * (ab + (-1.0) ** s * ba)
+        assert rel_err(m.left_contract(a, b), contract) < 1e-13
+        assert rel_err(wedge(a, b), wedge_part) < 1e-13
 
 
 def test_scalar_product_as_scalar_part_of_reversed_product(rng):
@@ -239,8 +244,8 @@ def test_scalar_product_as_scalar_part_of_reversed_product(rng):
         a = grade_project(random_mv(rng), r)
         b = grade_project(random_mv(rng), r)
         sp = m.scalar_product(a, b)
-        via_rev = m.clifford(a.reverse(), b).scalar_part
-        via_rev2 = m.clifford(a, b.reverse()).scalar_part
+        via_rev = m.clifford(reverse(a), b)[0]
+        via_rev2 = m.clifford(a, reverse(b))[0]
         assert abs(sp - via_rev) < 1e-12
         assert abs(sp - via_rev2) < 1e-12
 
@@ -248,50 +253,50 @@ def test_scalar_product_as_scalar_part_of_reversed_product(rng):
 def test_reverse_antiautomorphism(rng):
     m = random_metric(rng)
     a, b = random_mv(rng), random_mv(rng)
-    lhs = m.clifford(a, b).reverse().coeffs
-    rhs = m.clifford(b.reverse(), a.reverse()).coeffs
+    lhs = reverse(m.clifford(a, b))
+    rhs = m.clifford(reverse(b), reverse(a))
     assert rel_err(lhs, rhs) < 1e-13
 
 
 def test_reverse_signs_per_grade():
-    b01 = Multivector.blade((0, 1))
-    assert np.array_equal(b01.reverse().coeffs, -b01.coeffs)
-    assert Multivector.scalar(5.0).reverse().scalar_part == 5.0
-    tau = Multivector.from_mask(15, 1.0)
-    assert np.array_equal(tau.reverse().coeffs, tau.coeffs)
-    twice = Multivector(np.arange(16.0)).reverse().reverse()
-    assert np.array_equal(twice.coeffs, np.arange(16.0))
+    b01 = blade(0b0011)
+    assert np.array_equal(reverse(b01), -b01)
+    assert reverse(scalars(5.0))[0] == 5.0
+    tau = blade(15)
+    assert np.array_equal(reverse(tau), tau)
+    twice = reverse(reverse(np.arange(16.0)))
+    assert np.array_equal(twice, np.arange(16.0))
 
 
 # -- grade projection ----------------------------------------------------------
 
 
 def test_grade_projection_basics():
-    x = Multivector.scalar(1.0) + Multivector.covector(0) + Multivector.blade((0, 1))
-    assert np.array_equal(grade_project(x, 1).coeffs, Multivector.covector(0).coeffs)
+    x = scalars(1.0) + blade(1 << 0) + blade(0b0011)
+    assert np.array_equal(grade_project(x, 1), blade(1 << 0))
     with pytest.raises(ValueError):
         grade_project(x, 5)
 
 
 def test_grade_projection_partition(rng):
     x = random_mv(rng)
-    total = Multivector.zero()
+    total = np.zeros(16)
     for k in range(5):
         part = grade_project(x, k)
         again = grade_project(part, k)
-        assert np.array_equal(part.coeffs, again.coeffs)
+        assert np.array_equal(part, again)
         total = total + part
-    assert np.array_equal(total.coeffs, x.coeffs)
+    assert np.array_equal(total, x)
 
 
 # -- linear combinations ---------------------------------------------------------
 
 
-def _sequential_sum(weights, terms) -> Multivector:
+def _sequential_sum(weights, terms) -> np.ndarray:
     # the reference: one addition per term, from zero, in order of k
-    out = Multivector.zero()
+    out = np.zeros(16)
     for k in range(len(terms)):
-        out = out + weights[..., k] * terms[k]
+        out = out + weights[..., k, np.newaxis] * terms[k]
     return out
 
 
@@ -312,11 +317,11 @@ def test_linear_combination_is_the_sequential_sum_bitwise(lead, count):
         weights = _special_draw(rng, lead + (count,))
         coeffs = _special_draw(rng, (count,) + lead + (16,))
         coeffs[rng.random(coeffs.shape) < 0.1] = -0.0
-        terms = [Multivector(c) for c in coeffs]
+        terms = list(coeffs)
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and inf - inf give NaN
-            got = linear_combination(weights, terms).coeffs
-            want = _sequential_sum(weights, terms).coeffs
-            again = linear_combination(weights, (t for t in terms)).coeffs
+            got = linear_combination(weights, terms)
+            want = _sequential_sum(weights, terms)
+            again = linear_combination(weights, (t for t in terms))
         assert got.shape == lead + (16,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(again.view(np.uint64), want.view(np.uint64))
@@ -329,10 +334,10 @@ def test_linear_combination_order_shows_in_the_bits():
     rng = np.random.default_rng(8200)
     weights = rng.uniform(-1.0, 1.0, size=(16, 4)) * 10.0 ** rng.integers(-8, 9, size=(16, 4))
     coeffs = rng.uniform(-1.0, 1.0, size=(4, 16, 16)) * 10.0 ** rng.integers(-8, 9, size=(4, 16, 16))
-    terms = [Multivector(c) for c in coeffs]
-    want = _sequential_sum(weights, terms).coeffs.view(np.uint64)
+    terms = list(coeffs)
+    want = _sequential_sum(weights, terms).view(np.uint64)
     products = [w[:, np.newaxis] * c for w, c in zip(weights.T, coeffs)]
-    reversed_order = _sequential_sum(weights[..., ::-1], terms[::-1]).coeffs
+    reversed_order = _sequential_sum(weights[..., ::-1], terms[::-1])
     pairwise = (products[0] + products[1]) + (products[2] + products[3])
     assert not np.array_equal(reversed_order.view(np.uint64), want)
     assert not np.array_equal(pairwise.view(np.uint64), want)
@@ -347,8 +352,8 @@ def test_contraction_antiderivation(rng):
     for _ in range(30):
         a = grade_project(random_mv(rng), 1)
         x, y = random_mv(rng), random_mv(rng)
-        lhs = m.left_contract(a, wedge(x, y)).coeffs
-        rhs = (wedge(m.left_contract(a, x), y) + wedge(x.involute(), m.left_contract(a, y))).coeffs
+        lhs = m.left_contract(a, wedge(x, y))
+        rhs = (wedge(m.left_contract(a, x), y) + wedge(x * blades.INVOLUTE_SIGN, m.left_contract(a, y)))
         assert rel_err(lhs, rhs) < 1e-12
 
 
@@ -357,8 +362,8 @@ def test_contraction_composition(rng):
     m = random_metric(rng)
     for _ in range(30):
         a, b, c = random_mv(rng), random_mv(rng), random_mv(rng)
-        lhs = m.left_contract(a, m.left_contract(b, c)).coeffs
-        rhs = m.left_contract(wedge(a, b), c).coeffs
+        lhs = m.left_contract(a, m.left_contract(b, c))
+        rhs = m.left_contract(wedge(a, b), c)
         assert rel_err(lhs, rhs) < 1e-12
 
 
@@ -366,26 +371,26 @@ def test_contraction_composition(rng):
 
 
 def test_hodge_of_unit_scalar_and_volume(eta):
-    one = Multivector.scalar(1.0)
+    one = scalars(1.0)
     tau = eta.volume_form()
-    assert np.array_equal(eta.hodge(one).coeffs, tau.coeffs)
+    assert np.array_equal(eta.hodge(one), tau)
     # star tau = sign(det) = -1 in Lorentzian signature
-    assert eta.hodge(tau).scalar_part == -1.0
-    assert np.count_nonzero(eta.hodge(tau).coeffs) == 1
+    assert eta.hodge(tau)[0] == -1.0
+    assert np.count_nonzero(eta.hodge(tau)) == 1
 
 
 def test_hodge_of_timelike_covector(eta):
-    out = eta.hodge(Multivector.covector(0))
-    want = Multivector.blade((1, 2, 3))
-    assert np.array_equal(out.coeffs, want.coeffs)
+    out = eta.hodge(blade(1 << 0))
+    want = blade(0b1110)
+    assert np.array_equal(out, want)
 
 
 def test_hodge_matches_oracle_random_metric(rng):
     for _ in range(40):
         m = random_metric(rng)
         a = random_mv(rng)
-        got = m.hodge(a).coeffs
-        want = oracles.hodge_oracle(a.coeffs, m.g, m.sqrt_abs_det)
+        got = m.hodge(a)
+        want = oracles.hodge_oracle(a, m.g, m.sqrt_abs_det)
         assert rel_err(got, want) < 1e-12
 
 
@@ -394,11 +399,11 @@ def test_hodge_defining_relation_on_blades(rng):
     m = random_metric(rng)
     tau = m.volume_form()
     for mask_a in range(16):
-        a = Multivector.from_mask(mask_a)
+        a = blade(mask_a)
         k = int(blades.GRADE[mask_a])
         b = grade_project(random_mv(rng), k)
-        lhs = (m.scalar_product(b, a) * tau).coeffs
-        rhs = wedge(b, m.hodge(a)).coeffs
+        lhs = (m.scalar_product(b, a) * tau)
+        rhs = wedge(b, m.hodge(a))
         assert rel_err(lhs, rhs) < 1e-12
 
 
@@ -406,17 +411,17 @@ def test_hodge_inverse(rng):
     for _ in range(20):
         m = random_metric(rng)
         x = random_mv(rng)
-        assert rel_err(m.hodge_inv(m.hodge(x)).coeffs, x.coeffs) < 1e-12
-        assert rel_err(m.hodge(m.hodge_inv(x)).coeffs, x.coeffs) < 1e-12
-    assert abs(PointMetric(ETA).hodge_inv(PointMetric(ETA).volume_form()).scalar_part - 1.0) == 0.0
+        assert rel_err(m.hodge_inv(m.hodge(x)), x) < 1e-12
+        assert rel_err(m.hodge(m.hodge_inv(x)), x) < 1e-12
+    assert abs(PointMetric(ETA).hodge_inv(PointMetric(ETA).volume_form())[0] - 1.0) == 0.0
 
 
 def test_hodge_inverse_grade2_sign(eta):
     # on 2-forms the inverse is -star in Lorentzian signature
     for mask in blades.MASKS_BY_GRADE[2]:
-        x = Multivector.from_mask(mask)
-        lhs = eta.hodge_inv(x).coeffs
-        rhs = -eta.hodge(x).coeffs
+        x = blade(mask)
+        lhs = eta.hodge_inv(x)
+        rhs = -eta.hodge(x)
         assert np.array_equal(lhs, rhs)
 
 
@@ -430,23 +435,23 @@ def test_hodge_star_conversion_identities(rng):
                 a = grade_project(random_mv(rng), r)
                 b = grade_project(random_mv(rng), s)
                 if r == s:
-                    lhs = wedge(a, m.hodge(b)).coeffs
-                    rhs = wedge(b, m.hodge(a)).coeffs
+                    lhs = wedge(a, m.hodge(b))
+                    rhs = wedge(b, m.hodge(a))
                     assert rel_err(lhs, rhs) < 1e-12
                 if r + s == 4:
                     # scalar-pairing symmetry; the plain Gram product picks up
                     # an extra (-1)^{rs} reversal sign, so the robust statement
                     # is the contraction form A _| star(B) = B _| star(A)
-                    lhs = m.left_contract(a, m.hodge(b)).scalar_part
-                    rhs = m.left_contract(b, m.hodge(a)).scalar_part
+                    lhs = m.left_contract(a, m.hodge(b))[0]
+                    rhs = m.left_contract(b, m.hodge(a))[0]
                     assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
                 if r <= s:
-                    lhs = wedge(a, m.hodge(b)).coeffs
-                    rhs = ((-1.0) ** (r * (s - 1)) * m.hodge(m.left_contract(a.reverse(), b)).coeffs)
+                    lhs = wedge(a, m.hodge(b))
+                    rhs = ((-1.0) ** (r * (s - 1)) * m.hodge(m.left_contract(reverse(a), b)))
                     assert rel_err(lhs, rhs) < 1e-12
                 if r + s <= 4:
-                    lhs = m.left_contract(a, m.hodge(b)).coeffs
-                    rhs = (-1.0) ** (r * s) * m.hodge(wedge(a.reverse(), b)).coeffs
+                    lhs = m.left_contract(a, m.hodge(b))
+                    rhs = (-1.0) ** (r * s) * m.hodge(wedge(reverse(a), b))
                     assert rel_err(lhs, rhs) < 1e-12
 
 
@@ -457,7 +462,7 @@ def test_sandwich_trivector_closure(rng):
         f = grade_project(random_mv(rng), 2)
         a = grade_project(random_mv(rng), 1)
         sandwich = m.clifford(f, m.clifford(a, f))
-        assert grade_project(sandwich, 3).sup() < 1e-12
+        assert sup(grade_project(sandwich, 3)) < 1e-12
 
 
 # -- metric validation -----------------------------------------------------------
@@ -600,14 +605,6 @@ def test_volume_form_squares_to_signature_sign(rng):
     assert abs(m.scalar_product(tau, tau) + 1.0) < 1e-10
 
 
-def test_multivector_immutable():
-    x = Multivector.scalar(1.0)
-    with pytest.raises(AttributeError):
-        x.coeffs = np.zeros(16)
-    with pytest.raises(ValueError):
-        x.coeffs[0] = 2.0
-
-
 # -- hypothesis property checks ---------------------------------------------------
 
 coeff_lists = st.lists(st.floats(-2.0, 2.0), min_size=16, max_size=16)
@@ -617,10 +614,10 @@ coeff_lists = st.lists(st.floats(-2.0, 2.0), min_size=16, max_size=16)
 @given(coeff_lists, coeff_lists, st.integers(0, 2**31 - 1))
 def test_product_split_property(acoef, bcoef, seed):
     m = PointMetric(oracles.random_lorentzian_cotangent(np.random.default_rng(seed)))
-    a = grade_project(Multivector(acoef), 1)
-    b = Multivector(bcoef)
-    lhs = m.clifford(a, b).coeffs
-    rhs = (m.left_contract(a, b) + wedge(a, b)).coeffs
+    a = grade_project(np.array(acoef), 1)
+    b = np.array(bcoef)
+    lhs = m.clifford(a, b)
+    rhs = (m.left_contract(a, b) + wedge(a, b))
     assert rel_err(lhs, rhs) < 1e-12
 
 
@@ -628,7 +625,7 @@ def test_product_split_property(acoef, bcoef, seed):
 @given(coeff_lists, coeff_lists, coeff_lists, st.integers(0, 2**31 - 1))
 def test_associativity_property(acoef, bcoef, ccoef, seed):
     m = PointMetric(oracles.random_lorentzian_cotangent(np.random.default_rng(seed)))
-    a, b, c = Multivector(acoef), Multivector(bcoef), Multivector(ccoef)
-    lhs = m.clifford(m.clifford(a, b), c).coeffs
-    rhs = m.clifford(a, m.clifford(b, c)).coeffs
+    a, b, c = np.array(acoef), np.array(bcoef), np.array(ccoef)
+    lhs = m.clifford(m.clifford(a, b), c)
+    rhs = m.clifford(a, m.clifford(b, c))
     assert rel_err(lhs, rhs) < 1e-11

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import sys
 import tracemalloc
 import weakref
@@ -18,7 +19,7 @@ from cliffcheck import expr as ex
 from cliffcheck import fieldcheck as fch
 from cliffcheck import geometry as geo
 from cliffcheck import runner
-from cliffcheck.algebra import Multivector, PointMetric, grade_project, linear_combination
+from cliffcheck.algebra import PointMetric, grade_project, grades, linear_combination, oneform, sup
 from cliffcheck.diffops import FieldCalculus, MultivectorField
 from cliffcheck.errors import CliffcheckError, FieldError
 
@@ -254,34 +255,34 @@ def test_hamilton_jacobi_mass_mismatch():
 
 def test_energy_momentum_em_zero_field():
     gd = geo.curvature(MINK, MINK_PTS[0])
-    em = fch.energy_momentum_em(gd, Multivector.zero(), 0)
-    assert em.oneform.sup() == 0.0
-    assert em.threeform.sup() == 0.0
+    em = fch.energy_momentum_em(gd, np.zeros(16), 0)
+    assert sup(em.oneform) == 0.0
+    assert sup(em.threeform) == 0.0
 
 
 def test_energy_momentum_em_electric_density():
     gd = geo.curvature(MINK, MINK_PTS[0])
     E = 1.75
-    F = E * Multivector.blade((0, 1))
+    F = E * np.eye(16)[0b0011]
     em = fch.energy_momentum_em(gd, F, 0)
     expected = 0.5 * E * E
-    assert abs(gd.metric.scalar_product(em.oneform, Multivector.covector(0)) - expected) < 1e-12
+    assert abs(gd.metric.scalar_product(em.oneform, np.eye(16)[1 << 0]) - expected) < 1e-12
     assert em.closure_residual < 1e-14
 
 
 def test_energy_momentum_em_rejects_wrong_grade():
     gd = geo.curvature(MINK, MINK_PTS[0])
     with pytest.raises(FieldError):
-        fch.energy_momentum_em(gd, Multivector.covector(0), 0)
+        fch.energy_momentum_em(gd, np.eye(16)[1 << 0], 0)
 
 
 def test_energy_momentum_fluid_rest_density():
     gd = geo.curvature(MINK, MINK_PTS[0])
     rho = 0.8
-    J = rho * Multivector.covector(0)
+    J = rho * np.eye(16)[1 << 0]
     fl = fch.energy_momentum_fluid(gd, J, 0)
-    want = 0.5 * rho * rho * Multivector.covector(0)
-    assert (fl.oneform - want).sup() < 1e-14
+    want = 0.5 * rho * rho * np.eye(16)[1 << 0]
+    assert sup(fl.oneform - want) < 1e-14
     assert fl.form_mismatch < 1e-13
 
 
@@ -290,11 +291,30 @@ def test_energy_momentum_fluid_two_forms_agree_random():
     for spec, pts in ((MINK, MINK_PTS), (SCHW, SCHW_PTS)):
         gd = geo.curvature(spec, pts[0])
         for _ in range(20):
-            J = grade_project(Multivector(rng.uniform(-1, 1, 16)), 1)
+            J = grade_project(rng.uniform(-1, 1, 16), 1)
             for alpha in range(4):
                 fl = fch.energy_momentum_fluid(gd, J, alpha)
                 assert fl.form_mismatch < 1e-12
                 assert fl.closure_residual < 1e-12
+
+
+@pytest.mark.parametrize("value", [-1, 4, 1.5])
+def test_an_index_or_grade_out_of_range_raises_a_value_error_naming_it(value):
+    gd = geo.curvature(MINK, MINK_PTS[0])
+    fc = FieldCalculus(field({"t": "x", "x": "t*y"}, MINK), gd)
+    F, J = fc.exterior_d(), fc.value()
+
+    def raises(name, stop, call, *args):
+        message = rf"^{name} must be an integer in 0\.\.{stop - 1}, got {re.escape(repr(args[-1]))}$"
+        with pytest.raises(ValueError, match=message):
+            call(*args)
+
+    raises("alpha", 4, fc.covariant_derivative, value)
+    raises("beta", 4, fch.energy_momentum_em, gd, F, value)
+    raises("alpha", 4, fch.energy_momentum_fluid, gd, J, value)
+    raises("i", 4, MultivectorField.basis_covector, value)
+    raises("grade k", 5, grade_project, J, 5 if value == 4 else value)  # grades run to 4
+    raises("grade k", 5, grade_project, np.stack([J, J]), np.array([1, 5 if value == 4 else value]))
 
 
 # -- einstein residual ---------------------------------------------------------------------
@@ -319,7 +339,7 @@ def test_einstein_nan_for_one_index_is_a_point_error(monkeypatch):
 
     def nan_at_index_2(gd, x, beta):
         sandwich = real(gd, x, beta)
-        if beta != 2 or x.grades() != {2}:
+        if beta != 2 or grades(x) != {2}:
             return sandwich
         return sandwich * np.nan
 
@@ -547,7 +567,7 @@ def test_sandwich_identities_with_supplied_potential():
 
 def test_sandwich_identities_zero_potential_trivial():
     gd = geo.curvature(MINK, MINK_PTS[0])
-    res = fch.sandwich_link_identities(gd, Multivector.zero(), Multivector.zero(), Multivector.zero())
+    res = fch.sandwich_link_identities(gd, np.zeros(16), np.zeros(16), np.zeros(16))
     assert all(v == 0.0 for v in res.values())
 
 
@@ -568,7 +588,7 @@ def test_potential_derived_from_killing():
     A = fields.potential()
     gd = geo.curvature(FLRW, (1.0, 0.0, 0.0, 0.0))
     got = FieldCalculus(A, gd).value()
-    assert abs(got.coeffs[0b0010] + 2.5) < 1e-15
+    assert abs(got[0b0010] + 2.5) < 1e-15
 
 
 def test_checks_run_together_match_each_alone():
@@ -602,30 +622,34 @@ OPERATORS = ("value", "dirac", "exterior_d", "codifferential", "codifferential_h
              "covariant_dalembertian", "ricci_operator", "hodge_dalembertian")  # FieldCalculus's, without argument
 
 
-def test_one_block_computes_each_operator_and_shared_product_once(monkeypatch):
-    # all ten checks on one Schwarzschild block of 16 points
-    body_runs = Counter()  # (operator, calculator) -> runs of the operator's body
-
-    class Counted(Multivector):
-        __slots__ = ()
-
-        def __init__(self, coeffs):
-            caller = sys._getframe(1)  # each operator's body builds its one result here
-            if caller.f_code.co_name in OPERATORS:
-                body_runs[caller.f_code.co_name, id(caller.f_locals["self"])] += 1
-            super().__init__(coeffs)
-
-    products = []
-    clifford = PointMetric.clifford
-    monkeypatch.setattr(diffops, "Multivector", Counted)
-    monkeypatch.setattr(PointMetric, "clifford", lambda pm, a, b: products.append(1) or clifford(pm, a, b))
+def schwarzschild_block_context() -> fch.BlockContext:
+    """One block of 16 Schwarzschild points, with K, S and V, and K the potential."""
     fields = {"K": field({"t": "1-2*M/r"}, SCHW), "S": field({"1": "t"}, SCHW),
               "V": field({"t": "sqrt(1-2*M/r)"}, SCHW)}
     fields["potential"] = fields["K"]
     points = np.random.default_rng(4).uniform([-3.0, 2.5, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2], size=(16, 4))
-    ctx = fch.BlockContext(geo.curvature(SCHW, points), fields, fch.Constants(), None)
-    for check in fch.CHECKS.values():
-        fch.check_columns(ctx, check)
+    return fch.BlockContext(geo.curvature(SCHW, points), fields, fch.Constants(), None)
+
+
+def test_one_block_computes_each_operator_and_shared_product_once(monkeypatch):
+    # all ten checks on one Schwarzschild block of 16 points
+    body_runs = Counter()  # (operator, calculator) -> runs of the operator's body
+    bodies = {getattr(FieldCalculus, name).__wrapped__.__code__: name for name in OPERATORS}
+
+    def count_bodies(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            body_runs[bodies[frame.f_code], id(frame.f_locals["self"])] += 1
+
+    products = []
+    clifford = PointMetric.clifford
+    monkeypatch.setattr(PointMetric, "clifford", lambda pm, a, b: products.append(1) or clifford(pm, a, b))
+    ctx = schwarzschild_block_context()
+    sys.setprofile(count_bodies)
+    try:
+        for check in fch.CHECKS.values():
+            fch.check_columns(ctx, check)
+    finally:
+        sys.setprofile(None)
 
     assert body_runs and max(body_runs.values()) == 1
     # 2 products per sandwich x gamma_beta x, for x = dA and J and beta = 0..3, read by
@@ -637,11 +661,23 @@ def test_one_block_computes_each_operator_and_shared_product_once(monkeypatch):
     assert len(calcs) == 3  # K is the potential
     assert len(body_runs) == 7 + 3 + 3  # the operators that K, S and V are read by
 
-    terms = ctx.maxwell()
     shared = [getattr(calcs[fc], name)() for name, fc in body_runs]
     assert all(getattr(calcs[fc], name)() is out for (name, fc), out in zip(body_runs, shared))
-    shared += [*terms.em_sandwiches, *terms.fluid_sandwiches, ctx.coupling("K")]
-    for array in [mv.coeffs for mv in shared] + [terms.j_sq, terms.a_dot_j, ctx.gd.einstein_lower]:
+
+
+def test_the_shared_results_of_a_block_are_read_only():
+    # every check on the block reads these rows; none can change one under another
+    ctx = schwarzschild_block_context()
+    for check in fch.CHECKS.values():
+        fch.check_columns(ctx, check)
+    terms = ctx.maxwell()
+    calcs = list(ctx._calcs.values())
+    shared = [getattr(fc, name)() for fc in calcs for name in OPERATORS]
+    shared += [fc.covariant_derivative(alpha) for fc in calcs for alpha in range(4)]
+    shared += [ctx.coupling("K"), *terms.em_sandwiches, *terms.fluid_sandwiches, terms.j_sq, terms.a_dot_j]
+    shared += [*ctx.gd.ricci_oneforms, ctx.gd.einstein_lower]
+    assert len(shared) == 3 * 11 + 3 * 4 + 11 + 5
+    for array in shared:
         with pytest.raises(ValueError):
             array[0] = 1.0
 
@@ -952,8 +988,8 @@ def stress_outputs(gd) -> list:
     for beta in range(4):
         em = fch.energy_momentum_em(gd, F, beta)
         fluid = fch.energy_momentum_fluid(gd, J, beta)
-        out += [em.oneform.coeffs, em.threeform.coeffs, em.closure_residual,
-                fluid.oneform.coeffs, fluid.threeform.coeffs, fluid.closure_residual,
+        out += [em.oneform, em.threeform, em.closure_residual,
+                fluid.oneform, fluid.threeform, fluid.closure_residual,
                 fluid.form_mismatch]
     links = fch.sandwich_link_identities(gd, A, F, J)
     return [np.asarray(x, dtype=float) for x in out + [links[k] for k in sorted(links)]]
@@ -1190,18 +1226,18 @@ def test_one_route_values_stay_within_four_ulps_of_the_other(key):
     wedge = np.abs(blades.WEDGE_OP)
     for f in fields + oneforms:
         fc = FieldCalculus(f, gd)
-        shipped = fc.exterior_d().coeffs
+        shipped = fc.exterior_d()
         reference = np.einsum("amn,...an->...m", blades.WEDGE_OP, fc.cov1)
         connection = np.einsum("...amn,...n->...am", np.abs(gd.gop), np.abs(fc.jets.vals))
         scale = np.einsum("amn,...an->...m", wedge, np.abs(np.swapaxes(fc.jets.grads, -1, -2)) + connection)
         assert np.all(np.abs(shipped - reference) <= 4.0 * EPS * scale), f.grades
     for f in oneforms:
         a = FieldCalculus(f, gd).value()
-        up = fch._raise_index(gd, a.oneform_components())
-        shipped = fch._ricci_coupling(gd, a).oneform_components()
-        reference = linear_combination(up, (Multivector.oneform(gd.ricci[..., b, :]) for b in range(4)))
+        up = fch._raise_index(gd, a[..., blades.COVECTOR_MASKS])
+        shipped = fch._ricci_coupling(gd, a)[..., blades.COVECTOR_MASKS]
+        reference = linear_combination(up, (oneform(gd.ricci[..., b, :]) for b in range(4)))
         scale = np.einsum("...b,...bn->...n", np.abs(up), np.abs(gd.ricci))
-        assert np.all(np.abs(shipped - reference.oneform_components()) <= 4.0 * EPS * scale)
+        assert np.all(np.abs(shipped - reference[..., blades.COVECTOR_MASKS]) <= 4.0 * EPS * scale)
 
 
 # -- points with two failures, and no point computed twice ------------------------------

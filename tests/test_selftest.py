@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cliffcheck import algebra, blades, selftest
-from cliffcheck.algebra import STORED_TABLES, Multivector, PointMetric, TableStore, grade_project, wedge
+from cliffcheck.algebra import STORED_TABLES, PointMetric, TableStore, grade_project, sup, wedge
 from cliffcheck.diffops import FieldCalculus
 from cliffcheck.errors import DegenerateMetricError, SignatureError
 from cliffcheck.geometry import CATALOG, build_metric, curvature
@@ -43,29 +43,22 @@ def test_block_tables_lanes_equal_point_metric_tables_bitwise():
 
 
 def test_batched_products_equal_point_metric_products_bitwise():
-    # the suite runs the row products on a stack of metrics; verify runs them
-    # through PointMetric one metric at a time: lane n must be metric n alone
+    # the suite runs the products on a block of metrics; verify runs them on
+    # blocks and tests on one metric at a time: lane n must be metric n alone
     metrics = _metrics(12, 40)
-    tables = _block(metrics).tables
+    block = _block(metrics)
     rng = np.random.default_rng(13)
     a, b = rng.uniform(-1.0, 1.0, size=(2, len(metrics), 16))
-    binary = {
-        "clifford": algebra.clifford_rows(tables, a, b),
-        "left_contract": algebra.left_contract_rows(tables, a, b),
-        "right_contract": algebra.right_contract_rows(tables, a, b),
-        "scalar_product": algebra.scalar_product_rows(tables, a, b),
-    }
-    unary = {"hodge": algebra.hodge_rows(tables, a), "hodge_inv": algebra.hodge_inv_rows(tables, a)}
-    wedged = algebra.wedge_rows(a, b)
+    binary = {name: getattr(block, name)(a, b)
+              for name in ("clifford", "left_contract", "right_contract", "scalar_product")}
+    unary = {name: getattr(block, name)(a) for name in ("hodge", "hodge_inv")}
+    wedged = wedge(a, b)
     for n, m in enumerate(metrics):
-        an, bn = Multivector(a[n]), Multivector(b[n])
         for name, got in binary.items():
-            want = getattr(m, name)(an, bn)
-            want = want.coeffs if isinstance(want, Multivector) else np.float64(want)
-            assert got[n].tobytes() == want.tobytes(), (n, name)
+            assert got[n].tobytes() == getattr(m, name)(a[n], b[n]).tobytes(), (n, name)
         for name, got in unary.items():
-            assert got[n].tobytes() == getattr(m, name)(an).coeffs.tobytes(), (n, name)
-        assert wedged[n].tobytes() == wedge(an, bn).coeffs.tobytes(), n
+            assert got[n].tobytes() == getattr(m, name)(a[n]).tobytes(), (n, name)
+        assert wedged[n].tobytes() == wedge(a[n], b[n]).tobytes(), n
 
 
 # sha256 of the law lines of run_algebra_suite(iterations=200, seed=5), joined by
@@ -218,7 +211,7 @@ def test_nan_residual_is_a_failure(monkeypatch):
 
 def test_nan_operator_result_fails_its_diffops_law(monkeypatch):
     monkeypatch.setattr(FieldCalculus, "exterior_d_squared",
-                        lambda self: Multivector(np.full(16, np.nan)))
+                        lambda self: np.full(16, np.nan))
     result = selftest.run_diffops_suite(fields_per_metric=2, seed=5)
     law = {law.name: law for law in result.laws}
     assert np.isnan(law["exterior_d_squared"].max_residual)
@@ -277,29 +270,29 @@ def _one_trial_laws(rng, spec) -> dict:
     rel = selftest._rel
     gd = curvature(spec, selftest.catalog_sample_point(rng, spec))
     fc = FieldCalculus(selftest.random_field(rng, spec.coords, selftest.random_mixed_masks(rng)), gd)
-    scale = max(1.0, fc.value().sup())
+    scale = max(1.0, sup(fc.value()))
     out = {}
-    split = [(fc.dirac() - fc.exterior_d() + fc.codifferential()).sup()]
+    split = [sup(fc.dirac() - fc.exterior_d() + fc.codifferential())]
     p = int(rng.integers(0, 5))
     fh = FieldCalculus(selftest.random_field(rng, spec.coords, list(blades.MASKS_BY_GRADE[p])), gd)
     full = fh.dirac()
     if p < 4:
-        split.append((grade_project(full, p + 1) - fh.exterior_d()).sup())
+        split.append(sup(grade_project(full, p + 1) - fh.exterior_d()))
     if p > 0:
-        split.append((grade_project(full, p - 1) + fh.codifferential()).sup())
+        split.append(sup(grade_project(full, p - 1) + fh.codifferential()))
     out["dirac_grade_split"] = rel(np.max(split), scale)
-    out["exterior_d_squared"] = rel(fc.exterior_d_squared().sup(), scale)
-    out["codifferential_squared"] = rel(fc.codifferential_squared().sup(), scale)
-    out["codifferential_hodge_route"] = rel((fc.codifferential() - fc.codifferential_hodge_route()).sup(),
+    out["exterior_d_squared"] = rel(sup(fc.exterior_d_squared()), scale)
+    out["codifferential_squared"] = rel(sup(fc.codifferential_squared()), scale)
+    out["codifferential_hodge_route"] = rel(sup(fc.codifferential() - fc.codifferential_hodge_route()),
                                             scale)
     second = fc.covariant_dalembertian() + fc.ricci_operator()
-    out["operator_square_routes"] = rel((fc.hodge_dalembertian() - second).sup(), second.sup(), scale)
+    out["operator_square_routes"] = rel(sup(fc.hodge_dalembertian() - second), sup(second), scale)
     fa = FieldCalculus(selftest.random_field(rng, spec.coords, [1, 2, 4, 8]), gd)
-    rhs = Multivector.zero()
+    rhs = np.zeros(16)
     for mu in range(4):
         rhs = rhs + fa.jets.vals[1 << mu] * gd.ricci_oneforms[mu]
-    out["ricci_extensoriality"] = rel((fa.ricci_operator() - rhs).sup(), rhs.sup(), fa.value().sup())
-    delta = fa.codifferential().scalar_part
+    out["ricci_extensoriality"] = rel(sup(fa.ricci_operator() - rhs), sup(rhs), sup(fa.value()))
+    delta = fa.codifferential()[..., 0]
     trace = -sum(gd.g_upper[k, m] * fa.cov1[k][1 << m] for k in range(4) for m in range(4))
     out["lorenz_trace_identity"] = rel(abs(delta - trace), abs(trace))
     return out

@@ -44,8 +44,8 @@ operators stay plain methods.
 A :class:`FieldCalculus` works at one point, or at a block of N points when
 its :class:`~cliffcheck.geometry.GeometryData` is a block: every array then
 has N first (``vals`` (N, 16), ``cov1`` (N, 4, 16), ...), the operators
-return (N, 16) rows, and point i of the block is bitwise the point alone.  One point is the case without N.
-One point raises when a field expression is outside its domain there; a
+return (N, 16) rows, and point i of the block is bitwise the point alone.
+One point is the case without N.  One point raises when a field expression is outside its domain there; a
 block raises nothing, keeps each such point's error in ``FieldJets.errors``
 and computes on with zero jets there, and :mod:`cliffcheck.fieldcheck`
 gives the point that error.  :meth:`FieldCalculus.of_lanes` holds a field of

@@ -60,11 +60,10 @@ class ReadOnly:
             object.__setattr__(self, name, value)
 
 
-def readonly(value):
-    """``value``, an array made read-only in place, or anything else as it is."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    return value
+def readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place."""
+    arr.flags.writeable = False
+    return arr
 
 
 def check_index(name: str, value, stop: int = blades.DIM) -> int:

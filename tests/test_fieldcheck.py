@@ -1162,6 +1162,47 @@ def test_minkowski_gives_the_same_verdicts_and_scalars_in_spherical_and_boosted_
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (chart, column)
 
 
+# FLRW with a = t in conformal time eta = ln t: a = e^eta and the metric is
+# a(eta)^2 (deta^2 - dx^2 - dy^2 - dz^2).  The fields are pulled back from the
+# catalog chart: K = -t^2 dx (the catalog's dx-dual), A = K, S = t, V = dt.
+FLRW = geo.build_metric("flrw")
+FLRW_CONFORMAL = geo.MetricSpec.from_strings(
+    ("eta", "x", "y", "z"),
+    [["exp(eta)^2", "0", "0", "0"], ["0", "-exp(eta)^2", "0", "0"], ["0", "0", "-exp(eta)^2", "0"],
+     ["0", "0", "0", "-exp(eta)^2"]],
+    name="flrw-conformal",
+)
+FLRW_CHART_FIELDS = {
+    "cosmic": (FLRW, {kf.name: kf.components for kf in geo.killing_forms("flrw")}["dx-dual"], "t", {"t": "1"}),
+    "conformal": (FLRW_CONFORMAL, {"x": "-exp(eta)^2"}, "exp(eta)", {"eta": "exp(eta)"}),
+}
+
+
+def test_flrw_gives_the_same_verdicts_and_scalars_in_cosmic_and_conformal_time():
+    rng = np.random.default_rng(45)
+    cosmic = np.column_stack([rng.uniform(0.4, 3.0, 64), rng.uniform(-3.0, 3.0, (64, 3))])
+    coords = {"cosmic": cosmic, "conformal": np.column_stack([np.log(cosmic[:, 0]), cosmic[:, 1:]])}
+    names = list(fch.CHECKS)
+    verdicts, scalars = {}, {}
+    for chart, (spec, K, S, V) in FLRW_CHART_FIELDS.items():
+        killing = field(K, spec)
+        fields = fch.ScenarioFields(K=killing, A=killing, S=field({"1": S}, spec), V=field(V, spec))
+        reports = fch.run_checks(spec, fields, names, coords[chart], [1e-8] * len(names))
+        verdicts[chart] = {r.check: r.passed for r in reports}
+        by_check = {r.check: records(r) for r in reports}
+        assert not any(p["error"] for r in by_check.values() for p in r), chart
+        scalars[chart] = {(name, key): np.array([{**p["residuals"], **p["info"]}[key] for p in by_check[name]])
+                          for name, keys in MINK_SCALARS.items() for key in keys}
+    # K is a Killing form and A = K: as for Minkowski, only the checks that need
+    # a solution of the coupled system, or V = dS + eA, fail
+    failing = {"lorentz_force", "hamilton_jacobi", "einstein"}
+    assert verdicts["cosmic"] == {name: name not in failing for name in names}
+    assert verdicts["conformal"] == verdicts["cosmic"]
+    for column, got in scalars["conformal"].items():
+        want = scalars["cosmic"][column]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), column
+
+
 def test_permuting_the_points_permutes_each_check_s_point_texts():
     # 300 points with a potential given: a permutation moves points across
     # block and chunk boundaries, and each point's text in the report must

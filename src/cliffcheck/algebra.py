@@ -33,8 +33,6 @@ tangent metric whose determinant fixes signature and volume normalization.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Mapping
-
 import numpy as np
 
 from . import blades
@@ -155,7 +153,7 @@ class PointMetric(ReadOnly):
     raises the error of the first check it fails.  A block, the same
     code with N first on every attribute, raises nothing: ``errors`` maps
     each metric that fails to that error, and every other metric is bitwise
-    that metric alone.  Each table (:attr:`tables`) is built the first time
+    that metric alone.  Each table (:meth:`table`) is built the first time
     it is read, once for all the block's metrics.  The product methods take
     (..., 16) rows, one per metric of a block, and give one result per
     metric, each bitwise that metric's alone.
@@ -205,7 +203,7 @@ class PointMetric(ReadOnly):
         alone when read, as for those metrics' own block.
         """
         out = object.__new__(PointMetric)
-        out._set(**{name: readonly_rows(getattr(self, name), start, stop)
+        out._set(**{name: readonly(getattr(self, name)[start:stop])
                     for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian")},
                  errors=block_errors(self.errors, start, stop), _tables={}, _store=None)
         return out
@@ -215,7 +213,7 @@ class PointMetric(ReadOnly):
     def _build_tables(self, key: str) -> np.ndarray:
         """Build table ``key``, and the tables it needs, for this metric or its block.
 
-        :meth:`_table` calls it when ``key`` is read and not built yet; it
+        :meth:`table` calls it when ``key`` is read and not built yet; it
         returns the table with N first, the stack of one for one metric.
         """
         if not self._tables:  # the first table read: one metric's are the stack of one
@@ -228,71 +226,40 @@ class PointMetric(ReadOnly):
         """Forget the tables, and the store they were built in: a later read builds fresh ones."""
         self._set(_tables={}, _store=None)
 
-    def _table(self, key: str) -> np.ndarray:
-        """Table ``key``, built if it is not yet; N first for a block."""
+    def table(self, key: str) -> np.ndarray:
+        """The product table ``key`` of :class:`_Tables`, built if it is not yet; N first for a block.
+
+        ``_tables`` holds the tables built so far.
+        """
         table = self._tables[key] if key in self._tables else self._build_tables(key)
         return table[0] if self.g.ndim == 2 else table
-
-    @property
-    def tables(self) -> Mapping:
-        """The product tables of :class:`_Tables` by name, N first for a block.
-
-        Each table is built the first time it is read; iterating gives the
-        tables built so far.
-        """
-        return _MetricTables(self)
 
     # -- products ----------------------------------------------------------
 
     def clifford(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _bilinear(self._table("M"), a, b)
+        return _bilinear(self.table("M"), a, b)
 
     def left_contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _bilinear(self._table("K"), a, b)
+        return _bilinear(self.table("K"), a, b)
 
     def right_contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # reversion swaps the contractions: (A |_ B)~ = B~ _| A~
-        return reverse(_bilinear(self._table("K"), reverse(b), reverse(a)))
+        return reverse(_bilinear(self.table("K"), reverse(b), reverse(a)))
 
     def scalar_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """One value per pair of rows: a 0-d array for one metric."""
-        return ((a[..., np.newaxis, :] @ self._table("SP")) @ b[..., np.newaxis])[..., 0, 0]
+        return ((a[..., np.newaxis, :] @ self.table("SP")) @ b[..., np.newaxis])[..., 0, 0]
 
     def hodge(self, a: np.ndarray) -> np.ndarray:
-        return _apply(self._table("H"), a)
+        return _apply(self.table("H"), a)
 
     def hodge_inv(self, a: np.ndarray) -> np.ndarray:
-        scaled = a * self._table("Hinv_scale")
-        return _apply(self._table("H"), scaled)
+        scaled = a * self.table("Hinv_scale")
+        return _apply(self.table("H"), scaled)
 
     def volume_form(self) -> np.ndarray:
         """Unit volume 4-form in coordinate-ascending orientation: a row per metric."""
         return _unit_volume(self.sqrt_abs_det)
-
-
-class _MetricTables(Mapping):
-    """:attr:`PointMetric.tables`: a read goes to ``PointMetric._table``.
-
-    A new view per read of the attribute: it holds the metric and the metric
-    holds only the tables, so no reference cycle keeps a block's tables alive.
-    """
-
-    __slots__ = ("_metric",)
-
-    def __init__(self, metric: PointMetric):
-        self._metric = metric
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self._metric._table(key)
-
-    def __contains__(self, key) -> bool:
-        return key in self._metric._tables
-
-    def __iter__(self):
-        return iter(self._metric._tables)
-
-    def __len__(self) -> int:
-        return len(self._metric._tables)
 
 
 class TableStore:
@@ -466,7 +433,7 @@ _BUILDERS = {
     "H": _hodge,
     "Hinv_scale": _hodge_inv_scale,
 }
-TABLE_NAMES = tuple(_BUILDERS)  # every table PointMetric.tables gives
+TABLE_NAMES = tuple(_BUILDERS)  # every key PointMetric.table takes
 
 
 # -- the products on (..., 16) rows, against tables with the same leading axes ------
@@ -510,9 +477,3 @@ def _metric_error(check: int, det_cot: float, det_tan: float) -> Exception:
         return DegenerateMetricError(f"cotangent metric is singular (det={det_cot:.3e})")
     return SignatureError(f"tangent metric determinant {det_tan:.3e} is not negative")
 
-
-def readonly_rows(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """``arr[start:stop]``, a view that cannot be written through."""
-    rows = arr[start:stop]
-    rows.flags.writeable = False
-    return rows

@@ -16,20 +16,22 @@ Index conventions:  ``cov1[a]`` are the blade components of D_a F,
 ``cov2[a, b]`` those of D_a D_b F, and the covariant correction enters
 through ``Gop[a] = sum Gamma^r_{a i} INDEX_SUB[i, r]`` (``GeometryData.gop``,
 shared by every field at the same geometry).  The operators read the field's
-jets from ``GeometryData.jet`` and the metric's product tables ``C``, ``L``
-and ``G2`` from ``GeometryData.metric.tables``; the Ricci operator acts by
-the grade-2 blades of ``G2``, one block per pair a < b of covectors.
+jets, a :class:`~cliffcheck.expr.Jet2` stack of its 16 components
+(:func:`field_jets`), from ``GeometryData.jet``, and the metric's product
+tables ``C``, ``L`` and ``G2`` through ``GeometryData.metric.table``; the
+Ricci operator acts by the grade-2 blades of ``G2``, one block per pair
+a < b of covectors.
 
 The correction is sparse: ``INDEX_SUB`` has 63 non-zero (m, n) positions of
 256, at most 5 in a row.  ``GeometryData`` gathers ``Gop`` from them and
 scatters it into a dense (4, 16, 16) per point, and keeps its derivative
 ``dGop`` as its non-zeros only, (4, 4, 63) per point.  Each contraction
 gives the bits of the dense einsum it replaced, which the tests check on
-each host.  ``Gop . grads`` (in ``_pd_cov1``) is a gather that sums each
-row's non-zero n in order from 0.0, as that einsum, which reads ``grads``
+each host.  ``Gop . grad`` (in ``_pd_cov1``) is a gather that sums each
+row's non-zero n in order from 0.0, as that einsum, which reads ``grad``
 strided, does.  The contractions whose n axis is contiguous stay dense
-einsums: ``Gop . vals`` (``cov1``), ``Gop . cov1`` (``cov2``) and
-``dGop . vals``, which scatters ``dGop`` into a dense slab of one s at a
+einsums: ``Gop . val`` (``cov1``), ``Gop . cov1`` (``cov2``) and
+``dGop . val``, which scatters ``dGop`` into a dense slab of one s at a
 time (128 kB on a block of 16 points).  numpy sums a contiguous axis of 16
 in SIMD lanes, and a sequential sum of the non-zero terms differs from it
 in the last bits.
@@ -43,17 +45,19 @@ operators stay plain methods.
 
 A :class:`FieldCalculus` works at one point, or at a block of N points when
 its :class:`~cliffcheck.geometry.GeometryData` is a block: every array then
-has N first (``vals`` (N, 16), ``cov1`` (N, 4, 16), ...), the operators
+has N first (``jets.val`` (N, 16), ``cov1`` (N, 4, 16), ...), the operators
 return (N, 16) rows, and point i of the block is bitwise the point alone.
-One point is the case without N.  One point raises when a field expression is outside its domain there; a
-block raises nothing, keeps each such point's error in ``FieldJets.errors``
+One point is the case without N.  One point raises when a field
+expression is outside its domain there; a block raises nothing, keeps
+each such point's error in the jets' ``errors`` (``FieldCalculus.jets``)
 and computes on with zero jets there, and :mod:`cliffcheck.fieldcheck`
-gives the point that error.  :meth:`FieldCalculus.of_lanes` holds a field of
-its own at each point of a block: the non-zero components of all its
+gives the point that error.  :meth:`FieldCalculus.of_lanes` holds a field
+of its own at each point of a block: the non-zero components of all its
 fields are one forest of expression trees
-(:func:`~cliffcheck.expr.evaluate_forest`), each at its field's point.
-Lane i is bitwise field i at point i alone, and the block raises as the
-first of its points that fails alone does.
+(:func:`~cliffcheck.expr.evaluate_forest`), scattered into one
+:class:`~cliffcheck.expr.Jet2` stack, each at its field's point.  Lane i
+is bitwise field i at point i alone, and the block raises as the first of
+its points that fails alone does.
 """
 
 from __future__ import annotations
@@ -156,42 +160,17 @@ def _parse_blade_key(key: str, coords) -> tuple:
     return mask, blades.sort_parity(idxs)
 
 
-class FieldJets:
-    """Component values and first/second partials of a field at one point (or N first)."""
-
-    __slots__ = ("vals", "grads", "hess", "errors")
-
-    def __init__(self, vals: np.ndarray, grads: np.ndarray, hess: np.ndarray, errors: dict):
-        self.vals = vals  # (16,)
-        self.grads = grads  # (16, 4)
-        self.hess = hess  # (16, 4, 4)
-        self.errors = errors  # of a block: each point whose jets fail -> its first component's error there
-
-
-def field_jets(field: MultivectorField, point: np.ndarray, jet: Callable) -> FieldJets:
+def field_jets(field: MultivectorField, point: np.ndarray, jet: Callable) -> ex.Jet2:
     """The field's component jets at ``point``, from the jet source ``jet`` there.
 
-    ``point`` may be a block of N points, and every array then has N
-    first.  One point raises the error of its first component that cannot
-    be evaluated; a block keeps it in ``errors`` for each such point, whose
-    jets are zero.
+    They are the stack of its 16 components (:func:`~cliffcheck.expr.stack_jets`):
+    ``val`` (16,), ``grad`` (16, 4) and ``hess`` (16, 4, 4), with N first
+    when ``point`` is a block of N points.  One point raises the error of
+    its first component that cannot be evaluated; a block keeps it in
+    ``errors`` for each such point, whose jets are zero.
     """
-    lanes = np.shape(point)[:-1]
-    vals = np.zeros(lanes + (16,))
-    grads = np.zeros(lanes + (16, 4))
-    hess = np.zeros(lanes + (16, 4, 4))
-    errors: dict = {}
-    for mask in range(16):
-        e = field.comps[mask]
-        if ex.is_zero(e):
-            continue
-        jm = jet(e)
-        for k, err in jm.errors.items():
-            errors.setdefault(k, err)
-        vals[..., mask] = jm.val
-        grads[..., mask, :] = jm.grad
-        hess[..., mask, :, :] = jm.hess
-    return FieldJets(vals, grads, hess, errors)
+    components = {(mask,): e for mask, e in enumerate(field.comps) if not ex.is_zero(e)}
+    return ex.stack_jets(jet, components, np.shape(point)[:-1], (blades.N_BLADES,))
 
 
 def _once(operator: Callable) -> Callable:
@@ -252,11 +231,11 @@ class FieldCalculus:
         calc = cls.__new__(cls)
         calc.field, calc.gd = None, gd  # no one field: the operators read only its jets and grades
         calc.grades = frozenset().union(*(f.grades for f in fields))
-        calc.jets = FieldJets(vals, grads, hess, {})
+        calc.jets = ex.Jet2(vals, grads, hess)
         return calc
 
     @cached_property
-    def jets(self) -> FieldJets:
+    def jets(self) -> ex.Jet2:
         return field_jets(self.field, self.gd.point, self.gd.jet)
 
     def _cov(self, val: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -265,12 +244,12 @@ class FieldCalculus:
 
     def _contract(self, cov: np.ndarray) -> np.ndarray:
         """sum_a gamma^a _| cov[a]: minus the codifferential of G when cov[a] is D_a G."""
-        return np.einsum("...amn,...an->...m", self.gd.metric.tables["C"], cov)
+        return np.einsum("...amn,...an->...m", self.gd.metric.table("C"), cov)
 
     @cached_property
     def cov1(self) -> np.ndarray:
         """cov1[a] = components of D_a F."""
-        return self._cov(self.jets.vals, self.jets.grads)
+        return self._cov(self.jets.val, self.jets.grad)
 
     @cached_property
     def _pd_cov1(self) -> np.ndarray:
@@ -278,7 +257,7 @@ class FieldCalculus:
         return np.einsum("...mas->...sam", self.jets.hess) - self._dgop_vals() - self._gop_grads()
 
     def _dgop_vals(self) -> np.ndarray:
-        """[s, a, m] = sum_n dGop[s, a][m, n] vals[n], by the dense einsum on one slab of s at a time.
+        """[s, a, m] = sum_n dGop[s, a][m, n] val[n], by the dense einsum on one slab of s at a time.
 
         A slab scatters dGop for one s, so on a block of 16 points
         (``fieldcheck.BLOCK``) it holds 16 (4, 16, 16) operators, 128 kB.
@@ -291,11 +270,11 @@ class FieldCalculus:
         parts = []
         for s in range(4):
             flat[at] = dgop[..., s, :, :].ravel()
-            parts.append(np.einsum("...samn,...n->...sam", dense, self.jets.vals))
+            parts.append(np.einsum("...samn,...n->...sam", dense, self.jets.val))
         return np.concatenate(parts, axis=-3)
 
     def _gop_grads(self) -> np.ndarray:
-        """[s, a, m] = sum_n Gop[a][m, n] grads[n, s], over each row's non-zero n in order from 0.0.
+        """[s, a, m] = sum_n Gop[a][m, n] grad[n, s], over each row's non-zero n in order from 0.0.
 
         Each row's up to 5 non-zero n are gathered onto an axis k, which the
         einsum reads strided and so sums in order, as the dense einsum over
@@ -304,8 +283,8 @@ class FieldCalculus:
         """
         gop = self.gd.gop
         rows = gop.reshape(gop.shape[:-2] + (256,))[..., _ROW_FLAT]  # [a, k, m] = Gop[a][m, SUB_ROW_N[m, k]]
-        grads = _swap(self.jets.grads)[..., blades.SUB_ROW_N.T]  # [s, k, m] = grads[SUB_ROW_N[m, k], s]
-        return np.einsum("...akm,...skm->...sam", rows, grads)
+        grad = _swap(self.jets.grad)[..., blades.SUB_ROW_N.T]  # [s, k, m] = grad[SUB_ROW_N[m, k], s]
+        return np.einsum("...akm,...skm->...sam", rows, grad)
 
     @cached_property
     def cov2(self) -> np.ndarray:
@@ -320,7 +299,7 @@ class FieldCalculus:
 
     @_once
     def value(self) -> np.ndarray:
-        return self.jets.vals.view()  # read-only, while the jets' values stay as they are
+        return self.jets.val.view()  # read-only, while the jets' values stay as they are
 
     def covariant_derivative(self, alpha: int) -> np.ndarray:
         """A read-only view of D_alpha F."""
@@ -328,13 +307,13 @@ class FieldCalculus:
 
     @_once
     def dirac(self) -> np.ndarray:
-        L = self.gd.metric.tables["L"]
+        L = self.gd.metric.table("L")
         return np.einsum("...amn,...an->...m", L, self.cov1)
 
     @_once
     def exterior_d(self) -> np.ndarray:
         """sum_a gamma^a ^ d_a F: the connection is torsion free, so its terms in D_a F cancel."""
-        return np.einsum("amn,...na->...m", blades.WEDGE_OP, self.jets.grads)
+        return np.einsum("amn,...na->...m", blades.WEDGE_OP, self.jets.grad)
 
     @_once
     def codifferential(self) -> np.ndarray:
@@ -363,7 +342,7 @@ class FieldCalculus:
     def _delta_jet(self) -> tuple:
         grad = -(
             np.einsum("...samn,...an->...ms", self._contract_grad, self.cov1)
-            + np.einsum("...amn,...san->...ms", self.gd.metric.tables["C"], self._pd_cov1)
+            + np.einsum("...amn,...san->...ms", self.gd.metric.table("C"), self._pd_cov1)
         )
         return self.codifferential(), grad
 
@@ -402,7 +381,7 @@ class FieldCalculus:
         # block, a < b, which is bitwise also the (b, a) term, as both of its
         # factors change sign; then the 12 pairs a != b in (a, b) order.
         # Another order or grouping of the sums may round differently.
-        blocks = np.einsum("...kmn,...kn->...km", self.gd.metric.tables["G2"],
+        blocks = np.einsum("...kmn,...kn->...km", self.gd.metric.table("G2"),
                            comm[..., G2_LOWEST, G2_COVECTOR, :])
         total = 0.0
         for k in _RICCI_BLOCKS:
@@ -416,17 +395,17 @@ class FieldCalculus:
         return -(d_delta - self.maxwell_current())  # delta d F = -J
 
 
-def grad_scalar_product(ja: FieldJets, jb: FieldJets, gd: GeometryData) -> np.ndarray:
+def grad_scalar_product(ja: ex.Jet2, jb: ex.Jet2, gd: GeometryData) -> np.ndarray:
     """Gradient 1-form of the scalar field a . b, from the jets of grade-1 fields a and b.
 
     The jets and ``gd`` may be those of a block of points (N first).
     """
     for j in (ja, jb):
-        if j.vals[..., _NOT_GRADE1].any() or j.grads[..., _NOT_GRADE1, :].any():
+        if j.val[..., _NOT_GRADE1].any() or j.grad[..., _NOT_GRADE1, :].any():
             raise FieldError("grad_scalar_product expects grade-1 fields")
     masks = blades.COVECTOR_MASKS
-    va, vb = ja.vals[..., masks], jb.vals[..., masks]
-    da, db = ja.grads[..., masks, :], jb.grads[..., masks, :]
+    va, vb = ja.val[..., masks], jb.val[..., masks]
+    da, db = ja.grad[..., masks, :], jb.grad[..., masks, :]
     gu = gd.g_upper
     grad = (
         np.einsum("...is,...ij,...j->...s", da, gu, vb)

@@ -36,7 +36,12 @@ numpy's functions, which give ``math``'s bits, and the lanes where
 of them at one point, are ``math``'s, one lane at a time.
 :class:`ChunkJets` evaluates each expression asked for, and each distinct
 subtree of the expressions it is given, once over a chunk of points and
-hands the jets out a block of points at a time.
+hands the jets out a block of points at a time.  No points, shape (0, 4),
+give empty jets and no errors.
+
+An array of components, the metric's or a field's, has its jets as one
+:class:`Jet2` stack (:func:`stack_jets`): the component axes follow the
+point axis, and each point keeps the first error in component order.
 
 A forest (:func:`evaluate_forest`) is a list of trees, each at a point of
 its own: tree t at point t is lane t.  Its nodes are evaluated level by
@@ -414,8 +419,11 @@ class Jet2:
 
     At one point ``val`` is a float, ``grad`` is (4,) and ``hess`` is (4, 4);
     over N points they are (N,), (N, 4) and (N, 4, 4), one lane per point.
-    ``errors`` maps each of the N points whose evaluation fails to the
-    :class:`ExprError` that point raises alone; its jet is zero.
+    A stack of components (:func:`stack_jets`) puts its component axes after
+    the point axis: ``val`` is (..., *shape), ``grad`` (..., *shape, 4) and
+    ``hess`` (..., *shape, 4, 4).  ``errors`` maps each of the N points whose
+    evaluation fails to the :class:`ExprError` that point raises alone; its
+    jet is zero.
     """
 
     __slots__ = ("val", "grad", "hess", "errors")
@@ -574,9 +582,10 @@ class _Walk:
     def exponent(self, e: Expr, expo: tuple) -> int | None:
         """The :func:`_small_int_exponent` of the power ``e``, whose exponent's jet is ``expo``.
 
-        A coordinate-free exponent has the same value at every point, so the first is read.
+        A coordinate-free exponent has the same value at every point, so the
+        first is read; with no points there is none, and the power is general.
         """
-        first = expo[0] if isinstance(expo[0], float) else expo[0][0]
+        first = expo[0] if isinstance(expo[0], float) else next(iter(expo[0].flat), math.nan)
         return _small_int_exponent(first, _exponent(e), self.coord_names)
 
     def step(self, e: Expr, *args) -> tuple:
@@ -672,7 +681,7 @@ def _per_lane(fn, v, site: Expr, walk: _Walk) -> tuple:
         except _MATH_ERRORS as err:
             walk.reject(np.arange(len(xs)).reshape(walk.lanes) == k, partial(_range_error, err), site)
             rows.append(fn(1.0))
-    return rows[0] if isinstance(v, float) else tuple(np.array(rows).T)
+    return rows[0] if isinstance(v, float) else tuple(np.reshape(rows, (-1, 3)).T)
 
 
 def _sqrt_jet(v: float) -> tuple:
@@ -794,6 +803,27 @@ def point_jets(coords: Sequence[str], point, params: Mapping[str, float] | None 
                ) -> Callable[[Expr], Jet2]:
     """The jet source of one point: each expression is evaluated there alone."""
     return lambda e: evaluate_jet2(e, coords, point, params)
+
+
+def stack_jets(jet: Callable[[Expr], Jet2], components: Mapping[tuple, Expr], lanes: tuple, shape: tuple) -> Jet2:
+    """The jets of an array of components of ``shape``, from the jet source ``jet``: a :class:`Jet2` stack.
+
+    ``components`` maps the index of each non-zero component to its
+    expression; every other component is zero.  ``lanes`` is the shape of
+    the points, () for one point, and the component axes follow it.  Each
+    component's jet is ``jet(e)``, written at its index in the order of
+    ``components``, and each point gets the first error in that order.  One
+    point raises the error of its first component that cannot be evaluated.
+    """
+    val, grad, hess = (np.zeros(lanes + shape + tail) for tail in ((), (4,), (4, 4)))
+    errors: dict = {}
+    points = (slice(None),) * len(lanes)
+    for index, e in components.items():
+        part = jet(e)
+        for k, err in part.errors.items():
+            errors.setdefault(k, err)
+        val[points + index], grad[points + index], hess[points + index] = part.val, part.grad, part.hess
+    return Jet2(val, grad, hess, errors)
 
 
 class _Group(_Walk):

@@ -87,7 +87,7 @@ class ScenarioFields(ReadOnly):
         return None
 
 
-class Layout:
+class Layout(NamedTuple):
     """The points of a check that share one key layout, and their columns.
 
     ``index`` holds the points' indices, ascending.  Every column has one
@@ -95,12 +95,9 @@ class Layout:
     (M, ...) array per info key, each in the order the report writes them.
     """
 
-    __slots__ = ("index", "residuals", "info")
-
-    def __init__(self, index: np.ndarray, residuals: dict, info: dict):
-        self.index = index
-        self.residuals = residuals
-        self.info = info
+    index: np.ndarray
+    residuals: dict
+    info: dict
 
 
 class ResidualReport:
@@ -220,9 +217,9 @@ class Check(ReadOnly):
     """One check; read-only.  ``fn(ctx)`` runs once on a :class:`BlockContext` and returns
     ``(residuals, info)``: dicts whose values have one entry per point, N
     first (none for one point).  A check whose keys differ from point to
-    point returns a list of ``(rows, residuals, info)`` instead, one per key
-    layout, with ``rows`` the points that have it and every value rows
-    first, one point included (:func:`check_columns`).  ``needs`` names the
+    point returns a list of :class:`Layout` instead, one per key layout,
+    with ``index`` the points that have it and every value rows first, one
+    point included (:func:`check_columns`).  ``needs`` names the
     fields it reads: "K", "S", "V", "potential" (A, else coupling * K).
     """
 
@@ -515,7 +512,7 @@ def _structure_current(ctx: BlockContext) -> list:
             residuals[f"quadratic_root_{k}"] = quadratic[rows, k]
             info[f"current_match_minus_fB_{k}"] = minus[rows, k]
             info[f"current_match_plus_fB_{k}"] = plus[rows, k]
-        layouts.append((rows, residuals, info))
+        layouts.append(Layout(rows, residuals, info))
     return layouts
 
 
@@ -627,7 +624,7 @@ class PointResult:
 
 
 def check_columns(ctx: BlockContext, check: Check) -> list:
-    """``check`` on ``ctx`` as key layouts ``(rows, residuals, info)``, rows first on every value.
+    """``check`` on ``ctx`` as a list of :class:`Layout`, rows first on every value.
 
     A check that returns one ``(residuals, info)`` has one layout of all
     points; one point is a block of one here.
@@ -637,7 +634,7 @@ def check_columns(ctx: BlockContext, check: Check) -> list:
         return out
     lead = (np.newaxis,) if np.ndim(ctx.gd.point) == 1 else ()
     residuals, info = ({key: np.asarray(v)[lead] for key, v in values.items()} for values in out)
-    return [(np.arange(len(np.reshape(ctx.gd.point, (-1, 4)))), residuals, info)]
+    return [Layout(np.arange(len(np.reshape(ctx.gd.point, (-1, 4)))), residuals, info)]
 
 
 def _report(check: Check, tol: float, points: np.ndarray, layouts: list, errors: dict) -> ResidualReport:
@@ -670,12 +667,12 @@ def _joined(parts: list) -> list:
     for first, layouts in parts:
         for rows, residuals, info in layouts:
             keys = (tuple(residuals), tuple((key, v.shape[1:]) for key, v in info.items()))
-            groups.setdefault(keys, []).append((first + rows, residuals, info))
+            groups.setdefault(keys, []).append(Layout(first + rows, residuals, info))
     joined = []
     for group in groups.values():
         rows, *columns = zip(*group)
-        joined.append((np.concatenate(rows), *({key: np.concatenate([c[key] for c in blocks])
-                                                for key in blocks[0]} for blocks in columns)))
+        joined.append(Layout(np.concatenate(rows), *({key: np.concatenate([c[key] for c in blocks])
+                                                      for key in blocks[0]} for blocks in columns)))
     return joined
 
 

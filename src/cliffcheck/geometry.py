@@ -27,6 +27,13 @@ the point alone.  :meth:`GeometryData.block` cuts a smaller block out of
 a block's bundle without computing anything again, so the point loop
 computes one bundle per chunk of points and hands each block its slice.
 
+:func:`metric_at` returns ``(PointMetric, Jet2)``: the metric's jets are
+one :class:`~cliffcheck.expr.Jet2` stack of its 4x4 components, component
+axes after the point axis, as every field's are.  The curvature reads its
+partials d_s g_{mn} and d_s d_r g_{mn} through ``np.moveaxis`` views with
+the derivative axes first (:func:`_partials`).  No points, shape (0, 4),
+give empty arrays and no errors.
+
 The builtin spacetimes are the rows of :data:`CATALOG`, one read-only
 :class:`CatalogEntry` each: chart, domain, diagonal metric and Killing
 1-forms as expression sources, and the rule that checks its parameters.
@@ -43,7 +50,7 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import PointMetric, ReadOnly, near_singular, oneform, readonly, readonly_rows
+from .algebra import PointMetric, ReadOnly, near_singular, oneform, readonly
 from .errors import ExprError, GeometryError, SingularMetricError, block_errors, point_errors
 
 
@@ -101,18 +108,6 @@ class MetricSpec(ReadOnly):
         return {c: tuple(self.domain.get(c, (-2.0, 2.0))) for c in self.coords}
 
 
-class MetricJets:
-    """Metric values and first/second partials at one point, or N first on every array."""
-
-    __slots__ = ("values", "dg", "ddg", "errors")
-
-    def __init__(self, values: np.ndarray, dg: np.ndarray, ddg: np.ndarray, errors: dict):
-        self.values = values  # (4,4)
-        self.dg = dg  # (4,4,4): dg[s, m, n] = d_s g_{mn}
-        self.ddg = ddg  # (4,4,4,4): ddg[s, r, m, n] = d_s d_r g_{mn}
-        self.errors = errors  # of a block: each point metric_at rejects -> the error it raises alone
-
-
 class GeometryData:
     """Full curvature bundle at one point, or at a block of N points (N first)."""
 
@@ -121,7 +116,7 @@ class GeometryData:
                  metric: PointMetric, jet: Callable, errors: dict | None = None):
         self.spec = spec
         self.point = point
-        self.dg = dg
+        self.dg = dg  # d_s g_{mn} -> dg[s, m, n], a view of the metric jets' grad
         self.dg_upper = dg_upper  # d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn} -> dg_upper[s, m, n]
         self.gamma = gamma  # Gamma^r_{ab} -> gamma[r, a, b]
         self.dgamma = dgamma  # d_s Gamma^r_{ab} -> dgamma[s, r, a, b]
@@ -146,7 +141,7 @@ class GeometryData:
         bundle :func:`curvature` gives those points alone.
         """
         metric = self.metric.block(start, stop)
-        arrays = {name: readonly_rows(getattr(self, name), start, stop) for name in _BLOCK_ARRAYS}
+        arrays = {name: readonly(getattr(self, name)[start:stop]) for name in _BLOCK_ARRAYS}
         return GeometryData(spec=self.spec, metric=metric, jet=jet, errors=block_errors(self.errors, start, stop),
                             **arrays)
 
@@ -211,15 +206,20 @@ def _index_sub_gather(table: np.ndarray) -> np.ndarray:
 
 
 _FLAT = np.diag([1.0, -1.0, -1.0, -1.0])  # stands in for a block point metric_at rejects
+_LOWER = np.tril_indices(4, -1)  # the (i, j) with i > j, where g_{ij} is g_{ji}
 
 
 def metric_at(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None) -> tuple:
-    """Evaluate the metric and its jets; returns ``(PointMetric, MetricJets)``.
+    """Evaluate the metric and its jets; returns ``(PointMetric, Jet2)``.
 
     ``x`` is one point, shape (4,), or a block of N points, shape (N, 4), as
     in :func:`cliffcheck.expr.evaluate_jet2`.  ``jet(e)`` is the jet of
     component ``e`` at ``x`` (for example a block of an
     :class:`~cliffcheck.expr.ChunkJets`); by default it is evaluated here.
+    The jets are the stack of the 4x4 components
+    (:func:`cliffcheck.expr.stack_jets`), evaluated on the upper triangle and
+    mirrored: ``val[..., m, n]`` is g_{mn}, ``grad[..., m, n, s]`` its
+    partial d_s and ``hess[..., m, n, s, r]`` its d_s d_r.
 
     One point raises :class:`SingularMetricError` when its metric cannot be
     evaluated or is singular or not Lorentzian, and :class:`PointMetric`'s
@@ -232,31 +232,25 @@ def metric_at(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
     lanes = x.shape[:-1]
     if jet is None:
         jet = ex.point_jets(spec.coords, x, spec.params)
-    values = np.zeros(lanes + (4, 4))
-    dg = np.zeros(lanes + (4, 4, 4))
-    ddg = np.zeros(lanes + (4, 4, 4, 4))
-    causes: dict = {}  # point -> the error of its first component that cannot be evaluated
-    for i in range(4):
-        for j in range(i, 4):
-            try:
-                jij = jet(spec.g_lower[i][j])
-            except ExprError as err:  # one point raises it at once
-                raise _metric_error(spec, x, 0, None, err) from err
-            for k, err in jij.errors.items():
-                causes.setdefault(k, err)
-            values[..., i, j] = values[..., j, i] = jij.val
-            dg[..., :, i, j] = dg[..., :, j, i] = jij.grad
-            ddg[..., :, :, i, j] = ddg[..., :, :, j, i] = jij.hess
+    upper = {(i, j): spec.g_lower[i][j] for i in range(4) for j in range(i, 4)}
+    try:
+        jets = ex.stack_jets(jet, upper, lanes, (4, 4))
+    except ExprError as err:  # one point raises it at once
+        raise _metric_error(spec, x, 0, None, err) from err
+    for part in (jets.val, jets.grad, jets.hess):
+        square = np.moveaxis(part, (len(lanes), len(lanes) + 1), (0, 1))  # a view, (m, n) first
+        square[_LOWER] = square[_LOWER[::-1]]
+    values, causes = jets.val, jets.errors  # causes: point -> its first component's error
     points = x.reshape(-1, 4)
     det = np.linalg.det(values)
-    fails = [np.array([k in causes for k in range(len(points))]).reshape(lanes),
+    fails = [np.array([k in causes for k in range(len(points))], dtype=bool).reshape(lanes),
              near_singular(values, det), det >= 0.0]
     errors = point_errors(
         fails, lambda k, check: _metric_error(spec, points[k], check, det.flat[k], causes.get(k)))
     rejected = fails[0] | fails[1] | fails[2]
-    values[rejected], dg[rejected], ddg[rejected] = _FLAT, 0.0, 0.0
+    values[rejected], jets.grad[rejected], jets.hess[rejected] = _FLAT, 0.0, 0.0
     pm = PointMetric(np.linalg.inv(values), _ginv=values)
-    return pm, MetricJets(values, dg, ddg, {**pm.errors, **errors})
+    return pm, ex.Jet2(values, jets.grad, jets.hess, {**pm.errors, **errors})
 
 
 def _metric_error(spec: MetricSpec, x: np.ndarray, check: int, det: float, cause) -> SingularMetricError:
@@ -284,9 +278,14 @@ def christoffels(spec: MetricSpec, x: Sequence[float]) -> tuple:
     return _christoffels_from_jets(pm.g, jets)[:2]
 
 
-def _christoffels_from_jets(g_upper: np.ndarray, jets: MetricJets) -> tuple:
+def _partials(jets: ex.Jet2) -> tuple:
+    """Views of the metric jets of :func:`metric_at`: dg[s, m, n] = d_s g_{mn} and ddg[s, r, m, n] = d_s d_r g_{mn}."""
+    return np.moveaxis(jets.grad, -1, -3), np.moveaxis(jets.hess, (-2, -1), (-4, -3))
+
+
+def _christoffels_from_jets(g_upper: np.ndarray, jets: ex.Jet2) -> tuple:
     """``(gamma, dgamma, dgu)``: the Christoffel symbols, their partials and d_s g^{rl}."""
-    dg, ddg = jets.dg, jets.ddg
+    dg, ddg = _partials(jets)
     # bracket[l, a, b] = d_a g_{lb} + d_b g_{la} - d_l g_{ab}
     bracket = np.einsum("...alb->...lab", dg) + np.einsum("...bla->...lab", dg) - dg
     gamma = 0.5 * np.einsum("...rl,...lab->...rab", g_upper, bracket)
@@ -320,7 +319,7 @@ def curvature(spec: MetricSpec, x: Sequence[float], jet: Callable | None = None)
         jet = ex.point_jets(spec.coords, x, spec.params)
     pm, jets = metric_at(spec, x, jet)
     gamma, dgamma, dg_upper = _christoffels_from_jets(pm.g, jets)
-    dg, errors = jets.dg, jets.errors
+    dg, errors = _partials(jets)[0], jets.errors
     del jets  # and with it the second derivatives, which dgamma holds now
 
     # R^r_{s mu nu} = d_mu G^r_{nu s} - d_nu G^r_{mu s} + G^r_{mu l} G^l_{nu s}

@@ -373,7 +373,7 @@ def _operator_laws(gd, mixed, p, homogeneous, potentials) -> dict:
     out["operator_square_routes"] = _rel(sup(fc.hodge_dalembertian() - second), sup(second), scale)
 
     fa = FieldCalculus.of_lanes(potentials, gd)
-    rhs = linear_combination(fa.jets.vals[:, blades.COVECTOR_MASKS], gd.ricci_oneforms)  # A_mu R^mu
+    rhs = linear_combination(fa.jets.val[:, blades.COVECTOR_MASKS], gd.ricci_oneforms)  # A_mu R^mu
     out["ricci_extensoriality"] = _rel(sup(fa.ricci_operator() - rhs), sup(rhs), sup(fa.value()))
     delta = fa.codifferential()[:, 0]
     trace = -sum(

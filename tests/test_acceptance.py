@@ -96,7 +96,7 @@ def test_criterion_2_killing_identity_bundle():
                 fc = FieldCalculus(K, gd)
                 rhs = np.zeros(16)
                 for a in range(4):
-                    rhs = rhs + fc.jets.vals[1 << a] * gd.ricci_oneforms[a]
+                    rhs = rhs + fc.jets.val[1 << a] * gd.ricci_oneforms[a]
                 res = max(
                     abs(fc.codifferential()[..., 0]),
                     sup(fc.ricci_operator() - rhs),
@@ -132,7 +132,7 @@ def test_criterion_3_superconducting_current():
         fc = FieldCalculus(A, gd)
         rhs = np.zeros(16)
         for a in range(4):
-            rhs = rhs + fc.jets.vals[1 << a] * gd.ricci_oneforms[a]
+            rhs = rhs + fc.jets.val[1 << a] * gd.ricci_oneforms[a]
         rhs = 2.0 * rhs
         worst = max(worst, sup(fc.maxwell_current() - rhs))
         largest_rhs = max(largest_rhs, sup(rhs))
@@ -150,7 +150,7 @@ def test_criterion_3_superconducting_current():
         fc = FieldCalculus(K, gd)
         rhs = np.zeros(16)
         for a in range(4):
-            rhs = rhs + fc.jets.vals[1 << a] * gd.ricci_oneforms[a]
+            rhs = rhs + fc.jets.val[1 << a] * gd.ricci_oneforms[a]
         current = fc.maxwell_current()
         vac_worst = max(vac_worst, sup(current), sup(2.0 * rhs), sup(current - 2.0 * rhs))
     vac_ok = vac_worst < 1e-9
@@ -195,7 +195,7 @@ def test_criterion_5_extensoriality():
             fc = FieldCalculus(A, gd)
             rhs = np.zeros(16)
             for mu in range(4):
-                rhs = rhs + fc.jets.vals[1 << mu] * gd.ricci_oneforms[mu]
+                rhs = rhs + fc.jets.val[1 << mu] * gd.ricci_oneforms[mu]
             res = sup(fc.ricci_operator() - rhs)
             worst = max(worst, res)
             assert res < 1e-8, (key, res)

@@ -530,7 +530,7 @@ def test_point_metric_block_lanes_equal_each_metric_alone(rng, require_lorentzia
         for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian"):
             assert np.asarray(getattr(block, name))[i].tobytes() == np.asarray(getattr(m, name)).tobytes()
         for key in TABLE_NAMES:
-            assert block.tables[key][i].tobytes() == m.tables[key].tobytes(), key
+            assert block.table(key)[i].tobytes() == m.table(key).tobytes(), key
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det")  # the NaN metric
@@ -545,21 +545,21 @@ def test_tables_built_into_a_used_store_equal_a_fresh_build(rng, size):
     order = [i for pair in zip(accepted, rejected) for i in pair] + accepted[len(rejected):]
     gs = gs[order][:size]  # accepted and rejected lanes in turn, an accepted one first
     fresh = PointMetric(gs)
-    want = {key: fresh.tables[key].tobytes() for key in TABLE_NAMES}
+    want = {key: fresh.table(key).tobytes() for key in TABLE_NAMES}
     assert len(fresh.errors) == {1: 0, 8: 4, 16: 6}[size]
     store = TableStore()
     others = np.array([oracles.random_lorentzian_cotangent(rng) for _ in range(16)])
     filler = PointMetric(others, _store=store)
     for key in STORED_TABLES:
-        filler.tables[key][...] = np.nan
+        filler.table(key)[...] = np.nan
     for held in ("NaN", "another block's tables"):
         if held != "NaN":
             other = PointMetric(others, _store=store)
             for key in TABLE_NAMES:
-                other.tables[key]
+                other.table(key)
         block = PointMetric(gs, _store=store)
         for key in TABLE_NAMES:
-            assert block.tables[key].tobytes() == want[key], (held, key)
+            assert block.table(key).tobytes() == want[key], (held, key)
 
 
 def _with_entry(g, i, j, value):

@@ -10,7 +10,7 @@ from cliffcheck import blades, selftest
 from cliffcheck import expr as ex
 from cliffcheck import geometry as geo
 from cliffcheck.algebra import PointMetric, grade_project, sup, wedge
-from cliffcheck.diffops import FieldCalculus, FieldJets, MultivectorField, field_jets, grad_scalar_product
+from cliffcheck.diffops import FieldCalculus, MultivectorField, field_jets, grad_scalar_product
 from cliffcheck.errors import DomainEvalError, ExprError, FieldError
 
 import oracles
@@ -104,10 +104,10 @@ def test_covariant_derivative_matches_fd_oracle():
 
     def comps_at(p):
         gdp = geo.curvature(spec, p)
-        return field_jets(F, gdp.point, gdp.jet).vals
+        return field_jets(F, gdp.point, gdp.jet).val
 
     fc = FieldCalculus(F, gd)
-    vals = fc.jets.vals
+    vals = fc.jets.val
     for alpha in range(4):
         fd_partial = oracles.richardson_diff(comps_at, gd.point, alpha, 1e-3)
         # assemble the covariant correction from Gamma directly
@@ -286,7 +286,7 @@ def test_killing_wave_equation_flrw():
         fc = FieldCalculus(K, gd)
         rhs = np.zeros(16)
         for a in range(4):
-            rhs = rhs + fc.jets.vals[1 << a] * gd.ricci_oneforms[a]
+            rhs = rhs + fc.jets.val[1 << a] * gd.ricci_oneforms[a]
         assert sup(rhs) > 1e-3
         assert sup(fc.covariant_dalembertian() - rhs) < 1e-10
         assert sup(fc.ricci_operator() - rhs) < 1e-10
@@ -312,7 +312,7 @@ def test_ricci_operator_extensoriality():
             lhs = fc.ricci_operator()
             rhs = np.zeros(16)
             for mu in range(4):
-                rhs = rhs + fc.jets.vals[1 << mu] * gd.ricci_oneforms[mu]
+                rhs = rhs + fc.jets.val[1 << mu] * gd.ricci_oneforms[mu]
             assert sup(lhs - rhs) < 1e-10 * max(1.0, sup(rhs))
 
 
@@ -356,7 +356,7 @@ def test_ricci_operator_equals_the_dense_bivector_table_bitwise(count):
         fc = FieldCalculus(MultivectorField.zero(), gd)
         fc.__dict__["cov2"] = cov2  # the cached second covariant derivatives
         comm = cov2 - np.swapaxes(cov2, -2, -3)
-        want = dense_ricci_operator(gd.metric.tables["G2"], comm)
+        want = dense_ricci_operator(gd.metric.table("G2"), comm)
         got = fc.ricci_operator()
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
@@ -370,7 +370,7 @@ def test_commutator_curvature_identity():
         K = random_poly_field(rng, spec.coords, [1, 2, 4, 8])
         fc = FieldCalculus(K, gd)
         comm = fc.cov2 - np.einsum("abm->bam", fc.cov2)
-        kvals = np.array([fc.jets.vals[1 << n] for n in range(4)])
+        kvals = np.array([fc.jets.val[1 << n] for n in range(4)])
         for s in range(4):
             for m in range(4):
                 for n in range(4):
@@ -398,7 +398,7 @@ def test_squared_dirac_doubles_killing_coupling():
     fc = FieldCalculus(K, gd)
     rhs = np.zeros(16)
     for a in range(4):
-        rhs = rhs + fc.jets.vals[1 << a] * gd.ricci_oneforms[a]
+        rhs = rhs + fc.jets.val[1 << a] * gd.ricci_oneforms[a]
     assert sup(fc.covariant_dalembertian() + fc.ricci_operator() - 2.0 * rhs) < 1e-10
     assert sup(fc.hodge_dalembertian() - 2.0 * rhs) < 1e-10
 
@@ -427,8 +427,8 @@ def test_gradient_of_scalar_product_identity():
             fa, fb = FieldCalculus(A, gd), FieldCalculus(B, gd)
             aval, bval = fa.value(), fb.value()
             gu = gd.g_upper
-            a_up = gu @ np.array([fa.jets.vals[1 << i] for i in range(4)])
-            b_up = gu @ np.array([fb.jets.vals[1 << i] for i in range(4)])
+            a_up = gu @ np.array([fa.jets.val[1 << i] for i in range(4)])
+            b_up = gu @ np.array([fb.jets.val[1 << i] for i in range(4)])
             lhs = grad_scalar_product(fa.jets, fb.jets, gd)
             rhs = np.zeros(16)
             for mu in range(4):
@@ -516,7 +516,7 @@ def test_block_field_error_is_kept_for_its_point():
     field = MultivectorField.from_components({"t": "sqrt(x)"}, MINK.coords)
     fc = FieldCalculus(field, geo.curvature(MINK, points))
     assert {k: str(err) for k, err in fc.jets.errors.items()} == {1: "sqrt of negative value in 'sqrt(x)'"}
-    assert not (fc.jets.vals[1].any() or fc.jets.grads[1].any() or fc.jets.hess[1].any())
+    assert not (fc.jets.val[1].any() or fc.jets.grad[1].any() or fc.jets.hess[1].any())
     with pytest.raises(DomainEvalError, match="sqrt of negative value in 'sqrt\\(x\\)'"):
         FieldCalculus(field, geo.curvature(MINK, points[1])).value()
     alone = FieldCalculus(field, geo.curvature(MINK, points[0])).value()
@@ -545,7 +545,7 @@ def lane_outputs(fc) -> list:
     ops = [fc.value(), fc.dirac(), fc.exterior_d(), fc.codifferential(), fc.codifferential_hodge_route(),
            fc.exterior_d_squared(), fc.codifferential_squared(), fc.maxwell_current(),
            fc.covariant_dalembertian(), fc.ricci_operator(), fc.hodge_dalembertian()]
-    return [fc.jets.vals, fc.cov1, fc.cov2] + list(ops)
+    return [fc.jets.val, fc.cov1, fc.cov2] + list(ops)
 
 
 @pytest.mark.parametrize("spec", [MINK, SCHW, FLRW], ids=lambda spec: spec.name)
@@ -657,8 +657,8 @@ def assert_gathers_equal_the_dense_einsums(fc):
     assert gd.dgop.shape == flat.shape[:-1] + (63,)
     assert gd.dgop.tobytes() == flat[..., blades.SUB_POSITIONS].tobytes()
     assert not np.delete(flat, blades.SUB_POSITIONS, axis=-1).any()
-    assert fc._dgop_vals().tobytes() == np.einsum("...samn,...n->...sam", dgop, jets.vals).tobytes()
-    assert fc._gop_grads().tobytes() == np.einsum("...amn,...ns->...sam", gop, jets.grads).tobytes()
+    assert fc._dgop_vals().tobytes() == np.einsum("...samn,...n->...sam", dgop, jets.val).tobytes()
+    assert fc._gop_grads().tobytes() == np.einsum("...amn,...ns->...sam", gop, jets.grad).tobytes()
 
 
 @pytest.mark.parametrize("count", [None, 16])
@@ -689,6 +689,62 @@ def test_gathers_equal_the_dense_einsums_on_random_entries(count):
         gd = copy.copy(base)
         gd.gamma, gd.dgamma = random_entries(rng, lanes + (4, 4, 4)), random_entries(rng, lanes + (4, 4, 4, 4))
         fc = FieldCalculus(MultivectorField.zero(), gd)
-        fc.jets = FieldJets(random_entries(rng, lanes + (16,)), random_entries(rng, lanes + (16, 4)),
-                            random_entries(rng, lanes + (16, 4, 4)), {})
+        fc.jets = ex.Jet2(random_entries(rng, lanes + (16,)), random_entries(rng, lanes + (16, 4)),
+                          random_entries(rng, lanes + (16, 4, 4)))
         assert_gathers_equal_the_dense_einsums(fc)
+
+
+# -- the jets of the metric and of a field are stacks of component jets ------------
+
+
+@pytest.mark.parametrize("key", sorted(BLOCK_CASES))
+def test_stacked_jets_are_the_component_jets_bitwise(key):
+    spec, (lo, hi) = BLOCK_CASES[key]
+    points = np.random.default_rng(47).uniform(lo, hi, size=(16, 4))
+    jets = [[ex.evaluate_jet2(spec.g_lower[i][j], spec.coords, points, spec.params) for j in range(4)]
+            for i in range(4)]
+    _, metric = geo.metric_at(spec, points)
+    assert metric.errors == {}
+    for i in range(4):
+        for j in range(4):
+            want = jets[min(i, j)][max(i, j)]  # the upper triangle is evaluated and mirrored
+            for name in ("val", "grad", "hess"):
+                assert getattr(metric, name)[:, i, j].tobytes() == getattr(want, name).tobytes(), (i, j, name)
+    # a field of the metric's components, blade m holding g_{m // 4, m % 4}: the
+    # catalog's off-diagonal zeros are zero components
+    field = MultivectorField(tuple(spec.g_lower[m // 4][m % 4] for m in range(16)))
+    got = field_jets(field, points, ex.point_jets(spec.coords, points, spec.params))
+    assert (got.val.shape, got.grad.shape, got.hess.shape) == ((16, 16), (16, 16, 4), (16, 16, 4, 4))
+    assert got.errors == {}
+    for m in range(16):
+        want = jets[m // 4][m % 4]
+        for name in ("val", "grad", "hess"):
+            part = getattr(got, name)[:, m]
+            if ex.is_zero(field.comps[m]):
+                assert part.tobytes() == np.zeros_like(part).tobytes(), (m, name)
+            else:
+                assert part.tobytes() == getattr(want, name).tobytes(), (m, name)
+
+
+# a metric with two components that fail at t = -1: g_tt's sqrt(t) and g_xx's log(t)
+TWO_FAILURES = geo.MetricSpec.from_strings(
+    ("t", "x", "y", "z"),
+    [["1+sqrt(t)", "0", "0", "0"], ["0", "-1-log(t)", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+    name="two-failures",
+)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_a_point_with_two_failing_components_gets_the_first_in_index_order(swapped):
+    points = np.array([[0.5, 0.1, 0.2, 0.3], [-1.0, 0.1, 0.2, 0.3], [1.5, 0.1, 0.2, 0.3]])
+    _, metric = geo.metric_at(TWO_FAILURES, points)
+    assert {k: str(err) for k, err in metric.errors.items()} == {
+        1: "metric of 'two-failures' not evaluable at (-1.0, 0.1, 0.2, 0.3): sqrt of negative value in 'sqrt(t)'"}
+    assert metric.val[1].tobytes() == np.diag([1.0, -1.0, -1.0, -1.0]).tobytes()
+    assert not (metric.grad[1].any() or metric.hess[1].any())
+    sources = ("log(t)", "sqrt(t)") if swapped else ("sqrt(t)", "log(t)")
+    field = MultivectorField.from_components({3: sources[0], 12: sources[1]})
+    jets = field_jets(field, points, ex.point_jets(TWO_FAILURES.coords, points))
+    message = {"log(t)": "log of non-positive value in 'log(t)'", "sqrt(t)": "sqrt of negative value in 'sqrt(t)'"}
+    assert {k: str(err) for k, err in jets.errors.items()} == {1: message[sources[0]]}
+    assert not (jets.val[1].any() or jets.grad[1].any() or jets.hess[1].any())

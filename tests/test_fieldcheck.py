@@ -1269,8 +1269,8 @@ def test_one_route_values_stay_within_four_ulps_of_the_other(key):
         fc = FieldCalculus(f, gd)
         shipped = fc.exterior_d()
         reference = np.einsum("amn,...an->...m", blades.WEDGE_OP, fc.cov1)
-        connection = np.einsum("...amn,...n->...am", np.abs(gd.gop), np.abs(fc.jets.vals))
-        scale = np.einsum("amn,...an->...m", wedge, np.abs(np.swapaxes(fc.jets.grads, -1, -2)) + connection)
+        connection = np.einsum("...amn,...n->...am", np.abs(gd.gop), np.abs(fc.jets.val))
+        scale = np.einsum("amn,...an->...m", wedge, np.abs(np.swapaxes(fc.jets.grad, -1, -2)) + connection)
         assert np.all(np.abs(shipped - reference) <= 4.0 * EPS * scale), f.grades
     for f in oneforms:
         a = FieldCalculus(f, gd).value()
@@ -1383,8 +1383,8 @@ def test_a_point_whose_connection_overflows_gets_a_geometry_error_in_every_check
 def dense_pd_cov1(fc):
     """d_s (D_a F) as the dense operators gave it, the oracle of the gathers."""
     return (np.einsum("...mas->...sam", fc.jets.hess)
-            - np.einsum("...samn,...n->...sam", dense_dgop(fc.gd.dgamma), fc.jets.vals)
-            - np.einsum("...amn,...ns->...sam", dense_gop(fc.gd.gamma), fc.jets.grads))
+            - np.einsum("...samn,...n->...sam", dense_dgop(fc.gd.dgamma), fc.jets.val)
+            - np.einsum("...amn,...ns->...sam", dense_gop(fc.gd.gamma), fc.jets.grad))
 
 
 # exp(700 u) overflows at u > 1.0140 and its partials a little before: the

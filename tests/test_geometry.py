@@ -72,18 +72,18 @@ def riemann_fd(spec, x, h=2e-3):
 def test_minkowski_metric_at():
     spec = catalog_spec("minkowski")
     pm, jets = geo.metric_at(spec, (0.3, -1.0, 0.5, 2.0))
-    assert np.array_equal(jets.values, np.diag([1.0, -1.0, -1.0, -1.0]))
+    assert np.array_equal(jets.val, np.diag([1.0, -1.0, -1.0, -1.0]))
     assert pm.sqrt_abs_det == 1.0
-    assert np.max(np.abs(jets.dg)) == 0.0
+    assert np.max(np.abs(jets.grad)) == 0.0
 
 
 def test_schwarzschild_metric_at_values():
     spec = catalog_spec("schwarzschild")
     pm, jets = geo.metric_at(spec, (0.0, 4.0, np.pi / 2, 0.0))
-    assert jets.values[0, 0] == 0.5
-    assert jets.values[1, 1] == -2.0
+    assert jets.val[0, 0] == 0.5
+    assert jets.val[1, 1] == -2.0
     assert abs(pm.sqrt_abs_det - 16.0) < 1e-12
-    assert np.max(np.abs(pm.g @ jets.values - np.eye(4))) < 1e-12
+    assert np.max(np.abs(pm.g @ jets.val - np.eye(4))) < 1e-12
 
 
 def test_schwarzschild_horizon_is_singular():
@@ -414,7 +414,7 @@ def assert_lane_is_the_point_alone(block, k, alone):
     for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian"):
         assert _bits(getattr(block.metric, name)[k]) == _bits(getattr(alone.metric, name)), name
     for key in TABLE_NAMES:
-        assert _bits(block.metric.tables[key][k]) == _bits(alone.metric.tables[key]), key
+        assert _bits(block.metric.table(key)[k]) == _bits(alone.metric.table(key)), key
     for got, want in zip(block.ricci_oneforms, alone.ricci_oneforms):
         assert _bits(got[k]) == _bits(want)
     assert _bits(block.einstein_lower[k]) == _bits(alone.einstein_lower)
@@ -503,7 +503,7 @@ def assert_bundle_is_the_block_alone(got, want):
     for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian"):
         assert _bits(getattr(got.metric, name)) == _bits(getattr(want.metric, name)), name
     for key in TABLE_NAMES:
-        assert _bits(got.metric.tables[key]) == _bits(want.metric.tables[key]), key
+        assert _bits(got.metric.table(key)) == _bits(want.metric.table(key)), key
     assert _errors(got.metric.errors) == _errors(want.metric.errors)
     assert _errors(got.errors) == _errors(want.errors)
 
@@ -666,3 +666,33 @@ def test_validation_rejects_a_nan_connection():
         1: "Riemann antisymmetry violated (nan)",
         2: "metric of 'overflow' is not Lorentzian at (0.1, 0.5, 0.2, 0.3) (det=5.000e+307)",
     }
+
+
+# -- no points -------------------------------------------------------------------
+
+# each source raised on no points: a power read its exponent at the first point,
+# and a function of math's gave no jet at all
+EMPTY_SOURCES = ["r^2", "pow(r, 2)", "r^0.5", "exp(r)"]
+
+
+@pytest.mark.parametrize("case", [*geo.CATALOG, *EMPTY_SOURCES])
+def test_no_points_give_empty_arrays_and_no_errors(case):
+    none = np.zeros((0, 4))
+    if case in geo.CATALOG:
+        spec = catalog_spec(case)
+        pm, jets = geo.metric_at(spec, none)
+        assert (jets.val.shape, jets.grad.shape, jets.hess.shape) == ((0, 4, 4), (0, 4, 4, 4), (0, 4, 4, 4, 4))
+        assert pm.g.shape == (0, 4, 4) and jets.errors == {} and pm.errors == {}
+        gd = geo.curvature(spec, none)
+        shapes = {"point": (4,), "g_lower": (4, 4), "g_upper": (4, 4), "sqrt_abs_det": (), "dg": (4, 4, 4),
+                  "dg_upper": (4, 4, 4), "gamma": (4, 4, 4), "dgamma": (4, 4, 4, 4), "riemann": (4, 4, 4, 4),
+                  "ricci": (4, 4), "scalar": ()}
+        assert {name: np.shape(getattr(gd, name)) for name in _BUNDLE} == {
+            name: (0, *shape) for name, shape in shapes.items()}
+        assert gd.errors == {}
+        return
+    e = ex.parse(case)
+    coords = ("t", "r", "theta", "phi")
+    for jet in (ex.evaluate_jet2(e, coords, none), ex.ChunkJets(coords, none, sources=[e]).block(0, 0)(e)):
+        assert (jet.val.shape, jet.grad.shape, jet.hess.shape) == ((0,), (0, 4), (0, 4, 4))
+        assert jet.errors == {}

@@ -35,11 +35,11 @@ def _block(metrics) -> PointMetric:
 
 def test_block_tables_lanes_equal_point_metric_tables_bitwise():
     metrics = _metrics(11, 60)
-    stack = _block(metrics).tables
+    block = _block(metrics)
     for n, m in enumerate(metrics):
         for key in algebra.TABLE_NAMES:
-            assert stack[key].shape[0] == len(metrics)
-            assert stack[key][n].tobytes() == m.tables[key].tobytes(), (n, key)
+            assert block.table(key).shape[0] == len(metrics)
+            assert block.table(key)[n].tobytes() == m.table(key).tobytes(), (n, key)
 
 
 def test_batched_products_equal_point_metric_products_bitwise():
@@ -109,7 +109,7 @@ def test_the_suite_builds_every_block_into_one_store(monkeypatch):
 
     def spy(pm, *draws):
         out = laws(pm, *draws)
-        seen.append((len(pm.g), {key: _address(pm.tables[key]) for key in STORED_TABLES}))
+        seen.append((len(pm.g), {key: _address(pm.table(key)) for key in STORED_TABLES}))
         return out
 
     monkeypatch.setattr(selftest, "_block_laws", spy)
@@ -127,22 +127,22 @@ def _random_block(rng, count: int) -> np.ndarray:
 def test_a_metric_whose_store_is_taken_rebuilds_its_own_tables():
     rng = np.random.default_rng(19)
     first_g, second_g = _random_block(rng, 16), _random_block(rng, 16)
-    want = {key: PointMetric(first_g).tables[key].tobytes() for key in algebra.TABLE_NAMES}
+    want = {key: PointMetric(first_g).table(key).tobytes() for key in algebra.TABLE_NAMES}
     store = TableStore()
     first = PointMetric(first_g, _store=store)
     for key in algebra.TABLE_NAMES:
-        assert first.tables[key].tobytes() == want[key]
+        assert first.table(key).tobytes() == want[key]
     second = PointMetric(second_g, _store=store)
-    assert not set(first.tables)  # taking the store dropped every table of the first block
-    taken = {key: second.tables[key] for key in algebra.TABLE_NAMES}
+    assert not set(first._tables)  # taking the store dropped every table of the first block
+    taken = {key: second.table(key) for key in algebra.TABLE_NAMES}
     for key in algebra.TABLE_NAMES:
-        rebuilt = first.tables[key]
+        rebuilt = first.table(key)
         assert rebuilt.tobytes() == want[key], key
         assert not any(np.shares_memory(rebuilt, table) for table in taken.values()), key
     for key in algebra.TABLE_NAMES:  # and the second block's tables are still its own
-        assert second.tables[key].tobytes() == PointMetric(second_g).tables[key].tobytes(), key
+        assert second.table(key).tobytes() == PointMetric(second_g).table(key).tobytes(), key
     view = second.block(0, 4)  # a view of a block builds into no store
-    assert not any(np.shares_memory(view.tables[key], taken[key]) for key in STORED_TABLES)
+    assert not any(np.shares_memory(view.table(key), taken[key]) for key in STORED_TABLES)
 
 
 def test_a_failing_metric_raises_its_error_alone(monkeypatch):
@@ -290,7 +290,7 @@ def _one_trial_laws(rng, spec) -> dict:
     fa = FieldCalculus(selftest.random_field(rng, spec.coords, [1, 2, 4, 8]), gd)
     rhs = np.zeros(16)
     for mu in range(4):
-        rhs = rhs + fa.jets.vals[1 << mu] * gd.ricci_oneforms[mu]
+        rhs = rhs + fa.jets.val[1 << mu] * gd.ricci_oneforms[mu]
     out["ricci_extensoriality"] = rel(sup(fa.ricci_operator() - rhs), sup(rhs), sup(fa.value()))
     delta = fa.codifferential()[..., 0]
     trace = -sum(gd.g_upper[k, m] * fa.cov1[k][1 << m] for k in range(4) for m in range(4))

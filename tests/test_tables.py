@@ -142,7 +142,7 @@ def test_lazy_tables_equal_the_eager_build_bitwise(block, lorentzian, order):
     want = eager_tables(*stack)
     assert set(want) == set(TABLE_NAMES)
     for key in ORDERS[order]:
-        got = metric.tables[key]
+        got = metric.table(key)
         assert got.tobytes() == (want[key] if block else want[key][0]).tobytes(), key
 
 
@@ -176,7 +176,7 @@ def test_killing_identities_builds_only_what_it_reads(monkeypatch):
     _run_one_block(["killing_identities"], _killing_form())
     assert sorted(key for _, key in calls) == ["C", "G2"]
     (metric,) = {id(m): m for m, _ in calls}.values()
-    assert set(metric.tables) == {"C", "L", "G2"}
+    assert set(metric._tables) == {"C", "L", "G2"}
 
 
 def test_killing_builds_no_table(monkeypatch):
@@ -209,7 +209,7 @@ def test_no_table_is_built_twice(monkeypatch):
     for order in (*ORDERS.values(), ("G2", "M"), ("M", "G2")):
         metric = PointMetric(_metrics(True))
         for key in order + order:
-            metric.tables[key]
+            metric.table(key)
     assert builds and set(builds.values()) == {1}
     # the grade-2 peel step is the table G2: once per stack, whether M reads it or it is read first
     assert {key for _, key in builds} == set(TABLE_NAMES)

@@ -726,25 +726,24 @@ def test_stacked_jets_are_the_component_jets_bitwise(key):
                 assert part.tobytes() == getattr(want, name).tobytes(), (m, name)
 
 
-# a metric with two components that fail at t = -1: g_tt's sqrt(t) and g_xx's log(t)
-TWO_FAILURES = geo.MetricSpec.from_strings(
-    ("t", "x", "y", "z"),
-    [["1+sqrt(t)", "0", "0", "0"], ["0", "-1-log(t)", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
-    name="two-failures",
-)
-
-
-@pytest.mark.parametrize("swapped", [False, True])
-def test_a_point_with_two_failing_components_gets_the_first_in_index_order(swapped):
+@pytest.mark.parametrize("sources", [("sqrt(t)", "log(t)"), ("log(t)", "sqrt(t)")])
+def test_a_point_with_two_failing_components_gets_the_first_in_index_order(sources):
+    # both sources fail at t = -1: a metric holds them in g_tt and g_xx, and a
+    # field in blades 3 and 12
+    message = {"log(t)": "log of non-positive value in 'log(t)'", "sqrt(t)": "sqrt of negative value in 'sqrt(t)'"}
     points = np.array([[0.5, 0.1, 0.2, 0.3], [-1.0, 0.1, 0.2, 0.3], [1.5, 0.1, 0.2, 0.3]])
-    _, metric = geo.metric_at(TWO_FAILURES, points)
+    spec = geo.MetricSpec.from_strings(
+        ("t", "x", "y", "z"),
+        [[f"1+{sources[0]}", "0", "0", "0"], ["0", f"-1-{sources[1]}", "0", "0"], ["0", "0", "-1", "0"],
+         ["0", "0", "0", "-1"]],
+        name="two-failures",
+    )
+    _, metric = geo.metric_at(spec, points)
     assert {k: str(err) for k, err in metric.errors.items()} == {
-        1: "metric of 'two-failures' not evaluable at (-1.0, 0.1, 0.2, 0.3): sqrt of negative value in 'sqrt(t)'"}
+        1: f"metric of 'two-failures' not evaluable at (-1.0, 0.1, 0.2, 0.3): {message[sources[0]]}"}
     assert metric.val[1].tobytes() == np.diag([1.0, -1.0, -1.0, -1.0]).tobytes()
     assert not (metric.grad[1].any() or metric.hess[1].any())
-    sources = ("log(t)", "sqrt(t)") if swapped else ("sqrt(t)", "log(t)")
     field = MultivectorField.from_components({3: sources[0], 12: sources[1]})
-    jets = field_jets(field, points, ex.point_jets(TWO_FAILURES.coords, points))
-    message = {"log(t)": "log of non-positive value in 'log(t)'", "sqrt(t)": "sqrt of negative value in 'sqrt(t)'"}
+    jets = field_jets(field, points, ex.point_jets(spec.coords, points))
     assert {k: str(err) for k, err in jets.errors.items()} == {1: message[sources[0]]}
     assert not (jets.val[1].any() or jets.grad[1].any() or jets.hess[1].any())

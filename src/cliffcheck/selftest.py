@@ -4,9 +4,11 @@ The algebra suite draws a fresh Lorentzian point metric and fresh random
 multivectors every trial and evaluates the full list of product, contraction
 and duality laws, tracking the worst relative residual per law.  It works on
 a block of :data:`TRIALS_PER_BLOCK` trials at a time: it draws each trial's
-inputs in turn, in the order metric (the rejection loop of
-:func:`random_lorentzian_metric`), a, b, c, r, s, i, j, k; checks the
-block's metrics as one :class:`~cliffcheck.algebra.PointMetric`; evaluates
+inputs in turn, in the order metric (the congruence L of the rejection loop
+of :func:`random_lorentzian_metric`), a, b, c, r, s, i, j, k; forms the
+block's metrics L eta L^T as one stacked product, bitwise those of
+:func:`random_lorentzian_metric`, and checks them as one
+:class:`~cliffcheck.algebra.PointMetric`; evaluates
 every law on (block, 16) coefficient rows through that metric's product
 methods and :func:`~cliffcheck.algebra.wedge`, a conditional law only on the
 trials it covers; and drops the block before drawing the next, so memory
@@ -22,7 +24,8 @@ statements on random polynomial fields over the builtin metric catalog,
 each metric at the catalog's default parameters (``build_metric(key)``).
 Its index sum A_mu R^mu is :func:`~cliffcheck.algebra.linear_combination`.
 It too works on a block of :data:`TRIALS_PER_BLOCK` trials of one metric at
-a time: it draws each trial's inputs in turn, in the order point, mixed
+a time, so at the default 25 fields per metric each catalog metric is one
+block: it draws each trial's inputs in turn, in the order point, mixed
 field F, grade p, its homogeneous field, 1-form A; evaluates the block's
 points as one :func:`~cliffcheck.geometry.curvature` block; and runs each
 operator once on a :meth:`FieldCalculus.of_lanes` block that holds trial
@@ -48,6 +51,7 @@ from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+IDENTITY = np.eye(4)
 
 
 class LawStat(NamedTuple):
@@ -85,12 +89,18 @@ class SuiteResult:
         return out
 
 
+def _random_congruence(rng: np.random.Generator) -> np.ndarray:
+    """A 4x4 matrix L near the identity with |det L| > 0.2, drawn until one is."""
+    while True:
+        L = IDENTITY + 0.4 * rng.standard_normal((4, 4))
+        if abs(np.linalg.det(L)) > 0.2:
+            return L
+
+
 def random_lorentzian_metric(rng: np.random.Generator) -> np.ndarray:
     """4x4 cotangent metric, a congruent image of the flat one; always signature (1,3)."""
-    while True:
-        L = np.eye(4) + 0.4 * rng.standard_normal((4, 4))
-        if abs(np.linalg.det(L)) > 0.2:
-            return L @ ETA @ L.T
+    L = _random_congruence(rng)
+    return L @ ETA @ L.T
 
 
 def _rel(diff, *scales):
@@ -103,7 +113,7 @@ def _rel(diff, *scales):
 
 # -- the algebra suite, over a block of trials at once ------------------------------
 
-TRIALS_PER_BLOCK = 16  # the tables of one trial take about 85 kB
+TRIALS_PER_BLOCK = 32  # the tables of one trial take about 96 kB
 
 ALGEBRA_LAWS = (
     "associativity",
@@ -141,14 +151,15 @@ def _draw_trials(rng: np.random.Generator, count: int, store: TableStore | None 
     and k (grade), one per trial.  A metric that fails its checks raises the
     error it raises alone (the first such trial's).
     """
-    metrics, vectors, ints = [], [], []
+    congruences, vectors, ints = [], [], []
     for _ in range(count):
-        metrics.append(random_lorentzian_metric(rng))
+        congruences.append(_random_congruence(rng))
         vectors.append(rng.uniform(-1.0, 1.0, size=(3, blades.N_BLADES)))  # a, b, c in turn
         r, s = rng.integers(0, 5), rng.integers(0, 5)
         i, j = rng.integers(0, 4), rng.integers(0, 4)
         ints.append((r, s, i, j, rng.integers(0, 5)))
-    pm = PointMetric(np.array(metrics), _store=store)
+    L = np.array(congruences)
+    pm = PointMetric(L @ ETA @ L.transpose(0, 2, 1), _store=store)  # L eta L^T, bitwise as drawn alone
     if pm.errors:
         raise pm.errors[min(pm.errors)]
     a, b, c = np.array(vectors).transpose(1, 0, 2)

@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliffcheck import algebra, blades, selftest
+from cliffcheck import algebra, blades, expr, selftest
 from cliffcheck.algebra import STORED_TABLES, PointMetric, TableStore, grade_project, sup, wedge
 from cliffcheck.diffops import FieldCalculus
-from cliffcheck.errors import DegenerateMetricError, SignatureError
+from cliffcheck.errors import DegenerateMetricError
+from cliffcheck.expr import evaluate_forest
 from cliffcheck.geometry import CATALOG, build_metric, curvature
 
 
@@ -71,7 +72,7 @@ def test_law_lines_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ALGEBRA_LINES_SHA256
 
 
-# the same for the benchmark's algebra-selftest op at its seed 1: 62 full blocks
+# the same for the benchmark's algebra-selftest op at its seed 1: 31 full blocks
 # and a short last block of 8
 BENCH_LINES_SHA256 = "ad53aac57e7d06a51decc8103b575980ca8225ebb93b6bebcd9eccfe0d8fcdd2"
 
@@ -81,7 +82,7 @@ def test_benchmark_law_lines_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BENCH_LINES_SHA256
 
 
-@pytest.mark.parametrize("chunk", [selftest.TRIALS_PER_BLOCK, 7])
+@pytest.mark.parametrize("chunk", [16, selftest.TRIALS_PER_BLOCK, 7])  # 16, the block size before 32
 def test_suite_checks_one_block_metric_per_chunk(monkeypatch, chunk):
     inits = []
     original = PointMetric.__init__
@@ -120,6 +121,23 @@ def test_the_suite_builds_every_block_into_one_store(monkeypatch):
     assert all(block == addresses for _, block in seen)
 
 
+def test_stacked_block_metrics_equal_each_drawn_alone_bitwise():
+    # _draw_trials forms a block's metrics as one stacked product L eta L^T;
+    # each must be the metric random_lorentzian_metric gives, from the same
+    # stream with the trial's other draws in between
+    for seed in range(20):
+        for count in (1, 5, selftest.TRIALS_PER_BLOCK):
+            rng = np.random.default_rng(seed)
+            alone = []
+            for _ in range(count):
+                alone.append(selftest.random_lorentzian_metric(rng))
+                rng.uniform(-1.0, 1.0, size=(3, blades.N_BLADES))
+                for high in (5, 5, 4, 4, 5):  # r, s, i, j, k
+                    rng.integers(0, high)
+            pm = selftest._draw_trials(np.random.default_rng(seed), count)[0]
+            assert pm.g.tobytes() == PointMetric(np.array(alone)).g.tobytes(), (seed, count)
+
+
 def _random_block(rng, count: int) -> np.ndarray:
     return np.array([selftest.random_lorentzian_metric(rng) for _ in range(count)])
 
@@ -146,22 +164,26 @@ def test_a_metric_whose_store_is_taken_rebuilds_its_own_tables():
 
 
 def test_a_failing_metric_raises_its_error_alone(monkeypatch):
-    # trial 1 is Riemannian and trial 2 singular: the chunk raises trial 1's
-    # error, the one its metric raises alone
-    drawn = iter([np.diag([1.0, -1.0, -1.0, -1.0]), np.eye(4), np.zeros((4, 4))])
-    monkeypatch.setattr(selftest, "random_lorentzian_metric", lambda rng: next(drawn))
-    with pytest.raises(SignatureError) as err:
-        selftest._draw_trials(np.random.default_rng(0), 3)
-    with pytest.raises(SignatureError) as alone:
-        PointMetric(np.eye(4))
-    assert str(err.value) == str(alone.value)
-    with pytest.raises(DegenerateMetricError):
-        PointMetric(np.zeros((4, 4)))
+    # trial 0 passes, trials 1 and 2 fail in different ways, in both orders:
+    # the chunk raises trial 1's error, the one its metric raises alone.  A
+    # congruence of the flat metric keeps its signature, so the failures a
+    # draw can give are a singular metric and a non-finite (unsymmetric) one
+    singular, nan = np.zeros((4, 4)), np.full((4, 4), np.nan)
+    for second, third, error in [(singular, nan, DegenerateMetricError), (nan, singular, ValueError)]:
+        drawn = iter([np.eye(4), second, third])
+        monkeypatch.setattr(selftest, "_random_congruence", lambda rng: next(drawn))
+        with pytest.raises(error) as err:
+            selftest._draw_trials(np.random.default_rng(0), 3)
+        with pytest.raises(error) as alone:
+            PointMetric(second @ selftest.ETA @ second.T)
+        assert type(err.value) is type(alone.value) and str(err.value) == str(alone.value)
 
 
 def test_law_maxima_do_not_depend_on_the_chunk(monkeypatch):
     default = selftest.run_algebra_suite(iterations=100, seed=5)
-    for chunk in (3, 7):  # 7 leaves a short last block of 2
+    # 7 leaves a short last block of 2; 16 was the block size before 32,
+    # and 128 holds all 100 trials in one block
+    for chunk in (3, 7, 16, 128):
         monkeypatch.setattr(selftest, "TRIALS_PER_BLOCK", chunk)
         small = selftest.run_algebra_suite(iterations=100, seed=5)
         assert _maxima(small) == _maxima(default), chunk
@@ -258,10 +280,35 @@ def test_diffops_law_maxima_are_pinned(fields_per_metric, seed):
 
 def test_diffops_law_maxima_do_not_depend_on_the_chunk(monkeypatch):
     default = selftest.run_diffops_suite(fields_per_metric=7, seed=5)
+    default_25 = selftest.run_diffops_suite()  # one block of 25 per metric
     monkeypatch.setattr(selftest, "TRIALS_PER_BLOCK", 3)
     small = selftest.run_diffops_suite(fields_per_metric=7, seed=5)
     assert _maxima(small) == _maxima(default)
     assert [law.trials for law in small.laws] == [21] * len(small.laws)
+    monkeypatch.setattr(selftest, "TRIALS_PER_BLOCK", 16)  # blocks of 16 and 9 per metric
+    split = selftest.run_diffops_suite()
+    assert _maxima(split) == _maxima(default_25)
+    assert [law.trials for law in split.laws] == [25 * len(CATALOG)] * len(split.laws)
+
+
+def test_the_default_operator_suite_runs_one_block_per_catalog_metric(monkeypatch):
+    # 25 fields fit one block: one curvature call per metric, and one forest
+    # each for the mixed, homogeneous and 1-form fields
+    calls = {"curvature": [], "forest": 0}
+
+    def counted_curvature(spec, points):
+        calls["curvature"].append((spec.name, len(points)))
+        return curvature(spec, points)
+
+    def counted_forest(*args, **kwargs):
+        calls["forest"] += 1
+        return evaluate_forest(*args, **kwargs)
+
+    monkeypatch.setattr(selftest, "curvature", counted_curvature)
+    monkeypatch.setattr(expr, "evaluate_forest", counted_forest)
+    selftest.run_diffops_suite()
+    assert sorted(calls["curvature"]) == sorted((build_metric(key).name, 25) for key in CATALOG)
+    assert calls["forest"] == 3 * len(CATALOG)
 
 
 
@@ -310,6 +357,34 @@ def test_operator_block_residuals_equal_each_trial_alone_bitwise(key):
         for name in selftest.DIFFOPS_LAWS:
             assert block[name].shape == (selftest.TRIALS_PER_BLOCK,)
             assert np.float64(block[name][i]).tobytes() == np.float64(alone[name]).tobytes(), (i, name)
+
+
+def _peak_above_start(run) -> int:
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    run()
+    return tracemalloc.get_traced_memory()[1] - start
+
+
+# tracemalloc peaks of the default-sized suites at 32 trials a block were
+# about 3.5 MB (algebra, 1000 iterations) and 3.9 MB (operators, 25 fields
+# per metric, one block each); at 16 they were about 1.8 and 2.5 MB.  The
+# tables of a trial take about 96 kB, so an algebra block of 64 passes this
+SUITE_PEAK_CEILING = 4.5e6
+
+
+def test_suite_memory_stays_under_its_ceiling_at_the_default_block():
+    suites = {"algebra": lambda: selftest.run_algebra_suite(iterations=1000, seed=20240812),
+              "operators": selftest.run_diffops_suite}
+    tracemalloc.start()
+    try:
+        for run in suites.values():  # warm caches the first run fills
+            run()
+        peaks = {name: _peak_above_start(run) for name, run in suites.items()}
+    finally:
+        tracemalloc.stop()
+    assert all(peak <= SUITE_PEAK_CEILING for peak in peaks.values()), peaks
+
 
 def _peak_bytes(iterations: int) -> int:
     tracemalloc.reset_peak()

@@ -7,6 +7,7 @@ validation or runtime errors, and console output that cannot be written.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -96,7 +97,33 @@ def _print_check_lines(report) -> None:
                     print(f"         point {point}: failing {failing}")
 
 
+# glibc's mallopt parameters, and the values _retain_freed_memory gives them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 256 << 20  # free heap top kept in the process
+_MMAP_THRESHOLD = 32 << 20  # the largest that 64-bit glibc takes
+
+
+def _retain_freed_memory() -> None:
+    """Let glibc reuse the memory of freed arrays instead of giving it back to the kernel.
+
+    ``verify`` makes and frees the same arrays for each block of points.  By
+    default glibc maps each array above 128 kB on its own and unmaps it when
+    freed, and trims the heap top once twice that is free, so every block
+    faults its memory in again, page by page.  With these thresholds such
+    arrays come from the heap and stay there when freed, for the next block.
+    Both are needed: either alone leaves most of the faults.  Where there is
+    no ``mallopt`` (a libc other than glibc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _retain_freed_memory()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.seed is not None and args.points is None:

@@ -32,7 +32,7 @@ row's non-zero n in order from 0.0, as that einsum, which reads ``grad``
 strided, does.  The contractions whose n axis is contiguous stay dense
 einsums: ``Gop . val`` (``cov1``), ``Gop . cov1`` (``cov2``) and
 ``dGop . val``, which scatters ``dGop`` into a dense slab of one s at a
-time (128 kB on a block of 16 points).  numpy sums a contiguous axis of 16
+time (256 kB on a block of 32 points).  numpy sums a contiguous axis of 16
 in SIMD lanes, and a sequential sum of the non-zero terms differs from it
 in the last bits.
 
@@ -259,8 +259,8 @@ class FieldCalculus:
     def _dgop_vals(self) -> np.ndarray:
         """[s, a, m] = sum_n dGop[s, a][m, n] val[n], by the dense einsum on one slab of s at a time.
 
-        A slab scatters dGop for one s, so on a block of 16 points
-        (``fieldcheck.BLOCK``) it holds 16 (4, 16, 16) operators, 128 kB.
+        A slab scatters dGop for one s, so on a block of 32 points
+        (``fieldcheck.BLOCK``) it holds 32 (4, 16, 16) operators, 256 kB.
         """
         dgop = self.gd.dgop
         slab = np.zeros(dgop.shape[:-3] + (1, 4, 256))

@@ -601,7 +601,7 @@ def test_checks_run_together_match_each_alone():
         S=field({"1": "t"}, SCHW),
         V=field({"t": "sqrt(1-2*M/r)"}, SCHW),
     )
-    points = np.random.default_rng(12).uniform([0.1, 2.5, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2], size=(20, 4))
+    points = np.random.default_rng(12).uniform([0.1, 2.5, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2], size=(40, 4))
     points[17, 0] = -1.0
     assert len(points) > fch.BLOCK
 
@@ -741,10 +741,10 @@ def test_chunked_points_match_each_point_alone(monkeypatch):
 MIXED_REPORTS_SHA256 = "0c134cb1521bfe7ac3b42c261f05047e6971c55d2c76ffa1a4c9812566d48ed2"
 
 
-@pytest.mark.parametrize("block", [16, 4, 3, 1])
+@pytest.mark.parametrize("block", [32, 16, 4, 3, 1])
 def test_block_with_bad_points_reports_what_each_point_gives_alone(monkeypatch, block):
-    # one block of 16 holds a singular, a non-Lorentzian and a not evaluable
-    # point among good ones; smaller blocks split them up
+    # one block of 32 or 16 holds a singular, a non-Lorentzian and a not
+    # evaluable point among good ones; smaller blocks split them up
     monkeypatch.setattr(fch, "BLOCK", block)
     fields = fch.ScenarioFields(K=field({"t": "t", "x": "x*y"}, MIXED))
     names = ["killing", "killing_identities", "maxwell_current"]
@@ -773,10 +773,11 @@ def test_block_size_does_not_change_reports(monkeypatch):
 
 
 def test_point_loop_memory_does_not_grow_with_blocks():
-    # one block's geometry and tables take about 2 MB; a block kept after its
-    # points would add that for every 16 points.  What does grow is the
-    # result columns, about 0.3 kB per point here (0.28 MB from 100 to 1000
-    # points; 0.93 MB when each point's results were dicts).
+    # a block's tables and operators take about 1 MB per 16 points (the
+    # traced peak of a one-block run is 1.0 MB at 16 points, 2.0 MB at 32);
+    # a block kept after its points would add about 2 MB for every 32 points.
+    # What does grow is the chunk's geometry and jets (256 points, not 100)
+    # and the result columns: 1.2 MB from 100 to 1000 points.
     K = field({"t": "1-2*M/r"}, SCHW)
     rng = np.random.default_rng(9)
 
@@ -899,7 +900,7 @@ def schwarzschild_mixed_points(count: int) -> list:
     return points
 
 
-@pytest.mark.parametrize("block", [3, 1, 64, 256])
+@pytest.mark.parametrize("block", [16, 32, 3, 1, 64, 256])
 def test_block_size_does_not_change_report_bytes(monkeypatch, block):
     # 300 points: at every size the run crosses a block boundary and the chunk
     # boundary (fieldcheck.CHUNK)
@@ -1323,11 +1324,12 @@ def test_a_point_failing_twice_gets_the_error_it_gets_alone():
 
 
 def test_bad_points_are_not_computed_again_alone(monkeypatch):
-    # 48 points, ten checks; each block of 16 holds one point where S leaves
-    # its domain (log(t+q), q = 3) and one where the metric does (log(r-p),
-    # p = 5).  With p = 0 and q = 10 the same points are clean.  Both runs
-    # must make the same number of geometry, field-jet and expression-jet
-    # calls: a point that fails is not computed again alone.
+    # 48 points, ten checks, blocks of 16; each block holds one point where
+    # S leaves its domain (log(t+q), q = 3) and one where the metric does
+    # (log(r-p), p = 5).  With p = 0 and q = 10 the same points are clean.
+    # Both runs must make the same number of geometry, field-jet and
+    # expression-jet calls: a point that fails is not computed again alone.
+    monkeypatch.setattr(fch, "BLOCK", 16)
     rows = [["1-2*M/r+0*log(r-p)", "0", "0", "0"], ["0", "-1/(1-2*M/r)", "0", "0"],
             ["0", "0", "-r^2", "0"], ["0", "0", "0", "-r^2*sin(theta)^2"]]
     coords = SCHW.coords

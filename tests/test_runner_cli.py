@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import hashlib
 import importlib
 import importlib.util
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -591,6 +593,75 @@ def test_cli_catalog():
     assert "schwarzschild params: M; coords: t,r,theta,phi; killing: dt-dual, dphi-dual" in proc.stdout
     proc2 = run_cli("catalog")
     assert proc.stdout == proc2.stdout
+
+
+# -- the allocator policy of the CLI -------------------------------------------------
+
+
+class _RecordingLibc:
+    """A C library whose ``mallopt`` records each call in ``calls``."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class _LibcWithoutMallopt:
+    """A C library without ``mallopt``, as a libc other than glibc may be."""
+
+
+def test_cli_sets_glibc_thresholds_before_it_loads_the_scenario(monkeypatch, capsys):
+    # M_TRIM_THRESHOLD (-1) to 256 MiB and M_MMAP_THRESHOLD (-3) to 32 MiB
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(("CDLL", name)) or _RecordingLibc(calls))
+    load = cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario", lambda path: calls.append("load") or load(path))
+    assert cli.main(["verify", str(SCENARIOS / "minkowski_boost.json")]) == 0
+    assert calls == [("CDLL", None), (-1, 256 * 2**20), (-3, 32 * 2**20), "load"]
+
+
+def _no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+def _no_handle(name):
+    raise TypeError("a handle of None is not supported here")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, _no_handle, lambda name: _LibcWithoutMallopt()],
+                         ids=["OSError", "TypeError", "no-mallopt"])
+def test_cli_runs_the_same_where_mallopt_is_missing(monkeypatch, capsys, cdll):
+    assert cli.main(["catalog"]) == 0
+    want = capsys.readouterr()
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli.main(["catalog"]) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the CLI sets allocator thresholds on glibc only")
+def test_a_second_verify_in_one_process_faults_in_almost_no_memory(tmp_path, capsys):
+    # each block makes and frees the same arrays, many above glibc's default
+    # mmap threshold; with the CLI's thresholds the next block reuses them.
+    # With glibc's defaults this run faults about 4 000 pages in again.
+    body = {
+        "metric": {"builtin": "schwarzschild", "params": {"M": 1.0}},
+        "constants": {"coupling": 1.0},
+        "fields": {"K": {"t": "1-2*M/r"}, "S": {"1": "t"}, "V": {"t": "sqrt(1-2*M/r)"}},
+        "samples": {"random": {"count": 200, "seed": 1}},
+        "checks": list(CHECKS),
+    }
+    import resource  # Unix only
+
+    argv = ["verify", str(write_scenario(tmp_path, body))]
+    assert cli.main(argv) == 1  # warm-up; three checks fail, the fields solve nothing
+    capsys.readouterr()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv) == 1
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 def test_cli_selftest_quick():

@@ -12,6 +12,16 @@ them):
   through ``gamma^M X = gamma^i (gamma^rest X) - (gamma^i _| gamma^rest) X``,
 * left contraction by a blade composes single-covector interior products.
 
+A product reads its table at full shape, but the blade tables ``M``, ``K``
+and ``SP`` are first filled only up to their low grades
+(:data:`LOW_GRADES`: ``M`` to grade 2, ``K`` and ``SP`` to grade 1), the
+blades above left exact zeros.  Every product ``verify`` makes has a left
+factor of grade 2 at most, so it reads no more.  The rest is filled in
+place, grade by grade, the first time a product's left factor has a
+component above the low grade that is not exactly zero, when ``H`` is
+built, or when :meth:`PointMetric.table` is called, which always returns
+the complete table.
+
 A :class:`TableStore` lends the memory of the largest tables to one block
 metric after another, as the algebra selftest's blocks use it.
 
@@ -153,8 +163,10 @@ class PointMetric(ReadOnly):
     raises the error of the first check it fails.  A block, the same
     code with N first on every attribute, raises nothing: ``errors`` maps
     each metric that fails to that error, and every other metric is bitwise
-    that metric alone.  Each table (:meth:`table`) is built the first time
-    it is read, once for all the block's metrics.  The product methods take
+    that metric alone.  Each table is built the first time it is read,
+    once for all the block's metrics: :meth:`table` always gives the
+    complete table, and a product the table filled as far as its left
+    factor reaches (see :data:`LOW_GRADES`).  The product methods take
     (..., 16) rows, one per metric of a block, and give one result per
     metric, each bitwise that metric's alone.
 
@@ -162,8 +174,7 @@ class PointMetric(ReadOnly):
     largest tables are built in, until a later metric takes the store.
     """
 
-    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "errors", "_tables", "_store",
-                 "__weakref__")
+    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "errors", "_tables", "__weakref__")
 
     def __init__(self, g, require_lorentzian: bool = True, _ginv=None, _store=None):
         g = np.array(g, dtype=float)
@@ -191,7 +202,9 @@ class PointMetric(ReadOnly):
         if g.ndim == 2:
             sqrt_abs_det, sign_det = float(sqrt_abs_det), float(sign_det)
         self._set(g=readonly(g), ginv=readonly(ginv), sqrt_abs_det=sqrt_abs_det, sign_det=sign_det,
-                  lorentzian=det_tan < 0.0, errors=errors, _tables={}, _store=_store)
+                  lorentzian=det_tan < 0.0, errors=errors,
+                  _tables=_Tables(g.reshape(-1, 4, 4), np.reshape(sqrt_abs_det, -1), np.reshape(sign_det, -1),
+                                  _store))  # one metric's tables are the stack of one
         if _store is not None:
             _store._lend(self)
 
@@ -203,52 +216,66 @@ class PointMetric(ReadOnly):
         alone when read, as for those metrics' own block.
         """
         out = object.__new__(PointMetric)
-        out._set(**{name: readonly(getattr(self, name)[start:stop])
-                    for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian")},
-                 errors=block_errors(self.errors, start, stop), _tables={}, _store=None)
+        views = {name: readonly(getattr(self, name)[start:stop])
+                 for name in ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian")}
+        out._set(**views, errors=block_errors(self.errors, start, stop),
+                 _tables=_Tables(views["g"], views["sqrt_abs_det"], views["sign_det"]))
         return out
 
     # -- tables ------------------------------------------------------------
 
-    def _build_tables(self, key: str) -> np.ndarray:
+    def _build_tables(self, key: str, low: bool = False) -> np.ndarray:
         """Build table ``key``, and the tables it needs, for this metric or its block.
 
-        :meth:`table` calls it when ``key`` is read and not built yet; it
+        :meth:`_read` calls it when ``key`` is read and not built yet, or
+        built only to its low grade and read whole.  With ``low`` it
+        fills a table of :data:`LOW_GRADES` only up to its low grade.  It
         returns the table with N first, the stack of one for one metric.
         """
-        if not self._tables:  # the first table read: one metric's are the stack of one
-            object.__setattr__(self, "_tables", _Tables(
-                self.g.reshape(-1, 4, 4), np.reshape(self.sqrt_abs_det, -1), np.reshape(self.sign_det, -1),
-                self._store))
-        return self._tables[key]
+        return self._tables.build_low(key) if low else self._tables[key]
 
     def _drop_tables(self) -> None:
         """Forget the tables, and the store they were built in: a later read builds fresh ones."""
-        self._set(_tables={}, _store=None)
+        t = self._tables
+        self._set(_tables=_Tables(t.g, t.sqrt_abs_det, t.sign_det))
+
+    def _read(self, key: str, factor: np.ndarray | None = None) -> np.ndarray:
+        """Table ``key``, N first for a block: complete, or for a product with left factor ``factor``
+        filled only as far as it needs.
+
+        A table of :data:`LOW_GRADES` that is not complete yet is read at
+        its low grade unless a component of ``factor`` above that grade is
+        not exactly zero (a NaN one counts), which fills the rest.
+        """
+        tables = self._tables
+        if key in tables:
+            table = tables[key]
+        elif factor is not None and not np.count_nonzero(factor[..., _ABOVE_LOW[key]]):  # counts each != 0.0
+            table = tables.low[key] if key in tables.low else self._build_tables(key, low=True)
+        else:
+            table = self._build_tables(key)
+        return table[0] if self.g.ndim == 2 else table
 
     def table(self, key: str) -> np.ndarray:
-        """The product table ``key`` of :class:`_Tables`, built if it is not yet; N first for a block.
-
-        ``_tables`` holds the tables built so far.
-        """
-        table = self._tables[key] if key in self._tables else self._build_tables(key)
-        return table[0] if self.g.ndim == 2 else table
+        """The complete product table ``key`` of :class:`_Tables`, built if it is not yet; N first for a block."""
+        return self._read(key)
 
     # -- products ----------------------------------------------------------
 
     def clifford(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _bilinear(self.table("M"), a, b)
+        return _bilinear(self._read("M", a), a, b)
 
     def left_contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _bilinear(self.table("K"), a, b)
+        return _bilinear(self._read("K", a), a, b)
 
     def right_contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # reversion swaps the contractions: (A |_ B)~ = B~ _| A~
-        return reverse(_bilinear(self.table("K"), reverse(b), reverse(a)))
+        left = reverse(b)
+        return reverse(_bilinear(self._read("K", left), left, reverse(a)))
 
     def scalar_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """One value per pair of rows: a 0-d array for one metric."""
-        return ((a[..., np.newaxis, :] @ self.table("SP")) @ b[..., np.newaxis])[..., 0, 0]
+        return ((a[..., np.newaxis, :] @ self._read("SP", a)) @ b[..., np.newaxis])[..., 0, 0]
 
     def hodge(self, a: np.ndarray) -> np.ndarray:
         return _apply(self.table("H"), a)
@@ -317,21 +344,37 @@ class _Tables(dict):
       ``Hinv_scale`` (N, 16): the per-blade signs of its inverse.
 
     The dict starts empty and builds a table the first time it is read,
-    together with the tables it needs, so its keys are the tables built so
-    far; nothing is built twice.  Every operation acts on each metric
-    separately (a stacked matmul is one product per metric), so table n is
-    bitwise the table of metric n built alone.
+    together with the tables it needs, so its keys are the complete tables
+    built so far; nothing is built twice.  ``M``, ``K`` and ``SP`` may
+    first be built only up to their grade in :data:`LOW_GRADES` (``M`` to
+    2, ``K`` and ``SP`` to 1; :meth:`build_low`), which is all ``verify``
+    reads.  ``low`` holds them so until a read of the complete table fills
+    the rest in place (:data:`_FILLS`) and moves them into the dict: a
+    product whose left factor reaches above the low grade, the build of
+    ``H``, which reads the complete ``K``, or :meth:`PointMetric.table`,
+    which always returns the complete table.  Every operation acts on
+    each metric separately (a stacked matmul is one product per metric),
+    so table n is bitwise the table of metric n built alone.
     """
 
-    __slots__ = ("g", "sqrt_abs_det", "sign_det", "store")
+    __slots__ = ("g", "sqrt_abs_det", "sign_det", "store", "low")
 
     def __init__(self, g, sqrt_abs_det, sign_det, store=None):
         super().__init__()
         self.g = np.asarray(g, dtype=float)
         self.sqrt_abs_det, self.sign_det, self.store = sqrt_abs_det, sign_det, store
+        self.low = {}
 
     def __missing__(self, key):
-        table = self[key] = _BUILDERS[key](self)  # an unknown key raises KeyError here
+        table = self.low.pop(key) if key in self.low else _BUILDERS[key](self)  # an unknown key raises KeyError
+        if key in _FILLS:
+            table = _FILLS[key](self, table)
+        self[key] = table
+        return table
+
+    def build_low(self, key: str) -> np.ndarray:
+        """Table ``key`` of :data:`LOW_GRADES` filled up to its low grade, the blades above exact zeros."""
+        table = self.low[key] = _BUILDERS[key](self)
         return table
 
     def empty(self, key: str) -> np.ndarray:
@@ -344,19 +387,27 @@ class _Tables(dict):
 #   gamma^M X = gamma^i (gamma^rest X) - (gamma^i _| gamma^rest) X,
 # and left-contraction operators from composing interior products; one grade
 # at a time, since each grade reads only lower ones.  The grade-2 step (G2) is
-# all that the Ricci operator needs, and M continues from it.
+# all that the Ricci operator needs, and M continues from it.  M, K and SP are
+# built up to their grade in LOW_GRADES, and their fill step (_FILLS) adds the
+# grades above in place, with the operations a build of every grade at once
+# would make.
 
 # the grade-2 blades, in mask order, are gamma^i ^ gamma^j for (i, j) in zip(G2_LOWEST, G2_COVECTOR)
 _G2_MASKS, G2_LOWEST, _G2_REST = blades.PEEL_STEPS[0]
 G2_COVECTOR = np.searchsorted(blades.COVECTOR_MASKS, _G2_REST)  # the j of rest = gamma^j
 _DIAG = np.arange(blades.N_BLADES)
 _COVECTORS = list(blades.MASKS_BY_GRADE[1])
-_ABOVE_GRADE2 = [m for k in (3, 4) for m in blades.MASKS_BY_GRADE[k]]
 # per grade >= 2, its peel step and its blades as (mask, lowest covector, mask of the rest)
 _PEEL_BLADES = [(step, list(zip(*(column.tolist() for column in step)))) for step in blades.PEEL_STEPS]
 
 # the (N-less) shape of each table a TableStore holds
 STORED_TABLES = {"M": (blades.N_BLADES,) * 3, "K": (blades.N_BLADES,) * 3}
+
+# the grade each blade table is built up to until a read needs the rest: every
+# left factor of verify's products has grade 2 at most, and every left factor of
+# its contractions and scalar products grade 1
+LOW_GRADES = {"M": 2, "K": 1, "SP": 1}
+_ABOVE_LOW = {key: np.flatnonzero(blades.GRADE > grade) for key, grade in LOW_GRADES.items()}  # blade masks
 
 
 def _grade2(t: _Tables) -> np.ndarray:
@@ -372,13 +423,19 @@ def _grade2(t: _Tables) -> np.ndarray:
 
 
 def _blade_left(t: _Tables) -> np.ndarray:
+    """M up to grade 2: the unit, L and G2, with no peel."""
+    M = t.empty("M")
+    M[:, _ABOVE_LOW["M"]] = 0.0  # blades not yet built enter the peel, and a product, with weight 0
+    M[:, 0] = _EYE16
+    M[:, _COVECTORS] = t["L"]
+    M[:, _G2_MASKS] = t["G2"]
+    return M
+
+
+def _fill_blade_left(t: _Tables, M: np.ndarray) -> np.ndarray:
+    """M's grades 3 and 4, peeled in place."""
     C, L = t["C"], t["L"]
     count, n = C.shape[0], blades.N_BLADES
-    M = t.empty("M")
-    M[:, _ABOVE_GRADE2] = 0.0  # blades not yet built enter the peel with weight 0
-    M[:, 0] = _EYE16
-    M[:, _COVECTORS] = L
-    M[:, _G2_MASKS] = t["G2"]
     flat = M.reshape(count, 1, n, n * n)
     for (masks, lowest, rest), grade in _PEEL_BLADES[1:]:
         # coefficients of gamma^i _| gamma^rest, shape (N, blades of the grade, 1, 16)
@@ -391,26 +448,37 @@ def _blade_left(t: _Tables) -> np.ndarray:
 
 
 def _blade_contract(t: _Tables) -> np.ndarray:
-    C = t["C"]
-    K = t.empty("K")  # every blade's slice is set below
+    """K up to grade 1: the unit and C."""
+    K = t.empty("K")
     K[:, 0] = _EYE16
-    K[:, _COVECTORS] = C
+    K[:, _COVECTORS] = t["C"]
+    K[:, _ABOVE_LOW["K"]] = 0.0
+    return K
+
+
+def _fill_blade_contract(t: _Tables, K: np.ndarray) -> np.ndarray:
+    """K's grades 2 to 4, composed in place."""
+    C = t["C"]
     for _, grade in _PEEL_BLADES:
         for m, i, r in grade:  # one product per blade, written in place
             np.matmul(C[:, i], K[:, r], out=K[:, m])
     return K
 
 
-def _scalar_products(t: _Tables) -> np.ndarray:
+def _gram_blocks(t: _Tables, SP: np.ndarray, grades) -> np.ndarray:
     # Gram-determinant scalar products between equal-grade blades,
     # batched per grade for speed
-    g, n = t.g, blades.N_BLADES
-    SP = np.zeros((g.shape[0], n, n))
-    SP[:, 0, 0] = 1.0
-    for k in range(1, 5):
+    for k in grades:
         amasks, bmasks, rows, cols = blades.GRAM_PAIRS[k]
-        SP[:, amasks, bmasks] = np.linalg.det(g[:, rows, cols])
+        SP[:, amasks, bmasks] = np.linalg.det(t.g[:, rows, cols])
     return SP
+
+
+def _scalar_products(t: _Tables) -> np.ndarray:
+    """SP up to grade 1."""
+    SP = np.zeros((t.g.shape[0], blades.N_BLADES, blades.N_BLADES))
+    SP[:, 0, 0] = 1.0
+    return _gram_blocks(t, SP, [1])
 
 
 def _hodge(t: _Tables) -> np.ndarray:
@@ -422,6 +490,7 @@ def _hodge_inv_scale(t: _Tables) -> np.ndarray:
     return np.multiply.outer(t.sign_det, (-1.0) ** (blades.GRADE * (4 - blades.GRADE)))
 
 
+# each table's build, up to its low grade for a table of LOW_GRADES
 _BUILDERS = {
     "C": lambda t: np.einsum("nij,jkl->nikl", t.g, blades.CONTRACT_STRUCT),
     "L": lambda t: t["C"] + blades.WEDGE_OP,
@@ -434,6 +503,12 @@ _BUILDERS = {
     "Hinv_scale": _hodge_inv_scale,
 }
 TABLE_NAMES = tuple(_BUILDERS)  # every key PointMetric.table takes
+# the fill step of each table of LOW_GRADES: its grades above the low one, in place
+_FILLS = {
+    "M": _fill_blade_left,
+    "K": _fill_blade_contract,
+    "SP": lambda t, SP: _gram_blocks(t, SP, [2, 3, 4]),
+}
 
 
 # -- the products on (..., 16) rows, against tables with the same leading axes ------

@@ -1060,7 +1060,8 @@ def test_pinned_digests_hold_at_numpy_baseline_dispatch():
     # functions change bits with them; the pinned report bytes and law lines
     # must not, so the pins are re-checked in a child with every dispatched
     # feature this host has disabled; the operator maxima too, as the
-    # operator suite's jets run sin over lanes
+    # operator suite's jets run sin over lanes; and the products from partly
+    # filled tables, which must keep the full tables' bits at every dispatch
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     if not features:
@@ -1068,14 +1069,15 @@ def test_pinned_digests_hold_at_numpy_baseline_dispatch():
     pins = [f"tests/test_runner_cli.py::{test_bundled_report_bytes_pinned.__name__}",
             f"tests/test_runner_cli.py::{test_workload_report_bytes_pinned.__name__}",
             "tests/test_selftest.py::test_law_lines_are_pinned",
-            "tests/test_selftest.py::test_diffops_law_maxima_are_pinned"]
+            "tests/test_selftest.py::test_diffops_law_maxima_are_pinned",
+            "tests/test_tables.py::test_products_from_partly_filled_tables_equal_the_full_tables_bitwise"]
     probe = ("import sys, pytest; from numpy._core import _multiarray_umath as m; "
              f"assert not any(m.__cpu_features__[f] for f in {features!r}); "
              f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{pins!r}]))")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    passed = len(BUNDLED_REPORT_SHA256) + len(WORKLOAD_REPORT_SHA256) + 1 + len(DIFFOPS_MAXIMA)
+    passed = len(BUNDLED_REPORT_SHA256) + len(WORKLOAD_REPORT_SHA256) + 1 + len(DIFFOPS_MAXIMA) + 1
     assert f"{passed} passed" in proc.stdout, proc.stdout
 
 

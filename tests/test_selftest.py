@@ -202,14 +202,16 @@ CORRUPTIONS = [
 
 @pytest.mark.parametrize("key, blade, failing, untouched", CORRUPTIONS)
 def test_suite_fails_on_a_corrupted_table(monkeypatch, key, blade, failing, untouched):
-    build = algebra._BUILDERS[key]
+    # the step that completes the table: the fill of a table first built to its low grade
+    hooks = algebra._FILLS if key in algebra._FILLS else algebra._BUILDERS
+    step = hooks[key]
 
-    def corrupted(tables):
-        table = build(tables)
+    def corrupted(tables, *table):
+        table = step(tables, *table)
         table[:, blade, 0] += 1e-6
         return table
 
-    monkeypatch.setitem(algebra._BUILDERS, key, corrupted)
+    monkeypatch.setitem(hooks, key, corrupted)
     result = selftest.run_algebra_suite(iterations=50, seed=3)
     assert not result.passed
     failed = {law.name for law in result.laws if not law.passed}

@@ -1,4 +1,5 @@
-"""The product tables are built one at a time, when first read, and equal the eager build."""
+"""The product tables are built one at a time, when first read, filled above their low grades only
+when read whole, and equal the eager build."""
 
 import hashlib
 from collections import Counter
@@ -11,6 +12,8 @@ from cliffcheck import fieldcheck as fch
 from cliffcheck import geometry as geo
 from cliffcheck.algebra import TABLE_NAMES, PointMetric
 from cliffcheck.diffops import MultivectorField
+
+from test_fieldcheck import GENERIC  # every component of its metric depends on the point
 
 SCHW = geo.build_metric("schwarzschild", {"M": 1.0})
 
@@ -147,13 +150,13 @@ def test_lazy_tables_equal_the_eager_build_bitwise(block, lorentzian, order):
 
 
 def _spy_on_misses(monkeypatch) -> list:
-    """Record each ``(metric, key)`` that PointMetric._build_tables is called with."""
+    """Record each ``(metric, key, low)`` that PointMetric._build_tables is called with."""
     calls = []
     original = PointMetric._build_tables
 
-    def build(self, key):
-        calls.append((self, key))
-        return original(self, key)
+    def build(self, key, low=False):
+        calls.append((self, key, low))
+        return original(self, key, low)
 
     monkeypatch.setattr(PointMetric, "_build_tables", build)
     return calls
@@ -174,8 +177,8 @@ def test_killing_identities_builds_only_what_it_reads(monkeypatch):
     # which reads L, so M, K, SP, tau and H are never built
     calls = _spy_on_misses(monkeypatch)
     _run_one_block(["killing_identities"], _killing_form())
-    assert sorted(key for _, key in calls) == ["C", "G2"]
-    (metric,) = {id(m): m for m, _ in calls}.values()
+    assert sorted((key, low) for _, key, low in calls) == [("C", False), ("G2", False)]
+    (metric,) = {id(m): m for m, _, _ in calls}.values()
     assert set(metric._tables) == {"C", "L", "G2"}
 
 
@@ -185,32 +188,129 @@ def test_killing_builds_no_table(monkeypatch):
     assert calls == []
 
 
-def test_no_table_is_built_twice(monkeypatch):
-    builds = Counter()
+def _ten_check_fields() -> fch.ScenarioFields:
+    """The fields of ``schw-10check``: K, and S and V for the fluid checks."""
+    s = SCHW.coords
+    return fch.ScenarioFields(K=_killing_form().K,
+                              S=MultivectorField.from_components({"1": f"{s[0]}*{s[1]}"}, s),
+                              V=MultivectorField.from_components({"t": "sqrt(1-2*M/r)"}, s))
+
+
+def _count_steps(monkeypatch) -> Counter:
+    """Count each run of a build step (:data:`algebra._BUILDERS`) and a fill step
+    (:data:`algebra._FILLS`) by ``(id of its table stack, "build" or "fill", key)``."""
+    steps = Counter()
     kept = []  # every stack stays alive, so no id is reused
 
-    def counting(key, build):
-        def counted(tables):
+    def counting(kind, key, step):
+        def counted(tables, *table):
             kept.append(tables)
-            builds[id(tables), key] += 1
-            return build(tables)
+            steps[id(tables), kind, key] += 1
+            return step(tables, *table)
         return counted
 
-    for key, build in list(algebra._BUILDERS.items()):
-        monkeypatch.setitem(algebra._BUILDERS, key, counting(key, build))
+    for kind, hooks in (("build", algebra._BUILDERS), ("fill", algebra._FILLS)):
+        for key, step in list(hooks.items()):
+            monkeypatch.setitem(hooks, key, counting(kind, key, step))
+    return steps
+
+
+def _rows(rng, count: int, grades) -> np.ndarray:
+    """``count`` random rows with components of ``grades`` only, some of them 0.0 and some -0.0,
+    and -0.0 among the exact zeros of the other grades."""
+    x = np.where(np.isin(blades.GRADE, grades), rng.normal(size=(count, blades.N_BLADES)), 0.0)
+    x[rng.random(x.shape) < 0.15] = 0.0
+    x[rng.random(x.shape) < 0.15] = -0.0
+    return x
+
+
+# each product that reads a table of LOW_GRADES: (its table, the product with
+# left factor ``a``); right_contract's left factor is its reversed right operand
+PRODUCTS = {
+    "clifford": ("M", lambda pm, a, b: pm.clifford(a, b)),
+    "left_contract": ("K", lambda pm, a, b: pm.left_contract(a, b)),
+    "right_contract": ("K", lambda pm, a, b: pm.right_contract(b, a)),
+    "scalar_product": ("SP", lambda pm, a, b: pm.scalar_product(a, b)),
+}
+
+
+def test_no_table_is_built_twice(monkeypatch):
+    steps = _count_steps(monkeypatch)
     calls = _spy_on_misses(monkeypatch)
-    s = SCHW.coords
-    fields = fch.ScenarioFields(K=_killing_form().K,
-                                S=MultivectorField.from_components({"1": f"{s[0]}*{s[1]}"}, s),
-                                V=MultivectorField.from_components({"t": "sqrt(1-2*M/r)"}, s))
-    _run_one_block(list(fch.CHECKS), fields)
-    assert len({id(m) for m, _ in calls}) == 1
+    _run_one_block(list(fch.CHECKS), _ten_check_fields())
+    assert len({id(m) for m, _, _ in calls}) == 1
     # then every table, on fresh metrics, M or G2 first
     for order in (*ORDERS.values(), ("G2", "M"), ("M", "G2")):
         metric = PointMetric(_metrics(True))
         for key in order + order:
             metric.table(key)
-    assert builds and set(builds.values()) == {1}
+    # and each product's table read at its low grade, then filled by a general left factor, then read whole
+    rng = np.random.default_rng(7)
+    for key, product in PRODUCTS.values():
+        metric = PointMetric(_metrics(True))
+        for grades in ([0, 1], [0, 1], range(5), range(5)):
+            product(metric, _rows(rng, 16, grades), _rows(rng, 16, range(5)))
+        metric.table(key)
+    assert steps and set(steps.values()) == {1}
     # the grade-2 peel step is the table G2: once per stack, whether M reads it or it is read first
-    assert {key for _, key in builds} == set(TABLE_NAMES)
+    assert {key for _, kind, key in steps if kind == "build"} == set(TABLE_NAMES)
+    assert {key for _, kind, key in steps if kind == "fill"} == set(algebra.LOW_GRADES)
     assert len(calls) == len(set(calls))  # a miss is never repeated for one metric
+
+
+def test_verify_fills_no_table_above_its_low_grade(monkeypatch):
+    # the ten checks of one block read M, K and SP only at their low grades;
+    # the Hodge star, table(key) and the algebra selftest fill them
+    steps = _count_steps(monkeypatch)
+    calls = _spy_on_misses(monkeypatch)
+    _run_one_block(list(fch.CHECKS), _ten_check_fields())
+    (metric,) = {id(m): m for m, _, _ in calls}.values()
+    tables = metric._tables
+    assert not [step for step in steps if step[1] == "fill"]
+    assert set(tables.low) == set(algebra.LOW_GRADES) and not set(tables) & set(algebra.LOW_GRADES)
+    for key, grade in algebra.LOW_GRADES.items():
+        above = tables.low[key][:, blades.GRADE > grade]
+        assert not above.any() and not np.signbit(above).any(), key  # exact +0.0
+    metric.hodge(_rows(np.random.default_rng(3), fch.BLOCK, range(5)))
+    assert {key for _, kind, key in steps if kind == "fill"} == {"K"} and set(tables.low) == {"M", "SP"}
+    for key in ("M", "SP"):
+        assert metric.table(key).tobytes() == eager_tables(metric.g, metric.sqrt_abs_det,
+                                                           metric.sign_det)[key].tobytes()
+    assert not tables.low and sum(kind == "fill" for _, kind, _ in steps) == 3
+    steps.clear()
+    selftest.run_algebra_suite(iterations=selftest.TRIALS_PER_BLOCK, seed=5)
+    assert {key for _, kind, key in steps if kind == "fill"} == set(algebra.LOW_GRADES)
+    assert len({stack for stack, _, _ in steps}) == 1
+
+
+def test_products_from_partly_filled_tables_equal_the_full_tables_bitwise():
+    # On metrics that are not diagonal a contraction over the low-grade
+    # slices alone changes last bits; one over all 16 slices of a table whose
+    # higher slices are still exact zeros must not.  Left factors of grade 0,
+    # 1 and 2 alone and of mixed grades, with 0.0 and -0.0 among their
+    # components, read the partly filled table; a NaN above the low grade
+    # fills it and gives NaN, as the full table does.
+    rng = np.random.default_rng(11)
+    blocks = {"generic": geo.metric_at(GENERIC, rng.uniform(-1.0, 1.0, size=(fch.BLOCK, 4)))[0].g,
+              "random": _metrics(True)}
+    for name, g in blocks.items():
+        full = PointMetric(g)
+        assert not full.errors and (g[:, ~np.eye(4, dtype=bool)] != 0.0).all(), name
+        want = eager_tables(full.g, full.sqrt_abs_det, full.sign_det)
+        for key in algebra.LOW_GRADES:
+            assert full.table(key).tobytes() == want[key].tobytes(), (name, key)
+        for product, (key, apply) in PRODUCTS.items():
+            for grades in ([0], [1], [2], [0, 1], [1, 2], [0, 1, 2]):
+                lazy = PointMetric(g)
+                for trial in range(3):
+                    a, b = _rows(rng, len(g), grades), _rows(rng, len(g), range(5))
+                    got = apply(lazy, a, b)
+                    assert got.tobytes() == apply(full, a, b).tobytes(), (name, product, grades, trial)
+                assert (key in lazy._tables) == (max(grades) > algebra.LOW_GRADES[key]), (name, product, grades)
+            lazy = PointMetric(g)
+            a, b = _rows(rng, len(g), [0, 1]), _rows(rng, len(g), range(5))
+            apply(lazy, a, b)
+            a[5, 7] = np.nan  # blade 7 has grade 3
+            got = apply(lazy, a, b)
+            assert key in lazy._tables and np.isnan(got[5]).all(), (name, product)
+            assert got.tobytes() == apply(full, a, b).tobytes(), (name, product)

@@ -9,6 +9,9 @@ numpy steps; the metric-dependent tables live in :mod:`cliffcheck.algebra`.
 
 from __future__ import annotations
 
+from functools import cache
+from typing import NamedTuple
+
 import numpy as np
 
 DIM = 4
@@ -17,6 +20,7 @@ FULL_MASK = N_BLADES - 1
 
 _GRADES = [bin(m).count("1") for m in range(N_BLADES)]
 GRADE = np.array(_GRADES, dtype=np.int64)
+ALL_GRADES = frozenset(range(DIM + 1))
 MASKS_BY_GRADE = tuple(
     tuple(m for m in range(N_BLADES) if _GRADES[m] == k) for k in range(DIM + 1)
 )
@@ -118,6 +122,34 @@ SUB_TAKE[_place_in_group(_flat), np.searchsorted(SUB_POSITIONS, _flat)] = (
 _row, _col = np.divmod(SUB_POSITIONS, N_BLADES)
 SUB_ROW_N = np.zeros((N_BLADES, np.bincount(_row).max()), dtype=np.int64)
 SUB_ROW_N[_row, _place_in_group(_row)] = _col
+
+
+class RowSet(NamedTuple):
+    """The blade rows of a set of grades, and the index tables above restricted to them (:func:`row_set`)."""
+
+    rows: np.ndarray  # the masks of those grades, ascending
+    take: np.ndarray  # SUB_TAKE's columns of the positions in those rows, less the terms that pad all of them
+    at: np.ndarray  # each such position's flat place j * 16 + n in the (len(rows), 16) block of those rows
+    row_n: np.ndarray  # SUB_ROW_N at those rows
+
+
+@cache
+def row_set(grades: frozenset) -> RowSet:
+    """The rows of the blades of ``grades``, built on first use, once per grade set.
+
+    An index substitution keeps the grade, so a field of those grades meets
+    ``INDEX_SUB`` only at its positions in these rows: 16 of the 63 for the
+    1-forms, none for the scalars.
+    """
+    rows = np.flatnonzero(np.isin(GRADE, list(grades)))
+    kept = np.isin(_row, rows)
+    take = SUB_TAKE[:, kept]
+    depth = max(1, int((take != 2 * DIM ** 2).sum(axis=0).max(initial=0)))
+    tables = RowSet(rows, take[:depth], np.searchsorted(rows, _row[kept]) * N_BLADES + _col[kept], SUB_ROW_N[rows])
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
+
 
 # static index scaffolding for batched Gram determinants: per grade k, the
 # masks and row/column coordinate arrays of every equal-grade blade pair

@@ -14,27 +14,42 @@ caller adds ``covariant_dalembertian()`` and ``ricci_operator()``.
 
 Index conventions:  ``cov1[a]`` are the blade components of D_a F,
 ``cov2[a, b]`` those of D_a D_b F, and the covariant correction enters
-through ``Gop[a] = sum Gamma^r_{a i} INDEX_SUB[i, r]`` (``GeometryData.gop``,
-shared by every field at the same geometry).  The operators read the field's
-jets, a :class:`~cliffcheck.expr.Jet2` stack of its 16 components
-(:func:`field_jets`), from ``GeometryData.jet``, and the metric's product
-tables ``C``, ``L`` and ``G2`` through ``GeometryData.metric.table``; the
-Ricci operator acts by the grade-2 blades of ``G2``, one block per pair
-a < b of covectors.
+through ``Gop[a] = sum Gamma^r_{a i} INDEX_SUB[i, r]``.  The operators read
+the field's jets, a :class:`~cliffcheck.expr.Jet2` stack of its 16
+components (:func:`field_jets`), from ``GeometryData.jet``, and the
+metric's product tables ``C``, ``L`` and ``G2`` through
+``GeometryData.metric.table``; the Ricci operator acts by the grade-2
+blades of ``G2``, one block per pair a < b of covectors.
 
-The correction is sparse: ``INDEX_SUB`` has 63 non-zero (m, n) positions of
-256, at most 5 in a row.  ``GeometryData`` gathers ``Gop`` from them and
-scatters it into a dense (4, 16, 16) per point, and keeps its derivative
-``dGop`` as its non-zeros only, (4, 4, 63) per point.  Each contraction
-gives the bits of the dense einsum it replaced, which the tests check on
-each host.  ``Gop . grad`` (in ``_pd_cov1``) is a gather that sums each
-row's non-zero n in order from 0.0, as that einsum, which reads ``grad``
-strided, does.  The contractions whose n axis is contiguous stay dense
-einsums: ``Gop . val`` (``cov1``), ``Gop . cov1`` (``cov2``) and
-``dGop . val``, which scatters ``dGop`` into a dense slab of one s at a
-time (256 kB on a block of 32 points).  numpy sums a contiguous axis of 16
-in SIMD lanes, and a sequential sum of the non-zero terms differs from it
-in the last bits.
+Each operator computes only the blade rows its field's grades reach, and
+every other row is exactly +0.0, which is what the dot over all 16 n gives
+it from finite jets.  Gop keeps the grade, so ``cov1``, ``cov2`` and the
+parts of d_s (D_a F) are computed at the rows of the field's grades p
+alone (4 of 16 for a 1-form, 1 for a scalar), and the Ricci operator at
+the rows of p - 2, p and p + 2, which a grade-2 blade reaches.  D_a dF
+is computed at the rows of p and p + 1 (:meth:`FieldCalculus.maxwell_current`),
+and D_a delta F at every row.  ``GeometryData.gop_rows(grades)`` is Gop at those
+rows, (4, R, 16) per point: ``INDEX_SUB`` has 63 non-zero (m, n) positions
+of 256, at most 5 in a row, and their non-zeros in these rows (16 for a
+1-form, none for a scalar) are gathered and scattered into zeros.
+``dgop_rows(grades)`` keeps dGop as those non-zeros only, (4, 4, P) per
+point.  Both are computed once per grade set and shared by every field at
+the same geometry; ``gd.gop`` and ``gd.dgop`` are the case of every grade.
+
+Each kept row is the same contraction as over every row, so it has the
+same bits, which the tests check on each host against the route that
+computes every row.  ``Gop . grad`` (in ``_pd_cov1``) is a gather that sums
+each row's non-zero n in order from 0.0, as the dense einsum, which reads
+``grad`` strided, does.  The contractions whose n axis is contiguous stay
+dense einsums over all 16 n of each kept row: ``Gop . val`` (``cov1``),
+``Gop . cov1`` (``cov2``), ``dGop . val``, which scatters ``dGop``'s rows
+into a dense slab of one s at a time (64 kB for a 1-form on a block of 32
+points), and the Ricci operator's ``G2`` rows.  numpy sums a contiguous
+axis of 16 in SIMD lanes, and a sequential sum of the non-zero terms
+differs from it in the last bits.  The contractions over two axes at once
+(``dirac``, the codifferentials and the trace of
+``covariant_dalembertian``) read every row: on a compact operand numpy
+may fuse the two axes into one reduction, which sums in another order.
 
 Every operator returns a (..., 16) row of blade coefficients, the one
 representation of a multivector (:mod:`cliffcheck.algebra`).  A
@@ -62,6 +77,7 @@ its points that fails alone does.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, wraps
 from typing import Callable, Mapping
 
@@ -75,7 +91,6 @@ from .geometry import GeometryData
 
 _ZERO = ex.ZERO
 _NOT_GRADE1 = blades.GRADE != 1
-_ROW_FLAT = np.arange(0, 256, 16) + blades.SUB_ROW_N.T  # [k, m]: flat (m, n) of row m's k-th n
 # the grade-2 block of gamma^a ^ gamma^b for each ordered pair a != b, in (a, b) order
 _RICCI_BLOCKS = [list(zip(G2_LOWEST, G2_COVECTOR)).index((min(a, b), max(a, b)))
                  for a in range(4) for b in range(4) if a != b]
@@ -238,9 +253,17 @@ class FieldCalculus:
     def jets(self) -> ex.Jet2:
         return field_jets(self.field, self.gd.point, self.gd.jet)
 
-    def _cov(self, val: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """The components of D_a G, from the values and partials of G's components."""
-        return _swap(grad) - np.einsum("...amn,...n->...am", self.gd.gop, val)
+    def _cov(self, val: np.ndarray, grad: np.ndarray, grades: frozenset) -> np.ndarray:
+        """The components of D_a G, from the values and partials of G's components, which are zero outside ``grades``.
+
+        Only the rows of ``grades`` are computed, each the dot over all 16 n
+        of its row of Gop; the others are +0.0, as that dot gives them from
+        finite components.
+        """
+        rows = blades.row_set(grades).rows
+        cov = np.zeros(grad.shape[:-2] + (4, blades.N_BLADES))
+        cov[..., rows] = _swap(grad[..., rows, :]) - np.einsum("...amn,...n->...am", self.gd.gop_rows(grades), val)
+        return cov
 
     def _contract(self, cov: np.ndarray) -> np.ndarray:
         """sum_a gamma^a _| cov[a]: minus the codifferential of G when cov[a] is D_a G."""
@@ -249,7 +272,7 @@ class FieldCalculus:
     @cached_property
     def cov1(self) -> np.ndarray:
         """cov1[a] = components of D_a F."""
-        return self._cov(self.jets.val, self.jets.grad)
+        return self._cov(self.jets.val, self.jets.grad, self.grades)
 
     @cached_property
     def _pd_cov1(self) -> np.ndarray:
@@ -259,37 +282,49 @@ class FieldCalculus:
     def _dgop_vals(self) -> np.ndarray:
         """[s, a, m] = sum_n dGop[s, a][m, n] val[n], by the dense einsum on one slab of s at a time.
 
-        A slab scatters dGop for one s, so on a block of 32 points
-        (``fieldcheck.BLOCK``) it holds 32 (4, 16, 16) operators, 256 kB.
+        A slab scatters dGop's rows of the field's grades for one s, so on a
+        block of 32 points (``fieldcheck.BLOCK``) it holds 32 (4, R, 16)
+        operators, 64 kB for a 1-form.  The other rows are +0.0, as in cov1.
         """
-        dgop = self.gd.dgop
-        slab = np.zeros(dgop.shape[:-3] + (1, 4, 256))
+        rs = blades.row_set(self.grades)
+        dgop = self.gd.dgop_rows(self.grades)
+        width = len(rs.rows) * blades.N_BLADES
+        slab = np.zeros(dgop.shape[:-3] + (1, 4, width))
         flat = slab.reshape(-1)
-        at = (np.arange(flat.size, step=256)[:, np.newaxis] + blades.SUB_POSITIONS).ravel()
-        dense = slab.reshape(slab.shape[:-1] + (16, 16))
-        parts = []
+        at = (np.arange(math.prod(slab.shape[:-1]))[:, np.newaxis] * width + rs.at).ravel()
+        dense = slab.reshape(slab.shape[:-1] + (len(rs.rows), blades.N_BLADES))
+        out = np.zeros(dgop.shape[:-1] + (blades.N_BLADES,))
         for s in range(4):
             flat[at] = dgop[..., s, :, :].ravel()
-            parts.append(np.einsum("...samn,...n->...sam", dense, self.jets.val))
-        return np.concatenate(parts, axis=-3)
+            out[..., s, :, :][..., rs.rows] = np.einsum("...samn,...n->...sam", dense, self.jets.val)[..., 0, :, :]
+        return out
 
     def _gop_grads(self) -> np.ndarray:
         """[s, a, m] = sum_n Gop[a][m, n] grad[n, s], over each row's non-zero n in order from 0.0.
 
-        Each row's up to 5 non-zero n are gathered onto an axis k, which the
-        einsum reads strided and so sums in order, as the dense einsum over
-        all 16 n does.  A row with fewer is padded with n = 0, where Gop[a][m]
-        is zero; such a term adds +-0.0, which leaves the sum as it is.
+        Each of the field's rows' up to 5 non-zero n are gathered onto an
+        axis k, which the einsum reads strided and so sums in order, as the
+        dense einsum over all 16 n does.  A row with fewer is padded with
+        n = 0, where Gop[a][m] is zero; such a term adds +-0.0, which leaves
+        the sum as it is.  The other rows are +0.0, as in cov1.
         """
-        gop = self.gd.gop
-        rows = gop.reshape(gop.shape[:-2] + (256,))[..., _ROW_FLAT]  # [a, k, m] = Gop[a][m, SUB_ROW_N[m, k]]
-        grad = _swap(self.jets.grad)[..., blades.SUB_ROW_N.T]  # [s, k, m] = grad[SUB_ROW_N[m, k], s]
-        return np.einsum("...akm,...skm->...sam", rows, grad)
+        rs = blades.row_set(self.grades)
+        gop = self.gd.gop_rows(self.grades)
+        at = np.arange(0, gop.shape[-2] * blades.N_BLADES, blades.N_BLADES) + rs.row_n.T  # [k, j]: row j's k-th n
+        rows = gop.reshape(gop.shape[:-2] + (-1,))[..., at]  # [a, k, j] = Gop[a][rows[j], row_n[j, k]]
+        grad = _swap(self.jets.grad)[..., rs.row_n.T]  # [s, k, j] = grad[row_n[j, k], s]
+        out = np.zeros(gop.shape[:-3] + (4, 4, blades.N_BLADES))
+        out[..., rs.rows] = np.einsum("...akm,...skm->...sam", rows, grad)
+        return out
 
     @cached_property
     def cov2(self) -> np.ndarray:
-        """cov2[a, b] = components of D_a D_b F."""
-        return self._pd_cov1 - np.einsum("...amn,...bn->...abm", self.gd.gop, self.cov1)
+        """cov2[a, b] = components of D_a D_b F; +0.0 outside the field's rows, as in cov1."""
+        rows = blades.row_set(self.grades).rows  # Gop keeps the grade
+        cov2 = np.zeros(self._pd_cov1.shape)
+        cov2[..., rows] = self._pd_cov1[..., rows] - np.einsum("...amn,...bn->...abm", self.gd.gop_rows(self.grades),
+                                                               self.cov1)
+        return cov2
 
     @cached_property
     def _contract_grad(self) -> np.ndarray:
@@ -353,12 +388,18 @@ class FieldCalculus:
 
     @_once
     def maxwell_current(self) -> np.ndarray:
-        """J = -delta(dF): the source current when this field is a potential."""
-        return self._contract(self._cov(*self._d_jet))
+        """J = -delta(dF): the source current when this field is a potential.
+
+        D_a dF is computed at the rows of F's grades and dF's together: for a
+        field of every grade those are the rows it has gathered already, where
+        dF's alone would be a second set of Gop rows kept for the block.
+        """
+        grades = self.grades | {p + 1 for p in self.grades if p < blades.DIM}
+        return self._contract(self._cov(*self._d_jet, grades))
 
     @_once
     def codifferential_squared(self) -> np.ndarray:
-        return -self._contract(self._cov(*self._delta_jet))
+        return -self._contract(self._cov(*self._delta_jet, blades.ALL_GRADES))
 
     # -- second-order operators -----------------------------------------------------
 
@@ -374,19 +415,24 @@ class FieldCalculus:
         # 1/2 (gamma^a ^ gamma^b) [D_a, D_b] F, the bivector acting by the
         # Clifford product (its grade-raising part dies by the first Bianchi
         # identity; the grade-preserving part is the curvature action)
-        comm = self.cov2 - np.einsum("...abm->...bam", self.cov2)
+        cov2 = self.cov2
+        comm = cov2[..., G2_LOWEST, G2_COVECTOR, :] - cov2[..., G2_COVECTOR, G2_LOWEST, :]  # [a, b] - [b, a] per block
         # The sum over a, b, n of (gamma^a ^ gamma^b)[m, n] comm[a, b, n], in the
         # order of its dense einsum, so that its bytes stay those of a (4, 4)
         # table of bivector operators: one n-sum (einsum, n last) per grade-2
         # block, a < b, which is bitwise also the (b, a) term, as both of its
         # factors change sign; then the 12 pairs a != b in (a, b) order.
-        # Another order or grouping of the sums may round differently.
-        blocks = np.einsum("...kmn,...kn->...km", self.gd.metric.table("G2"),
-                           comm[..., G2_LOWEST, G2_COVECTOR, :])
+        # Another order or grouping of the sums may round differently.  A
+        # grade-2 blade moves a grade by -2, 0 or +2, so only those rows of
+        # G2 are read; the others are +0.0.
+        rows = blades.row_set(_ricci_reach(self.grades)).rows
+        blocks = np.einsum("...kmn,...kn->...km", np.take(self.gd.metric.table("G2"), rows, axis=-2), comm)
         total = 0.0
         for k in _RICCI_BLOCKS:
             total = total + blocks[..., k, :]
-        return 0.5 * total
+        out = np.zeros(cov2.shape[:-3] + (blades.N_BLADES,))
+        out[..., rows] = 0.5 * total
+        return out
 
     @_once
     def hodge_dalembertian(self) -> np.ndarray:
@@ -413,6 +459,11 @@ def grad_scalar_product(ja: ex.Jet2, jb: ex.Jet2, gd: GeometryData) -> np.ndarra
         + np.einsum("...i,...ij,...js->...s", va, gu, db)
     )
     return oneform(grad)
+
+
+def _ricci_reach(grades: frozenset) -> frozenset:
+    """The grades a grade-2 blade's Clifford product takes F of ``grades`` to."""
+    return frozenset(q for p in grades for q in (p - 2, p, p + 2) if 0 <= q <= blades.DIM)
 
 
 def _swap(x: np.ndarray) -> np.ndarray:

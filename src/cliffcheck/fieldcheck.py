@@ -721,12 +721,15 @@ def _chunk_results(spec: MetricSpec, points: np.ndarray, checks: Sequence[Check]
     their shared subtrees are evaluated once) and geometry are computed
     once, here; each block runs on its slice of them
     (:func:`run_pointwise`).  Both are dropped when the last block is done.
+    The Riemann tensor is dropped at once: :func:`curvature` has validated
+    it, no check reads it, and the blocks carry none.
     """
     sources = [e for row in spec.g_lower for e in row]
     sources += [e for f in fields.values() if f is not None for e in f.comps if not ex.is_zero(e)]
     jets = ex.ChunkJets(spec.coords, points, spec.params, sources)
     with np.errstate(all="ignore"):  # non-finite values become point errors
         chunk = curvature(spec, points, jet=jets.block(0, len(points)))
+    chunk.riemann = None
     for first in range(0, len(points), BLOCK):
         stop = min(first + BLOCK, len(points))
         gd = chunk.block(first, stop, jets.block(first, stop))

@@ -120,7 +120,7 @@ class GeometryData:
         self.dg_upper = dg_upper  # d_s g^{mn} = -g^{ma} (d_s g_{ab}) g^{bn} -> dg_upper[s, m, n]
         self.gamma = gamma  # Gamma^r_{ab} -> gamma[r, a, b]
         self.dgamma = dgamma  # d_s Gamma^r_{ab} -> dgamma[s, r, a, b]
-        self.riemann = riemann  # R^r_{s mu nu} -> riemann[r, s, mu, nu]
+        self.riemann = riemann  # R^r_{s mu nu} -> riemann[r, s, mu, nu]; None where a caller dropped it
         self.ricci = ricci
         self.scalar = scalar
         self.metric = metric
@@ -138,10 +138,12 @@ class GeometryData:
         Nothing is computed again: every array is a read-only view of this
         bundle's, the point metric is its :meth:`~PointMetric.block`, and
         ``errors`` are those points' numbered from 0.  It is bitwise the
-        bundle :func:`curvature` gives those points alone.
+        bundle :func:`curvature` gives those points alone, but for an array
+        this bundle has dropped (set to None), which the block lacks too.
         """
         metric = self.metric.block(start, stop)
-        arrays = {name: readonly(getattr(self, name)[start:stop]) for name in _BLOCK_ARRAYS}
+        arrays = {name: None if getattr(self, name) is None else readonly(getattr(self, name)[start:stop])
+                  for name in _BLOCK_ARRAYS}
         return GeometryData(spec=self.spec, metric=metric, jet=jet, errors=block_errors(self.errors, start, stop),
                             **arrays)
 
@@ -162,46 +164,66 @@ class GeometryData:
     # -- operators of the connection, shared by every field's FieldCalculus --------
 
     @cached_property
-    def gop(self) -> np.ndarray:
-        """Gop[a][m, n] = sum Gamma^r_{a i} INDEX_SUB[i, r, m, n]: the covariant correction.
+    def _corrections(self) -> dict:
+        """``(name, grades)`` -> the rows :meth:`gop_rows` or :meth:`dgop_rows` gave, kept for later calls."""
+        return {}
 
-        Dense, (4, 16, 16) per point: its 63 non-zeros are gathered
-        (:func:`_index_sub_gather`) and scattered into zeros, as the
-        contractions that read it sum over all 16 n.
+    def gop_rows(self, grades: frozenset) -> np.ndarray:
+        """Gop[a] at the rows of the blades of ``grades`` (:func:`blades.row_set`): (4, R, 16) per point.
+
+        Gop[a][m, n] = sum Gamma^r_{a i} INDEX_SUB[i, r, m, n] is the covariant
+        correction.  It keeps the grade, so these rows are all of it that a
+        field of ``grades`` meets.  Each row is whole, all 16 n, as the
+        contractions that read it sum over all 16 n: its non-zeros are
+        gathered (:func:`_index_sub_gather`) and scattered into zeros.
+        Computed once per grade set.
         """
-        nonzeros = _index_sub_gather(np.einsum("...rai->...air", self.gamma))
-        gop = np.zeros(nonzeros.shape[:-1] + (blades.N_BLADES ** 2,))
-        gop[..., blades.SUB_POSITIONS] = nonzeros
-        return gop.reshape(gop.shape[:-1] + (blades.N_BLADES, blades.N_BLADES))
+        key = ("gop", grades)
+        if key not in self._corrections:
+            rs = blades.row_set(grades)
+            nonzeros = _index_sub_gather(np.einsum("...rai->...air", self.gamma), rs.take)
+            gop = np.zeros(nonzeros.shape[:-1] + (len(rs.rows) * blades.N_BLADES,))
+            gop[..., rs.at] = nonzeros
+            self._corrections[key] = gop.reshape(gop.shape[:-1] + (len(rs.rows), blades.N_BLADES))
+        return self._corrections[key]
 
-    @cached_property
-    def dgop(self) -> np.ndarray:
-        """dGop[s, a] = d_s Gop[a], kept as its non-zeros: (4, 4, 63) per point.
+    def dgop_rows(self, grades: frozenset) -> np.ndarray:
+        """dGop[s, a] = d_s Gop[a] at the rows of :meth:`gop_rows`, kept as its non-zeros: (4, 4, P) per point.
 
-        ``dgop[s, a, p]`` is d_s Gop[a] at the flat position
-        ``blades.SUB_POSITIONS[p]``; every other entry of d_s Gop[a] is zero.
+        ``dgop_rows(grades)[s, a, p]`` is d_s Gop[a] at the flat place
+        ``blades.row_set(grades).at[p]`` of those rows; every other entry
+        there is zero.  Computed once per grade set.
         """
-        return _index_sub_gather(np.einsum("...srai->...sair", self.dgamma))
+        key = ("dgop", grades)
+        if key not in self._corrections:
+            self._corrections[key] = _index_sub_gather(np.einsum("...srai->...sair", self.dgamma),
+                                                       blades.row_set(grades).take)
+        return self._corrections[key]
+
+    gop = property(lambda self: self.gop_rows(blades.ALL_GRADES))  # (4, 16, 16) per point
+    dgop = property(lambda self: self.dgop_rows(blades.ALL_GRADES))  # (4, 4, 63): at blades.SUB_POSITIONS
 
 
 # the arrays of a GeometryData that are its own, not its point metric's
 _BLOCK_ARRAYS = ("point", "dg", "dg_upper", "gamma", "dgamma", "riemann", "ricci", "scalar")
 
 
-def _index_sub_gather(table: np.ndarray) -> np.ndarray:
-    """The 63 non-zeros of sum_{i, r} table[i, r] INDEX_SUB[i, r], shape (..., 63).
+def _index_sub_gather(table: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """The non-zeros of sum_{i, r} table[i, r] INDEX_SUB[i, r] at the positions of ``take``, shape (..., P).
 
-    Position p is ``blades.SUB_POSITIONS[p]``.  Each position adds its 4
-    signed terms (:data:`blades.SUB_TAKE`, padded with zeros) to 0.0 in
-    (i, r) order, as the einsum over the dense table does, so the result is
-    bitwise that einsum's at those positions, -0.0 included.
+    ``take`` holds a column of :data:`blades.SUB_TAKE` for each position,
+    as :func:`blades.row_set` gives them.  Each position adds its signed
+    terms to 0.0 in (i, r) order, as the einsum over the dense table does,
+    so the result is bitwise that einsum's at those positions, -0.0
+    included.  The zero terms that pad every position are left out: the
+    sum is never -0.0 after its first term, so adding 0.0 changes nothing.
     """
     flat = table.reshape(table.shape[:-2] + (blades.DIM ** 2,))
     signed = np.concatenate([flat, -flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
-    first, *more = blades.SUB_TAKE
+    first, *more = take
     out = 0.0 + signed[..., first]  # 0.0 first turns a lone -0.0 into 0.0, as the einsum does
-    for take in more:
-        out += signed[..., take]
+    for column in more:
+        out += signed[..., column]
     return out
 
 

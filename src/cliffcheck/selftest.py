@@ -193,6 +193,7 @@ def _block_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
     out["anticommutator"] = _rel(sup(anti - target), sup(target))
 
     # a B = a _| B + a ^ B and B a = B |_ a + B ^ a
+    pm.table("K")  # complete now, built once: this left contraction's factor is a 1-form, later ones reach grade 4
     split = sup(clifford(one_form, b) - left_contract(one_form, b) - wedge(one_form, b))
     split2 = sup(clifford(b, one_form) - right_contract(b, one_form) - wedge(b, one_form))
     out["product_split"] = _rel(np.maximum(split, split2), sup(b))

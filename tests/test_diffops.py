@@ -353,7 +353,7 @@ def test_ricci_operator_equals_the_dense_bivector_table_bitwise(count):
         cov2[rng.random(cov2.shape) < 0.1] = -0.0
         if trial % 3 == 0:  # a commutator of exact zeros of either sign
             cov2 = np.where(rng.random(cov2.shape) < 0.5, 0.0, -0.0)
-        fc = FieldCalculus(MultivectorField.zero(), gd)
+        fc = FieldCalculus(MultivectorField((ex.ONE,) * 16), gd)  # every grade: every row is read
         fc.__dict__["cov2"] = cov2  # the cached second covariant derivatives
         comm = cov2 - np.swapaxes(cov2, -2, -3)
         want = dense_ricci_operator(gd.metric.table("G2"), comm)
@@ -688,7 +688,7 @@ def test_gathers_equal_the_dense_einsums_on_random_entries(count):
     for _ in range(25):
         gd = copy.copy(base)
         gd.gamma, gd.dgamma = random_entries(rng, lanes + (4, 4, 4)), random_entries(rng, lanes + (4, 4, 4, 4))
-        fc = FieldCalculus(MultivectorField.zero(), gd)
+        fc = FieldCalculus(MultivectorField((ex.ONE,) * 16), gd)  # every grade: every row is computed
         fc.jets = ex.Jet2(random_entries(rng, lanes + (16,)), random_entries(rng, lanes + (16, 4)),
                           random_entries(rng, lanes + (16, 4, 4)))
         assert_gathers_equal_the_dense_einsums(fc)

@@ -900,6 +900,26 @@ def schwarzschild_mixed_points(count: int) -> list:
     return points
 
 
+def test_the_blocks_of_a_chunk_carry_no_riemann_tensor(monkeypatch):
+    # curvature validates each chunk's Riemann tensor, and no check reads it:
+    # the chunk drops it before its first block, so no block carries one
+    seen = []
+    pointwise = fch.run_pointwise
+
+    def recording(gd, *args):
+        seen.append(gd.riemann)
+        return pointwise(gd, *args)
+
+    monkeypatch.setattr(fch, "run_pointwise", recording)
+    fields = fch.ScenarioFields(K=field({"t": "1-2*M/r"}, SCHW), S=field({"1": "t"}, SCHW),
+                                V=field({"t": "sqrt(1-2*M/r)"}, SCHW))
+    points = schwarzschild_mixed_points(fch.CHUNK + fch.BLOCK + 3)
+    reports = fch.run_checks(SCHW, fields, list(fch.CHECKS), points, [1e-8] * len(fch.CHECKS))
+    assert len(seen) == -(-fch.CHUNK // fch.BLOCK) + 2 and all(riemann is None for riemann in seen)
+    assert "metric of 'schwarzschild' not evaluable" in records(reports[0])[4]["error"]
+    assert geo.curvature(SCHW, points[:3]).riemann.shape == (3, 4, 4, 4, 4)  # curvature keeps it
+
+
 @pytest.mark.parametrize("block", [16, 32, 3, 1, 64, 256])
 def test_block_size_does_not_change_report_bytes(monkeypatch, block):
     # 300 points: at every size the run crosses a block boundary and the chunk
@@ -1202,6 +1222,78 @@ def test_flrw_gives_the_same_verdicts_and_scalars_in_cosmic_and_conformal_time()
     for column, got in scalars["conformal"].items():
         want = scalars["cosmic"][column]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), column
+
+
+# Schwarzschild in the chart (t, r, phi, theta): the catalog chart with its
+# last two coordinates swapped, which reverses the orientation.  The chart's
+# volume form sqrt|g| dt^dr^dphi^dtheta is minus the catalog's, so its Hodge
+# star is minus the catalog's star; every other quantity is the catalog's,
+# read in permuted components.  The fields are those of schw-10check.
+SCHW_SWAPPED = geo.MetricSpec.from_strings(
+    ("t", "r", "phi", "theta"),
+    [["1-2*M/r", "0", "0", "0"], ["0", "-1/(1-2*M/r)", "0", "0"], ["0", "0", "-r^2*sin(theta)^2", "0"],
+     ["0", "0", "0", "-r^2"]],
+    {"M": 1.0},
+    "schwarzschild-swapped",
+)
+_SWAP = (0, 1, 3, 2)  # catalog coordinate -> its index in SCHW_SWAPPED
+
+
+def in_swapped_chart(row: np.ndarray) -> np.ndarray:
+    """A multivector's catalog-chart components, read in the chart (t, r, phi, theta)."""
+    out = np.zeros_like(row)
+    for mask in range(16):
+        idx = [_SWAP[i] for i in blades.indices(mask)]
+        out[..., blades.mask_of(idx)] = blades.sort_parity(idx) * row[..., mask]
+    return out
+
+
+def test_schwarzschild_in_an_orientation_reversing_chart_gives_the_same_verdicts_and_scalars():
+    rng = np.random.default_rng(47)
+    areal = rng.uniform([-3.0, 2.5, 0.35, 0.0], [3.0, 20.0, 2.8, 6.2], size=(64, 4))
+    charts = {"catalog": (SCHW, areal), "swapped": (SCHW_SWAPPED, areal[:, _SWAP])}
+    names = list(fch.CHECKS)
+    verdicts, points = {}, {}
+    for chart, (spec, pts) in charts.items():
+        fields = fch.ScenarioFields(K=field({"t": "1-2*M/r"}, spec), S=field({"1": "t"}, spec),
+                                    V=field({"t": "sqrt(1-2*M/r)"}, spec))
+        reports = fch.run_checks(spec, fields, names, pts, [1e-8] * len(names))
+        verdicts[chart] = {r.check: r.passed for r in reports}
+        points[chart] = {r.check: records(r) for r in reports}
+        assert not any(p["error"] for r in points[chart].values() for p in r), chart
+    assert verdicts["swapped"] == verdicts["catalog"]
+    assert not all(verdicts["catalog"].values()) and any(verdicts["catalog"].values())
+    # every scalar column, residuals and diagnostics: the invariants agree;
+    # columns of components are compared through the verdicts alone
+    compared = 0
+    for name in names:
+        for got, want in zip(points["swapped"][name], points["catalog"][name]):
+            for part in ("residuals", "info"):
+                assert set(got[part]) == set(want[part]), name
+                for key, value in want[part].items():
+                    if isinstance(value, float):
+                        assert abs(got[part][key] - value) <= 1e-12 * max(1.0, abs(value)), (name, key)
+                        compared += 1
+                    elif not isinstance(value, list):
+                        assert got[part][key] == value, (name, key)
+    assert compared >= 64 * 30
+    # what changes sign: the Hodge star, with the volume form.  A 1-form and
+    # its exterior derivative are the catalog's, read in the swapped chart;
+    # the star of K is minus the catalog's star, read there
+    gd = {chart: geo.curvature(spec, pts) for chart, (spec, pts) in charts.items()}
+    K = {chart: FieldCalculus(field({"t": "1-2*M/r"}, spec), gd[chart]) for chart, (spec, _) in charts.items()}
+    assert np.array_equal(K["swapped"].value(), in_swapped_chart(K["catalog"].value()))
+    dk = in_swapped_chart(K["catalog"].exterior_d())
+    assert np.all(np.abs(K["swapped"].exterior_d() - dk) <= 1e-12 * np.maximum(1.0, np.abs(dk)))
+    for row in (K["catalog"].value(), K["catalog"].exterior_d()):
+        star = in_swapped_chart(gd["catalog"].metric.hodge(row))
+        swapped = gd["swapped"].metric.hodge(in_swapped_chart(row))
+        assert sup(star).min() > 0.0
+        assert np.all(np.abs(swapped + star) <= 1e-12 * np.maximum(1.0, np.abs(star)))
+    volume = {chart: g.metric.volume_form() for chart, g in gd.items()}
+    assert volume["swapped"][..., 15].min() > 0.0
+    flipped = -in_swapped_chart(volume["catalog"])  # sqrt|g| of the permuted metric, to rounding
+    assert np.all(np.abs(volume["swapped"] - flipped) <= 1e-12 * np.abs(flipped))
 
 
 def test_permuting_the_points_permutes_each_check_s_point_texts():

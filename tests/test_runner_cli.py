@@ -1061,7 +1061,11 @@ def test_pinned_digests_hold_at_numpy_baseline_dispatch():
     # must not, so the pins are re-checked in a child with every dispatched
     # feature this host has disabled; the operator maxima too, as the
     # operator suite's jets run sin over lanes; and the products from partly
-    # filled tables, which must keep the full tables' bits at every dispatch
+    # filled tables, which must keep the full tables' bits at every dispatch,
+    # and the operators on the rows a field's grades reach, which must keep
+    # the bits of every row
+    import test_rows
+
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     features = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     if not features:
@@ -1070,14 +1074,18 @@ def test_pinned_digests_hold_at_numpy_baseline_dispatch():
             f"tests/test_runner_cli.py::{test_workload_report_bytes_pinned.__name__}",
             "tests/test_selftest.py::test_law_lines_are_pinned",
             "tests/test_selftest.py::test_diffops_law_maxima_are_pinned",
-            "tests/test_tables.py::test_products_from_partly_filled_tables_equal_the_full_tables_bitwise"]
+            "tests/test_tables.py::test_products_from_partly_filled_tables_equal_the_full_tables_bitwise",
+            *(f"tests/test_rows.py::{test.__name__}"
+              for test in (test_rows.test_operators_on_the_rows_of_a_grade_set_equal_every_row_bitwise,
+                           test_rows.test_operators_on_the_rows_of_a_grade_set_equal_every_row_on_random_entries))]
     probe = ("import sys, pytest; from numpy._core import _multiarray_umath as m; "
              f"assert not any(m.__cpu_features__[f] for f in {features!r}); "
              f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{pins!r}]))")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    passed = len(BUNDLED_REPORT_SHA256) + len(WORKLOAD_REPORT_SHA256) + 1 + len(DIFFOPS_MAXIMA) + 1
+    rows = len(test_rows.GRADE_SETS) * (len(test_rows.ROW_METRICS) + 1) * len(test_rows.COUNTS)
+    passed = len(BUNDLED_REPORT_SHA256) + len(WORKLOAD_REPORT_SHA256) + 1 + len(DIFFOPS_MAXIMA) + 1 + rows
     assert f"{passed} passed" in proc.stdout, proc.stdout
 
 

@@ -314,3 +314,15 @@ def test_products_from_partly_filled_tables_equal_the_full_tables_bitwise():
             got = apply(lazy, a, b)
             assert key in lazy._tables and np.isnan(got[5]).all(), (name, product)
             assert got.tobytes() == apply(full, a, b).tobytes(), (name, product)
+
+
+def test_each_algebra_selftest_block_builds_k_once(monkeypatch):
+    # the first left contraction of a block has a 1-form left factor and later
+    # ones reach grade 4: each block reads K whole before its first law, so it
+    # builds K once, never low first
+    calls = _spy_on_misses(monkeypatch)
+    selftest.run_algebra_suite(iterations=2 * selftest.TRIALS_PER_BLOCK, seed=5)
+    builds = [(id(metric), low) for metric, key, low in calls if key == "K"]
+    assert len({metric for metric, _ in builds}) == 2
+    assert builds == [(metric, False) for metric, _ in builds]
+    assert len(calls) == len(set(calls))

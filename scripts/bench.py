@@ -19,7 +19,9 @@ temporary directory, removed when it is done, and runs each workload
 alternately, REV first in the odd pairs and last in the even ones.  The
 two series of end-to-end metrics go under ``paired``, so that a change is
 compared with its parent on the same host at the same time, as the host's
-speed drifts.
+speed drifts.  ``--pairs`` must be at least 1.  A SIGTERM ends the script
+as an exit does: the temporary directory is removed and a running
+``perfbench/run.py`` child is killed.
 Exit code 0 when every run is correct, 1 otherwise.
 """
 
@@ -29,6 +31,7 @@ import argparse
 import io
 import json
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
@@ -95,6 +98,19 @@ def paired_runs(rev: str, pairs: int, names, seed: int, seconds: float) -> dict:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def exit_on_sigterm(signum, frame):
+    # a SystemExit unwinds through the finally blocks: paired_runs removes its
+    # directory, and subprocess.run kills the child it waits for
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
@@ -103,9 +119,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--out", type=Path, default=REPO)
     parser.add_argument("--against", metavar="REV", help="a commit to run alternately with this checkout")
-    parser.add_argument("--pairs", type=int, default=3, help="alternate runs of each side with --against")
+    parser.add_argument("--pairs", type=at_least_one, default=3, help="alternate runs of each side with --against")
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
+    try:
+        return write_bench(args)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
+
+def write_bench(args) -> int:
+    """The runs ``main``'s parsed arguments ask for; writes BENCH_<pr>.json and returns the exit code."""
     results = {}
     for name in args.workloads:
         untraced = run_workload(name, args.seed, args.seconds, False)

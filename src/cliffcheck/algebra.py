@@ -29,7 +29,11 @@ A multivector is a plain (..., 16) float row indexed by blade mask, one row
 per point of a block; one point is the case without a leading axis.  The
 products are :class:`PointMetric`'s methods and :func:`wedge`: each acts on
 rows against tables with the same leading axes, one metric per row, so row i
-is bitwise metric i alone.  ``verify`` and the algebra selftest both call
+is bitwise metric i alone.  A product's right operand may carry more leading
+axes in front of those (for :meth:`PointMetric.right_contract` ``(a, b)``,
+``a``, since its operator is formed from ``b``): the left factor's operator
+is then formed once and applied to each operand of the stack, bitwise as to
+that operand alone.  ``verify`` and the algebra selftest both call
 them, so there is one implementation.  The module functions around them are
 small helpers on rows: :func:`oneform`, :func:`scalars`, :func:`grades`,
 :func:`sup`, :func:`reverse`, :func:`grade_project` and
@@ -104,7 +108,7 @@ def grades(x: np.ndarray) -> frozenset:
 
 def sup(x: np.ndarray):
     """Sup norm over the blade coefficients of each (..., 16) row."""
-    return np.max(np.abs(x), axis=-1)
+    return np.abs(x).max(axis=-1)
 
 
 def reverse(x: np.ndarray) -> np.ndarray:
@@ -129,14 +133,17 @@ def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pairs.reshape(pairs.shape[:-2] + (-1,)) @ _WEDGE_ROWS
 
 
+GRADE_MASKS = readonly(blades.GRADE == np.arange(blades.DIM + 1)[:, np.newaxis])  # row k: the blades of grade k
+
+
 def grade_project(x: np.ndarray, k) -> np.ndarray:
     """Grade-``k`` part of each (..., 16) row; ``k`` one grade, or one per row."""
     grade = np.asarray(k)
     if not grade.ndim:
-        check_index("grade k", k, blades.DIM + 1)
+        grade = check_index("grade k", k, blades.DIM + 1)
     elif grade.dtype.kind not in "iu" or ((grade < 0) | (grade > blades.DIM)).any():
         raise ValueError(f"grade k must be an integer in 0..{blades.DIM}, got {k!r}")
-    return np.where(blades.GRADE == grade[..., np.newaxis], x, 0.0)
+    return np.where(GRADE_MASKS[grade], x, 0.0)
 
 
 def _unit_volume(sqrt_abs_det) -> np.ndarray:
@@ -482,8 +489,15 @@ def _scalar_products(t: _Tables) -> np.ndarray:
 
 
 def _hodge(t: _Tables) -> np.ndarray:
-    # star(A) = H @ A with H[:, m] = rev_sign(m) * (gamma^m _| tau)
-    return np.einsum("nikj,nj->nki", t["K"], t["tau"]) * blades.REVERSE_SIGN
+    # star(A) = H @ A with H[:, m] = rev_sign(m) * (gamma^m _| tau).  tau's one
+    # non-zero component is sqrt|det| on the pseudoscalar, so each sum of
+    # gamma^m _| tau = sum_j K[:, m, :, j] tau[j] has one term that is not an
+    # exact zero: K's pseudoscalar column times sqrt|det|, gathered.  A sum from
+    # +0.0 turns a -0.0 term into +0.0, and so does adding it to 0.0 first.  H
+    # keeps the einsum's memory layout, (N, m, k) in memory read as (N, k, m),
+    # since a product with H sums in an order that depends on the layout
+    column = 0.0 + t["K"][..., blades.FULL_MASK] * t.sqrt_abs_det[:, np.newaxis, np.newaxis]
+    return column.transpose(0, 2, 1) * blades.REVERSE_SIGN
 
 
 def _hodge_inv_scale(t: _Tables) -> np.ndarray:
@@ -515,7 +529,8 @@ _FILLS = {
 
 
 def _bilinear(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, the operator ``sum_m a[m] table[m]`` applied to ``b``."""
+    """Per row, the operator ``sum_m a[m] table[m]`` applied to ``b``; ``b`` may carry
+    leading axes in front of ``a``'s, and the operators are formed once for all of them."""
     n = blades.N_BLADES
     flat = table.reshape(table.shape[:-3] + (n, n * n))
     ops = (a[..., np.newaxis, :] @ flat).reshape(a.shape[:-1] + (n, n))

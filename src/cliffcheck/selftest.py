@@ -12,8 +12,11 @@ block's metrics L eta L^T as one stacked product, bitwise those of
 every law on (block, 16) coefficient rows through that metric's product
 methods and :func:`~cliffcheck.algebra.wedge`, a conditional law only on the
 trials it covers; and drops the block before drawing the next, so memory
-does not grow with the number of trials.  Each block's metric builds its
-blade tables ``M`` and ``K`` into the memory of one
+does not grow with the number of trials.  A block forms each shared quantity
+once: the products that share a left factor and a table are one call on the
+stack of their right factors, which forms that factor's operator once, and
+the Hodge stars are one call, as are the sup norms of a, b and c.  Each
+block's metric builds its blade tables ``M`` and ``K`` into the memory of one
 :class:`~cliffcheck.algebra.TableStore` that the suite lends to each block
 in turn, so no block allocates them anew.  ``verify`` calls the same
 methods, one row per point of its blocks, so the suite checks the metric
@@ -46,7 +49,8 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import PointMetric, TableStore, grade_project, linear_combination, reverse, scalars, sup, wedge
+from .algebra import (GRADE_MASKS, PointMetric, TableStore, grade_project, linear_combination, reverse, scalars, sup,
+                      wedge)
 from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
@@ -171,6 +175,9 @@ def _block_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
 
     The products are the block ``pm``'s methods and :func:`~cliffcheck.algebra.wedge`,
     which ``verify`` calls; the block's tables are built here, as they read them.
+    The products that share a left factor and a table come first, one call on
+    the stack of their right factors each, bitwise each product alone; so do
+    the Hodge stars, in one call.
     """
     clifford, left_contract, right_contract = pm.clifford, pm.left_contract, pm.right_contract
     scalar_product, hodge = pm.scalar_product, pm.hodge
@@ -178,12 +185,32 @@ def _block_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
 
     out = {}
     one_form = grade_project(a, 1)
-    ar, bs = grade_project(a, r), grade_project(b, s)
+    ar, bs, br, f2 = grade_project(a, r), grade_project(b, s), grade_project(b, r), grade_project(b, 2)
+    ak, bk = grade_project(a, k), grade_project(b, k)
+    rev_ar = reverse(ar)
+    sup_a, sup_b, sup_c = sup(np.stack((a, b, c)))
     sup_ar, sup_bs = sup(ar), sup(bs)
 
+    # the Clifford products, one operator per left factor
+    bc, b_one = clifford(b, np.stack((c, one_form)))
+    a_b, a_bc = clifford(a, np.stack((b, bc)))
+    one_b, ab, one_f2 = clifford(one_form, np.stack((b, bs, f2)))  # ab is a B_s, as the half commutators name it
+    prod, ar_rev_br = clifford(ar, np.stack((bs, reverse(br))))
+
+    # the left contractions, one operator per left factor
+    pm.table("K")  # complete now, built once: this left contraction's factor is a 1-form, later ones reach grade 4
+    b_and_c = wedge(b, c)
+    contract_one_b, contract_one_bs, contract_one_bc, contract_one_c = left_contract(
+        one_form, np.stack((b, bs, b_and_c, c)))
+    contract_rev_br, contract_rev_bs = left_contract(rev_ar, np.stack((br, bs)))
+
+    # the Hodge stars, one matrix product
+    stars = hodge(np.stack((ak, ar, bs, contract_rev_bs, wedge(rev_ar, bs), tau, scalars(np.ones(len(a))), a)))
+    star_ak, star_ar, star_bs, star_contract, star_wedge, star_tau, star_unit, star_a = stars
+    contract_ar_bs, ar_contract_star_bs = left_contract(ar, np.stack((bs, star_bs)))
+
     # associativity of the geometric product
-    lhs = clifford(clifford(a, b), c)
-    rhs = clifford(a, clifford(b, c))
+    lhs, rhs = clifford(a_b, c), a_bc
     out["associativity"] = _rel(sup(lhs - rhs), sup(lhs), sup(rhs))
 
     # anticommutator of covectors reproduces the metric
@@ -193,18 +220,17 @@ def _block_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
     out["anticommutator"] = _rel(sup(anti - target), sup(target))
 
     # a B = a _| B + a ^ B and B a = B |_ a + B ^ a
-    pm.table("K")  # complete now, built once: this left contraction's factor is a 1-form, later ones reach grade 4
-    split = sup(clifford(one_form, b) - left_contract(one_form, b) - wedge(one_form, b))
-    split2 = sup(clifford(b, one_form) - right_contract(b, one_form) - wedge(b, one_form))
-    out["product_split"] = _rel(np.maximum(split, split2), sup(b))
+    split = sup(one_b - contract_one_b - wedge(one_form, b))
+    split2 = sup(b_one - right_contract(b, one_form) - wedge(b, one_form))
+    out["product_split"] = _rel(np.maximum(split, split2), sup_b)
 
     # a _| B_s = (a B_s - (-1)^s B_s a)/2
-    ab, ba = clifford(one_form, bs), clifford(bs, one_form)
+    ba = clifford(bs, one_form)
     half_contract = 0.5 * (ab - _sign(s) * ba)
-    out["contraction_half_commutator"] = _rel(sup(left_contract(one_form, bs) - half_contract), sup_bs)
+    out["contraction_half_commutator"] = _rel(sup(contract_one_bs - half_contract), sup_bs)
 
     # A_r _| B_s = (-1)^{r(s-r)} B_s |_ A_r
-    lr = left_contract(ar, bs) - _sign(r * (s - r)) * right_contract(bs, ar)
+    lr = contract_ar_bs - _sign(r * (s - r)) * right_contract(bs, ar)
     out["left_right_contraction"] = _rel(sup(lr), sup_ar, sup_bs)
 
     # a ^ B_s = (a B_s + (-1)^s B_s a)/2
@@ -212,62 +238,55 @@ def _block_laws(pm: PointMetric, a, b, c, r, s, i, j, k) -> dict:
     out["wedge_half_commutator"] = _rel(sup(wedge(one_form, bs) - half_wedge), sup_bs)
 
     # grade spectrum of A_r B_s: grades |r-s|, |r-s|+2, ..., min(r+s, 8-r-s)
-    prod = clifford(ar, bs)
     lowest, highest = np.abs(r - s)[:, np.newaxis], np.minimum(r + s, 8 - r - s)[:, np.newaxis]
     grades = np.arange(blades.DIM + 1)
     allowed = (grades >= lowest) & (grades <= highest) & ((grades - lowest) % 2 == 0)
-    per_grade = np.stack([sup(grade_project(prod, gr)) for gr in grades], axis=1)
+    per_grade = np.where(GRADE_MASKS, np.abs(prod)[:, np.newaxis, :], 0.0).max(axis=-1)  # sup of each grade
     out["product_grade_spectrum"] = _rel(np.where(allowed, 0.0, per_grade).sum(axis=1), sup(prod))
 
     # A_r . B_r = <rev(A) B>_0 = <A rev(B)>_0 = rev(A) _| B
-    br = grade_project(b, r)
-    rev_ar = reverse(ar)
     sp = scalar_product(ar, br)
     rev_routes = np.maximum.reduce([
         np.abs(sp - clifford(rev_ar, br)[:, 0]),
-        np.abs(sp - clifford(ar, reverse(br))[:, 0]),
-        np.abs(sp - left_contract(rev_ar, br)[:, 0]),
+        np.abs(sp - ar_rev_br[:, 0]),
+        np.abs(sp - contract_rev_br[:, 0]),
     ])
     out["scalar_product_reversal_routes"] = _rel(rev_routes, np.abs(sp), sup_ar, sup(br))
 
     # a _| (X ^ Y) = (a _| X) ^ Y + hat(X) ^ (a _| Y)
     t54 = (
-        left_contract(one_form, wedge(b, c))
-        - wedge(left_contract(one_form, b), c)
-        - wedge(b * blades.INVOLUTE_SIGN, left_contract(one_form, c))
+        contract_one_bc
+        - wedge(contract_one_b, c)
+        - wedge(b * blades.INVOLUTE_SIGN, contract_one_c)
     )
-    out["contraction_antiderivation"] = _rel(sup(t54), sup(b), sup(c))
+    out["contraction_antiderivation"] = _rel(sup(t54), sup_b, sup_c)
 
     # A _| (B _| C) = (A ^ B) _| C
     t55 = left_contract(a, left_contract(b, c)) - left_contract(wedge(a, b), c)
-    out["contraction_composition"] = _rel(sup(t55), sup(a), sup(b), sup(c))
+    out["contraction_composition"] = _rel(sup(t55), sup_a, sup_b, sup_c)
 
     # [B_k . A_k] tau = B_k ^ star(A_k) against the contraction route
-    ak, bk = grade_project(a, k), grade_project(b, k)
-    pairing = sup(scalar_product(bk, ak)[:, np.newaxis] * tau - wedge(bk, hodge(ak)))
+    pairing = sup(scalar_product(bk, ak)[:, np.newaxis] * tau - wedge(bk, star_ak))
     out["hodge_defining_pairing"] = _rel(pairing, sup(ak), sup(bk))
 
     # star conversion identities, each on the trials whose grades it covers
-    star_ar, star_bs = hodge(ar), hodge(bs)
     ar_wedge_star_bs = wedge(ar, star_bs)
-    ar_contract_star_bs = left_contract(ar, star_bs)
     sym = sup(ar_wedge_star_bs - wedge(bs, star_ar))
     out["star_wedge_symmetry"] = _rel(sym, sup_ar, sup_bs)[r == s]
     pair = np.abs(ar_contract_star_bs[:, 0] - left_contract(bs, star_ar)[:, 0])
     out["star_pairing_symmetry"] = _rel(pair, sup_ar, sup_bs)[r + s == 4]
-    conv = sup(ar_wedge_star_bs - _sign(r * (s - 1)) * hodge(left_contract(rev_ar, bs)))
+    conv = sup(ar_wedge_star_bs - _sign(r * (s - 1)) * star_contract)
     out["star_wedge_to_contraction"] = _rel(conv, sup_ar, sup_bs)[r <= s]
-    conv = sup(ar_contract_star_bs - _sign(r * s) * hodge(wedge(rev_ar, bs)))
+    conv = sup(ar_contract_star_bs - _sign(r * s) * star_wedge)
     out["star_contraction_to_wedge"] = _rel(conv, sup_ar, sup_bs)[r + s <= 4]
 
-    vol = sup(hodge(tau) - scalars(pm.sign_det))
-    unit = sup(hodge(scalars(np.ones(len(a)))) - tau)
+    vol = sup(star_tau - scalars(pm.sign_det))
+    unit = sup(star_unit - tau)
     out["star_of_volume_and_unit"] = _rel(np.maximum(vol, unit), sup(tau))
 
-    out["hodge_inverse"] = _rel(sup(pm.hodge_inv(hodge(a)) - a), sup(a))
+    out["hodge_inverse"] = _rel(sup(pm.hodge_inv(star_a) - a), sup_a)
 
-    f2 = grade_project(b, 2)
-    sandwich = clifford(f2, clifford(one_form, f2))
+    sandwich = clifford(f2, one_f2)
     out["sandwich_trivector_closure"] = _rel(sup(grade_project(sandwich, 3)), sup(sandwich))
     return out
 
@@ -303,7 +322,8 @@ def random_field(rng: np.random.Generator, coords, masks) -> MultivectorField:
         terms = []
         for _ in range(int(rng.integers(1, 3))):
             factor = ex.const(round(float(rng.uniform(-1.5, 1.5)), 6))
-            for axis in rng.integers(0, len(coords), size=int(rng.integers(0, 3))):
+            # one scalar draw per axis: the stream of integers(..., size=n), at less cost per call
+            for axis in [rng.integers(0, len(coords)) for _ in range(int(rng.integers(0, 3)))]:
                 name = coords[axis]
                 if rng.random() < 0.25:
                     factor = ex.Mul(factor, ex.Call("sin", (ex.Var(name),)))

@@ -9,6 +9,7 @@ from cliffcheck.algebra import (STORED_TABLES, TABLE_NAMES, PointMetric, TableSt
 from cliffcheck.errors import DegenerateMetricError, SignatureError
 
 import oracles
+from test_diffops import random_entries
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -266,6 +267,42 @@ def test_reverse_signs_per_grade():
     assert np.array_equal(reverse(tau), tau)
     twice = reverse(reverse(np.arange(16.0)))
     assert np.array_equal(twice, np.arange(16.0))
+
+
+# -- a stack of right operands: one left operator for all of them ----------------
+
+# each product, and the argument that may carry leading axes before the rows':
+# the one its left factor's operator is applied to (right_contract forms its
+# operator from b, so a stack of a shares it)
+STACKED_OPERANDS = {"clifford": 1, "left_contract": 1, "right_contract": 0}
+STACK_COUNTS = [None, 1, 3, 32]
+
+
+@pytest.mark.parametrize("count", STACK_COUNTS, ids=["one", "1", "3", "32"])
+@pytest.mark.parametrize("product", sorted(STACKED_OPERANDS))
+def test_a_stack_of_right_operands_equals_each_operand_alone_bitwise(product, count):
+    # entries 0.0, -0.0 and of magnitudes 1e-8 to 1e8, a NaN and an inf in two
+    # lanes of the stack, and left factors of every grade, which read the
+    # complete tables: each operand of the stack gives its product's bits
+    rng = np.random.default_rng(61)
+    lanes = (count,) if count else ()
+    gs = np.array([oracles.random_lorentzian_cotangent(rng) for _ in range(count or 1)])
+    pm = PointMetric(gs if count else gs[0])
+    apply = getattr(pm, product)
+    for _ in range(5):
+        factor = random_entries(rng, lanes + (16,))
+        stack = random_entries(rng, (4,) + lanes + (16,))
+        stack[(1,) + (0,) * len(lanes) + (5,)] = np.nan
+        stack[(2,) + (-1,) * len(lanes) + (9,)] = np.inf
+        with np.errstate(invalid="ignore"):  # 0 * inf in the inf lane
+            if STACKED_OPERANDS[product]:
+                got, alone = apply(factor, stack), [apply(factor, operand) for operand in stack]
+            else:
+                got, alone = apply(stack, factor), [apply(operand, factor) for operand in stack]
+        assert got.shape == stack.shape
+        assert np.isnan(got[1]).any() and not np.isfinite(got[2]).all()
+        for q, want in enumerate(alone):
+            assert got[q].tobytes() == want.tobytes(), q
 
 
 # -- grade projection ----------------------------------------------------------

@@ -8,9 +8,12 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,43 @@ def test_paired_runs_remove_the_revision_when_a_run_fails(monkeypatch):
     with pytest.raises(RuntimeError, match="gave no result"):
         bench.paired_runs("HEAD", 1, ["kerr-identities"], seed=1, seconds=1.0)
     assert roots and not roots[0].exists()
+
+
+def test_a_sigterm_during_the_paired_runs_removes_the_revision(tmp_path, monkeypatch):
+    # a stubbed run that sends this process SIGTERM while the revision runs:
+    # main exits as from SystemExit, paired_runs' finally removes the unpacked
+    # revision, and the SIGTERM handler is the one before main again
+    if subprocess.run(["git", "-C", str(REPO), "rev-parse", "HEAD"], capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    bench = _bench_module()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    roots = []
+
+    def run_workload(name, seed, seconds, trace, root=bench.REPO):
+        roots.append(root)
+        if root != bench.REPO:
+            os.kill(os.getpid(), signal.SIGTERM)
+        e2e = {key: {"value": 1.0} for key in ("setup_s", "op_s.p50", "work_per_s", "peak_rss_mb")}
+        return {"correct": True, "attempted": 1, "failed": 0, "end_to_end": e2e, "detail": {},
+                "report_sha256": {}, "provenance": {}, "per_layer": {}}
+
+    monkeypatch.setattr(bench, "run_workload", run_workload)
+    before = signal.getsignal(signal.SIGTERM)
+    argv = ["--pr", "0", "--seconds", "1", "--workloads", "kerr-identities", "--out", str(tmp_path / "out"),
+            "--against", "HEAD", "--pairs", "2"]
+    with pytest.raises(SystemExit) as stop:
+        bench.main(argv)
+    assert stop.value.code == 128 + signal.SIGTERM
+    assert roots[-1] != bench.REPO and len(roots) == 3  # stopped in the first run of the revision
+    assert not list(tmp_path.glob("bench-against-*"))
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_is_a_usage_error(tmp_path, capsys, pairs):
+    bench = _bench_module()
+    with pytest.raises(SystemExit) as stop:
+        bench.main(["--pr", "0", "--out", str(tmp_path), "--against", "HEAD", "--pairs", pairs])
+    assert stop.value.code == 2
+    assert f"argument --pairs: must be at least 1, got {pairs}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1062,8 +1062,10 @@ def test_pinned_digests_hold_at_numpy_baseline_dispatch():
     # feature this host has disabled; the operator maxima too, as the
     # operator suite's jets run sin over lanes; and the products from partly
     # filled tables, which must keep the full tables' bits at every dispatch,
-    # and the operators on the rows a field's grades reach, which must keep
-    # the bits of every row
+    # the operators on the rows a field's grades reach, which must keep
+    # the bits of every row, and the products of a stack of right operands,
+    # which must keep each operand's bits
+    import test_algebra
     import test_rows
 
     umath = pytest.importorskip("numpy._core._multiarray_umath")
@@ -1075,6 +1077,7 @@ def test_pinned_digests_hold_at_numpy_baseline_dispatch():
             "tests/test_selftest.py::test_law_lines_are_pinned",
             "tests/test_selftest.py::test_diffops_law_maxima_are_pinned",
             "tests/test_tables.py::test_products_from_partly_filled_tables_equal_the_full_tables_bitwise",
+            "tests/test_algebra.py::test_a_stack_of_right_operands_equals_each_operand_alone_bitwise",
             *(f"tests/test_rows.py::{test.__name__}"
               for test in (test_rows.test_operators_on_the_rows_of_a_grade_set_equal_every_row_bitwise,
                            test_rows.test_operators_on_the_rows_of_a_grade_set_equal_every_row_on_random_entries))]
@@ -1085,7 +1088,8 @@ def test_pinned_digests_hold_at_numpy_baseline_dispatch():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = len(test_rows.GRADE_SETS) * (len(test_rows.ROW_METRICS) + 1) * len(test_rows.COUNTS)
-    passed = len(BUNDLED_REPORT_SHA256) + len(WORKLOAD_REPORT_SHA256) + 1 + len(DIFFOPS_MAXIMA) + 1 + rows
+    stacks = len(test_algebra.STACKED_OPERANDS) * len(test_algebra.STACK_COUNTS)
+    passed = len(BUNDLED_REPORT_SHA256) + len(WORKLOAD_REPORT_SHA256) + 1 + len(DIFFOPS_MAXIMA) + 1 + rows + stacks
     assert f"{passed} passed" in proc.stdout, proc.stdout
 
 

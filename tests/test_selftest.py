@@ -233,6 +233,27 @@ def test_nan_residual_is_a_failure(monkeypatch):
     assert np.isnan(law.max_residual) and not law.passed
 
 
+# sha256 of the serialized components of 200 fields of every blade, drawn by
+# random_field from seed 7 over each catalog chart's coordinates, joined by
+# newlines, as random_field drew them with one integers(..., size=n) call per
+# factor's axes: a change of its draws fails here, not only in the law maxima
+RANDOM_FIELD_SHA256 = {
+    "flrw": "0d3fa7a78c964164cbdcdc419e3ded0d565bc96aa1d609e7dde72e7b24b4fbac",
+    "minkowski": "0d3fa7a78c964164cbdcdc419e3ded0d565bc96aa1d609e7dde72e7b24b4fbac",
+    "schwarzschild": "ce4d154d910951dc3f219acd20ffb9d446e56a196e5803259c4923b079cedcaf",
+}
+
+
+def test_random_field_draws_are_pinned():
+    assert set(RANDOM_FIELD_SHA256) == set(CATALOG)
+    for key, digest in RANDOM_FIELD_SHA256.items():
+        rng = np.random.default_rng(7)
+        coords = CATALOG[key].coords
+        text = "\n".join(expr.serialize(e) for _ in range(200)
+                         for e in selftest.random_field(rng, coords, range(16)).comps)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+
 def test_nan_operator_result_fails_its_diffops_law(monkeypatch):
     monkeypatch.setattr(FieldCalculus, "exterior_d_squared",
                         lambda self: np.full(16, np.nan))

@@ -13,6 +13,7 @@ from cliffcheck import geometry as geo
 from cliffcheck.algebra import TABLE_NAMES, PointMetric
 from cliffcheck.diffops import MultivectorField
 
+from test_diffops import random_entries
 from test_fieldcheck import GENERIC  # every component of its metric depends on the point
 
 SCHW = geo.build_metric("schwarzschild", {"M": 1.0})
@@ -147,6 +148,67 @@ def test_lazy_tables_equal_the_eager_build_bitwise(block, lorentzian, order):
     for key in ORDERS[order]:
         got = metric.table(key)
         assert got.tobytes() == (want[key] if block else want[key][0]).tobytes(), key
+
+
+def _hodge_metrics() -> dict:
+    """Blocks of 16 passing metrics: diagonal ones (exact zeros off the diagonal),
+    the generic metric at random points, random Lorentzian ones and random
+    symmetric ones of any signature."""
+    rng = np.random.default_rng(47)
+    points = rng.uniform([-3, 2.5, 0.35, 0], [3, 20, 2.8, 6.2], size=(16, 4))
+    return {"diagonal": geo.metric_at(SCHW, points)[0].g,
+            "generic": geo.metric_at(GENERIC, rng.uniform(-1.0, 1.0, size=(16, 4)))[0].g,
+            "lorentzian": _metrics(True), "any-signature": _metrics(False)}
+
+
+def _einsum_hodge(K: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """H as the contraction of K with the unit volume form: every term of each sum, exact zeros too."""
+    return np.einsum("nikj,nj->nki", K, tau) * blades.REVERSE_SIGN
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["block", "one"])
+@pytest.mark.parametrize("kind", ["diagonal", "generic", "lorentzian", "any-signature"])
+def test_the_gathered_hodge_table_equals_the_einsum_over_k_bitwise(kind, block):
+    # H gathers K's pseudoscalar column; the einsum sums all 16 terms, 15 of
+    # them exact zeros.  Both give the same bits, and the same memory layout,
+    # which a product with H reads in its summation order
+    gs = _hodge_metrics()[kind]
+    metric = PointMetric(gs if block else gs[0], require_lorentzian=kind != "any-signature")
+    assert not metric.errors
+    K, tau, H = (metric.table(key) for key in ("K", "tau", "H"))
+    if not block:
+        K, tau, H = K[np.newaxis], tau[np.newaxis], H[np.newaxis]
+    want = _einsum_hodge(K, tau)
+    assert H.tobytes() == want.tobytes()
+    assert H.strides[-2:] == want.strides[-2:]
+    if kind == "diagonal":
+        assert (H == 0.0).sum() > H.size // 2
+
+
+def test_the_gathered_hodge_table_equals_the_einsum_on_random_entries_of_k():
+    # K of 0.0, -0.0 and magnitudes 1e-8 to 1e8: a -0.0 term of the pseudoscalar
+    # column gives +0.0, as the einsum's sum from +0.0 does
+    rng = np.random.default_rng(71)
+    for count in (1, 3, 32):
+        t = algebra._Tables(np.zeros((count, 4, 4)), 10.0 ** rng.uniform(-8.0, 8.0, size=count), np.ones(count))
+        t["K"] = random_entries(rng, (count, 16, 16, 16))
+        want = _einsum_hodge(t["K"], t["tau"])
+        assert np.signbit(t["K"][..., blades.FULL_MASK]).any() and (want == 0.0).any()
+        assert algebra._hodge(t).tobytes() == want.tobytes(), count
+
+
+def test_the_gathered_hodge_table_keeps_the_passing_lanes_of_a_block_with_failing_ones():
+    # an infinite or NaN metric fails its checks; its lane of H may be inf
+    # where the einsum gave NaN, but every passing lane keeps its bits
+    gs = _metrics(True)[:8].copy()
+    gs[2, 0, 0], gs[5, 1, 3], gs[5, 3, 1] = np.inf, np.nan, np.nan
+    with np.errstate(invalid="ignore"):
+        metric = PointMetric(gs)
+        H = metric.table("H")
+        want = _einsum_hodge(metric.table("K"), metric.table("tau"))
+    assert sorted(metric.errors) == [2, 5]
+    passing = [n for n in range(len(gs)) if n not in metric.errors]
+    assert H[passing].tobytes() == want[passing].tobytes()
 
 
 def _spy_on_misses(monkeypatch) -> list:

@@ -19,9 +19,12 @@ temporary directory, removed when it is done, and runs each workload
 alternately, REV first in the odd pairs and last in the even ones.  The
 two series of end-to-end metrics go under ``paired``, so that a change is
 compared with its parent on the same host at the same time, as the host's
-speed drifts.  ``--pairs`` must be at least 1.  A SIGTERM ends the script
-as an exit does: the temporary directory is removed and a running
-``perfbench/run.py`` child is killed.
+speed drifts.  For each workload and each end-to-end metric of
+``BENCHMARK.json`` it then prints the median and quartiles of both sides and
+in how many pairs the checkout was better, in the direction that file gives
+the metric; the raw runs are in the JSON.  ``--pairs`` must be at least 1.
+A SIGTERM ends the script as an exit does: the temporary directory is
+removed and a running ``perfbench/run.py`` child is killed.
 Exit code 0 when every run is correct, 1 otherwise.
 """
 
@@ -32,6 +35,7 @@ import io
 import json
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -98,6 +102,30 @@ def paired_runs(rev: str, pairs: int, names, seed: int, seconds: float) -> dict:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def quartiles(values: list) -> tuple:
+    """The first quartile, median and third quartile of ``values``, as ``perfbench/run.py`` takes them."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def paired_summary(against: str, series: dict, metrics: list) -> list:
+    """One line per workload of ``series`` (as ``paired_runs`` returns it) and metric of ``metrics``
+    (``BENCHMARK.json``'s ``end_to_end``): each side's median [quartiles], and in how many
+    pairs the checkout was better than ``against`` in the metric's direction; a tie is not."""
+    lines = []
+    for name, sides in series.items():
+        for metric in metrics:
+            key, higher = metric["name"], metric["better"] == "higher"
+            values = {side: [run["end_to_end"][key]["value"] for run in runs] for side, runs in sides.items()}
+            won = sum((new > old) if higher else (new < old)
+                      for old, new in zip(values["against"], values["checkout"]))
+            text = {side: "{1:.5g} [{0:.5g}, {2:.5g}]".format(*quartiles(v)) for side, v in values.items()}
+            lines.append(f"{name:<18} {key:<12} {metric['better']:<6} {against}: {text['against']}  "
+                         f"checkout: {text['checkout']}  checkout better in {won}/{len(values['checkout'])}")
+    return lines
+
+
 def at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -148,11 +176,12 @@ def write_bench(args) -> int:
     path = args.out / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     ok = all(r["correct"] and r["traced_correct"] for r in results.values())
-    for name, sides in bench.get("paired", {}).get("workloads", {}).items():
-        ok = ok and all(run["correct"] for side in sides.values() for run in side)
-        rates = {side: " / ".join(f"{run['end_to_end']['work_per_s']['value']:.1f}" for run in runs)
-                 for side, runs in sides.items()}
-        print(f"{name:<18} paired work_per_s {args.against}: {rates['against']}  checkout: {rates['checkout']}")
+    if args.against:
+        series = bench["paired"]["workloads"]
+        ok = ok and all(run["correct"] for sides in series.values() for runs in sides.values() for run in runs)
+        metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+        for line in paired_summary(args.against, series, metrics):
+            print(line)
     for name, entry in results.items():
         e2e = entry["end_to_end"]
         print(f"{name:<18} work_per_s {e2e['work_per_s']['value']:10.1f}  "

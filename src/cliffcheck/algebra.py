@@ -20,10 +20,8 @@ factor of grade 2 at most, so it reads no more.  The rest is filled in
 place, grade by grade, the first time a product's left factor has a
 component above the low grade that is not exactly zero, when ``H`` is
 built, or when :meth:`PointMetric.table` is called, which always returns
-the complete table.
-
-A :class:`TableStore` lends the memory of the largest tables to one block
-metric after another, as the algebra selftest's blocks use it.
+the complete table.  Each table is a new array, written only by the
+:class:`PointMetric` that built it.
 
 A multivector is a plain (..., 16) float row indexed by blade mask, one row
 per point of a block; one point is the case without a leading axis.  The
@@ -46,7 +44,6 @@ tangent metric whose determinant fixes signature and volume normalization.
 
 from __future__ import annotations
 
-import weakref
 import numpy as np
 
 from . import blades
@@ -176,14 +173,11 @@ class PointMetric(ReadOnly):
     factor reaches (see :data:`LOW_GRADES`).  The product methods take
     (..., 16) rows, one per metric of a block, and give one result per
     metric, each bitwise that metric's alone.
-
-    ``_store``, a :class:`TableStore`, lends this metric the memory its
-    largest tables are built in, until a later metric takes the store.
     """
 
-    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "errors", "_tables", "__weakref__")
+    __slots__ = ("g", "ginv", "sqrt_abs_det", "sign_det", "lorentzian", "errors", "_tables")
 
-    def __init__(self, g, require_lorentzian: bool = True, _ginv=None, _store=None):
+    def __init__(self, g, require_lorentzian: bool = True, _ginv=None):
         g = np.array(g, dtype=float)
         if g.shape[-2:] != (4, 4) or g.ndim > 3:
             raise ValueError("metric must be 4x4")
@@ -208,12 +202,10 @@ class PointMetric(ReadOnly):
         sign_det = np.where(det_tan < 0.0, -1.0, 1.0)
         if g.ndim == 2:
             sqrt_abs_det, sign_det = float(sqrt_abs_det), float(sign_det)
+        # one metric's tables are the stack of one
         self._set(g=readonly(g), ginv=readonly(ginv), sqrt_abs_det=sqrt_abs_det, sign_det=sign_det,
                   lorentzian=det_tan < 0.0, errors=errors,
-                  _tables=_Tables(g.reshape(-1, 4, 4), np.reshape(sqrt_abs_det, -1), np.reshape(sign_det, -1),
-                                  _store))  # one metric's tables are the stack of one
-        if _store is not None:
-            _store._lend(self)
+                  _tables=_Tables(g.reshape(-1, 4, 4), np.reshape(sqrt_abs_det, -1), np.reshape(sign_det, -1)))
 
     def block(self, start: int, stop: int) -> "PointMetric":
         """Metrics ``start:stop`` of this block, not checked again.
@@ -240,11 +232,6 @@ class PointMetric(ReadOnly):
         returns the table with N first, the stack of one for one metric.
         """
         return self._tables.build_low(key) if low else self._tables[key]
-
-    def _drop_tables(self) -> None:
-        """Forget the tables, and the store they were built in: a later read builds fresh ones."""
-        t = self._tables
-        self._set(_tables=_Tables(t.g, t.sqrt_abs_det, t.sign_det))
 
     def _read(self, key: str, factor: np.ndarray | None = None) -> np.ndarray:
         """Table ``key``, N first for a block: complete, or for a product with left factor ``factor``
@@ -296,47 +283,13 @@ class PointMetric(ReadOnly):
         return _unit_volume(self.sqrt_abs_det)
 
 
-class TableStore:
-    """Memory for the largest product tables, which one block :class:`PointMetric` at a time borrows.
-
-    A suite that checks block after block of metrics passes its store to
-    each block's metric (``PointMetric(g, _store=store)``), and each builds
-    its ``M`` and ``K`` (see :data:`STORED_TABLES`) into the store's arrays,
-    a block of n metrics into their leading n rows, instead of into new
-    ones.  Taking the store makes the metric that held it drop its tables,
-    so that metric never reads another block's numbers: a later read of
-    its tables builds them again, into new arrays.  An array read from a
-    metric's tables holds its values only while that metric holds the store.
-    """
-
-    __slots__ = ("_arrays", "_owner")
-
-    def __init__(self):
-        self._arrays = {}
-        self._owner = None  # a weak reference to the metric that holds the store: it does not keep it alive
-
-    def _lend(self, metric: PointMetric) -> None:
-        owner = self._owner and self._owner()
-        if owner is not None:
-            owner._drop_tables()
-        self._owner = weakref.ref(metric)
-
-    def _rows(self, key: str, shape: tuple) -> np.ndarray:
-        """The leading ``shape[0]`` rows of table ``key``'s array, grown to hold them if need be."""
-        arr = self._arrays.get(key)
-        if arr is None or len(arr) < shape[0]:
-            arr = self._arrays[key] = np.empty(shape)
-        return arr[:shape[0]]
-
-
 class _Tables(dict):
     """Product tables of a stack of N cotangent metrics, N first on every table.
 
     ``g`` is (N, 4, 4); ``sqrt_abs_det`` and ``sign_det`` are (N,) and fix
-    each metric's volume form as in :class:`PointMetric`.  ``store``, a
-    :class:`TableStore` or None, holds the memory of the tables in
-    :data:`STORED_TABLES`; without one they are new arrays.  The tables, by
-    name (:data:`TABLE_NAMES`):
+    each metric's volume form as in :class:`PointMetric`.  Each table is a
+    new array that only this object writes.  The tables, by name
+    (:data:`TABLE_NAMES`):
 
     * ``C``, ``L`` (N, 4, 16, 16): interior product by, and left Clifford
       multiplication by, the covector gamma^i;
@@ -364,12 +317,12 @@ class _Tables(dict):
     so table n is bitwise the table of metric n built alone.
     """
 
-    __slots__ = ("g", "sqrt_abs_det", "sign_det", "store", "low")
+    __slots__ = ("g", "sqrt_abs_det", "sign_det", "low")
 
-    def __init__(self, g, sqrt_abs_det, sign_det, store=None):
+    def __init__(self, g, sqrt_abs_det, sign_det):
         super().__init__()
         self.g = np.asarray(g, dtype=float)
-        self.sqrt_abs_det, self.sign_det, self.store = sqrt_abs_det, sign_det, store
+        self.sqrt_abs_det, self.sign_det = sqrt_abs_det, sign_det
         self.low = {}
 
     def __missing__(self, key):
@@ -383,11 +336,6 @@ class _Tables(dict):
         """Table ``key`` of :data:`LOW_GRADES` filled up to its low grade, the blades above exact zeros."""
         table = self.low[key] = _BUILDERS[key](self)
         return table
-
-    def empty(self, key: str) -> np.ndarray:
-        """Memory for table ``key`` of :data:`STORED_TABLES`, its values not set."""
-        shape = (len(self.g),) + STORED_TABLES[key]
-        return np.empty(shape) if self.store is None else self.store._rows(key, shape)
 
 
 # Blade left-multiplication operators come from peeling the lowest covector,
@@ -406,9 +354,6 @@ _DIAG = np.arange(blades.N_BLADES)
 _COVECTORS = list(blades.MASKS_BY_GRADE[1])
 # per grade >= 2, its peel step and its blades as (mask, lowest covector, mask of the rest)
 _PEEL_BLADES = [(step, list(zip(*(column.tolist() for column in step)))) for step in blades.PEEL_STEPS]
-
-# the (N-less) shape of each table a TableStore holds
-STORED_TABLES = {"M": (blades.N_BLADES,) * 3, "K": (blades.N_BLADES,) * 3}
 
 # the grade each blade table is built up to until a read needs the rest: every
 # left factor of verify's products has grade 2 at most, and every left factor of
@@ -431,7 +376,7 @@ def _grade2(t: _Tables) -> np.ndarray:
 
 def _blade_left(t: _Tables) -> np.ndarray:
     """M up to grade 2: the unit, L and G2, with no peel."""
-    M = t.empty("M")
+    M = np.empty((len(t.g),) + (blades.N_BLADES,) * 3)
     M[:, _ABOVE_LOW["M"]] = 0.0  # blades not yet built enter the peel, and a product, with weight 0
     M[:, 0] = _EYE16
     M[:, _COVECTORS] = t["L"]
@@ -456,7 +401,7 @@ def _fill_blade_left(t: _Tables, M: np.ndarray) -> np.ndarray:
 
 def _blade_contract(t: _Tables) -> np.ndarray:
     """K up to grade 1: the unit and C."""
-    K = t.empty("K")
+    K = np.empty((len(t.g),) + (blades.N_BLADES,) * 3)
     K[:, 0] = _EYE16
     K[:, _COVECTORS] = t["C"]
     K[:, _ABOVE_LOW["K"]] = 0.0

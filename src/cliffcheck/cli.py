@@ -106,10 +106,12 @@ _MMAP_THRESHOLD = 32 << 20  # the largest that 64-bit glibc takes
 def _retain_freed_memory() -> None:
     """Let glibc reuse the memory of freed arrays instead of giving it back to the kernel.
 
-    ``verify`` makes and frees the same arrays for each block of points.  By
-    default glibc maps each array above 128 kB on its own and unmaps it when
-    freed, and trims the heap top once twice that is free, so every block
-    faults its memory in again, page by page.  With these thresholds such
+    ``verify`` makes and frees the same arrays for each block of points, and
+    the algebra selftest the same product tables for each block of trials.
+    Both rely on these thresholds to reuse that memory.  By default glibc
+    maps each array above 128 kB on its own and unmaps it when freed, and
+    trims the heap top once twice that is free, so every block faults its
+    memory in again, page by page.  With these thresholds such
     arrays come from the heap and stay there when freed, for the next block.
     Both are needed: either alone leaves most of the faults.  Where there is
     no ``mallopt`` (a libc other than glibc) this does nothing.

@@ -16,9 +16,9 @@ does not grow with the number of trials.  A block forms each shared quantity
 once: the products that share a left factor and a table are one call on the
 stack of their right factors, which forms that factor's operator once, and
 the Hodge stars are one call, as are the sup norms of a, b and c.  Each
-block's metric builds its blade tables ``M`` and ``K`` into the memory of one
-:class:`~cliffcheck.algebra.TableStore` that the suite lends to each block
-in turn, so no block allocates them anew.  ``verify`` calls the same
+block's metric builds its own tables, as ``verify``'s do; under the CLI's
+allocator thresholds (:func:`cliffcheck.cli._retain_freed_memory`) a block
+reuses the memory the last one freed.  ``verify`` calls the same
 methods, one row per point of its blocks, so the suite checks the metric
 checks, tables and products that ``verify`` uses.
 A seed gives the same trials, and the same maxima, whatever the block size.
@@ -49,8 +49,7 @@ import numpy as np
 
 from . import blades
 from . import expr as ex
-from .algebra import (GRADE_MASKS, PointMetric, TableStore, grade_project, linear_combination, reverse, scalars, sup,
-                      wedge)
+from .algebra import GRADE_MASKS, PointMetric, grade_project, linear_combination, reverse, scalars, sup, wedge
 from .diffops import FieldCalculus, MultivectorField
 from .geometry import CATALOG, build_metric, curvature
 
@@ -146,11 +145,10 @@ def _sign(exponent: np.ndarray) -> np.ndarray:
     return np.where(exponent % 2, -1.0, 1.0)[:, np.newaxis]
 
 
-def _draw_trials(rng: np.random.Generator, count: int, store: TableStore | None = None) -> tuple:
+def _draw_trials(rng: np.random.Generator, count: int) -> tuple:
     """Inputs of ``count`` trials, each drawn in turn in the order one trial uses.
 
-    Returns the block :class:`PointMetric` of the trials' metrics, which
-    builds its largest tables into ``store`` when one is given, coefficient
+    Returns the block :class:`PointMetric` of the trials' metrics, coefficient
     rows a, b, c and the integer draws r, s (grades), i, j (covector indices)
     and k (grade), one per trial.  A metric that fails its checks raises the
     error it raises alone (the first such trial's).
@@ -163,7 +161,7 @@ def _draw_trials(rng: np.random.Generator, count: int, store: TableStore | None 
         i, j = rng.integers(0, 4), rng.integers(0, 4)
         ints.append((r, s, i, j, rng.integers(0, 5)))
     L = np.array(congruences)
-    pm = PointMetric(L @ ETA @ L.transpose(0, 2, 1), _store=store)  # L eta L^T, bitwise as drawn alone
+    pm = PointMetric(L @ ETA @ L.transpose(0, 2, 1), )  # L eta L^T, bitwise as drawn alone
     if pm.errors:
         raise pm.errors[min(pm.errors)]
     a, b, c = np.array(vectors).transpose(1, 0, 2)
@@ -306,8 +304,7 @@ def _suite(name: str, laws: tuple, threshold: float, trials: int, blocks) -> Sui
 
 def run_algebra_suite(iterations: int = 10_000, seed: int = 20240811) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    store = TableStore()  # each block's metric builds M and K where the last block's were
-    blocks = (_block_laws(*_draw_trials(rng, min(TRIALS_PER_BLOCK, iterations - first), store))
+    blocks = (_block_laws(*_draw_trials(rng, min(TRIALS_PER_BLOCK, iterations - first)))
               for first in range(0, iterations, TRIALS_PER_BLOCK))
     return _suite("algebra", ALGEBRA_LAWS, 1e-10, iterations, blocks)
 

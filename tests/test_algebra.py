@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffcheck import blades
-from cliffcheck.algebra import (STORED_TABLES, TABLE_NAMES, PointMetric, TableStore, grade_project, linear_combination,
-                                reverse, scalars, sup, wedge)
+from cliffcheck.algebra import (TABLE_NAMES, PointMetric, grade_project, linear_combination, reverse, scalars, sup,
+                                wedge)
 from cliffcheck.errors import DegenerateMetricError, SignatureError
 
 import oracles
@@ -572,31 +572,39 @@ def test_point_metric_block_lanes_equal_each_metric_alone(rng, require_lorentzia
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det")  # the NaN metric
 @pytest.mark.parametrize("size", [1, 8, 16])
-def test_tables_built_into_a_used_store_equal_a_fresh_build(rng, size):
-    # a block builds M and K into the memory of a store that held NaN, then
-    # another block's tables: every table, rejected lanes included, must be
-    # bytewise the block's tables built into new arrays
+def test_tables_built_in_nan_filled_memory_equal_a_normal_build(rng, monkeypatch, size):
+    # M, K and G2 start from np.empty: with every new array NaN-filled, no
+    # value already in that memory may reach a table, rejected lanes
+    # included, nor a product read from a table filled only to its low grade
     gs = _block_of_awkward_metrics(rng)
     rejected = sorted(PointMetric(gs).errors)
     accepted = [i for i in range(len(gs)) if i not in rejected]
     order = [i for pair in zip(accepted, rejected) for i in pair] + accepted[len(rejected):]
     gs = gs[order][:size]  # accepted and rejected lanes in turn, an accepted one first
-    fresh = PointMetric(gs)
-    want = {key: fresh.table(key).tobytes() for key in TABLE_NAMES}
-    assert len(fresh.errors) == {1: 0, 8: 4, 16: 6}[size]
-    store = TableStore()
-    others = np.array([oracles.random_lorentzian_cotangent(rng) for _ in range(16)])
-    filler = PointMetric(others, _store=store)
-    for key in STORED_TABLES:
-        filler.table(key)[...] = np.nan
-    for held in ("NaN", "another block's tables"):
-        if held != "NaN":
-            other = PointMetric(others, _store=store)
-            for key in TABLE_NAMES:
-                other.table(key)
-        block = PointMetric(gs, _store=store)
+    a, b = rng.uniform(-1.0, 1.0, size=(2, size, blades.N_BLADES))
+    # left factors that read M to grade 2 and K to grade 1 alone
+    products = {"M": lambda pm: pm.clifford(np.where(blades.GRADE <= 2, a, 0.0), b),
+                "K": lambda pm: pm.left_contract(np.where(blades.GRADE <= 1, a, 0.0), b)}
+    normal = PointMetric(gs)
+    want_products = {key: product(normal).tobytes() for key, product in products.items()}
+    want = {key: normal.table(key).tobytes() for key in TABLE_NAMES}
+    assert len(normal.errors) == {1: 0, 8: 4, 16: 6}[size]
+    empty = np.empty
+
+    def nan_filled(shape, *args, **kwargs):
+        out = empty(shape, *args, **kwargs)
+        out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_filled)
+    for first in ("low-grade products", "complete tables"):
+        block = PointMetric(gs)
+        if first == "low-grade products":
+            for key, product in products.items():
+                assert product(block).tobytes() == want_products[key], key
+                assert key in block._tables.low  # read at its low grade; table() then fills it
         for key in TABLE_NAMES:
-            assert block.table(key).tobytes() == want[key], (held, key)
+            assert block.table(key).tobytes() == want[key], (first, key)
 
 
 def _with_entry(g, i, j, value):

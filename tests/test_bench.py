@@ -98,6 +98,36 @@ def test_paired_runs_alternate_the_revision_and_the_checkout_and_remove_the_revi
     assert [run["end_to_end"]["work_per_s"]["value"] for run in series["checkout"]] == [8.0, 11.0]
 
 
+def test_paired_runs_print_each_metrics_quartiles_and_pairs_won_in_its_direction(tmp_path, monkeypatch, capsys):
+    # a stubbed run: pair k gives the revision 10 (k + 1) on every metric and
+    # the checkout one more, but one less in the last pair.  The checkout wins
+    # 3 of 4 pairs where higher is better and 1 where lower is
+    if subprocess.run(["git", "-C", str(REPO), "rev-parse", "HEAD"], capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    bench = _bench_module()
+    runs = {}
+
+    def run_workload(name, seed, seconds, trace, root=bench.REPO):
+        k = runs[name, trace, root] = runs.get((name, trace, root), -1) + 1
+        k -= root == bench.REPO  # the checkout's first untraced run is the unpaired one
+        value = 10.0 * (k + 1) + (root == bench.REPO) * (1.0 if k < 3 else -1.0)
+        e2e = {key: {"value": value} for key in ("setup_s", "op_s.p50", "work_per_s", "peak_rss_mb")}
+        return {"correct": True, "attempted": 1, "failed": 0, "end_to_end": e2e, "detail": {},
+                "report_sha256": {}, "provenance": {}, "per_layer": {}}
+
+    monkeypatch.setattr(bench, "run_workload", run_workload)
+    argv = ["--pr", "0", "--seconds", "1", "--workloads", "kerr-identities", "--out", str(tmp_path),
+            "--against", "HEAD", "--pairs", "4"]
+    assert bench.main(argv) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines() if "checkout better in" in line]
+    metrics = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    assert [(line[0], line[1], line[2]) for line in lines] == [
+        ("kerr-identities", metric["name"], metric["better"]) for metric in metrics]
+    for line in lines:  # revision 10, 20, 30, 40; checkout 11, 21, 31, 39
+        assert line[3:] == ["HEAD:", "25", "[12.5,", "37.5]", "checkout:", "26", "[13.5,", "37]",
+                            "checkout", "better", "in", "3/4" if line[2] == "higher" else "1/4"]
+
+
 def test_paired_runs_remove_the_revision_when_a_run_fails(monkeypatch):
     if subprocess.run(["git", "-C", str(REPO), "rev-parse", "HEAD"], capture_output=True).returncode:
         pytest.skip("not a git checkout")

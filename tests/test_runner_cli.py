@@ -641,12 +641,8 @@ def test_cli_runs_the_same_where_mallopt_is_missing(monkeypatch, capsys, cdll):
     assert capsys.readouterr() == want
 
 
-@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-                    reason="the CLI sets allocator thresholds on glibc only")
-def test_a_second_verify_in_one_process_faults_in_almost_no_memory(tmp_path, capsys):
-    # each block makes and frees the same arrays, many above glibc's default
-    # mmap threshold; with the CLI's thresholds the next block reuses them.
-    # With glibc's defaults this run faults about 4 000 pages in again.
+def _verify_argv(tmp_path) -> tuple:
+    """A 200-point Schwarzschild run of every check; three fail, the fields solve nothing."""
     body = {
         "metric": {"builtin": "schwarzschild", "params": {"M": 1.0}},
         "constants": {"coupling": 1.0},
@@ -654,13 +650,28 @@ def test_a_second_verify_in_one_process_faults_in_almost_no_memory(tmp_path, cap
         "samples": {"random": {"count": 200, "seed": 1}},
         "checks": list(CHECKS),
     }
+    return ["verify", str(write_scenario(tmp_path, body))], 1
+
+
+def _selftest_argv(tmp_path) -> tuple:
+    """Three full blocks of algebra trials and a short one, and the operator suite."""
+    return ["algebra-selftest", "--iterations", str(3 * TRIALS_PER_BLOCK + 5), "--seed", "7"], 0
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the CLI sets allocator thresholds on glibc only")
+@pytest.mark.parametrize("command", [_verify_argv, _selftest_argv], ids=["verify", "algebra-selftest"])
+def test_a_second_verify_in_one_process_faults_in_almost_no_memory(tmp_path, capsys, command):
+    # each block makes and frees the same arrays, many above glibc's default
+    # mmap threshold; with the CLI's thresholds the next block reuses them.
+    # With glibc's defaults the verify run faults about 4 000 pages in again
     import resource  # Unix only
 
-    argv = ["verify", str(write_scenario(tmp_path, body))]
-    assert cli.main(argv) == 1  # warm-up; three checks fail, the fields solve nothing
+    argv, code = command(tmp_path)
+    assert cli.main(argv) == code  # warm-up
     capsys.readouterr()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    assert cli.main(argv) == 1
+    assert cli.main(argv) == code
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cliffcheck import algebra, blades, expr, selftest
-from cliffcheck.algebra import STORED_TABLES, PointMetric, TableStore, grade_project, sup, wedge
+from cliffcheck.algebra import PointMetric, grade_project, sup, wedge
 from cliffcheck.diffops import FieldCalculus
 from cliffcheck.errors import DegenerateMetricError
 from cliffcheck.expr import evaluate_forest
@@ -98,29 +98,6 @@ def test_suite_checks_one_block_metric_per_chunk(monkeypatch, chunk):
     assert inits == [(chunk, 4, 4)] * (50 // chunk) + [(50 % chunk, 4, 4)]
 
 
-def _address(table: np.ndarray) -> int:
-    return table.__array_interface__["data"][0]
-
-
-def test_the_suite_builds_every_block_into_one_store(monkeypatch):
-    # three full blocks and a short one: each table of the store is at one
-    # address in every block, the short block in its leading rows
-    seen = []
-    laws = selftest._block_laws
-
-    def spy(pm, *draws):
-        out = laws(pm, *draws)
-        seen.append((len(pm.g), {key: _address(pm.table(key)) for key in STORED_TABLES}))
-        return out
-
-    monkeypatch.setattr(selftest, "_block_laws", spy)
-    selftest.run_algebra_suite(iterations=3 * selftest.TRIALS_PER_BLOCK + 5, seed=5)
-    assert [size for size, _ in seen] == [selftest.TRIALS_PER_BLOCK] * 3 + [5]
-    addresses = seen[0][1]
-    assert len(set(addresses.values())) == len(STORED_TABLES)
-    assert all(block == addresses for _, block in seen)
-
-
 def test_stacked_block_metrics_equal_each_drawn_alone_bitwise():
     # _draw_trials forms a block's metrics as one stacked product L eta L^T;
     # each must be the metric random_lorentzian_metric gives, from the same
@@ -136,31 +113,6 @@ def test_stacked_block_metrics_equal_each_drawn_alone_bitwise():
                     rng.integers(0, high)
             pm = selftest._draw_trials(np.random.default_rng(seed), count)[0]
             assert pm.g.tobytes() == PointMetric(np.array(alone)).g.tobytes(), (seed, count)
-
-
-def _random_block(rng, count: int) -> np.ndarray:
-    return np.array([selftest.random_lorentzian_metric(rng) for _ in range(count)])
-
-
-def test_a_metric_whose_store_is_taken_rebuilds_its_own_tables():
-    rng = np.random.default_rng(19)
-    first_g, second_g = _random_block(rng, 16), _random_block(rng, 16)
-    want = {key: PointMetric(first_g).table(key).tobytes() for key in algebra.TABLE_NAMES}
-    store = TableStore()
-    first = PointMetric(first_g, _store=store)
-    for key in algebra.TABLE_NAMES:
-        assert first.table(key).tobytes() == want[key]
-    second = PointMetric(second_g, _store=store)
-    assert not set(first._tables)  # taking the store dropped every table of the first block
-    taken = {key: second.table(key) for key in algebra.TABLE_NAMES}
-    for key in algebra.TABLE_NAMES:
-        rebuilt = first.table(key)
-        assert rebuilt.tobytes() == want[key], key
-        assert not any(np.shares_memory(rebuilt, table) for table in taken.values()), key
-    for key in algebra.TABLE_NAMES:  # and the second block's tables are still its own
-        assert second.table(key).tobytes() == PointMetric(second_g).table(key).tobytes(), key
-    view = second.block(0, 4)  # a view of a block builds into no store
-    assert not any(np.shares_memory(view.table(key), taken[key]) for key in STORED_TABLES)
 
 
 def test_a_failing_metric_raises_its_error_alone(monkeypatch):
